@@ -3,6 +3,7 @@ package repro
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
@@ -24,11 +25,11 @@ type BatchOptions struct {
 // and decoded once and scanned against all of its current subscribers
 // while its descriptors are hot in cache, with no barrier between chunks
 // — a slow decode only delays the queries that want that chunk. Results
-// are byte-identical to per-query
-// Search calls — each query still consumes chunks in its own rank order,
-// applies its stop rule after every chunk, and owns its simulated
-// pipeline, so Simulated remains a per-query time (one modeled 2005
-// machine per query, never wall-aggregated across the batch).
+// are byte-identical to per-query Search calls — each query still
+// consumes chunks in its own rank order, applies its stop rule after
+// every chunk, and owns its simulated pipeline, so Simulated remains a
+// per-query time (one modeled 2005 machine per query, never
+// wall-aggregated across the batch).
 //
 // The results array is the caller-owned arena: neighbor slices already in
 // it are reused when they have capacity, so recycling one results array
@@ -39,54 +40,7 @@ type BatchOptions struct {
 // The batch fails fast: any error aborts the run and is reported for the
 // lowest-numbered query that hit it; no results are valid afterwards.
 func (ix *Index) SearchBatchInto(queries []Vector, opts BatchOptions, results []Result) error {
-	if err := opts.SearchOptions.validate(); err != nil {
-		return err
-	}
-	if len(results) != len(queries) {
-		return fmt.Errorf("repro: batch results length %d != queries length %d", len(results), len(queries))
-	}
-	if len(queries) == 0 {
-		return nil
-	}
-	sp := ix.batchPool.Get().(*[]search.Result)
-	defer ix.batchPool.Put(sp)
-	if cap(*sp) < len(queries) {
-		*sp = make([]search.Result, len(queries))
-	}
-	srs := (*sp)[:len(queries)]
-	for i := range results {
-		srs[i] = search.Result{Neighbors: results[i].Neighbors[:0]}
-	}
-	err := ix.engine.Run(queries, batchexec.Options{
-		K:           opts.K,
-		Stop:        stopRule(opts.SearchOptions),
-		Model:       opts.Model,
-		Overlap:     opts.Overlap,
-		Parallelism: opts.Parallelism,
-		Ctx:         opts.Ctx,
-	}, srs)
-	if err != nil {
-		for i := range srs {
-			srs[i] = search.Result{} // do not retain caller slices in the pool
-		}
-		var qe *batchexec.QueryError
-		if errors.As(err, &qe) {
-			return fmt.Errorf("repro: batch query %d: %w", qe.Query, qe.Err)
-		}
-		return fmt.Errorf("repro: %w", err)
-	}
-	for i := range results {
-		sr := &srs[i]
-		results[i] = Result{
-			Neighbors:  sr.Neighbors,
-			ChunksRead: sr.ChunksRead,
-			Simulated:  sr.Elapsed,
-			Wall:       sr.Wall,
-			Exact:      sr.Exact,
-		}
-		srs[i] = search.Result{} // do not retain caller slices in the pool
-	}
-	return nil
+	return runBatch(&ix.batchPool, ix.engine.RunStream, noShardsDown, queries, opts, results, nil)
 }
 
 // SearchBatchStream runs the batch like SearchBatchInto and streams
@@ -99,9 +53,35 @@ func (ix *Index) SearchBatchInto(queries []Vector, opts BatchOptions, results []
 // already fired retain valid results; all others are invalid. A nil done
 // degenerates to SearchBatchInto.
 func (ix *Index) SearchBatchStream(queries []Vector, opts BatchOptions, results []Result, done func(query int)) error {
-	if done == nil {
-		return ix.SearchBatchInto(queries, opts, results)
+	return runBatch(&ix.batchPool, ix.engine.RunStream, noShardsDown, queries, opts, results, done)
+}
+
+// toResult converts a search-layer outcome into the facade's Result.
+func toResult(sr *search.Result, shardsDown int) Result {
+	return Result{
+		Neighbors:     sr.Neighbors,
+		ChunksRead:    sr.ChunksRead,
+		Simulated:     sr.Elapsed,
+		Wall:          sr.Wall,
+		Exact:         sr.Exact,
+		Degraded:      sr.Degraded,
+		ChunksSkipped: sr.ChunksSkipped,
+		ShardsDown:    shardsDown,
 	}
+}
+
+// noShardsDown is the ShardsDown count of an unsharded Index.
+func noShardsDown() int { return 0 }
+
+// runBatch is the one batch body behind SearchBatchInto and
+// SearchBatchStream of both index types: validate, lend the caller's
+// neighbor slices to a pooled search-layer results array, run the batch
+// (a batchexec engine's or the shard router's RunStream-shaped method),
+// and convert each outcome — at its completion when done streams them,
+// after the run otherwise. shardsDown is sampled once per batch: before
+// the run when streaming, after it otherwise.
+func runBatch(pool *sync.Pool, run func([]Vector, batchexec.Options, []search.Result, func(int)) error,
+	shardsDown func() int, queries []Vector, opts BatchOptions, results []Result, done func(query int)) error {
 	if err := opts.SearchOptions.validate(); err != nil {
 		return err
 	}
@@ -111,42 +91,50 @@ func (ix *Index) SearchBatchStream(queries []Vector, opts BatchOptions, results 
 	if len(queries) == 0 {
 		return nil
 	}
-	sp := ix.batchPool.Get().(*[]search.Result)
-	defer ix.batchPool.Put(sp)
+	sp := pool.Get().(*[]search.Result)
+	defer pool.Put(sp)
 	if cap(*sp) < len(queries) {
 		*sp = make([]search.Result, len(queries))
 	}
 	srs := (*sp)[:len(queries)]
+	// Lend the caller's neighbor slices for the run; the ledger buffers
+	// (Machines, PerMachine) stay the pool's own across batches.
 	for i := range results {
-		srs[i] = search.Result{Neighbors: results[i].Neighbors[:0]}
+		srs[i].Neighbors = results[i].Neighbors[:0]
 	}
-	err := ix.engine.RunStream(queries, batchexec.Options{
+	defer func() {
+		for i := range srs {
+			srs[i].Neighbors = nil
+		}
+	}()
+	var onDone func(int)
+	if done != nil {
+		down := shardsDown()
+		onDone = func(qi int) {
+			results[qi] = toResult(&srs[qi], down)
+			done(qi)
+		}
+	}
+	err := run(queries, batchexec.Options{
 		K:           opts.K,
 		Stop:        stopRule(opts.SearchOptions),
 		Model:       opts.Model,
 		Overlap:     opts.Overlap,
 		Parallelism: opts.Parallelism,
 		Ctx:         opts.Ctx,
-	}, srs, func(qi int) {
-		sr := &srs[qi]
-		results[qi] = Result{
-			Neighbors:  sr.Neighbors,
-			ChunksRead: sr.ChunksRead,
-			Simulated:  sr.Elapsed,
-			Wall:       sr.Wall,
-			Exact:      sr.Exact,
-		}
-		done(qi)
-	})
-	for i := range srs {
-		srs[i] = search.Result{} // do not retain caller slices in the pool
-	}
+	}, srs, onDone)
 	if err != nil {
 		var qe *batchexec.QueryError
 		if errors.As(err, &qe) {
 			return fmt.Errorf("repro: batch query %d: %w", qe.Query, qe.Err)
 		}
 		return fmt.Errorf("repro: %w", err)
+	}
+	if done == nil {
+		down := shardsDown()
+		for i := range results {
+			results[i] = toResult(&srs[i], down)
+		}
 	}
 	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/race"
 )
 
 // TestFileStoreConcurrentBatch locks in the concurrency contract of
@@ -101,10 +103,11 @@ func TestSearchBatchIntoMatchesSearch(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := &results[qi]
-			if got.ChunksRead != want.ChunksRead || got.Simulated != want.Simulated || got.Exact != want.Exact {
-				t.Fatalf("opts %+v q%d: (chunks %d, sim %v, exact %v) != (%d, %v, %v)",
-					opts, qi, got.ChunksRead, got.Simulated, got.Exact,
-					want.ChunksRead, want.Simulated, want.Exact)
+			if got.ChunksRead != want.ChunksRead || got.Simulated != want.Simulated || got.Exact != want.Exact ||
+				got.Degraded != want.Degraded || got.ChunksSkipped != want.ChunksSkipped || got.ShardsDown != want.ShardsDown {
+				t.Fatalf("opts %+v q%d: (chunks %d, sim %v, exact %v, degraded %v, skipped %d) != (%d, %v, %v, %v, %d)",
+					opts, qi, got.ChunksRead, got.Simulated, got.Exact, got.Degraded, got.ChunksSkipped,
+					want.ChunksRead, want.Simulated, want.Exact, want.Degraded, want.ChunksSkipped)
 			}
 			if len(got.Neighbors) != len(want.Neighbors) {
 				t.Fatalf("opts %+v q%d: %d neighbors != %d", opts, qi, len(got.Neighbors), len(want.Neighbors))
@@ -122,7 +125,7 @@ func TestSearchBatchIntoMatchesSearch(t *testing.T) {
 // contract at the facade: recycling one results array across batches
 // performs no allocations per batch in steady state.
 func TestSearchBatchIntoZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	coll := GenerateCollection(6000, 22)

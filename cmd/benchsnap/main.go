@@ -25,12 +25,12 @@
 // quality/time residency curve — simulated ms/query with the 0%, 10%,
 // and 25% hottest chunks RAM-resident via simdisk.CacheTier.
 //
-// Schema 6 adds the batch-scheduler comparison — the same Zipf budget-5
-// batch over the file-backed store run under the asynchronous per-chunk
-// work queue and under the retained lockstep round-barrier baseline
-// (byte-identical results, wall time only) — and a per-backend GB/s
-// column for the query-pair shape of the multi kernel (2 queries per
-// call, the shape the AVX2 pair kernel packs into one register).
+// Schema 6 adds the batch-scheduler row — the Zipf budget-5 batch over
+// the file-backed store on the engine's asynchronous per-chunk work
+// queue (its lockstep round-barrier twin went away with that scheduler)
+// — and a per-backend GB/s column for the query-pair shape of the multi
+// kernel (2 queries per call, the shape the AVX2 pair kernel packs into
+// one register).
 //
 // Schema 7 adds spread-reads rows on the replicated (R=2) Zipf
 // workload: the completion run healthy and with one shard down under
@@ -725,12 +725,10 @@ func main() {
 	snap.Benchmarks["zipf_budget5_file_uncached_200q"] = fileBench(repro.OpenConfig{})
 	snap.Benchmarks["zipf_budget5_file_cached_200q"] = fileBench(repro.OpenConfig{CacheBytes: 256 << 20})
 
-	// Batch-scheduler rows (schema 6): the same Zipf budget-5 batch over
-	// the file-backed store, run through the internal engine under the
-	// asynchronous per-chunk work queue and the lockstep round-barrier
-	// baseline. Results are byte-identical (pinned by tests); the rows
-	// record what removing the round barrier is worth in wall time when
-	// chunk decodes have real latency.
+	// Batch-scheduler row (schema 6): the same Zipf budget-5 batch over
+	// the file-backed store, run through the internal engine's
+	// asynchronous per-chunk work queue, where chunk decodes have real
+	// latency. The row keeps its name so the trajectory stays diffable.
 	schedStore, err := chunkfile.Open(cp, ip)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsnap: scheduler open:", err)
@@ -738,14 +736,13 @@ func main() {
 	}
 	defer schedStore.Close()
 	schedEng := batchexec.New(schedStore, nil)
-	schedBench := func(sched batchexec.Scheduler) measurement {
+	schedBench := func() measurement {
 		results := make([]search.Result, len(zipfQueries))
 		run := func() error {
 			return schedEng.Run(zipfQueries, batchexec.Options{
-				K:         *k,
-				Stop:      search.ChunkBudget(5),
-				Overlap:   true,
-				Scheduler: sched,
+				K:       *k,
+				Stop:    search.ChunkBudget(5),
+				Overlap: true,
 			}, results)
 		}
 		r := testing.Benchmark(func(b *testing.B) {
@@ -771,8 +768,7 @@ func main() {
 		m.ChunksPerQuery = chunks / float64(len(results))
 		return m
 	}
-	snap.Benchmarks["zipf_budget5_file_sched_async_200q"] = schedBench(batchexec.SchedulerAsync)
-	snap.Benchmarks["zipf_budget5_file_sched_lockstep_200q"] = schedBench(batchexec.SchedulerLockstep)
+	snap.Benchmarks["zipf_budget5_file_sched_async_200q"] = schedBench()
 
 	// Then the modeled residency curve: the 2005 machine with the top-N%
 	// hottest chunks RAM-resident (simdisk.CacheTier), same workload. The

@@ -176,14 +176,26 @@ type Store interface {
 // that owns every chunk of this store: a fixed owner when all of the
 // store's chunks bill their stalls to one machine (a shard's logical
 // view), or -1 when ownership varies per chunk (a concatenated
-// multi-shard store, whose consumers already hold a chunk→machine
-// mapping). When count > 1 the store sets Data.Served on every ReadChunk
+// multi-shard store, which reports it through MachineLayout). When count > 1 the store sets Data.Served on every ReadChunk
 // and consumers that track per-machine serving time charge the serving
 // machine's ledger, billing Data.Stall to the owner. A count <= 1
 // disables per-machine accounting entirely, keeping single-machine reads
 // byte-identical to stores that never implement the interface.
 type MachineRouter interface {
 	Machines() (count, owner int)
+}
+
+// MachineLayout is an optional Store interface for stores whose chunks
+// live on several simulated machines (the shard router's concatenated
+// global store): Layout returns the machine owning every chunk (one
+// entry per Meta entry, read-only) and the machine count. Consumers bill
+// each chunk to its owner's simdisk.Pipeline, every machine paying the
+// index read for its own chunk count, and report the max over the
+// machines — they run in parallel. The layout is nominal: it never
+// depends on which replica served a read (that is MachineRouter's
+// serving ledger). A store without the interface is one machine.
+type MachineLayout interface {
+	Layout() (owner []int32, machines int)
 }
 
 // Write builds the two files from a clustering. Chunks appear in the

@@ -105,7 +105,7 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 	for s, idxs := range assign {
 		shardStores[s] = chunkfile.NewMemStore(lab.Coll, shard.Select(g.SRChunks, idxs), lab.Cfg.PageSize)
 	}
-	router, err := shard.NewRouter(shardStores, model)
+	router, err := shard.NewRouter(shardStores, nil, model, shard.RouterOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ func Skew(lab *Lab) (*SkewResult, error) {
 				idxs := append(append([]int(nil), placement.Primary[s]...), placement.Extra[s]...)
 				stores[s] = chunkfile.NewMemStore(lab.Coll, shard.Select(chunks, idxs), lab.Cfg.PageSize)
 			}
-			router, err := shard.NewReplicatedRouterWith(stores, placement, lab.Model, shard.RouterOptions{SpreadReads: spread})
+			router, err := shard.NewRouter(stores, placement, lab.Model, shard.RouterOptions{SpreadReads: spread})
 			if err != nil {
 				return nil, err
 			}

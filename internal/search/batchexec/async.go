@@ -4,14 +4,17 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+
+	"repro/internal/search"
+	"repro/internal/vec"
 )
 
-// The asynchronous scheduler. Every distinct chunk of the store owns one
-// chunkTask; a query subscribes to the single chunk its rank order wants
-// next, the task is queued when it gains its first subscriber, and
-// whichever goroutine pops it decodes the chunk once and processes the
-// whole subscriber wave (processChunk): scan, per-subscriber pipeline
-// charge in that query's own rank order, stop rule, and either
+// The scheduler: an asynchronous per-chunk work queue. Every distinct
+// chunk of the store owns one chunkTask; a query subscribes to the single
+// chunk its rank order wants next, the task is queued when it gains its
+// first subscriber, and whichever goroutine pops it decodes the chunk
+// once and processes the whole subscriber wave (processChunk): scan, each
+// subscriber's walk step in that query's own rank order, and either
 // retirement (streaming the completion) or a subscription to the query's
 // next chunk. Subscriptions arriving while a task runs form the next
 // wave: the finishing processor re-queues the task itself, so a chunk is
@@ -25,8 +28,7 @@ import (
 // pushes to the list drains it before leaving the run (workers after
 // each task, the coordinator after seeding), so a ready task can never
 // be orphaned and the run cannot deadlock even when the pool is
-// saturated by concurrent batches — the same non-blocking discipline as
-// the lockstep scheduler's inline fallback.
+// saturated by concurrent batches.
 
 // chunkTask is one chunk's decode task: its current subscribers, the
 // wave being processed, and whether the task is queued or running.
@@ -63,7 +65,7 @@ func (a *arena) enqueue(c int32) {
 		a.inflight.Add(1)
 		a.wg.Add(1)
 		select {
-		case jobs <- job{a: a, lo: c, hi: -1}:
+		case jobs <- job{a: a, c: c}:
 			return
 		default:
 			a.wg.Done()
@@ -155,16 +157,17 @@ func (a *arena) aborted(state int32) bool {
 	return false
 }
 
-// runAsync executes the run on the asynchronous per-chunk work queue:
-// seed every live query's first subscription, drain the overflow the
-// seeding produced, then wait out the tasks in flight on the pool.
-func (a *arena) runAsync(workers int) error {
-	if cap(a.tasks) < len(a.metas) {
+// run executes the batch on the work queue: start every query's walk,
+// seed their first subscriptions, drain the overflow the seeding produced,
+// then wait out the tasks in flight on the pool.
+func (a *arena) run(queries []vec.Vector, results []search.Result, workers int) error {
+	chunks := len(a.store.Meta())
+	if cap(a.tasks) < chunks {
 		// Fresh allocation, never a copy: chunkTask holds a mutex. The
 		// store's chunk count is fixed, so per-engine this happens once.
-		a.tasks = make([]chunkTask, len(a.metas))
+		a.tasks = make([]chunkTask, chunks)
 	}
-	a.tasks = a.tasks[:len(a.metas)]
+	a.tasks = a.tasks[:chunks]
 	for i := range a.tasks {
 		t := &a.tasks[i]
 		t.subs = t.subs[:0]
@@ -181,9 +184,20 @@ func (a *arena) runAsync(workers int) error {
 		ensurePool()
 	}
 
-	for _, si := range a.live {
-		st := &a.states[si]
-		a.subscribe(st.ranked[st.cursor].Idx, si)
+	for qi := range queries {
+		st := &a.states[qi]
+		st.Query, st.q, st.res = qi, queries[qi], &results[qi]
+		st.Reset(&a.plan, st.q, st.res)
+	}
+	// Subscribe only once every walk is ranked: pool workers start on the
+	// first ready chunk, and a wave formed while the coordinator is still
+	// ranking shares its read with fewer queries.
+	for qi := range queries {
+		if st := &a.states[qi]; chunks > 0 {
+			a.subscribe(st.Next(), int32(qi))
+		} else {
+			a.retire(st)
+		}
 	}
 	for {
 		c, ok := a.popReady()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,52 +14,6 @@ import (
 	"repro/internal/faultstore"
 	"repro/internal/search"
 )
-
-// TestBatchSchedulersEquivalent pins that the asynchronous work queue
-// and the retained lockstep baseline are byte-identical: same neighbors
-// (IDs and bit-identical distances), ChunksRead, Elapsed, IndexRead and
-// Exact for every query, across all three stop rules and parallelisms.
-// Combined with TestBatchMatchesSingleQuery (which runs the default,
-// asynchronous scheduler) this chains both schedulers to the per-query
-// reference path.
-func TestBatchSchedulersEquivalent(t *testing.T) {
-	mem, _, queries := buildStores(t)
-	eng := New(mem, nil)
-	stops := []search.StopRule{
-		search.ChunkBudget(3),
-		search.TimeBudget(250 * time.Millisecond),
-		search.ToCompletion{},
-	}
-	for _, stop := range stops {
-		want := make([]search.Result, len(queries))
-		if err := eng.Run(queries, Options{K: 20, Stop: stop, Overlap: true, Scheduler: SchedulerLockstep}, want); err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{1, 0} {
-			got := make([]search.Result, len(queries))
-			if err := eng.Run(queries, Options{K: 20, Stop: stop, Overlap: true, Parallelism: par}, got); err != nil {
-				t.Fatal(err)
-			}
-			for qi := range queries {
-				g, w := &got[qi], &want[qi]
-				if g.ChunksRead != w.ChunksRead || g.Elapsed != w.Elapsed ||
-					g.IndexRead != w.IndexRead || g.Exact != w.Exact {
-					t.Fatalf("%v/p%d q%d: async (%d, %v, %v, %v) != lockstep (%d, %v, %v, %v)",
-						stop, par, qi, g.ChunksRead, g.Elapsed, g.IndexRead, g.Exact,
-						w.ChunksRead, w.Elapsed, w.IndexRead, w.Exact)
-				}
-				if len(g.Neighbors) != len(w.Neighbors) {
-					t.Fatalf("%v/p%d q%d: %d neighbors != %d", stop, par, qi, len(g.Neighbors), len(w.Neighbors))
-				}
-				for i := range w.Neighbors {
-					if g.Neighbors[i] != w.Neighbors[i] {
-						t.Fatalf("%v/p%d q%d rank %d: %+v != %+v", stop, par, qi, i, g.Neighbors[i], w.Neighbors[i])
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestRunStream pins the streaming contract: the completion callback
 // fires exactly once per query, results[qi] is fully written (sorted
@@ -93,10 +48,8 @@ func TestRunStream(t *testing.T) {
 			if n != 1 {
 				t.Fatalf("p%d q%d: callback fired %d times, want 1", par, qi, n)
 			}
-			for i := range want[qi].Neighbors {
-				if results[qi].Neighbors[i] != want[qi].Neighbors[i] {
-					t.Fatalf("p%d q%d rank %d: streamed neighbor mismatch", par, qi, i)
-				}
+			if d := diff(&results[qi], &want[qi]); d != "" {
+				t.Fatalf("p%d q%d: streamed result: %s", par, qi, d)
 			}
 		}
 	}
@@ -121,9 +74,8 @@ func recordEvent(ev search.Event) traceRec {
 // TestBatchTraceMatchesSingleQuery pins the batch trace hook against the
 // single-query path: for every query, the engine emits the same events
 // (ordinal, chunk, chunk count, simulated elapsed, and the evolving
-// neighbor set) in the same rank order, under both schedulers and in
-// parallel — events of one query are ordered even when queries
-// interleave.
+// neighbor set) in the same rank order, inline and in parallel — events
+// of one query are ordered even when queries interleave.
 func TestBatchTraceMatchesSingleQuery(t *testing.T) {
 	mem, _, queries := buildStores(t)
 	queries = queries[:16]
@@ -140,15 +92,11 @@ func TestBatchTraceMatchesSingleQuery(t *testing.T) {
 		}
 	}
 
-	for _, tc := range []struct {
-		name  string
-		sched Scheduler
-		par   int
-	}{{"async-p1", SchedulerAsync, 1}, {"async-p0", SchedulerAsync, 0}, {"lockstep", SchedulerLockstep, 0}} {
+	for _, par := range []int{1, 0} {
 		var mu sync.Mutex
 		got := make([][]traceRec, len(queries))
 		results := make([]search.Result, len(queries))
-		err := eng.Run(queries, Options{K: 10, Stop: stop, Scheduler: tc.sched, Parallelism: tc.par,
+		err := eng.Run(queries, Options{K: 10, Stop: stop, Parallelism: par,
 			Trace: func(qi int, ev search.Event) {
 				rec := recordEvent(ev)
 				mu.Lock()
@@ -160,20 +108,13 @@ func TestBatchTraceMatchesSingleQuery(t *testing.T) {
 		}
 		for qi := range queries {
 			if len(got[qi]) != len(want[qi]) {
-				t.Fatalf("%s q%d: %d events != %d", tc.name, qi, len(got[qi]), len(want[qi]))
+				t.Fatalf("p%d q%d: %d events != %d", par, qi, len(got[qi]), len(want[qi]))
 			}
 			for i, w := range want[qi] {
 				g := got[qi][i]
-				if g.ordinal != w.ordinal || g.chunk != w.chunk || g.count != w.count || g.elapsed != w.elapsed {
-					t.Fatalf("%s q%d event %d: %+v != %+v", tc.name, qi, i, g, w)
-				}
-				if len(g.ids) != len(w.ids) {
-					t.Fatalf("%s q%d event %d: %d neighbors != %d", tc.name, qi, i, len(g.ids), len(w.ids))
-				}
-				for j := range w.ids {
-					if g.ids[j] != w.ids[j] {
-						t.Fatalf("%s q%d event %d rank %d: id %d != %d", tc.name, qi, i, j, g.ids[j], w.ids[j])
-					}
+				if g.ordinal != w.ordinal || g.chunk != w.chunk || g.count != w.count || g.elapsed != w.elapsed ||
+					!slices.Equal(g.ids, w.ids) {
+					t.Fatalf("p%d q%d event %d: %+v != %+v", par, qi, i, g, w)
 				}
 			}
 		}
@@ -196,11 +137,11 @@ func (s *cancelStore) ReadChunk(i int, data *chunkfile.Data) error {
 	return s.Store.ReadChunk(i, data)
 }
 
-// TestBatchMidCancel pins the satellite fix: cancellation is observed
-// between chunk decode tasks, not between rounds. After ctx is canceled
-// mid-batch, each in-flight processor finishes at most the one chunk it
-// already holds — with Parallelism 1 that means at most one read after
-// the cancellation — and the run fails with an error wrapping ctx.Err().
+// TestBatchMidCancel pins that cancellation is observed between chunk
+// decode tasks. After ctx is canceled mid-batch, each in-flight processor
+// finishes at most the one chunk it already holds — with Parallelism 1
+// that means at most one read after the cancellation — and the run fails
+// with an error wrapping ctx.Err().
 func TestBatchMidCancel(t *testing.T) {
 	mem, _, queries := buildStores(t)
 
@@ -249,12 +190,12 @@ func (s *gateStore) ReadChunk(i int, data *chunkfile.Data) error {
 	return s.Store.ReadChunk(i, data)
 }
 
-// TestBatchStragglerStreams pins the whole point of removing the round
-// barrier: one artificially slow chunk delays exactly its own
-// subscribers. Every query whose rank-order prefix avoids the straggler
-// chunk completes and streams its callback while the straggler is still
-// blocked; the blocked queries complete after release with byte-identical
-// results.
+// TestBatchStragglerStreams pins the point of a barrier-free queue: one
+// artificially slow chunk delays exactly its own subscribers. Every query
+// whose rank-order prefix avoids the straggler chunk completes and
+// streams its callback while the straggler is still blocked; the blocked
+// queries complete after release, all with results byte-identical to the
+// ungated run.
 func TestBatchStragglerStreams(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs a second worker to make progress around the blocked chunk")
@@ -296,7 +237,7 @@ func TestBatchStragglerStreams(t *testing.T) {
 	gs := &gateStore{Store: mem, chunk: straggler, gate: make(chan struct{})}
 	geng := New(gs, nil)
 	var mu sync.Mutex
-	done := make([]bool, len(queries))
+	var released atomic.Bool // set just before the gate opens
 	nDone := 0
 	unblockedDone := make(chan struct{})
 	results := make([]search.Result, len(queries))
@@ -306,10 +247,12 @@ func TestBatchStragglerStreams(t *testing.T) {
 			func(qi int) {
 				mu.Lock()
 				defer mu.Unlock()
-				if blocked[qi] {
+				switch after := released.Load(); {
+				case blocked[qi] && !after:
 					t.Errorf("q%d subscribes to straggler chunk %d but completed before release", qi, straggler)
+				case !blocked[qi] && after:
+					t.Errorf("q%d avoids straggler chunk %d but completed only after release", qi, straggler)
 				}
-				done[qi] = true
 				if nDone++; nDone == len(queries)-nBlocked {
 					close(unblockedDone)
 				}
@@ -326,18 +269,14 @@ func TestBatchStragglerStreams(t *testing.T) {
 		mu.Lock()
 		t.Fatalf("timeout: %d/%d unaffected queries streamed", nDone, len(queries)-nBlocked)
 	}
+	released.Store(true)
 	close(gs.gate)
 	if err := <-runErr; err != nil {
 		t.Fatal(err)
 	}
 	for qi := range queries {
-		if len(results[qi].Neighbors) != len(want[qi].Neighbors) || results[qi].Elapsed != want[qi].Elapsed {
-			t.Fatalf("q%d: post-release result differs from baseline", qi)
-		}
-		for i := range want[qi].Neighbors {
-			if results[qi].Neighbors[i] != want[qi].Neighbors[i] {
-				t.Fatalf("q%d rank %d: neighbor mismatch", qi, i)
-			}
+		if d := diff(&results[qi], &want[qi]); d != "" {
+			t.Fatalf("q%d: gated result differs from the ungated run: %s", qi, d)
 		}
 	}
 }
@@ -370,8 +309,8 @@ func TestBatchAsyncStress(t *testing.T) {
 				return
 			}
 			for qi := range want {
-				if results[qi].Elapsed != want[qi].Elapsed || len(results[qi].Neighbors) != len(want[qi].Neighbors) {
-					t.Errorf("concurrent run q%d: result mismatch", qi)
+				if d := diff(&results[qi], &want[qi]); d != "" {
+					t.Errorf("concurrent run q%d: %s", qi, d)
 					return
 				}
 			}

@@ -12,47 +12,35 @@
 // vec.SquaredDistancesMulti kernel call per row block; on SIMD backends
 // the full-heap queries fold into the same call — see scanGroup).
 //
-// Two schedulers drive the inverted loop (Options.Scheduler):
+// The inverted loop runs on an asynchronous work queue (async.go). Each
+// query subscribes to the one chunk its rank order wants next; a chunk's
+// task is queued when it gains its first subscriber, and a worker that
+// pops it scans the chunk for every subscriber of that wave, takes each
+// subscriber's walk one step (search.Walk — the same per-(query, chunk)
+// step the single-query path takes: charge, stop rule, certificate), and
+// either retires the query (streaming its completion, see RunStream) or
+// subscribes it to its next chunk. No barrier exists anywhere: a query's
+// progress is never gated on chunks it does not want, so a straggler
+// chunk delays exactly its own subscribers.
 //
-//   - The asynchronous work queue (the default). Each query subscribes to
-//     the one chunk its rank order wants next; a chunk's task is queued
-//     when it gains its first subscriber, and a worker that pops it scans
-//     the chunk for every subscriber of that wave, charges each
-//     subscriber's own pipeline, applies its stop rule immediately, and
-//     either retires the query (streaming its completion, see RunStream)
-//     or subscribes it to its next chunk. No barrier exists anywhere:
-//     a query's progress is never gated on chunks it does not want, so a
-//     straggler chunk delays exactly its own subscribers.
-//   - The lockstep round scheduler (SchedulerLockstep), the engine's
-//     original design, retained as the measurable baseline: all live
-//     queries advance one chunk per round, each round's distinct chunks
-//     are scanned concurrently, and a round barrier joins the workers
-//     before the next round starts. Fast queries idle at every barrier
-//     while the round's straggler chunk finishes — the response-time
-//     variability the asynchronous scheduler removes.
-//
-// Per-query semantics are preserved bit for bit under both schedulers,
-// and the equivalence tests pin it:
+// Per-query semantics are those of the single-query path by construction
+// — both drive the same search.Walk — and the equivalence tests pin it:
 //
 //   - Each query processes chunks in its own rank order (RankChunks), so
 //     neighbor sets, ChunksRead and the Exact flag match the single-query
 //     path exactly.
-//   - Simulated timing is per query: every query owns a simdisk.Pipeline
-//     charged with exactly the chunks it consumed, in its rank order.
-//     Batch code must never share or wall-aggregate simulated time — the
-//     model is one 2005 machine per query. Because each query's charges
-//     land on its own pipeline in its own rank order, the simulated
-//     clocks are independent of *when* the scheduler processes a chunk;
-//     reordering execution moves wall time only, never results. When
-//     Options.Shards maps the store's chunks onto several simulated
-//     machines (the shard router's global-budget mode), a query owns one
-//     pipeline per machine instead, each seeded with that machine's own
-//     index-read time; chunks are charged to their owning machine and the
-//     query's Elapsed is the max over its machines, which run in
-//     parallel.
+//   - Simulated timing is per query: every walk owns its simdisk
+//     pipelines, charged with exactly the chunks it consumed, in its rank
+//     order. Batch code must never share or wall-aggregate simulated time
+//     — the model is one 2005 machine per query (one per (query, machine)
+//     when the store reports a chunkfile.MachineLayout, the shard
+//     router's global-budget mode). Because each walk's charges land on
+//     its own pipelines in its own rank order, the simulated clocks are
+//     independent of *when* the scheduler processes a chunk; reordering
+//     execution moves wall time only, never results.
 //
-// All per-query state (ranked order cursor, suffix bounds, knn.Heap,
-// pipeline) lives in a pooled batch-owned arena, and result neighbor
+// All per-query state (the walk: rank cursor, suffix bounds, knn.Heap,
+// pipelines) lives in an engine-owned recycled arena, and result neighbor
 // slices are recycled from the caller's results array, so a steady-state
 // batch performs zero allocations. Decode tasks fan out to a lazily
 // started process-wide worker pool; overflow beyond the run's
@@ -67,39 +55,19 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/chunkfile"
-	"repro/internal/knn"
 	"repro/internal/search"
 	"repro/internal/simdisk"
 	"repro/internal/vec"
 )
 
-// Scheduler selects the engine's execution strategy. Both schedulers
-// produce byte-identical results; they differ only in how wall time is
-// spent.
-type Scheduler int
-
-const (
-	// SchedulerAsync is the default: the asynchronous per-chunk work
-	// queue. Queries subscribe to chunks in their own rank order,
-	// completed queries stream out immediately, and no round barrier
-	// ever idles a fast query behind a slow chunk.
-	SchedulerAsync Scheduler = iota
-	// SchedulerLockstep is the original round-barrier scheduler, kept as
-	// the benchmark baseline: all live queries advance one chunk per
-	// round and a barrier joins the round's workers before the next
-	// round starts.
-	SchedulerLockstep
-)
-
 // Options configures one batch run. The zero value means k=30,
-// run-to-completion, the engine's model, serial pipeline, the
-// asynchronous scheduler, and one worker per CPU.
+// run-to-completion, the engine's model, serial pipeline, and one worker
+// per CPU.
 type Options struct {
 	K    int
 	Stop search.StopRule // must be stateless/concurrency-safe (the built-in rules are)
@@ -109,31 +77,6 @@ type Options struct {
 	// Parallelism caps the concurrency of this run: <=0 means GOMAXPROCS,
 	// 1 runs entirely on the calling goroutine.
 	Parallelism int
-	// Scheduler selects the execution strategy: the asynchronous
-	// per-chunk work queue (zero value) or the retained lockstep
-	// round-barrier baseline. Results are byte-identical either way.
-	Scheduler Scheduler
-	// Shards, when non-nil, maps every store chunk to the simulated
-	// machine serving it (len must equal the store's chunk count) and
-	// switches the cost model from one 2005 machine per query to one
-	// machine per (query, shard): each query then owns one
-	// simdisk.Pipeline per machine, a chunk is charged to its owning
-	// machine's pipeline in the query's own rank order over that machine's
-	// chunks, and the Elapsed consulted by the stop rule (and reported in
-	// the Result) is the max over the query's machines — they run in
-	// parallel. Each machine pays its own index read for its own chunk
-	// count before serving, so a machine mapping reproduces exactly the
-	// per-shard pipelines the shard router's global-budget mode specifies.
-	// A nil Shards is the single-machine model, byte-identical to the
-	// engine's original behavior. Stop rules observe the *global*
-	// chunksRead, so a ChunkBudget spends one total budget across the
-	// machines.
-	Shards []int32
-	// NumShards is the machine count when Shards is non-nil: 0 means one
-	// more than the highest mapped machine. Setting it higher models
-	// trailing machines that hold no chunks but still pay their (empty)
-	// index read toward the max. Ignored when Shards is nil.
-	NumShards int
 	// Trace, when non-nil, receives one search.Event per (query,
 	// processed chunk), exactly as the single-query path's Options.Trace
 	// would deliver it: Ordinal is the chunk's 1-based position in the
@@ -144,10 +87,9 @@ type Options struct {
 	// the callback must be safe for concurrent use. Skipped (unavailable)
 	// chunks emit no event, matching the single-query path.
 	Trace func(query int, ev search.Event)
-	// Ctx, when non-nil, cancels the run: the asynchronous scheduler
-	// consults it before every chunk decode task (each live query stops
-	// within one chunk charge per pipeline of the cancellation), the
-	// lockstep scheduler between rounds. On abort the run returns an
+	// Ctx, when non-nil, cancels the run: it is consulted before every
+	// chunk decode task, so each live query stops within one chunk charge
+	// of the cancellation. On abort the run returns an
 	// error wrapping ctx.Err(); results not already streamed through
 	// RunStream's callback are invalid, exactly as on any other batch
 	// error. A nil Ctx never stops the run.
@@ -169,9 +111,13 @@ func (e *QueryError) Unwrap() error { return e.Err }
 // Engine executes batches against one chunk store. It is safe for
 // concurrent use; concurrent Runs share the process-wide worker pool.
 type Engine struct {
-	store  chunkfile.Store
-	model  *simdisk.Model
-	arenas sync.Pool // *arena
+	store chunkfile.Store
+	model *simdisk.Model
+	// free holds the arenas no run is using: a mutex-guarded free list
+	// rather than a sync.Pool, so the steady-state zero-allocation contract
+	// does not depend on when the GC runs.
+	mu   sync.Mutex
+	free []*arena
 }
 
 // New returns an Engine over the given store. A nil model selects the
@@ -180,97 +126,64 @@ func New(store chunkfile.Store, model *simdisk.Model) *Engine {
 	if model == nil {
 		model = simdisk.Default2005()
 	}
-	e := &Engine{store: store, model: model}
-	e.arenas.New = func() any { return &arena{} }
-	return e
+	return &Engine{store: store, model: model}
 }
 
-// queryState is the per-query execution state for one batch run.
+// getArena returns a recycled arena, or a new one when none is free.
+func (e *Engine) getArena() *arena {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.free); n > 0 {
+		a := e.free[n-1]
+		e.free = e.free[:n-1]
+		return a
+	}
+	return new(arena)
+}
+
+// putArena releases a's references into the finished run and recycles it.
+func (e *Engine) putArena(a *arena) {
+	a.release()
+	e.mu.Lock()
+	e.free = append(e.free, a)
+	e.mu.Unlock()
+}
+
+// queryState is one query of a batch run: its walk plus what the engine
+// needs to scan for it and report it.
 type queryState struct {
-	qi     int32 // index of this query in the batch
-	q      vec.Vector
-	ranked []search.RankedChunk
-	suffix []float64
-	heap   *knn.Heap
-	// pipes is one simulated machine per shard of the run (a single
-	// machine when Options.Shards is nil). Chunks are charged to their
-	// owning machine; the query's Elapsed is the max over the machines.
-	pipes []simdisk.Pipeline
-	// serve is the per-machine serving ledger (search.Result.Machines),
-	// one zero-origin pipeline per machine when the store routes reads
-	// across machines (the shard router with spread reads on); empty
-	// otherwise. Nominal pipes keep driving the stop rules.
-	serve  []simdisk.Pipeline
-	events []knn.Neighbor // trace scratch: current k-NN set per event
-	cursor int            // position in ranked of the next chunk this query wants
-	done   bool
-	res    *search.Result
-}
-
-// pair maps one live query to the chunk it wants this round (lockstep
-// scheduler). Rounds sort pairs by (chunk, state): equal-chunk runs form
-// the scan groups, and the state tiebreak makes group membership (and
-// error attribution) deterministic.
-type pair struct {
-	chunk, state int32
-}
-
-// group is one run of equal-chunk pairs: pairs[lo:hi].
-type group struct {
-	lo, hi int32
+	search.Walk
+	q   vec.Vector
+	res *search.Result
 }
 
 // workerScratch is the per-goroutine scan state: the decoded chunk and
 // the kernel buffers. Workers own theirs for the life of the process; the
 // coordinator's lives in the arena.
 type workerScratch struct {
-	data    chunkfile.Data
-	d2      []float64 // single-query scan buffer (ScanChunk)
-	members []int32   // lockstep: group membership extracted from pairs
-	fill    []int32   // states of this group scanned through the Multi kernel
-	qflat   []float32 // gathered Multi queries, Q × dims
-	out     []float64 // SquaredDistancesMulti block output
+	data  chunkfile.Data
+	d2    []float64 // single-query scan buffer (ScanChunk)
+	fill  []int32   // states of this wave scanned through the Multi kernel
+	qflat []float32 // gathered Multi queries, Q × dims
+	out   []float64 // SquaredDistancesMulti block output
 }
 
-// arena is the pooled batch-owned state of one run: all query states plus
-// the scheduler's bookkeeping. It doubles as the run context jobs carry
-// to pool workers.
+// arena is the recycled batch-owned state of one run: all query states
+// plus the scheduler's bookkeeping. It doubles as the run context jobs
+// carry to pool workers.
 type arena struct {
 	store chunkfile.Store
-	metas []chunkfile.Meta
 	dims  int
-	stop  search.StopRule
 	start time.Time
 	ctx   context.Context
-	// machines is the run's chunk→machine mapping (nil = one machine);
-	// inits holds each machine's index-read time, the initial value of
-	// every query's pipeline on that machine.
-	machines []int32
-	inits    []time.Duration
-	counts   []int // per-machine chunk counts (index-read sizing scratch)
-	// model is the run's resolved cost model; serveMachines/serveOwner
-	// describe the store's read routing (chunkfile.MachineRouter): with
-	// serveMachines > 1 every query carries a per-machine serving ledger,
-	// stalls billing the fixed serveOwner (or, when it is -1, the chunk's
-	// mapped machine — the concatenated global store).
-	model         *simdisk.Model
-	serveMachines int
-	serveOwner    int
+	plan  search.Plan // the run's options and machine layout, shared by every walk
 
-	onDone func(int)               // RunStream's completion callback (nil for Run)
-	trace  func(int, search.Event) // Options.Trace
+	onDone func(int) // RunStream's completion callback (nil for Run)
 
 	states []queryState
-	live   []int32
 	coord  workerScratch
 
-	// Lockstep scheduler state.
-	nextLive []int32
-	pairs    []pair
-	groups   []group
-
-	// Asynchronous scheduler state (async.go).
-	asyncMode   bool
+	// Scheduler state (async.go).
 	tasks       []chunkTask
 	ready       []int32 // run-local overflow queue of chunk tasks
 	readyHead   int
@@ -323,12 +236,6 @@ func (e *Engine) RunStream(queries []vec.Vector, opts Options, results []search.
 	if len(results) != len(queries) {
 		return fmt.Errorf("batchexec: results length %d != queries length %d", len(results), len(queries))
 	}
-	if opts.K <= 0 {
-		opts.K = 30
-	}
-	if opts.Stop == nil {
-		opts.Stop = search.ToCompletion{}
-	}
 	model := opts.Model
 	if model == nil {
 		model = e.model
@@ -344,363 +251,79 @@ func (e *Engine) RunStream(queries []vec.Vector, opts Options, results []search.
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	a := e.arenas.Get().(*arena)
-	defer e.arenas.Put(a)
+	a := e.getArena()
+	defer e.putArena(a)
 	a.store = e.store
-	a.metas = e.store.Meta()
 	a.dims = dims
-	a.stop = opts.Stop
 	a.start = time.Now()
 	a.ctx = opts.Ctx
 	a.onDone = done
-	a.trace = opts.Trace
 	a.failed.Store(false)
 	a.err = nil
-	a.asyncMode = opts.Scheduler == SchedulerAsync
-	a.model = model
-	a.serveMachines, a.serveOwner = 1, 0
-	if mr, ok := e.store.(chunkfile.MachineRouter); ok {
-		a.serveMachines, a.serveOwner = mr.Machines()
+	if err := a.plan.Reset(e.store, model, opts.K, opts.Stop, opts.Overlap, opts.Trace); err != nil {
+		return fmt.Errorf("batchexec: %w", err)
 	}
 
-	// Resolve the machine layout: one machine (the original model) unless
-	// a shard mapping splits the store across simulated machines, each
-	// paying the index read for its own chunk count.
-	a.machines = opts.Shards
-	numMachines := 1
-	if a.machines != nil {
-		if len(a.machines) != len(a.metas) {
-			a.release()
-			return fmt.Errorf("batchexec: shards mapping length %d != chunk count %d", len(opts.Shards), len(a.metas))
-		}
-		for ci, m := range a.machines {
-			if m < 0 || (opts.NumShards > 0 && int(m) >= opts.NumShards) {
-				a.release()
-				return fmt.Errorf("batchexec: chunk %d mapped to machine %d outside [0,%d)", ci, m, opts.NumShards)
-			}
-			if int(m)+1 > numMachines {
-				numMachines = int(m) + 1
-			}
-		}
-		if opts.NumShards > numMachines {
-			numMachines = opts.NumShards
-		}
-	}
-	if cap(a.inits) < numMachines {
-		a.inits = make([]time.Duration, numMachines)
-	}
-	a.inits = a.inits[:numMachines]
-	entrySize := chunkfile.EntrySize(dims)
-	indexRead := time.Duration(0) // max over machines: they rank concurrently
-	if a.machines == nil {
-		a.inits[0] = model.IndexReadTime(len(a.metas), entrySize)
-		indexRead = a.inits[0]
-	} else {
-		if cap(a.counts) < numMachines {
-			a.counts = make([]int, numMachines)
-		}
-		counts := a.counts[:numMachines]
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, m := range a.machines {
-			counts[m]++
-		}
-		for mi, c := range counts {
-			a.inits[mi] = model.IndexReadTime(c, entrySize)
-			if a.inits[mi] > indexRead {
-				indexRead = a.inits[mi]
-			}
-		}
-	}
-
-	// Per-query setup: rank the chunks, compute suffix bounds, reset the
-	// heap and the simulated pipeline, seed the result.
 	if cap(a.states) < len(queries) {
 		states := make([]queryState, len(queries))
 		copy(states, a.states)
 		a.states = states
 	}
 	a.states = a.states[:len(queries)]
-	a.live = a.live[:0]
-	for qi := range queries {
-		st := &a.states[qi]
-		res := &results[qi]
-		neighbors := res.Neighbors[:0]
-		ledger := res.Machines[:0]
-		*res = search.Result{Neighbors: neighbors, IndexRead: indexRead, Elapsed: indexRead}
-		if a.serveMachines > 1 {
-			res.Machines = ledger // retire appends the machine clocks
-			if cap(st.serve) < a.serveMachines {
-				st.serve = make([]simdisk.Pipeline, a.serveMachines)
-			}
-			st.serve = st.serve[:a.serveMachines]
-			for t := range st.serve {
-				st.serve[t].Reset(model, opts.Overlap, 0)
-			}
-		} else {
-			st.serve = st.serve[:0]
-		}
-		st.qi = int32(qi)
-		st.q = queries[qi]
-		st.ranked = search.RankChunks(st.q, a.metas, st.ranked[:0])
-		st.suffix = search.SuffixBounds(st.ranked, st.suffix[:0])
-		if st.heap == nil {
-			st.heap = knn.NewHeap(opts.K)
-		} else {
-			st.heap.Reset(opts.K)
-		}
-		if cap(st.pipes) < numMachines {
-			st.pipes = make([]simdisk.Pipeline, numMachines)
-		}
-		st.pipes = st.pipes[:numMachines]
-		for mi := range st.pipes {
-			st.pipes[mi].Reset(model, opts.Overlap, a.inits[mi])
-		}
-		st.cursor = 0
-		st.done = false
-		st.res = res
-		if len(st.ranked) == 0 {
-			res.Exact = true // zero chunks: trivially complete
-			a.retire(st)
-		} else {
-			a.live = append(a.live, int32(qi))
-		}
-	}
-
-	var err error
-	if a.asyncMode {
-		err = a.runAsync(workers)
-	} else {
-		err = a.runLockstep(workers)
-	}
-	a.release()
-	return err
-}
-
-// runLockstep is the round-barrier scheduler: each live query wants
-// exactly one chunk (its cursor); the round is grouped by chunk so every
-// distinct chunk is read and decoded once and scanned against all of its
-// queries while hot, and a barrier joins the round's workers before the
-// next round starts.
-func (a *arena) runLockstep(workers int) error {
-	for len(a.live) > 0 {
-		if a.ctx != nil {
-			if err := a.ctx.Err(); err != nil {
-				return &QueryError{Query: int(a.live[0]), Err: fmt.Errorf("canceled mid-batch: %w", err)}
-			}
-		}
-		a.pairs = a.pairs[:0]
-		for _, si := range a.live {
-			st := &a.states[si]
-			a.pairs = append(a.pairs, pair{chunk: int32(st.ranked[st.cursor].Idx), state: si})
-		}
-		slices.SortFunc(a.pairs, func(x, y pair) int {
-			if x.chunk != y.chunk {
-				return int(x.chunk - y.chunk)
-			}
-			return int(x.state - y.state)
-		})
-		a.groups = a.groups[:0]
-		lo := 0
-		for i := 1; i <= len(a.pairs); i++ {
-			if i == len(a.pairs) || a.pairs[i].chunk != a.pairs[lo].chunk {
-				a.groups = append(a.groups, group{lo: int32(lo), hi: int32(i)})
-				lo = i
-			}
-		}
-
-		if workers <= 1 || len(a.groups) == 1 {
-			a.processSpan(&a.coord, 0, int32(len(a.groups)))
-		} else {
-			// Carve the round's groups into one contiguous span per worker,
-			// balanced by query count (group sizes are skewed: many queries
-			// rank the same dense chunk first). Span granularity keeps the
-			// handoff overhead at a few channel operations per round
-			// regardless of how many chunks the round touches.
-			ensurePool()
-			spans := workers
-			if spans > len(a.groups) {
-				spans = len(a.groups)
-			}
-			target := (len(a.pairs) + spans - 1) / spans
-			lo, acc, launched := 0, 0, 0
-			for gi := 0; gi < len(a.groups) && launched < spans-1; gi++ {
-				acc += int(a.groups[gi].hi - a.groups[gi].lo)
-				mustClose := len(a.groups)-gi-1 == spans-launched-1
-				if acc >= target || mustClose {
-					a.dispatchSpan(int32(lo), int32(gi+1))
-					launched++
-					lo, acc = gi+1, 0
-				}
-			}
-			a.dispatchSpan(int32(lo), int32(len(a.groups)))
-			a.wg.Wait()
-		}
-		if a.failed.Load() {
-			return &QueryError{Query: int(a.errState), Err: a.err}
-		}
-
-		next := a.nextLive[:0]
-		for _, si := range a.live {
-			if !a.states[si].done {
-				next = append(next, si)
-			}
-		}
-		a.live, a.nextLive = next, a.live
-	}
-	return nil
+	return a.run(queries, results, workers)
 }
 
 // release drops the arena's references into caller memory (queries,
-// results, the shard mapping, and the run's callbacks) so pooling the
-// arena does not retain them.
+// results, and the run's options and callbacks) so recycling the arena
+// does not retain them.
 func (a *arena) release() {
 	for i := range a.states {
 		a.states[i].q = nil
 		a.states[i].res = nil
 	}
-	a.machines = nil
+	a.plan.Release()
 	a.onDone = nil
-	a.trace = nil
 	a.ctx = nil
-	a.stop = nil
-	a.model = nil
 }
 
-// processGroup extracts one lockstep group's membership and processes its
-// chunk. Groups of one round touch disjoint query states, so this is safe
-// to run concurrently across groups.
-func (a *arena) processGroup(ws *workerScratch, g group) {
-	pairs := a.pairs[g.lo:g.hi]
-	ws.members = ws.members[:0]
-	for _, p := range pairs {
-		ws.members = append(ws.members, p.state)
-	}
-	a.processChunk(ws, int(pairs[0].chunk), ws.members)
-}
-
-// processChunk reads and decodes one chunk, scans it for every member
-// query, then charges each member's pipeline and applies its stop rule.
-// members must be sorted ascending (deterministic error attribution and
-// the scanGroup merge walk both rely on it) and their states must be
-// owned by the caller: the lockstep scheduler partitions a round's
-// states by wanted chunk, the asynchronous scheduler subscribes a query
-// to exactly one task at a time.
+// processChunk is the batch-specific half of a step: it reads and decodes
+// one chunk once for the whole subscriber wave and scans it for every
+// member; each member's walk then takes the shared step, and the member
+// retires or subscribes to its next chunk. In the per-query cost model
+// each member's machine would have made the read itself, so each is
+// billed the read's stall — also when no replica is live and the wave
+// skips the chunk. members must be sorted ascending (deterministic error
+// attribution and the scanGroup merge walk both rely on it); their states
+// are owned by the caller, since a query is subscribed to exactly one
+// task at a time.
 func (a *arena) processChunk(ws *workerScratch, chunk int, members []int32) {
-	m := &a.metas[chunk]
-	machine := int32(0)
-	if a.machines != nil {
-		machine = a.machines[chunk]
-	}
-	// The machine this chunk's stalls bill to on the serving ledger: the
-	// store's fixed owner (a shard view), or the chunk's mapped machine
-	// when ownership varies per chunk (the concatenated global store).
-	serveOwner := int(machine)
-	if a.serveOwner >= 0 {
-		serveOwner = a.serveOwner
-	}
-	if err := a.store.ReadChunk(chunk, &ws.data); err != nil {
-		if errors.Is(err, chunkfile.ErrUnavailable) {
-			// No live replica serves this chunk: every member query skips
-			// it and degrades, exactly as the single-query path would. In
-			// the per-query cost model each member's machine would have
-			// made (and failed) this read itself, so each is charged the
-			// stall; no budget is spent and the stop rule is not consulted.
-			stall := ws.data.Stall
-			ws.data.Stall = 0
-			for _, si := range members {
-				st := &a.states[si]
-				res := st.res
-				st.pipes[machine].Stall(stall)
-				if len(st.serve) > 0 {
-					st.serve[serveOwner].Stall(stall)
-				}
-				if e := st.pipes[machine].Elapsed(); e > res.Elapsed {
-					res.Elapsed = e
-				}
-				res.ChunksSkipped++
-				res.Degraded = true
-				if st.cursor+1 == len(st.ranked) {
-					a.retire(st)
-				} else {
-					st.cursor++
-					if a.asyncMode {
-						a.subscribe(st.ranked[st.cursor].Idx, si)
-					}
-				}
-			}
-			return
-		}
-		a.fail(members[0], err)
-		return
-	}
-	if len(members) == 1 {
-		st := &a.states[members[0]]
-		ws.d2 = search.ScanChunk(st.q, a.dims, &ws.data, st.heap, ws.d2)
-	} else {
-		a.scanGroup(ws, members)
-	}
+	err := a.store.ReadChunk(chunk, &ws.data)
 	stall := ws.data.Stall
 	ws.data.Stall = 0
-	served := serveOwner
-	if a.serveMachines > 1 {
-		if sv := int(ws.data.Served); sv >= 0 && sv < a.serveMachines {
-			served = sv
-		}
+	skip := errors.Is(err, chunkfile.ErrUnavailable)
+	switch {
+	case skip:
+	case err != nil:
+		a.fail(members[0], err)
+		return
+	case len(members) == 1:
+		st := &a.states[members[0]]
+		ws.d2 = search.ScanChunk(st.q, a.dims, &ws.data, &st.Heap, ws.d2)
+	default:
+		a.scanGroup(ws, members)
 	}
 	for _, si := range members {
 		st := &a.states[si]
-		res := st.res
-		// Charge the chunk to its owning machine's pipeline; the elapsed
-		// the stop rule sees is the max over the query's machines (they
-		// run in parallel). With one machine the max is the pipeline
-		// itself, so the single-machine path is unchanged. A read served
-		// by retries or failover first charges the attempts' stall.
-		st.pipes[machine].Stall(stall)
-		resident := len(st.serve) > 0 && a.model.ChunkResident(chunk)
-		elapsed := st.pipes[machine].ChunkAt(chunk, m.Bytes, m.Count)
-		if len(st.serve) > 0 {
-			// Mirror the charge on the serving ledger: the stall bills the
-			// owner (it performed the retries), the chunk bills the machine
-			// that actually served the read, at the residency this member's
-			// nominal ChunkAt sees (probed per member — each observation
-			// moves the cache tier for the next member).
-			st.serve[serveOwner].Stall(stall)
-			st.serve[served].ChunkCharged(m.Bytes, m.Count, resident)
+		var done bool
+		if skip {
+			done = st.Skip(st.res, stall)
+		} else {
+			done = st.Charge(st.res, stall, int(ws.data.Served))
 		}
-		if elapsed < res.Elapsed {
-			elapsed = res.Elapsed
-		}
-		res.ChunksRead++
-		res.Elapsed = elapsed
-		pos := st.cursor
-		if a.trace != nil {
-			st.events = st.heap.AppendAll(st.events[:0])
-			a.trace(int(st.qi), search.Event{
-				Ordinal:    pos + 1,
-				ChunkIndex: chunk,
-				ChunkCount: m.Count,
-				Elapsed:    elapsed,
-				Neighbors:  st.events,
-			})
-		}
-		switch {
-		case a.stop.Done(res.ChunksRead, elapsed, st.heap.Kth(), st.suffix[pos+1]):
-			// Mirror the single-query path exactly: the certificate from the
-			// suffix bound, overridden to true when every chunk was
-			// processed (with an under-filled heap both Kth and the suffix
-			// are +Inf, so the comparison alone would say false).
-			res.Exact = st.suffix[pos+1] > st.heap.Kth() || pos+1 == len(st.ranked)
+		if done {
 			a.retire(st)
-		case pos+1 == len(st.ranked):
-			res.Exact = true // every chunk processed
-			a.retire(st)
-		default:
-			st.cursor++
-			if a.asyncMode {
-				a.subscribe(st.ranked[st.cursor].Idx, si)
-			}
+		} else {
+			a.subscribe(st.Next(), si)
 		}
 	}
 }
@@ -732,7 +355,7 @@ func (a *arena) scanGroup(ws *workerScratch, members []int32) {
 	full := vec.PrefersFullScan()
 	ws.fill = ws.fill[:0]
 	for _, si := range members {
-		if full || !a.states[si].heap.Full() {
+		if full || !a.states[si].Heap.Full() {
 			ws.fill = append(ws.fill, si)
 		}
 	}
@@ -756,7 +379,7 @@ func (a *arena) scanGroup(ws *workerScratch, members []int32) {
 			vec.SquaredDistancesMulti(qf, data.Vecs[r0*dims:(r0+bn)*dims], dims, out)
 			ids := data.IDs[r0 : r0+bn]
 			for i, si := range ws.fill {
-				h := a.states[si].heap
+				h := &a.states[si].Heap
 				for j, d2 := range out[i*bn : (i+1)*bn] {
 					h.OfferSquared(ids[j], d2)
 				}
@@ -775,84 +398,25 @@ func (a *arena) scanGroup(ws *workerScratch, members []int32) {
 			continue
 		}
 		st := &a.states[si]
-		ws.d2 = search.ScanChunk(st.q, dims, data, st.heap, ws.d2)
+		ws.d2 = search.ScanChunk(st.q, dims, data, &st.Heap, ws.d2)
 	}
 }
 
-// retire finalizes one query: sorted neighbors into the caller's reused
-// slice, wall time up to this query's completion, and — when the run
-// streams — the completion callback, fired after the result is fully
-// written. A degraded query is never exact — a skipped chunk may hold
-// closer neighbors than any certificate can rule out.
+// retire finalizes one query: the walk completes the result, wall time
+// runs up to this query's completion, and — when the run streams — the
+// completion callback fires after the result is fully written.
 func (a *arena) retire(st *queryState) {
-	if st.res.Degraded {
-		st.res.Exact = false
-	}
-	if len(st.serve) > 0 {
-		mt := st.res.Machines[:0]
-		for t := range st.serve {
-			mt = append(mt, st.serve[t].Elapsed())
-		}
-		st.res.Machines = mt
-		if a.serveOwner < 0 && len(a.inits) == len(st.serve) {
-			// Concatenated multi-shard store (the global-budget mode with
-			// spread reads on): the engine is the merge point, so the
-			// reported Elapsed is recomputed from the serving ledger —
-			// machine t's clock is its own index read plus the serving
-			// time billed to it, and the machines run in parallel, so the
-			// query finishes at the slowest. The stop rule consulted the
-			// nominal owner-billed max throughout, which is what keeps the
-			// answers routing-invariant.
-			elapsed := time.Duration(0)
-			for t := range st.serve {
-				if mc := a.inits[t] + st.serve[t].Elapsed(); mc > elapsed {
-					elapsed = mc
-				}
-			}
-			st.res.Elapsed = elapsed
-		}
-	}
-	st.res.Neighbors = st.heap.SortedInto(st.res.Neighbors)
+	st.Finish(st.res)
 	st.res.Wall = time.Since(a.start)
-	st.done = true
 	if a.onDone != nil {
-		a.onDone(int(st.qi))
+		a.onDone(st.Query)
 	}
 }
 
-// processSpan runs the contiguous groups[lo:hi] of the current lockstep
-// round, bailing out once any group has failed the batch.
-func (a *arena) processSpan(ws *workerScratch, lo, hi int32) {
-	for gi := lo; gi < hi; gi++ {
-		if a.failed.Load() {
-			return
-		}
-		a.processGroup(ws, a.groups[gi])
-	}
-}
-
-// dispatchSpan hands groups[lo:hi] to a pool worker, or runs it inline on
-// the coordinator when the pool is saturated — which both load-balances
-// and rules out deadlock when concurrent batches share the pool.
-func (a *arena) dispatchSpan(lo, hi int32) {
-	if lo >= hi {
-		return
-	}
-	a.wg.Add(1)
-	select {
-	case jobs <- job{a: a, lo: lo, hi: hi}:
-	default:
-		a.processSpan(&a.coord, lo, hi)
-		a.wg.Done()
-	}
-}
-
-// job hands one unit of work to a pool worker: a span of lockstep groups
-// (hi > lo), or — when hi is negative — the asynchronous scheduler's
-// decode task for chunk lo.
+// job hands chunk c's decode task of run a to a pool worker.
 type job struct {
-	a      *arena
-	lo, hi int32
+	a *arena
+	c int32
 }
 
 // The process-wide worker pool. Workers are started once, on first
@@ -873,12 +437,8 @@ func ensurePool() {
 			go func() {
 				var ws workerScratch
 				for jb := range jobs {
-					if jb.hi < 0 {
-						jb.a.runTask(&ws, jb.lo)
-						jb.a.inflight.Add(-1)
-					} else {
-						jb.a.processSpan(&ws, jb.lo, jb.hi)
-					}
+					jb.a.runTask(&ws, jb.c)
+					jb.a.inflight.Add(-1)
 					jb.a.wg.Done()
 				}
 			}()

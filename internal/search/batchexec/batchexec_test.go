@@ -2,14 +2,16 @@ package batchexec
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/chunkfile"
 	"repro/internal/imagegen"
+	"repro/internal/race"
 	"repro/internal/search"
-	"repro/internal/simdisk"
 	"repro/internal/srtree"
 	"repro/internal/vec"
 )
@@ -86,27 +88,8 @@ func TestBatchMatchesSingleQuery(t *testing.T) {
 					if err := searcher.SearchInto(q, opts, &want); err != nil {
 						t.Fatal(err)
 					}
-					got := &results[qi]
-					if got.ChunksRead != want.ChunksRead {
-						t.Fatalf("%s/%v/p%d q%d: ChunksRead %d != %d", sc.name, stop, par, qi, got.ChunksRead, want.ChunksRead)
-					}
-					if got.Elapsed != want.Elapsed {
-						t.Fatalf("%s/%v/p%d q%d: Elapsed %v != %v", sc.name, stop, par, qi, got.Elapsed, want.Elapsed)
-					}
-					if got.IndexRead != want.IndexRead {
-						t.Fatalf("%s/%v/p%d q%d: IndexRead %v != %v", sc.name, stop, par, qi, got.IndexRead, want.IndexRead)
-					}
-					if got.Exact != want.Exact {
-						t.Fatalf("%s/%v/p%d q%d: Exact %v != %v", sc.name, stop, par, qi, got.Exact, want.Exact)
-					}
-					if len(got.Neighbors) != len(want.Neighbors) {
-						t.Fatalf("%s/%v/p%d q%d: %d neighbors != %d", sc.name, stop, par, qi, len(got.Neighbors), len(want.Neighbors))
-					}
-					for i := range want.Neighbors {
-						if got.Neighbors[i] != want.Neighbors[i] {
-							t.Fatalf("%s/%v/p%d q%d rank %d: %+v != %+v",
-								sc.name, stop, par, qi, i, got.Neighbors[i], want.Neighbors[i])
-						}
+					if d := diff(&results[qi], &want); d != "" {
+						t.Fatalf("%s/%v/p%d q%d: %s", sc.name, stop, par, qi, d)
 					}
 				}
 			}
@@ -114,33 +97,50 @@ func TestBatchMatchesSingleQuery(t *testing.T) {
 	}
 }
 
+// diff names the first field in which got differs from want — neighbors
+// (IDs and bit-identical distances), ChunksRead, Elapsed, IndexRead,
+// Exact — or returns "" when they are byte-identical.
+func diff(got, want *search.Result) string {
+	switch {
+	case got.ChunksRead != want.ChunksRead:
+		return fmt.Sprintf("ChunksRead %d != %d", got.ChunksRead, want.ChunksRead)
+	case got.Elapsed != want.Elapsed:
+		return fmt.Sprintf("Elapsed %v != %v", got.Elapsed, want.Elapsed)
+	case got.IndexRead != want.IndexRead:
+		return fmt.Sprintf("IndexRead %v != %v", got.IndexRead, want.IndexRead)
+	case got.Exact != want.Exact:
+		return fmt.Sprintf("Exact %v != %v", got.Exact, want.Exact)
+	case !slices.Equal(got.Neighbors, want.Neighbors):
+		return fmt.Sprintf("neighbors %v != %v", got.Neighbors, want.Neighbors)
+	}
+	return ""
+}
+
 // TestBatchZeroAlloc pins the arena contract: recycling one results array
 // across batches performs zero allocations per batch in steady state, on
 // both the inline and the pooled-parallel path.
 func TestBatchZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	mem, _, queries := buildStores(t)
 	eng := New(mem, nil)
-	for _, sched := range []Scheduler{SchedulerAsync, SchedulerLockstep} {
-		for _, par := range []int{1, 0} {
-			opts := Options{K: 20, Stop: search.ChunkBudget(4), Parallelism: par, Scheduler: sched}
-			results := make([]search.Result, len(queries))
-			// Warm up: grows the arena, worker scratches and neighbor slices.
-			for i := 0; i < 3; i++ {
-				if err := eng.Run(queries, opts, results); err != nil {
-					t.Fatal(err)
-				}
+	for _, par := range []int{1, 0} {
+		opts := Options{K: 20, Stop: search.ChunkBudget(4), Parallelism: par}
+		results := make([]search.Result, len(queries))
+		// Warm up: grows the arena, worker scratches and neighbor slices.
+		for i := 0; i < 3; i++ {
+			if err := eng.Run(queries, opts, results); err != nil {
+				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(20, func() {
-				if err := eng.Run(queries, opts, results); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("scheduler %d parallelism %d: steady-state batch allocates %v per run, want 0", sched, par, allocs)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := eng.Run(queries, opts, results); err != nil {
+				t.Fatal(err)
 			}
+		})
+		if allocs != 0 {
+			t.Fatalf("parallelism %d: steady-state batch allocates %v per run, want 0", par, allocs)
 		}
 	}
 }
@@ -174,11 +174,8 @@ func TestBatchExactUnderfilledHeap(t *testing.T) {
 		if !want.Exact {
 			t.Fatalf("q%d: single-query path not exact (%d chunks)", qi, want.ChunksRead)
 		}
-		if results[qi].Exact != want.Exact {
-			t.Fatalf("q%d: Exact %v != %v", qi, results[qi].Exact, want.Exact)
-		}
-		if len(results[qi].Neighbors) != len(want.Neighbors) {
-			t.Fatalf("q%d: %d neighbors != %d", qi, len(results[qi].Neighbors), len(want.Neighbors))
+		if d := diff(&results[qi], want); d != "" {
+			t.Fatalf("q%d: %s", qi, d)
 		}
 	}
 }
@@ -212,128 +209,80 @@ func TestBatchEdges(t *testing.T) {
 	}
 }
 
-// TestBatchShardMapping pins the machine-mapped cost model: with every
-// chunk assigned to one of M simulated machines, a query's Elapsed is
-// the max over its machines' pipelines (each seeded with its own
-// index-read time for its own chunk count), chunk charges land on the
-// owning machine in the query's rank order, and neighbors are unchanged
-// (the mapping moves time, never results). A mapping onto one machine is
-// byte-identical to the unmapped engine. Invalid mappings are rejected.
+// layoutStore reports a chunk→machine layout over any store, the way the
+// shard router's concatenated global store does.
+type layoutStore struct {
+	chunkfile.Store
+	owner    []int32
+	machines int
+}
+
+func (s layoutStore) Layout() ([]int32, int) { return s.owner, s.machines }
+
+// TestBatchShardMapping pins the store-reported machine layout
+// (chunkfile.MachineLayout) on the engine: a layout onto one machine is
+// byte-identical to a store without one, a three-machine layout moves
+// time but never neighbors or ChunksRead and is byte-identical to the
+// single-query path over the same store (whose Elapsed the walk's own
+// test replays by hand), and a malformed layout is rejected.
 func TestBatchShardMapping(t *testing.T) {
 	mem, _, queries := buildStores(t)
-	eng := New(mem, nil)
 	metas := mem.Meta()
 	queries = queries[:12]
-
-	base := make([]search.Result, len(queries))
-	if err := eng.Run(queries, Options{K: 10, Stop: search.ChunkBudget(6)}, base); err != nil {
+	opts := Options{K: 10, Stop: search.ChunkBudget(6)}
+	run := func(store chunkfile.Store) ([]search.Result, error) {
+		res := make([]search.Result, len(queries))
+		return res, New(store, nil).Run(queries, opts, res)
+	}
+	base, err := run(mem)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// One machine, explicitly mapped: byte-identical to no mapping.
-	oneMachine := make([]int32, len(metas))
-	got := make([]search.Result, len(queries))
-	if err := eng.Run(queries, Options{K: 10, Stop: search.ChunkBudget(6), Shards: oneMachine}, got); err != nil {
+	got, err := run(layoutStore{mem, make([]int32, len(metas)), 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for qi := range got {
-		if got[qi].Elapsed != base[qi].Elapsed || got[qi].IndexRead != base[qi].IndexRead ||
-			got[qi].ChunksRead != base[qi].ChunksRead {
-			t.Fatalf("q%d: 1-machine mapping (%v, %v, %d) != unmapped (%v, %v, %d)", qi,
-				got[qi].Elapsed, got[qi].IndexRead, got[qi].ChunksRead,
-				base[qi].Elapsed, base[qi].IndexRead, base[qi].ChunksRead)
-		}
-		for i := range base[qi].Neighbors {
-			if got[qi].Neighbors[i] != base[qi].Neighbors[i] {
-				t.Fatalf("q%d rank %d mismatch under 1-machine mapping", qi, i)
-			}
+		if d := diff(&got[qi], &base[qi]); d != "" {
+			t.Fatalf("1-machine layout q%d: %s", qi, d)
 		}
 	}
 
-	// Three machines, round-robin: neighbors and ChunksRead unchanged,
-	// Elapsed is the max of per-machine replays of the same charges.
 	const machines = 3
 	mapping := make([]int32, len(metas))
 	for i := range mapping {
 		mapping[i] = int32(i % machines)
 	}
-	if err := eng.Run(queries, Options{K: 10, Stop: search.ChunkBudget(6), Shards: mapping, NumShards: machines}, got); err != nil {
+	three := layoutStore{mem, mapping, machines}
+	if got, err = run(three); err != nil {
 		t.Fatal(err)
 	}
-	model := simdisk.Default2005()
-	counts := make([]int, machines)
-	for _, m := range mapping {
-		counts[m]++
-	}
+	searcher := search.New(three, nil)
 	for qi, q := range queries {
-		if got[qi].ChunksRead != base[qi].ChunksRead {
-			t.Fatalf("q%d: mapped ChunksRead %d != %d", qi, got[qi].ChunksRead, base[qi].ChunksRead)
+		want, err := searcher.Search(q, search.Options{K: opts.K, Stop: opts.Stop})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range base[qi].Neighbors {
-			if got[qi].Neighbors[i] != base[qi].Neighbors[i] {
-				t.Fatalf("q%d rank %d mismatch under 3-machine mapping", qi, i)
-			}
+		if d := diff(&got[qi], want); d != "" {
+			t.Fatalf("3-machine layout q%d vs single query: %s", qi, d)
 		}
-		// Replay: rank the chunks, walk the first ChunksRead of them, and
-		// charge per-machine pipelines by hand.
-		ranked := search.RankChunks(q, metas, nil)
-		pipes := make([]*simdisk.Pipeline, machines)
-		maxElapsed := time.Duration(0)
-		for m := 0; m < machines; m++ {
-			pipes[m] = simdisk.NewPipeline(model, false, model.IndexReadTime(counts[m], chunkfile.EntrySize(mem.Dims())))
-			if e := pipes[m].Elapsed(); e > maxElapsed {
-				maxElapsed = e
-			}
+		if !slices.Equal(got[qi].PerMachine, want.PerMachine) || len(want.PerMachine) != machines {
+			t.Fatalf("q%d: PerMachine %+v != %+v", qi, got[qi].PerMachine, want.PerMachine)
 		}
-		for _, rc := range ranked[:got[qi].ChunksRead] {
-			m := mapping[rc.Idx]
-			if e := pipes[m].Chunk(metas[rc.Idx].Bytes, metas[rc.Idx].Count); e > maxElapsed {
-				maxElapsed = e
-			}
-		}
-		if got[qi].Elapsed != maxElapsed {
-			t.Fatalf("q%d: mapped Elapsed %v != replayed max %v", qi, got[qi].Elapsed, maxElapsed)
+		if got[qi].ChunksRead != base[qi].ChunksRead || !slices.Equal(got[qi].Neighbors, base[qi].Neighbors) {
+			t.Fatalf("q%d: the layout moved more than time", qi)
 		}
 	}
 
-	// Invalid mappings are rejected up front.
-	if err := eng.Run(queries, Options{Shards: make([]int32, 1)}, got); err == nil {
-		t.Fatal("short mapping accepted")
-	}
 	bad := make([]int32, len(metas))
-	bad[0] = -1
-	if err := eng.Run(queries, Options{Shards: bad}, got); err == nil {
-		t.Fatal("negative machine accepted")
-	}
-	bad[0] = int32(machines)
-	if err := eng.Run(queries, Options{Shards: bad, NumShards: machines}, got); err == nil {
-		t.Fatal("machine index >= NumShards accepted")
-	}
-}
-
-// BenchmarkBatchScheduler compares the asynchronous work-queue scheduler
-// against the lockstep round-barrier baseline on the file-backed store,
-// where decode latency (and thus the barrier) actually costs wall time.
-func BenchmarkBatchScheduler(b *testing.B) {
-	_, file, queries := buildStores(b)
-	eng := New(file, nil)
-	for _, sc := range []struct {
-		name  string
-		sched Scheduler
-	}{{"async", SchedulerAsync}, {"lockstep", SchedulerLockstep}} {
-		b.Run(sc.name, func(b *testing.B) {
-			opts := Options{K: 20, Stop: search.ChunkBudget(5), Overlap: true, Scheduler: sc.sched}
-			results := make([]search.Result, len(queries))
-			if err := eng.Run(queries, opts, results); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := eng.Run(queries, opts, results); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	bad[0] = machines
+	for name, store := range map[string]layoutStore{
+		"short mapping":        {mem, make([]int32, 1), 1},
+		"machine out of range": {mem, bad, machines},
+		"negative machine":     {mem, append([]int32{-1}, bad[1:]...), machines},
+	} {
+		if _, err := run(store); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }

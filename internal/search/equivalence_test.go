@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/chunkfile"
 	"repro/internal/imagegen"
+	"repro/internal/race"
 	"repro/internal/scan"
 	"repro/internal/srtree"
 )
@@ -53,6 +54,9 @@ func TestCompletionMatchesScanOracle(t *testing.T) {
 // the steady-state path: recycling one Result across queries performs no
 // allocations once warm.
 func TestSearchIntoReusesBuffers(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race detector makes sync.Pool drop the scratch")
+	}
 	ds := imagegen.MustGenerate(imagegen.DefaultConfig(3000, 5))
 	coll := ds.Collection
 	tree, err := srtree.Build(coll, nil, 150, 16)

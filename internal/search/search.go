@@ -19,14 +19,15 @@
 // the k-NN heap) lives in a pooled scratch, so the steady-state query
 // path performs no allocations.
 //
-// The algorithm's three primitives — RankChunks (step 1), SuffixBounds
-// (the exactness certificate) and ScanChunk (step 2's adaptive scan) —
-// are exported so the chunk-major batch engine in the batchexec
-// subpackage executes the very same code per query that Search does:
-// whole-workload batch results stay byte-identical to per-query results
-// by construction, the batch engine merely reorders which chunk is
-// decoded when. Any change to the query algorithm must go through these
-// primitives, never be re-implemented on one side only.
+// Step 3 and all of its bookkeeping — simulated charging, the stop rule,
+// the exactness certificate — exist once, as Walk; Searcher.SearchInto
+// is its rank-order driver and the chunk-major batch engine in the
+// batchexec subpackage its other one, so whole-workload batch results
+// are byte-identical to per-query results by construction: the engine
+// merely reorders which chunk is decoded when. The primitives RankChunks
+// (step 1), SuffixBounds (the certificate's bounds) and ScanChunk (step
+// 2's adaptive scan) are exported for the engine's scans and for
+// benchmarks that time the stages separately.
 //
 // Elapsed time is tracked on the simdisk cost model so the paper's 2005
 // wall-clock magnitudes are reproduced deterministically; real wall time
@@ -97,9 +98,13 @@ func (ToCompletion) Done(_ int, _ time.Duration, kthDist, remainingBound float64
 
 func (ToCompletion) String() string { return "completion" }
 
+// DefaultK is the k a search runs with when none is given: the paper's
+// quality metric is precision within the top 30.
+const DefaultK = 30
+
 // Options configures a search.
 type Options struct {
-	K       int
+	K       int // <= 0 means DefaultK
 	Stop    StopRule
 	Model   *simdisk.Model // nil means simdisk.Default2005()
 	Overlap bool           // overlap I/O with CPU in the simulated pipeline
@@ -161,6 +166,20 @@ type Result struct {
 	// Nil (or empty) on single-machine stores; the slice is reused across
 	// calls on a recycled Result.
 	Machines []time.Duration
+	// PerMachine is the per-machine breakdown of a walk over a store whose
+	// chunks live on several simulated machines (chunkfile.MachineLayout —
+	// the shard router's global-budget mode): the chunks each machine was
+	// billed and its simulated clock. Empty on plain stores; reused like
+	// Machines.
+	PerMachine []MachineCost
+}
+
+// MachineCost is one simulated machine's share of a walk: the chunks it
+// was billed (read, and skipped as unavailable) and its clock — its index
+// read plus those charges, in the walk's charge order.
+type MachineCost struct {
+	ChunksRead, ChunksSkipped int
+	Elapsed                   time.Duration
 }
 
 // RankedChunk is one chunk in a query's processing order.
@@ -215,20 +234,285 @@ func SuffixBounds(ranked []RankedChunk, suffix []float64) []float64 {
 	return suffix
 }
 
-// scratch is the reusable per-query state. Searchers pool scratches so
-// concurrent callers never allocate per query in steady state.
-type scratch struct {
+// Plan is the per-run configuration every Walk of one run shares: the
+// store's chunk index, the resolved options, and the store's
+// simulated-machine layout with each machine's index-read time. The
+// single-query path resolves one per query, the batch engine one per
+// batch.
+type Plan struct {
+	metas   []chunkfile.Meta
+	k       int
+	stop    StopRule
+	model   *simdisk.Model
+	overlap bool
+	trace   func(query int, ev Event)
+	// owner maps every chunk to the machine its charges bill
+	// (chunkfile.MachineLayout; nil = one machine). inits holds each
+	// machine's index-read time for its own chunk count — the origin of
+	// every walk's pipeline on that machine — and indexRead their max: the
+	// machines rank concurrently.
+	owner     []int32
+	counts    []int
+	inits     []time.Duration
+	indexRead time.Duration
+	// serveMachines and serveOwner are the store's read routing
+	// (chunkfile.MachineRouter): with serveMachines > 1 every walk carries
+	// a per-machine serving ledger, stalls billing the fixed serveOwner or,
+	// when it is negative, the chunk's owner in the layout.
+	serveMachines, serveOwner int
+}
+
+// Reset resolves the plan for one run over the store under the given
+// (non-nil) model: k <= 0 means DefaultK, a nil stop rule ToCompletion. trace,
+// when non-nil, receives one Event per charged chunk with the walk's
+// Query index. A store reporting a malformed machine layout is rejected.
+func (p *Plan) Reset(store chunkfile.Store, model *simdisk.Model, k int, stop StopRule, overlap bool, trace func(int, Event)) error {
+	if k <= 0 {
+		k = DefaultK
+	}
+	if stop == nil {
+		stop = ToCompletion{}
+	}
+	p.metas, p.k, p.stop, p.model, p.overlap, p.trace = store.Meta(), k, stop, model, overlap, trace
+	p.serveMachines, p.serveOwner = 1, 0
+	if mr, ok := store.(chunkfile.MachineRouter); ok {
+		p.serveMachines, p.serveOwner = mr.Machines()
+	}
+	p.owner = nil
+	machines := 1
+	if ml, ok := store.(chunkfile.MachineLayout); ok {
+		p.owner, machines = ml.Layout()
+		if len(p.owner) != len(p.metas) || machines < 1 {
+			return fmt.Errorf("search: store layout maps %d chunks onto %d machines, store has %d chunks", len(p.owner), machines, len(p.metas))
+		}
+	}
+	p.counts = sized(p.counts, machines)
+	clear(p.counts)
+	if p.owner == nil {
+		p.counts[0] = len(p.metas)
+	}
+	for ci, m := range p.owner {
+		if m < 0 || int(m) >= machines {
+			return fmt.Errorf("search: store layout maps chunk %d to machine %d outside [0,%d)", ci, m, machines)
+		}
+		p.counts[m]++
+	}
+	p.inits = sized(p.inits, machines)
+	p.indexRead = 0
+	entrySize := chunkfile.EntrySize(store.Dims())
+	for m, c := range p.counts {
+		p.inits[m] = model.IndexReadTime(c, entrySize)
+		p.indexRead = max(p.indexRead, p.inits[m])
+	}
+	return nil
+}
+
+// Release drops the plan's references into caller and store memory so a
+// pooled plan retains none of it.
+func (p *Plan) Release() {
+	p.metas, p.stop, p.model, p.trace, p.owner = nil, nil, nil, nil, nil
+}
+
+// sized returns s with length n, reusing its capacity; contents are
+// unspecified.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Walk is one query's progress through its ranked chunk list, and the
+// only implementation of the per-(query, chunk) step of the paper's
+// algorithm: bill the chunk (and any read stall) to its machine's
+// simulated pipeline, mirror the charge on the serving ledger, trace,
+// consult the stop rule, and settle the exactness certificate. Two
+// drivers run it — Searcher.SearchInto reads and scans in rank order, the
+// batchexec engine reads each chunk once for all the walks that want it —
+// and both do exactly this between steps: read the chunk Next names, scan
+// it into Heap, then call Charge (or Skip when no replica is live). The
+// simulated clocks depend only on the order of a walk's own steps, never
+// on when a driver takes them.
+type Walk struct {
+	plan   *Plan
+	Query  int      // reported to the plan's trace hook
+	Heap   knn.Heap // the current k-NN set; drivers scan chunks into it
 	ranked []RankedChunk
 	suffix []float64 // suffix minima over ranked bounds (true distances)
-	d2     []float64 // batch-kernel output for one chunk
-	data   chunkfile.Data
-	heap   *knn.Heap
-	events []Neighbor
-	pipe   simdisk.Pipeline
+	pos    int       // rank position of the next chunk
+	// pipes is one simulated machine per machine of the plan's layout,
+	// billed by chunk ownership: stop rules and Elapsed read their max.
 	// serve is the per-machine serving ledger (Result.Machines), one
-	// zero-origin pipeline per machine of a routing store; empty on
-	// single-machine stores.
-	serve []simdisk.Pipeline
+	// zero-origin pipeline per routed machine, empty on unrouted stores.
+	pipes, serve []simdisk.Pipeline
+	reads, skips []int // per layout machine
+	events       []Neighbor
+}
+
+// Reset starts the walk of q under the plan: step 1 of the paper's
+// algorithm (the chunk ranking, plus the suffix minima the stop rule and
+// the certificate consume), fresh pipelines at each machine's index-read
+// time, and res seeded — its Neighbors, Machines and PerMachine buffers
+// are kept. It reports whether there is any chunk to walk.
+func (w *Walk) Reset(p *Plan, q vec.Vector, res *Result) bool {
+	w.plan = p
+	w.ranked = RankChunks(q, p.metas, w.ranked[:0])
+	w.suffix = SuffixBounds(w.ranked, w.suffix[:0])
+	w.Heap.Reset(p.k)
+	w.pos = 0
+	w.pipes = sized(w.pipes, len(p.inits))
+	for m := range w.pipes {
+		w.pipes[m].Reset(p.model, p.overlap, p.inits[m])
+	}
+	w.serve = w.serve[:0]
+	if p.serveMachines > 1 {
+		w.serve = sized(w.serve, p.serveMachines)
+		for t := range w.serve {
+			w.serve[t].Reset(p.model, p.overlap, 0)
+		}
+	}
+	w.reads, w.skips = sized(w.reads, len(p.inits)), sized(w.skips, len(p.inits))
+	clear(w.reads)
+	clear(w.skips)
+	*res = Result{
+		Neighbors:  res.Neighbors[:0],
+		Machines:   res.Machines[:0],
+		PerMachine: res.PerMachine[:0],
+		IndexRead:  p.indexRead,
+		Elapsed:    p.indexRead,
+		Exact:      len(w.ranked) == 0, // zero chunks: trivially complete
+	}
+	return len(w.ranked) > 0
+}
+
+// Next returns the store index of the chunk the walk wants next.
+func (w *Walk) Next() int { return w.ranked[w.pos].Idx }
+
+// stall bills a read's stall for the chunk at the cursor to the machine
+// owning it — on the nominal pipeline and, when a serving ledger runs, on
+// the owner's ledger clock (it performed the retries) — and returns the
+// owning layout machine and the ledger owner.
+func (w *Walk) stall(d time.Duration) (machine, ledgerOwner int) {
+	p := w.plan
+	if p.owner != nil {
+		machine = int(p.owner[w.ranked[w.pos].Idx])
+	}
+	ledgerOwner = p.serveOwner
+	if ledgerOwner < 0 {
+		ledgerOwner = machine
+	}
+	w.pipes[machine].Stall(d)
+	if len(w.serve) > 0 {
+		w.serve[ledgerOwner].Stall(d)
+	}
+	return machine, ledgerOwner
+}
+
+// Skip steps past the chunk Next named because no live replica serves it
+// (chunkfile.ErrUnavailable): the stall of the failed attempts is billed,
+// the result degrades, and no budget is spent — the stop rule is not
+// consulted, so a budget buys reachable chunks only. It reports whether
+// the walk is over.
+func (w *Walk) Skip(res *Result, stall time.Duration) (done bool) {
+	machine, _ := w.stall(stall)
+	res.Elapsed = max(res.Elapsed, w.pipes[machine].Elapsed())
+	res.ChunksSkipped++
+	res.Degraded = true
+	w.skips[machine]++
+	w.pos++
+	return w.pos == len(w.ranked)
+}
+
+// Charge steps past the chunk Next named after the driver scanned it into
+// Heap: stall is the read's Data.Stall, served its Data.Served. The chunk
+// is billed to its owning machine's pipeline — and on the serving ledger
+// to the machine that served the read, at the cache residency the nominal
+// charge observes (probed before ChunkAt moves the cache tier) — the
+// query's Elapsed becomes the max over its machines, which run in
+// parallel, and the stop rule is consulted. It reports whether the walk
+// is over, with res.Exact settled: the suffix-bound certificate, or true
+// once every chunk was processed (with an under-filled heap both Kth and
+// the suffix are +Inf, so the comparison alone would say false).
+func (w *Walk) Charge(res *Result, stall time.Duration, served int) (done bool) {
+	p := w.plan
+	rc := &w.ranked[w.pos]
+	m := &p.metas[rc.Idx]
+	machine, ledgerOwner := w.stall(stall)
+	resident := len(w.serve) > 0 && p.model.ChunkResident(rc.Idx)
+	elapsed := max(res.Elapsed, w.pipes[machine].ChunkAt(rc.Idx, m.Bytes, m.Count))
+	if len(w.serve) > 0 {
+		if served < 0 || served >= len(w.serve) {
+			served = ledgerOwner
+		}
+		w.serve[served].ChunkCharged(m.Bytes, m.Count, resident)
+	}
+	res.ChunksRead++
+	res.Elapsed = elapsed
+	w.reads[machine]++
+	w.pos++
+	if p.trace != nil {
+		w.events = w.Heap.AppendAll(w.events[:0])
+		p.trace(w.Query, Event{
+			Ordinal:    w.pos,
+			ChunkIndex: rc.Idx,
+			ChunkCount: m.Count,
+			Elapsed:    elapsed,
+			Neighbors:  w.events,
+		})
+	}
+	last := w.pos == len(w.ranked)
+	kth, remaining := w.Heap.Kth(), w.suffix[w.pos]
+	if p.stop.Done(res.ChunksRead, elapsed, kth, remaining) {
+		res.Exact = remaining > kth || last
+		return true
+	}
+	res.Exact = last
+	return last
+}
+
+// Finish completes res once the walk is over: sorted neighbors, the
+// serving ledger, and the per-machine breakdown of a multi-machine
+// layout. A degraded result is never exact — the certificate only bounds
+// unread chunks after the stop point, and a skipped chunk before it may
+// hold closer neighbors. On a store whose ledger spans the layout's own
+// machines (the concatenated global store with spread reads on) the walk
+// is the merge point, so the reported clocks come from the ledger:
+// machine t's is its index read plus the serving time billed to it, and
+// Elapsed their max. The stop rule consulted the nominal owner-billed max
+// throughout, which is what keeps answers routing-invariant.
+func (w *Walk) Finish(res *Result) {
+	p := w.plan
+	if res.Degraded {
+		res.Exact = false
+	}
+	for t := range w.serve {
+		res.Machines = append(res.Machines, w.serve[t].Elapsed())
+	}
+	if p.owner != nil {
+		fold := p.serveOwner < 0 && len(w.serve) == len(w.pipes)
+		if fold {
+			res.Elapsed = 0
+		}
+		for m := range w.pipes {
+			e := w.pipes[m].Elapsed()
+			if fold {
+				e = p.inits[m] + w.serve[m].Elapsed()
+				res.Elapsed = max(res.Elapsed, e)
+			}
+			res.PerMachine = append(res.PerMachine, MachineCost{ChunksRead: w.reads[m], ChunksSkipped: w.skips[m], Elapsed: e})
+		}
+	}
+	res.Neighbors = w.Heap.SortedInto(res.Neighbors)
+}
+
+// scratch is the reusable state of one single-query search. Searchers
+// pool scratches so concurrent callers never allocate per query in
+// steady state.
+type scratch struct {
+	plan Plan
+	walk Walk
+	d2   []float64 // batch-kernel output for one chunk
+	data chunkfile.Data
 }
 
 // Searcher executes queries against one chunk store. It is safe for
@@ -245,7 +529,7 @@ func New(store chunkfile.Store, model *simdisk.Model) *Searcher {
 		model = simdisk.Default2005()
 	}
 	s := &Searcher{store: store, model: model}
-	s.pool.New = func() any { return &scratch{heap: knn.NewHeap(0)} }
+	s.pool.New = func() any { return new(scratch) }
 	return s
 }
 
@@ -260,151 +544,51 @@ func (s *Searcher) Search(q vec.Vector, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// SearchInto runs one query, writing the outcome into res. The neighbor
-// slice already in res is reused when it has capacity, so a caller
-// recycling one Result across queries performs zero allocations per query
-// in steady state.
+// SearchInto runs one query, writing the outcome into res: the rank-order
+// driver of Walk. The slices already in res are reused when they have
+// capacity, so a caller recycling one Result across queries performs zero
+// allocations per query in steady state.
 func (s *Searcher) SearchInto(q vec.Vector, opts Options, res *Result) error {
 	start := time.Now()
-	if opts.K <= 0 {
-		opts.K = 30
-	}
-	if opts.Stop == nil {
-		opts.Stop = ToCompletion{}
-	}
 	model := opts.Model
 	if model == nil {
 		model = s.model
 	}
-	metas := s.store.Meta()
 	dims := s.store.Dims()
 	if len(q) != dims {
 		return fmt.Errorf("search: query dims %d != store dims %d", len(q), dims)
 	}
-	neighbors := res.Neighbors[:0]
-	ledger := res.Machines[:0]
-	*res = Result{}
-
 	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
-
-	// A store that routes reads across several simulated machines (the
-	// shard router with spread reads on) gets a per-machine serving
-	// ledger alongside the nominal pipeline: the nominal pipeline keeps
-	// billing the owner and driving the stop rule — answers never depend
-	// on who served a read — while the ledger records which machine's
-	// clock the serving time actually landed on.
-	machines, owner := 1, 0
-	if mr, ok := s.store.(chunkfile.MachineRouter); ok {
-		machines, owner = mr.Machines()
+	defer func() {
+		sc.plan.Release()
+		s.pool.Put(sc)
+	}()
+	var trace func(int, Event)
+	if t := opts.Trace; t != nil {
+		trace = func(_ int, ev Event) { t(ev) }
 	}
-	if machines > 1 {
-		if cap(sc.serve) < machines {
-			sc.serve = make([]simdisk.Pipeline, machines)
-		}
-		sc.serve = sc.serve[:machines]
-	} else {
-		sc.serve = sc.serve[:0]
+	if err := sc.plan.Reset(s.store, model, opts.K, opts.Stop, opts.Overlap, trace); err != nil {
+		return err
 	}
-
-	// Step 1: global ranking of chunks by centroid distance, plus the
-	// suffix minima the stop rule and exactness certificate consume.
-	sc.ranked = RankChunks(q, metas, sc.ranked[:0])
-	ranked := sc.ranked
-	sc.suffix = SuffixBounds(ranked, sc.suffix[:0])
-	suffix := sc.suffix
-
-	indexRead := model.IndexReadTime(len(metas), chunkfile.EntrySize(dims))
-	sc.pipe.Reset(model, opts.Overlap, indexRead)
-	for t := range sc.serve {
-		sc.serve[t].Reset(model, opts.Overlap, 0)
-	}
-
-	res.IndexRead = indexRead
-	res.Elapsed = indexRead
-	heap := sc.heap
-	heap.Reset(opts.K)
-
-	for pos := range ranked {
+	w := &sc.walk
+	for live := w.Reset(&sc.plan, q, res); live; {
 		if err := ctxErr(opts.Ctx); err != nil {
 			return fmt.Errorf("search: canceled after %d chunks: %w", res.ChunksRead, err)
 		}
-		rc := &ranked[pos]
-		m := &metas[rc.Idx]
-		if err := s.store.ReadChunk(rc.Idx, &sc.data); err != nil {
-			if errors.Is(err, chunkfile.ErrUnavailable) {
-				// No live replica serves this chunk: charge the simulated
-				// cost of the failed attempts, skip it, and complete the
-				// query degraded instead of aborting it. A skipped chunk
-				// spends no budget — the stop rule is not consulted, so the
-				// budget buys reachable chunks only.
-				stall := sc.data.Stall
-				sc.data.Stall = 0
-				sc.pipe.Stall(stall)
-				if len(sc.serve) > 0 {
-					sc.serve[owner].Stall(stall)
-				}
-				res.ChunksSkipped++
-				res.Degraded = true
-				if e := sc.pipe.Elapsed(); e > res.Elapsed {
-					res.Elapsed = e
-				}
-				continue
-			}
-			return err
-		}
+		err := s.store.ReadChunk(w.Next(), &sc.data)
 		stall := sc.data.Stall
 		sc.data.Stall = 0
-		sc.pipe.Stall(stall)
-		sc.d2 = ScanChunk(q, dims, &sc.data, heap, sc.d2)
-		resident := len(sc.serve) > 0 && model.ChunkResident(rc.Idx)
-		elapsed := sc.pipe.ChunkAt(rc.Idx, m.Bytes, m.Count)
-		if len(sc.serve) > 0 {
-			// Mirror the nominal charge on the ledger: the stall bills the
-			// owning machine (it performed the retries), the chunk bills
-			// the machine that actually served the read, at the same cache
-			// residency the nominal ChunkAt observes (probed before ChunkAt
-			// moves the cache tier).
-			served := int(sc.data.Served)
-			if served < 0 || served >= len(sc.serve) {
-				served = owner
-			}
-			sc.serve[owner].Stall(stall)
-			sc.serve[served].ChunkCharged(m.Bytes, m.Count, resident)
-		}
-		res.ChunksRead++
-		res.Elapsed = elapsed
-
-		if opts.Trace != nil {
-			sc.events = heap.AppendAll(sc.events[:0])
-			opts.Trace(Event{
-				Ordinal:    pos + 1,
-				ChunkIndex: rc.Idx,
-				ChunkCount: m.Count,
-				Elapsed:    elapsed,
-				Neighbors:  sc.events,
-			})
-		}
-
-		if opts.Stop.Done(res.ChunksRead, elapsed, heap.Kth(), suffix[pos+1]) {
-			res.Exact = suffix[pos+1] > heap.Kth()
-			break
+		switch {
+		case err == nil:
+			sc.d2 = ScanChunk(q, dims, &sc.data, &w.Heap, sc.d2)
+			live = !w.Charge(res, stall, int(sc.data.Served))
+		case errors.Is(err, chunkfile.ErrUnavailable):
+			live = !w.Skip(res, stall)
+		default:
+			return err
 		}
 	}
-	if res.ChunksRead+res.ChunksSkipped == len(ranked) {
-		res.Exact = true
-	}
-	if res.Degraded {
-		// The certificate only bounds unread chunks *after* the stop point;
-		// a skipped chunk before it may hold closer neighbors, so a
-		// degraded result is never provably exact.
-		res.Exact = false
-	}
-	for t := range sc.serve {
-		ledger = append(ledger, sc.serve[t].Elapsed())
-	}
-	res.Machines = ledger
-	res.Neighbors = heap.SortedInto(neighbors)
+	w.Finish(res)
 	res.Wall = time.Since(start)
 	return nil
 }

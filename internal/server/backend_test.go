@@ -186,7 +186,7 @@ func faultedRouter(t testing.TB, n int, seed int64, shards, replication int, cfg
 		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, shard.Select(clusters, physical), pageSize), cfg)
 		stores[s] = faults[s]
 	}
-	r, err := shard.NewReplicatedRouter(stores, p, nil)
+	r, err := shard.NewRouter(stores, p, nil, shard.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func cachedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cl
 	for s, idxs := range assign {
 		stores[s] = chunkfile.NewMemStore(coll, Select(clusters, idxs), pageSize)
 	}
-	r, err := NewRouterCached(stores, nil, cfg)
+	r, err := NewRouter(stores, nil, nil, RouterOptions{Cache: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, Select(clusters, physical), pageSize), faultstore.Config{})
 		stores[s] = faults[s]
 	}
-	r, err := NewReplicatedRouterCached(stores, p, nil, CacheConfig{Bytes: 64 << 20})
+	r, err := NewRouter(stores, p, nil, RouterOptions{Cache: CacheConfig{Bytes: 64 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func replicatedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluste
 		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, Select(clusters, physical), pageSize), cfg)
 		stores[s] = faults[s]
 	}
-	r, err := NewReplicatedRouter(stores, p, nil)
+	r, err := NewRouter(stores, p, nil, RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,13 @@
 // Every shard pays the index read for its own chunk count before serving,
 // exactly as in the per-shard mode.
 //
+// There is no global walk in this file. The union of the shards is one
+// virtual chunkfile.Store (globalStore) that reports its chunk→shard
+// machine layout (chunkfile.MachineLayout); the plain search.Searcher
+// and batchexec.Engine run over it, and search.Walk — the one
+// per-(query, chunk) step — bills each chunk to its owner's pipeline.
+// The router adds only the PerShard breakdown.
+//
 // Equivalence pins (global_test.go):
 //
 //   - Global budget on 1 shard is byte-identical to the unsharded
@@ -36,11 +43,9 @@ import (
 	"time"
 
 	"repro/internal/chunkfile"
-	"repro/internal/knn"
 	"repro/internal/multiquery"
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
-	"repro/internal/simdisk"
 	"repro/internal/vec"
 )
 
@@ -101,7 +106,11 @@ func (g *globalStore) Meta() []chunkfile.Meta { return g.metas }
 // owning shard's store. Safe for concurrent use with distinct Data
 // values, like the shard stores it delegates to.
 func (g *globalStore) ReadChunk(i int, data *chunkfile.Data) error {
-	return g.stores[g.owner[i]].ReadChunk(int(g.local[i]), data)
+	err := g.stores[g.owner[i]].ReadChunk(int(g.local[i]), data)
+	if err != nil && !errors.Is(err, chunkfile.ErrUnavailable) {
+		return &ShardError{Shard: int(g.owner[i]), Err: err}
+	}
+	return err
 }
 
 // Close implements chunkfile.Store as a no-op: the Router owns the shard
@@ -111,9 +120,8 @@ func (g *globalStore) Close() error { return nil }
 // Machines implements chunkfile.MachineRouter: with the router's
 // spread-reads policy on, a read through the virtual store may be served
 // by any machine of the fleet, and the owner is per chunk — reported as
-// -1 so consumers bill stalls through their own chunk→shard mapping
-// (the engine's opts.Shards, SearchGlobalInto's gstore.owner). With
-// spread off it reports one machine, disabling per-machine accounting.
+// -1 so consumers bill stalls through Layout. With spread off it reports
+// one machine, disabling the serving ledger.
 func (g *globalStore) Machines() (count, owner int) {
 	if g.r.spread.Load() {
 		return len(g.stores), -1
@@ -121,26 +129,11 @@ func (g *globalStore) Machines() (count, owner int) {
 	return 1, 0
 }
 
-// gscratch is the pooled per-call state of one global-budget single
-// query: the merged ranking, its suffix bounds, the scan buffers, the
-// global k-NN heap, and one pipeline plus served-chunk counter per shard.
-type gscratch struct {
-	ranked []search.RankedChunk
-	suffix []float64
-	d2     []float64
-	data   chunkfile.Data
-	heap   *knn.Heap
-	pipes  []simdisk.Pipeline
-	counts []int
-	skips  []int
-	events []knn.Neighbor
-	// serve and inits carry the spread-reads serving ledger: one
-	// zero-origin pipeline per shard billing the machine that actually
-	// served each read, plus each shard's index-read origin to add back
-	// when folding. Empty while spread reads are off.
-	serve []simdisk.Pipeline
-	inits []time.Duration
-}
+// Layout implements chunkfile.MachineLayout: one simulated machine per
+// shard, every chunk billed to its owning shard's — which is all it takes
+// for the search layers to run the global discipline's cost model over
+// this store. The layout is nominal, independent of the spread policy.
+func (g *globalStore) Layout() (owner []int32, machines int) { return g.owner, len(g.stores) }
 
 // SearchGlobal runs one query under the global budget discipline and
 // returns the merged result. See SearchGlobalInto.
@@ -178,208 +171,51 @@ func (r *Router) SearchGlobal(q vec.Vector, opts search.Options) (*Result, error
 // byte-identical to search.Searcher.SearchInto — including Elapsed.
 func (r *Router) SearchGlobalInto(q vec.Vector, opts search.Options, res *Result) error {
 	start := time.Now()
-	opts = normalize(opts)
-	if len(q) != r.dims {
-		return fmt.Errorf("shard: query dims %d != store dims %d", len(q), r.dims)
+	sc := r.scratch.Get().(*scatter)
+	defer r.scratch.Put(sc)
+	sc.single = grow(sc.single, 1)
+	sr := &sc.single[0]
+	// The global walk is the plain single-query algorithm over the
+	// concatenated store: its ranking is the merged order, its Layout the
+	// per-shard cost model.
+	if err := r.gsearcher.SearchInto(q, opts, sr); err != nil {
+		return fmt.Errorf("shard: global search: %w", err)
 	}
-	model := opts.Model
-	if model == nil {
-		model = r.model
-	}
-
-	sc := r.gpool.Get().(*gscratch)
-	defer r.gpool.Put(sc)
-	n := len(r.shards)
-
-	// Step 1, globally: rank the concatenated metas. One sort over the
-	// union is exactly the merge of the per-shard ranked lists (see the
-	// globalStore comment), and its suffix minima certify exactness over
-	// all shards at once.
-	sc.ranked = search.RankChunks(q, r.gstore.metas, sc.ranked[:0])
-	sc.suffix = search.SuffixBounds(sc.ranked, sc.suffix[:0])
-
-	// One simulated machine per shard, each paying its own index read;
-	// the fleet's clock starts at the slowest shard's ranking.
-	if cap(sc.pipes) < n {
-		sc.pipes = make([]simdisk.Pipeline, n)
-	}
-	pipes := sc.pipes[:n]
-	if cap(sc.counts) < n {
-		sc.counts = make([]int, n)
-	}
-	counts := sc.counts[:n]
-	if cap(sc.skips) < n {
-		sc.skips = make([]int, n)
-	}
-	skips := sc.skips[:n]
-	// With spread reads on, a parallel zero-origin serving ledger per
-	// shard records which machine each read actually landed on; the
-	// nominal pipes keep billing owners and driving the stop rule, so
-	// answers are independent of the routing policy.
-	if r.spread.Load() {
-		if cap(sc.serve) < n {
-			sc.serve = make([]simdisk.Pipeline, n)
-		}
-		sc.serve = sc.serve[:n]
-	} else {
-		sc.serve = sc.serve[:0]
-	}
-	sc.inits = sc.inits[:0]
-	entrySize := chunkfile.EntrySize(r.dims)
-	indexRead := time.Duration(0)
-	for s := range pipes {
-		init := model.IndexReadTime(len(r.shards[s].view.Meta()), entrySize)
-		pipes[s].Reset(model, opts.Overlap, init)
-		counts[s] = 0
-		skips[s] = 0
-		if len(sc.serve) > 0 {
-			sc.serve[s].Reset(model, opts.Overlap, 0)
-			sc.inits = append(sc.inits, init)
-		}
-		if init > indexRead {
-			indexRead = init
-		}
-	}
-
-	neighbors := res.Neighbors[:0]
-	perShard := res.PerShard[:0]
-	*res = Result{IndexRead: indexRead, Elapsed: indexRead}
-	if sc.heap == nil {
-		sc.heap = knn.NewHeap(opts.K)
-	} else {
-		sc.heap.Reset(opts.K)
-	}
-	heap := sc.heap
-
-	// Step 2+3, globally: walk the merged order, dispatch each chunk to
-	// its owning shard, charge that shard's pipeline, and apply the stop
-	// rule after every chunk against the global count and the fleet's
-	// elapsed (the max over the shards — they run in parallel).
-	for pos := range sc.ranked {
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				res.Neighbors, res.PerShard = neighbors, perShard
-				return fmt.Errorf("shard: global search canceled after %d chunks: %w", res.ChunksRead, err)
-			}
-		}
-		rc := &sc.ranked[pos]
-		s := r.gstore.owner[rc.Idx]
-		m := &r.gstore.metas[rc.Idx]
-		if err := r.gstore.ReadChunk(rc.Idx, &sc.data); err != nil {
-			if errors.Is(err, chunkfile.ErrUnavailable) {
-				// No live replica: charge the owning shard's machine for
-				// the failed attempts, skip the chunk without spending
-				// budget, and degrade. Same contract as the per-shard path.
-				pipes[s].Stall(sc.data.Stall)
-				if len(sc.serve) > 0 {
-					sc.serve[s].Stall(sc.data.Stall)
-				}
-				sc.data.Stall = 0
-				skips[s]++
-				res.ChunksSkipped++
-				res.Degraded = true
-				if e := pipes[s].Elapsed(); e > res.Elapsed {
-					res.Elapsed = e
-				}
-				continue
-			}
-			res.Neighbors, res.PerShard = neighbors, perShard
-			return &ShardError{Shard: int(s), Err: err}
-		}
-		stall := sc.data.Stall
-		sc.data.Stall = 0
-		pipes[s].Stall(stall)
-		sc.d2 = search.ScanChunk(q, r.dims, &sc.data, heap, sc.d2)
-		resident := len(sc.serve) > 0 && model.ChunkResident(rc.Idx)
-		elapsed := pipes[s].ChunkAt(rc.Idx, m.Bytes, m.Count)
-		if len(sc.serve) > 0 {
-			// The stall bills the owning shard (its view ran the retries);
-			// the chunk bills the machine that actually served the read,
-			// at the residency the nominal ChunkAt sees.
-			served := int(sc.data.Served)
-			if served < 0 || served >= len(sc.serve) {
-				served = int(s)
-			}
-			sc.serve[s].Stall(stall)
-			sc.serve[served].ChunkCharged(m.Bytes, m.Count, resident)
-		}
-		if elapsed < res.Elapsed {
-			elapsed = res.Elapsed
-		}
-		res.ChunksRead++
-		res.Elapsed = elapsed
-		counts[s]++
-
-		if opts.Trace != nil {
-			sc.events = heap.AppendAll(sc.events[:0])
-			opts.Trace(search.Event{
-				Ordinal:    pos + 1,
-				ChunkIndex: rc.Idx,
-				ChunkCount: m.Count,
-				Elapsed:    elapsed,
-				Neighbors:  sc.events,
-			})
-		}
-
-		if opts.Stop.Done(res.ChunksRead, elapsed, heap.Kth(), sc.suffix[pos+1]) {
-			res.Exact = sc.suffix[pos+1] > heap.Kth()
-			break
-		}
-	}
-	if res.ChunksRead+res.ChunksSkipped == len(sc.ranked) {
-		res.Exact = true
-	}
-	if res.Degraded {
-		// A skipped chunk before the stop point may hold closer neighbors
-		// than any certificate can rule out.
-		res.Exact = false
-	}
-	res.Neighbors = heap.SortedInto(neighbors)
-	for s := range pipes {
+	neighbors, perShard := res.Neighbors[:0], res.PerShard[:0]
+	for _, mc := range sr.PerMachine {
 		perShard = append(perShard, ShardCost{
-			ChunksRead:    counts[s],
-			ChunksSkipped: skips[s],
-			Elapsed:       pipes[s].Elapsed(),
-			Exact:         res.Exact,
+			ChunksRead:    mc.ChunksRead,
+			ChunksSkipped: mc.ChunksSkipped,
+			Elapsed:       mc.Elapsed,
+			Exact:         sr.Exact,
 		})
 	}
-	if len(sc.serve) > 0 {
-		// Fold the serving ledger: each shard's real clock is its own
-		// index read plus the serving time billed to it, and the merged
-		// Simulated is the max over those clocks — the machines run in
-		// parallel. The stop rule above already consumed the nominal
-		// owner-billed elapsed, so answers are unchanged; with spread on,
-		// only the reported times move. Trace events stay nominal.
-		folded := time.Duration(0)
-		for t := range sc.serve {
-			e := sc.inits[t] + sc.serve[t].Elapsed()
-			perShard[t].Elapsed = e
-			if e > folded {
-				folded = e
-			}
-		}
-		res.Elapsed = folded
+	*res = Result{
+		Neighbors:     append(neighbors, sr.Neighbors...),
+		ChunksRead:    sr.ChunksRead,
+		Elapsed:       sr.Elapsed,
+		IndexRead:     sr.IndexRead,
+		Exact:         sr.Exact,
+		Degraded:      sr.Degraded,
+		ChunksSkipped: sr.ChunksSkipped,
+		ShardsDown:    r.DownShards(),
+		PerShard:      perShard,
+		Wall:          time.Since(start),
 	}
-	res.PerShard = perShard
-	res.ShardsDown = r.DownShards()
-	res.Wall = time.Since(start)
 	return nil
 }
 
 // RunBatchGlobal executes a whole workload under the global budget
-// discipline on the chunk-major batch engine: the engine runs over the
-// virtual concatenated store (so every query ranks and walks the same
-// merged order SearchGlobalInto does, and a chunk wanted by several
-// queries in a round is still read and decoded once), with the
-// chunk→shard mapping switching the engine's cost model to one simulated
-// machine per (query, shard). Outcomes are byte-identical to per-query
+// discipline on the chunk-major batch engine over the virtual
+// concatenated store: every query ranks and walks the same merged order
+// SearchGlobalInto does, a chunk wanted by several queries is still read
+// and decoded once, and the store's layout gives every query one
+// simulated machine per shard. Outcomes are byte-identical to per-query
 // SearchGlobalInto — results[qi] reports the global ChunksRead, the
 // max-over-shards Elapsed and IndexRead, and the global Exact
 // certificate. The results array is caller-owned exactly as in RunBatch;
 // on error no results are valid.
 func (r *Router) RunBatchGlobal(queries []vec.Vector, opts batchexec.Options, results []search.Result) error {
-	opts.Shards = r.gstore.owner
-	opts.NumShards = len(r.shards)
 	return r.gengine.Run(queries, opts, results)
 }
 
@@ -390,8 +226,6 @@ func (r *Router) RunBatchGlobal(queries []vec.Vector, opts batchexec.Options, re
 // batch engine's RunStream: callbacks for distinct queries may fire
 // concurrently and must not block. A nil done is RunBatchGlobal.
 func (r *Router) RunBatchGlobalStream(queries []vec.Vector, opts batchexec.Options, results []search.Result, done func(query int)) error {
-	opts.Shards = r.gstore.owner
-	opts.NumShards = len(r.shards)
 	return r.gengine.RunStream(queries, opts, results, done)
 }
 

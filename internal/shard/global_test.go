@@ -53,7 +53,7 @@ func TestGlobalOneShardMatchesSingleSearcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fileRouter, err := NewRouter([]chunkfile.Store{fileShards[0]}, nil)
+	fileRouter, err := NewRouter([]chunkfile.Store{fileShards[0]}, nil, nil, RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,16 +193,16 @@ type Router struct {
 	spread atomic.Bool
 	billed []atomic.Int64
 	// gstore is the virtual concatenated store the global-budget mode
-	// ranks and reads through; gengine is the chunk-major batch engine
-	// over it, configured per run with the chunk→shard machine mapping.
-	gstore  *globalStore
-	gengine *batchexec.Engine
+	// ranks and reads through (it reports the chunk→shard machine layout);
+	// gsearcher and gengine are the two execution paths over it.
+	gstore    *globalStore
+	gsearcher *search.Searcher
+	gengine   *batchexec.Engine
 	// caches holds the distinct decoded-chunk caches behind the shards'
 	// read stores: one shared cache in the global discipline, one per
 	// shard in the per-shard discipline, empty when caching is off.
 	caches  []*chunkcache.Cache
 	scratch sync.Pool // *scatter
-	gpool   sync.Pool // *gscratch: global single-query state
 	mq      sync.Pool // *[]search.Result: multi-descriptor result arena
 }
 
@@ -231,65 +232,56 @@ type scatter struct {
 	cur    []int             // merge cursors, one per shard
 	times  []time.Duration   // folded spread-reads clocks, one per shard
 	errs   []error
+
+	// The batch in flight (RunBatchStream). remaining[qi] counts the shards
+	// that have not yet retired query qi; the shard callback that brings it
+	// to zero owns the merge and the user-visible completion. mergeMu
+	// serializes merges only — they share the merge scratch above — never
+	// the shards' scan work. shardDone is retired bound once, so a batch
+	// allocates no closure.
+	remaining []atomic.Int32
+	mergeMu   sync.Mutex
+	shardDone func(query int)
+	results   []search.Result
+	done      func(query int)
+	k         int
+	spread    bool
+	start     time.Time
 }
 
-// NewRouter builds a Router over one store per shard, unreplicated: every
-// store's chunks are all primary (R=1), so a chunk whose shard dies has
-// no replica and queries over it degrade. A nil model selects the
-// calibrated 2005 model for every shard's machine.
-func NewRouter(stores []chunkfile.Store, model *simdisk.Model) (*Router, error) {
-	return NewRouterCached(stores, model, CacheConfig{})
-}
-
-// NewRouterCached is NewRouter with a decoded-chunk cache in front of the
-// shards' stores, per the cache configuration.
-func NewRouterCached(stores []chunkfile.Store, model *simdisk.Model, cache CacheConfig) (*Router, error) {
-	if len(stores) == 0 {
-		return nil, errors.New("shard: no stores")
-	}
-	p := &Placement{
-		R:          1,
-		NumPrimary: make([]int, len(stores)),
-		Replicas:   make([][][]ChunkLoc, len(stores)),
-	}
-	for s, st := range stores {
-		p.NumPrimary[s] = len(st.Meta())
-		p.Replicas[s] = make([][]ChunkLoc, len(st.Meta()))
-	}
-	return NewReplicatedRouterCached(stores, p, model, cache)
-}
-
-// NewReplicatedRouter builds a Router over one physical store per shard
-// and the placement describing each store's primary prefix and the
-// replica locations of every logical chunk (see PartitionReplicated).
-// Queries run over the logical views; replicas serve failovers. A nil
-// model selects the calibrated 2005 model for every shard's machine.
-func NewReplicatedRouter(stores []chunkfile.Store, placement *Placement, model *simdisk.Model) (*Router, error) {
-	return NewReplicatedRouterCached(stores, placement, model, CacheConfig{})
-}
-
-// NewReplicatedRouterCached is NewReplicatedRouter with a decoded-chunk
-// cache in front of the shards' physical stores, per the cache
-// configuration. The cache serves the replicated read path only; probes
-// and direct Store(i) access always observe the disk.
-func NewReplicatedRouterCached(stores []chunkfile.Store, placement *Placement, model *simdisk.Model, cache CacheConfig) (*Router, error) {
-	return NewReplicatedRouterWith(stores, placement, model, RouterOptions{Cache: cache})
-}
-
-// RouterOptions bundles the optional knobs of a replicated router.
+// RouterOptions bundles the optional knobs of a router.
 type RouterOptions struct {
-	// Cache configures the decoded-chunk cache (see CacheConfig).
+	// Cache configures the decoded-chunk cache (see CacheConfig) in front
+	// of the shards' physical stores. It serves the replicated read path
+	// only; probes and direct Store(i) access always observe the disk.
 	Cache CacheConfig
 	// SpreadReads starts the router with the spread-reads routing policy
 	// on (see Router.SetSpreadReads).
 	SpreadReads bool
 }
 
-// NewReplicatedRouterWith is NewReplicatedRouter with options.
-func NewReplicatedRouterWith(stores []chunkfile.Store, placement *Placement, model *simdisk.Model, opts RouterOptions) (*Router, error) {
+// NewRouter builds a Router over one physical store per shard and the
+// placement describing each store's primary prefix and the replica
+// locations of every logical chunk (see PartitionReplicated). Queries run
+// over the logical views; replicas serve failovers. A nil placement means
+// unreplicated: every store's chunks are all primary (R=1), so a chunk
+// whose shard dies has no replica and queries over it degrade. A nil
+// model selects the calibrated 2005 model for every shard's machine.
+func NewRouter(stores []chunkfile.Store, placement *Placement, model *simdisk.Model, opts RouterOptions) (*Router, error) {
 	cache := opts.Cache
 	if len(stores) == 0 {
 		return nil, errors.New("shard: no stores")
+	}
+	if placement == nil {
+		placement = &Placement{
+			R:          1,
+			NumPrimary: make([]int, len(stores)),
+			Replicas:   make([][][]ChunkLoc, len(stores)),
+		}
+		for s, st := range stores {
+			placement.NumPrimary[s] = len(st.Meta())
+			placement.Replicas[s] = make([][]ChunkLoc, len(st.Meta()))
+		}
 	}
 	if err := validatePlacement(stores, placement); err != nil {
 		return nil, err
@@ -332,9 +324,13 @@ func NewReplicatedRouterWith(stores []chunkfile.Store, placement *Placement, mod
 		sh.engine = batchexec.New(sh.view, model)
 	}
 	r.gstore = newGlobalStore(r, r.shards, dims)
+	r.gsearcher = search.New(r.gstore, model)
 	r.gengine = batchexec.New(r.gstore, model)
-	r.scratch.New = func() any { return &scatter{} }
-	r.gpool.New = func() any { return &gscratch{} }
+	r.scratch.New = func() any {
+		sc := &scatter{}
+		sc.shardDone = sc.retired
+		return sc
+	}
 	r.mq.New = func() any {
 		s := []search.Result(nil)
 		return &s
@@ -346,9 +342,6 @@ func NewReplicatedRouterWith(stores []chunkfile.Store, placement *Placement, mod
 // stores, so a stale or corrupt sidecar fails at router construction
 // with a diagnostic error instead of an out-of-range read mid-query.
 func validatePlacement(stores []chunkfile.Store, p *Placement) error {
-	if p == nil {
-		return errors.New("shard: nil placement")
-	}
 	if p.R < 1 {
 		return fmt.Errorf("shard: placement replication factor %d < 1", p.R)
 	}
@@ -696,16 +689,12 @@ func (r *Router) Close() error {
 	return errors.Join(errs...)
 }
 
-// normalize applies the search defaults once at the router, so every
-// shard and the merge agree on k and the stop rule.
-func normalize(opts search.Options) search.Options {
-	if opts.K <= 0 {
-		opts.K = 30
+// mergeK is the k a merge keeps: the search layers' default when unset.
+func mergeK(k int) int {
+	if k <= 0 {
+		return search.DefaultK
 	}
-	if opts.Stop == nil {
-		opts.Stop = search.ToCompletion{}
-	}
-	return opts
+	return k
 }
 
 // Search runs one query scatter-gather and returns the merged result.
@@ -724,7 +713,6 @@ func (r *Router) Search(q vec.Vector, opts search.Options) (*Result, error) {
 // and PerShard slices already in res are reused when they have capacity.
 func (r *Router) SearchInto(q vec.Vector, opts search.Options, res *Result) error {
 	start := time.Now()
-	opts = normalize(opts)
 	if len(q) != r.dims {
 		return fmt.Errorf("shard: query dims %d != store dims %d", len(q), r.dims)
 	}
@@ -755,140 +743,45 @@ func (r *Router) SearchInto(q vec.Vector, opts search.Options, res *Result) erro
 	for s := range sc.single {
 		sc.rows = append(sc.rows, &sc.single[s])
 	}
-	neighbors := res.Neighbors[:0]
+	merged := search.Result{Neighbors: res.Neighbors}
+	folded := sc.mergeRows(mergeK(opts.K), r.spread.Load(), &merged)
 	perShard := res.PerShard[:0]
-	*res = Result{Exact: true}
-	res.Neighbors, sc.cur = mergeNeighbors(sc.rows, opts.K, neighbors, sc.cur)
-	for _, row := range sc.rows {
-		foldCost(res, row)
+	for s, row := range sc.rows {
 		perShard = append(perShard, ShardCost{
 			ChunksRead:    row.ChunksRead,
 			ChunksSkipped: row.ChunksSkipped,
 			Elapsed:       row.Elapsed,
 			Exact:         row.Exact,
 		})
-	}
-	if r.spread.Load() {
-		// With spread reads on, replace the nominal owner-billed times
-		// with the fold of the serving ledgers: what each machine really
-		// spent once reads moved to the least-loaded copies. Neighbors,
-		// ChunksRead and Exact were merged above from the nominal walks
-		// and are identical either way.
-		if times, ok := foldSpread(sc.rows, sc.times); ok {
-			sc.times = times
-			res.Elapsed = 0
-			for t, e := range times {
-				perShard[t].Elapsed = e
-				if e > res.Elapsed {
-					res.Elapsed = e
-				}
-			}
+		if folded {
+			perShard[s].Elapsed = sc.times[s]
 		}
 	}
-	res.PerShard = perShard
-	res.ShardsDown = r.DownShards()
-	res.Wall = time.Since(start)
+	*res = Result{
+		Neighbors:     merged.Neighbors,
+		ChunksRead:    merged.ChunksRead,
+		Elapsed:       merged.Elapsed,
+		IndexRead:     merged.IndexRead,
+		Exact:         merged.Exact,
+		Degraded:      merged.Degraded,
+		ChunksSkipped: merged.ChunksSkipped,
+		ShardsDown:    r.DownShards(),
+		PerShard:      perShard,
+		Wall:          time.Since(start),
+	}
 	return nil
 }
 
 // RunBatch executes a whole workload scatter-gather: every shard's
 // chunk-major engine runs the full query set concurrently with the other
-// shards, then each query's per-shard outcomes are merged into
-// results[qi] with the same rules as SearchInto (neighbors through
-// knn.Less, ChunksRead summed, Elapsed the max over the shards' simulated
-// machines, Exact when every shard was exact). The results array is
-// caller-owned; its neighbor slices are reused when they have capacity.
+// shards, and each query's per-shard outcomes are merged into results[qi]
+// with the same rules as SearchInto (neighbors through knn.Less,
+// ChunksRead summed, Elapsed the max over the shards' simulated machines,
+// Exact when every shard was exact). The results array is caller-owned;
+// its neighbor slices are reused when they have capacity. RunBatch is
+// RunBatchStream without a completion stream.
 func (r *Router) RunBatch(queries []vec.Vector, opts batchexec.Options, results []search.Result) error {
-	start := time.Now()
-	if len(queries) == 0 {
-		return nil
-	}
-	if len(results) != len(queries) {
-		return fmt.Errorf("shard: results length %d != queries length %d", len(results), len(queries))
-	}
-	if opts.K <= 0 {
-		opts.K = 30
-	}
-	if opts.Stop == nil {
-		opts.Stop = search.ToCompletion{}
-	}
-	for qi, q := range queries {
-		if len(q) != r.dims {
-			return &batchexec.QueryError{Query: qi, Err: fmt.Errorf("query dims %d != store dims %d", len(q), r.dims)}
-		}
-	}
-
-	sc := r.scratch.Get().(*scatter)
-	defer r.scratch.Put(sc)
-	n := len(r.shards)
-	if cap(sc.batch) < n {
-		batch := make([][]search.Result, n)
-		copy(batch, sc.batch)
-		sc.batch = batch
-	}
-	sc.batch = sc.batch[:n]
-	for s := range sc.batch {
-		sc.batch[s] = grow(sc.batch[s], len(queries))
-	}
-	sc.errs = resetErrs(sc.errs, n)
-
-	var wg sync.WaitGroup
-	for s := 1; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sc.errs[s] = r.shards[s].engine.Run(queries, opts, sc.batch[s])
-		}(s)
-	}
-	sc.errs[0] = r.shards[0].engine.Run(queries, opts, sc.batch[0])
-	wg.Wait()
-	for s, err := range sc.errs {
-		if err != nil {
-			return &ShardError{Shard: s, Err: err}
-		}
-	}
-
-	wall := time.Since(start)
-	spread := r.spread.Load()
-	for qi := range results {
-		sc.rows = sc.rows[:0]
-		for s := 0; s < n; s++ {
-			sc.rows = append(sc.rows, &sc.batch[s][qi])
-		}
-		res := &results[qi]
-		neighbors := res.Neighbors[:0]
-		*res = search.Result{}
-		res.Neighbors, sc.cur = mergeNeighbors(sc.rows, opts.K, neighbors, sc.cur)
-		res.Exact = true
-		for _, row := range sc.rows {
-			res.ChunksRead += row.ChunksRead
-			res.ChunksSkipped += row.ChunksSkipped
-			if row.Elapsed > res.Elapsed {
-				res.Elapsed = row.Elapsed
-			}
-			if row.IndexRead > res.IndexRead {
-				res.IndexRead = row.IndexRead
-			}
-			res.Exact = res.Exact && row.Exact
-			res.Degraded = res.Degraded || row.Degraded
-		}
-		if spread {
-			// Spread reads on: the merged Simulated is the fold of the
-			// serving ledgers, not the nominal owner-billed max. Answers
-			// merged above are identical either way.
-			if times, ok := foldSpread(sc.rows, sc.times); ok {
-				sc.times = times
-				res.Elapsed = 0
-				for _, e := range times {
-					if e > res.Elapsed {
-						res.Elapsed = e
-					}
-				}
-			}
-		}
-		res.Wall = wall
-	}
-	return nil
+	return r.RunBatchStream(queries, opts, results, nil)
 }
 
 // RunBatchStream executes the batch like RunBatch and additionally
@@ -898,25 +791,15 @@ func (r *Router) RunBatch(queries []vec.Vector, opts batchexec.Options, results 
 // the batch returns while other queries' shards still work. Callbacks
 // for distinct queries may fire concurrently (they run on the shards'
 // scan workers), so done must be safe for concurrent use and should not
-// block. When a shard fails, queries whose callback already fired retain
-// valid merged results; all others are invalid, and the batch returns
-// the ShardError exactly as RunBatch would. A nil done is RunBatch.
+// block. When a shard fails the batch returns the ShardError; queries
+// whose callback already fired retain valid merged results, all others
+// are invalid.
 func (r *Router) RunBatchStream(queries []vec.Vector, opts batchexec.Options, results []search.Result, done func(query int)) error {
-	if done == nil {
-		return r.RunBatch(queries, opts, results)
-	}
-	start := time.Now()
 	if len(queries) == 0 {
 		return nil
 	}
 	if len(results) != len(queries) {
 		return fmt.Errorf("shard: results length %d != queries length %d", len(results), len(queries))
-	}
-	if opts.K <= 0 {
-		opts.K = 30
-	}
-	if opts.Stop == nil {
-		opts.Stop = search.ToCompletion{}
 	}
 	for qi, q := range queries {
 		if len(q) != r.dims {
@@ -937,71 +820,26 @@ func (r *Router) RunBatchStream(queries []vec.Vector, opts batchexec.Options, re
 		sc.batch[s] = grow(sc.batch[s], len(queries))
 	}
 	sc.errs = resetErrs(sc.errs, n)
-
-	// remaining[qi] counts the shards that have not yet retired query qi;
-	// the callback that decrements it to zero owns the merge and the
-	// user-visible completion. The mutex serializes merges only — they
-	// share the scatter's merge scratch — never the shards' scan work.
-	remaining := make([]atomic.Int32, len(queries))
-	for qi := range remaining {
-		remaining[qi].Store(int32(n))
+	if cap(sc.remaining) < len(queries) {
+		sc.remaining = make([]atomic.Int32, len(queries))
 	}
-	var mergeMu sync.Mutex
-	complete := func(qi int) {
-		mergeMu.Lock()
-		sc.rows = sc.rows[:0]
-		for s := 0; s < n; s++ {
-			sc.rows = append(sc.rows, &sc.batch[s][qi])
-		}
-		res := &results[qi]
-		neighbors := res.Neighbors[:0]
-		*res = search.Result{}
-		res.Neighbors, sc.cur = mergeNeighbors(sc.rows, opts.K, neighbors, sc.cur)
-		res.Exact = true
-		for _, row := range sc.rows {
-			res.ChunksRead += row.ChunksRead
-			res.ChunksSkipped += row.ChunksSkipped
-			if row.Elapsed > res.Elapsed {
-				res.Elapsed = row.Elapsed
-			}
-			if row.IndexRead > res.IndexRead {
-				res.IndexRead = row.IndexRead
-			}
-			res.Exact = res.Exact && row.Exact
-			res.Degraded = res.Degraded || row.Degraded
-		}
-		if r.spread.Load() {
-			// Same serving-ledger fold as RunBatch; mergeMu already
-			// serializes access to the scatter's fold scratch.
-			if times, ok := foldSpread(sc.rows, sc.times); ok {
-				sc.times = times
-				res.Elapsed = 0
-				for _, e := range times {
-					if e > res.Elapsed {
-						res.Elapsed = e
-					}
-				}
-			}
-		}
-		res.Wall = time.Since(start)
-		mergeMu.Unlock()
-		done(qi)
+	sc.remaining = sc.remaining[:len(queries)]
+	for qi := range sc.remaining {
+		sc.remaining[qi].Store(int32(n))
 	}
-	shardDone := func(qi int) {
-		if remaining[qi].Add(-1) == 0 {
-			complete(qi)
-		}
-	}
+	sc.results, sc.done, sc.start = results, done, time.Now()
+	sc.k, sc.spread = mergeK(opts.K), r.spread.Load()
+	defer func() { sc.results, sc.done = nil, nil }()
 
 	var wg sync.WaitGroup
 	for s := 1; s < n; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			sc.errs[s] = r.shards[s].engine.RunStream(queries, opts, sc.batch[s], shardDone)
+			sc.errs[s] = r.shards[s].engine.RunStream(queries, opts, sc.batch[s], sc.shardDone)
 		}(s)
 	}
-	sc.errs[0] = r.shards[0].engine.RunStream(queries, opts, sc.batch[0], shardDone)
+	sc.errs[0] = r.shards[0].engine.RunStream(queries, opts, sc.batch[0], sc.shardDone)
 	wg.Wait()
 	for s, err := range sc.errs {
 		if err != nil {
@@ -1009,6 +847,54 @@ func (r *Router) RunBatchStream(queries []vec.Vector, opts batchexec.Options, re
 		}
 	}
 	return nil
+}
+
+// retired is the shards' engines' completion callback for the batch in
+// flight: the last shard to retire query qi merges its rows into the
+// caller's result and streams the completion.
+func (sc *scatter) retired(qi int) {
+	if sc.remaining[qi].Add(-1) != 0 {
+		return
+	}
+	sc.mergeMu.Lock()
+	sc.rows = sc.rows[:0]
+	for s := range sc.batch {
+		sc.rows = append(sc.rows, &sc.batch[s][qi])
+	}
+	sc.mergeRows(sc.k, sc.spread, &sc.results[qi])
+	sc.results[qi].Wall = time.Since(sc.start)
+	sc.mergeMu.Unlock()
+	if sc.done != nil {
+		sc.done(qi)
+	}
+}
+
+// mergeRows merges one query's per-shard outcomes sc.rows into out, whose
+// Neighbors buffer is reused: neighbors through knn.Less, chunks (read
+// and skipped) summed, simulated times the max (the shards run in
+// parallel), exactness ANDed, degradation ORed. With spread reads on the
+// nominal owner-billed Elapsed is replaced by the fold of the serving
+// ledgers — what each machine really spent once reads moved to the
+// least-loaded copies; folded then reports that sc.times holds the
+// per-shard clocks. Everything else is merged from the nominal walks and
+// identical either way.
+func (sc *scatter) mergeRows(k int, spread bool, out *search.Result) (folded bool) {
+	*out = search.Result{Neighbors: out.Neighbors[:0], Exact: true}
+	out.Neighbors, sc.cur = mergeNeighbors(sc.rows, k, out.Neighbors, sc.cur)
+	for _, row := range sc.rows {
+		out.ChunksRead += row.ChunksRead
+		out.ChunksSkipped += row.ChunksSkipped
+		out.Elapsed = max(out.Elapsed, row.Elapsed)
+		out.IndexRead = max(out.IndexRead, row.IndexRead)
+		out.Exact = out.Exact && row.Exact
+		out.Degraded = out.Degraded || row.Degraded
+	}
+	if spread {
+		if sc.times, folded = foldSpread(sc.rows, sc.times); folded {
+			out.Elapsed = slices.Max(sc.times)
+		}
+	}
+	return folded
 }
 
 // MultiQuery runs a multi-descriptor (whole-image) query scatter-gather:
@@ -1126,23 +1012,6 @@ func foldSpread(rows []*search.Result, times []time.Duration) ([]time.Duration, 
 		}
 	}
 	return times, true
-}
-
-// foldCost folds one shard's costs into the merged result: chunks (read
-// and skipped) sum, simulated times max (the shards run in parallel),
-// exactness ANDs (the caller seeds Exact to true before the first fold),
-// degradation ORs.
-func foldCost(res *Result, row *search.Result) {
-	res.ChunksRead += row.ChunksRead
-	res.ChunksSkipped += row.ChunksSkipped
-	if row.Elapsed > res.Elapsed {
-		res.Elapsed = row.Elapsed
-	}
-	if row.IndexRead > res.IndexRead {
-		res.IndexRead = row.IndexRead
-	}
-	res.Exact = res.Exact && row.Exact
-	res.Degraded = res.Degraded || row.Degraded
 }
 
 // grow returns s with length n, reusing its capacity (and the neighbor

@@ -41,7 +41,7 @@ func routerOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster,
 	for s, idxs := range assign {
 		stores[s] = chunkfile.NewMemStore(coll, Select(clusters, idxs), pageSize)
 	}
-	r, err := NewRouter(stores, nil)
+	r, err := NewRouter(stores, nil, nil, RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestOneShardMatchesSingleSearcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fileRouter, err := NewRouter([]chunkfile.Store{fileShards[0]}, nil)
+	fileRouter, err := NewRouter([]chunkfile.Store{fileShards[0]}, nil, nil, RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestShardedEdgeCases(t *testing.T) {
 	if err := r.RunBatch(nil, batchexec.Options{}, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if _, err := NewRouter(nil, nil); err == nil {
+	if _, err := NewRouter(nil, nil, nil, RouterOptions{}); err == nil {
 		t.Fatal("empty router accepted")
 	}
 	if _, err := r.MultiQuery(nil, multiquery.Options{}); err == nil {

@@ -31,7 +31,7 @@ func spreadRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cl
 		physical := append(append([]int(nil), p.Primary[s]...), p.Extra[s]...)
 		stores[s] = chunkfile.NewMemStore(coll, Select(clusters, physical), pageSize)
 	}
-	r, err := NewReplicatedRouterWith(stores, p, nil, opts)
+	r, err := NewRouter(stores, p, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func spreadFaultRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*clust
 		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, Select(clusters, physical), pageSize), cfg)
 		stores[s] = faults[s]
 	}
-	r, err := NewReplicatedRouterWith(stores, p, nil, RouterOptions{SpreadReads: true})
+	r, err := NewRouter(stores, p, nil, RouterOptions{SpreadReads: true})
 	if err != nil {
 		t.Fatal(err)
 	}

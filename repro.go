@@ -411,14 +411,7 @@ func (ix *Index) SearchInto(q Vector, opts SearchOptions, res *Result) error {
 	}, &sr); err != nil {
 		return err
 	}
-	res.Neighbors = sr.Neighbors
-	res.ChunksRead = sr.ChunksRead
-	res.Simulated = sr.Elapsed
-	res.Wall = sr.Wall
-	res.Exact = sr.Exact
-	res.Degraded = sr.Degraded
-	res.ChunksSkipped = sr.ChunksSkipped
-	res.ShardsDown = 0
+	*res = toResult(&sr, 0)
 	return nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/multiquery"
 	"repro/internal/search"
-	"repro/internal/search/batchexec"
 	"repro/internal/shard"
 )
 
@@ -111,7 +110,7 @@ func BuildReplicated(coll *Collection, cfg BuildConfig, shards, replication int,
 		parts[s] = shard.Select(clusters, idxs)
 		stores[s] = chunkfile.NewMemStore(coll, parts[s], pageSize)
 	}
-	router, err := shard.NewReplicatedRouterWith(stores, placement, nil, shard.RouterOptions{
+	router, err := shard.NewRouter(stores, placement, nil, shard.RouterOptions{
 		Cache:       shard.CacheConfig{Bytes: cfg.CacheBytes},
 		SpreadReads: cfg.SpreadReads,
 	})
@@ -175,19 +174,10 @@ func openSharded(dir string, cfg OpenConfig) (*ShardedIndex, error) {
 		closeAll()
 		return nil, fmt.Errorf("repro: stat placement file: %w", serr)
 	}
-	cache := shard.CacheConfig{Bytes: cfg.CacheBytes}
-	var router *shard.Router
-	if placement != nil {
-		router, err = shard.NewReplicatedRouterWith(shardStores, placement, nil, shard.RouterOptions{
-			Cache:       cache,
-			SpreadReads: cfg.SpreadReads,
-		})
-	} else {
-		router, err = shard.NewRouterCached(shardStores, nil, cache)
-		if err == nil {
-			router.SetSpreadReads(cfg.SpreadReads)
-		}
-	}
+	router, err := shard.NewRouter(shardStores, placement, nil, shard.RouterOptions{
+		Cache:       shard.CacheConfig{Bytes: cfg.CacheBytes},
+		SpreadReads: cfg.SpreadReads,
+	})
 	if err != nil {
 		closeAll()
 		return nil, err
@@ -325,62 +315,7 @@ func (sx *ShardedIndex) SearchInto(q Vector, opts SearchOptions, res *Result) er
 // exactly in either discipline. The results array is the caller-owned
 // arena, as in Index.SearchBatchInto.
 func (sx *ShardedIndex) SearchBatchInto(queries []Vector, opts BatchOptions, results []Result) error {
-	if err := opts.validate(); err != nil {
-		return err
-	}
-	if len(results) != len(queries) {
-		return fmt.Errorf("repro: batch results length %d != queries length %d", len(results), len(queries))
-	}
-	if len(queries) == 0 {
-		return nil
-	}
-	sp := sx.batchPool.Get().(*[]search.Result)
-	defer sx.batchPool.Put(sp)
-	if cap(*sp) < len(queries) {
-		*sp = make([]search.Result, len(queries))
-	}
-	srs := (*sp)[:len(queries)]
-	for i := range results {
-		srs[i] = search.Result{Neighbors: results[i].Neighbors[:0]}
-	}
-	routerBatch := sx.router.RunBatch
-	if opts.GlobalBudget {
-		routerBatch = sx.router.RunBatchGlobal
-	}
-	err := routerBatch(queries, batchexec.Options{
-		K:           opts.K,
-		Stop:        stopRule(opts.SearchOptions),
-		Model:       opts.Model,
-		Overlap:     opts.Overlap,
-		Parallelism: opts.Parallelism,
-		Ctx:         opts.Ctx,
-	}, srs)
-	if err != nil {
-		for i := range srs {
-			srs[i] = search.Result{} // do not retain caller slices in the pool
-		}
-		var qe *batchexec.QueryError
-		if errors.As(err, &qe) {
-			return fmt.Errorf("repro: batch query %d: %w", qe.Query, qe.Err)
-		}
-		return fmt.Errorf("repro: %w", err)
-	}
-	shardsDown := sx.router.DownShards()
-	for i := range results {
-		sr := &srs[i]
-		results[i] = Result{
-			Neighbors:     sr.Neighbors,
-			ChunksRead:    sr.ChunksRead,
-			Simulated:     sr.Elapsed,
-			Wall:          sr.Wall,
-			Exact:         sr.Exact,
-			Degraded:      sr.Degraded,
-			ChunksSkipped: sr.ChunksSkipped,
-			ShardsDown:    shardsDown,
-		}
-		srs[i] = search.Result{} // do not retain caller slices in the pool
-	}
-	return nil
+	return sx.SearchBatchStream(queries, opts, results, nil)
 }
 
 // SearchBatchStream runs the batch like SearchBatchInto and streams
@@ -392,64 +327,11 @@ func (sx *ShardedIndex) SearchBatchInto(queries []Vector, opts BatchOptions, res
 // already fired retain valid results; the rest are invalid. A nil done
 // degenerates to SearchBatchInto.
 func (sx *ShardedIndex) SearchBatchStream(queries []Vector, opts BatchOptions, results []Result, done func(query int)) error {
-	if done == nil {
-		return sx.SearchBatchInto(queries, opts, results)
-	}
-	if err := opts.validate(); err != nil {
-		return err
-	}
-	if len(results) != len(queries) {
-		return fmt.Errorf("repro: batch results length %d != queries length %d", len(results), len(queries))
-	}
-	if len(queries) == 0 {
-		return nil
-	}
-	sp := sx.batchPool.Get().(*[]search.Result)
-	defer sx.batchPool.Put(sp)
-	if cap(*sp) < len(queries) {
-		*sp = make([]search.Result, len(queries))
-	}
-	srs := (*sp)[:len(queries)]
-	for i := range results {
-		srs[i] = search.Result{Neighbors: results[i].Neighbors[:0]}
-	}
-	routerBatch := sx.router.RunBatchStream
+	run := sx.router.RunBatchStream
 	if opts.GlobalBudget {
-		routerBatch = sx.router.RunBatchGlobalStream
+		run = sx.router.RunBatchGlobalStream
 	}
-	shardsDown := sx.router.DownShards()
-	err := routerBatch(queries, batchexec.Options{
-		K:           opts.K,
-		Stop:        stopRule(opts.SearchOptions),
-		Model:       opts.Model,
-		Overlap:     opts.Overlap,
-		Parallelism: opts.Parallelism,
-		Ctx:         opts.Ctx,
-	}, srs, func(qi int) {
-		sr := &srs[qi]
-		results[qi] = Result{
-			Neighbors:     sr.Neighbors,
-			ChunksRead:    sr.ChunksRead,
-			Simulated:     sr.Elapsed,
-			Wall:          sr.Wall,
-			Exact:         sr.Exact,
-			Degraded:      sr.Degraded,
-			ChunksSkipped: sr.ChunksSkipped,
-			ShardsDown:    shardsDown,
-		}
-		done(qi)
-	})
-	for i := range srs {
-		srs[i] = search.Result{} // do not retain caller slices in the pool
-	}
-	if err != nil {
-		var qe *batchexec.QueryError
-		if errors.As(err, &qe) {
-			return fmt.Errorf("repro: batch query %d: %w", qe.Query, qe.Err)
-		}
-		return fmt.Errorf("repro: %w", err)
-	}
-	return nil
+	return runBatch(&sx.batchPool, run, sx.router.DownShards, queries, opts, results, done)
 }
 
 // SearchBatch runs every query and returns the merged results in query
