@@ -393,6 +393,9 @@ func (s *CachingStore) Dims() int { return s.inner.Dims() }
 // store (it is in-memory there, not a disk read).
 func (s *CachingStore) Meta() []chunkfile.Meta { return s.inner.Meta() }
 
+// Centroids implements chunkfile.Store: the inner store's matrix.
+func (s *CachingStore) Centroids() []float32 { return s.inner.Centroids() }
+
 // ReadChunk implements chunkfile.Store. A hit aliases the cached rows
 // into data zero-copy (pinning them until the next read into data) with
 // Stall zero — the hit performed no attempts to bill. A miss delegates

@@ -31,7 +31,8 @@ const (
 	indexMagic = "EFF2CIDX"
 )
 
-// Meta describes one chunk as recorded in the index file.
+// Meta describes one chunk as recorded in the index file. In a Store's
+// Meta(), Centroid aliases row i of the store's Centroids() matrix.
 type Meta struct {
 	Centroid vec.Vector
 	Radius   float64
@@ -43,6 +44,41 @@ type Meta struct {
 // EntrySize returns the on-disk size of one index entry for the given
 // dimensionality: centroid + radius + offset + bytes + count.
 func EntrySize(dims int) int { return dims*4 + 8 + 8 + 4 + 4 }
+
+// CentroidMatrix returns the contiguous row-major matrix the metas'
+// centroids alias — what Store.Centroids returns for a store's own Meta()
+// — or nil when they are not laid out that way (metas assembled by hand).
+func CentroidMatrix(metas []Meta) []float32 {
+	if len(metas) == 0 {
+		return nil
+	}
+	first := metas[0].Centroid
+	dims, n := len(first), len(metas)
+	if dims == 0 || cap(first) < n*dims {
+		return nil
+	}
+	mat := first[:n*dims]
+	for i := range metas {
+		if c := metas[i].Centroid; len(c) != dims || &c[0] != &mat[i*dims] {
+			return nil
+		}
+	}
+	return mat
+}
+
+// LayoutCentroids copies the metas' centroids into one fresh row-major
+// matrix, re-points every Centroid at its row and returns the matrix: how
+// a store assembled from other stores' metas or from clusters (MemStore,
+// the shard router's concatenated store) builds its Centroids().
+func LayoutCentroids(metas []Meta, dims int) []float32 {
+	mat := make([]float32, len(metas)*dims)
+	for i := range metas {
+		row := mat[i*dims : (i+1)*dims]
+		copy(row, metas[i].Centroid)
+		metas[i].Centroid = row
+	}
+	return mat
+}
 
 // RecordSize returns the on-disk size of one descriptor record: a 4-byte
 // ID followed by dims float32 components.
@@ -163,6 +199,12 @@ type Store interface {
 	// Meta returns the chunk index in chunk-file order. Callers must not
 	// modify it.
 	Meta() []Meta
+	// Centroids returns every chunk's centroid as one contiguous row-major
+	// matrix, len(Meta()) rows of Dims() float32s in chunk-file order: the
+	// memory Meta()[i].Centroid aliases, laid out once when the store is
+	// built so a query ranks all chunks with one distance-kernel call.
+	// Callers must not modify it.
+	Centroids() []float32
 	// ReadChunk decodes chunk i into data, reusing its buffers. Safe for
 	// concurrent use with distinct Data values.
 	ReadChunk(i int, data *Data) error
@@ -347,10 +389,11 @@ var (
 
 // FileStore reads a chunk index from its two files.
 type FileStore struct {
-	f     *os.File
-	dims  int
-	page  int
-	metas []Meta
+	f         *os.File
+	dims      int
+	page      int
+	metas     []Meta
+	centroids []float32 // row-major, aliased by metas[i].Centroid
 }
 
 var _ Store = (*FileStore)(nil)
@@ -394,7 +437,7 @@ func Open(chunkPath, indexPath string) (*FileStore, error) {
 		f.Close()
 		return nil, err
 	}
-	return &FileStore{f: f, dims: dims, page: page, metas: metas}, nil
+	return &FileStore{f: f, dims: dims, page: page, metas: metas, centroids: CentroidMatrix(metas)}, nil
 }
 
 // validateMetas cross-checks every index entry against the chunk file's
@@ -438,9 +481,10 @@ func readIndex(path string) ([]Meta, int, error) {
 		return nil, 0, fmt.Errorf("chunkfile: index size %d != expected %d", len(raw), 16+n*es)
 	}
 	metas := make([]Meta, n)
+	centroids := make([]float32, n*dims)
 	o := 16
 	for i := 0; i < n; i++ {
-		c := make(vec.Vector, dims)
+		c := vec.Vector(centroids[i*dims : (i+1)*dims])
 		for d := 0; d < dims; d++ {
 			c[d] = math.Float32frombits(binary.LittleEndian.Uint32(raw[o : o+4]))
 			o += 4
@@ -466,6 +510,9 @@ func (s *FileStore) PageSize() int { return s.page }
 
 // Meta implements Store.
 func (s *FileStore) Meta() []Meta { return s.metas }
+
+// Centroids implements Store.
+func (s *FileStore) Centroids() []float32 { return s.centroids }
 
 // ReadChunk implements Store. It issues exactly one positioned read of the
 // chunk's padded extent, mirroring the paper's one-chunk-one-read access
@@ -512,11 +559,12 @@ func decode(buf []byte, count, dims int, data *Data) {
 // MemStore is an in-memory Store with the same padded-size accounting as
 // FileStore, so simulated timings are identical.
 type MemStore struct {
-	dims   int
-	metas  []Meta
-	ids    [][]descriptor.ID
-	vecs   [][]float32
-	closed bool
+	dims      int
+	metas     []Meta
+	centroids []float32
+	ids       [][]descriptor.ID
+	vecs      [][]float32
+	closed    bool
 }
 
 var _ Store = (*MemStore)(nil)
@@ -534,7 +582,7 @@ func NewMemStore(coll *descriptor.Collection, clusters []*cluster.Cluster, pageS
 		raw := cl.Count() * rec
 		padded := pageCeil(raw, pageSize)
 		s.metas = append(s.metas, Meta{
-			Centroid: cl.Centroid.Clone(),
+			Centroid: cl.Centroid,
 			Radius:   cl.Radius,
 			Offset:   offset,
 			Bytes:    padded,
@@ -550,6 +598,7 @@ func NewMemStore(coll *descriptor.Collection, clusters []*cluster.Cluster, pageS
 		s.vecs = append(s.vecs, vs)
 		offset += int64(padded)
 	}
+	s.centroids = LayoutCentroids(s.metas, dims)
 	return s
 }
 
@@ -558,6 +607,9 @@ func (s *MemStore) Dims() int { return s.dims }
 
 // Meta implements Store.
 func (s *MemStore) Meta() []Meta { return s.metas }
+
+// Centroids implements Store.
+func (s *MemStore) Centroids() []float32 { return s.centroids }
 
 // ReadChunk implements Store. The returned slices alias the store's own
 // memory (no copy): Data is read-only by contract, and skipping the copy

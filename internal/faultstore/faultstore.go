@@ -135,6 +135,9 @@ func (s *Store) Dims() int { return s.inner.Dims() }
 // that cached the index before the disk died.
 func (s *Store) Meta() []chunkfile.Meta { return s.inner.Meta() }
 
+// Centroids implements chunkfile.Store; like Meta it survives a dead disk.
+func (s *Store) Centroids() []float32 { return s.inner.Centroids() }
+
 // ReadChunk implements chunkfile.Store, injecting faults before
 // delegating. Fault decisions depend only on (Seed, ordinal), so a fixed
 // seed replays the same fault sequence on every run.

@@ -3,7 +3,8 @@
 // (chunk search, sequential scan, VA-file, Medrank, LSH, P-Sphere).
 //
 // Following the repo-wide convention (see package vec), the heap operates
-// on *squared* distances: candidates enter through OfferSquared, pruning
+// on *squared* distances: candidates enter through OfferSquared (or, a
+// block of kernel output at a time, OfferSquaredAll), pruning
 // bounds come out of Kth2, and math.Sqrt is applied only in Sorted /
 // SortedInto / AppendAll at the reporting boundary. Equal-distance
 // neighbors are ordered deterministically by ascending ID, both in the
@@ -101,21 +102,55 @@ func (h *Heap) Kth() float64 {
 func (h *Heap) OfferSquared(id descriptor.ID, d2 float64) {
 	it := item{id: id, d2: d2}
 	if len(h.items) < h.k {
-		h.items = append(h.items, it)
-		i := len(h.items) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !beats(h.items[p], h.items[i]) {
-				break
+		h.push(it)
+	} else if h.k > 0 && beats(it, h.items[0]) {
+		h.replaceWorst(it)
+	}
+}
+
+// OfferSquaredAll offers (ids[i], d2s[i]) for every i in order, with
+// exactly the outcome of that sequence of OfferSquared calls: the scan
+// loops' entry point. Once the heap is full it rejects d2 > Kth2 inline —
+// in a ranked search that is all but a percent or two of the rows — and
+// only a candidate with d2 <= Kth2 reaches the tie rule (equality still
+// goes through beats) and the sift, after which the bound is refreshed.
+func (h *Heap) OfferSquaredAll(ids []descriptor.ID, d2s []float64) {
+	ids = ids[:len(d2s)]
+	i := 0
+	for ; i < len(d2s) && len(h.items) < h.k; i++ {
+		h.push(item{id: ids[i], d2: d2s[i]})
+	}
+	if h.k <= 0 || i == len(d2s) {
+		return
+	}
+	kth2 := h.items[0].d2
+	for ; i < len(d2s); i++ {
+		if d2 := d2s[i]; d2 <= kth2 {
+			if it := (item{id: ids[i], d2: d2}); beats(it, h.items[0]) {
+				h.replaceWorst(it)
+				kth2 = h.items[0].d2
 			}
-			h.items[p], h.items[i] = h.items[i], h.items[p]
-			i = p
 		}
-		return
 	}
-	if h.k == 0 || !beats(it, h.items[0]) {
-		return
+}
+
+// push adds it to a heap holding fewer than k entries.
+func (h *Heap) push(it item) {
+	h.items = append(h.items, it)
+	i := len(h.items) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !beats(h.items[p], h.items[i]) {
+			break
+		}
+		h.items[p], h.items[i] = h.items[i], h.items[p]
+		i = p
 	}
+}
+
+// replaceWorst evicts the root — the current k-th entry — for it, which
+// the caller has checked beats it.
+func (h *Heap) replaceWorst(it item) {
 	h.items[0] = it
 	i := 0
 	for {

@@ -138,3 +138,50 @@ func TestAppendAll(t *testing.T) {
 		t.Fatalf("AppendAll len = %d", len(buf))
 	}
 }
+
+// OfferSquaredAll must leave the heap exactly as the same sequence of
+// OfferSquared calls would — internal layout included, since later offers
+// sift through it. Streams are drawn from a handful of distinct distances
+// (NaN and +Inf among them), so the k-th distance keeps recurring at ids
+// below and above the one the heap holds; they arrive in slices of random
+// length, so the heap fills in the middle of one; k runs from 0 past the
+// stream's length.
+func TestOfferSquaredAllMatchesOfferSquared(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := r.Intn(200)
+		k := r.Intn(n + 8)
+		if r.Intn(6) == 0 {
+			k = 0
+		}
+		values := []float64{math.NaN(), math.Inf(1), 0}
+		for len(values) < 4+r.Intn(12) {
+			values = append(values, float64(r.Intn(50)))
+		}
+		ids, d2s := make([]descriptor.ID, n), make([]float64, n)
+		for i := range ids {
+			ids[i], d2s[i] = descriptor.ID(r.Intn(64)), values[r.Intn(len(values))]
+		}
+		one, all := NewHeap(k), NewHeap(k)
+		for lo := 0; lo < n; {
+			hi := min(n, lo+r.Intn(40)) // sometimes empty
+			for i := lo; i < hi; i++ {
+				one.OfferSquared(ids[i], d2s[i])
+			}
+			all.OfferSquaredAll(ids[lo:hi], d2s[lo:hi])
+			if len(one.items) != len(all.items) {
+				return false
+			}
+			for i, it := range one.items {
+				if it.id != all.items[i].id || math.Float64bits(it.d2) != math.Float64bits(all.items[i].d2) {
+					return false
+				}
+			}
+			lo = hi
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -379,10 +379,7 @@ func (a *arena) scanGroup(ws *workerScratch, members []int32) {
 			vec.SquaredDistancesMulti(qf, data.Vecs[r0*dims:(r0+bn)*dims], dims, out)
 			ids := data.IDs[r0 : r0+bn]
 			for i, si := range ws.fill {
-				h := &a.states[si].Heap
-				for j, d2 := range out[i*bn : (i+1)*bn] {
-					h.OfferSquared(ids[j], d2)
-				}
+				a.states[si].Heap.OfferSquaredAll(ids, out[i*bn:(i+1)*bn])
 			}
 		}
 	}

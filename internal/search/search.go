@@ -189,30 +189,53 @@ type RankedChunk struct {
 	Bound float64 // true-distance lower bound: max(0, dist - radius)
 }
 
-// RankChunks appends one RankedChunk per store chunk to ranked (reusing
-// its capacity; pass ranked[:0] to recycle a buffer) and sorts the result
-// by (squared centroid distance, ascending chunk index) — step 1 of the
-// paper's algorithm. Squared distances order the ranking; one sqrt per
-// chunk converts to the true-distance lower bound the stop rules consume.
-func RankChunks(q vec.Vector, metas []chunkfile.Meta, ranked []RankedChunk) []RankedChunk {
-	for i := range metas {
-		m := &metas[i]
-		d2 := vec.SquaredDistance(q, m.Centroid)
-		lb := math.Sqrt(d2) - m.Radius
+// compareRanked is the total order of a ranking: squared centroid
+// distance, ties by ascending chunk index. Being total, it makes any
+// sorted prefix a function of the data alone, not of the algorithm that
+// selected it.
+func compareRanked(a, b RankedChunk) int {
+	switch {
+	case a.D2 < b.D2:
+		return -1
+	case a.D2 > b.D2:
+		return 1
+	}
+	return a.Idx - b.Idx
+}
+
+// appendRanked appends one RankedChunk per meta, in store order, from the
+// squared centroid distances d2: one sqrt per chunk converts to the
+// true-distance lower bound the stop rules consume.
+func appendRanked(ranked []RankedChunk, metas []chunkfile.Meta, d2 []float64) []RankedChunk {
+	for i, v := range d2[:len(metas)] {
+		lb := math.Sqrt(v) - metas[i].Radius
 		if lb < 0 {
 			lb = 0
 		}
-		ranked = append(ranked, RankedChunk{Idx: i, D2: d2, Bound: lb})
+		ranked = append(ranked, RankedChunk{Idx: i, D2: v, Bound: lb})
 	}
-	slices.SortFunc(ranked, func(a, b RankedChunk) int {
-		switch {
-		case a.D2 < b.D2:
-			return -1
-		case a.D2 > b.D2:
-			return 1
+	return ranked
+}
+
+// RankChunks appends one RankedChunk per store chunk to ranked (reusing
+// its capacity; pass ranked[:0] to recycle a buffer) and sorts the result
+// by (squared centroid distance, ascending chunk index) — step 1 of the
+// paper's algorithm, in full. Distances come from the matrix kernel: one
+// vec.SquaredDistancesTo call when the metas alias a store's centroid
+// matrix (any Store.Meta()), one call per centroid otherwise. A Walk
+// orders only the prefix it reads; this is the whole order, for callers
+// that want every rank.
+func RankChunks(q vec.Vector, metas []chunkfile.Meta, ranked []RankedChunk) []RankedChunk {
+	d2 := make([]float64, len(metas))
+	if mat := chunkfile.CentroidMatrix(metas); mat != nil {
+		vec.SquaredDistancesTo(q, mat, len(q), d2)
+	} else {
+		for i := range metas {
+			vec.SquaredDistancesTo(q, metas[i].Centroid, len(q), d2[i:i+1])
 		}
-		return a.Idx - b.Idx
-	})
+	}
+	ranked = appendRanked(ranked, metas, d2)
+	slices.SortFunc(ranked, compareRanked)
 	return ranked
 }
 
@@ -222,16 +245,59 @@ func RankChunks(q vec.Vector, metas []chunkfile.Meta, ranked []RankedChunk) []Ra
 // suffix[i+1] is the remainingBound consulted by the stop rule after
 // processing ranked[i], and the exactness certificate.
 func SuffixBounds(ranked []RankedChunk, suffix []float64) []float64 {
-	n := len(ranked) + 1
-	if cap(suffix) < n {
-		suffix = make([]float64, n)
-	}
-	suffix = suffix[:n]
-	suffix[n-1] = math.Inf(1)
-	for i := n - 2; i >= 0; i-- {
+	suffix = sized(suffix, len(ranked)+1)
+	fillSuffix(ranked, math.Inf(1), suffix)
+	return suffix
+}
+
+// fillSuffix writes the suffix minima of a sorted stretch of a ranking
+// into suffix[:len(ranked)+1]: rest is the lowest bound among the chunks
+// ranked after the stretch (+Inf when there are none), so suffix[i] is
+// the minimum over everything ranked at i or later.
+func fillSuffix(ranked []RankedChunk, rest float64, suffix []float64) {
+	suffix[len(ranked)] = rest
+	for i := len(ranked) - 1; i >= 0; i-- {
 		suffix[i] = math.Min(suffix[i+1], ranked[i].Bound)
 	}
-	return suffix
+}
+
+// selectSorted reorders r so that r[:k] holds its k smallest entries under
+// compareRanked, sorted, and r[k:] the rest in no particular order:
+// heap-select (a max-heap over r[:k], every later entry that beats the
+// root swapped in), then a sort of the prefix. O(len(r)·log k), in place.
+func selectSorted(r []RankedChunk, k int) {
+	if k >= len(r) {
+		slices.SortFunc(r, compareRanked)
+		return
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(r[:k], i)
+	}
+	for i := k; i < len(r); i++ {
+		if compareRanked(r[i], r[0]) < 0 {
+			r[i], r[0] = r[0], r[i]
+			siftDown(r[:k], 0)
+		}
+	}
+	slices.SortFunc(r[:k], compareRanked)
+}
+
+// siftDown restores the max-heap property of h below position i.
+func siftDown(h []RankedChunk, i int) {
+	for {
+		big, l := i, 2*i+1
+		if l < len(h) && compareRanked(h[l], h[big]) > 0 {
+			big = l
+		}
+		if l+1 < len(h) && compareRanked(h[l+1], h[big]) > 0 {
+			big = l + 1
+		}
+		if big == i {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
 }
 
 // Plan is the per-run configuration every Walk of one run shares: the
@@ -240,12 +306,15 @@ func SuffixBounds(ranked []RankedChunk, suffix []float64) []float64 {
 // single-query path resolves one per query, the batch engine one per
 // batch.
 type Plan struct {
-	metas   []chunkfile.Meta
-	k       int
-	stop    StopRule
-	model   *simdisk.Model
-	overlap bool
-	trace   func(query int, ev Event)
+	metas     []chunkfile.Meta
+	centroids []float32 // the store's row-major centroid matrix
+	dims      int
+	k         int
+	first     int // chunks a walk orders up front
+	stop      StopRule
+	model     *simdisk.Model
+	overlap   bool
+	trace     func(query int, ev Event)
 	// owner maps every chunk to the machine its charges bill
 	// (chunkfile.MachineLayout; nil = one machine). inits holds each
 	// machine's index-read time for its own chunk count — the origin of
@@ -274,6 +343,16 @@ func (p *Plan) Reset(store chunkfile.Store, model *simdisk.Model, k int, stop St
 		stop = ToCompletion{}
 	}
 	p.metas, p.k, p.stop, p.model, p.overlap, p.trace = store.Meta(), k, stop, model, overlap, trace
+	// A chunk budget names the prefix outright (a walk looks past it only
+	// when it skips unavailable chunks); any other rule starts small.
+	p.first = initialPrefix
+	if b, ok := stop.(ChunkBudget); ok {
+		p.first = max(int(b), 1)
+	}
+	p.centroids, p.dims = store.Centroids(), store.Dims()
+	if len(p.centroids) != len(p.metas)*p.dims {
+		return fmt.Errorf("search: store has %d chunks of %d dims but a centroid matrix of %d floats", len(p.metas), p.dims, len(p.centroids))
+	}
 	p.serveMachines, p.serveOwner = 1, 0
 	if mr, ok := store.(chunkfile.MachineRouter); ok {
 		p.serveMachines, p.serveOwner = mr.Machines()
@@ -299,7 +378,7 @@ func (p *Plan) Reset(store chunkfile.Store, model *simdisk.Model, k int, stop St
 	}
 	p.inits = sized(p.inits, machines)
 	p.indexRead = 0
-	entrySize := chunkfile.EntrySize(store.Dims())
+	entrySize := chunkfile.EntrySize(p.dims)
 	for m, c := range p.counts {
 		p.inits[m] = model.IndexReadTime(c, entrySize)
 		p.indexRead = max(p.indexRead, p.inits[m])
@@ -310,7 +389,7 @@ func (p *Plan) Reset(store chunkfile.Store, model *simdisk.Model, k int, stop St
 // Release drops the plan's references into caller and store memory so a
 // pooled plan retains none of it.
 func (p *Plan) Release() {
-	p.metas, p.stop, p.model, p.trace, p.owner = nil, nil, nil, nil, nil
+	p.metas, p.centroids, p.stop, p.model, p.trace, p.owner = nil, nil, nil, nil, nil, nil
 }
 
 // sized returns s with length n, reusing its capacity; contents are
@@ -334,12 +413,20 @@ func sized[T any](s []T, n int) []T {
 // simulated clocks depend only on the order of a walk's own steps, never
 // on when a driver takes them.
 type Walk struct {
-	plan   *Plan
-	Query  int      // reported to the plan's trace hook
-	Heap   knn.Heap // the current k-NN set; drivers scan chunks into it
+	plan  *Plan
+	Query int      // reported to the plan's trace hook
+	Heap  knn.Heap // the current k-NN set; drivers scan chunks into it
+	// ranked holds every chunk of the store; ranked[:sorted] is the head of
+	// the rank order (compareRanked), the rest everything ranked later, not
+	// yet ordered. d2 is the kernel's output the keys are taken from.
 	ranked []RankedChunk
-	suffix []float64 // suffix minima over ranked bounds (true distances)
-	pos    int       // rank position of the next chunk
+	sorted int
+	d2     []float64
+	// suffix[i], for pos <= i <= sorted, is the lowest bound over all
+	// chunks ranked at i or later: suffix minima over the sorted prefix,
+	// seeded with the minimum over the unordered remainder.
+	suffix []float64
+	pos    int // rank position of the next chunk
 	// pipes is one simulated machine per machine of the plan's layout,
 	// billed by chunk ownership: stop rules and Elapsed read their max.
 	// serve is the per-machine serving ledger (Result.Machines), one
@@ -356,8 +443,12 @@ type Walk struct {
 // are kept. It reports whether there is any chunk to walk.
 func (w *Walk) Reset(p *Plan, q vec.Vector, res *Result) bool {
 	w.plan = p
-	w.ranked = RankChunks(q, p.metas, w.ranked[:0])
-	w.suffix = SuffixBounds(w.ranked, w.suffix[:0])
+	w.d2 = sized(w.d2, len(p.metas))
+	vec.SquaredDistancesTo(q, p.centroids, p.dims, w.d2)
+	w.ranked = appendRanked(w.ranked[:0], p.metas, w.d2)
+	w.suffix = sized(w.suffix, len(w.ranked)+1)
+	w.sorted = 0
+	w.order(p.first)
 	w.Heap.Reset(p.k)
 	w.pos = 0
 	w.pipes = sized(w.pipes, len(p.inits))
@@ -383,6 +474,27 @@ func (w *Walk) Reset(p *Plan, q vec.Vector, res *Result) bool {
 		Exact:      len(w.ranked) == 0, // zero chunks: trivially complete
 	}
 	return len(w.ranked) > 0
+}
+
+// initialPrefix is how many chunks a walk without a chunk budget orders
+// up front; order doubles the prefix every time the walk outruns it.
+const initialPrefix = 8
+
+// order extends the sorted prefix by up to n more chunks, selected from
+// the unordered remainder — every entry of which ranks after the whole
+// prefix, so the prefix stays the head of the full order — and lays the
+// suffix minima over the new stretch (the cursor never returns to the old
+// one). The remainder's lowest bound is order-free, which keeps the stop
+// rule's remainingBound exact without sorting what the walk never reads.
+func (w *Walk) order(n int) {
+	from := w.sorted
+	w.sorted = min(from+n, len(w.ranked))
+	selectSorted(w.ranked[from:], w.sorted-from)
+	rest := math.Inf(1)
+	for _, rc := range w.ranked[w.sorted:] {
+		rest = math.Min(rest, rc.Bound)
+	}
+	fillSuffix(w.ranked[from:w.sorted], rest, w.suffix[from:])
 }
 
 // Next returns the store index of the chunk the walk wants next.
@@ -420,7 +532,13 @@ func (w *Walk) Skip(res *Result, stall time.Duration) (done bool) {
 	res.Degraded = true
 	w.skips[machine]++
 	w.pos++
-	return w.pos == len(w.ranked)
+	if w.pos == len(w.ranked) {
+		return true
+	}
+	if w.pos == w.sorted {
+		w.order(w.sorted)
+	}
+	return false
 }
 
 // Charge steps past the chunk Next named after the driver scanned it into
@@ -467,6 +585,9 @@ func (w *Walk) Charge(res *Result, stall time.Duration, served int) (done bool) 
 		return true
 	}
 	res.Exact = last
+	if !last && w.pos == w.sorted {
+		w.order(w.sorted)
+	}
 	return last
 }
 
@@ -615,9 +736,7 @@ func ScanChunk(q vec.Vector, dims int, data *chunkfile.Data, heap *knn.Heap, d2 
 		}
 		d2s := d2[:n]
 		vec.SquaredDistancesTo(q, vecs, dims, d2s)
-		for r, v := range d2s {
-			heap.OfferSquared(data.IDs[r], v)
-		}
+		heap.OfferSquaredAll(data.IDs, d2s)
 		return d2
 	}
 	for r := 0; r < n; r++ {

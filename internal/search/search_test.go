@@ -17,11 +17,13 @@ import (
 )
 
 // fixture builds a small collection with two chunk stores: SR-tree chunks
-// and BAG chunks, as in the paper.
+// and BAG chunks, as in the paper. tieSt holds every SR-tree chunk twice
+// (chunk i again at i+n), so every centroid distance is a tie.
 type fixture struct {
 	coll  *descriptor.Collection
 	srSt  *chunkfile.MemStore
 	bagSt *chunkfile.MemStore
+	tieSt *chunkfile.MemStore
 }
 
 var fixtures = map[int64]*fixture{}
@@ -37,6 +39,7 @@ func getFixture(t testing.TB, seed int64) *fixture {
 		t.Fatal(err)
 	}
 	srSt := chunkfile.NewMemStore(coll, tr.Chunks(), 4096)
+	tieSt := chunkfile.NewMemStore(coll, append(tr.Chunks(), tr.Chunks()...), 4096)
 
 	cfg := bag.DefaultConfig(coll.Len(), 120)
 	cfg.MaxPasses = 500
@@ -49,7 +52,7 @@ func getFixture(t testing.TB, seed int64) *fixture {
 	// tests we compare against a scan over the retained subset.
 	bagSt := chunkfile.NewMemStore(coll, snap.Clusters, 4096)
 
-	f := &fixture{coll: coll, srSt: srSt, bagSt: bagSt}
+	f := &fixture{coll: coll, srSt: srSt, bagSt: bagSt, tieSt: tieSt}
 	fixtures[seed] = f
 	return f
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -63,18 +64,27 @@ func replicatedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluste
 // handling is allowed to cost time, never answers).
 func sameAnswer(t *testing.T, label string, got, want *Result) {
 	t.Helper()
+	if err := answerDiff(got, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// answerDiff is sameAnswer's comparison as an error, for goroutines that
+// may not call t.Fatal.
+func answerDiff(got, want *Result) error {
 	if got.Exact != want.Exact || got.ChunksRead != want.ChunksRead {
-		t.Fatalf("%s: (exact %v, chunks %d) != healthy (exact %v, chunks %d)",
-			label, got.Exact, got.ChunksRead, want.Exact, want.ChunksRead)
+		return fmt.Errorf("(exact %v, chunks %d) != healthy (exact %v, chunks %d)",
+			got.Exact, got.ChunksRead, want.Exact, want.ChunksRead)
 	}
 	if len(got.Neighbors) != len(want.Neighbors) {
-		t.Fatalf("%s: %d neighbors != healthy %d", label, len(got.Neighbors), len(want.Neighbors))
+		return fmt.Errorf("%d neighbors != healthy %d", len(got.Neighbors), len(want.Neighbors))
 	}
 	for i := range want.Neighbors {
 		if got.Neighbors[i] != want.Neighbors[i] {
-			t.Fatalf("%s rank %d: %+v != healthy %+v", label, i, got.Neighbors[i], want.Neighbors[i])
+			return fmt.Errorf("rank %d: %+v != healthy %+v", i, got.Neighbors[i], want.Neighbors[i])
 		}
 	}
+	return nil
 }
 
 // TestReplicatedKillAnyShardMatchesHealthy pins the tentpole guarantee:

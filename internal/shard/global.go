@@ -60,12 +60,13 @@ import (
 // owning shard's store, so the virtual store inherits the Store
 // contract's concurrent-ReadChunk safety from the shard stores.
 type globalStore struct {
-	r      *Router
-	stores []chunkfile.Store
-	dims   int
-	metas  []chunkfile.Meta
-	owner  []int32 // owning shard per global chunk
-	local  []int32 // index within the owning shard's store
+	r         *Router
+	stores    []chunkfile.Store
+	dims      int
+	metas     []chunkfile.Meta
+	centroids []float32 // the shards' centroids concatenated; metas alias it
+	owner     []int32   // owning shard per global chunk
+	local     []int32   // index within the owning shard's store
 }
 
 // newGlobalStore concatenates the shards' logical chunk indexes (the
@@ -92,6 +93,7 @@ func newGlobalStore(r *Router, shards []routedShard, dims int) *globalStore {
 			g.local = append(g.local, int32(ci))
 		}
 	}
+	g.centroids = chunkfile.LayoutCentroids(g.metas, dims)
 	return g
 }
 
@@ -101,6 +103,10 @@ func (g *globalStore) Dims() int { return g.dims }
 // Meta implements chunkfile.Store: the concatenated per-shard chunk
 // indexes, shard-major. Callers must not modify it.
 func (g *globalStore) Meta() []chunkfile.Meta { return g.metas }
+
+// Centroids implements chunkfile.Store: one matrix for the merged rank,
+// the only copy the router makes of the shards' centroids.
+func (g *globalStore) Centroids() []float32 { return g.centroids }
 
 // ReadChunk implements chunkfile.Store by routing global chunk i to the
 // owning shard's store. Safe for concurrent use with distinct Data

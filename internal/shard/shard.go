@@ -115,9 +115,10 @@ type routedShard struct {
 // scanned directly and merged neighbor lists stay duplicate-free; the
 // replicas only serve failovers.
 type shardView struct {
-	r     *Router
-	shard int
-	metas []chunkfile.Meta // primary prefix of the physical store's metas
+	r         *Router
+	shard     int
+	metas     []chunkfile.Meta // primary prefix of the physical store's metas
+	centroids []float32        // the same prefix of its centroid matrix
 }
 
 var _ chunkfile.Store = (*shardView)(nil)
@@ -128,6 +129,10 @@ func (v *shardView) Dims() int { return v.r.dims }
 // Meta implements chunkfile.Store: the shard's logical chunk index.
 // Callers must not modify it.
 func (v *shardView) Meta() []chunkfile.Meta { return v.metas }
+
+// Centroids implements chunkfile.Store: the primary rows of the physical
+// store's matrix (primaries precede replicas, so they are a prefix).
+func (v *shardView) Centroids() []float32 { return v.centroids }
 
 // ReadChunk implements chunkfile.Store via the router's replicated read
 // path: retry on transient errors, fail over to the least-loaded live
@@ -319,7 +324,8 @@ func NewRouter(stores []chunkfile.Store, placement *Placement, model *simdisk.Mo
 	}
 	for i := range r.shards {
 		sh := &r.shards[i]
-		sh.view = &shardView{r: r, shard: i, metas: sh.store.Meta()[:placement.NumPrimary[i]]}
+		np := placement.NumPrimary[i]
+		sh.view = &shardView{r: r, shard: i, metas: sh.store.Meta()[:np], centroids: sh.store.Centroids()[:np*dims]}
 		sh.searcher = search.New(sh.view, model)
 		sh.engine = batchexec.New(sh.view, model)
 	}

@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"errors"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,9 +214,43 @@ func TestSpreadReadsSplitsLoad(t *testing.T) {
 	}
 }
 
+// attemptLog records what the router's retry policy saw of one shard's
+// store: exhausted[i] counts the reads of physical chunk i that failed
+// transiently readAttempts times running. A read's attempts are
+// recognised by the Data they decode into — every reader owns its own.
+type attemptLog struct {
+	chunkfile.Store
+	mu        sync.Mutex
+	failing   map[*chunkfile.Data]failedRun
+	exhausted map[int]int
+}
+
+// failedRun is one reader's current streak of transient failures.
+type failedRun struct{ chunk, n int }
+
+func (l *attemptLog) ReadChunk(i int, data *chunkfile.Data) error {
+	err := l.Store.ReadChunk(i, data)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	run := l.failing[data]
+	delete(l.failing, data)
+	if errors.Is(err, faultstore.ErrTransient) {
+		if run.chunk != i {
+			run = failedRun{chunk: i}
+		}
+		if run.n++; run.n == readAttempts {
+			l.exhausted[i]++
+		} else {
+			l.failing[data] = run
+		}
+	}
+	return err
+}
+
 // spreadFaultRouterOver is spreadRouterOver with fault injectors wrapped
-// around the stores, for the failover composition tests.
-func spreadFaultRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster, shards, replication, pageSize int, cfg faultstore.Config) (*Router, []*faultstore.Store) {
+// around the stores and an attempt log around each injector, for the
+// failover composition tests.
+func spreadFaultRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster, shards, replication, pageSize int, cfg faultstore.Config) (*Router, []*faultstore.Store, []*attemptLog) {
 	t.Helper()
 	coll := ds.Collection
 	p, err := PartitionReplicated(clusters, shards, replication, coll.Dims(), pageSize, nil)
@@ -222,16 +259,18 @@ func spreadFaultRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*clust
 	}
 	stores := make([]chunkfile.Store, shards)
 	faults := make([]*faultstore.Store, shards)
+	logs := make([]*attemptLog, shards)
 	for s := 0; s < shards; s++ {
 		physical := append(append([]int(nil), p.Primary[s]...), p.Extra[s]...)
 		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, Select(clusters, physical), pageSize), cfg)
-		stores[s] = faults[s]
+		logs[s] = &attemptLog{Store: faults[s], failing: map[*chunkfile.Data]failedRun{}, exhausted: map[int]int{}}
+		stores[s] = logs[s]
 	}
 	r, err := NewRouter(stores, p, nil, RouterOptions{SpreadReads: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, faults
+	return r, faults, logs
 }
 
 // TestSpreadReadsKillAnyShardMatchesHealthy pins that the failover
@@ -250,7 +289,7 @@ func TestSpreadReadsKillAnyShardMatchesHealthy(t *testing.T) {
 	rules := []search.StopRule{nil, search.ChunkBudget(6)}
 
 	for kill := 0; kill < shards; kill++ {
-		r, faults := spreadFaultRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{})
+		r, faults, _ := spreadFaultRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{})
 		faults[kill].Kill()
 		var got, want Result
 		for ri, stop := range rules {
@@ -290,15 +329,21 @@ func TestSpreadReadsKillAnyShardMatchesHealthy(t *testing.T) {
 // under -race: single-query scatters race a batch workload on the same
 // router while a shard dies mid-flight (with transient read faults and
 // injected latency stirring the interleavings, pinned by
-// REPRO_FAULT_SEED). Every query must complete without error or
-// degradation, and the billed estimator's rollbacks must leave the load
-// accounting consistent.
+// REPRO_FAULT_SEED). Every query must complete without error, and
+// degrade honestly: R=2 erases the dead shard, but a chunk whose only
+// other copy fails all its retries is legitimately skipped, so a result
+// may be Degraded only if the attempt logs show some chunk with every
+// copy either on the dead shard or out of retries — and every result
+// that is not must be the fault-free router's, byte for byte. The billed
+// estimator's rollbacks must leave the load accounting consistent.
 func TestSpreadReadsConcurrentKillStress(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 71, 130)
 	coll := ds.Collection
-	const shards, pageSize, k = 4, 4096, 15
+	const shards, pageSize, k, killed = 4, 4096, 15, 1
 
-	r, faults := spreadFaultRouterOver(t, ds, clusters, shards, 2, pageSize,
+	healthy := spreadRouterOver(t, ds, clusters, shards, 2, pageSize, RouterOptions{})
+	defer healthy.Close()
+	r, faults, logs := spreadFaultRouterOver(t, ds, clusters, shards, 2, pageSize,
 		faultstore.Config{Seed: faultSeed(t), TransientProb: 0.05, Latency: 50 * time.Microsecond})
 	defer r.Close()
 
@@ -307,21 +352,28 @@ func TestSpreadReadsConcurrentKillStress(t *testing.T) {
 		queries[i] = coll.Vec(i * 111)
 	}
 	var wg sync.WaitGroup
-	searchErrs := make([]error, 8)
-	for g := range searchErrs {
+	var degraded atomic.Int32
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var res Result
+			var res, want Result
 			for i := 0; i < 4; i++ {
 				q := coll.Vec((g*997 + i*313) % coll.Len())
 				if err := r.SearchInto(q, search.Options{K: k}, &res); err != nil {
-					searchErrs[g] = err
+					t.Errorf("scatter goroutine %d: %v", g, err)
 					return
 				}
 				if res.Degraded {
-					searchErrs[g] = errDegraded
+					degraded.Add(1)
+					continue
+				}
+				if err := healthy.SearchInto(q, search.Options{K: k}, &want); err != nil {
+					t.Errorf("scatter goroutine %d: healthy: %v", g, err)
 					return
+				}
+				if err := answerDiff(&res, &want); err != nil {
+					t.Errorf("scatter goroutine %d query %d: %v", g, i, err)
 				}
 			}
 		}(g)
@@ -331,22 +383,42 @@ func TestSpreadReadsConcurrentKillStress(t *testing.T) {
 	go func() {
 		done <- r.RunBatch(queries, batchexec.Options{K: k}, results)
 	}()
-	faults[1].Kill()
+	faults[killed].Kill()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	for g, err := range searchErrs {
-		if err != nil {
-			t.Fatalf("scatter goroutine %d: %v", g, err)
-		}
+	want := make([]search.Result, len(queries))
+	if err := healthy.RunBatch(queries, batchexec.Options{K: k}, want); err != nil {
+		t.Fatal(err)
 	}
 	for qi := range results {
-		if results[qi].Degraded {
-			t.Fatalf("q%d: degraded despite R=2", qi)
+		got, want := &results[qi], &want[qi]
+		if got.Degraded {
+			degraded.Add(1)
+		} else if got.Exact != want.Exact || got.ChunksRead != want.ChunksRead || !slices.Equal(got.Neighbors, want.Neighbors) {
+			t.Errorf("q%d: (exact %v, chunks %d, %d neighbors) differs from healthy (exact %v, chunks %d)",
+				qi, got.Exact, got.ChunksRead, len(got.Neighbors), want.Exact, want.ChunksRead)
 		}
-		if len(results[qi].Neighbors) != k {
-			t.Fatalf("q%d: %d neighbors", qi, len(results[qi].Neighbors))
+	}
+	if n := degraded.Load(); n > 0 {
+		spent := func(shard, chunk int) bool {
+			return shard == killed || logs[shard].exhausted[chunk] > 0
+		}
+		unreachable := 0
+		for s, replicas := range r.placement.Replicas {
+			for i, locs := range replicas {
+				all := spent(s, i)
+				for _, loc := range locs {
+					all = all && spent(int(loc.Shard), int(loc.Chunk))
+				}
+				if all {
+					unreachable++
+				}
+			}
+		}
+		if unreachable == 0 {
+			t.Errorf("%d degraded results, yet every chunk kept a live copy with retries to spare", n)
 		}
 	}
 	for s, ld := range r.ShardLoads(nil) {
@@ -355,10 +427,3 @@ func TestSpreadReadsConcurrentKillStress(t *testing.T) {
 		}
 	}
 }
-
-// errDegraded reports an unexpectedly degraded result in the stress test.
-var errDegraded = degradedError{}
-
-type degradedError struct{}
-
-func (degradedError) Error() string { return "unexpected degraded result with R=2" }

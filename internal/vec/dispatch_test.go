@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -252,5 +253,71 @@ func BenchmarkKernelPartialSquaredDistance(b *testing.B) {
 				_ = sink
 			})
 		})
+	}
+}
+
+// BenchmarkKernelOutOfCache is the kernel benchmark that can see memory:
+// the benchmarks above rescan one cache-resident block and report the same
+// GB/s whatever a kernel does to the memory system, whereas a served query
+// streams chunks of a 100 MB index that sit in no cache. Each op scans one
+// 1,000-row chunk picked at random from 67 MB of rows — the single-query
+// row kernel (To), and the batch engine's shape (Multi: 4 queries over
+// 256-row blocks) — on one goroutine and on GOMAXPROCS of them, since
+// cores share the memory bandwidth a prefetch competes for. MB/s counts
+// the chunk's bytes once: what had to come from memory.
+func BenchmarkKernelOutOfCache(b *testing.B) {
+	const dims, chunkRows, chunks, nq, block = Dims, 1000, 700, 4, 256
+	backing := make([]float32, chunks*chunkRows*dims)
+	x := uint32(2463534242)
+	for i := range backing { // xorshift32: cheap, and no two chunks alike
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		backing[i] = float32(x>>8) / (1 << 24)
+	}
+	queries, _, _ := benchData(dims, 0, nq)
+	chunk := func(r *rand.Rand) []float32 {
+		c := r.Intn(chunks)
+		return backing[c*chunkRows*dims : (c+1)*chunkRows*dims]
+	}
+	to := func(r *rand.Rand, out []float64) {
+		SquaredDistancesTo(queries[:dims], chunk(r), dims, out)
+	}
+	multi := func(r *rand.Rand, out []float64) {
+		rows := chunk(r)
+		for r0 := 0; r0 < chunkRows; r0 += block {
+			bn := min(block, chunkRows-r0)
+			SquaredDistancesMulti(queries, rows[r0*dims:(r0+bn)*dims], dims, out[:nq*bn])
+		}
+	}
+	for _, kernel := range []struct {
+		name string
+		scan func(*rand.Rand, []float64)
+	}{{"To", to}, {"Multi", multi}} {
+		for _, backend := range Backends() {
+			b.Run(kernel.name+"/"+backend+"/goroutines=1", func(b *testing.B) {
+				withBackend(b, backend, func() {
+					r, out := rand.New(rand.NewSource(1)), make([]float64, nq*chunkRows)
+					b.SetBytes(chunkRows * dims * 4)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						kernel.scan(r, out)
+					}
+				})
+			})
+			b.Run(kernel.name+"/"+backend+"/goroutines=max", func(b *testing.B) {
+				withBackend(b, backend, func() {
+					var seed atomic.Int64
+					b.SetBytes(chunkRows * dims * 4)
+					b.ResetTimer()
+					b.RunParallel(func(pb *testing.PB) {
+						r, out := rand.New(rand.NewSource(seed.Add(1))), make([]float64, nq*chunkRows)
+						for pb.Next() {
+							kernel.scan(r, out)
+						}
+					})
+				})
+			})
+		}
 	}
 }

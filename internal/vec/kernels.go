@@ -20,6 +20,11 @@ package vec
 // independently implemented backends (chunk search, sequential scan,
 // SR-tree, VA-File, ...) agree exactly on neighbor sets, tie order
 // included, no matter which CPU the process landed on.
+//
+// The contract binds values only. An assembly backend may add software
+// prefetch hints (the amd64 row kernels do, for rows streamed from beyond
+// the caches): a hint changes no register and no result, so the
+// cross-backend bit-identity tests remain the oracle for it.
 
 // squaredDist24 is the fully unrolled kernel for the paper's 24-d
 // descriptors. It matches squaredDistGeneric(a[:24], b[:24]) bit for bit.

@@ -29,6 +29,8 @@ TEXT ·sqDistsToSSE2(SB), NOSPLIT, $0-88
 rowloop:
 	TESTQ BX, BX
 	JZ    done
+	PREFETCHT0 3072(DX)      // 3 KB ahead; at the 96-byte stride of 24-d
+	PREFETCHT0 3120(DX)      // rows, two hints 48 apart miss no line
 	XORPS X0, X0             // X0 = [s0 s1 s2 s3]
 	XORQ  R9, R9
 
@@ -172,6 +174,9 @@ init24:
 pair24:
 	CMPQ        BX, $2
 	JL          single
+	PREFETCHT0  3072(DX)     // the three lines a row pair covers, 3 KB ahead
+	PREFETCHT0  3136(DX)
+	PREFETCHT0  3200(DX)
 	LEAQ        96(DX), R10
 	VMOVUPS     (DX), X2
 	VINSERTF128 $1, (R10), Y2, Y2
@@ -360,6 +365,8 @@ minit24:
 mrow24:
 	TESTQ          BX, BX
 	JZ             mdone
+	PREFETCHT0     3072(DX)   // 96-byte stride: two hints 48 apart miss no line
+	PREFETCHT0     3120(DX)
 	VBROADCASTF128 (DX), Y2
 	VSUBPS         Y2, Y10, Y1
 	VMULPS         Y1, Y1, Y0 // block 0 initializes the accumulators
