@@ -3,7 +3,6 @@ package repro
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
@@ -18,18 +17,21 @@ type BatchOptions struct {
 	Parallelism int
 }
 
-// SearchBatchInto runs every query through the chunk-major batch engine,
-// writing the outcome of queries[qi] into results[qi]. Instead of one
-// independent search per query, the engine runs an asynchronous per-chunk
-// work queue: each chunk wanted by at least one unfinished query is read
-// and decoded once and scanned against all of its current subscribers
-// while its descriptors are hot in cache, with no barrier between chunks
-// — a slow decode only delays the queries that want that chunk. Results
-// are byte-identical to per-query Search calls — each query still
-// consumes chunks in its own rank order, applies its stop rule after
-// every chunk, and owns its simulated pipeline, so Simulated remains a
-// per-query time (one modeled 2005 machine per query, never
-// wall-aggregated across the batch).
+// SearchBatchInto runs every query through the shards' chunk-major
+// batch engines, writing the merged outcome of queries[qi] into
+// results[qi]. Instead of one independent search per query, each engine
+// runs an asynchronous per-chunk work queue: each chunk wanted by at
+// least one unfinished query is read and decoded once and scanned
+// against all of its current subscribers while its descriptors are hot
+// in cache, with no barrier between chunks — a slow decode only delays
+// the queries that want that chunk. Every shard executes the whole batch
+// concurrently with the other shards (with opts.GlobalBudget, one
+// chunk-major engine runs the batch over the merged global chunk order,
+// charging per-shard pipelines). Results are byte-identical to per-query
+// Search calls in either discipline — each query still consumes chunks
+// in its own rank order, applies its stop rule after every chunk, and
+// owns its simulated pipelines, so Simulated remains a per-query time
+// (never wall-aggregated across the batch).
 //
 // The results array is the caller-owned arena: neighbor slices already in
 // it are reused when they have capacity, so recycling one results array
@@ -39,49 +41,23 @@ type BatchOptions struct {
 //
 // The batch fails fast: any error aborts the run and is reported for the
 // lowest-numbered query that hit it; no results are valid afterwards.
-func (ix *Index) SearchBatchInto(queries []Vector, opts BatchOptions, results []Result) error {
-	return runBatch(&ix.batchPool, ix.engine.RunStream, noShardsDown, queries, opts, results, nil)
+func (sx *ShardedIndex) SearchBatchInto(queries []Vector, opts BatchOptions, results []Result) error {
+	return sx.SearchBatchStream(queries, opts, results, nil)
 }
 
 // SearchBatchStream runs the batch like SearchBatchInto and streams
 // per-query completions: done(qi) fires exactly once per query, the
-// moment the engine retires it with results[qi] fully written — long
-// before the batch returns while other queries still run. Callbacks for
-// distinct queries may fire concurrently (they run on the engine's scan
-// workers), so done must be safe for concurrent use and must not block;
-// hand slow consumers a channel. On error, queries whose callback
-// already fired retain valid results; all others are invalid. A nil done
-// degenerates to SearchBatchInto.
-func (ix *Index) SearchBatchStream(queries []Vector, opts BatchOptions, results []Result, done func(query int)) error {
-	return runBatch(&ix.batchPool, ix.engine.RunStream, noShardsDown, queries, opts, results, done)
-}
-
-// toResult converts a search-layer outcome into the facade's Result.
-func toResult(sr *search.Result, shardsDown int) Result {
-	return Result{
-		Neighbors:     sr.Neighbors,
-		ChunksRead:    sr.ChunksRead,
-		Simulated:     sr.Elapsed,
-		Wall:          sr.Wall,
-		Exact:         sr.Exact,
-		Degraded:      sr.Degraded,
-		ChunksSkipped: sr.ChunksSkipped,
-		ShardsDown:    shardsDown,
-	}
-}
-
-// noShardsDown is the ShardsDown count of an unsharded Index.
-func noShardsDown() int { return 0 }
-
-// runBatch is the one batch body behind SearchBatchInto and
-// SearchBatchStream of both index types: validate, lend the caller's
-// neighbor slices to a pooled search-layer results array, run the batch
-// (a batchexec engine's or the shard router's RunStream-shaped method),
-// and convert each outcome — at its completion when done streams them,
-// after the run otherwise. shardsDown is sampled once per batch: before
-// the run when streaming, after it otherwise.
-func runBatch(pool *sync.Pool, run func([]Vector, batchexec.Options, []search.Result, func(int)) error,
-	shardsDown func() int, queries []Vector, opts BatchOptions, results []Result, done func(query int)) error {
+// moment its last shard retires it with results[qi] holding the fully
+// merged outcome (or, under GlobalBudget, the moment the fleet-wide
+// engine retires it) — long before the batch returns while other
+// queries still run. Callbacks for distinct queries may fire
+// concurrently (they run on the engines' scan workers), so done must be
+// safe for concurrent use and must not block; hand slow consumers a
+// channel. On error, queries whose callback already fired retain valid
+// results; the rest are invalid. A nil done degenerates to
+// SearchBatchInto. ShardsDown is sampled once per batch: before the run
+// when streaming, after it otherwise.
+func (sx *ShardedIndex) SearchBatchStream(queries []Vector, opts BatchOptions, results []Result, done func(query int)) error {
 	if err := opts.SearchOptions.validate(); err != nil {
 		return err
 	}
@@ -91,8 +67,8 @@ func runBatch(pool *sync.Pool, run func([]Vector, batchexec.Options, []search.Re
 	if len(queries) == 0 {
 		return nil
 	}
-	sp := pool.Get().(*[]search.Result)
-	defer pool.Put(sp)
+	sp := sx.batchPool.Get().(*[]search.Result)
+	defer sx.batchPool.Put(sp)
 	if cap(*sp) < len(queries) {
 		*sp = make([]search.Result, len(queries))
 	}
@@ -109,11 +85,15 @@ func runBatch(pool *sync.Pool, run func([]Vector, batchexec.Options, []search.Re
 	}()
 	var onDone func(int)
 	if done != nil {
-		down := shardsDown()
+		down := sx.router.DownShards()
 		onDone = func(qi int) {
 			results[qi] = toResult(&srs[qi], down)
 			done(qi)
 		}
+	}
+	run := sx.router.RunBatchStream
+	if opts.GlobalBudget {
+		run = sx.router.RunBatchGlobalStream
 	}
 	err := run(queries, batchexec.Options{
 		K:           opts.K,
@@ -131,7 +111,7 @@ func runBatch(pool *sync.Pool, run func([]Vector, batchexec.Options, []search.Re
 		return fmt.Errorf("repro: %w", err)
 	}
 	if done == nil {
-		down := shardsDown()
+		down := sx.router.DownShards()
 		for i := range results {
 			results[i] = toResult(&srs[i], down)
 		}
@@ -139,15 +119,30 @@ func runBatch(pool *sync.Pool, run func([]Vector, batchexec.Options, []search.Re
 	return nil
 }
 
-// SearchBatch runs every query and returns the results in query order. It
-// is the allocating convenience form of SearchBatchInto; steady-state
-// callers should recycle a results array through SearchBatchInto instead.
-func (ix *Index) SearchBatch(queries []Vector, opts BatchOptions) ([]*Result, error) {
+// toResult converts a search-layer outcome into the facade's Result.
+func toResult(sr *search.Result, shardsDown int) Result {
+	return Result{
+		Neighbors:     sr.Neighbors,
+		ChunksRead:    sr.ChunksRead,
+		Simulated:     sr.Elapsed,
+		Wall:          sr.Wall,
+		Exact:         sr.Exact,
+		Degraded:      sr.Degraded,
+		ChunksSkipped: sr.ChunksSkipped,
+		ShardsDown:    shardsDown,
+	}
+}
+
+// SearchBatch runs every query and returns the merged results in query
+// order. It is the allocating convenience form of SearchBatchInto;
+// steady-state callers should recycle a results array through
+// SearchBatchInto instead.
+func (sx *ShardedIndex) SearchBatch(queries []Vector, opts BatchOptions) ([]*Result, error) {
 	if len(queries) == 0 {
 		return nil, nil
 	}
 	backing := make([]Result, len(queries))
-	if err := ix.SearchBatchInto(queries, opts, backing); err != nil {
+	if err := sx.SearchBatchInto(queries, opts, backing); err != nil {
 		return nil, err
 	}
 	out := make([]*Result, len(queries))

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -19,15 +18,14 @@ import (
 func TestFileStoreConcurrentBatch(t *testing.T) {
 	dir := t.TempDir()
 	coll := GenerateCollection(5000, 11)
-	built, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 150})
+	built, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 150}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, ip := filepath.Join(dir, "c.chunk"), filepath.Join(dir, "c.idx")
-	if err := built.Save(cp, ip); err != nil {
+	if err := built.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := Open(cp, ip)
+	opened, err := OpenSharded(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +78,7 @@ func TestFileStoreConcurrentBatch(t *testing.T) {
 // stop rules.
 func TestSearchBatchIntoMatchesSearch(t *testing.T) {
 	coll := GenerateCollection(6000, 21)
-	idx, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200})
+	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,38 +119,49 @@ func TestSearchBatchIntoMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestSearchBatchIntoZeroAlloc pins the whole-batch zero-allocation
-// contract at the facade: recycling one results array across batches
-// performs no allocations per batch in steady state.
+// TestSearchBatchIntoZeroAlloc pins the zero-allocation contract of the
+// one-shard index at the facade: recycling one Result across single
+// queries (SearchInto) and one results array across batches
+// (SearchBatchInto) performs no allocations per call in steady state.
 func TestSearchBatchIntoZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	coll := GenerateCollection(6000, 22)
-	idx, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200})
+	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer idx.Close()
 	queries, err := DatasetQueries(coll, 32, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := BatchOptions{SearchOptions: SearchOptions{K: 15, MaxChunks: 5}}
-	results := make([]Result, len(queries))
-	for i := 0; i < 3; i++ { // warm up arenas and neighbor slices
-		if err := idx.SearchBatchInto(queries, opts, results); err != nil {
+	opts := SearchOptions{K: 15, MaxChunks: 5}
+
+	var res Result
+	search := func() {
+		if err := idx.SearchInto(queries[0], opts, &res); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := idx.SearchBatchInto(queries, opts, results); err != nil {
+	results := make([]Result, len(queries))
+	batch := func() {
+		if err := idx.SearchBatchInto(queries, BatchOptions{SearchOptions: opts}, results); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
+	}
+	for i := 0; i < 3; i++ { // warm up pools, arenas and neighbor slices
+		search()
+		batch()
+	}
+	if allocs := testing.AllocsPerRun(50, search); allocs != 0 {
+		t.Fatalf("steady-state SearchInto allocates %v per query, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
 		t.Fatalf("steady-state SearchBatchInto allocates %v per batch, want 0", allocs)
 	}
-	if len(results[0].Neighbors) != 15 {
-		t.Fatalf("neighbors = %d", len(results[0].Neighbors))
+	if len(res.Neighbors) != 15 || len(results[0].Neighbors) != 15 {
+		t.Fatalf("neighbors = %d / %d", len(res.Neighbors), len(results[0].Neighbors))
 	}
 }

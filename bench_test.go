@@ -207,7 +207,7 @@ func BenchmarkAblationStrategies(b *testing.B) {
 // shared SMALL SR index.
 func BenchmarkSingleQueryCompletion(b *testing.B) {
 	lab := getBenchLab(b)
-	idx, err := Build(lab.Coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 300})
+	idx, err := BuildSharded(lab.Coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 300}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func BenchmarkSingleQueryCompletion(b *testing.B) {
 // Result. After warm-up this must report 0 allocs/op.
 func BenchmarkSingleQuerySteadyState(b *testing.B) {
 	lab := getBenchLab(b)
-	idx, err := Build(lab.Coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 300})
+	idx, err := BuildSharded(lab.Coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 300}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func BenchmarkSingleQuerySteadyState(b *testing.B) {
 // BenchmarkSingleQueryBudget5 measures one 5-chunk approximate search.
 func BenchmarkSingleQueryBudget5(b *testing.B) {
 	lab := getBenchLab(b)
-	idx, err := Build(lab.Coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 300})
+	idx, err := BuildSharded(lab.Coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 300}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func BenchmarkSingleQueryBudget5(b *testing.B) {
 // report 0 allocs/op.
 func BenchmarkSearchBatchInto(b *testing.B) {
 	lab := getBenchLab(b)
-	idx, err := Build(lab.Coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 300})
+	idx, err := BuildSharded(lab.Coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 300}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func BenchmarkSearchBatchInto(b *testing.B) {
 // 50-descriptor bag, the §7 follow-up) over the batch engine.
 func BenchmarkMultiSearch(b *testing.B) {
 	lab := getBenchLab(b)
-	idx, err := Build(lab.Coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 300})
+	idx, err := BuildSharded(lab.Coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 300}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package repro
 
-import (
-	"repro/internal/chunkcache"
-	"repro/internal/chunkfile"
-)
+import "repro/internal/chunkcache"
 
 // CacheStats reports a decoded-chunk cache's counters: hits, misses,
 // evictions, current occupancy and budget in bytes, and entry count.
@@ -11,13 +8,9 @@ import (
 // cache. All counters are cumulative since the cache was created.
 type CacheStats = chunkcache.Stats
 
-// cachingStore aliases the internal caching store so the facade's Index
-// can hold one without exposing the internal package in its API.
-type cachingStore = chunkcache.CachingStore
-
-// OpenConfig configures Open-time options beyond the two file paths.
+// OpenConfig configures OpenShardedWith beyond the index directory.
 type OpenConfig struct {
-	// CacheBytes, when positive, fronts the opened store with a
+	// CacheBytes, when positive, fronts the opened stores with one
 	// decoded-chunk cache of that many bytes: chunks whose rows are
 	// resident are handed to the scan zero-copy, skipping the read and
 	// decode entirely. The cache changes wall-clock time only — results,
@@ -25,63 +18,14 @@ type OpenConfig struct {
 	// without it, because the simulated cost model is charged from the
 	// chunk index, never from the reads. Zero opens without a cache.
 	CacheBytes int64
-	// SpreadReads opens the sharded index with the spread-reads routing
-	// policy on (see BuildConfig.SpreadReads): reads go to the live copy
-	// with the least billed simulated load. Answers are byte-identical
-	// either way. Ignored by OpenWith (a single store has one machine).
+	// SpreadReads opens the index with the spread-reads routing policy
+	// on (see BuildConfig.SpreadReads): reads go to the live copy with
+	// the least billed simulated load. Answers are byte-identical either
+	// way.
 	SpreadReads bool
 }
 
-// wrapCache fronts store with a decoded-chunk cache of the given budget;
-// a non-positive budget returns the store untouched.
-func wrapCache(store chunkfile.Store, bytes int64) (chunkfile.Store, *cachingStore) {
-	if bytes <= 0 {
-		return store, nil
-	}
-	cs := chunkcache.NewStore(store, chunkcache.New(bytes))
-	return cs, cs
-}
-
-// OpenWith is Open with options: it maps an index previously written by
-// Save, optionally behind a decoded-chunk cache.
-func OpenWith(chunkPath, indexPath string, cfg OpenConfig) (*Index, error) {
-	st, err := chunkfile.Open(chunkPath, indexPath)
-	if err != nil {
-		return nil, err
-	}
-	store, cached := wrapCache(st, cfg.CacheBytes)
-	ix := newIndex(store)
-	ix.pageSize = st.PageSize()
-	ix.cached = cached
-	return ix, nil
-}
-
-// CacheStats returns the index's decoded-chunk cache counters; a
-// cacheless index reports the zero value with Enabled false.
-func (ix *Index) CacheStats() CacheStats {
-	if ix.cached == nil {
-		return CacheStats{}
-	}
-	return ix.cached.Stats()
-}
-
-// OpenSharded maps a sharded index directory previously written by
-// ShardedIndex.Save, restoring the replica placement when the index was
-// built with replication.
-func OpenSharded(dir string) (*ShardedIndex, error) {
-	return OpenShardedWith(dir, OpenConfig{})
-}
-
-// OpenShardedWith is OpenSharded with options. CacheBytes is one budget
-// shared across the shards' stores (hot shards win it), matching the
-// discipline of BuildConfig.CacheBytes on a sharded build; the
-// per-machine discipline — each shard's own cache, as each simulated
-// machine's own RAM — is available on internal/shard's router directly.
-func OpenShardedWith(dir string, cfg OpenConfig) (*ShardedIndex, error) {
-	return openSharded(dir, cfg)
-}
-
-// CacheStats returns the sharded index's decoded-chunk cache counters,
+// CacheStats returns the index's decoded-chunk cache counters,
 // aggregated across the shards; a cacheless index reports the zero value
 // with Enabled false.
 func (sx *ShardedIndex) CacheStats() CacheStats { return sx.router.CacheStats() }

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -38,111 +37,24 @@ func identicalResult(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestCacheEquivalenceUnsharded pins the tentpole guarantee on the plain
-// index: with CacheBytes set — built in memory or reopened from disk —
-// every path (single query, batch, multi-descriptor) returns results
-// byte-identical to the cacheless index under all three stop rules, cold
-// and warm.
+// TestCacheEquivalenceUnsharded pins the cache guarantee on a one-shard
+// index: with CacheBytes set, an index — built in memory or reopened from
+// disk — matches the cacheless one byte-identically on the per-shard and
+// global-budget disciplines, on single queries, batches, and
+// multi-descriptor queries, under all three stop rules, cold and warm.
 func TestCacheEquivalenceUnsharded(t *testing.T) {
-	coll := testCollection(t)
-	cfg := BuildConfig{Strategy: StrategySRTree, ChunkSize: 150}
-	plain, err := Build(coll, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	cfg.CacheBytes = 32 << 20
-	built, err := Build(coll, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer built.Close()
-
-	dir := t.TempDir()
-	cp, ip := filepath.Join(dir, "a.chunk"), filepath.Join(dir, "a.idx")
-	if err := plain.Save(cp, ip); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := OpenWith(cp, ip, OpenConfig{CacheBytes: 32 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer opened.Close()
-
-	queries, err := DatasetQueries(coll, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, ix := range []struct {
-		name string
-		idx  *Index
-	}{{"built", built}, {"opened", opened}} {
-		for _, opts := range cacheStopVariants(15) {
-			for pass := 0; pass < 2; pass++ {
-				for _, q := range queries {
-					want, err := plain.Search(q, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := ix.idx.Search(q, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					identicalResult(t, ix.name+"/search", got, want)
-				}
-				bopts := BatchOptions{SearchOptions: opts}
-				want := make([]Result, len(queries))
-				got := make([]Result, len(queries))
-				if err := plain.SearchBatchInto(queries, bopts, want); err != nil {
-					t.Fatal(err)
-				}
-				if err := ix.idx.SearchBatchInto(queries, bopts, got); err != nil {
-					t.Fatal(err)
-				}
-				for qi := range queries {
-					identicalResult(t, ix.name+"/batch", &got[qi], &want[qi])
-				}
-			}
-		}
-
-		mopts := MultiSearchOptions{K: 10, MaxChunks: 3}
-		wantM, err := plain.MultiSearch(queries, mopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotM, err := ix.idx.MultiSearch(queries, mopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotM.Images) != len(wantM.Images) {
-			t.Fatalf("%s/multi: %d images != %d", ix.name, len(gotM.Images), len(wantM.Images))
-		}
-		for i := range wantM.Images {
-			if gotM.Images[i] != wantM.Images[i] {
-				t.Fatalf("%s/multi rank %d: %+v != %+v", ix.name, i, gotM.Images[i], wantM.Images[i])
-			}
-		}
-
-		st := ix.idx.CacheStats()
-		if !st.Enabled || st.Hits == 0 {
-			t.Fatalf("%s: warm cache reports %+v", ix.name, st)
-		}
-	}
-
-	if st := plain.CacheStats(); st.Enabled || st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("cacheless index reports %+v", st)
-	}
+	checkCacheEquivalence(t, 1)
 }
 
-// TestCacheEquivalenceSharded pins the same guarantee scatter-gather:
-// a cached sharded index — built or reopened — matches the cacheless one
-// byte-identically on the per-shard and global-budget disciplines, on
-// single queries, batches, and multi-descriptor queries.
+// TestCacheEquivalenceSharded pins the same guarantee on scatter-gather
+// over three shards.
 func TestCacheEquivalenceSharded(t *testing.T) {
+	checkCacheEquivalence(t, 3)
+}
+
+func checkCacheEquivalence(t *testing.T, shards int) {
 	coll := testCollection(t)
 	cfg := BuildConfig{Strategy: StrategySRTree, ChunkSize: 150}
-	const shards = 3
 	plain, err := BuildSharded(coll, cfg, shards)
 	if err != nil {
 		t.Fatal(err)
@@ -230,5 +142,9 @@ func TestCacheEquivalenceSharded(t *testing.T) {
 		if !st.Enabled || st.Hits == 0 {
 			t.Fatalf("%s: warm cache reports %+v", ix.name, st)
 		}
+	}
+
+	if st := plain.CacheStats(); st.Enabled || st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("cacheless index reports %+v", st)
 	}
 }

@@ -253,7 +253,7 @@ func main() {
 	flag.Parse()
 
 	coll := repro.GenerateCollection(*n, *seed)
-	idx, err := repro.Build(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: *chunk})
+	idx, err := repro.BuildSharded(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: *chunk}, 1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsnap: build:", err)
 		os.Exit(1)
@@ -684,13 +684,12 @@ func main() {
 		os.Exit(1)
 	}
 	defer os.RemoveAll(cacheDir)
-	cp, ip := cacheDir+"/bench.chunk", cacheDir+"/bench.idx"
-	if err := idx.Save(cp, ip); err != nil {
+	if err := idx.Save(cacheDir); err != nil {
 		fmt.Fprintln(os.Stderr, "benchsnap: cache save:", err)
 		os.Exit(1)
 	}
 	fileBench := func(cfg repro.OpenConfig) measurement {
-		ix, err := repro.OpenWith(cp, ip, cfg)
+		ix, err := repro.OpenShardedWith(cacheDir, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchsnap: cache open:", err)
 			os.Exit(1)
@@ -729,7 +728,7 @@ func main() {
 	// the file-backed store, run through the internal engine's
 	// asynchronous per-chunk work queue, where chunk decodes have real
 	// latency. The row keeps its name so the trajectory stays diffable.
-	schedStore, err := chunkfile.Open(cp, ip)
+	schedStore, err := chunkfile.Open(cacheDir+"/shard-0.chunk", cacheDir+"/shard-0.idx")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsnap: scheduler open:", err)
 		os.Exit(1)

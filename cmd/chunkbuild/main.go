@@ -1,11 +1,12 @@
 // Command chunkbuild forms chunks from a descriptor collection and writes
-// the paper's two-file chunk index (§4.2).
+// the paper's two-file chunk index (§4.2) as a one-shard index directory.
 //
 // Usage:
 //
 //	chunkbuild -coll collection.desc -strategy bag -size 947 -out index
 //
-// writes index.chunk and index.idx.
+// creates the directory index holding shard-0.chunk, shard-0.idx and a
+// manifest, ready for chunksearch -index and reprod -index.
 package main
 
 import (
@@ -23,7 +24,7 @@ func main() {
 	strategy := flag.String("strategy", "srtree", "chunk-forming strategy: bag | srtree | roundrobin | hybrid")
 	size := flag.Int("size", 1000, "target descriptors per chunk")
 	seed := flag.Int64("seed", 1, "strategy seed")
-	out := flag.String("out", "index", "output path prefix")
+	out := flag.String("out", "index", "output index directory (created if missing)")
 	verbose := flag.Bool("v", false, "log clustering progress")
 	flag.Parse()
 
@@ -42,15 +43,17 @@ func main() {
 		}
 	}
 	start := time.Now()
-	idx, err := repro.Build(coll, cfg)
+	idx, err := repro.BuildSharded(coll, cfg, 1)
 	if err != nil {
 		log.Fatalf("chunkbuild: %v", err)
 	}
-	chunkPath, indexPath := *out+".chunk", *out+".idx"
-	if err := idx.Save(chunkPath, indexPath); err != nil {
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		log.Fatalf("chunkbuild: %v", err)
+	}
+	if err := idx.Save(*out); err != nil {
 		log.Fatalf("chunkbuild: %v", err)
 	}
 	fmt.Printf("built %s index: %d chunks over %d descriptors (%d outliers) in %v\n",
 		*strategy, idx.Chunks(), idx.Len(), len(idx.Outliers), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("wrote %s and %s\n", chunkPath, indexPath)
+	fmt.Printf("wrote %s\n", *out)
 }

@@ -31,7 +31,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("chunksearch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	collPath := fs.String("coll", "collection.desc", "collection file (query source + ground truth)")
-	indexPrefix := fs.String("index", "index", "index path prefix (expects .chunk and .idx)")
+	indexDir := fs.String("index", "index", "index directory (as written by chunkbuild)")
 	queries := fs.Int("queries", 10, "number of DQ queries to run")
 	k := fs.Int("k", 30, "neighbors per query")
 	chunks := fs.Int("chunks", 0, "stop after this many chunks (0 = off)")
@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	idx, err := repro.Open(*indexPrefix+".chunk", *indexPrefix+".idx")
+	idx, err := repro.OpenSharded(*indexDir)
 	if err != nil {
 		return err
 	}

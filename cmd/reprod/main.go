@@ -11,9 +11,8 @@
 //	       -tenant-rate 500 -tenant-burst 2000 -best-effort \
 //	       -cache-bytes 268435456
 //
-// Each -index value is name=path, where path is either a sharded index
-// directory (as written by ShardedIndex.Save) or an unsharded index
-// prefix (prefix.chunk + prefix.idx, as written by chunkbuild).
+// Each -index value is name=path, where path is an index directory as
+// written by ShardedIndex.Save (and by chunkbuild).
 //
 // Endpoints: POST /v1/indexes/{index}/search, .../batch, .../multi;
 // GET /v1/indexes, /healthz, /readyz, /metrics.
@@ -67,7 +66,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	spreadReads := fs.Bool("spread-reads", false, "serve each chunk read from the least-loaded live copy (primary or replica) instead of the primary; results are identical, only simulated times and the per-shard load split move")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests at shutdown")
 	var specs []indexSpec
-	fs.Func("index", "name=path of an index to serve (repeatable); path is a sharded index directory or an unsharded prefix", func(v string) error {
+	fs.Func("index", "name=path of an index to serve (repeatable); path is an index directory", func(v string) error {
 		name, path, ok := strings.Cut(v, "=")
 		if !ok || name == "" || path == "" {
 			return fmt.Errorf("want name=path, got %q", v)
@@ -91,16 +90,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// daemon doesn't leak descriptors.
 	defer reg.CloseAll()
 	for _, spec := range specs {
-		b, kind, err := openIndex(spec.path, *cacheBytes, *spreadReads)
+		sx, err := repro.OpenShardedWith(spec.path, repro.OpenConfig{CacheBytes: *cacheBytes, SpreadReads: *spreadReads})
 		if err != nil {
 			return fmt.Errorf("index %q: %w", spec.name, err)
 		}
-		if err := reg.Add(spec.name, b); err != nil {
-			b.Close()
+		if err := reg.Add(spec.name, sx); err != nil {
+			sx.Close()
 			return err
 		}
-		fmt.Fprintf(stdout, "reprod: index %q: %s, %d descriptors in %d chunks\n",
-			spec.name, kind, b.Len(), b.Chunks())
+		fmt.Fprintf(stdout, "reprod: index %q: %d shards, R=%d, %d descriptors in %d chunks\n",
+			spec.name, sx.Shards(), sx.Replication(), sx.Len(), sx.Chunks())
 	}
 
 	srv := server.New(reg, server.Config{
@@ -136,25 +135,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "reprod: shut down cleanly")
 	return nil
-}
-
-// openIndex opens path as a sharded index directory or an unsharded
-// prefix, reporting which it picked. A positive cacheBytes fronts the
-// index's store(s) with a decoded-chunk cache of that budget;
-// spreadReads turns on the sharded spread-reads routing policy (an
-// unsharded index has one machine and ignores it).
-func openIndex(path string, cacheBytes int64, spreadReads bool) (server.Backend, string, error) {
-	cfg := repro.OpenConfig{CacheBytes: cacheBytes, SpreadReads: spreadReads}
-	if st, err := os.Stat(path); err == nil && st.IsDir() {
-		sx, err := repro.OpenShardedWith(path, cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return sx, fmt.Sprintf("sharded (%d shards, R=%d)", sx.Shards(), sx.Replication()), nil
-	}
-	ix, err := repro.OpenWith(path+".chunk", path+".idx", cfg)
-	if err != nil {
-		return nil, "", err
-	}
-	return ix, "unsharded", nil
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"io"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -68,13 +67,12 @@ func (s *syncBuffer) String() string {
 // require a clean drain with a nil error.
 func TestRunServeAndDrain(t *testing.T) {
 	dir := t.TempDir()
-	prefix := filepath.Join(dir, "tiny")
 	coll := repro.GenerateCollection(600, 7)
-	ix, err := repro.Build(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: 200})
+	ix, err := repro.BuildSharded(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: 200}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Save(prefix+".chunk", prefix+".idx"); err != nil {
+	if err := ix.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Close(); err != nil {
@@ -88,7 +86,7 @@ func TestRunServeAndDrain(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0",
-			"-index", "tiny=" + prefix,
+			"-index", "tiny=" + dir,
 			"-drain-timeout", "5s",
 		}, &out, io.Discard)
 	}()

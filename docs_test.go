@@ -125,6 +125,68 @@ func TestDocsIdentifiersExist(t *testing.T) {
 	}
 }
 
+// TestDocsDesignCitationsResolve is the docs gate half three: every
+// "DESIGN.md §n" cited from a Go comment anywhere in the module (a chain
+// like "DESIGN.md §5 and §7" cites each section) names a "## §n"
+// heading that exists in DESIGN.md, so renumbering or deleting a
+// section cannot leave dangling pointers in the code.
+func TestDocsDesignCitationsResolve(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^## §(\d+)\b`).FindAllStringSubmatch(string(data), -1) {
+		headings[m[1]] = true
+	}
+	citeRe := regexp.MustCompile(`DESIGN\.md,? §\d+(?:(?:,| and| or) §\d+)*`)
+	secRe := regexp.MustCompile(`§(\d+)`)
+	cites := 0
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil || !strings.Contains(string(src), "DESIGN.md") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			// Text() joins a comment's lines, so a citation wrapped
+			// across lines still matches.
+			text := strings.Join(strings.Fields(cg.Text()), " ")
+			for _, cite := range citeRe.FindAllString(text, -1) {
+				for _, sec := range secRe.FindAllStringSubmatch(cite, -1) {
+					cites++
+					if !headings[sec[1]] {
+						t.Errorf("%s cites DESIGN.md §%s, which has no \"## §%s\" heading", path, sec[1], sec[1])
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Guard against the regexes silently matching nothing.
+	if len(headings) == 0 || cites == 0 {
+		t.Fatalf("sanity: %d headings, %d citations found", len(headings), cites)
+	}
+}
+
 // TestDocsGodocCoverage is the docs gate half two: every exported
 // identifier of the facade files (repro.go, sharded.go, batch.go,
 // cache.go) and of internal/shard, internal/server,

@@ -6,14 +6,14 @@ import (
 	"repro"
 )
 
-// ExampleBuild indexes a small collection and runs the paper's
-// 5-nearest-chunks approximate search.
-func ExampleBuild() {
+// ExampleBuildSharded indexes a small collection on one machine (one
+// shard) and runs the paper's 5-nearest-chunks approximate search.
+func ExampleBuildSharded() {
 	coll := repro.GenerateCollection(10000, 1)
-	idx, err := repro.Build(coll, repro.BuildConfig{
+	idx, err := repro.BuildSharded(coll, repro.BuildConfig{
 		Strategy:  repro.StrategySRTree,
 		ChunkSize: 500,
-	})
+	}, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -29,11 +29,11 @@ func ExampleBuild() {
 	// chunks read: 5
 }
 
-// ExampleIndex_Search contrasts the exact stop rule with the sequential
+// ExampleShardedIndex_Search contrasts the exact stop rule with the sequential
 // scan oracle: run-to-completion is provably exact.
-func ExampleIndex_Search() {
+func ExampleShardedIndex_Search() {
 	coll := repro.GenerateCollection(8000, 2)
-	idx, err := repro.Build(coll, repro.BuildConfig{Strategy: repro.StrategyHybrid, ChunkSize: 400, Seed: 1})
+	idx, err := repro.BuildSharded(coll, repro.BuildConfig{Strategy: repro.StrategyHybrid, ChunkSize: 400, Seed: 1}, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -50,11 +50,11 @@ func ExampleIndex_Search() {
 	// precision: 1
 }
 
-// ExampleIndex_MultiSearch retrieves a source image from its own bag of
+// ExampleShardedIndex_MultiSearch retrieves a source image from its own bag of
 // local descriptors (the paper's §7 multi-descriptor search).
-func ExampleIndex_MultiSearch() {
+func ExampleShardedIndex_MultiSearch() {
 	coll := repro.GenerateCollection(10000, 3)
-	idx, err := repro.Build(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: 400})
+	idx, err := repro.BuildSharded(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: 400}, 1)
 	if err != nil {
 		panic(err)
 	}

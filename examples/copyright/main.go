@@ -28,11 +28,11 @@ func main() {
 	// index is built once and queried millions of times, so BAG's long
 	// build amortizes. (Try StrategySRTree to see the trade-off.)
 	start := time.Now()
-	idx, err := repro.Build(coll, repro.BuildConfig{
+	idx, err := repro.BuildSharded(coll, repro.BuildConfig{
 		Strategy:  repro.StrategyBAG,
 		ChunkSize: 600,
 		Seed:      1,
-	})
+	}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

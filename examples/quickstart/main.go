@@ -20,10 +20,10 @@ func main() {
 
 	// Chunk it with the paper's time-first strategy: an SR-tree bulk load
 	// with uniform 500-descriptor leaves.
-	idx, err := repro.Build(coll, repro.BuildConfig{
+	idx, err := repro.BuildSharded(coll, repro.BuildConfig{
 		Strategy:  repro.StrategySRTree,
 		ChunkSize: 500,
-	})
+	}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func main() {
 	sizes := []int{100, 200, 400, 800, 1600, 3200, 6400, 12800}
 	bestSize, bestTime := 0, -1.0
 	for _, size := range sizes {
-		idx, err := repro.Build(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: size})
+		idx, err := repro.BuildSharded(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: size}, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

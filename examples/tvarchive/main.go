@@ -21,11 +21,11 @@ func main() {
 	// The archive: existing broadcast material.
 	archive := repro.GenerateCollection(40000, 11)
 
-	idx, err := repro.Build(archive, repro.BuildConfig{
+	idx, err := repro.BuildSharded(archive, repro.BuildConfig{
 		Strategy:  repro.StrategyHybrid, // uniform chunks, best-effort density (§7)
 		ChunkSize: 800,
 		Seed:      2,
-	})
+	}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

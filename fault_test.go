@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,59 +96,89 @@ func TestReplicatedIndexSurvivesShardDown(t *testing.T) {
 // the facade: with replication 1, a down shard makes completion searches
 // return exactly the exact k-NN over the surviving shards' descriptors,
 // flagged Degraded with Exact off and ChunksSkipped equal to the dead
-// shard's chunk count.
+// shard's chunk count — never an error. One shard is no exception: with
+// its only shard down, single, batch and multi-descriptor queries answer
+// Degraded over no data instead of failing.
 func TestUnreplicatedIndexDegradesHonestly(t *testing.T) {
 	coll := GenerateCollection(6000, 77)
-	sx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 250}, 3)
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{3, 1} {
+		sx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 250}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sx.Close()
+		for kill := 0; kill < sx.Shards(); kill++ {
+			sx.ResetHealth()
+			sx.MarkShardDown(kill)
+			checkDegraded(t, coll, sx, kill)
+		}
 	}
-	defer sx.Close()
+}
 
-	for kill := 0; kill < sx.Shards(); kill++ {
-		sx.ResetHealth()
-		sx.MarkShardDown(kill)
-
-		// With R=1 a shard's physical clusters are exactly its primaries,
-		// so the surviving data is every other shard's parts.
-		survivors := descriptor.NewCollection(coll.Dims(), 0)
-		for s := range sx.parts {
-			if s == kill {
-				continue
-			}
-			for _, cl := range sx.parts[s] {
-				for _, pos := range cl.Members {
-					survivors.Append(coll.IDAt(pos), coll.Vec(pos))
-				}
+// checkDegraded runs completion queries against sx with shard kill held
+// down and checks every answer against the survivor oracle.
+func checkDegraded(t *testing.T, coll *Collection, sx *ShardedIndex, kill int) {
+	t.Helper()
+	// With R=1 a shard's physical clusters are exactly its primaries, so
+	// the surviving data is every other shard's parts.
+	survivors := descriptor.NewCollection(coll.Dims(), 0)
+	for s := range sx.parts {
+		if s == kill {
+			continue
+		}
+		for _, cl := range sx.parts[s] {
+			for _, pos := range cl.Members {
+				survivors.Append(coll.IDAt(pos), coll.Vec(pos))
 			}
 		}
-
-		for _, qi := range []int{3, 512, 4000} {
-			q := coll.Vec(qi)
-			res, err := sx.Search(q, SearchOptions{K: 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Degraded || res.Exact {
-				t.Fatalf("kill %d q%d: Degraded %v, Exact %v", kill, qi, res.Degraded, res.Exact)
-			}
-			if res.ChunksSkipped != len(sx.parts[kill]) {
-				t.Fatalf("kill %d q%d: ChunksSkipped %d != dead shard's %d chunks",
-					kill, qi, res.ChunksSkipped, len(sx.parts[kill]))
-			}
-			if res.ShardsDown != 1 {
-				t.Fatalf("kill %d q%d: ShardsDown %d", kill, qi, res.ShardsDown)
-			}
-			truth := Exact(survivors, q, 20)
-			if len(res.Neighbors) != len(truth) {
-				t.Fatalf("kill %d q%d: %d neighbors vs survivor oracle %d", kill, qi, len(res.Neighbors), len(truth))
-			}
-			for i := range truth {
-				if res.Neighbors[i] != truth[i] {
-					t.Fatalf("kill %d q%d rank %d: %+v != survivor oracle %+v", kill, qi, i, res.Neighbors[i], truth[i])
-				}
+	}
+	label := fmt.Sprintf("%d shards, kill %d", sx.Shards(), kill)
+	check := func(qi int, res *Result) {
+		t.Helper()
+		if !res.Degraded || res.Exact {
+			t.Fatalf("%s q%d: Degraded %v, Exact %v", label, qi, res.Degraded, res.Exact)
+		}
+		if res.ChunksSkipped != len(sx.parts[kill]) {
+			t.Fatalf("%s q%d: ChunksSkipped %d != dead shard's %d chunks",
+				label, qi, res.ChunksSkipped, len(sx.parts[kill]))
+		}
+		if res.ShardsDown != 1 {
+			t.Fatalf("%s q%d: ShardsDown %d", label, qi, res.ShardsDown)
+		}
+		truth := Exact(survivors, coll.Vec(qi), 20)
+		if len(res.Neighbors) != len(truth) {
+			t.Fatalf("%s q%d: %d neighbors vs survivor oracle %d", label, qi, len(res.Neighbors), len(truth))
+		}
+		for i := range truth {
+			if res.Neighbors[i] != truth[i] {
+				t.Fatalf("%s q%d rank %d: %+v != survivor oracle %+v", label, qi, i, res.Neighbors[i], truth[i])
 			}
 		}
+	}
+
+	queryIdx := []int{3, 512, 4000}
+	queries := make([]Vector, len(queryIdx))
+	for i, qi := range queryIdx {
+		queries[i] = coll.Vec(qi)
+		res, err := sx.Search(queries[i], SearchOptions{K: 20})
+		if err != nil {
+			t.Fatalf("%s q%d: %v", label, qi, err)
+		}
+		check(qi, res)
+	}
+	batch := make([]Result, len(queries))
+	if err := sx.SearchBatchInto(queries, BatchOptions{SearchOptions: SearchOptions{K: 20}}, batch); err != nil {
+		t.Fatalf("%s batch: %v", label, err)
+	}
+	for i, qi := range queryIdx {
+		check(qi, &batch[i])
+	}
+	multi, err := sx.MultiSearch(queries, MultiSearchOptions{})
+	if err != nil {
+		t.Fatalf("%s multi: %v", label, err)
+	}
+	if !multi.Degraded {
+		t.Fatalf("%s multi: not Degraded", label)
 	}
 }
 

@@ -1,11 +1,14 @@
 package repro
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/chunkfile"
 )
 
 // TestEndToEndFilePipeline exercises the full production flow: generate a
@@ -34,16 +37,18 @@ func TestEndToEndFilePipeline(t *testing.T) {
 	}
 
 	for _, strat := range []Strategy{StrategySRTree, StrategyHybrid, StrategyRoundRobin} {
-		built, err := Build(coll, BuildConfig{Strategy: strat, ChunkSize: 250, Seed: 1})
+		built, err := BuildSharded(coll, BuildConfig{Strategy: strat, ChunkSize: 250, Seed: 1}, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		cp := filepath.Join(dir, string(strat)+".chunk")
-		ip := filepath.Join(dir, string(strat)+".idx")
-		if err := built.Save(cp, ip); err != nil {
+		idxDir := filepath.Join(dir, string(strat))
+		if err := os.Mkdir(idxDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := built.Save(idxDir); err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		opened, err := Open(cp, ip)
+		opened, err := OpenSharded(idxDir)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -67,7 +72,7 @@ func TestEndToEndFilePipeline(t *testing.T) {
 // returns exactly the sequential per-query results, in order.
 func TestSearchBatchMatchesSequential(t *testing.T) {
 	coll := GenerateCollection(6000, 5)
-	idx, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200})
+	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +109,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 
 func TestSearchBatchEdges(t *testing.T) {
 	coll := GenerateCollection(2000, 6)
-	idx, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200})
+	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +130,7 @@ func TestSearchBatchEdges(t *testing.T) {
 // once a worker reports a failure.
 func TestSearchBatchFailFast(t *testing.T) {
 	coll := GenerateCollection(2000, 6)
-	idx, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200})
+	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,64 +149,105 @@ func TestSearchBatchFailFast(t *testing.T) {
 }
 
 // TestCorruptIndexFilesRejected is the failure-injection counterpart of
-// the save/open round-trip: every mangled artifact must produce an error,
-// never a silent wrong result.
+// the save/open round-trip: every mangled artifact of a one-shard index
+// directory must fail at open with a diagnostic error naming what is
+// wrong, never panic and never surface as a silent wrong result.
 func TestCorruptIndexFilesRejected(t *testing.T) {
-	dir := t.TempDir()
 	coll := GenerateCollection(3000, 7)
-	idx, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200})
+	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, ip := filepath.Join(dir, "a.chunk"), filepath.Join(dir, "a.idx")
-	if err := idx.Save(cp, ip); err != nil {
+	src := t.TempDir()
+	if err := idx.Save(src); err != nil {
 		t.Fatal(err)
 	}
+	const chunkName, indexName = "shard-0.chunk", "shard-0.idx"
 
-	corrupt := func(path string, mutate func([]byte) []byte) string {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+	// rewrite mutates one file of the directory in place.
+	rewrite := func(name string, mutate func([]byte) []byte) func(dir string) {
+		return func(dir string) {
+			path := filepath.Join(dir, name)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, mutate(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		out := filepath.Join(dir, "corrupt-"+filepath.Base(path))
-		if err := os.WriteFile(out, mutate(raw), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return out
+	}
+	cases := []struct {
+		name   string
+		mutate func(dir string)
+		want   string // substring of the open error
+	}{
+		{"missing index file", func(dir string) {
+			if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
+				t.Fatal(err)
+			}
+		}, indexName},
+		{"bad index magic", rewrite(indexName, func(b []byte) []byte { b[0] ^= 0xFF; return b }), "shard 0"},
+		{"truncated index file", rewrite(indexName, func(b []byte) []byte { return b[:len(b)-13] }), "shard 0"},
+		{"bad chunk magic", rewrite(chunkName, func(b []byte) []byte { b[0] ^= 0xFF; return b }), "shard 0"},
+		{"truncated chunk file", rewrite(chunkName, func(b []byte) []byte { return b[:len(b)/2] }), "shard 0"},
+		{"index entry past EOF", rewrite(indexName, func(b []byte) []byte {
+			// Entry 1's chunk-file offset field (header 16 bytes, then
+			// fixed-size entries of centroid, radius, offset, size, count).
+			dims := int(binary.LittleEndian.Uint32(b[8:12]))
+			off := 16 + chunkfile.EntrySize(dims) + dims*4 + 8
+			binary.LittleEndian.PutUint64(b[off:], 1<<40)
+			return b
+		}), "shard 0"},
+		{"manifest chunk-count mismatch", func(dir string) {
+			path := filepath.Join(dir, chunkfile.ManifestName)
+			m, err := chunkfile.ReadManifest(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Shards[0].Chunks++
+			if err := chunkfile.WriteManifest(path, m); err != nil {
+				t.Fatal(err)
+			}
+		}, "manifest"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, name := range []string{chunkName, indexName, chunkfile.ManifestName} {
+				raw, err := os.ReadFile(filepath.Join(src, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.mutate(dir)
+			fx, err := OpenSharded(dir)
+			if err == nil {
+				fx.Close()
+				t.Fatal("corrupt index directory opened")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("open error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 
-	// Bad magic in the index file.
-	badIdx := corrupt(ip, func(b []byte) []byte { b[0] ^= 0xFF; return b })
-	if _, err := Open(cp, badIdx); err == nil {
-		t.Fatal("bad index magic accepted")
-	}
-	// Truncated index file.
-	shortIdx := corrupt(ip, func(b []byte) []byte { return b[:len(b)-13] })
-	if _, err := Open(cp, shortIdx); err == nil {
-		t.Fatal("truncated index accepted")
-	}
-	// Bad magic in the chunk file.
-	badChunk := corrupt(cp, func(b []byte) []byte { b[0] ^= 0xFF; return b })
-	if _, err := Open(badChunk, ip); err == nil {
-		t.Fatal("bad chunk magic accepted")
-	}
-	// Chunk file truncated below the last chunk: opening may succeed, but
-	// reading the missing chunk must fail.
-	shortChunk := corrupt(cp, func(b []byte) []byte { return b[:len(b)/2] })
-	if opened, err := Open(shortChunk, ip); err == nil {
-		defer opened.Close()
-		q := coll.Vec(0)
-		if _, err := opened.Search(q, SearchOptions{K: 5}); err == nil {
-			t.Fatal("search over truncated chunk file succeeded")
-		}
-	}
 	// Collection file corruption.
-	collPath := filepath.Join(dir, "c.desc")
+	collPath := filepath.Join(t.TempDir(), "c.desc")
 	if err := SaveCollection(coll, collPath); err != nil {
 		t.Fatal(err)
 	}
-	badColl := corrupt(collPath, func(b []byte) []byte { return b[:len(b)-7] })
-	if _, err := LoadCollection(badColl); err == nil {
+	raw, err := os.ReadFile(collPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(collPath, raw[:len(raw)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCollection(collPath); err == nil {
 		t.Fatal("truncated collection accepted")
 	}
 }
@@ -211,7 +257,7 @@ func TestCorruptIndexFilesRejected(t *testing.T) {
 func TestDeterministicPipeline(t *testing.T) {
 	run := func() []Neighbor {
 		coll := GenerateCollection(4000, 123)
-		idx, err := Build(coll, BuildConfig{Strategy: StrategyHybrid, ChunkSize: 150, Seed: 9})
+		idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategyHybrid, ChunkSize: 150, Seed: 9}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

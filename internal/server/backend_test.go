@@ -31,8 +31,8 @@ func faultSeed(t testing.TB) int64 {
 	return 2005
 }
 
-// routerBackend adapts a shard.Router to the server's Backend and
-// ShardHealth interfaces. The public ShardedIndex facade cannot inject
+// routerBackend adapts a shard.Router to the server's Backend
+// interface. The public ShardedIndex facade cannot inject
 // fault wrappers around its stores, so the acceptance tests build the
 // router directly over faultstore-wrapped stores and serve it through
 // this adapter — the same search semantics, with Kill/Revive handles.
@@ -40,10 +40,7 @@ type routerBackend struct {
 	r *shard.Router
 }
 
-var (
-	_ Backend     = (*routerBackend)(nil)
-	_ ShardHealth = (*routerBackend)(nil)
-)
+var _ Backend = (*routerBackend)(nil)
 
 func stopOf(opts repro.SearchOptions) search.StopRule {
 	if opts.MaxChunks > 0 {
@@ -160,6 +157,10 @@ func (b *routerBackend) ShardsDown() int        { return b.r.DownShards() }
 func (b *routerBackend) MarkShardDown(s int)    { b.r.MarkShardDown(s) }
 func (b *routerBackend) MarkShardUp(s int)      { b.r.MarkShardUp(s) }
 func (b *routerBackend) ProbeShard(s int) error { return b.r.ProbeShard(s) }
+func (b *routerBackend) ShardLoads() []repro.ShardLoad {
+	return b.r.ShardLoads(nil)
+}
+func (b *routerBackend) CacheStats() repro.CacheStats { return b.r.CacheStats() }
 
 // faultedRouter builds a replicated router over faultstore-wrapped
 // in-memory shard stores: the serving stack the acceptance tests point

@@ -8,15 +8,15 @@ import (
 	"repro"
 )
 
-// TestMetricsReportCacheCounters pins the optional-interface plumbing: an
+// TestMetricsReportCacheCounters pins the cache plumbing: an
 // index opened with a decoded-chunk cache surfaces its hit/miss/byte
 // counters in /metrics, and a cacheless index omits the cache block
 // entirely rather than reporting zeros.
 func TestMetricsReportCacheCounters(t *testing.T) {
 	coll := repro.GenerateCollection(2000, 42)
-	cached, err := repro.Build(coll, repro.BuildConfig{
+	cached, err := repro.BuildSharded(coll, repro.BuildConfig{
 		Strategy: repro.StrategySRTree, ChunkSize: 250, CacheBytes: 16 << 20,
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,28 +7,12 @@ import (
 	"repro"
 )
 
-// loadBackend is a fakeBackend with the sharded health and serving-load
-// surfaces, for exercising the metrics plumbing of ShardLoads.
-type loadBackend struct {
-	fakeBackend
-	loads []repro.ShardLoad
-}
-
-func (b *loadBackend) Shards() int            { return len(b.loads) }
-func (b *loadBackend) ShardDown(s int) bool   { return false }
-func (b *loadBackend) ShardsDown() int        { return 0 }
-func (b *loadBackend) MarkShardDown(s int)    {}
-func (b *loadBackend) MarkShardUp(s int)      {}
-func (b *loadBackend) ProbeShard(s int) error { return nil }
-
-func (b *loadBackend) ShardLoads() []repro.ShardLoad { return b.loads }
-
-// TestSnapshotReportsShardLoads pins the serving-load surface: a backend
-// implementing LoadReporter gets its per-shard read counts and billed
-// microseconds copied into the metrics snapshot's shard states, and a
-// plain backend leaves them zero.
+// TestSnapshotReportsShardLoads pins the serving-load surface: a
+// backend's per-shard read counts and billed microseconds are copied
+// into the metrics snapshot's shard states, and a backend without loads
+// reports its shards with zero loads.
 func TestSnapshotReportsShardLoads(t *testing.T) {
-	b := &loadBackend{loads: []repro.ShardLoad{
+	b := &fakeBackend{loads: []repro.ShardLoad{
 		{Reads: 11, Billed: 1500 * time.Microsecond},
 		{Reads: 7, Billed: 250 * time.Microsecond},
 		{Reads: 0, Billed: 0},
@@ -50,20 +34,11 @@ func TestSnapshotReportsShardLoads(t *testing.T) {
 		}
 	}
 
-	// A backend without the surface stays zero — no phantom loads.
-	plain := []ShardState{{Shard: 0}, {Shard: 1}}
-	fillShardLoads(plain, &fakeBackend{})
-	for _, st := range plain {
-		if st.Reads != 0 || st.BilledUs != 0 {
-			t.Fatalf("plain backend reported loads: %+v", st)
-		}
-	}
-
-	// A short shard slice (racing topology change) must not panic; the
-	// reporter's extra entries are dropped.
-	short := []ShardState{{Shard: 0}}
-	fillShardLoads(short, b)
-	if short[0].Reads != 11 {
-		t.Fatalf("short fill: %+v", short[0])
+	// A backend reporting fewer loads than shards (a racing topology
+	// change) must not panic and leaves the uncovered shards at zero — no
+	// phantom loads.
+	plain := indexState("plain", &fakeBackend{})
+	if len(plain.Shards) != 1 || plain.Shards[0].Reads != 0 || plain.Shards[0].BilledUs != 0 {
+		t.Fatalf("plain backend: %+v", plain.Shards)
 	}
 }

@@ -178,8 +178,8 @@ type ShardState struct {
 	// Reads counts the chunk reads this shard actually served (wherever
 	// the chunks' primaries live); BilledUs is the simulated serving time
 	// the spread-reads billed-load estimator attributed to the shard, in
-	// microseconds — zero while spread reads are off. Both come from the
-	// backend's LoadReporter surface and stay zero without one.
+	// microseconds — zero while spread reads are off. Both come from
+	// Backend.ShardLoads.
 	Reads    int64 `json:"reads"`
 	BilledUs int64 `json:"billed_us"`
 }
@@ -238,24 +238,24 @@ type Snapshot struct {
 	WallP50Us int64 `json:"wall_p50_us"`
 	WallP90Us int64 `json:"wall_p90_us"`
 	WallP99Us int64 `json:"wall_p99_us"`
-	// Indexes is the per-index (and per-shard, when sharded) state.
+	// Indexes is the per-index and per-shard state.
 	Indexes []IndexSnapshot `json:"indexes"`
 }
 
-// fillShardLoads copies the backend's per-shard serving-load counters
-// into the shard states, when the backend reports them (LoadReporter).
-func fillShardLoads(shards []ShardState, b Backend) {
-	lr, ok := b.(LoadReporter)
-	if !ok {
-		return
-	}
-	for i, ld := range lr.ShardLoads() {
-		if i >= len(shards) {
-			break
+// indexState reports one registered index's shape, shard health and
+// per-shard serving load.
+func indexState(name string, b Backend) IndexSnapshot {
+	is := IndexSnapshot{Name: name, Chunks: b.Chunks(), Descriptors: b.Len(), ShardsDown: b.ShardsDown()}
+	loads := b.ShardLoads()
+	for s := 0; s < b.Shards(); s++ {
+		st := ShardState{Shard: s, Down: b.ShardDown(s)}
+		if s < len(loads) { // a racing topology change must not panic
+			st.Reads = loads[s].Reads
+			st.BilledUs = loads[s].Billed.Microseconds()
 		}
-		shards[i].Reads = ld.Reads
-		shards[i].BilledUs = ld.Billed.Microseconds()
+		is.Shards = append(is.Shards, st)
 	}
+	return is
 }
 
 // Snapshot assembles the current metrics document. inFlight is read
@@ -284,24 +284,15 @@ func (m *Metrics) Snapshot(inFlight int, reg *Registry) Snapshot {
 			if !ok {
 				continue
 			}
-			is := IndexSnapshot{Name: name, Chunks: b.Chunks(), Descriptors: b.Len()}
-			if sh, ok := b.(ShardHealth); ok {
-				is.ShardsDown = sh.ShardsDown()
-				for s := 0; s < sh.Shards(); s++ {
-					is.Shards = append(is.Shards, ShardState{Shard: s, Down: sh.ShardDown(s)})
-				}
-				fillShardLoads(is.Shards, b)
-			}
-			if cs, ok := b.(CacheStatser); ok {
-				if st := cs.CacheStats(); st.Enabled {
-					is.Cache = &CacheSnapshot{
-						Hits:      st.Hits,
-						Misses:    st.Misses,
-						Evictions: st.Evictions,
-						Bytes:     st.Bytes,
-						MaxBytes:  st.MaxBytes,
-						Entries:   st.Entries,
-					}
+			is := indexState(name, b)
+			if st := b.CacheStats(); st.Enabled {
+				is.Cache = &CacheSnapshot{
+					Hits:      st.Hits,
+					Misses:    st.Misses,
+					Evictions: st.Evictions,
+					Bytes:     st.Bytes,
+					MaxBytes:  st.MaxBytes,
+					Entries:   st.Entries,
 				}
 			}
 			snap.Indexes = append(snap.Indexes, is)

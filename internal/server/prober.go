@@ -11,7 +11,7 @@ import (
 // stays down so queries stop paying its timeout over and over — which
 // means something outside the data path has to notice recovery. The
 // prober is that something: every interval it probes each shard of
-// every sharded backend through the control-plane ProbeShard (no
+// every backend through the control-plane ProbeShard (no
 // failover, no retries, no billing) and reconciles:
 //
 //   - a down shard whose probe succeeds is marked up (recovery);
@@ -31,7 +31,7 @@ type Prober struct {
 	started   bool
 }
 
-// NewProber returns a prober over reg's sharded backends, probing every
+// NewProber returns a prober over reg's backends, probing every
 // interval (<= 0 selects 250ms). Call Start to launch it and Stop to
 // halt it.
 func NewProber(reg *Registry, interval time.Duration) *Prober {
@@ -69,7 +69,7 @@ func (p *Prober) run() {
 	}
 }
 
-// Sweep probes every shard of every sharded backend once and reconciles
+// Sweep probes every shard of every backend once and reconciles
 // health. Exported so tests (and operators' admin hooks) can force a
 // probe round without waiting out the interval.
 func (p *Prober) Sweep() {
@@ -78,22 +78,18 @@ func (p *Prober) Sweep() {
 		if !ok {
 			continue
 		}
-		sh, ok := b.(ShardHealth)
-		if !ok {
-			continue
-		}
-		for s := 0; s < sh.Shards(); s++ {
-			err := sh.ProbeShard(s)
+		for s := 0; s < b.Shards(); s++ {
+			err := b.ProbeShard(s)
 			switch {
 			case err == nil:
-				if sh.ShardDown(s) {
-					sh.MarkShardUp(s)
+				if b.ShardDown(s) {
+					b.MarkShardUp(s)
 				}
 			case probeTemporary(err):
 				// One transient failure is not evidence either way.
 			default:
-				if !sh.ShardDown(s) {
-					sh.MarkShardDown(s)
+				if !b.ShardDown(s) {
+					b.MarkShardDown(s)
 				}
 			}
 		}

@@ -22,11 +22,11 @@ import (
 	"repro"
 )
 
-// Backend is the slice of the repro facade the server serves. Both
-// *repro.Index and *repro.ShardedIndex satisfy it structurally, so one
-// handler set serves single-machine and sharded indexes alike.
+// Backend is the slice of the repro facade the server serves.
+// *repro.ShardedIndex satisfies it structurally — a single-machine index
+// is a one-shard ShardedIndex — and tests substitute fakes.
 type Backend interface {
-	// Search runs one query (repro.Index.Search / ShardedIndex.Search).
+	// Search runs one query (repro.ShardedIndex.Search).
 	Search(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error)
 	// SearchBatchInto runs a whole batch through the chunk-major engine.
 	SearchBatchInto(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result) error
@@ -42,12 +42,7 @@ type Backend interface {
 	Len() int
 	// Close releases the index.
 	Close() error
-}
 
-// ShardHealth is the optional health surface of a sharded backend. The
-// prober and the metrics endpoint use it when present; unsharded
-// backends simply don't implement it.
-type ShardHealth interface {
 	// Shards is the number of shards.
 	Shards() int
 	// ShardDown reports whether shard s is currently held down.
@@ -61,27 +56,13 @@ type ShardHealth interface {
 	// ProbeShard checks shard s end to end without touching health state
 	// or billing; nil means the shard can serve reads.
 	ProbeShard(s int) error
-}
-
-// LoadReporter is the optional serving-load surface of a sharded
-// backend: per-shard counters of the reads each shard actually served
-// and the simulated serving time the spread-reads estimator billed to
-// it — the load split proactive replica read spreading balances.
-// *repro.ShardedIndex satisfies it structurally; the metrics and index
-// endpoints include the split when present.
-type LoadReporter interface {
-	// ShardLoads returns per-shard serving-load counters, cumulative
-	// since construction or the last health reset.
+	// ShardLoads returns per-shard serving-load counters — the reads each
+	// shard actually served and the simulated serving time the
+	// spread-reads estimator billed to it — cumulative since construction
+	// or the last health reset.
 	ShardLoads() []repro.ShardLoad
-}
-
-// CacheStatser is the optional cache surface of a backend: indexes
-// opened with a decoded-chunk cache report its counters through it, and
-// the metrics endpoint includes them when present. Both *repro.Index and
-// *repro.ShardedIndex satisfy it structurally; a cacheless index reports
-// Enabled false and is omitted from the snapshot.
-type CacheStatser interface {
-	// CacheStats returns the cumulative decoded-chunk cache counters.
+	// CacheStats returns the cumulative decoded-chunk cache counters; a
+	// cacheless index reports Enabled false.
 	CacheStats() repro.CacheStats
 }
 

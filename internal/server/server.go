@@ -836,15 +836,7 @@ func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		is := IndexSnapshot{Name: name, Chunks: b.Chunks(), Descriptors: b.Len()}
-		if sh, ok := b.(ShardHealth); ok {
-			is.ShardsDown = sh.ShardsDown()
-			for sd := 0; sd < sh.Shards(); sd++ {
-				is.Shards = append(is.Shards, ShardState{Shard: sd, Down: sh.ShardDown(sd)})
-			}
-			fillShardLoads(is.Shards, b)
-		}
-		out = append(out, is)
+		out = append(out, indexState(name, b))
 	}
 	writeJSON(w, out)
 }

@@ -16,11 +16,14 @@ import (
 )
 
 // fakeBackend is a scriptable Backend for exercising the server's
-// control paths (limits, deadlines, panics) without real search work.
+// control paths (limits, deadlines, panics) and metrics plumbing without
+// real search work. It has one healthy shard per entry of loads (one
+// when loads is empty) and no cache.
 type fakeBackend struct {
 	searchFn func(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error)
 	batchFn  func(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result) error
 	multiFn  func(d []repro.Vector, opts repro.MultiSearchOptions) (*repro.MultiResult, error)
+	loads    []repro.ShardLoad
 }
 
 func (f *fakeBackend) Search(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error) {
@@ -59,15 +62,24 @@ func (f *fakeBackend) MultiSearch(d []repro.Vector, opts repro.MultiSearchOption
 	return &repro.MultiResult{Descriptors: len(d), ChunksRead: len(d)}, nil
 }
 
-func (f *fakeBackend) Chunks() int  { return 8 }
-func (f *fakeBackend) Len() int     { return 800 }
-func (f *fakeBackend) Close() error { return nil }
+func (f *fakeBackend) Chunks() int                   { return 8 }
+func (f *fakeBackend) Len() int                      { return 800 }
+func (f *fakeBackend) Close() error                  { return nil }
+func (f *fakeBackend) Shards() int                   { return max(len(f.loads), 1) }
+func (f *fakeBackend) ShardDown(s int) bool          { return false }
+func (f *fakeBackend) ShardsDown() int               { return 0 }
+func (f *fakeBackend) MarkShardDown(s int)           {}
+func (f *fakeBackend) MarkShardUp(s int)             {}
+func (f *fakeBackend) ProbeShard(s int) error        { return nil }
+func (f *fakeBackend) ShardLoads() []repro.ShardLoad { return f.loads }
+func (f *fakeBackend) CacheStats() repro.CacheStats  { return repro.CacheStats{} }
 
-// buildTestIndex builds a small real index for end-to-end requests.
-func buildTestIndex(t testing.TB, n int) (*repro.Index, *repro.Collection) {
+// buildTestIndex builds a small real one-shard index for end-to-end
+// requests.
+func buildTestIndex(t testing.TB, n int) (*repro.ShardedIndex, *repro.Collection) {
 	t.Helper()
 	coll := repro.GenerateCollection(n, 42)
-	ix, err := repro.Build(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: 250})
+	ix, err := repro.BuildSharded(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: 250}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +160,7 @@ func TestServeSearchBatchMulti(t *testing.T) {
 		t.Fatalf("chunks_read = %d, want 1..3 under a 3-chunk budget", sr.ChunksRead)
 	}
 	if sr.Degraded || sr.ChunksSkipped != 0 || sr.ShardsDown != 0 {
-		t.Fatalf("unsharded healthy search reported degradation: %+v", sr)
+		t.Fatalf("healthy one-shard search reported degradation: %+v", sr)
 	}
 
 	resp, raw = doJSON(t, "POST", ts.URL+"/v1/indexes/main/batch",

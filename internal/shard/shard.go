@@ -237,6 +237,7 @@ type scatter struct {
 	cur    []int             // merge cursors, one per shard
 	times  []time.Duration   // folded spread-reads clocks, one per shard
 	errs   []error
+	wg     sync.WaitGroup // joins the shard goroutines; pooled so a scatter allocates nothing
 
 	// The batch in flight (RunBatchStream). remaining[qi] counts the shards
 	// that have not yet retired query qi; the shard callback that brings it
@@ -729,16 +730,15 @@ func (r *Router) SearchInto(q vec.Vector, opts search.Options, res *Result) erro
 	sc.single = grow(sc.single, n)
 	sc.errs = resetErrs(sc.errs, n)
 
-	var wg sync.WaitGroup
 	for s := 1; s < n; s++ {
-		wg.Add(1)
+		sc.wg.Add(1)
 		go func(s int) {
-			defer wg.Done()
+			defer sc.wg.Done()
 			sc.errs[s] = r.shards[s].searcher.SearchInto(q, opts, &sc.single[s])
 		}(s)
 	}
 	sc.errs[0] = r.shards[0].searcher.SearchInto(q, opts, &sc.single[0])
-	wg.Wait()
+	sc.wg.Wait()
 	for s, err := range sc.errs {
 		if err != nil {
 			return &ShardError{Shard: s, Err: err}
@@ -837,16 +837,15 @@ func (r *Router) RunBatchStream(queries []vec.Vector, opts batchexec.Options, re
 	sc.k, sc.spread = mergeK(opts.K), r.spread.Load()
 	defer func() { sc.results, sc.done = nil, nil }()
 
-	var wg sync.WaitGroup
 	for s := 1; s < n; s++ {
-		wg.Add(1)
+		sc.wg.Add(1)
 		go func(s int) {
-			defer wg.Done()
+			defer sc.wg.Done()
 			sc.errs[s] = r.shards[s].engine.RunStream(queries, opts, sc.batch[s], sc.shardDone)
 		}(s)
 	}
 	sc.errs[0] = r.shards[0].engine.RunStream(queries, opts, sc.batch[0], sc.shardDone)
-	wg.Wait()
+	sc.wg.Wait()
 	for s, err := range sc.errs {
 		if err != nil {
 			return &ShardError{Shard: s, Err: err}

@@ -12,19 +12,21 @@
 // Quick start:
 //
 //	coll := repro.GenerateCollection(100000, 42)
-//	idx, _ := repro.Build(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: 1000})
+//	idx, _ := repro.BuildSharded(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: 1000}, 1)
 //	res, _ := idx.Search(coll.Vec(17), repro.SearchOptions{K: 30, MaxChunks: 5})
 //	for _, nb := range res.Neighbors { fmt.Println(nb.ID, nb.Dist) }
 //
-// Beyond the paper, the package serves production-shaped workloads:
-// whole-workload batches run on a chunk-major batch engine (SearchBatch,
-// SearchBatchInto), whole-image bags of descriptors on the multi-query
-// voting layer (MultiSearch), and BuildSharded/OpenSharded partition an
-// index across shards searched scatter-gather (ShardedIndex), one
-// simulated 2005 machine per shard. Sharded stop-rule budgets apply per
-// shard by default or — with SearchOptions.GlobalBudget — once across
-// the whole fleet in global centroid-rank order, which matches the
-// unsharded index's quality at the same total chunk bill.
+// There is one index type, ShardedIndex: one simulated 2005 machine per
+// shard, searched scatter-gather. One shard is the paper's single
+// machine, and its saved directory is the paper's chunk file + index
+// file plus a manifest. Beyond the paper, the package serves
+// production-shaped workloads: whole-workload batches run on a
+// chunk-major batch engine (SearchBatch, SearchBatchInto), whole-image
+// bags of descriptors on the multi-query voting layer (MultiSearch), and
+// multi-shard stop-rule budgets apply per shard by default or — with
+// SearchOptions.GlobalBudget — once across the whole fleet in global
+// centroid-rank order, which matches the one-shard index's quality at
+// the same total chunk bill.
 //
 // The internal packages hold the substrates (see README.md and
 // DESIGN.md); this package is the stable surface.
@@ -33,7 +35,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/bag"
@@ -47,7 +48,6 @@ import (
 	"repro/internal/roundrobin"
 	"repro/internal/scan"
 	"repro/internal/search"
-	"repro/internal/search/batchexec"
 	"repro/internal/simdisk"
 	"repro/internal/srtree"
 	"repro/internal/vec"
@@ -110,7 +110,7 @@ type Strategy string
 // The four chunk-forming strategies.
 const (
 	// StrategyBAG is the paper's quality-first clustering (§3). It also
-	// removes outliers; see Index.Outliers.
+	// removes outliers; see ShardedIndex.Outliers.
 	StrategyBAG Strategy = "bag"
 	// StrategySRTree is the paper's time-first uniform chunking (§2).
 	StrategySRTree Strategy = "srtree"
@@ -133,7 +133,7 @@ type BuildConfig struct {
 	MaxPasses int
 	// Progress receives BAG pass updates when non-nil.
 	Progress func(pass, clusters int)
-	// CacheBytes, when positive, fronts the built index's store with a
+	// CacheBytes, when positive, fronts the built index's stores with one
 	// decoded-chunk cache of that many bytes (see OpenConfig.CacheBytes
 	// for the contract). Zero builds without a cache.
 	CacheBytes int64
@@ -144,52 +144,14 @@ type BuildConfig struct {
 	// merged Simulated under a skewed workload. Deterministic, and the
 	// identity on one shard. Without a sample (or with one that never
 	// hits a cluster) it falls back to the byte-balanced placement.
-	// Sharded builds only; ignored by Build.
 	HeatBalance bool
 	// SpreadReads turns on the spread-reads routing policy of a
 	// replicated sharded build: every read is served by the live copy
 	// (primary or replica) with the least billed simulated load, instead
 	// of the primary whenever it is healthy. Results are byte-identical
 	// either way — only Simulated and the per-shard load split move. See
-	// ShardedIndex.SetSpreadReads. Sharded builds only; ignored by Build.
+	// ShardedIndex.SetSpreadReads.
 	SpreadReads bool
-}
-
-// Index is a searchable chunk index plus its build provenance.
-type Index struct {
-	store    chunkfile.Store
-	searcher *search.Searcher
-	engine   *batchexec.Engine    // chunk-major batch execution engine
-	multi    *multiquery.Searcher // multi-descriptor search over the engine
-
-	batchPool sync.Pool // *[]search.Result: SearchBatchInto's internal arena
-
-	pageSize int                // page granularity the store was padded with
-	cached   *cachingStore      // non-nil when the index was built/opened with a cache
-	coll     *Collection        // nil for file-opened indexes
-	clusters []*cluster.Cluster // nil for file-opened indexes
-
-	// Outliers holds the collection positions BAG discarded (empty for
-	// the other strategies and for file-opened indexes).
-	Outliers []int
-}
-
-// newIndex assembles an Index over a store: the single-query searcher,
-// the chunk-major batch engine, and the multi-descriptor searcher that
-// shares the engine.
-func newIndex(store chunkfile.Store) *Index {
-	eng := batchexec.New(store, nil)
-	ix := &Index{
-		store:    store,
-		searcher: search.New(store, nil),
-		engine:   eng,
-		multi:    multiquery.NewWithEngine(eng),
-	}
-	ix.batchPool.New = func() any {
-		s := []search.Result(nil)
-		return &s
-	}
-	return ix
 }
 
 // normalizePageSize resolves a BuildConfig page size (0 means the 8 KiB
@@ -202,7 +164,7 @@ func normalizePageSize(pageSize int) int {
 }
 
 // buildClusters forms chunks from the collection with the selected
-// strategy — the clustering stage shared by Build and BuildSharded.
+// strategy — the clustering stage of BuildReplicated.
 func buildClusters(coll *Collection, cfg BuildConfig) (clusters []*cluster.Cluster, outliers []int, err error) {
 	if cfg.ChunkSize < 1 {
 		return nil, nil, fmt.Errorf("repro: ChunkSize %d < 1", cfg.ChunkSize)
@@ -249,54 +211,6 @@ func buildClusters(coll *Collection, cfg BuildConfig) (clusters []*cluster.Clust
 	return clusters, outliers, nil
 }
 
-// Build forms chunks from the collection with the selected strategy and
-// returns an in-memory index over them.
-func Build(coll *Collection, cfg BuildConfig) (*Index, error) {
-	clusters, outliers, err := buildClusters(coll, cfg)
-	if err != nil {
-		return nil, err
-	}
-	store, cached := wrapCache(chunkfile.NewMemStore(coll, clusters, cfg.PageSize), cfg.CacheBytes)
-	ix := newIndex(store)
-	ix.pageSize = normalizePageSize(cfg.PageSize)
-	ix.cached = cached
-	ix.coll = coll
-	ix.clusters = clusters
-	ix.Outliers = outliers
-	return ix, nil
-}
-
-// Save writes the index's two files (§4.2: chunk file + index file) at
-// the page size the index was built with, so the reopened index has
-// byte-identical chunk layout and simulated timings. Only indexes
-// produced by Build can be saved.
-func (ix *Index) Save(chunkPath, indexPath string) error {
-	if ix.coll == nil || ix.clusters == nil {
-		return fmt.Errorf("repro: index was not built in this process; nothing to save")
-	}
-	return chunkfile.Write(ix.coll, ix.clusters, chunkPath, indexPath, ix.pageSize)
-}
-
-// Open maps an index previously written by Save.
-func Open(chunkPath, indexPath string) (*Index, error) {
-	return OpenWith(chunkPath, indexPath, OpenConfig{})
-}
-
-// Close releases the index's resources.
-func (ix *Index) Close() error { return ix.store.Close() }
-
-// Chunks returns the number of chunks in the index.
-func (ix *Index) Chunks() int { return len(ix.store.Meta()) }
-
-// Len returns the number of descriptors reachable through the index.
-func (ix *Index) Len() int {
-	n := 0
-	for _, m := range ix.store.Meta() {
-		n += m.Count
-	}
-	return n
-}
-
 // SearchOptions selects the k and the stop rule (§4.3). Zero values mean
 // k=30 and run-to-completion; MaxChunks and MaxTime, when positive, choose
 // the approximate stop rules.
@@ -306,7 +220,7 @@ type SearchOptions struct {
 	MaxTime   time.Duration // stop after this much simulated time
 	Overlap   bool          // overlap I/O and CPU in the simulated pipeline
 	Model     *CostModel    // nil = calibrated 2005 model
-	// GlobalBudget switches a ShardedIndex search from the per-shard to
+	// GlobalBudget switches a search from the per-shard to
 	// the global budget discipline: instead of every shard spending the
 	// stop rule's budget independently (MaxChunks c reading up to S×c
 	// chunks on S shards), the shards' ranked chunk lists merge into one
@@ -316,7 +230,7 @@ type SearchOptions struct {
 	// stops at the merged exactness certificate. Each chunk is still
 	// charged to its owning shard's simulated pipeline; Simulated remains
 	// the max over the shards and ChunksRead their sum. See DESIGN.md §7.
-	// Ignored by Index: one machine's budget is already global.
+	// On one shard both disciplines are the same search.
 	GlobalBudget bool
 	// Ctx, when non-nil, cancels the search between chunk charges: once
 	// the context is cancelled or past its deadline, no further chunk is
@@ -361,23 +275,14 @@ type Result struct {
 	// indexed descriptors. A degraded result is never exact.
 	Exact bool
 	// Degraded reports that at least one chunk had no live replica and
-	// was skipped (sharded indexes only): Neighbors is the best answer
-	// over the reachable data, honestly labeled rather than an error.
+	// was skipped: Neighbors is the best answer over the reachable data,
+	// honestly labeled rather than an error.
 	Degraded bool
 	// ChunksSkipped counts the chunks skipped as unavailable.
 	ChunksSkipped int
 	// ShardsDown is the number of shards the router held down when the
-	// query finished (always 0 for an unsharded Index).
+	// query finished.
 	ShardsDown int
-}
-
-// Search runs one query against the index.
-func (ix *Index) Search(q Vector, opts SearchOptions) (*Result, error) {
-	res := &Result{}
-	if err := ix.SearchInto(q, opts, res); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // stopRule maps SearchOptions onto the paper's three stop rules.
@@ -391,30 +296,6 @@ func stopRule(opts SearchOptions) search.StopRule {
 	return search.ToCompletion{}
 }
 
-// SearchInto runs one query, writing the outcome into res. The Neighbors
-// slice already in res is reused when it has capacity: a caller recycling
-// one Result across queries (the steady-state serving pattern) performs
-// zero allocations per query.
-func (ix *Index) SearchInto(q Vector, opts SearchOptions, res *Result) error {
-	if err := opts.validate(); err != nil {
-		return err
-	}
-	stop := stopRule(opts)
-	var sr search.Result
-	sr.Neighbors = res.Neighbors
-	if err := ix.searcher.SearchInto(q, search.Options{
-		K:       opts.K,
-		Stop:    stop,
-		Overlap: opts.Overlap,
-		Model:   opts.Model,
-		Ctx:     opts.Ctx,
-	}, &sr); err != nil {
-		return err
-	}
-	*res = toResult(&sr, 0)
-	return nil
-}
-
 // MultiSearchOptions controls a multi-descriptor (whole-image) query.
 type MultiSearchOptions struct {
 	// K is the per-descriptor neighbor count (0 = 10).
@@ -425,10 +306,9 @@ type MultiSearchOptions struct {
 	RankWeighted bool
 	// Overlap selects the overlapped pipeline in the simulated timing.
 	Overlap bool
-	// GlobalBudget makes a ShardedIndex spend each descriptor's MaxChunks
-	// budget once across all shards (global centroid-rank order) instead
-	// of once per shard — the same discipline as
-	// SearchOptions.GlobalBudget. Ignored by Index.
+	// GlobalBudget spends each descriptor's MaxChunks budget once across
+	// all shards (global centroid-rank order) instead of once per shard —
+	// the same discipline as SearchOptions.GlobalBudget.
 	GlobalBudget bool
 	// Ctx, when non-nil, cancels the bag's searches between chunk charges
 	// — the same deadline-propagation contract as SearchOptions.Ctx.
@@ -453,28 +333,6 @@ type ImageMatch = multiquery.ImageScore
 
 // MultiResult is the outcome of a multi-descriptor search.
 type MultiResult = multiquery.Result
-
-// MultiSearch implements the paper's §7 follow-up: query with a whole
-// image's bag of local descriptors, aggregate per-descriptor approximate
-// searches into image votes, and return the ranked source images. The
-// bag of descriptors is a natural batch against one store, so it runs on
-// the index's chunk-major batch engine.
-func (ix *Index) MultiSearch(descriptors []Vector, opts MultiSearchOptions) (*MultiResult, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	maxChunks := opts.MaxChunks
-	if maxChunks <= 0 {
-		maxChunks = 3
-	}
-	return ix.multi.Query(descriptors, multiquery.Options{
-		K:            opts.K,
-		Stop:         search.ChunkBudget(maxChunks),
-		RankWeighted: opts.RankWeighted,
-		Overlap:      opts.Overlap,
-		Ctx:          opts.Ctx,
-	})
-}
 
 // Exact returns the true k nearest neighbors of q by sequential scan —
 // the paper's ground-truth oracle (§5.4).

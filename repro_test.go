@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"math"
 	"path/filepath"
 	"testing"
 	"time"
@@ -15,7 +14,7 @@ func testCollection(t testing.TB) *Collection {
 func TestBuildAllStrategies(t *testing.T) {
 	coll := testCollection(t)
 	for _, s := range []Strategy{StrategySRTree, StrategyRoundRobin, StrategyHybrid} {
-		idx, err := Build(coll, BuildConfig{Strategy: s, ChunkSize: 200, Seed: 1})
+		idx, err := BuildSharded(coll, BuildConfig{Strategy: s, ChunkSize: 200, Seed: 1}, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -30,7 +29,7 @@ func TestBuildAllStrategies(t *testing.T) {
 
 func TestBuildBAGRemovesOutliers(t *testing.T) {
 	coll := testCollection(t)
-	idx, err := Build(coll, BuildConfig{Strategy: StrategyBAG, ChunkSize: 150, Seed: 1, MaxPasses: 500})
+	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategyBAG, ChunkSize: 150, Seed: 1, MaxPasses: 500}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,17 +43,17 @@ func TestBuildBAGRemovesOutliers(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	coll := testCollection(t)
-	if _, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 0}); err == nil {
+	if _, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 0}, 1); err == nil {
 		t.Fatal("ChunkSize 0 accepted")
 	}
-	if _, err := Build(coll, BuildConfig{Strategy: "nope", ChunkSize: 10}); err == nil {
+	if _, err := BuildSharded(coll, BuildConfig{Strategy: "nope", ChunkSize: 10}, 1); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
 
 func TestSearchApproxAndExact(t *testing.T) {
 	coll := testCollection(t)
-	idx, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 150})
+	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 150}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestSearchApproxAndExact(t *testing.T) {
 
 func TestSearchTimeBudget(t *testing.T) {
 	coll := testCollection(t)
-	idx, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 150})
+	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 150}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,44 +102,6 @@ func TestSearchTimeBudget(t *testing.T) {
 	}
 	if res.ChunksRead >= full.ChunksRead {
 		t.Fatalf("time budget read %d chunks, full %d", res.ChunksRead, full.ChunksRead)
-	}
-}
-
-func TestSaveOpenRoundTrip(t *testing.T) {
-	coll := testCollection(t)
-	built, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	cp, ip := filepath.Join(dir, "x.chunk"), filepath.Join(dir, "x.idx")
-	if err := built.Save(cp, ip); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := Open(cp, ip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer opened.Close()
-	if opened.Len() != built.Len() || opened.Chunks() != built.Chunks() {
-		t.Fatalf("opened %d/%d vs built %d/%d", opened.Len(), opened.Chunks(), built.Len(), built.Chunks())
-	}
-	q := coll.Vec(42)
-	a, err := built.Search(q, SearchOptions{K: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := opened.Search(q, SearchOptions{K: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Neighbors {
-		if math.Abs(a.Neighbors[i].Dist-b.Neighbors[i].Dist) > 1e-9 {
-			t.Fatalf("result %d differs between built and opened index", i)
-		}
-	}
-	if err := opened.Save(cp, ip); err == nil {
-		t.Fatal("saving a file-opened index should fail")
 	}
 }
 

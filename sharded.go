@@ -14,13 +14,18 @@ import (
 	"repro/internal/shard"
 )
 
-// ShardedIndex is a chunk index partitioned across S shards, each shard a
-// complete two-file index served by its own single-query searcher and
-// chunk-major batch engine. Queries scatter to every shard concurrently
-// and gather through a deterministic merge, so a run-to-completion search
-// returns the exact global k-NN. The simulated cost model is one 2005
-// machine per shard: a query's Simulated is the max over the shards
-// (they run in parallel) and ChunksRead the sum.
+// ShardedIndex is the package's chunk index: a set of chunks partitioned
+// across S shards, each shard a complete two-file index (§4.2) served by
+// its own single-query searcher and chunk-major batch engine. Queries
+// scatter to every shard concurrently and gather through a deterministic
+// merge, so a run-to-completion search returns the exact global k-NN.
+// The simulated cost model is one 2005 machine per shard: a query's
+// Simulated is the max over the shards (they run in parallel) and
+// ChunksRead the sum.
+//
+// One shard is the paper's single machine: its results are
+// byte-identical to the paper's search over one chunk file — same IDs,
+// distances, ChunksRead, Simulated and Exact under every stop rule.
 //
 // Budgets come in two disciplines, selected by
 // SearchOptions.GlobalBudget. By default each stop rule applies per
@@ -28,12 +33,8 @@ import (
 // S×c chunks). With GlobalBudget set, the shards' chunk rankings merge
 // into one global centroid-rank order and the budget is spent once
 // across the fleet — MaxChunks c reads exactly min(c, total) chunks,
-// matching the unsharded Index's quality at the same total bill. See
+// matching the one-shard index's quality at the same total bill. See
 // DESIGN.md §5 and §7.
-//
-// A 1-shard ShardedIndex returns results byte-identical to Index — same
-// IDs, distances, ChunksRead, Simulated and Exact under every stop rule,
-// in both budget disciplines.
 type ShardedIndex struct {
 	router    *shard.Router
 	pageSize  int
@@ -64,8 +65,9 @@ func newShardedIndex(router *shard.Router, pageSize int) *ShardedIndex {
 // BuildSharded forms chunks from the collection with the selected
 // strategy and partitions them across the given number of shards,
 // balanced by padded on-disk chunk bytes (greedy largest-first, fully
-// deterministic). Each shard becomes its own in-memory chunk index.
-// The layout is unreplicated (R=1): a shard lost at serving time makes
+// deterministic). Each shard becomes its own in-memory chunk index, so
+// BuildSharded(coll, cfg, 1) is the paper's single-machine index. The
+// layout is unreplicated (R=1): a shard lost at serving time makes
 // queries over its chunks degrade. BuildReplicated adds replicas.
 func BuildSharded(coll *Collection, cfg BuildConfig, shards int) (*ShardedIndex, error) {
 	return BuildReplicated(coll, cfg, shards, 1, nil)
@@ -125,15 +127,18 @@ func BuildReplicated(coll *Collection, cfg BuildConfig, shards, replication int,
 	return sx, nil
 }
 
-// Save writes the sharded index into dir: one shard-<i>.chunk /
-// shard-<i>.idx pair per shard (primary chunks followed by any replica
-// chunks) plus a manifest, all at the page size the index was built
-// with; replicated indexes additionally write the replica-placement
-// sidecar OpenSharded restores the layout from. Only indexes produced by
-// BuildSharded / BuildReplicated can be saved.
+// Save writes the index into the existing directory dir: one
+// shard-<i>.chunk / shard-<i>.idx pair per shard (primary chunks
+// followed by any replica chunks) plus a manifest, all at the page size
+// the index was built with, so the reopened index has byte-identical
+// chunk layout and simulated timings. A one-shard directory is the
+// paper's chunk file + index file (§4.2) plus the manifest. Replicated
+// indexes additionally write the replica-placement sidecar OpenSharded
+// restores the layout from. Only indexes produced by BuildSharded /
+// BuildReplicated can be saved.
 func (sx *ShardedIndex) Save(dir string) error {
 	if sx.coll == nil || sx.parts == nil {
-		return fmt.Errorf("repro: sharded index was not built in this process; nothing to save")
+		return fmt.Errorf("repro: index was not built in this process; nothing to save")
 	}
 	if err := chunkfile.SaveSharded(sx.coll, sx.parts, dir, sx.pageSize); err != nil {
 		return err
@@ -144,12 +149,19 @@ func (sx *ShardedIndex) Save(dir string) error {
 	return nil
 }
 
-// openSharded maps a sharded index directory previously written by
+// OpenSharded maps an index directory previously written by
 // ShardedIndex.Save, restoring the replica placement when the index was
-// built with replication and fronting the stores with one shared
-// decoded-chunk cache when cfg asks for one. The exported entry points
-// are OpenSharded and OpenShardedWith in cache.go.
-func openSharded(dir string, cfg OpenConfig) (*ShardedIndex, error) {
+// built with replication.
+func OpenSharded(dir string) (*ShardedIndex, error) {
+	return OpenShardedWith(dir, OpenConfig{})
+}
+
+// OpenShardedWith is OpenSharded with options. CacheBytes is one budget
+// shared across the shards' stores (hot shards win it), matching the
+// discipline of BuildConfig.CacheBytes; the per-machine discipline —
+// each shard's own cache, as each simulated machine's own RAM — is
+// available on internal/shard's router directly.
+func OpenShardedWith(dir string, cfg OpenConfig) (*ShardedIndex, error) {
 	stores, manifest, err := chunkfile.OpenSharded(dir)
 	if err != nil {
 		return nil, err
@@ -306,56 +318,13 @@ func (sx *ShardedIndex) SearchInto(q Vector, opts SearchOptions, res *Result) er
 	return nil
 }
 
-// SearchBatchInto runs every query scatter-gather across the shards,
-// writing the merged outcome of queries[qi] into results[qi]. Every
-// shard executes the whole batch on its own chunk-major engine,
-// concurrently with the other shards (with opts.GlobalBudget, one
-// chunk-major engine runs the batch over the merged global chunk order,
-// charging per-shard pipelines); per-query semantics match SearchInto
-// exactly in either discipline. The results array is the caller-owned
-// arena, as in Index.SearchBatchInto.
-func (sx *ShardedIndex) SearchBatchInto(queries []Vector, opts BatchOptions, results []Result) error {
-	return sx.SearchBatchStream(queries, opts, results, nil)
-}
-
-// SearchBatchStream runs the batch like SearchBatchInto and streams
-// per-query completions: done(qi) fires exactly once per query, the
-// moment its last shard retires it with results[qi] holding the fully
-// merged outcome (or, under GlobalBudget, the moment the fleet-wide
-// engine retires it). Callbacks for distinct queries may fire
-// concurrently and must not block. On error, queries whose callback
-// already fired retain valid results; the rest are invalid. A nil done
-// degenerates to SearchBatchInto.
-func (sx *ShardedIndex) SearchBatchStream(queries []Vector, opts BatchOptions, results []Result, done func(query int)) error {
-	run := sx.router.RunBatchStream
-	if opts.GlobalBudget {
-		run = sx.router.RunBatchGlobalStream
-	}
-	return runBatch(&sx.batchPool, run, sx.router.DownShards, queries, opts, results, done)
-}
-
-// SearchBatch runs every query and returns the merged results in query
-// order — the allocating convenience form of SearchBatchInto.
-func (sx *ShardedIndex) SearchBatch(queries []Vector, opts BatchOptions) ([]*Result, error) {
-	if len(queries) == 0 {
-		return nil, nil
-	}
-	backing := make([]Result, len(queries))
-	if err := sx.SearchBatchInto(queries, opts, backing); err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(queries))
-	for i := range backing {
-		out[i] = &backing[i]
-	}
-	return out, nil
-}
-
-// MultiSearch runs a whole-image multi-descriptor query scatter-gather:
-// the bag's per-descriptor searches batch across every shard, merged
-// per-descriptor neighbor lists vote for source images through the same
-// aggregation as Index.MultiSearch, and the per-descriptor chunk budget
-// applies per shard — or once across the fleet with opts.GlobalBudget.
+// MultiSearch implements the paper's §7 follow-up: query with a whole
+// image's bag of local descriptors, aggregate per-descriptor approximate
+// searches into image votes, and return the ranked source images. The
+// bag is a natural batch, so its per-descriptor searches run on the
+// shards' chunk-major batch engines, scatter-gather; the per-descriptor
+// chunk budget applies per shard — or once across the fleet with
+// opts.GlobalBudget.
 func (sx *ShardedIndex) MultiSearch(descriptors []Vector, opts MultiSearchOptions) (*MultiResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err

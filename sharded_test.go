@@ -1,6 +1,9 @@
 package repro
 
 import (
+	"fmt"
+	"os"
+	"slices"
 	"testing"
 	"time"
 )
@@ -20,104 +23,6 @@ func compareResults(t *testing.T, label string, got, want *Result) {
 	for i := range want.Neighbors {
 		if got.Neighbors[i] != want.Neighbors[i] {
 			t.Fatalf("%s rank %d: %+v != %+v", label, i, got.Neighbors[i], want.Neighbors[i])
-		}
-	}
-}
-
-// TestShardedIndexOneShardMatchesIndex pins the facade-level equivalence:
-// a 1-shard ShardedIndex returns byte-identical results to Index under
-// all three stop rules, both in memory and through the on-disk round
-// trip (Save/Open vs ShardedIndex.Save/OpenSharded).
-func TestShardedIndexOneShardMatchesIndex(t *testing.T) {
-	coll := GenerateCollection(6000, 51)
-	cfg := BuildConfig{Strategy: StrategySRTree, ChunkSize: 250}
-	idx, err := Build(coll, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	sx, err := BuildSharded(coll, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sx.Close()
-	if sx.Shards() != 1 || sx.Chunks() != idx.Chunks() || sx.Len() != idx.Len() {
-		t.Fatalf("1-shard shape: shards=%d chunks=%d/%d len=%d/%d",
-			sx.Shards(), sx.Chunks(), idx.Chunks(), sx.Len(), idx.Len())
-	}
-
-	dir := t.TempDir()
-	if err := sx.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	fx, err := OpenSharded(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fx.Close()
-
-	allOpts := []SearchOptions{
-		{K: 20},
-		{K: 20, MaxChunks: 4},
-		{K: 20, MaxTime: 80 * time.Millisecond},
-	}
-	for _, opts := range allOpts {
-		for _, qi := range []int{0, 17, 999, 5999} {
-			q := coll.Vec(qi)
-			want, err := idx.Search(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sx.Search(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareResults(t, "mem", got, want)
-			got, err = fx.Search(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareResults(t, "file", got, want)
-		}
-
-		// Batch path agrees too.
-		queries, err := DatasetQueries(coll, 12, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantBatch := make([]Result, len(queries))
-		gotBatch := make([]Result, len(queries))
-		if err := idx.SearchBatchInto(queries, BatchOptions{SearchOptions: opts}, wantBatch); err != nil {
-			t.Fatal(err)
-		}
-		if err := sx.SearchBatchInto(queries, BatchOptions{SearchOptions: opts}, gotBatch); err != nil {
-			t.Fatal(err)
-		}
-		for qi := range queries {
-			compareResults(t, "batch", &gotBatch[qi], &wantBatch[qi])
-		}
-	}
-
-	// Multi-descriptor queries score images identically through one shard.
-	bag := make([]Vector, 24)
-	for i := range bag {
-		bag[i] = coll.Vec(i * 113)
-	}
-	want, err := idx.MultiSearch(bag, MultiSearchOptions{K: 8, MaxChunks: 3, RankWeighted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sx.MultiSearch(bag, MultiSearchOptions{K: 8, MaxChunks: 3, RankWeighted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Images) != len(want.Images) || got.Simulated != want.Simulated || got.ChunksRead != want.ChunksRead {
-		t.Fatalf("multi: (%d images, sim %v, chunks %d) != (%d, %v, %d)",
-			len(got.Images), got.Simulated, got.ChunksRead, len(want.Images), want.Simulated, want.ChunksRead)
-	}
-	for i := range want.Images {
-		if got.Images[i] != want.Images[i] {
-			t.Fatalf("multi image %d: %+v != %+v", i, got.Images[i], want.Images[i])
 		}
 	}
 }
@@ -152,13 +57,34 @@ func TestShardedIndexCompletionIsExact(t *testing.T) {
 	}
 }
 
-// TestShardedIndexSaveOpenRoundTrip pins the sharded on-disk story: an
-// S-shard index reopened from its manifest serves byte-identical results
-// at the build page size, at every stop rule.
+// TestShardedIndexSaveOpenRoundTrip pins the on-disk story on several
+// shards: an index reopened from its directory serves byte-identical
+// results — IDs, distances, ChunksRead, Simulated, Exact — at every stop
+// rule.
 func TestShardedIndexSaveOpenRoundTrip(t *testing.T) {
+	checkSaveOpenRoundTrip(t, 3, 2048)
+}
+
+// TestSaveOpenRoundTrip pins the single-machine layout: a one-shard
+// directory is exactly the paper's chunk file + index file plus the
+// manifest, and reopens to byte-identical results.
+func TestSaveOpenRoundTrip(t *testing.T) {
+	checkSaveOpenRoundTrip(t, 1, 0)
+}
+
+// TestSaveHonorsBuildPageSize pins that Save writes at the build page
+// size: chunk padding feeds the cost model's transfer term, so a reopened
+// index built at a non-default page size keeps byte-identical Simulated.
+func TestSaveHonorsBuildPageSize(t *testing.T) {
+	for _, pageSize := range []int{2048, 16384} {
+		checkSaveOpenRoundTrip(t, 1, pageSize)
+	}
+}
+
+func checkSaveOpenRoundTrip(t *testing.T, shards, pageSize int) {
+	t.Helper()
 	coll := GenerateCollection(4000, 57)
-	cfg := BuildConfig{Strategy: StrategySRTree, ChunkSize: 180, PageSize: 2048}
-	sx, err := BuildSharded(coll, cfg, 3)
+	sx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 180, PageSize: pageSize}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,16 +93,29 @@ func TestShardedIndexSaveOpenRoundTrip(t *testing.T) {
 	if err := sx.Save(dir); err != nil {
 		t.Fatal(err)
 	}
+	if shards == 1 {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if want := []string{"manifest", "shard-0.chunk", "shard-0.idx"}; !slices.Equal(names, want) {
+			t.Fatalf("one-shard directory holds %v, want %v", names, want)
+		}
+	}
 	fx, err := OpenSharded(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fx.Close()
-	if fx.Shards() != 3 || fx.Chunks() != sx.Chunks() || fx.Len() != sx.Len() {
-		t.Fatalf("reopened shape: shards=%d chunks=%d/%d len=%d/%d",
-			fx.Shards(), fx.Chunks(), sx.Chunks(), fx.Len(), sx.Len())
+	if fx.Shards() != shards || fx.Chunks() != sx.Chunks() || fx.Len() != sx.Len() {
+		t.Fatalf("S=%d page %d reopened shape: shards=%d chunks=%d/%d len=%d/%d",
+			shards, pageSize, fx.Shards(), fx.Chunks(), sx.Chunks(), fx.Len(), sx.Len())
 	}
-	for _, opts := range []SearchOptions{{K: 15}, {K: 15, MaxChunks: 2}} {
+	for _, opts := range []SearchOptions{{K: 15}, {K: 15, MaxChunks: 2}, {K: 15, MaxTime: 80 * time.Millisecond}} {
 		for _, qi := range []int{9, 876, 3999} {
 			q := coll.Vec(qi)
 			want, err := sx.Search(q, opts)
@@ -187,71 +126,25 @@ func TestShardedIndexSaveOpenRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareResults(t, "roundtrip", got, want)
+			compareResults(t, fmt.Sprintf("S=%d page %d roundtrip", shards, pageSize), got, want)
 		}
 	}
 
 	// Only built indexes can be saved.
 	if err := fx.Save(t.TempDir()); err == nil {
-		t.Fatal("saving a file-opened sharded index succeeded")
-	}
-}
-
-// TestSaveHonorsBuildPageSize pins the Save page-size satellite: an index
-// built with a non-default page size writes its files at that page size,
-// so the reopened index has byte-identical simulated timings (chunk
-// padding feeds the cost model's transfer term).
-func TestSaveHonorsBuildPageSize(t *testing.T) {
-	coll := GenerateCollection(3000, 59)
-	for _, pageSize := range []int{0, 2048, 16384} {
-		idx, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 150, PageSize: pageSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir := t.TempDir()
-		cp, ip := dir+"/x.chunk", dir+"/x.idx"
-		if err := idx.Save(cp, ip); err != nil {
-			t.Fatal(err)
-		}
-		reopened, err := Open(cp, ip)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, qi := range []int{1, 500, 2999} {
-			q := coll.Vec(qi)
-			want, err := idx.Search(q, SearchOptions{K: 10, MaxChunks: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := reopened.Search(q, SearchOptions{K: 10, MaxChunks: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Simulated != want.Simulated {
-				t.Fatalf("page %d q%d: reopened Simulated %v != built %v",
-					pageSize, qi, got.Simulated, want.Simulated)
-			}
-			compareResults(t, "pagesize", got, want)
-		}
-		reopened.Close()
-		idx.Close()
+		t.Fatal("saving a file-opened index succeeded")
 	}
 }
 
 // TestShardedIndexGlobalBudget pins the facade's GlobalBudget option:
 // on S shards a global MaxChunks budget reads exactly that many chunks
-// in total and returns the unsharded Index's neighbors at the same
-// budget (the closed S× gap); on 1 shard the discipline is byte-identical
-// to Index including Simulated; the batch and multi-descriptor paths
-// agree with the single-query path.
+// in total and returns the one-shard index's neighbors at the same
+// budget (the closed S× gap); on 1 shard the global discipline is
+// byte-identical to the per-shard one including Simulated; the batch and
+// multi-descriptor paths agree with the single-query path.
 func TestShardedIndexGlobalBudget(t *testing.T) {
 	coll := GenerateCollection(6000, 61)
 	cfg := BuildConfig{Strategy: StrategySRTree, ChunkSize: 250}
-	idx, err := Build(coll, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
 	sx, err := BuildSharded(coll, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -264,12 +157,12 @@ func TestShardedIndexGlobalBudget(t *testing.T) {
 	defer one.Close()
 
 	// Matched total budget: global on 4 shards reads exactly B chunks and
-	// matches the unsharded neighbors; per-shard at the same per-shard
+	// matches the one-shard neighbors; per-shard at the same per-shard
 	// budget reads 4× the chunks.
 	for _, budget := range []int{2, 5, 12} {
 		for _, qi := range []int{9, 640, 5999} {
 			q := coll.Vec(qi)
-			want, err := idx.Search(q, SearchOptions{K: 20, MaxChunks: budget})
+			want, err := one.Search(q, SearchOptions{K: 20, MaxChunks: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,7 +178,7 @@ func TestShardedIndexGlobalBudget(t *testing.T) {
 			}
 			for i := range want.Neighbors {
 				if got.Neighbors[i] != want.Neighbors[i] {
-					t.Fatalf("global budget %d q%d rank %d: %+v != unsharded %+v",
+					t.Fatalf("global budget %d q%d rank %d: %+v != one-shard %+v",
 						budget, qi, i, got.Neighbors[i], want.Neighbors[i])
 				}
 			}
@@ -316,8 +209,8 @@ func TestShardedIndexGlobalBudget(t *testing.T) {
 		}
 	}
 
-	// One shard: GlobalBudget is byte-identical to Index, Simulated
-	// included, under all three stop rules.
+	// One shard: GlobalBudget is byte-identical to the per-shard
+	// discipline, Simulated included, under all three stop rules.
 	for _, opts := range []SearchOptions{
 		{K: 20, GlobalBudget: true},
 		{K: 20, MaxChunks: 4, GlobalBudget: true},
@@ -327,7 +220,7 @@ func TestShardedIndexGlobalBudget(t *testing.T) {
 		plain.GlobalBudget = false
 		for _, qi := range []int{17, 999} {
 			q := coll.Vec(qi)
-			want, err := idx.Search(q, plain)
+			want, err := one.Search(q, plain)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,13 +251,13 @@ func TestShardedIndexGlobalBudget(t *testing.T) {
 	}
 
 	// Multi-descriptor global budget: the per-descriptor global searches
-	// read the same chunks the unsharded index would, so image scores and
-	// chunk totals match Index.MultiSearch.
+	// read the same chunks the one-shard index would, so image scores and
+	// chunk totals match the one-shard MultiSearch.
 	mbag := make([]Vector, 20)
 	for i := range mbag {
 		mbag[i] = coll.Vec(i * 131)
 	}
-	wantMulti, err := idx.MultiSearch(mbag, MultiSearchOptions{K: 8, MaxChunks: 3, RankWeighted: true})
+	wantMulti, err := one.MultiSearch(mbag, MultiSearchOptions{K: 8, MaxChunks: 3, RankWeighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,22 +6,28 @@ import (
 	"time"
 )
 
+// validationIndexes builds a one-shard and a two-shard index over coll.
+func validationIndexes(t *testing.T, coll *Collection) []*ShardedIndex {
+	t.Helper()
+	var out []*ShardedIndex
+	for _, shards := range []int{1, 2} {
+		sx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sx.Close() })
+		out = append(out, sx)
+	}
+	return out
+}
+
 // TestSearchOptionsValidation pins the facade boundary's option
 // validation: malformed options are reported as diagnostic errors from
-// every search entry point — unsharded and sharded, single, batch, and
+// every search entry point — one shard and several, single, batch, and
 // multi-descriptor — instead of being silently clamped.
 func TestSearchOptionsValidation(t *testing.T) {
 	coll := GenerateCollection(800, 7)
-	ix, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	sx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sx.Close()
+	indexes := validationIndexes(t, coll)
 	q := coll.Vec(0)
 
 	bad := []struct {
@@ -36,59 +42,45 @@ func TestSearchOptionsValidation(t *testing.T) {
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
-			entry := []struct {
-				name string
-				call func() error
-			}{
-				{"Index.Search", func() error { _, err := ix.Search(q, tc.opts); return err }},
-				{"Index.SearchInto", func() error { var r Result; return ix.SearchInto(q, tc.opts, &r) }},
-				{"Index.SearchBatchInto", func() error {
-					res := make([]Result, 1)
-					return ix.SearchBatchInto([]Vector{q}, BatchOptions{SearchOptions: tc.opts}, res)
-				}},
-				{"ShardedIndex.Search", func() error { _, err := sx.Search(q, tc.opts); return err }},
-				{"ShardedIndex.SearchInto", func() error { var r Result; return sx.SearchInto(q, tc.opts, &r) }},
-				{"ShardedIndex.SearchBatchInto", func() error {
-					res := make([]Result, 1)
-					return sx.SearchBatchInto([]Vector{q}, BatchOptions{SearchOptions: tc.opts}, res)
-				}},
-			}
-			for _, e := range entry {
-				err := e.call()
-				if err == nil {
-					t.Errorf("%s(%+v) = nil, want error containing %q", e.name, tc.opts, tc.want)
-					continue
+			for _, sx := range indexes {
+				entry := []struct {
+					name string
+					call func() error
+				}{
+					{"Search", func() error { _, err := sx.Search(q, tc.opts); return err }},
+					{"SearchInto", func() error { var r Result; return sx.SearchInto(q, tc.opts, &r) }},
+					{"SearchBatchInto", func() error {
+						res := make([]Result, 1)
+						return sx.SearchBatchInto([]Vector{q}, BatchOptions{SearchOptions: tc.opts}, res)
+					}},
 				}
-				if !strings.Contains(err.Error(), tc.want) {
-					t.Errorf("%s(%+v) = %q, want substring %q", e.name, tc.opts, err, tc.want)
+				for _, e := range entry {
+					err := e.call()
+					if err == nil {
+						t.Errorf("%d shards %s(%+v) = nil, want error containing %q", sx.Shards(), e.name, tc.opts, tc.want)
+						continue
+					}
+					if !strings.Contains(err.Error(), tc.want) {
+						t.Errorf("%d shards %s(%+v) = %q, want substring %q", sx.Shards(), e.name, tc.opts, err, tc.want)
+					}
 				}
 			}
 		})
 	}
 
 	// Zero values are the documented defaults, not errors.
-	if _, err := ix.Search(q, SearchOptions{}); err != nil {
-		t.Errorf("Index.Search with zero options: %v", err)
-	}
-	if _, err := sx.Search(q, SearchOptions{}); err != nil {
-		t.Errorf("ShardedIndex.Search with zero options: %v", err)
+	for _, sx := range indexes {
+		if _, err := sx.Search(q, SearchOptions{}); err != nil {
+			t.Errorf("%d shards Search with zero options: %v", sx.Shards(), err)
+		}
 	}
 }
 
 // TestMultiSearchOptionsValidation does the same for the
-// multi-descriptor entry points.
+// multi-descriptor entry point.
 func TestMultiSearchOptionsValidation(t *testing.T) {
 	coll := GenerateCollection(800, 9)
-	ix, err := Build(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	sx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sx.Close()
+	indexes := validationIndexes(t, coll)
 	ds := []Vector{coll.Vec(0), coll.Vec(1)}
 
 	bad := []struct {
@@ -101,15 +93,16 @@ func TestMultiSearchOptionsValidation(t *testing.T) {
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ix.MultiSearch(ds, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Index.MultiSearch(%+v) = %v, want substring %q", tc.opts, err, tc.want)
-			}
-			if _, err := sx.MultiSearch(ds, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("ShardedIndex.MultiSearch(%+v) = %v, want substring %q", tc.opts, err, tc.want)
+			for _, sx := range indexes {
+				if _, err := sx.MultiSearch(ds, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%d shards MultiSearch(%+v) = %v, want substring %q", sx.Shards(), tc.opts, err, tc.want)
+				}
 			}
 		})
 	}
-	if _, err := ix.MultiSearch(ds, MultiSearchOptions{}); err != nil {
-		t.Errorf("Index.MultiSearch with zero options: %v", err)
+	for _, sx := range indexes {
+		if _, err := sx.MultiSearch(ds, MultiSearchOptions{}); err != nil {
+			t.Errorf("%d shards MultiSearch with zero options: %v", sx.Shards(), err)
+		}
 	}
 }
