@@ -120,48 +120,52 @@ func TestSearchBatchIntoMatchesSearch(t *testing.T) {
 }
 
 // TestSearchBatchIntoZeroAlloc pins the zero-allocation contract of the
-// one-shard index at the facade: recycling one Result across single
-// queries (SearchInto) and one results array across batches
-// (SearchBatchInto) performs no allocations per call in steady state.
+// facade on one and four shards, under both budget disciplines:
+// recycling one Result across single queries (SearchInto) and one results
+// array across batches (SearchBatchInto) performs no allocations per call
+// in steady state.
 func TestSearchBatchIntoZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	coll := GenerateCollection(6000, 22)
-	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
 	queries, err := DatasetQueries(coll, 32, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := SearchOptions{K: 15, MaxChunks: 5}
-
-	var res Result
-	search := func() {
-		if err := idx.SearchInto(queries[0], opts, &res); err != nil {
+	for _, shards := range []int{1, 4} {
+		idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, shards)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	results := make([]Result, len(queries))
-	batch := func() {
-		if err := idx.SearchBatchInto(queries, BatchOptions{SearchOptions: opts}, results); err != nil {
-			t.Fatal(err)
+		defer idx.Close()
+		for _, global := range []bool{false, true} {
+			opts := SearchOptions{K: 15, MaxChunks: 5, GlobalBudget: global}
+			var res Result
+			search := func() {
+				if err := idx.SearchInto(queries[0], opts, &res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			results := make([]Result, len(queries))
+			batch := func() {
+				if err := idx.SearchBatchInto(queries, BatchOptions{SearchOptions: opts}, results); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ { // warm up pools, arenas and neighbor slices
+				search()
+				batch()
+			}
+			if allocs := testing.AllocsPerRun(50, search); allocs != 0 {
+				t.Errorf("%d shards, global %v: steady-state SearchInto allocates %v per query, want 0", shards, global, allocs)
+			}
+			if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
+				t.Errorf("%d shards, global %v: steady-state SearchBatchInto allocates %v per batch, want 0", shards, global, allocs)
+			}
+			if len(res.Neighbors) != 15 || len(results[0].Neighbors) != 15 {
+				t.Fatalf("neighbors = %d / %d", len(res.Neighbors), len(results[0].Neighbors))
+			}
 		}
-	}
-	for i := 0; i < 3; i++ { // warm up pools, arenas and neighbor slices
-		search()
-		batch()
-	}
-	if allocs := testing.AllocsPerRun(50, search); allocs != 0 {
-		t.Fatalf("steady-state SearchInto allocates %v per query, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
-		t.Fatalf("steady-state SearchBatchInto allocates %v per batch, want 0", allocs)
-	}
-	if len(res.Neighbors) != 15 || len(results[0].Neighbors) != 15 {
-		t.Fatalf("neighbors = %d / %d", len(res.Neighbors), len(results[0].Neighbors))
 	}
 }

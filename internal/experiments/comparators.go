@@ -16,7 +16,6 @@ import (
 	"repro/internal/search/batchexec"
 	"repro/internal/shard"
 	"repro/internal/vafile"
-	"repro/internal/workload"
 )
 
 // ComparatorRow is one (method, parameter) point of the related-work
@@ -70,7 +69,7 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 	eng := batchexec.New(g.SRStore, model)
 	chunkResults := make([]search.Result, len(queries))
 	for _, budget := range []int{1, 2, 5, 10, 20} {
-		err := workload.Run(eng, queries, batchexec.Options{
+		err := eng.Run(queries, batchexec.Options{
 			K: k, Stop: search.ChunkBudget(budget), Overlap: true,
 		}, chunkResults)
 		if err != nil {
@@ -110,7 +109,7 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 		return nil, err
 	}
 	for _, budget := range []int{1, 2, 5} {
-		err := workload.RunSharded(router, queries, batchexec.Options{
+		err := router.RunBatch(queries, batchexec.Options{
 			K: k, Stop: search.ChunkBudget(budget), Overlap: true,
 		}, chunkResults)
 		if err != nil {
@@ -140,7 +139,7 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 	// budget 4b pays the same bill for the *globally* best chunks.
 	lab.Cfg.logf("comparators: sharded chunk search (global budget)...")
 	for _, budget := range []int{4, 8, 20} {
-		err := workload.RunShardedGlobal(router, queries, batchexec.Options{
+		err := router.RunBatchGlobal(queries, batchexec.Options{
 			K: k, Stop: search.ChunkBudget(budget), Overlap: true,
 		}, chunkResults)
 		if err != nil {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/descriptor"
 	"repro/internal/imagegen"
 	"repro/internal/scan"
-	"repro/internal/search"
 	"repro/internal/simdisk"
 	"repro/internal/srtree"
 	"repro/internal/vec"
@@ -249,9 +248,4 @@ func (l *Lab) Strategies(gi int) []Strategy {
 		{"BAG", g.BagStore},
 		{"SR", g.SRStore},
 	}
-}
-
-// searcher builds a Searcher with the lab's model.
-func (l *Lab) searcher(store chunkfile.Store) *search.Searcher {
-	return search.New(store, l.Model)
 }

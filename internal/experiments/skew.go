@@ -92,7 +92,7 @@ func Skew(lab *Lab) (*SkewResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			err = workload.RunSharded(router, queries, batchexec.Options{
+			err = router.RunBatch(queries, batchexec.Options{
 				K: lab.Cfg.K, Stop: search.ChunkBudget(5), Overlap: lab.Cfg.Overlap,
 			}, results)
 			if err != nil {

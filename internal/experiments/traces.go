@@ -22,7 +22,7 @@ import (
 // per-(query, chunk) trace hook: every chunk wanted by several queries
 // is decoded once instead of once per query, which is what makes the
 // full experiment grid tolerable, while each query's event stream is
-// byte-identical to the single-query path's. Events of one query arrive
+// byte-identical to a run of that query alone. Events of one query arrive
 // in its rank order; events of distinct queries may arrive concurrently,
 // so the hook only ever touches that query's own trace.
 func (l *Lab) runTraces(store chunkfile.Store, queries []vec.Vector, gt *scan.GroundTruth) ([]metrics.QueryTrace, error) {

@@ -8,27 +8,21 @@
 // This is the standard voting scheme for local-descriptor recognition
 // (Schmid & Mohr 1997), layered on the chunk-search substrate so the
 // quality/time stop rules apply per descriptor. The bag of descriptors is
-// a natural batch against one store, so the per-descriptor searches run
-// through the chunk-major batch engine: every chunk wanted by several
-// descriptors this round is decoded once and scanned while hot, and the
-// per-descriptor results live in a pooled arena instead of one allocated
-// Result per descriptor. Per-descriptor stop-rule and simulated-timing
-// semantics are unchanged (the engine charges each descriptor's pipeline
-// exactly the chunks it consumed, in its own rank order).
+// a natural batch, so the shard router (shard.Router.MultiQuery) runs the
+// per-descriptor searches as one batch on the chunk-major engines — every
+// chunk wanted by several descriptors is decoded once and scanned while
+// hot — and this package supplies the options and the vote (Aggregate).
+// Per-descriptor stop-rule and simulated-timing semantics are unchanged
+// (the engine charges each descriptor's pipeline exactly the chunks it
+// consumed, in its own rank order).
 package multiquery
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/chunkfile"
 	"repro/internal/search"
-	"repro/internal/search/batchexec"
-	"repro/internal/vec"
 )
 
 // Options controls one multi-descriptor query.
@@ -78,71 +72,12 @@ type Result struct {
 	Degraded bool
 }
 
-// Searcher runs multi-descriptor queries against one chunk store. It is
-// safe for concurrent use.
-type Searcher struct {
-	eng  *batchexec.Engine
-	pool sync.Pool // *[]search.Result: per-descriptor result arena
-}
-
-// New wraps a chunk store in a fresh batch engine.
-func New(store chunkfile.Store) *Searcher {
-	return NewWithEngine(batchexec.New(store, nil))
-}
-
-// NewWithEngine builds a Searcher over an existing batch engine, sharing
-// its arenas with other batch users of the same store.
-func NewWithEngine(eng *batchexec.Engine) *Searcher {
-	s := &Searcher{eng: eng}
-	s.pool.New = func() any {
-		r := []search.Result(nil)
-		return &r
-	}
-	return s
-}
-
-// Query searches every descriptor of the query image as one batch and
-// aggregates votes by source image.
-func (s *Searcher) Query(descriptors []vec.Vector, opts Options) (*Result, error) {
-	if len(descriptors) == 0 {
-		return nil, fmt.Errorf("multiquery: no query descriptors")
-	}
-	if opts.K <= 0 {
-		opts.K = 10
-	}
-	if opts.Stop == nil {
-		opts.Stop = search.ChunkBudget(3)
-	}
-
-	rp := s.pool.Get().(*[]search.Result)
-	defer s.pool.Put(rp)
-	if cap(*rp) < len(descriptors) {
-		*rp = make([]search.Result, len(descriptors))
-	}
-	results := (*rp)[:len(descriptors)]
-	err := s.eng.Run(descriptors, batchexec.Options{
-		K:       opts.K,
-		Stop:    opts.Stop,
-		Overlap: opts.Overlap,
-		Ctx:     opts.Ctx,
-	}, results)
-	if err != nil {
-		var qe *batchexec.QueryError
-		if errors.As(err, &qe) {
-			return nil, fmt.Errorf("multiquery: descriptor %d: %w", qe.Query, qe.Err)
-		}
-		return nil, fmt.Errorf("multiquery: %w", err)
-	}
-	return Aggregate(results, opts), nil
-}
-
 // Aggregate folds per-descriptor search outcomes into the image-vote
 // result: one (possibly rank-weighted) vote per (descriptor, image) pair,
 // images ranked by descending score. It is the single voting
-// implementation shared by the single-store Searcher and the sharded
-// router, so a sharded multi-descriptor query scores images exactly as an
-// unsharded one does. Only RankWeighted and MinVotes are consulted from
-// opts (K and Stop already shaped the results).
+// implementation, so a sharded multi-descriptor query scores images
+// exactly as an unsharded one does. Only RankWeighted and MinVotes are
+// consulted from opts (K and Stop already shaped the results).
 func Aggregate(results []search.Result, opts Options) *Result {
 	type tally struct {
 		score   float64

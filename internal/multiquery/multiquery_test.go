@@ -1,4 +1,4 @@
-package multiquery
+package multiquery_test
 
 import (
 	"math/rand"
@@ -6,14 +6,18 @@ import (
 
 	"repro/internal/chunkfile"
 	"repro/internal/imagegen"
+	. "repro/internal/multiquery"
 	"repro/internal/search"
+	"repro/internal/shard"
 	"repro/internal/srtree"
 	"repro/internal/vec"
 )
 
+// fixture serves one store through a one-shard router, which runs a bag
+// as one batch and votes through Aggregate.
 type fixture struct {
-	ds    *imagegen.Dataset
-	store *chunkfile.MemStore
+	ds     *imagegen.Dataset
+	router *shard.Router
 }
 
 func setup(t testing.TB) *fixture {
@@ -23,7 +27,12 @@ func setup(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{ds: ds, store: chunkfile.NewMemStore(ds.Collection, tree.Chunks(), 4096)}
+	store := chunkfile.NewMemStore(ds.Collection, tree.Chunks(), 4096)
+	r, err := shard.NewRouter([]chunkfile.Store{store}, nil, nil, shard.RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &fixture{ds: ds, router: r}
 }
 
 // imageDescriptors returns the vectors of one source image.
@@ -41,13 +50,12 @@ func (f *fixture) imageDescriptors(img uint32) []vec.Vector {
 // Querying with an image's own descriptors must rank that image first.
 func TestSelfImageRanksFirst(t *testing.T) {
 	f := setup(t)
-	s := New(f.store)
 	for _, img := range []uint32{5, 33, 60} {
 		qs := f.imageDescriptors(img)
 		if len(qs) == 0 {
 			t.Fatalf("image %d has no descriptors", img)
 		}
-		res, err := s.Query(qs, Options{})
+		res, err := f.router.MultiQuery(qs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +75,6 @@ func TestSelfImageRanksFirst(t *testing.T) {
 // image first.
 func TestPerturbedCopyFound(t *testing.T) {
 	f := setup(t)
-	s := New(f.store)
 	const img = 21
 	r := rand.New(rand.NewSource(2))
 	var qs []vec.Vector
@@ -78,7 +85,7 @@ func TestPerturbedCopyFound(t *testing.T) {
 		}
 		qs = append(qs, p)
 	}
-	res, err := s.Query(qs, Options{RankWeighted: true})
+	res, err := f.router.MultiQuery(qs, Options{RankWeighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +96,8 @@ func TestPerturbedCopyFound(t *testing.T) {
 
 func TestScoresDescendAndMinVotes(t *testing.T) {
 	f := setup(t)
-	s := New(f.store)
 	qs := f.imageDescriptors(8)
-	res, err := s.Query(qs, Options{})
+	res, err := f.router.MultiQuery(qs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +107,7 @@ func TestScoresDescendAndMinVotes(t *testing.T) {
 		}
 	}
 	top := res.Images[0].Score
-	filtered, err := s.Query(qs, Options{MinVotes: top})
+	filtered, err := f.router.MultiQuery(qs, Options{MinVotes: top})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,17 +118,15 @@ func TestScoresDescendAndMinVotes(t *testing.T) {
 
 func TestEmptyQueryRejected(t *testing.T) {
 	f := setup(t)
-	s := New(f.store)
-	if _, err := s.Query(nil, Options{}); err == nil {
+	if _, err := f.router.MultiQuery(nil, Options{}); err == nil {
 		t.Fatal("empty query accepted")
 	}
 }
 
 func TestBudgetAccounting(t *testing.T) {
 	f := setup(t)
-	s := New(f.store)
 	qs := f.imageDescriptors(12)[:4]
-	res, err := s.Query(qs, Options{Stop: search.ChunkBudget(2)})
+	res, err := f.router.MultiQuery(qs, Options{Stop: search.ChunkBudget(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +140,11 @@ func TestBudgetAccounting(t *testing.T) {
 
 func BenchmarkMultiQuery(b *testing.B) {
 	f := setup(b)
-	s := New(f.store)
 	qs := f.imageDescriptors(7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Query(qs, Options{}); err != nil {
+		if _, err := f.router.MultiQuery(qs, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package batchexec
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -42,8 +43,13 @@ type chunkTask struct {
 // subscribe registers query state si as waiting for chunk c and queues
 // the chunk's task unless it is already queued or running (in which case
 // the finishing processor will pick the subscription up as part of the
-// next wave).
+// next wave). A lone query has no wave to join: it just names its next
+// chunk for run's lone loop.
 func (a *arena) subscribe(c int, si int32) {
+	if a.lone {
+		a.next = c
+		return
+	}
 	t := &a.tasks[c]
 	t.mu.Lock()
 	t.subs = append(t.subs, si)
@@ -142,8 +148,7 @@ func (a *arena) processTask(ws *workerScratch, c int32) {
 // recording the cancellation against the given query on first
 // observation. Checked before every chunk decode, so after a
 // cancellation each live query stops within one chunk charge per
-// pipeline — the same granularity as the single-query path's per-chunk
-// ctx check.
+// pipeline.
 func (a *arena) aborted(state int32) bool {
 	if a.failed.Load() {
 		return true
@@ -157,11 +162,55 @@ func (a *arena) aborted(state int32) bool {
 	return false
 }
 
-// run executes the batch on the work queue: start every query's walk,
-// seed their first subscriptions, drain the overflow the seeding produced,
-// then wait out the tasks in flight on the pool.
-func (a *arena) run(queries []vec.Vector, results []search.Result, workers int) error {
+// run executes the batch: start every query's walk, then step them on
+// the work queue (runQueue) — or, for a lone query, right here on the
+// calling goroutine: one walk wants one chunk at a time, so there is no
+// wave to share a read with and nothing a pool hand-off would buy. Each
+// lone step names the next chunk through subscribe, the cancellation
+// check precedes every read, as on the queue, and the query retires here
+// once its loop ends. Retiring here rather than in processChunk keeps the
+// lone path's call chain short: the shard router runs each shard's point
+// query on a fresh goroutine, whose small initial stack a deeper chain
+// would grow on every query.
+func (a *arena) run(queries []vec.Vector, results []search.Result, parallelism int) error {
 	chunks := len(a.store.Meta())
+	for qi := range queries {
+		st := &a.states[qi]
+		st.Query, st.q, st.res = qi, queries[qi], &results[qi]
+		st.Reset(&a.plan, st.q, st.res)
+	}
+	a.lone = len(queries) == 1
+	switch {
+	case chunks == 0:
+		for qi := range a.states {
+			a.retire(&a.states[qi])
+		}
+	case a.lone:
+		lone := [1]int32{0}
+		for a.next = a.states[0].Next(); a.next >= 0 && !a.aborted(0); {
+			c := a.next
+			a.next = -1
+			a.processChunk(&a.coord, c, lone[:])
+		}
+		if !a.failed.Load() {
+			a.retire(&a.states[0])
+		}
+	default:
+		if parallelism <= 0 {
+			parallelism = runtime.GOMAXPROCS(0)
+		}
+		a.runQueue(chunks, parallelism)
+	}
+	if a.failed.Load() {
+		return &QueryError{Query: int(a.errState), Err: a.err}
+	}
+	return nil
+}
+
+// runQueue executes the batch on the work queue: seed every walk's first
+// subscription, drain the overflow the seeding produced, then wait out
+// the tasks in flight on the pool.
+func (a *arena) runQueue(chunks, workers int) {
 	if cap(a.tasks) < chunks {
 		// Fresh allocation, never a copy: chunkTask holds a mutex. The
 		// store's chunk count is fixed, so per-engine this happens once.
@@ -184,20 +233,11 @@ func (a *arena) run(queries []vec.Vector, results []search.Result, workers int) 
 		ensurePool()
 	}
 
-	for qi := range queries {
-		st := &a.states[qi]
-		st.Query, st.q, st.res = qi, queries[qi], &results[qi]
-		st.Reset(&a.plan, st.q, st.res)
-	}
-	// Subscribe only once every walk is ranked: pool workers start on the
-	// first ready chunk, and a wave formed while the coordinator is still
-	// ranking shares its read with fewer queries.
-	for qi := range queries {
-		if st := &a.states[qi]; chunks > 0 {
-			a.subscribe(st.Next(), int32(qi))
-		} else {
-			a.retire(st)
-		}
+	// Subscribe only once every walk is ranked (run did that): pool
+	// workers start on the first ready chunk, and a wave formed while the
+	// coordinator is still ranking shares its read with fewer queries.
+	for qi := range a.states {
+		a.subscribe(a.states[qi].Next(), int32(qi))
 	}
 	for {
 		c, ok := a.popReady()
@@ -207,8 +247,4 @@ func (a *arena) run(queries []vec.Vector, results []search.Result, workers int) 
 		a.runTask(&a.coord, c)
 	}
 	a.wg.Wait()
-	if a.failed.Load() {
-		return &QueryError{Query: int(a.errState), Err: a.err}
-	}
-	return nil
 }

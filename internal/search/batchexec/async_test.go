@@ -71,25 +71,22 @@ func recordEvent(ev search.Event) traceRec {
 	return r
 }
 
-// TestBatchTraceMatchesSingleQuery pins the batch trace hook against the
-// single-query path: for every query, the engine emits the same events
-// (ordinal, chunk, chunk count, simulated elapsed, and the evolving
-// neighbor set) in the same rank order, inline and in parallel — events
+// TestBatchTraceMatchesSingleQuery pins the trace hook against batches of
+// one: for every query, a batch emits the same events (ordinal, chunk,
+// chunk count, simulated elapsed, and the evolving neighbor set) in the
+// same rank order as the query run alone, inline and in parallel — events
 // of one query are ordered even when queries interleave.
 func TestBatchTraceMatchesSingleQuery(t *testing.T) {
 	mem, _, queries := buildStores(t)
 	queries = queries[:16]
-	searcher := search.New(mem, nil)
 	eng := New(mem, nil)
 	stop := search.ChunkBudget(5)
 
 	want := make([][]traceRec, len(queries))
-	for qi, q := range queries {
-		if _, err := searcher.Search(q, search.Options{K: 10, Stop: stop, Trace: func(ev search.Event) {
+	for qi := range queries {
+		runEach(t, eng, queries[qi:qi+1], Options{K: 10, Stop: stop, Trace: func(_ int, ev search.Event) {
 			want[qi] = append(want[qi], recordEvent(ev))
-		}}); err != nil {
-			t.Fatal(err)
-		}
+		}})
 	}
 
 	for _, par := range []int{1, 0} {
@@ -208,24 +205,17 @@ func TestBatchStragglerStreams(t *testing.T) {
 	// subscribe to it.
 	eng := New(mem, nil)
 	want := make([]search.Result, len(queries))
-	if err := eng.Run(queries, Options{K: 10, Stop: stop}, want); err != nil {
+	reads := make([][]int, len(queries))
+	if err := eng.Run(queries, Options{K: 10, Stop: stop, Parallelism: 1, Trace: func(qi int, ev search.Event) {
+		reads[qi] = append(reads[qi], ev.ChunkIndex)
+	}}, want); err != nil {
 		t.Fatal(err)
 	}
-	searcher := search.New(mem, nil)
-	straggler := -1 // first chunk of query 0's rank order: guaranteed subscribed
+	straggler := reads[0][0] // first chunk of query 0's rank order: guaranteed subscribed
 	blocked := make([]bool, len(queries))
 	nBlocked := 0
-	for qi, q := range queries {
-		reads := []int{}
-		if _, err := searcher.Search(q, search.Options{K: 10, Stop: stop, Trace: func(ev search.Event) {
-			reads = append(reads, ev.ChunkIndex)
-		}}); err != nil {
-			t.Fatal(err)
-		}
-		if qi == 0 {
-			straggler = reads[0]
-		}
-		for _, c := range reads {
+	for qi := range queries {
+		for _, c := range reads[qi] {
 			if c == straggler {
 				blocked[qi] = true
 				nBlocked++

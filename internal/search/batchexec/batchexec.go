@@ -1,14 +1,15 @@
-// Package batchexec is the chunk-major batch execution engine for
-// whole-workload searches (the paper runs 1,000-query workloads, §5.3).
+// Package batchexec is the query engine: the one driver of search.Walk,
+// for whole workloads (the paper runs 1,000-query workloads, §5.3) and
+// for point queries alike — a point query is a batch of one.
 //
-// The single-query path in package search is query-major: each query
-// ranks the chunks, then reads and scans them in its own rank order. Run
-// naively over a workload, the same chunk is read, decoded and streamed
-// through the cache once per query that wants it. This engine inverts
-// the loops chunk-major: every distinct chunk wanted by at least one
-// live query becomes a decode task, read and decoded once per subscriber
-// wave, then scanned against all of its subscribers back to back while
-// its descriptors are hot in cache (the filling-heap queries share one
+// The paper's algorithm is query-major: each query ranks the chunks, then
+// reads and scans them in its own rank order. Run naively over a
+// workload, the same chunk is read, decoded and streamed through the
+// cache once per query that wants it. This engine inverts the loops
+// chunk-major: every distinct chunk wanted by at least one live query
+// becomes a decode task, read and decoded once per subscriber wave, then
+// scanned against all of its subscribers back to back while its
+// descriptors are hot in cache (the filling-heap queries share one
 // vec.SquaredDistancesMulti kernel call per row block; on SIMD backends
 // the full-heap queries fold into the same call — see scanGroup).
 //
@@ -16,19 +17,21 @@
 // query subscribes to the one chunk its rank order wants next; a chunk's
 // task is queued when it gains its first subscriber, and a worker that
 // pops it scans the chunk for every subscriber of that wave, takes each
-// subscriber's walk one step (search.Walk — the same per-(query, chunk)
-// step the single-query path takes: charge, stop rule, certificate), and
-// either retires the query (streaming its completion, see RunStream) or
-// subscribes it to its next chunk. No barrier exists anywhere: a query's
-// progress is never gated on chunks it does not want, so a straggler
-// chunk delays exactly its own subscribers.
+// subscriber's walk one step (search.Walk — the per-(query, chunk) step:
+// charge, stop rule, certificate), and either retires the query
+// (streaming its completion, see RunStream) or subscribes it to its next
+// chunk. No barrier exists anywhere: a query's progress is never gated on
+// chunks it does not want, so a straggler chunk delays exactly its own
+// subscribers. A run of one query wants one chunk at a time, so it runs
+// inline on the calling goroutine whatever the parallelism.
 //
-// Per-query semantics are those of the single-query path by construction
-// — both drive the same search.Walk — and the equivalence tests pin it:
+// A query's outcome does not depend on which queries share its run — a
+// batch of N is byte-identical to N batches of one — and the equivalence
+// tests pin it:
 //
 //   - Each query processes chunks in its own rank order (RankChunks), so
-//     neighbor sets, ChunksRead and the Exact flag match the single-query
-//     path exactly.
+//     neighbor sets, ChunksRead and the Exact flag do not depend on the
+//     batch.
 //   - Simulated timing is per query: every walk owns its simdisk
 //     pipelines, charged with exactly the chunks it consumed, in its rank
 //     order. Batch code must never share or wall-aggregate simulated time
@@ -74,18 +77,18 @@ type Options struct {
 	// Model overrides the engine's cost model for this run.
 	Model   *simdisk.Model
 	Overlap bool // overlap I/O with CPU in each query's simulated pipeline
-	// Parallelism caps the concurrency of this run: <=0 means GOMAXPROCS,
-	// 1 runs entirely on the calling goroutine.
+	// Parallelism caps the concurrency of a run of two or more queries:
+	// <=0 means GOMAXPROCS, 1 runs entirely on the calling goroutine. A
+	// run of one query always runs on the calling goroutine.
 	Parallelism int
 	// Trace, when non-nil, receives one search.Event per (query,
-	// processed chunk), exactly as the single-query path's Options.Trace
-	// would deliver it: Ordinal is the chunk's 1-based position in the
+	// processed chunk): Ordinal is the chunk's 1-based position in the
 	// query's rank order, Elapsed the query's simulated time including
 	// that chunk, Neighbors the current k-NN set (reused between that
 	// query's events; do not retain). Events of one query arrive in its
 	// rank order; events of distinct queries may arrive concurrently, so
 	// the callback must be safe for concurrent use. Skipped (unavailable)
-	// chunks emit no event, matching the single-query path.
+	// chunks emit no event.
 	Trace func(query int, ev search.Event)
 	// Ctx, when non-nil, cancels the run: it is consulted before every
 	// chunk decode task, so each live query stops within one chunk charge
@@ -162,7 +165,7 @@ type queryState struct {
 // coordinator's lives in the arena.
 type workerScratch struct {
 	data  chunkfile.Data
-	d2    []float64 // single-query scan buffer (ScanChunk)
+	d2    []float64 // one-query scan buffer (ScanChunk)
 	fill  []int32   // states of this wave scanned through the Multi kernel
 	qflat []float32 // gathered Multi queries, Q × dims
 	out   []float64 // SquaredDistancesMulti block output
@@ -183,7 +186,10 @@ type arena struct {
 	states []queryState
 	coord  workerScratch
 
-	// Scheduler state (async.go).
+	// Scheduler state (async.go). A lone query (a run of one) bypasses the
+	// queue: subscribing it only names its next chunk.
+	lone        bool
+	next        int
 	tasks       []chunkTask
 	ready       []int32 // run-local overflow queue of chunk tasks
 	readyHead   int
@@ -233,12 +239,23 @@ func (e *Engine) RunStream(queries []vec.Vector, opts Options, results []search.
 	if len(queries) == 0 {
 		return nil
 	}
+	if err := e.check(queries, results); err != nil {
+		return err
+	}
+	a := e.getArena()
+	err := a.reset(e, &opts, done, len(queries))
+	if err == nil {
+		err = a.run(queries, results, opts.Parallelism)
+	}
+	e.putArena(a)
+	return err
+}
+
+// check validates a run's shape: one result per query, every query of the
+// store's dimensionality.
+func (e *Engine) check(queries []vec.Vector, results []search.Result) error {
 	if len(results) != len(queries) {
 		return fmt.Errorf("batchexec: results length %d != queries length %d", len(results), len(queries))
-	}
-	model := opts.Model
-	if model == nil {
-		model = e.model
 	}
 	dims := e.store.Dims()
 	for qi, q := range queries {
@@ -246,15 +263,17 @@ func (e *Engine) RunStream(queries []vec.Vector, opts Options, results []search.
 			return &QueryError{Query: qi, Err: fmt.Errorf("query dims %d != store dims %d", len(q), dims)}
 		}
 	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	return nil
+}
 
-	a := e.getArena()
-	defer e.putArena(a)
+// reset prepares the arena for a run of n queries over e's store.
+func (a *arena) reset(e *Engine, opts *Options, done func(int), n int) error {
+	model := opts.Model
+	if model == nil {
+		model = e.model
+	}
 	a.store = e.store
-	a.dims = dims
+	a.dims = e.store.Dims()
 	a.start = time.Now()
 	a.ctx = opts.Ctx
 	a.onDone = done
@@ -263,14 +282,13 @@ func (e *Engine) RunStream(queries []vec.Vector, opts Options, results []search.
 	if err := a.plan.Reset(e.store, model, opts.K, opts.Stop, opts.Overlap, opts.Trace); err != nil {
 		return fmt.Errorf("batchexec: %w", err)
 	}
-
-	if cap(a.states) < len(queries) {
-		states := make([]queryState, len(queries))
+	if cap(a.states) < n {
+		states := make([]queryState, n)
 		copy(states, a.states)
 		a.states = states
 	}
-	a.states = a.states[:len(queries)]
-	return a.run(queries, results, workers)
+	a.states = a.states[:n]
+	return nil
 }
 
 // release drops the arena's references into caller memory (queries,
@@ -320,10 +338,11 @@ func (a *arena) processChunk(ws *workerScratch, chunk int, members []int32) {
 		} else {
 			done = st.Charge(st.res, stall, int(ws.data.Served))
 		}
-		if done {
-			a.retire(st)
-		} else {
+		switch {
+		case !done:
 			a.subscribe(st.Next(), si)
+		case !a.lone: // a lone query retires in run, once its loop ends
+			a.retire(st)
 		}
 	}
 }
@@ -342,11 +361,10 @@ const scanBlock = 256
 // rows through the row kernel anyway, so sharing the group's block tiling
 // loads each row block once for the whole group and lets the query-pair
 // Multi kernels amortize row traffic across queries. On the portable
-// backend full-heap queries keep the single-query path's per-row
-// partial-distance abandonment. All branches produce the exact heap
-// contents the single-query ScanChunk would: Multi distances are
-// bit-identical to the row kernel's, and abandoned candidates are exactly
-// those the heap would reject.
+// backend full-heap queries keep ScanChunk's per-row partial-distance
+// abandonment. All branches produce the exact heap contents a lone
+// ScanChunk would: Multi distances are bit-identical to the row kernel's,
+// and abandoned candidates are exactly those the heap would reject.
 func (a *arena) scanGroup(ws *workerScratch, members []int32) {
 	data := &ws.data
 	dims := a.dims

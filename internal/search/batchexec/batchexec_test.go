@@ -55,11 +55,25 @@ func buildStores(t testing.TB) (*chunkfile.MemStore, *chunkfile.FileStore, []vec
 	return mem, file, queries
 }
 
-// TestBatchMatchesSingleQuery is the engine's core contract: chunk-major
-// batch results are byte-identical to per-query Search results — same
-// neighbor IDs and bit-identical distances (ties included), same
-// ChunksRead, same simulated Elapsed and IndexRead, same Exact flag —
-// for all three stop rules, on both store backends, at every parallelism.
+// runEach runs every query as its own batch of one — the way a point
+// query executes.
+func runEach(t testing.TB, eng *Engine, queries []vec.Vector, opts Options) []search.Result {
+	t.Helper()
+	out := make([]search.Result, len(queries))
+	for qi := range queries {
+		if err := eng.Run(queries[qi:qi+1], opts, out[qi:qi+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestBatchMatchesSingleQuery is the engine's core contract: a query's
+// outcome does not depend on which queries share its run. A batch of N is
+// byte-identical to N batches of one — same neighbor IDs and bit-identical
+// distances (ties included), same ChunksRead, same simulated Elapsed and
+// IndexRead, same Exact flag — for all three stop rules, on both store
+// backends, at every parallelism.
 func TestBatchMatchesSingleQuery(t *testing.T) {
 	mem, file, queries := buildStores(t)
 	stops := []search.StopRule{
@@ -73,22 +87,18 @@ func TestBatchMatchesSingleQuery(t *testing.T) {
 	}{{"mem", mem}, {"file", file}}
 
 	for _, sc := range stores {
-		searcher := search.New(sc.store, nil)
 		eng := New(sc.store, nil)
 		for _, stop := range stops {
+			opts := Options{K: 20, Stop: stop, Overlap: true}
+			want := runEach(t, eng, queries, opts)
 			for _, par := range []int{1, 0} {
-				opts := search.Options{K: 20, Stop: stop, Overlap: true}
+				opts.Parallelism = par
 				results := make([]search.Result, len(queries))
-				err := eng.Run(queries, Options{K: 20, Stop: stop, Overlap: true, Parallelism: par}, results)
-				if err != nil {
+				if err := eng.Run(queries, opts, results); err != nil {
 					t.Fatalf("%s/%v/p%d: %v", sc.name, stop, par, err)
 				}
-				for qi, q := range queries {
-					var want search.Result
-					if err := searcher.SearchInto(q, opts, &want); err != nil {
-						t.Fatal(err)
-					}
-					if d := diff(&results[qi], &want); d != "" {
+				for qi := range queries {
+					if d := diff(&results[qi], &want[qi]); d != "" {
 						t.Fatalf("%s/%v/p%d q%d: %s", sc.name, stop, par, qi, d)
 					}
 				}
@@ -118,29 +128,31 @@ func diff(got, want *search.Result) string {
 
 // TestBatchZeroAlloc pins the arena contract: recycling one results array
 // across batches performs zero allocations per batch in steady state, on
-// both the inline and the pooled-parallel path.
+// the inline and the pooled-parallel path, and for a point query — a
+// batch of one — recycling its one result.
 func TestBatchZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	mem, _, queries := buildStores(t)
 	eng := New(mem, nil)
-	for _, par := range []int{1, 0} {
-		opts := Options{K: 20, Stop: search.ChunkBudget(4), Parallelism: par}
-		results := make([]search.Result, len(queries))
+	for _, row := range []struct{ n, par int }{{len(queries), 1}, {len(queries), 0}, {1, 0}} {
+		batch := queries[:row.n]
+		opts := Options{K: 20, Stop: search.ChunkBudget(4), Parallelism: row.par}
+		results := make([]search.Result, row.n)
 		// Warm up: grows the arena, worker scratches and neighbor slices.
 		for i := 0; i < 3; i++ {
-			if err := eng.Run(queries, opts, results); err != nil {
+			if err := eng.Run(batch, opts, results); err != nil {
 				t.Fatal(err)
 			}
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if err := eng.Run(queries, opts, results); err != nil {
+			if err := eng.Run(batch, opts, results); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("parallelism %d: steady-state batch allocates %v per run, want 0", par, allocs)
+			t.Fatalf("%d queries at parallelism %d: steady-state batch allocates %v per run, want 0", row.n, row.par, allocs)
 		}
 	}
 }
@@ -149,8 +161,8 @@ func TestBatchZeroAlloc(t *testing.T) {
 // on the very last ranked chunk while the heap is still under-filled (K
 // exceeds the store's descriptor count): both Kth and the suffix bound
 // are +Inf, so the certificate comparison alone says false, but the
-// single-query path reports Exact=true because every chunk was
-// processed. The batch engine must agree.
+// result is Exact because every chunk was processed — alone and in a
+// batch alike.
 func TestBatchExactUnderfilledHeap(t *testing.T) {
 	mem, _, queries := buildStores(t)
 	nchunks := len(mem.Meta())
@@ -159,22 +171,17 @@ func TestBatchExactUnderfilledHeap(t *testing.T) {
 		total += m.Count
 	}
 	k := total + 10 // heap can never fill
-	searcher := search.New(mem, nil)
 	eng := New(mem, nil)
-	stop := search.ChunkBudget(nchunks) // Done fires exactly on the last chunk
+	opts := Options{K: k, Stop: search.ChunkBudget(nchunks)} // Done fires exactly on the last chunk
 	results := make([]search.Result, len(queries))
-	if err := eng.Run(queries, Options{K: k, Stop: stop}, results); err != nil {
+	if err := eng.Run(queries, opts, results); err != nil {
 		t.Fatal(err)
 	}
-	for qi, q := range queries {
-		want, err := searcher.Search(q, search.Options{K: k, Stop: stop})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for qi, want := range runEach(t, eng, queries, opts) {
 		if !want.Exact {
-			t.Fatalf("q%d: single-query path not exact (%d chunks)", qi, want.ChunksRead)
+			t.Fatalf("q%d: query alone not exact (%d chunks)", qi, want.ChunksRead)
 		}
-		if d := diff(&results[qi], want); d != "" {
+		if d := diff(&results[qi], &want); d != "" {
 			t.Fatalf("q%d: %s", qi, d)
 		}
 	}
@@ -222,9 +229,9 @@ func (s layoutStore) Layout() ([]int32, int) { return s.owner, s.machines }
 // TestBatchShardMapping pins the store-reported machine layout
 // (chunkfile.MachineLayout) on the engine: a layout onto one machine is
 // byte-identical to a store without one, a three-machine layout moves
-// time but never neighbors or ChunksRead and is byte-identical to the
-// single-query path over the same store (whose Elapsed the walk's own
-// test replays by hand), and a malformed layout is rejected.
+// time but never neighbors or ChunksRead and is byte-identical to batches
+// of one over the same store (whose Elapsed the walk's own test replays
+// by hand), and a malformed layout is rejected.
 func TestBatchShardMapping(t *testing.T) {
 	mem, _, queries := buildStores(t)
 	metas := mem.Meta()
@@ -257,14 +264,9 @@ func TestBatchShardMapping(t *testing.T) {
 	if got, err = run(three); err != nil {
 		t.Fatal(err)
 	}
-	searcher := search.New(three, nil)
-	for qi, q := range queries {
-		want, err := searcher.Search(q, search.Options{K: opts.K, Stop: opts.Stop})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := diff(&got[qi], want); d != "" {
-			t.Fatalf("3-machine layout q%d vs single query: %s", qi, d)
+	for qi, want := range runEach(t, New(three, nil), queries, opts) {
+		if d := diff(&got[qi], &want); d != "" {
+			t.Fatalf("3-machine layout q%d vs batch of one: %s", qi, d)
 		}
 		if !slices.Equal(got[qi].PerMachine, want.PerMachine) || len(want.PerMachine) != machines {
 			t.Fatalf("q%d: PerMachine %+v != %+v", qi, got[qi].PerMachine, want.PerMachine)

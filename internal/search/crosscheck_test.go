@@ -1,4 +1,4 @@
-package search
+package search_test
 
 import (
 	"math"
@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/chunkfile"
 	"repro/internal/imagegen"
+	. "repro/internal/search"
+	"repro/internal/search/batchexec"
 	"repro/internal/srtree"
 	"repro/internal/vafile"
 )
@@ -23,7 +25,7 @@ func TestThreeWayExactCrossCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := chunkfile.NewMemStore(coll, tree.Chunks(), 4096)
-	chunkSearch := New(store, nil)
+	chunkSearch := batchexec.New(store, nil)
 
 	va, err := vafile.Build(coll, 5)
 	if err != nil {
@@ -34,7 +36,7 @@ func TestThreeWayExactCrossCheck(t *testing.T) {
 	for _, qi := range []int{0, 9, 500, 1234, 4000} {
 		q := coll.Vec(qi)
 
-		a, err := chunkSearch.Search(q, Options{K: k, Stop: ToCompletion{}})
+		a, err := searchOne(chunkSearch, q, batchexec.Options{K: k, Stop: ToCompletion{}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package search
+package search_test
 
 import (
 	"testing"
@@ -7,7 +7,10 @@ import (
 	"repro/internal/imagegen"
 	"repro/internal/race"
 	"repro/internal/scan"
+	. "repro/internal/search"
+	"repro/internal/search/batchexec"
 	"repro/internal/srtree"
+	"repro/internal/vec"
 )
 
 // TestCompletionMatchesScanOracle pins the strongest equivalence the
@@ -25,12 +28,12 @@ func TestCompletionMatchesScanOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := chunkfile.NewMemStore(coll, tree.Chunks(), 4096)
-	searcher := New(store, nil)
+	searcher := batchexec.New(store, nil)
 
 	const k = 30
 	for _, qi := range []int{0, 7, 123, 999, 2048, 3999} {
 		q := coll.Vec(qi)
-		res, err := searcher.Search(q, Options{K: k, Stop: ToCompletion{}})
+		res, err := searchOne(searcher, q, batchexec.Options{K: k, Stop: ToCompletion{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,11 +54,11 @@ func TestCompletionMatchesScanOracle(t *testing.T) {
 }
 
 // TestSearchIntoReusesBuffers verifies the zero-allocation contract of
-// the steady-state path: recycling one Result across queries performs no
-// allocations once warm.
+// the steady-state point query: a batch of one, recycling its query and
+// Result slices across runs, performs no allocations once warm.
 func TestSearchIntoReusesBuffers(t *testing.T) {
 	if race.Enabled {
-		t.Skip("race detector makes sync.Pool drop the scratch")
+		t.Skip("race detector instrumentation allocates")
 	}
 	ds := imagegen.MustGenerate(imagegen.DefaultConfig(3000, 5))
 	coll := ds.Collection
@@ -64,23 +67,24 @@ func TestSearchIntoReusesBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := chunkfile.NewMemStore(coll, tree.Chunks(), 4096)
-	searcher := New(store, nil)
+	eng := batchexec.New(store, nil)
 
-	var res Result
-	q := coll.Vec(42)
-	// Warm up: fills pool scratch and the neighbor buffer.
-	if err := searcher.SearchInto(q, Options{K: 20}, &res); err != nil {
+	queries := []vec.Vector{coll.Vec(42)}
+	res := make([]Result, 1)
+	opts := batchexec.Options{K: 20}
+	// Warm up: grows the arena, the walk scratch and the neighbor buffer.
+	if err := eng.Run(queries, opts, res); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := searcher.SearchInto(q, Options{K: 20}, &res); err != nil {
+		if err := eng.Run(queries, opts, res); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state SearchInto allocates %v per query, want 0", allocs)
+		t.Fatalf("steady-state point query allocates %v per query, want 0", allocs)
 	}
-	if len(res.Neighbors) != 20 {
-		t.Fatalf("neighbors = %d", len(res.Neighbors))
+	if len(res[0].Neighbors) != 20 {
+		t.Fatalf("neighbors = %d", len(res[0].Neighbors))
 	}
 }

@@ -15,19 +15,17 @@
 // per-chunk loop runs on the vec batch kernel over the contiguous
 // Data.Vecs backing array while the k-NN set is filling, then switches to
 // partial-distance early abandonment against the current k-th squared
-// bound. Per-query state (chunk ranking, suffix bounds, chunk buffers,
-// the k-NN heap) lives in a pooled scratch, so the steady-state query
-// path performs no allocations.
+// bound.
 //
 // Step 3 and all of its bookkeeping — simulated charging, the stop rule,
-// the exactness certificate — exist once, as Walk; Searcher.SearchInto
-// is its rank-order driver and the chunk-major batch engine in the
-// batchexec subpackage its other one, so whole-workload batch results
-// are byte-identical to per-query results by construction: the engine
-// merely reorders which chunk is decoded when. The primitives RankChunks
-// (step 1), SuffixBounds (the certificate's bounds) and ScanChunk (step
-// 2's adaptive scan) are exported for the engine's scans and for
-// benchmarks that time the stages separately.
+// the exactness certificate — exist once, as Walk. Its one driver is the
+// chunk-major engine in the batchexec subpackage, and a point query is a
+// batch of one there, so a query's result never depends on which other
+// queries shared its run: the engine merely reorders which chunk is
+// decoded when. The primitives RankChunks (step 1), SuffixBounds (the
+// certificate's bounds) and ScanChunk (step 2's adaptive scan) are
+// exported for the engine's scans and for benchmarks that time the stages
+// separately.
 //
 // Elapsed time is tracked on the simdisk cost model so the paper's 2005
 // wall-clock magnitudes are reproduced deterministically; real wall time
@@ -35,12 +33,9 @@
 package search
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/chunkfile"
@@ -101,31 +96,6 @@ func (ToCompletion) String() string { return "completion" }
 // DefaultK is the k a search runs with when none is given: the paper's
 // quality metric is precision within the top 30.
 const DefaultK = 30
-
-// Options configures a search.
-type Options struct {
-	K       int // <= 0 means DefaultK
-	Stop    StopRule
-	Model   *simdisk.Model // nil means simdisk.Default2005()
-	Overlap bool           // overlap I/O with CPU in the simulated pipeline
-	// Trace, if non-nil, receives one event per processed chunk.
-	Trace func(Event)
-	// Ctx, when non-nil, is consulted between chunk charges: once it is
-	// cancelled or past its deadline the search stops immediately — no
-	// further chunk is read or billed — and returns an error wrapping
-	// ctx.Err(). This is the serving layer's deadline-propagation hook: an
-	// abandoned request stops consuming budget within one chunk of the
-	// cancellation. A nil Ctx never stops the search.
-	Ctx context.Context
-}
-
-// ctxErr returns the context's error, nil when ctx is nil or still live.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
 
 // Event reports the search state right after one chunk was processed.
 type Event struct {
@@ -302,9 +272,8 @@ func siftDown(h []RankedChunk, i int) {
 
 // Plan is the per-run configuration every Walk of one run shares: the
 // store's chunk index, the resolved options, and the store's
-// simulated-machine layout with each machine's index-read time. The
-// single-query path resolves one per query, the batch engine one per
-// batch.
+// simulated-machine layout with each machine's index-read time. The batch
+// engine resolves one per run.
 type Plan struct {
 	metas     []chunkfile.Meta
 	centroids []float32 // the store's row-major centroid matrix
@@ -405,13 +374,12 @@ func sized[T any](s []T, n int) []T {
 // only implementation of the per-(query, chunk) step of the paper's
 // algorithm: bill the chunk (and any read stall) to its machine's
 // simulated pipeline, mirror the charge on the serving ledger, trace,
-// consult the stop rule, and settle the exactness certificate. Two
-// drivers run it — Searcher.SearchInto reads and scans in rank order, the
-// batchexec engine reads each chunk once for all the walks that want it —
-// and both do exactly this between steps: read the chunk Next names, scan
+// consult the stop rule, and settle the exactness certificate. Its driver,
+// the batchexec engine, reads each chunk once for all the walks that want
+// it and does exactly this between steps: read the chunk Next names, scan
 // it into Heap, then call Charge (or Skip when no replica is live). The
 // simulated clocks depend only on the order of a walk's own steps, never
-// on when a driver takes them.
+// on when the driver takes them.
 type Walk struct {
 	plan  *Plan
 	Query int      // reported to the plan's trace hook
@@ -569,14 +537,7 @@ func (w *Walk) Charge(res *Result, stall time.Duration, served int) (done bool) 
 	w.reads[machine]++
 	w.pos++
 	if p.trace != nil {
-		w.events = w.Heap.AppendAll(w.events[:0])
-		p.trace(w.Query, Event{
-			Ordinal:    w.pos,
-			ChunkIndex: rc.Idx,
-			ChunkCount: m.Count,
-			Elapsed:    elapsed,
-			Neighbors:  w.events,
-		})
+		w.emit(rc.Idx, m.Count, elapsed)
 	}
 	last := w.pos == len(w.ranked)
 	kth, remaining := w.Heap.Kth(), w.suffix[w.pos]
@@ -589,6 +550,19 @@ func (w *Walk) Charge(res *Result, stall time.Duration, served int) (done bool) 
 		w.order(w.sorted)
 	}
 	return last
+}
+
+// emit delivers the trace event of the chunk just charged. It is kept
+// out of Charge so the untraced step keeps a small stack frame.
+func (w *Walk) emit(chunk, count int, elapsed time.Duration) {
+	w.events = w.Heap.AppendAll(w.events[:0])
+	w.plan.trace(w.Query, Event{
+		Ordinal:    w.pos,
+		ChunkIndex: chunk,
+		ChunkCount: count,
+		Elapsed:    elapsed,
+		Neighbors:  w.events,
+	})
 }
 
 // Finish completes res once the walk is over: sorted neighbors, the
@@ -624,94 +598,6 @@ func (w *Walk) Finish(res *Result) {
 		}
 	}
 	res.Neighbors = w.Heap.SortedInto(res.Neighbors)
-}
-
-// scratch is the reusable state of one single-query search. Searchers
-// pool scratches so concurrent callers never allocate per query in
-// steady state.
-type scratch struct {
-	plan Plan
-	walk Walk
-	d2   []float64 // batch-kernel output for one chunk
-	data chunkfile.Data
-}
-
-// Searcher executes queries against one chunk store. It is safe for
-// concurrent use.
-type Searcher struct {
-	store chunkfile.Store
-	model *simdisk.Model
-	pool  sync.Pool // *scratch
-}
-
-// New returns a Searcher over the given store.
-func New(store chunkfile.Store, model *simdisk.Model) *Searcher {
-	if model == nil {
-		model = simdisk.Default2005()
-	}
-	s := &Searcher{store: store, model: model}
-	s.pool.New = func() any { return new(scratch) }
-	return s
-}
-
-// Search runs one query. The default stop rule is ToCompletion and the
-// default K is 30 (the paper's quality metric is precision within the top
-// 30).
-func (s *Searcher) Search(q vec.Vector, opts Options) (*Result, error) {
-	res := &Result{}
-	if err := s.SearchInto(q, opts, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// SearchInto runs one query, writing the outcome into res: the rank-order
-// driver of Walk. The slices already in res are reused when they have
-// capacity, so a caller recycling one Result across queries performs zero
-// allocations per query in steady state.
-func (s *Searcher) SearchInto(q vec.Vector, opts Options, res *Result) error {
-	start := time.Now()
-	model := opts.Model
-	if model == nil {
-		model = s.model
-	}
-	dims := s.store.Dims()
-	if len(q) != dims {
-		return fmt.Errorf("search: query dims %d != store dims %d", len(q), dims)
-	}
-	sc := s.pool.Get().(*scratch)
-	defer func() {
-		sc.plan.Release()
-		s.pool.Put(sc)
-	}()
-	var trace func(int, Event)
-	if t := opts.Trace; t != nil {
-		trace = func(_ int, ev Event) { t(ev) }
-	}
-	if err := sc.plan.Reset(s.store, model, opts.K, opts.Stop, opts.Overlap, trace); err != nil {
-		return err
-	}
-	w := &sc.walk
-	for live := w.Reset(&sc.plan, q, res); live; {
-		if err := ctxErr(opts.Ctx); err != nil {
-			return fmt.Errorf("search: canceled after %d chunks: %w", res.ChunksRead, err)
-		}
-		err := s.store.ReadChunk(w.Next(), &sc.data)
-		stall := sc.data.Stall
-		sc.data.Stall = 0
-		switch {
-		case err == nil:
-			sc.d2 = ScanChunk(q, dims, &sc.data, &w.Heap, sc.d2)
-			live = !w.Charge(res, stall, int(sc.data.Served))
-		case errors.Is(err, chunkfile.ErrUnavailable):
-			live = !w.Skip(res, stall)
-		default:
-			return err
-		}
-	}
-	w.Finish(res)
-	res.Wall = time.Since(start)
-	return nil
 }
 
 // ScanChunk offers every descriptor of the chunk to the heap — step 2 of

@@ -1,4 +1,4 @@
-package search
+package search_test
 
 import (
 	"math"
@@ -11,6 +11,8 @@ import (
 	"repro/internal/descriptor"
 	"repro/internal/imagegen"
 	"repro/internal/scan"
+	. "repro/internal/search"
+	"repro/internal/search/batchexec"
 	"repro/internal/simdisk"
 	"repro/internal/srtree"
 	"repro/internal/vec"
@@ -57,6 +59,16 @@ func getFixture(t testing.TB, seed int64) *fixture {
 	return f
 }
 
+// searchOne runs q on the engine as a batch of one — the way every point
+// query executes.
+func searchOne(eng *batchexec.Engine, q vec.Vector, opts batchexec.Options) (*Result, error) {
+	res := make([]Result, 1)
+	if err := eng.Run([]vec.Vector{q}, opts, res); err != nil {
+		return nil, err
+	}
+	return &res[0], nil
+}
+
 // retainedSubset returns a collection holding exactly the descriptors
 // reachable through the store.
 func retainedSubset(t testing.TB, coll *descriptor.Collection, st chunkfile.Store) *descriptor.Collection {
@@ -88,7 +100,7 @@ func TestCompletionIsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for name, st := range map[string]chunkfile.Store{"srtree": f.srSt, "bag": f.bagSt} {
 		sub := retainedSubset(t, f.coll, st)
-		s := New(st, nil)
+		s := batchexec.New(st, nil)
 		for trial := 0; trial < 12; trial++ {
 			var q vec.Vector
 			if trial%2 == 0 {
@@ -99,7 +111,7 @@ func TestCompletionIsExact(t *testing.T) {
 					q[d] = float32(r.NormFloat64() * 120)
 				}
 			}
-			res, err := s.Search(q, Options{K: 20, Stop: ToCompletion{}})
+			res, err := searchOne(s, q, batchexec.Options{K: 20, Stop: ToCompletion{}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,9 +134,9 @@ func TestCompletionIsExact(t *testing.T) {
 
 func TestChunkBudgetStops(t *testing.T) {
 	f := getFixture(t, 31)
-	s := New(f.srSt, nil)
+	s := batchexec.New(f.srSt, nil)
 	q := f.coll.Vec(5)
-	res, err := s.Search(q, Options{K: 30, Stop: ChunkBudget(3)})
+	res, err := searchOne(s, q, batchexec.Options{K: 30, Stop: ChunkBudget(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +147,14 @@ func TestChunkBudgetStops(t *testing.T) {
 
 func TestTimeBudgetStops(t *testing.T) {
 	f := getFixture(t, 31)
-	s := New(f.srSt, nil)
+	s := batchexec.New(f.srSt, nil)
 	q := f.coll.Vec(5)
-	full, err := s.Search(q, Options{K: 30, Stop: ToCompletion{}})
+	full, err := searchOne(s, q, batchexec.Options{K: 30, Stop: ToCompletion{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := full.IndexRead + 25*time.Millisecond
-	res, err := s.Search(q, Options{K: 30, Stop: TimeBudget(budget)})
+	res, err := searchOne(s, q, batchexec.Options{K: 30, Stop: TimeBudget(budget)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +173,13 @@ func TestTimeBudgetStops(t *testing.T) {
 func TestNeighborsFoundMonotone(t *testing.T) {
 	f := getFixture(t, 31)
 	sub := retainedSubset(t, f.coll, f.bagSt)
-	s := New(f.bagSt, nil)
+	s := batchexec.New(f.bagSt, nil)
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 5; trial++ {
 		q := f.coll.Vec(r.Intn(f.coll.Len()))
 		truth := scan.Compute(sub, []vec.Vector{q}, 30)
 		prev := -1
-		_, err := s.Search(q, Options{K: 30, Stop: ToCompletion{}, Trace: func(ev Event) {
+		_, err := searchOne(s, q, batchexec.Options{K: 30, Stop: ToCompletion{}, Trace: func(_ int, ev Event) {
 			found := truth.Found(0, ev.Neighbors)
 			if found < prev {
 				t.Fatalf("neighbors found dropped from %d to %d at chunk %d", prev, found, ev.Ordinal)
@@ -185,10 +197,10 @@ func TestNeighborsFoundMonotone(t *testing.T) {
 
 func TestTraceEvents(t *testing.T) {
 	f := getFixture(t, 31)
-	s := New(f.srSt, nil)
+	s := batchexec.New(f.srSt, nil)
 	var ordinals []int
 	var elapsed []time.Duration
-	res, err := s.Search(f.coll.Vec(9), Options{K: 10, Stop: ChunkBudget(5), Trace: func(ev Event) {
+	res, err := searchOne(s, f.coll.Vec(9), batchexec.Options{K: 10, Stop: ChunkBudget(5), Trace: func(_ int, ev Event) {
 		ordinals = append(ordinals, ev.Ordinal)
 		elapsed = append(elapsed, ev.Elapsed)
 		if ev.ChunkCount <= 0 {
@@ -214,11 +226,11 @@ func TestTraceEvents(t *testing.T) {
 // Chunks must be processed in increasing centroid-distance order.
 func TestRankingOrder(t *testing.T) {
 	f := getFixture(t, 31)
-	s := New(f.srSt, nil)
+	s := batchexec.New(f.srSt, nil)
 	q := f.coll.Vec(100)
 	metas := f.srSt.Meta()
 	var prev float64 = -1
-	_, err := s.Search(q, Options{K: 5, Stop: ToCompletion{}, Trace: func(ev Event) {
+	_, err := searchOne(s, q, batchexec.Options{K: 5, Stop: ToCompletion{}, Trace: func(_ int, ev Event) {
 		d := vec.Distance(q, metas[ev.ChunkIndex].Centroid)
 		if d < prev-1e-9 {
 			t.Fatalf("chunk order violated: %v after %v", d, prev)
@@ -232,16 +244,16 @@ func TestRankingOrder(t *testing.T) {
 
 func TestDimsMismatch(t *testing.T) {
 	f := getFixture(t, 31)
-	s := New(f.srSt, nil)
-	if _, err := s.Search(vec.Vector{1, 2, 3}, Options{}); err == nil {
+	s := batchexec.New(f.srSt, nil)
+	if _, err := searchOne(s, vec.Vector{1, 2, 3}, batchexec.Options{}); err == nil {
 		t.Fatal("dims mismatch accepted")
 	}
 }
 
 func TestDefaults(t *testing.T) {
 	f := getFixture(t, 31)
-	s := New(f.srSt, nil)
-	res, err := s.Search(f.coll.Vec(0), Options{})
+	s := batchexec.New(f.srSt, nil)
+	res, err := searchOne(s, f.coll.Vec(0), batchexec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,13 +269,13 @@ func TestDefaults(t *testing.T) {
 // query, and both must exceed the index-read floor.
 func TestOverlapFaster(t *testing.T) {
 	f := getFixture(t, 31)
-	s := New(f.srSt, nil)
+	s := batchexec.New(f.srSt, nil)
 	q := f.coll.Vec(42)
-	over, err := s.Search(q, Options{K: 30, Overlap: true})
+	over, err := searchOne(s, q, batchexec.Options{K: 30, Overlap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := s.Search(q, Options{K: 30, Overlap: false})
+	serial, err := searchOne(s, q, batchexec.Options{K: 30, Overlap: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,13 +290,13 @@ func TestOverlapFaster(t *testing.T) {
 func TestCustomModel(t *testing.T) {
 	f := getFixture(t, 31)
 	fast := &simdisk.Model{Seek: time.Microsecond, TransferRate: 1 << 40, DistanceCost: time.Nanosecond}
-	s := New(f.srSt, fast)
-	res, err := s.Search(f.coll.Vec(3), Options{K: 10, Stop: ChunkBudget(2)})
+	s := batchexec.New(f.srSt, fast)
+	res, err := searchOne(s, f.coll.Vec(3), batchexec.Options{K: 10, Stop: ChunkBudget(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := New(f.srSt, nil)
-	res2, err := slow.Search(f.coll.Vec(3), Options{K: 10, Stop: ChunkBudget(2)})
+	slow := batchexec.New(f.srSt, nil)
+	res2, err := searchOne(slow, f.coll.Vec(3), batchexec.Options{K: 10, Stop: ChunkBudget(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,12 +307,12 @@ func TestCustomModel(t *testing.T) {
 
 func BenchmarkSearchCompletion(b *testing.B) {
 	f := getFixture(b, 31)
-	s := New(f.srSt, nil)
+	s := batchexec.New(f.srSt, nil)
 	q := f.coll.Vec(17)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Search(q, Options{K: 30}); err != nil {
+		if _, err := searchOne(s, q, batchexec.Options{K: 30}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -308,12 +320,12 @@ func BenchmarkSearchCompletion(b *testing.B) {
 
 func BenchmarkSearchBudget5(b *testing.B) {
 	f := getFixture(b, 31)
-	s := New(f.srSt, nil)
+	s := batchexec.New(f.srSt, nil)
 	q := f.coll.Vec(17)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Search(q, Options{K: 30, Stop: ChunkBudget(5)}); err != nil {
+		if _, err := searchOne(s, q, batchexec.Options{K: 30, Stop: ChunkBudget(5)}); err != nil {
 			b.Fatal(err)
 		}
 	}

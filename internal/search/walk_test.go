@@ -1,4 +1,4 @@
-package search
+package search_test
 
 import (
 	"fmt"
@@ -10,6 +10,8 @@ import (
 	"repro/internal/chunkfile"
 	"repro/internal/knn"
 	"repro/internal/scan"
+	. "repro/internal/search"
+	"repro/internal/search/batchexec"
 	"repro/internal/simdisk"
 	"repro/internal/vec"
 )
@@ -98,8 +100,8 @@ func checkWalk(t *testing.T, name string, base chunkfile.Store, q vec.Vector, tc
 	}
 
 	var traced []charge
-	res, err := New(st, model).Search(q, Options{K: tc.k, Stop: tc.stop, Overlap: tc.overlap,
-		Trace: func(ev Event) { traced = append(traced, charge{ev.Ordinal, ev.ChunkIndex}) }})
+	res, err := searchOne(batchexec.New(st, model), q, batchexec.Options{K: tc.k, Stop: tc.stop, Overlap: tc.overlap,
+		Trace: func(_ int, ev Event) { traced = append(traced, charge{ev.Ordinal, ev.ChunkIndex}) }})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -163,8 +165,8 @@ func checkWalk(t *testing.T, name string, base chunkfile.Store, q vec.Vector, tc
 	return res
 }
 
-// TestWalkStep is the oracle of the per-(query, chunk) step every
-// execution path shares, checked by checkWalk against values computed
+// TestWalkStep is the oracle of the per-(query, chunk) step the engine
+// takes for every query, checked by checkWalk against values computed
 // without it. The named rows pin what each rule promises; the sweep after
 // them holds the walk's sorted-prefix ranking to the fully sorted one at
 // every prefix length, through every extension, across ties.
@@ -213,7 +215,7 @@ func TestWalkStep(t *testing.T) {
 	complete := checkWalk(t, "tied completion", f.tieSt, q, walkCase{1, 10, false, ToCompletion{}, -1, nil})
 	rules = append(rules, ToCompletion{}, TimeBudget(0), TimeBudget(complete.Elapsed/3), TimeBudget(complete.Elapsed), TimeBudget(time.Hour))
 	for _, stop := range rules {
-		edge := initialPrefix
+		edge := InitialPrefix
 		if b, ok := stop.(ChunkBudget); ok {
 			edge = int(b)
 		}

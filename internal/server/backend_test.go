@@ -53,67 +53,26 @@ func stopOf(opts repro.SearchOptions) search.StopRule {
 }
 
 func (b *routerBackend) Search(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error) {
-	sopts := search.Options{K: opts.K, Stop: stopOf(opts), Overlap: opts.Overlap, Ctx: opts.Ctx}
-	var sr shard.Result
-	var err error
-	if opts.GlobalBudget {
-		err = b.r.SearchGlobalInto(q, sopts, &sr)
-	} else {
-		err = b.r.SearchInto(q, sopts, &sr)
-	}
-	if err != nil {
+	res := make([]repro.Result, 1)
+	if err := b.SearchBatchInto([]repro.Vector{q}, repro.BatchOptions{SearchOptions: opts}, res); err != nil {
 		return nil, err
 	}
-	return &repro.Result{
-		Neighbors:     sr.Neighbors,
-		ChunksRead:    sr.ChunksRead,
-		Simulated:     sr.Elapsed,
-		Wall:          sr.Wall,
-		Exact:         sr.Exact,
-		Degraded:      sr.Degraded,
-		ChunksSkipped: sr.ChunksSkipped,
-		ShardsDown:    sr.ShardsDown,
-	}, nil
+	return &res[0], nil
 }
 
 func (b *routerBackend) SearchBatchInto(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result) error {
-	srs := make([]search.Result, len(queries))
-	err := b.r.RunBatch(queries, batchexec.Options{
-		K:           opts.K,
-		Stop:        stopOf(opts.SearchOptions),
-		Overlap:     opts.Overlap,
-		Parallelism: opts.Parallelism,
-		Ctx:         opts.Ctx,
-	}, srs)
-	if err != nil {
-		return err
-	}
-	down := b.r.DownShards()
-	for i := range srs {
-		results[i] = repro.Result{
-			Neighbors:     srs[i].Neighbors,
-			ChunksRead:    srs[i].ChunksRead,
-			Simulated:     srs[i].Elapsed,
-			Wall:          srs[i].Wall,
-			Exact:         srs[i].Exact,
-			Degraded:      srs[i].Degraded,
-			ChunksSkipped: srs[i].ChunksSkipped,
-			ShardsDown:    down,
-		}
-	}
-	return nil
+	return b.SearchBatchStream(queries, opts, results, nil)
 }
 
+// SearchBatchStream samples ShardsDown the way the facade does: before the
+// run when streaming, after it otherwise.
 func (b *routerBackend) SearchBatchStream(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result, done func(query int)) error {
+	run := b.r.RunBatchStream
+	if opts.GlobalBudget {
+		run = b.r.RunBatchGlobalStream
+	}
 	srs := make([]search.Result, len(queries))
-	down := b.r.DownShards()
-	return b.r.RunBatchStream(queries, batchexec.Options{
-		K:           opts.K,
-		Stop:        stopOf(opts.SearchOptions),
-		Overlap:     opts.Overlap,
-		Parallelism: opts.Parallelism,
-		Ctx:         opts.Ctx,
-	}, srs, func(qi int) {
+	convert := func(qi, down int) {
 		results[qi] = repro.Result{
 			Neighbors:     srs[qi].Neighbors,
 			ChunksRead:    srs[qi].ChunksRead,
@@ -124,10 +83,30 @@ func (b *routerBackend) SearchBatchStream(queries []repro.Vector, opts repro.Bat
 			ChunksSkipped: srs[qi].ChunksSkipped,
 			ShardsDown:    down,
 		}
-		if done != nil {
+	}
+	var onDone func(int)
+	if done != nil {
+		down := b.r.DownShards()
+		onDone = func(qi int) {
+			convert(qi, down)
 			done(qi)
 		}
-	})
+	}
+	err := run(queries, batchexec.Options{
+		K:           opts.K,
+		Stop:        stopOf(opts.SearchOptions),
+		Overlap:     opts.Overlap,
+		Parallelism: opts.Parallelism,
+		Ctx:         opts.Ctx,
+	}, srs, onDone)
+	if err != nil || done != nil {
+		return err
+	}
+	down := b.r.DownShards()
+	for qi := range srs {
+		convert(qi, down)
+	}
+	return nil
 }
 
 func (b *routerBackend) MultiSearch(descriptors []repro.Vector, opts repro.MultiSearchOptions) (*repro.MultiResult, error) {

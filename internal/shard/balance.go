@@ -1,8 +1,8 @@
 // Package shard is the sharded index layer: it partitions a clustering
 // across S shards, each shard a complete chunk index of its own (one
-// chunkfile.Store served by one single-query search.Searcher and one
-// chunk-major batchexec.Engine), and routes single, batch and
-// multi-descriptor queries scatter-gather across the shards.
+// chunkfile.Store served by one batchexec.Engine), and routes batch and
+// multi-descriptor queries scatter-gather across the shards — a point
+// query is a batch of one.
 //
 // The cost model extends the repo convention of one simulated 2005
 // machine per query to one simulated 2005 machine *per shard*: every
@@ -14,9 +14,9 @@
 // wall-aggregated across shards or queries.
 //
 // Stop-rule budgets come in two disciplines on that one cost model: the
-// per-shard paths (Router.Search, RunBatch, MultiQuery) let every shard
-// spend the budget independently on its local chunk ranking, while the
-// global paths (Router.SearchGlobal, RunBatchGlobal, MultiQueryGlobal —
+// per-shard paths (Router.RunBatch, MultiQuery) let every shard spend
+// the budget independently on its local chunk ranking, while the global
+// paths (Router.RunBatchGlobal, MultiQueryGlobal —
 // see global.go and DESIGN.md §7) spend one total budget across the
 // fleet in global centroid-rank order, still charging each chunk to its
 // owning shard's pipeline.

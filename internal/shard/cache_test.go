@@ -32,16 +32,17 @@ func cachedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cl
 }
 
 // sameResult asserts byte-identity of the full merged outcome, including
-// the simulated costs the cache must not perturb.
-func sameResult(t *testing.T, label string, got, want *Result) {
+// the simulated costs a cache, a batch or a one-shard router must not
+// perturb.
+func sameResult(t *testing.T, label string, got, want *search.Result) {
 	t.Helper()
 	sameAnswer(t, label, got, want)
 	if got.Elapsed != want.Elapsed || got.IndexRead != want.IndexRead {
-		t.Fatalf("%s: simulated times (%v, %v) != uncached (%v, %v)",
+		t.Fatalf("%s: simulated times (%v, %v) != (%v, %v)",
 			label, got.Elapsed, got.IndexRead, want.Elapsed, want.IndexRead)
 	}
 	if got.ChunksSkipped != want.ChunksSkipped || got.Degraded != want.Degraded {
-		t.Fatalf("%s: (skipped %d, degraded %v) != uncached (skipped %d, degraded %v)",
+		t.Fatalf("%s: (skipped %d, degraded %v) != (skipped %d, degraded %v)",
 			label, got.ChunksSkipped, got.Degraded, want.ChunksSkipped, want.Degraded)
 	}
 }
@@ -74,22 +75,22 @@ func TestCachedRouterMatchesUncached(t *testing.T) {
 	} {
 		cached := cachedRouterOver(t, ds, clusters, shards, pageSize, disc.cfg)
 		for _, stop := range stopRules() {
-			opts := search.Options{K: k, Stop: stop}
+			opts := batchexec.Options{K: k, Stop: stop}
 			for pass := 0; pass < 2; pass++ {
 				for _, q := range queries {
-					var want, got Result
-					if err := plain.SearchInto(q, opts, &want); err != nil {
+					var want, got search.Result
+					if err := one(plain.RunBatch, q, opts, &want); err != nil {
 						t.Fatal(err)
 					}
-					if err := cached.SearchInto(q, opts, &got); err != nil {
+					if err := one(cached.RunBatch, q, opts, &got); err != nil {
 						t.Fatal(err)
 					}
 					sameResult(t, disc.name+"/search", &got, &want)
 
-					if err := plain.SearchGlobalInto(q, opts, &want); err != nil {
+					if err := one(plain.RunBatchGlobal, q, opts, &want); err != nil {
 						t.Fatal(err)
 					}
-					if err := cached.SearchGlobalInto(q, opts, &got); err != nil {
+					if err := one(cached.RunBatchGlobal, q, opts, &got); err != nil {
 						t.Fatal(err)
 					}
 					sameResult(t, disc.name+"/global", &got, &want)
@@ -105,7 +106,7 @@ func TestCachedRouterMatchesUncached(t *testing.T) {
 					t.Fatal(err)
 				}
 				for qi := range queries {
-					sameSearchResult(t, disc.name+"/batch", &got[qi], &want[qi])
+					sameResult(t, disc.name+"/batch", &got[qi], &want[qi])
 				}
 				if err := plain.RunBatchGlobal(queries, bopts, want); err != nil {
 					t.Fatal(err)
@@ -114,7 +115,7 @@ func TestCachedRouterMatchesUncached(t *testing.T) {
 					t.Fatal(err)
 				}
 				for qi := range queries {
-					sameSearchResult(t, disc.name+"/batchglobal", &got[qi], &want[qi])
+					sameResult(t, disc.name+"/batchglobal", &got[qi], &want[qi])
 				}
 			}
 		}
@@ -129,25 +130,6 @@ func TestCachedRouterMatchesUncached(t *testing.T) {
 
 	if st := plain.CacheStats(); st.Enabled || st.Hits != 0 {
 		t.Fatalf("uncached router reports cache stats %+v", st)
-	}
-}
-
-// sameSearchResult asserts byte-identity of one query's batch outcome.
-func sameSearchResult(t *testing.T, label string, got, want *search.Result) {
-	t.Helper()
-	if got.Exact != want.Exact || got.ChunksRead != want.ChunksRead ||
-		got.Elapsed != want.Elapsed || got.IndexRead != want.IndexRead {
-		t.Fatalf("%s: (exact %v, chunks %d, %v, %v) != uncached (exact %v, chunks %d, %v, %v)",
-			label, got.Exact, got.ChunksRead, got.Elapsed, got.IndexRead,
-			want.Exact, want.ChunksRead, want.Elapsed, want.IndexRead)
-	}
-	if len(got.Neighbors) != len(want.Neighbors) {
-		t.Fatalf("%s: %d neighbors != %d", label, len(got.Neighbors), len(want.Neighbors))
-	}
-	for i := range want.Neighbors {
-		if got.Neighbors[i] != want.Neighbors[i] {
-			t.Fatalf("%s rank %d: %+v != %+v", label, i, got.Neighbors[i], want.Neighbors[i])
-		}
 	}
 }
 
@@ -205,9 +187,9 @@ func TestRouterCacheRecovery(t *testing.T) {
 	defer r.Close()
 
 	q := coll.Vec(42)
-	opts := search.Options{K: k}
-	var healthy, res Result
-	if err := r.SearchInto(q, opts, &healthy); err != nil { // cold: fills the cache
+	opts := batchexec.Options{K: k}
+	var healthy, res search.Result
+	if err := one(r.RunBatch, q, opts, &healthy); err != nil { // cold: fills the cache
 		t.Fatal(err)
 	}
 
@@ -216,7 +198,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 	for s := range before {
 		before[s] = faults[s].Reads()
 	}
-	if err := r.SearchInto(q, opts, &res); err != nil {
+	if err := one(r.RunBatch, q, opts, &res); err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "warm", &res, &healthy)
@@ -238,7 +220,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 	// skipped and the result degrades, however warm the cache is.
 	faults[dead].Kill()
 	r.MarkShardDown(dead)
-	if err := r.SearchInto(q, opts, &res); err != nil {
+	if err := one(r.RunBatch, q, opts, &res); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded || res.ChunksSkipped == 0 {
@@ -249,7 +231,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 	faults[dead].Revive()
 	readsAtRevive := faults[dead].Reads()
 	r.MarkShardUp(dead)
-	if err := r.SearchInto(q, opts, &res); err != nil {
+	if err := one(r.RunBatch, q, opts, &res); err != nil {
 		t.Fatal(err)
 	}
 	sameAnswer(t, "recovered", &res, &healthy)

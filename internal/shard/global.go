@@ -20,15 +20,15 @@
 //
 // There is no global walk in this file. The union of the shards is one
 // virtual chunkfile.Store (globalStore) that reports its chunk→shard
-// machine layout (chunkfile.MachineLayout); the plain search.Searcher
-// and batchexec.Engine run over it, and search.Walk — the one
-// per-(query, chunk) step — bills each chunk to its owner's pipeline.
-// The router adds only the PerShard breakdown.
+// machine layout (chunkfile.MachineLayout); a plain batchexec.Engine runs
+// over it, and search.Walk — the one per-(query, chunk) step — bills each
+// chunk to its owner's pipeline and reports the per-shard breakdown as
+// search.Result.PerMachine.
 //
 // Equivalence pins (global_test.go):
 //
-//   - Global budget on 1 shard is byte-identical to the unsharded
-//     search.Searcher, including Elapsed and IndexRead, under all three
+//   - Global budget on 1 shard is byte-identical to an engine over the
+//     unsharded store, including Elapsed and IndexRead, under all three
 //     stop rules.
 //   - Global run-to-completion equals the scan oracle (and the unsharded
 //     completion search): the suffix minima over the merged order are a
@@ -39,8 +39,6 @@ package shard
 
 import (
 	"errors"
-	"fmt"
-	"time"
 
 	"repro/internal/chunkfile"
 	"repro/internal/multiquery"
@@ -141,86 +139,27 @@ func (g *globalStore) Machines() (count, owner int) {
 // this store. The layout is nominal, independent of the spread policy.
 func (g *globalStore) Layout() (owner []int32, machines int) { return g.owner, len(g.stores) }
 
-// SearchGlobal runs one query under the global budget discipline and
-// returns the merged result. See SearchGlobalInto.
-func (r *Router) SearchGlobal(q vec.Vector, opts search.Options) (*Result, error) {
-	res := &Result{}
-	if err := r.SearchGlobalInto(q, opts, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// SearchGlobalInto runs one query spending a single total budget across
-// the shards: chunks are processed in the global centroid-rank order (the
-// merge of every shard's search.RankChunks list, cross-shard ties broken
-// by ascending shard index), each processed chunk is charged to its
-// owning shard's simulated pipeline, and opts.Stop is applied after every
-// chunk against the global chunk count and the max over the shards'
-// simulated clocks. The certificate for Exact is the suffix minimum over
-// the merged order — valid for the union of the shards, so a
-// run-to-completion global search returns the exact global k-NN.
+// RunBatchGlobal executes a workload — a point query is a workload of
+// one — spending a single total budget per query across the shards, on
+// the engine over the virtual concatenated store. Each query walks the
+// global centroid-rank order (the merge of every shard's
+// search.RankChunks list, cross-shard ties broken by ascending shard
+// index), each processed chunk is charged to its owning shard's simulated
+// pipeline, and opts.Stop is applied after every chunk against the global
+// chunk count and the max over the shards' simulated clocks. The
+// certificate for Exact is the suffix minimum over the merged order —
+// valid for the union of the shards, so a run-to-completion global search
+// returns the exact global k-NN. A chunk wanted by several queries is
+// still read and decoded once.
 //
-// res reports ChunksRead as the global total (equal to the sum over
-// PerShard), Elapsed as the max over the shards' machines, IndexRead as
-// the max over the shards' index reads, and one PerShard entry per shard
-// with the chunks that shard actually served and its own simulated clock
-// (its index read plus its served chunks, in its charge order). In global
-// mode a per-shard ShardCost.Exact mirrors the merged certificate: no
-// shard holds an independent one. The Neighbors and PerShard slices
-// already in res are reused when they have capacity; on error no fields
-// of res are valid. Events delivered to opts.Trace carry the global
-// chunk ordinal and the chunk's index in the virtual concatenated store.
-//
-// On one shard the merged order, the single pipeline, and the certificate
-// all degenerate to the unsharded search path, so the result is
-// byte-identical to search.Searcher.SearchInto — including Elapsed.
-func (r *Router) SearchGlobalInto(q vec.Vector, opts search.Options, res *Result) error {
-	start := time.Now()
-	sc := r.scratch.Get().(*scatter)
-	defer r.scratch.Put(sc)
-	sc.single = grow(sc.single, 1)
-	sr := &sc.single[0]
-	// The global walk is the plain single-query algorithm over the
-	// concatenated store: its ranking is the merged order, its Layout the
-	// per-shard cost model.
-	if err := r.gsearcher.SearchInto(q, opts, sr); err != nil {
-		return fmt.Errorf("shard: global search: %w", err)
-	}
-	neighbors, perShard := res.Neighbors[:0], res.PerShard[:0]
-	for _, mc := range sr.PerMachine {
-		perShard = append(perShard, ShardCost{
-			ChunksRead:    mc.ChunksRead,
-			ChunksSkipped: mc.ChunksSkipped,
-			Elapsed:       mc.Elapsed,
-			Exact:         sr.Exact,
-		})
-	}
-	*res = Result{
-		Neighbors:     append(neighbors, sr.Neighbors...),
-		ChunksRead:    sr.ChunksRead,
-		Elapsed:       sr.Elapsed,
-		IndexRead:     sr.IndexRead,
-		Exact:         sr.Exact,
-		Degraded:      sr.Degraded,
-		ChunksSkipped: sr.ChunksSkipped,
-		ShardsDown:    r.DownShards(),
-		PerShard:      perShard,
-		Wall:          time.Since(start),
-	}
-	return nil
-}
-
-// RunBatchGlobal executes a whole workload under the global budget
-// discipline on the chunk-major batch engine over the virtual
-// concatenated store: every query ranks and walks the same merged order
-// SearchGlobalInto does, a chunk wanted by several queries is still read
-// and decoded once, and the store's layout gives every query one
-// simulated machine per shard. Outcomes are byte-identical to per-query
-// SearchGlobalInto — results[qi] reports the global ChunksRead, the
-// max-over-shards Elapsed and IndexRead, and the global Exact
-// certificate. The results array is caller-owned exactly as in RunBatch;
-// on error no results are valid.
+// results[qi] reports ChunksRead as the global total, Elapsed and
+// IndexRead as the max over the shards' machines, and PerMachine as one
+// entry per shard: the chunks that shard served and its own simulated
+// clock. Trace events carry the global chunk ordinal and the chunk's
+// index in the virtual store. On one shard the merged order, the single
+// pipeline and the certificate all degenerate to the unsharded search,
+// byte for byte. The results array is caller-owned exactly as in
+// RunBatch; on error no results are valid.
 func (r *Router) RunBatchGlobal(queries []vec.Vector, opts batchexec.Options, results []search.Result) error {
 	return r.gengine.Run(queries, opts, results)
 }

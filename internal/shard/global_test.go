@@ -1,14 +1,11 @@
 package shard
 
 import (
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chunkfile"
-	"repro/internal/cluster"
-	"repro/internal/multiquery"
 	"repro/internal/scan"
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
@@ -16,84 +13,12 @@ import (
 )
 
 // TestGlobalOneShardMatchesSingleSearcher pins the degenerate-case
-// equivalence: global budgets on a 1-shard router are byte-identical to
-// the plain unsharded searcher — IDs, distances, ChunksRead, Elapsed,
-// IndexRead and Exact — under all three stop rules, on both store
-// implementations.
+// equivalence: global budgets on a 1-shard router are byte-identical to a
+// bare engine over the unsharded store — IDs, distances, ChunksRead,
+// Elapsed, IndexRead and Exact — under all three stop rules, on both
+// store implementations.
 func TestGlobalOneShardMatchesSingleSearcher(t *testing.T) {
-	ds, clusters := fixture(t, 5000, 17, 140)
-	coll := ds.Collection
-	const pageSize = 4096
-
-	dir := t.TempDir()
-	cp, ip := filepath.Join(dir, "a.chunk"), filepath.Join(dir, "a.idx")
-	if err := chunkfile.Write(coll, clusters, cp, ip, pageSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := chunkfile.SaveSharded(coll, [][]*cluster.Cluster{clusters}, dir, pageSize); err != nil {
-		t.Fatal(err)
-	}
-
-	type setup struct {
-		name   string
-		single *search.Searcher
-		router *Router
-	}
-	var setups []setup
-
-	memSingle := search.New(chunkfile.NewMemStore(coll, clusters, pageSize), nil)
-	setups = append(setups, setup{"MemStore", memSingle, routerOver(t, ds, clusters, 1, pageSize)})
-
-	fileSingleStore, err := chunkfile.Open(cp, ip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fileSingleStore.Close()
-	fileShards, _, err := chunkfile.OpenSharded(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fileRouter, err := NewRouter([]chunkfile.Store{fileShards[0]}, nil, nil, RouterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fileRouter.Close()
-	setups = append(setups, setup{"FileStore", search.New(fileSingleStore, nil), fileRouter})
-
-	for _, su := range setups {
-		for _, stop := range stopRules() {
-			var merged Result
-			for _, qi := range []int{0, 3, 99, 1234, 4999} {
-				q := coll.Vec(qi)
-				opts := search.Options{K: 20, Stop: stop}
-				want, err := su.single.Search(q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := su.router.SearchGlobalInto(q, opts, &merged); err != nil {
-					t.Fatal(err)
-				}
-				if merged.ChunksRead != want.ChunksRead || merged.Elapsed != want.Elapsed ||
-					merged.IndexRead != want.IndexRead || merged.Exact != want.Exact {
-					t.Fatalf("%s %v q%d: (chunks %d, sim %v, idx %v, exact %v) != (%d, %v, %v, %v)",
-						su.name, stop, qi, merged.ChunksRead, merged.Elapsed, merged.IndexRead, merged.Exact,
-						want.ChunksRead, want.Elapsed, want.IndexRead, want.Exact)
-				}
-				if len(merged.Neighbors) != len(want.Neighbors) {
-					t.Fatalf("%s %v q%d: %d neighbors != %d", su.name, stop, qi, len(merged.Neighbors), len(want.Neighbors))
-				}
-				for i := range want.Neighbors {
-					if merged.Neighbors[i] != want.Neighbors[i] {
-						t.Fatalf("%s %v q%d rank %d: %+v != %+v",
-							su.name, stop, qi, i, merged.Neighbors[i], want.Neighbors[i])
-					}
-				}
-				if len(merged.PerShard) != 1 || merged.PerShard[0].ChunksRead != want.ChunksRead {
-					t.Fatalf("%s %v q%d: PerShard %+v", su.name, stop, qi, merged.PerShard)
-				}
-			}
-		}
-	}
+	checkOneShard(t, true)
 }
 
 // TestGlobalCompletionMatchesScanOracle pins the global exactness
@@ -108,10 +33,10 @@ func TestGlobalCompletionMatchesScanOracle(t *testing.T) {
 
 	for _, shards := range []int{2, 4, 7} {
 		r := routerOver(t, ds, clusters, shards, pageSize)
-		var res Result
+		var res search.Result
 		for _, qi := range []int{1, 42, 777, 3210, 4999} {
 			q := coll.Vec(qi)
-			if err := r.SearchGlobalInto(q, search.Options{K: k}, &res); err != nil {
+			if err := one(r.RunBatchGlobal, q, batchexec.Options{K: k}, &res); err != nil {
 				t.Fatal(err)
 			}
 			if !res.Exact {
@@ -127,11 +52,9 @@ func TestGlobalCompletionMatchesScanOracle(t *testing.T) {
 				}
 			}
 			sumChunks, maxElapsed := 0, time.Duration(0)
-			for s := range res.PerShard {
-				sumChunks += res.PerShard[s].ChunksRead
-				if res.PerShard[s].Elapsed > maxElapsed {
-					maxElapsed = res.PerShard[s].Elapsed
-				}
+			for _, mc := range res.PerMachine {
+				sumChunks += mc.ChunksRead
+				maxElapsed = max(maxElapsed, mc.Elapsed)
 			}
 			if res.ChunksRead != sumChunks {
 				t.Fatalf("S=%d q%d: ChunksRead %d != per-shard sum %d", shards, qi, res.ChunksRead, sumChunks)
@@ -154,11 +77,11 @@ func TestGlobalBudgetSpendsExactlyTotal(t *testing.T) {
 	r := routerOver(t, ds, clusters, shards, 4096)
 	total := len(clusters)
 
-	var res Result
+	var res search.Result
 	for _, budget := range []int{1, 2, shards - 1, 5, 17, total, total + 10} {
 		for _, qi := range []int{7, 900, 4242} {
 			q := coll.Vec(qi)
-			if err := r.SearchGlobalInto(q, search.Options{K: 20, Stop: search.ChunkBudget(budget)}, &res); err != nil {
+			if err := one(r.RunBatchGlobal, q, batchexec.Options{K: 20, Stop: search.ChunkBudget(budget)}, &res); err != nil {
 				t.Fatal(err)
 			}
 			want := budget
@@ -169,7 +92,7 @@ func TestGlobalBudgetSpendsExactlyTotal(t *testing.T) {
 				t.Fatalf("budget %d q%d: ChunksRead %d != %d", budget, qi, res.ChunksRead, want)
 			}
 			sum := 0
-			for _, pc := range res.PerShard {
+			for _, pc := range res.PerMachine {
 				sum += pc.ChunksRead
 			}
 			if sum != want {
@@ -183,7 +106,7 @@ func TestGlobalBudgetSpendsExactlyTotal(t *testing.T) {
 
 	// The contrast pin: the per-shard discipline at the same per-shard
 	// budget b reads S×b chunks (no shard exhausts its chunks at b=2).
-	if err := r.SearchInto(coll.Vec(7), search.Options{K: 20, Stop: search.ChunkBudget(2)}, &res); err != nil {
+	if err := one(r.RunBatch, coll.Vec(7), batchexec.Options{K: 20, Stop: search.ChunkBudget(2)}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.ChunksRead != shards*2 {
@@ -200,19 +123,18 @@ func TestGlobalBudgetMatchesUnshardedBudget(t *testing.T) {
 	ds, clusters := fixture(t, 5000, 43, 140)
 	coll := ds.Collection
 	const pageSize = 4096
-	single := search.New(chunkfile.NewMemStore(coll, clusters, pageSize), nil)
+	single := batchexec.New(chunkfile.NewMemStore(coll, clusters, pageSize), nil)
 	r := routerOver(t, ds, clusters, 4, pageSize)
 
-	var got Result
+	var got, want search.Result
 	for _, budget := range []int{1, 3, 8, 20} {
 		for _, qi := range []int{0, 55, 1999, 4321} {
 			q := coll.Vec(qi)
-			opts := search.Options{K: 20, Stop: search.ChunkBudget(budget)}
-			want, err := single.Search(q, opts)
-			if err != nil {
+			opts := batchexec.Options{K: 20, Stop: search.ChunkBudget(budget)}
+			if err := one(single.Run, q, opts, &want); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.SearchGlobalInto(q, opts, &got); err != nil {
+			if err := one(r.RunBatchGlobal, q, opts, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.ChunksRead != want.ChunksRead {
@@ -230,104 +152,20 @@ func TestGlobalBudgetMatchesUnshardedBudget(t *testing.T) {
 	}
 }
 
-// TestGlobalBatchMatchesGlobalSearch pins the batch path to the
-// single-query global path: RunBatchGlobal outcomes are byte-identical
-// to per-query SearchGlobalInto — neighbors, ChunksRead, Elapsed,
+// TestGlobalBatchMatchesGlobalSearch pins that a query's global-budget
+// outcome does not depend on its batch: RunBatchGlobal of N is
+// byte-identical to N batches of one — neighbors, ChunksRead, Elapsed,
 // IndexRead and Exact — under every stop rule.
 func TestGlobalBatchMatchesGlobalSearch(t *testing.T) {
-	ds, clusters := fixture(t, 5000, 31, 120)
-	coll := ds.Collection
-	r := routerOver(t, ds, clusters, 3, 4096)
-
-	queries := make([]vec.Vector, 24)
-	for i := range queries {
-		queries[i] = coll.Vec(i * 191)
-	}
-	results := make([]search.Result, len(queries))
-	for _, stop := range stopRules() {
-		if err := r.RunBatchGlobal(queries, batchexec.Options{K: 15, Stop: stop}, results); err != nil {
-			t.Fatal(err)
-		}
-		var want Result
-		for qi, q := range queries {
-			if err := r.SearchGlobalInto(q, search.Options{K: 15, Stop: stop}, &want); err != nil {
-				t.Fatal(err)
-			}
-			got := &results[qi]
-			if got.ChunksRead != want.ChunksRead || got.Elapsed != want.Elapsed ||
-				got.IndexRead != want.IndexRead || got.Exact != want.Exact {
-				t.Fatalf("%v q%d: (chunks %d, sim %v, idx %v, exact %v) != (%d, %v, %v, %v)",
-					stop, qi, got.ChunksRead, got.Elapsed, got.IndexRead, got.Exact,
-					want.ChunksRead, want.Elapsed, want.IndexRead, want.Exact)
-			}
-			if len(got.Neighbors) != len(want.Neighbors) {
-				t.Fatalf("%v q%d: %d neighbors != %d", stop, qi, len(got.Neighbors), len(want.Neighbors))
-			}
-			for i := range want.Neighbors {
-				if got.Neighbors[i] != want.Neighbors[i] {
-					t.Fatalf("%v q%d rank %d: %+v != %+v", stop, qi, i, got.Neighbors[i], want.Neighbors[i])
-				}
-			}
-		}
-	}
+	checkBatchOfN(t, true)
 }
 
 // TestGlobalMultiQueryMatchesSingleStore pins the multi-descriptor
 // global path: on 1 shard it is byte-identical (scores, simulated
-// totals) to the single-store multiquery searcher, and run to completion
-// on 4 shards it still ranks images identically.
+// totals) to the single store's plain multi-descriptor query, and run to
+// completion on 4 shards it still ranks images identically.
 func TestGlobalMultiQueryMatchesSingleStore(t *testing.T) {
-	ds, clusters := fixture(t, 4000, 37, 110)
-	coll := ds.Collection
-	const pageSize = 4096
-
-	bag := make([]vec.Vector, 30)
-	for i := range bag {
-		bag[i] = coll.Vec(i * 97)
-	}
-	single := multiquery.New(chunkfile.NewMemStore(coll, clusters, pageSize))
-
-	check := func(name string, got, want *multiquery.Result) {
-		t.Helper()
-		if got.Descriptors != want.Descriptors {
-			t.Fatalf("%s: descriptors %d != %d", name, got.Descriptors, want.Descriptors)
-		}
-		if len(got.Images) != len(want.Images) {
-			t.Fatalf("%s: %d images != %d", name, len(got.Images), len(want.Images))
-		}
-		for i := range want.Images {
-			if got.Images[i] != want.Images[i] {
-				t.Fatalf("%s image %d: %+v != %+v", name, i, got.Images[i], want.Images[i])
-			}
-		}
-	}
-
-	r1 := routerOver(t, ds, clusters, 1, pageSize)
-	opts := multiquery.Options{K: 8, Stop: search.ChunkBudget(3), RankWeighted: true}
-	want, err := single.Query(bag, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r1.MultiQueryGlobal(bag, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("1-shard global", got, want)
-	if got.Simulated != want.Simulated || got.ChunksRead != want.ChunksRead {
-		t.Fatalf("1-shard global: (sim %v, chunks %d) != (%v, %d)", got.Simulated, got.ChunksRead, want.Simulated, want.ChunksRead)
-	}
-
-	r4 := routerOver(t, ds, clusters, 4, pageSize)
-	exact := multiquery.Options{K: 8, Stop: search.ToCompletion{}}
-	want, err = single.Query(bag, exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = r4.MultiQueryGlobal(bag, exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("4-shard global completion", got, want)
+	checkMultiQuery(t, true)
 }
 
 // TestGlobalEmptyShards covers shards that hold no chunks (more shards
@@ -338,8 +176,8 @@ func TestGlobalEmptyShards(t *testing.T) {
 	coll := ds.Collection
 	r := routerOver(t, ds, clusters, len(clusters)+2, 4096)
 
-	res, err := r.SearchGlobal(coll.Vec(5), search.Options{K: 10})
-	if err != nil {
+	var res search.Result
+	if err := one(r.RunBatchGlobal, coll.Vec(5), batchexec.Options{K: 10}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Exact || len(res.Neighbors) != 10 {
@@ -351,19 +189,18 @@ func TestGlobalEmptyShards(t *testing.T) {
 			t.Fatalf("empty-shard global rank %d: %+v != %+v", i, res.Neighbors[i], truth[i])
 		}
 	}
-	if len(res.PerShard) != r.Shards() {
-		t.Fatalf("PerShard %d entries != %d shards", len(res.PerShard), r.Shards())
+	if len(res.PerMachine) != r.Shards() {
+		t.Fatalf("PerMachine %d entries != %d shards", len(res.PerMachine), r.Shards())
 	}
 
-	res, err = r.SearchGlobal(coll.Vec(5), search.Options{K: 10, Stop: search.ChunkBudget(2)})
-	if err != nil {
+	if err := one(r.RunBatchGlobal, coll.Vec(5), batchexec.Options{K: 10, Stop: search.ChunkBudget(2)}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.ChunksRead != 2 {
 		t.Fatalf("empty-shard global budget 2: ChunksRead %d", res.ChunksRead)
 	}
 
-	if _, err := r.SearchGlobal(make(vec.Vector, 3), search.Options{K: 5}); err == nil {
+	if err := one(r.RunBatchGlobal, make(vec.Vector, 3), batchexec.Options{K: 5}, &res); err == nil {
 		t.Fatal("bad dims accepted")
 	}
 	if err := r.RunBatchGlobal(make([]vec.Vector, 2), batchexec.Options{}, make([]search.Result, 1)); err == nil {
@@ -419,9 +256,9 @@ func TestGlobalConcurrentScatterBatch(t *testing.T) {
 					}
 				}
 			case 1:
-				var res Result
+				var res search.Result
 				for qi, q := range queries {
-					if err := r.SearchGlobalInto(q, search.Options{K: 10, Stop: search.ChunkBudget(8)}, &res); err != nil {
+					if err := one(r.RunBatchGlobal, q, batchexec.Options{K: 10, Stop: search.ChunkBudget(8)}, &res); err != nil {
 						t.Error(err)
 						return
 					}
@@ -435,9 +272,9 @@ func TestGlobalConcurrentScatterBatch(t *testing.T) {
 				// Per-shard traffic interleaved with the global traffic:
 				// the two disciplines share the shard stores and must not
 				// perturb each other.
-				var res Result
+				var res search.Result
 				for _, q := range queries {
-					if err := r.SearchInto(q, search.Options{K: 10, Stop: search.ChunkBudget(2)}, &res); err != nil {
+					if err := one(r.RunBatch, q, batchexec.Options{K: 10, Stop: search.ChunkBudget(2)}, &res); err != nil {
 						t.Error(err)
 						return
 					}

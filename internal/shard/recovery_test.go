@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/faultstore"
 	"repro/internal/search"
+	"repro/internal/search/batchexec"
 )
 
 // TestRecoveryAfterKill pins the health-switch recovery contract that
@@ -22,16 +23,16 @@ func TestRecoveryAfterKill(t *testing.T) {
 	queryIdx := []int{5, 777, 2400, 3900}
 
 	// Healthy baseline before any faults.
-	healthy := make([]Result, len(queryIdx))
+	healthy := make([]search.Result, len(queryIdx))
 	for qi, pos := range queryIdx {
-		if err := r.SearchInto(coll.Vec(pos), search.Options{K: k}, &healthy[qi]); err != nil {
+		if err := one(r.RunBatch, coll.Vec(pos), batchexec.Options{K: k}, &healthy[qi]); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	faults[dead].Kill()
-	var res Result
-	if err := r.SearchInto(coll.Vec(queryIdx[0]), search.Options{K: k}, &res); err != nil {
+	var res search.Result
+	if err := one(r.RunBatch, coll.Vec(queryIdx[0]), batchexec.Options{K: k}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded || !r.ShardDown(dead) {
@@ -50,7 +51,7 @@ func TestRecoveryAfterKill(t *testing.T) {
 	// router must keep serving — the very next read re-discovers the
 	// corpse and the result is still honestly degraded.
 	r.MarkShardUp(dead)
-	if err := r.SearchInto(coll.Vec(queryIdx[1]), search.Options{K: k}, &res); err != nil {
+	if err := one(r.RunBatch, coll.Vec(queryIdx[1]), batchexec.Options{K: k}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded || res.Exact {
@@ -66,7 +67,7 @@ func TestRecoveryAfterKill(t *testing.T) {
 	if r.DownShards() != 0 {
 		t.Fatalf("DownShards %d after ResetHealth", r.DownShards())
 	}
-	if err := r.SearchInto(coll.Vec(queryIdx[2]), search.Options{K: k}, &res); err != nil {
+	if err := one(r.RunBatch, coll.Vec(queryIdx[2]), batchexec.Options{K: k}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded || !r.ShardDown(dead) {
@@ -84,10 +85,10 @@ func TestRecoveryAfterKill(t *testing.T) {
 		t.Fatalf("DownShards %d after recovery", r.DownShards())
 	}
 	for qi, pos := range queryIdx {
-		if err := r.SearchInto(coll.Vec(pos), search.Options{K: k}, &res); err != nil {
+		if err := one(r.RunBatch, coll.Vec(pos), batchexec.Options{K: k}, &res); err != nil {
 			t.Fatal(err)
 		}
-		if res.Degraded || res.ChunksSkipped != 0 || res.ShardsDown != 0 {
+		if res.Degraded || res.ChunksSkipped != 0 || r.DownShards() != 0 {
 			t.Fatalf("q%d still degraded after recovery: %+v", pos, res)
 		}
 		sameAnswer(t, "recovered", &res, &healthy[qi])

