@@ -17,21 +17,18 @@ type BatchOptions struct {
 	Parallelism int
 }
 
-// SearchBatchInto runs every query through the shards' chunk-major
-// batch engines, writing the merged outcome of queries[qi] into
-// results[qi]. Instead of one independent search per query, each engine
-// runs an asynchronous per-chunk work queue: each chunk wanted by at
-// least one unfinished query is read and decoded once and scanned
+// SearchBatchInto runs every query through the chunk-major batch engine,
+// writing the outcome of queries[qi] into results[qi]. Instead of one
+// independent search per query, the engine runs an asynchronous
+// per-chunk work queue over the whole fleet's chunks: each chunk wanted
+// by at least one unfinished query is read and decoded once and scanned
 // against all of its current subscribers while its descriptors are hot
 // in cache, with no barrier between chunks — a slow decode only delays
-// the queries that want that chunk. Every shard executes the whole batch
-// concurrently with the other shards (with opts.GlobalBudget, one
-// chunk-major engine runs the batch over the merged global chunk order,
-// charging per-shard pipelines). Results are byte-identical to per-query
-// Search calls in either discipline — each query still consumes chunks
-// in its own rank order, applies its stop rule after every chunk, and
-// owns its simulated pipelines, so Simulated remains a per-query time
-// (never wall-aggregated across the batch).
+// the queries that want that chunk. Results are byte-identical to
+// per-query Search calls in either budget discipline — each query still
+// consumes chunks in its own rank order, applies its stop rule after
+// every chunk, and owns its per-shard simulated pipelines, so Simulated
+// remains a per-query time (never wall-aggregated across the batch).
 //
 // The results array is the caller-owned arena: neighbor slices already in
 // it are reused when they have capacity, so recycling one results array
@@ -47,13 +44,11 @@ func (sx *ShardedIndex) SearchBatchInto(queries []Vector, opts BatchOptions, res
 
 // SearchBatchStream runs the batch like SearchBatchInto and streams
 // per-query completions: done(qi) fires exactly once per query, the
-// moment its last shard retires it with results[qi] holding the fully
-// merged outcome (or, under GlobalBudget, the moment the fleet-wide
-// engine retires it) — long before the batch returns while other
-// queries still run. Callbacks for distinct queries may fire
-// concurrently (they run on the engines' scan workers), so done must be
-// safe for concurrent use and must not block; hand slow consumers a
-// channel. On error, queries whose callback already fired retain valid
+// moment the engine retires it with results[qi] holding its outcome —
+// long before the batch returns while other queries still run.
+// Callbacks for distinct queries may fire concurrently (they run on the
+// engine's scan workers), so done must be safe for concurrent use and
+// must not block; hand slow consumers a channel. On error, queries whose callback already fired retain valid
 // results; the rest are invalid. A nil done degenerates to
 // SearchBatchInto. ShardsDown is sampled once per batch: before the run
 // when streaming, after it otherwise.
@@ -91,17 +86,14 @@ func (sx *ShardedIndex) SearchBatchStream(queries []Vector, opts BatchOptions, r
 			done(qi)
 		}
 	}
-	run := sx.router.RunBatchStream
-	if opts.GlobalBudget {
-		run = sx.router.RunBatchGlobalStream
-	}
-	err := run(queries, batchexec.Options{
-		K:           opts.K,
-		Stop:        stopRule(opts.SearchOptions),
-		Model:       opts.Model,
-		Overlap:     opts.Overlap,
-		Parallelism: opts.Parallelism,
-		Ctx:         opts.Ctx,
+	err := sx.router.RunBatchStream(queries, batchexec.Options{
+		K:            opts.K,
+		Stop:         stopRule(opts.SearchOptions),
+		Model:        opts.Model,
+		Overlap:      opts.Overlap,
+		GlobalBudget: opts.GlobalBudget,
+		Parallelism:  opts.Parallelism,
+		Ctx:          opts.Ctx,
 	}, srs, onDone)
 	if err != nil {
 		var qe *batchexec.QueryError

@@ -310,9 +310,9 @@ func BenchmarkMultiSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedBatchInto measures the scatter-gather batch path on a
-// 4-shard index: the 200-query workload runs on every shard's chunk-major
-// engine concurrently, per-shard budget 5, merged per query.
+// BenchmarkShardedBatchInto measures the sharded batch path on a 4-shard
+// index: the 200-query workload runs on the fleet's chunk-major engine,
+// per-shard budget 5.
 func BenchmarkShardedBatchInto(b *testing.B) {
 	lab := getBenchLab(b)
 	sx, err := BuildSharded(lab.Coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 300}, 4)
@@ -339,7 +339,7 @@ func BenchmarkShardedBatchInto(b *testing.B) {
 }
 
 // BenchmarkShardedSingleQuery measures one run-to-completion query
-// scattered across 4 shards and merged.
+// walking a 4-shard index.
 func BenchmarkShardedSingleQuery(b *testing.B) {
 	lab := getBenchLab(b)
 	sx, err := BuildSharded(lab.Coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 300}, 4)

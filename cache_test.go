@@ -46,8 +46,8 @@ func TestCacheEquivalenceUnsharded(t *testing.T) {
 	checkCacheEquivalence(t, 1)
 }
 
-// TestCacheEquivalenceSharded pins the same guarantee on scatter-gather
-// over three shards.
+// TestCacheEquivalenceSharded pins the same guarantee on a three-shard
+// index.
 func TestCacheEquivalenceSharded(t *testing.T) {
 	checkCacheEquivalence(t, 3)
 }

@@ -5,7 +5,7 @@
 // search, the zero-allocation steady-state path, a 5-chunk approximate
 // search, whole-workload batch throughput (both the allocating form and
 // the chunk-major zero-allocation result arena), a multi-descriptor
-// image query, and the sharded scatter-gather layer (single-query,
+// image query, and the sharded layer (single-query,
 // batch at a matched total chunk budget under both the per-shard and the
 // global budget discipline, and multi-descriptor), plus fault-tolerance
 // rows: a Zipf-skewed workload run healthy and with one shard down at
@@ -81,7 +81,7 @@ type measurement struct {
 	// cost-model outcome per query (mean over the workload) — the
 	// modeled serving metrics the paper's figures are drawn in. For
 	// sharded entries Simulated is the max over the shards a query
-	// touched, so these rows show the scatter-gather response-time win
+	// touched, so these rows show the sharded response-time win
 	// independent of the benchmark host's core count and load.
 	SimMsPerQuery  float64 `json:"sim_ms_per_query,omitempty"`
 	ChunksPerQuery float64 `json:"chunks_per_query,omitempty"`
@@ -382,7 +382,7 @@ func main() {
 		}
 	}))
 
-	// Sharded scatter-gather triples. Three comparisons at the same total
+	// Sharded triples. Three comparisons at the same total
 	// chunk bill (shards×5 chunks/query), all pinned equivalent by tests:
 	//
 	//   - Single engine at budget shards×5: the quality baseline — the
@@ -397,10 +397,8 @@ func main() {
 	//     sim_ms_per_query: the closed gap BENCH_5 records.
 	//
 	// A run-to-completion pair rides along: identical exact answers from
-	// the single and the scattered path. Wall ns/op on the benchmark host
-	// measures the scatter's CPU-level parallelism only up to the host's
-	// core count; sim_ms_per_query is the deterministic serving metric
-	// the repo's figures are drawn in.
+	// the single engine and the sharded walk. sim_ms_per_query is the
+	// deterministic serving metric the repo's figures are drawn in.
 	totalBudget := *shards * 5
 	singleKey := fmt.Sprintf("batch_into_budget%d_200q", totalBudget)
 	if _, done := snap.Benchmarks[singleKey]; !done { // -shards 1 matches the budget-5 entry above

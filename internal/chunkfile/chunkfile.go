@@ -113,10 +113,10 @@ type Data struct {
 	// Served identifies the simulated machine that actually served this
 	// ReadChunk, for stores that route one logical chunk across several
 	// machines (the shard router's spread-reads policy — see
-	// MachineRouter). Routing stores set it on every call (to the serving
+	// MachineLayout). Routing stores set it on every call (to the serving
 	// machine on success, the owning machine otherwise); the plain
 	// single-machine stores never touch it, and consumers consult it only
-	// when the store advertises more than one machine.
+	// while the store reports its reads routed.
 	Served int32
 	dims   int
 	buf    []byte // FileStore read scratch, reused across ReadChunk calls
@@ -212,32 +212,21 @@ type Store interface {
 	Close() error
 }
 
-// MachineRouter is an optional Store interface for stores that may route
-// a read to any of several simulated machines — the shard router's
-// spread-reads policy. Machines returns the machine count and the machine
-// that owns every chunk of this store: a fixed owner when all of the
-// store's chunks bill their stalls to one machine (a shard's logical
-// view), or -1 when ownership varies per chunk (a concatenated
-// multi-shard store, which reports it through MachineLayout). When count > 1 the store sets Data.Served on every ReadChunk
-// and consumers that track per-machine serving time charge the serving
-// machine's ledger, billing Data.Stall to the owner. A count <= 1
-// disables per-machine accounting entirely, keeping single-machine reads
-// byte-identical to stores that never implement the interface.
-type MachineRouter interface {
-	Machines() (count, owner int)
-}
-
 // MachineLayout is an optional Store interface for stores whose chunks
 // live on several simulated machines (the shard router's concatenated
-// global store): Layout returns the machine owning every chunk (one
-// entry per Meta entry, read-only) and the machine count. Consumers bill
-// each chunk to its owner's simdisk.Pipeline, every machine paying the
-// index read for its own chunk count, and report the max over the
-// machines — they run in parallel. The layout is nominal: it never
-// depends on which replica served a read (that is MachineRouter's
-// serving ledger). A store without the interface is one machine.
+// store): Layout returns the machine owning every chunk (one entry per
+// Meta entry, read-only) and the machine count. Consumers bill each chunk
+// to its owner's simdisk.Pipeline, every machine paying the index read
+// for its own chunk count, and report the max over the machines — they
+// run in parallel. The layout is nominal: it never depends on which
+// replica served a read. routed reports that reads may currently be
+// served by a machine other than the owner (the shard router's
+// spread-reads policy): the store then sets Data.Served on every
+// ReadChunk, and consumers keep a per-machine serving ledger that bills
+// each chunk to the machine that served it and each stall to the owner.
+// A store without the interface is one machine.
 type MachineLayout interface {
-	Layout() (owner []int32, machines int)
+	Layout() (owner []int32, machines int, routed bool)
 }
 
 // Write builds the two files from a clustering. Chunks appear in the

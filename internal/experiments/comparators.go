@@ -89,8 +89,8 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 	}
 
 	// Sharded chunk search: the same SR chunks partitioned across four
-	// simulated machines (balanced by padded chunk bytes), searched
-	// scatter-gather with the per-shard budget. Simulated time is the max
+	// simulated machines (balanced by padded chunk bytes), searched with
+	// the per-shard budget. Simulated time is the max
 	// over the shards — they run in parallel — so the rows show what the
 	// ROADMAP's sharding direction buys: response time drops while the
 	// summed chunk work (the hardware bill) rises.
@@ -139,8 +139,8 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 	// budget 4b pays the same bill for the *globally* best chunks.
 	lab.Cfg.logf("comparators: sharded chunk search (global budget)...")
 	for _, budget := range []int{4, 8, 20} {
-		err := router.RunBatchGlobal(queries, batchexec.Options{
-			K: k, Stop: search.ChunkBudget(budget), Overlap: true,
+		err := router.RunBatch(queries, batchexec.Options{
+			K: k, Stop: search.ChunkBudget(budget), Overlap: true, GlobalBudget: true,
 		}, chunkResults)
 		if err != nil {
 			return nil, err

@@ -9,7 +9,7 @@
 // (Schmid & Mohr 1997), layered on the chunk-search substrate so the
 // quality/time stop rules apply per descriptor. The bag of descriptors is
 // a natural batch, so the shard router (shard.Router.MultiQuery) runs the
-// per-descriptor searches as one batch on the chunk-major engines — every
+// per-descriptor searches as one batch on the chunk-major engine — every
 // chunk wanted by several descriptors is decoded once and scanned while
 // hot — and this package supplies the options and the vote (Aggregate).
 // Per-descriptor stop-rule and simulated-timing semantics are unchanged
@@ -41,6 +41,9 @@ type Options struct {
 	MinVotes float64
 	// Overlap selects the overlapped pipeline in the simulated timing.
 	Overlap bool
+	// GlobalBudget spends each descriptor's Stop budget once across the
+	// shards instead of once per shard (batchexec.Options.GlobalBudget).
+	GlobalBudget bool
 	// Ctx, when non-nil, cancels the bag's batch between chunk charges —
 	// the same deadline-propagation contract as batchexec.Options.Ctx.
 	Ctx context.Context

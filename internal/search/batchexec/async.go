@@ -168,10 +168,7 @@ func (a *arena) aborted(state int32) bool {
 // wave to share a read with and nothing a pool hand-off would buy. Each
 // lone step names the next chunk through subscribe, the cancellation
 // check precedes every read, as on the queue, and the query retires here
-// once its loop ends. Retiring here rather than in processChunk keeps the
-// lone path's call chain short: the shard router runs each shard's point
-// query on a fresh goroutine, whose small initial stack a deeper chain
-// would grow on every query.
+// once its loop ends.
 func (a *arena) run(queries []vec.Vector, results []search.Result, parallelism int) error {
 	chunks := len(a.store.Meta())
 	for qi := range queries {

@@ -37,7 +37,7 @@
 //     order. Batch code must never share or wall-aggregate simulated time
 //     — the model is one 2005 machine per query (one per (query, machine)
 //     when the store reports a chunkfile.MachineLayout, the shard
-//     router's global-budget mode). Because each walk's charges land on
+//     router's store). Because each walk's charges land on
 //     its own pipelines in its own rank order, the simulated clocks are
 //     independent of *when* the scheduler processes a chunk; reordering
 //     execution moves wall time only, never results.
@@ -77,6 +77,11 @@ type Options struct {
 	// Model overrides the engine's cost model for this run.
 	Model   *simdisk.Model
 	Overlap bool // overlap I/O with CPU in each query's simulated pipeline
+	// GlobalBudget spends Stop's budget once across a store whose chunks
+	// live on several simulated machines (chunkfile.MachineLayout — the
+	// shard router's) instead of once per machine; see search.Walk. It
+	// changes nothing on a plain store.
+	GlobalBudget bool
 	// Parallelism caps the concurrency of a run of two or more queries:
 	// <=0 means GOMAXPROCS, 1 runs entirely on the calling goroutine. A
 	// run of one query always runs on the calling goroutine.
@@ -279,7 +284,7 @@ func (a *arena) reset(e *Engine, opts *Options, done func(int), n int) error {
 	a.onDone = done
 	a.failed.Store(false)
 	a.err = nil
-	if err := a.plan.Reset(e.store, model, opts.K, opts.Stop, opts.Overlap, opts.Trace); err != nil {
+	if err := a.plan.Reset(e.store, model, opts.K, opts.Stop, opts.GlobalBudget, opts.Overlap, opts.Trace); err != nil {
 		return fmt.Errorf("batchexec: %w", err)
 	}
 	if cap(a.states) < n {

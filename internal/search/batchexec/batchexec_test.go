@@ -224,7 +224,7 @@ type layoutStore struct {
 	machines int
 }
 
-func (s layoutStore) Layout() ([]int32, int) { return s.owner, s.machines }
+func (s layoutStore) Layout() ([]int32, int, bool) { return s.owner, s.machines, false }
 
 // TestBatchShardMapping pins the store-reported machine layout
 // (chunkfile.MachineLayout) on the engine: a layout onto one machine is
@@ -236,7 +236,7 @@ func TestBatchShardMapping(t *testing.T) {
 	mem, _, queries := buildStores(t)
 	metas := mem.Meta()
 	queries = queries[:12]
-	opts := Options{K: 10, Stop: search.ChunkBudget(6)}
+	opts := Options{K: 10, Stop: search.ChunkBudget(6), GlobalBudget: true}
 	run := func(store chunkfile.Store) ([]search.Result, error) {
 		res := make([]search.Result, len(queries))
 		return res, New(store, nil).Run(queries, opts, res)

@@ -22,10 +22,13 @@
 // chunk-major engine in the batchexec subpackage, and a point query is a
 // batch of one there, so a query's result never depends on which other
 // queries shared its run: the engine merely reorders which chunk is
-// decoded when. The primitives RankChunks (step 1), SuffixBounds (the
-// certificate's bounds) and ScanChunk (step 2's adaptive scan) are
-// exported for the engine's scans and for benchmarks that time the stages
-// separately.
+// decoded when. A store whose chunks live on several simulated machines
+// (the shard router's) is still one walk: each chunk is billed to its
+// machine, and the stop rule is applied per machine or, under the global
+// budget discipline, once over the walk's totals. The primitives
+// RankChunks (step 1), SuffixBounds (the certificate's bounds) and
+// ScanChunk (step 2's adaptive scan) are exported for the engine's scans
+// and for benchmarks that time the stages separately.
 //
 // Elapsed time is tracked on the simdisk cost model so the paper's 2005
 // wall-clock magnitudes are reproduced deterministically; real wall time
@@ -125,22 +128,20 @@ type Result struct {
 	// necessarily false, and recall may be below a healthy run's.
 	Degraded bool
 	// Machines is the per-machine serving ledger, set only when the store
-	// routes reads across several simulated machines
-	// (chunkfile.MachineRouter with count > 1 — the shard router's
-	// spread-reads policy): Machines[t] is the simulated time machine t
-	// spent serving this walk's chunks and stalls, measured from a zero
-	// origin (the machine's own index read is not included). Stop rules
-	// and Elapsed stay on the nominal owner-billed pipeline — which is
-	// what keeps spread-routing answer-invariant — and the shard router
-	// folds these ledgers into its merged max-over-machines Simulated.
-	// Nil (or empty) on single-machine stores; the slice is reused across
-	// calls on a recycled Result.
+	// routes reads across several simulated machines (a
+	// chunkfile.MachineLayout reporting its reads routed — the shard
+	// router's spread-reads policy): Machines[t] is the simulated time
+	// machine t spent serving this walk's chunks and stalls, measured from
+	// a zero origin (the machine's own index read is not included). Stop
+	// rules stay on the nominal owner-billed pipelines — which is what
+	// keeps spread routing answer-invariant — while Elapsed and PerMachine
+	// report the ledger. Empty otherwise; the slice is reused across calls
+	// on a recycled Result.
 	Machines []time.Duration
 	// PerMachine is the per-machine breakdown of a walk over a store whose
 	// chunks live on several simulated machines (chunkfile.MachineLayout —
-	// the shard router's global-budget mode): the chunks each machine was
-	// billed and its simulated clock. Empty on plain stores; reused like
-	// Machines.
+	// the shard router's store): the chunks each machine was billed and
+	// its simulated clock. Empty on plain stores; reused like Machines.
 	PerMachine []MachineCost
 }
 
@@ -216,26 +217,22 @@ func RankChunks(q vec.Vector, metas []chunkfile.Meta, ranked []RankedChunk) []Ra
 // processing ranked[i], and the exactness certificate.
 func SuffixBounds(ranked []RankedChunk, suffix []float64) []float64 {
 	suffix = sized(suffix, len(ranked)+1)
-	fillSuffix(ranked, math.Inf(1), suffix)
-	return suffix
-}
-
-// fillSuffix writes the suffix minima of a sorted stretch of a ranking
-// into suffix[:len(ranked)+1]: rest is the lowest bound among the chunks
-// ranked after the stretch (+Inf when there are none), so suffix[i] is
-// the minimum over everything ranked at i or later.
-func fillSuffix(ranked []RankedChunk, rest float64, suffix []float64) {
-	suffix[len(ranked)] = rest
+	suffix[len(ranked)] = math.Inf(1)
 	for i := len(ranked) - 1; i >= 0; i-- {
 		suffix[i] = math.Min(suffix[i+1], ranked[i].Bound)
 	}
+	return suffix
 }
 
 // selectSorted reorders r so that r[:k] holds its k smallest entries under
 // compareRanked, sorted, and r[k:] the rest in no particular order:
 // heap-select (a max-heap over r[:k], every later entry that beats the
 // root swapped in), then a sort of the prefix. O(len(r)·log k), in place.
-func selectSorted(r []RankedChunk, k int) {
+// In the same pass it lowers rest[g] to the bound of every entry left in
+// r[k:], g being the entry's budget group in group (0 when group is nil):
+// an entry at i >= k is final once the pass has moved past i. k must be
+// positive unless r is empty.
+func selectSorted(r []RankedChunk, k int, group []int32, rest []float64) {
 	if k >= len(r) {
 		slices.SortFunc(r, compareRanked)
 		return
@@ -247,6 +244,13 @@ func selectSorted(r []RankedChunk, k int) {
 		if compareRanked(r[i], r[0]) < 0 {
 			r[i], r[0] = r[0], r[i]
 			siftDown(r[:k], 0)
+		}
+		g := 0
+		if group != nil {
+			g = int(group[r[i].Idx])
+		}
+		if b := r[i].Bound; b < rest[g] {
+			rest[g] = b
 		}
 	}
 	slices.SortFunc(r[:k], compareRanked)
@@ -293,18 +297,33 @@ type Plan struct {
 	counts    []int
 	inits     []time.Duration
 	indexRead time.Duration
-	// serveMachines and serveOwner are the store's read routing
-	// (chunkfile.MachineRouter): with serveMachines > 1 every walk carries
-	// a per-machine serving ledger, stalls billing the fixed serveOwner or,
-	// when it is negative, the chunk's owner in the layout.
-	serveMachines, serveOwner int
+	// group maps every chunk to the budget group whose stop rule it spends:
+	// its owner under the per-machine discipline, nil (one group) under the
+	// global one or on a plain store. groups holds each group's chunk
+	// count, live the groups owning a chunk.
+	group  []int32
+	groups []int
+	live   int
+	// routed keeps a serving ledger per machine (the layout's reads are
+	// routed over several machines).
+	routed bool
+}
+
+// groupOf returns the budget group of store chunk ci.
+func (p *Plan) groupOf(ci int) int {
+	if p.group == nil {
+		return 0
+	}
+	return int(p.group[ci])
 }
 
 // Reset resolves the plan for one run over the store under the given
-// (non-nil) model: k <= 0 means DefaultK, a nil stop rule ToCompletion. trace,
-// when non-nil, receives one Event per charged chunk with the walk's
-// Query index. A store reporting a malformed machine layout is rejected.
-func (p *Plan) Reset(store chunkfile.Store, model *simdisk.Model, k int, stop StopRule, overlap bool, trace func(int, Event)) error {
+// (non-nil) model: k <= 0 means DefaultK, a nil stop rule ToCompletion.
+// global spends the stop rule's budget once over a multi-machine layout
+// instead of once per machine (see Walk). trace, when non-nil, receives
+// one Event per charged chunk with the walk's Query index. A store
+// reporting a malformed machine layout is rejected.
+func (p *Plan) Reset(store chunkfile.Store, model *simdisk.Model, k int, stop StopRule, global, overlap bool, trace func(int, Event)) error {
 	if k <= 0 {
 		k = DefaultK
 	}
@@ -312,28 +331,19 @@ func (p *Plan) Reset(store chunkfile.Store, model *simdisk.Model, k int, stop St
 		stop = ToCompletion{}
 	}
 	p.metas, p.k, p.stop, p.model, p.overlap, p.trace = store.Meta(), k, stop, model, overlap, trace
-	// A chunk budget names the prefix outright (a walk looks past it only
-	// when it skips unavailable chunks); any other rule starts small.
-	p.first = initialPrefix
-	if b, ok := stop.(ChunkBudget); ok {
-		p.first = max(int(b), 1)
-	}
 	p.centroids, p.dims = store.Centroids(), store.Dims()
 	if len(p.centroids) != len(p.metas)*p.dims {
 		return fmt.Errorf("search: store has %d chunks of %d dims but a centroid matrix of %d floats", len(p.metas), p.dims, len(p.centroids))
 	}
-	p.serveMachines, p.serveOwner = 1, 0
-	if mr, ok := store.(chunkfile.MachineRouter); ok {
-		p.serveMachines, p.serveOwner = mr.Machines()
-	}
-	p.owner = nil
+	p.owner, p.routed = nil, false
 	machines := 1
 	if ml, ok := store.(chunkfile.MachineLayout); ok {
-		p.owner, machines = ml.Layout()
+		p.owner, machines, p.routed = ml.Layout()
 		if len(p.owner) != len(p.metas) || machines < 1 {
 			return fmt.Errorf("search: store layout maps %d chunks onto %d machines, store has %d chunks", len(p.owner), machines, len(p.metas))
 		}
 	}
+	p.routed = p.routed && machines > 1
 	p.counts = sized(p.counts, machines)
 	clear(p.counts)
 	if p.owner == nil {
@@ -352,13 +362,32 @@ func (p *Plan) Reset(store chunkfile.Store, model *simdisk.Model, k int, stop St
 		p.inits[m] = model.IndexReadTime(c, entrySize)
 		p.indexRead = max(p.indexRead, p.inits[m])
 	}
+	p.group, p.groups = p.owner, append(p.groups[:0], p.counts...)
+	if global {
+		p.group, p.groups = nil, append(p.groups[:0], len(p.metas))
+	}
+	p.live = 0
+	for _, c := range p.groups {
+		if c > 0 {
+			p.live++
+		}
+	}
+	// A chunk budget names the prefix outright — per group, each spending
+	// its own (a walk looks past it only when it skips unavailable chunks or
+	// passes over stopped groups); any other rule starts small. Clamped to
+	// the store first, so no budget overflows the product.
+	p.first = initialPrefix
+	if b, ok := stop.(ChunkBudget); ok {
+		p.first = max(int(b), 1)
+	}
+	p.first = min(min(p.first, len(p.metas))*p.live, len(p.metas))
 	return nil
 }
 
 // Release drops the plan's references into caller and store memory so a
 // pooled plan retains none of it.
 func (p *Plan) Release() {
-	p.metas, p.centroids, p.stop, p.model, p.trace, p.owner = nil, nil, nil, nil, nil, nil
+	p.metas, p.centroids, p.stop, p.model, p.trace, p.owner, p.group = nil, nil, nil, nil, nil, nil, nil
 }
 
 // sized returns s with length n, reusing its capacity; contents are
@@ -380,6 +409,19 @@ func sized[T any](s []T, n int) []T {
 // it into Heap, then call Charge (or Skip when no replica is live). The
 // simulated clocks depend only on the order of a walk's own steps, never
 // on when the driver takes them.
+//
+// The stop rule is consulted per budget group: a group is a set of chunks
+// spending one budget, and it consults the rule only after charging one of
+// its own chunks, with its chunks read, its clock, the walk's k-th
+// distance and the lowest bound over its unread chunks. Once a group's
+// rule fires the walk passes over its remaining chunks — not read, charged
+// or counted — and it ends when every group has stopped or run out of
+// chunks. Under the per-machine discipline (the default over a
+// multi-machine layout) each machine is a group, with its own chunks read
+// and its own clock. Under the global discipline, and on a plain store,
+// the whole store is one group, whose clock is the max over the machines'.
+// Either way Exact is the certificate over what was left unread: every
+// unread chunk's bound above the final k-th distance.
 type Walk struct {
 	plan  *Plan
 	Query int      // reported to the plan's trace hook
@@ -390,23 +432,29 @@ type Walk struct {
 	ranked []RankedChunk
 	sorted int
 	d2     []float64
-	// suffix[i], for pos <= i <= sorted, is the lowest bound over all
-	// chunks ranked at i or later: suffix minima over the sorted prefix,
-	// seeded with the minimum over the unordered remainder.
-	suffix []float64
-	pos    int // rank position of the next chunk
+	// after[i], for pos <= i < sorted, is the lowest bound over the chunks
+	// of ranked[i]'s budget group ranked after i. rest is order's scratch:
+	// each group's lowest bound over the unordered remainder.
+	after, rest []float64
+	pos         int // rank position of the next chunk
 	// pipes is one simulated machine per machine of the plan's layout,
-	// billed by chunk ownership: stop rules and Elapsed read their max.
-	// serve is the per-machine serving ledger (Result.Machines), one
-	// zero-origin pipeline per routed machine, empty on unrouted stores.
+	// billed by chunk ownership: Elapsed reads their max. serve is the
+	// per-machine serving ledger (Result.Machines), one zero-origin
+	// pipeline per machine, empty on unrouted stores.
 	pipes, serve []simdisk.Pipeline
 	reads, skips []int // per layout machine
-	events       []Neighbor
+	// left[g] is how many chunks group g may still read (0 once its rule
+	// fired), live the groups with left > 0, unread the lowest bound over
+	// the chunks stopped groups left.
+	left   []int
+	live   int
+	unread float64
+	events []Neighbor
 }
 
 // Reset starts the walk of q under the plan: step 1 of the paper's
-// algorithm (the chunk ranking, plus the suffix minima the stop rule and
-// the certificate consume), fresh pipelines at each machine's index-read
+// algorithm (the chunk ranking, plus the per-group bounds the stop rule
+// and the certificate consume), fresh pipelines at each machine's index-read
 // time, and res seeded — its Neighbors, Machines and PerMachine buffers
 // are kept. It reports whether there is any chunk to walk.
 func (w *Walk) Reset(p *Plan, q vec.Vector, res *Result) bool {
@@ -414,7 +462,9 @@ func (w *Walk) Reset(p *Plan, q vec.Vector, res *Result) bool {
 	w.d2 = sized(w.d2, len(p.metas))
 	vec.SquaredDistancesTo(q, p.centroids, p.dims, w.d2)
 	w.ranked = appendRanked(w.ranked[:0], p.metas, w.d2)
-	w.suffix = sized(w.suffix, len(w.ranked)+1)
+	w.after, w.rest = sized(w.after, len(w.ranked)), sized(w.rest, len(p.groups))
+	w.left = append(w.left[:0], p.groups...)
+	w.live, w.unread = p.live, math.Inf(1)
 	w.sorted = 0
 	w.order(p.first)
 	w.Heap.Reset(p.k)
@@ -424,8 +474,8 @@ func (w *Walk) Reset(p *Plan, q vec.Vector, res *Result) bool {
 		w.pipes[m].Reset(p.model, p.overlap, p.inits[m])
 	}
 	w.serve = w.serve[:0]
-	if p.serveMachines > 1 {
-		w.serve = sized(w.serve, p.serveMachines)
+	if p.routed {
+		w.serve = sized(w.serve, len(p.inits))
 		for t := range w.serve {
 			w.serve[t].Reset(p.model, p.overlap, 0)
 		}
@@ -451,18 +501,25 @@ const initialPrefix = 8
 // order extends the sorted prefix by up to n more chunks, selected from
 // the unordered remainder — every entry of which ranks after the whole
 // prefix, so the prefix stays the head of the full order — and lays the
-// suffix minima over the new stretch (the cursor never returns to the old
-// one). The remainder's lowest bound is order-free, which keeps the stop
-// rule's remainingBound exact without sorting what the walk never reads.
+// per-group bounds after over the new stretch (the cursor never returns to
+// the old one). The remainder's lowest bounds are order-free, which keeps
+// the stop rule's remainingBound exact without sorting what the walk never
+// reads.
 func (w *Walk) order(n int) {
+	p := w.plan
 	from := w.sorted
 	w.sorted = min(from+n, len(w.ranked))
-	selectSorted(w.ranked[from:], w.sorted-from)
-	rest := math.Inf(1)
-	for _, rc := range w.ranked[w.sorted:] {
-		rest = math.Min(rest, rc.Bound)
+	for g := range w.rest {
+		w.rest[g] = math.Inf(1)
 	}
-	fillSuffix(w.ranked[from:w.sorted], rest, w.suffix[from:])
+	selectSorted(w.ranked[from:], w.sorted-from, p.group, w.rest)
+	// after[i] over the new stretch, from its end back to from, each
+	// group's running minimum seeded with its lowest remainder bound.
+	for i := w.sorted - 1; i >= from; i-- {
+		g := p.groupOf(w.ranked[i].Idx)
+		w.after[i] = w.rest[g]
+		w.rest[g] = math.Min(w.rest[g], w.ranked[i].Bound)
+	}
 }
 
 // Next returns the store index of the chunk the walk wants next.
@@ -470,22 +527,17 @@ func (w *Walk) Next() int { return w.ranked[w.pos].Idx }
 
 // stall bills a read's stall for the chunk at the cursor to the machine
 // owning it — on the nominal pipeline and, when a serving ledger runs, on
-// the owner's ledger clock (it performed the retries) — and returns the
-// owning layout machine and the ledger owner.
-func (w *Walk) stall(d time.Duration) (machine, ledgerOwner int) {
-	p := w.plan
-	if p.owner != nil {
-		machine = int(p.owner[w.ranked[w.pos].Idx])
-	}
-	ledgerOwner = p.serveOwner
-	if ledgerOwner < 0 {
-		ledgerOwner = machine
+// the owner's ledger clock (it performed the retries) — and returns that
+// machine.
+func (w *Walk) stall(d time.Duration) (machine int) {
+	if w.plan.owner != nil {
+		machine = int(w.plan.owner[w.ranked[w.pos].Idx])
 	}
 	w.pipes[machine].Stall(d)
 	if len(w.serve) > 0 {
-		w.serve[ledgerOwner].Stall(d)
+		w.serve[machine].Stall(d)
 	}
-	return machine, ledgerOwner
+	return machine
 }
 
 // Skip steps past the chunk Next named because no live replica serves it
@@ -494,19 +546,12 @@ func (w *Walk) stall(d time.Duration) (machine, ledgerOwner int) {
 // consulted, so a budget buys reachable chunks only. It reports whether
 // the walk is over.
 func (w *Walk) Skip(res *Result, stall time.Duration) (done bool) {
-	machine, _ := w.stall(stall)
+	machine := w.stall(stall)
 	res.Elapsed = max(res.Elapsed, w.pipes[machine].Elapsed())
 	res.ChunksSkipped++
 	res.Degraded = true
 	w.skips[machine]++
-	w.pos++
-	if w.pos == len(w.ranked) {
-		return true
-	}
-	if w.pos == w.sorted {
-		w.order(w.sorted)
-	}
-	return false
+	return w.step(res, machine, false)
 }
 
 // Charge steps past the chunk Next named after the driver scanned it into
@@ -515,41 +560,64 @@ func (w *Walk) Skip(res *Result, stall time.Duration) (done bool) {
 // to the machine that served the read, at the cache residency the nominal
 // charge observes (probed before ChunkAt moves the cache tier) — the
 // query's Elapsed becomes the max over its machines, which run in
-// parallel, and the stop rule is consulted. It reports whether the walk
-// is over, with res.Exact settled: the suffix-bound certificate, or true
-// once every chunk was processed (with an under-filled heap both Kth and
-// the suffix are +Inf, so the comparison alone would say false).
+// parallel, and the chunk's budget group consults the stop rule. It
+// reports whether the walk is over, with res.Exact settled.
 func (w *Walk) Charge(res *Result, stall time.Duration, served int) (done bool) {
 	p := w.plan
 	rc := &w.ranked[w.pos]
 	m := &p.metas[rc.Idx]
-	machine, ledgerOwner := w.stall(stall)
+	machine := w.stall(stall)
 	resident := len(w.serve) > 0 && p.model.ChunkResident(rc.Idx)
 	elapsed := max(res.Elapsed, w.pipes[machine].ChunkAt(rc.Idx, m.Bytes, m.Count))
 	if len(w.serve) > 0 {
 		if served < 0 || served >= len(w.serve) {
-			served = ledgerOwner
+			served = machine
 		}
 		w.serve[served].ChunkCharged(m.Bytes, m.Count, resident)
 	}
 	res.ChunksRead++
 	res.Elapsed = elapsed
 	w.reads[machine]++
-	w.pos++
 	if p.trace != nil {
 		w.emit(rc.Idx, m.Count, elapsed)
 	}
-	last := w.pos == len(w.ranked)
-	kth, remaining := w.Heap.Kth(), w.suffix[w.pos]
-	if p.stop.Done(res.ChunksRead, elapsed, kth, remaining) {
-		res.Exact = remaining > kth || last
+	return w.step(res, machine, true)
+}
+
+// step ends the walk's step on the chunk at the cursor, billed to machine
+// m: the chunk's budget group has one chunk fewer to go and, after a
+// charge, consults its stop rule — with the machine's own chunks read and
+// clock when the groups are the machines, the walk's totals when the
+// store is one group. Then the cursor moves on to the next chunk of a
+// group still reading. Once none is, the walk is over with res.Exact
+// settled: the certificate over the unread chunks, true when nothing is
+// left unread (with an under-filled heap both Kth and any bound are +Inf,
+// so the comparison alone would say false).
+func (w *Walk) step(res *Result, m int, charged bool) (done bool) {
+	p := w.plan
+	g, reads, clock := 0, res.ChunksRead, res.Elapsed
+	if p.group != nil {
+		g, reads, clock = m, w.reads[m], w.pipes[m].Elapsed()
+	}
+	if w.left[g]--; w.left[g] == 0 {
+		w.live--
+	} else if bound := w.after[w.pos]; charged && p.stop.Done(reads, clock, w.Heap.Kth(), bound) {
+		w.unread = math.Min(w.unread, bound)
+		w.left[g] = 0
+		w.live--
+	}
+	if w.live == 0 {
+		res.Exact = math.IsInf(w.unread, 1) || w.unread > w.Heap.Kth()
 		return true
 	}
-	res.Exact = last
-	if !last && w.pos == w.sorted {
-		w.order(w.sorted)
+	for {
+		if w.pos++; w.pos == w.sorted {
+			w.order(w.sorted)
+		}
+		if w.left[p.groupOf(w.ranked[w.pos].Idx)] > 0 {
+			return false
+		}
 	}
-	return last
 }
 
 // emit delivers the trace event of the chunk just charged. It is kept
@@ -557,7 +625,7 @@ func (w *Walk) Charge(res *Result, stall time.Duration, served int) (done bool) 
 func (w *Walk) emit(chunk, count int, elapsed time.Duration) {
 	w.events = w.Heap.AppendAll(w.events[:0])
 	w.plan.trace(w.Query, Event{
-		Ordinal:    w.pos,
+		Ordinal:    w.pos + 1,
 		ChunkIndex: chunk,
 		ChunkCount: count,
 		Elapsed:    elapsed,
@@ -569,28 +637,24 @@ func (w *Walk) emit(chunk, count int, elapsed time.Duration) {
 // serving ledger, and the per-machine breakdown of a multi-machine
 // layout. A degraded result is never exact — the certificate only bounds
 // unread chunks after the stop point, and a skipped chunk before it may
-// hold closer neighbors. On a store whose ledger spans the layout's own
-// machines (the concatenated global store with spread reads on) the walk
-// is the merge point, so the reported clocks come from the ledger:
-// machine t's is its index read plus the serving time billed to it, and
-// Elapsed their max. The stop rule consulted the nominal owner-billed max
-// throughout, which is what keeps answers routing-invariant.
+// hold closer neighbors. With a serving ledger the reported clocks come
+// from it: machine t's is its index read plus the serving time billed to
+// it, and Elapsed their max. The stop rules consulted the nominal
+// owner-billed pipelines throughout, which is what keeps answers
+// routing-invariant.
 func (w *Walk) Finish(res *Result) {
 	p := w.plan
 	if res.Degraded {
 		res.Exact = false
 	}
-	for t := range w.serve {
-		res.Machines = append(res.Machines, w.serve[t].Elapsed())
-	}
 	if p.owner != nil {
-		fold := p.serveOwner < 0 && len(w.serve) == len(w.pipes)
-		if fold {
+		if len(w.serve) > 0 {
 			res.Elapsed = 0
 		}
 		for m := range w.pipes {
 			e := w.pipes[m].Elapsed()
-			if fold {
+			if len(w.serve) > 0 {
+				res.Machines = append(res.Machines, w.serve[m].Elapsed())
 				e = p.inits[m] + w.serve[m].Elapsed()
 				res.Elapsed = max(res.Elapsed, e)
 			}

@@ -3,6 +3,7 @@ package search_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -20,12 +21,13 @@ import (
 // read stalls and unavailable chunks.
 type stepStore struct {
 	chunkfile.Store
-	owner []int32
-	stall map[int]time.Duration
-	down  map[int]bool
+	owner    []int32
+	machines int
+	stall    map[int]time.Duration
+	down     map[int]bool
 }
 
-func (s *stepStore) Layout() ([]int32, int) { return s.owner, int(slices.Max(s.owner)) + 1 }
+func (s *stepStore) Layout() ([]int32, int, bool) { return s.owner, s.machines, false }
 
 func (s *stepStore) ReadChunk(i int, d *chunkfile.Data) error {
 	d.Stall = s.stall[i]
@@ -79,7 +81,7 @@ func checkWalk(t *testing.T, name string, base chunkfile.Store, q vec.Vector, tc
 	metas, dims, model := base.Meta(), base.Dims(), simdisk.Default2005()
 	n := len(metas)
 	order := naiveRank(q, metas)
-	st := &stepStore{Store: base, owner: make([]int32, n), stall: map[int]time.Duration{}, down: map[int]bool{}}
+	st := &stepStore{Store: base, owner: make([]int32, n), machines: tc.machines, stall: map[int]time.Duration{}, down: map[int]bool{}}
 	pipes := make([]*simdisk.Pipeline, tc.machines)
 	for m := range pipes {
 		count := 0
@@ -100,7 +102,7 @@ func checkWalk(t *testing.T, name string, base chunkfile.Store, q vec.Vector, tc
 	}
 
 	var traced []charge
-	res, err := searchOne(batchexec.New(st, model), q, batchexec.Options{K: tc.k, Stop: tc.stop, Overlap: tc.overlap,
+	res, err := searchOne(batchexec.New(st, model), q, batchexec.Options{K: tc.k, Stop: tc.stop, Overlap: tc.overlap, GlobalBudget: true,
 		Trace: func(_ int, ev Event) { traced = append(traced, charge{ev.Ordinal, ev.ChunkIndex}) }})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -226,4 +228,146 @@ func TestWalkStep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// subStore is the chunks idx of a store (ascending store indexes) as a
+// store of their own, reading through it.
+type subStore struct {
+	chunkfile.Store
+	idx       []int
+	metas     []chunkfile.Meta
+	centroids []float32
+}
+
+func newSubStore(st chunkfile.Store, idx []int) *subStore {
+	sub := &subStore{Store: st, idx: idx}
+	for _, i := range idx {
+		sub.metas = append(sub.metas, st.Meta()[i])
+	}
+	sub.centroids = chunkfile.LayoutCentroids(sub.metas, st.Dims())
+	return sub
+}
+
+func (s *subStore) Meta() []chunkfile.Meta                   { return s.metas }
+func (s *subStore) Centroids() []float32                     { return s.centroids }
+func (s *subStore) ReadChunk(i int, d *chunkfile.Data) error { return s.Store.ReadChunk(s.idx[i], d) }
+
+// FuzzWalkPerMachine checks the per-machine budget discipline against its
+// definition: a walk over chunks owned by 1–5 machines (some possibly
+// empty, some chunks unavailable or stalled) must match independent
+// single-machine walks over each machine's own chunks, their neighbor
+// lists merged. Under the chunk and time budgets — which ignore the k-th
+// distance — everything matches byte for byte, machine by machine. Run to
+// completion the answers match reading no more chunks, the fleet's k-th
+// distance being never larger than one machine's. Either way an
+// independent Exact implies Exact, and an undegraded Exact is exactly the
+// certificate: every chunk left unread bounded above the k-th distance.
+func FuzzWalkPerMachine(f *testing.F) {
+	f.Add(uint8(40), uint8(2), int64(1), uint8(0), uint8(3), false, uint8(10))
+	f.Add(uint8(7), uint8(4), int64(2), uint8(1), uint8(90), true, uint8(30))
+	f.Add(uint8(60), uint8(4), int64(3), uint8(2), uint8(0), true, uint8(25))
+	f.Add(uint8(3), uint8(0), int64(4), uint8(2), uint8(0), false, uint8(39))
+	f.Add(uint8(50), uint8(3), int64(5), uint8(0), uint8(255), true, uint8(12))
+	f.Fuzz(func(t *testing.T, nRaw, machinesRaw uint8, seed int64, rule, budget uint8, overlap bool, kRaw uint8) {
+		fx := getFixture(t, 31)
+		base := fx.srSt
+		n, machines, k := 1+int(nRaw)%len(base.Meta()), 1+int(machinesRaw)%5, 1+int(kRaw)%40
+		rng := rand.New(rand.NewSource(seed))
+		st := &stepStore{Store: newSubStore(base, rangeN(n)), owner: make([]int32, n), machines: machines,
+			stall: map[int]time.Duration{}, down: map[int]bool{}}
+		own := make([][]int, machines)
+		for i := range st.owner {
+			m := rng.Intn(machines)
+			st.owner[i], own[m] = int32(m), append(own[m], i)
+			if rng.Intn(6) == 0 {
+				st.stall[i] = time.Duration(1+rng.Intn(5)) * time.Millisecond
+			}
+			st.down[i] = rng.Intn(10) == 0
+		}
+		var stop StopRule = ToCompletion{}
+		switch rule % 3 {
+		case 0:
+			stop = ChunkBudget(1 + budget%8)
+			if budget == math.MaxUint8 { // unlimited: no product with the machine count may overflow
+				stop = ChunkBudget(math.MaxInt)
+			}
+		case 1:
+			stop = TimeBudget(time.Duration(budget) * time.Millisecond)
+		}
+		q := fx.coll.Vec(rng.Intn(fx.coll.Len()))
+		model := simdisk.Default2005()
+		opts := batchexec.Options{K: k, Stop: stop, Overlap: overlap}
+
+		var charged []int
+		traced := opts
+		traced.Trace = func(_ int, ev Event) { charged = append(charged, ev.ChunkIndex) }
+		got, err := searchOne(batchexec.New(st, model), q, traced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Result{Exact: true}
+		rows := make([]*Result, machines)
+		for m := range rows {
+			if rows[m], err = searchOne(batchexec.New(newSubStore(st, own[m]), model), q, opts); err != nil {
+				t.Fatal(err)
+			}
+			want.Neighbors = append(want.Neighbors, rows[m].Neighbors...)
+			want.ChunksRead += rows[m].ChunksRead
+			want.ChunksSkipped += rows[m].ChunksSkipped
+			want.Elapsed = max(want.Elapsed, rows[m].Elapsed)
+			want.IndexRead = max(want.IndexRead, rows[m].IndexRead)
+			want.Exact = want.Exact && rows[m].Exact
+			want.Degraded = want.Degraded || rows[m].Degraded
+		}
+		slices.SortFunc(want.Neighbors, func(a, b Neighbor) int {
+			if knn.Less(a.Dist, a.ID, b.Dist, b.ID) {
+				return -1
+			}
+			return 1
+		})
+		want.Neighbors = want.Neighbors[:min(k, len(want.Neighbors))]
+
+		if !slices.Equal(got.Neighbors, want.Neighbors) || got.IndexRead != want.IndexRead || want.Exact && !got.Exact ||
+			len(got.PerMachine) != machines {
+			t.Fatalf("%v: got %+v, independent machines %+v", stop, got, want)
+		}
+		if !got.Degraded {
+			kth, unread := math.Inf(1), math.Inf(1)
+			if len(got.Neighbors) == k {
+				kth = got.Neighbors[k-1].Dist
+			}
+			for _, rc := range naiveRank(q, st.Meta()) {
+				if !slices.Contains(charged, rc.Idx) {
+					unread = min(unread, rc.Bound)
+				}
+			}
+			if got.Exact != (math.IsInf(unread, 1) || unread > kth) {
+				t.Fatalf("%v: Exact %v, but the lowest unread bound is %v against k-th distance %v", stop, got.Exact, unread, kth)
+			}
+		}
+		if _, completion := stop.(ToCompletion); completion {
+			if got.ChunksRead > want.ChunksRead {
+				t.Fatalf("completion read %d chunks, independent machines %d", got.ChunksRead, want.ChunksRead)
+			}
+			return
+		}
+		if got.ChunksRead != want.ChunksRead || got.ChunksSkipped != want.ChunksSkipped || got.Elapsed != want.Elapsed ||
+			got.Degraded != want.Degraded {
+			t.Fatalf("%v: got %+v, independent machines %+v", stop, got, want)
+		}
+		for m, mc := range got.PerMachine {
+			if mc != (MachineCost{ChunksRead: rows[m].ChunksRead, ChunksSkipped: rows[m].ChunksSkipped, Elapsed: rows[m].Elapsed}) {
+				t.Fatalf("%v machine %d: %+v, its own walk %+v", stop, m, mc, rows[m])
+			}
+		}
+	})
+}
+
+// rangeN returns 0, 1, …, n-1.
+func rangeN(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
 }

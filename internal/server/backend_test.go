@@ -67,10 +67,6 @@ func (b *routerBackend) SearchBatchInto(queries []repro.Vector, opts repro.Batch
 // SearchBatchStream samples ShardsDown the way the facade does: before the
 // run when streaming, after it otherwise.
 func (b *routerBackend) SearchBatchStream(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result, done func(query int)) error {
-	run := b.r.RunBatchStream
-	if opts.GlobalBudget {
-		run = b.r.RunBatchGlobalStream
-	}
 	srs := make([]search.Result, len(queries))
 	convert := func(qi, down int) {
 		results[qi] = repro.Result{
@@ -92,12 +88,13 @@ func (b *routerBackend) SearchBatchStream(queries []repro.Vector, opts repro.Bat
 			done(qi)
 		}
 	}
-	err := run(queries, batchexec.Options{
-		K:           opts.K,
-		Stop:        stopOf(opts.SearchOptions),
-		Overlap:     opts.Overlap,
-		Parallelism: opts.Parallelism,
-		Ctx:         opts.Ctx,
+	err := b.r.RunBatchStream(queries, batchexec.Options{
+		K:            opts.K,
+		Stop:         stopOf(opts.SearchOptions),
+		Overlap:      opts.Overlap,
+		GlobalBudget: opts.GlobalBudget,
+		Parallelism:  opts.Parallelism,
+		Ctx:          opts.Ctx,
 	}, srs, onDone)
 	if err != nil || done != nil {
 		return err
@@ -114,15 +111,12 @@ func (b *routerBackend) MultiSearch(descriptors []repro.Vector, opts repro.Multi
 	if maxChunks <= 0 {
 		maxChunks = 3
 	}
-	mq := b.r.MultiQuery
-	if opts.GlobalBudget {
-		mq = b.r.MultiQueryGlobal
-	}
-	return mq(descriptors, multiquery.Options{
+	return b.r.MultiQuery(descriptors, multiquery.Options{
 		K:            opts.K,
 		Stop:         search.ChunkBudget(maxChunks),
 		RankWeighted: opts.RankWeighted,
 		Overlap:      opts.Overlap,
+		GlobalBudget: opts.GlobalBudget,
 		Ctx:          opts.Ctx,
 	})
 }

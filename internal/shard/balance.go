@@ -1,32 +1,6 @@
-// Package shard is the sharded index layer: it partitions a clustering
-// across S shards, each shard a complete chunk index of its own (one
-// chunkfile.Store served by one batchexec.Engine), and routes batch and
-// multi-descriptor queries scatter-gather across the shards — a point
-// query is a batch of one.
-//
-// The cost model extends the repo convention of one simulated 2005
-// machine per query to one simulated 2005 machine *per shard*: every
-// shard charges a query's chunks to its own per-query simdisk.Pipeline
-// (in that shard's local rank order, with the stop rule applied after
-// every charged chunk), and the merged result reports the *max* of the
-// per-shard simulated times — the shards run in parallel — while
-// ChunksRead is the *sum* of the work they did. Simulated time is never
-// wall-aggregated across shards or queries.
-//
-// Stop-rule budgets come in two disciplines on that one cost model: the
-// per-shard paths (Router.RunBatch, MultiQuery) let every shard spend
-// the budget independently on its local chunk ranking, while the global
-// paths (Router.RunBatchGlobal, MultiQueryGlobal —
-// see global.go and DESIGN.md §7) spend one total budget across the
-// fleet in global centroid-rank order, still charging each chunk to its
-// owning shard's pipeline.
-//
-// Per-shard results merge through knn.Less, so merged neighbor lists are
-// deterministic, and a run-to-completion search is provably the exact
-// global k-NN: any global top-k descriptor is within the top k of its own
-// shard, so the union of per-shard exact top-k lists contains the global
-// top k, and every shard's exactness certificate (suffix bound) holds
-// locally.
+// Balanced assignment of clusters to shards: the placement half of the
+// shard layer (replica.go adds the copies).
+
 package shard
 
 import (

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/chunkfile"
 	"repro/internal/cluster"
@@ -9,11 +10,12 @@ import (
 	"repro/internal/imagegen"
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
+	"repro/internal/simdisk"
 	"repro/internal/vec"
 )
 
 // cachedRouterOver is routerOver with a decoded-chunk cache configured.
-func cachedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster, shards, pageSize int, cfg CacheConfig) *Router {
+func cachedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster, shards, pageSize int, cacheBytes int64) *Router {
 	t.Helper()
 	coll := ds.Collection
 	assign, err := Partition(clusters, shards, coll.Dims(), pageSize)
@@ -24,14 +26,14 @@ func cachedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cl
 	for s, idxs := range assign {
 		stores[s] = chunkfile.NewMemStore(coll, Select(clusters, idxs), pageSize)
 	}
-	r, err := NewRouter(stores, nil, nil, RouterOptions{Cache: cfg})
+	r, err := NewRouter(stores, nil, nil, RouterOptions{CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
 }
 
-// sameResult asserts byte-identity of the full merged outcome, including
+// sameResult asserts byte-identity of the full outcome, including
 // the simulated costs a cache, a batch or a one-shard router must not
 // perturb.
 func sameResult(t *testing.T, label string, got, want *search.Result) {
@@ -47,12 +49,11 @@ func sameResult(t *testing.T, label string, got, want *search.Result) {
 	}
 }
 
-// TestCachedRouterMatchesUncached pins the tentpole equivalence at the
-// router: with the decoded-chunk cache on — either discipline — every
-// path (per-shard scatter, global budget, batch on both) returns results
-// byte-identical to the uncached router, including Elapsed and
-// ChunksRead, under all three stop rules, on the cold pass and again on
-// the fully warm pass.
+// TestCachedRouterMatchesUncached pins the cache equivalence at the
+// router: with the shared decoded-chunk cache on, both budget disciplines
+// — single queries and batches — return results byte-identical to the
+// uncached router, including Elapsed and ChunksRead, under all three stop
+// rules, on the cold pass and again on the fully warm pass.
 func TestCachedRouterMatchesUncached(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 29, 130)
 	coll := ds.Collection
@@ -66,17 +67,11 @@ func TestCachedRouterMatchesUncached(t *testing.T) {
 		queries[i] = coll.Vec(pos)
 	}
 
-	for _, disc := range []struct {
-		name string
-		cfg  CacheConfig
-	}{
-		{"shared", CacheConfig{Bytes: 64 << 20}},
-		{"pershard", CacheConfig{Bytes: 16 << 20, PerShard: true}},
-	} {
-		cached := cachedRouterOver(t, ds, clusters, shards, pageSize, disc.cfg)
-		for _, stop := range stopRules() {
-			opts := batchexec.Options{K: k, Stop: stop}
-			for pass := 0; pass < 2; pass++ {
+	cached := cachedRouterOver(t, ds, clusters, shards, pageSize, 64<<20)
+	for _, stop := range stopRules() {
+		for pass := 0; pass < 2; pass++ {
+			for _, d := range disciplines {
+				opts := batchexec.Options{K: k, Stop: stop, GlobalBudget: d.global}
 				for _, q := range queries {
 					var want, got search.Result
 					if err := one(plain.RunBatch, q, opts, &want); err != nil {
@@ -85,70 +80,44 @@ func TestCachedRouterMatchesUncached(t *testing.T) {
 					if err := one(cached.RunBatch, q, opts, &got); err != nil {
 						t.Fatal(err)
 					}
-					sameResult(t, disc.name+"/search", &got, &want)
-
-					if err := one(plain.RunBatchGlobal, q, opts, &want); err != nil {
-						t.Fatal(err)
-					}
-					if err := one(cached.RunBatchGlobal, q, opts, &got); err != nil {
-						t.Fatal(err)
-					}
-					sameResult(t, disc.name+"/global", &got, &want)
+					sameResult(t, d.name+"/search", &got, &want)
 				}
 
-				bopts := batchexec.Options{K: k, Stop: stop}
 				want := make([]search.Result, len(queries))
 				got := make([]search.Result, len(queries))
-				if err := plain.RunBatch(queries, bopts, want); err != nil {
+				if err := plain.RunBatch(queries, opts, want); err != nil {
 					t.Fatal(err)
 				}
-				if err := cached.RunBatch(queries, bopts, got); err != nil {
-					t.Fatal(err)
-				}
-				for qi := range queries {
-					sameResult(t, disc.name+"/batch", &got[qi], &want[qi])
-				}
-				if err := plain.RunBatchGlobal(queries, bopts, want); err != nil {
-					t.Fatal(err)
-				}
-				if err := cached.RunBatchGlobal(queries, bopts, got); err != nil {
+				if err := cached.RunBatch(queries, opts, got); err != nil {
 					t.Fatal(err)
 				}
 				for qi := range queries {
-					sameResult(t, disc.name+"/batchglobal", &got[qi], &want[qi])
+					sameResult(t, d.name+"/batch", &got[qi], &want[qi])
 				}
 			}
 		}
-		st := cached.CacheStats()
-		if !st.Enabled || st.Hits == 0 || st.Misses == 0 {
-			t.Fatalf("%s: warm cache stats %+v", disc.name, st)
-		}
-		if err := cached.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
-
+	if st := cached.CacheStats(); !st.Enabled || st.Hits == 0 || st.Misses == 0 {
+		t.Fatalf("warm cache stats %+v", st)
+	}
+	if err := cached.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if st := plain.CacheStats(); st.Enabled || st.Hits != 0 {
 		t.Fatalf("uncached router reports cache stats %+v", st)
 	}
 }
 
-// TestRouterCacheStatsAccounting pins the aggregation rule: a shared
-// cache's budget appears once however many shards front it, a per-shard
-// discipline's budget appears once per shard.
+// TestRouterCacheStatsAccounting pins the aggregation rule: the shared
+// cache's budget appears once however many shards it fronts.
 func TestRouterCacheStatsAccounting(t *testing.T) {
 	ds, clusters := fixture(t, 2000, 31, 120)
 	const shards, pageSize, budget = 3, 4096, int64(8 << 20)
 
-	shared := cachedRouterOver(t, ds, clusters, shards, pageSize, CacheConfig{Bytes: budget})
+	shared := cachedRouterOver(t, ds, clusters, shards, pageSize, budget)
 	defer shared.Close()
 	if st := shared.CacheStats(); st.MaxBytes != budget {
 		t.Fatalf("shared MaxBytes %d, want %d (counted once)", st.MaxBytes, budget)
-	}
-	per := cachedRouterOver(t, ds, clusters, shards, pageSize, CacheConfig{Bytes: budget, PerShard: true})
-	defer per.Close()
-	if st := per.CacheStats(); st.MaxBytes != int64(shards)*budget {
-		t.Fatalf("per-shard MaxBytes %d, want %d", st.MaxBytes, int64(shards)*budget)
 	}
 }
 
@@ -180,7 +149,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, Select(clusters, physical), pageSize), faultstore.Config{})
 		stores[s] = faults[s]
 	}
-	r, err := NewRouter(stores, p, nil, RouterOptions{Cache: CacheConfig{Bytes: 64 << 20}})
+	r, err := NewRouter(stores, p, nil, RouterOptions{CacheBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,5 +206,64 @@ func TestRouterCacheRecovery(t *testing.T) {
 	sameAnswer(t, "recovered", &res, &healthy)
 	if faults[dead].Reads() == readsAtRevive {
 		t.Fatal("recovered shard still served from the pre-death cache (stale rows)")
+	}
+}
+
+// TestModelCacheTierKeysFleetChunks pins that the modelled cache tier
+// (simdisk.CacheTier, sized by Chunks) is keyed by the fleet-wide chunk
+// index: after a profiling pass promotes the hottest chunks, a per-shard
+// walk charges a chunk its CPU scan alone exactly when that chunk was
+// promoted — never because the chunk with the same local index on the
+// other shard was. The replay charges each shard's own best chunks by
+// hand.
+func TestModelCacheTierKeysFleetChunks(t *testing.T) {
+	ds, clusters := fixture(t, 3000, 59, 120)
+	coll := ds.Collection
+	const budget = 3
+	r := routerOver(t, ds, clusters, 2, 4096)
+	model := *simdisk.Default2005()
+	tier := simdisk.NewCacheTier(r.Chunks())
+	model.Cache = tier
+	queries := make([]vec.Vector, 40)
+	for i := range queries {
+		queries[i] = coll.Vec(i * 73)
+	}
+	opts := batchexec.Options{K: 10, Stop: search.ChunkBudget(budget), Model: &model}
+	if err := r.RunBatch(queries, opts, make([]search.Result, len(queries))); err != nil {
+		t.Fatal(err)
+	}
+	tier.SetResidentTopFraction(0.25)
+	tier.ResetStats()
+
+	var hits int64
+	twins := 0 // charged chunks whose local twin on shard 0 differs in residency
+	var res search.Result
+	for qi, q := range queries {
+		if err := one(r.RunBatch, q, opts, &res); err != nil {
+			t.Fatal(err)
+		}
+		var elapsed time.Duration
+		for s, offset := 0, 0; s < r.Shards(); s++ {
+			st := r.Store(s)
+			p := simdisk.NewPipeline(&model, false, model.IndexReadTime(len(st.Meta()), chunkfile.EntrySize(st.Dims())))
+			for _, rc := range search.RankChunks(q, st.Meta(), nil)[:budget] {
+				resident := tier.Resident(offset + rc.Idx)
+				if resident {
+					hits++
+				}
+				if resident != tier.Resident(rc.Idx) {
+					twins++
+				}
+				p.ChunkCharged(st.Meta()[rc.Idx].Bytes, st.Meta()[rc.Idx].Count, resident)
+			}
+			elapsed = max(elapsed, p.Elapsed())
+			offset += len(st.Meta())
+		}
+		if res.Elapsed != elapsed {
+			t.Fatalf("q%d: Elapsed %v, replay by fleet chunk %v", qi, res.Elapsed, elapsed)
+		}
+	}
+	if tier.Hits() != hits || twins == 0 {
+		t.Fatalf("tier hits %d, replay %d (%d charges a local-index key would misjudge)", tier.Hits(), hits, twins)
 	}
 }

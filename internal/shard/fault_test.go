@@ -101,21 +101,18 @@ func TestReplicatedKillAnyShardMatchesHealthy(t *testing.T) {
 	queryIdx := []int{3, 555, 1234, 3999}
 	rules := []search.StopRule{nil, search.ChunkBudget(6)}
 
-	type baseline struct {
-		perShard []search.Result
-		global   []search.Result
-	}
-	base := make([]baseline, len(rules))
+	// base[ri][d][qi]: the healthy outcome of query qi under rule ri and
+	// discipline d.
+	base := make([][][]search.Result, len(rules))
 	for ri, stop := range rules {
-		base[ri].perShard = make([]search.Result, len(queryIdx))
-		base[ri].global = make([]search.Result, len(queryIdx))
-		for qi, pos := range queryIdx {
-			opts := batchexec.Options{K: k, Stop: stop}
-			if err := one(healthy.RunBatch, coll.Vec(pos), opts, &base[ri].perShard[qi]); err != nil {
-				t.Fatal(err)
-			}
-			if err := one(healthy.RunBatchGlobal, coll.Vec(pos), opts, &base[ri].global[qi]); err != nil {
-				t.Fatal(err)
+		base[ri] = make([][]search.Result, len(disciplines))
+		for d, disc := range disciplines {
+			base[ri][d] = make([]search.Result, len(queryIdx))
+			for qi, pos := range queryIdx {
+				opts := batchexec.Options{K: k, Stop: stop, GlobalBudget: disc.global}
+				if err := one(healthy.RunBatch, coll.Vec(pos), opts, &base[ri][d][qi]); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
@@ -134,23 +131,17 @@ func TestReplicatedKillAnyShardMatchesHealthy(t *testing.T) {
 		faults[kill].Kill()
 		var res search.Result
 		for ri, stop := range rules {
-			for qi, pos := range queryIdx {
-				opts := batchexec.Options{K: k, Stop: stop}
-				if err := one(r.RunBatch, coll.Vec(pos), opts, &res); err != nil {
-					t.Fatal(err)
+			for d, disc := range disciplines {
+				for qi, pos := range queryIdx {
+					opts := batchexec.Options{K: k, Stop: stop, GlobalBudget: disc.global}
+					if err := one(r.RunBatch, coll.Vec(pos), opts, &res); err != nil {
+						t.Fatal(err)
+					}
+					if res.Degraded || res.ChunksSkipped != 0 {
+						t.Fatalf("kill %d %s q%d: R=2 degraded (skipped %d) despite live replicas", kill, disc.name, pos, res.ChunksSkipped)
+					}
+					sameAnswer(t, "kill "+strconv.Itoa(kill)+" "+disc.name, &res, &base[ri][d][qi])
 				}
-				if res.Degraded || res.ChunksSkipped != 0 {
-					t.Fatalf("kill %d q%d: R=2 degraded (skipped %d) despite live replicas", kill, pos, res.ChunksSkipped)
-				}
-				sameAnswer(t, "kill "+strconv.Itoa(kill)+" per-shard", &res, &base[ri].perShard[qi])
-
-				if err := one(r.RunBatchGlobal, coll.Vec(pos), opts, &res); err != nil {
-					t.Fatal(err)
-				}
-				if res.Degraded || res.ChunksSkipped != 0 {
-					t.Fatalf("kill %d q%d global: R=2 degraded despite live replicas", kill, pos)
-				}
-				sameAnswer(t, "kill "+strconv.Itoa(kill)+" global", &res, &base[ri].global[qi])
 			}
 		}
 		if r.DownShards() != 1 || !r.ShardDown(kill) {

@@ -4,11 +4,11 @@
 // primary — the shard the plain Partition assigns, unchanged, so R=1
 // layouts are byte-identical to the pre-replication layer — plus R−1
 // replicas. Each shard's physical chunk file is its primary chunks
-// followed by the replica chunks placed on it; the router serves queries
-// over the primary prefix only (the shard's logical view), so every
-// descriptor is scanned exactly once per query and merged neighbor lists
-// stay free of duplicates. Replica chunks are touched only by the
-// failover read path when the primary's shard is down.
+// followed by the replica chunks placed on it; queries walk the primary
+// prefixes only (the shard's logical chunks), so every descriptor is
+// scanned exactly once per query and neighbor lists stay free of
+// duplicates. Replica chunks are touched only by the failover read path
+// when the primary's shard is down, or by spread reads.
 //
 // Placement of the replicas follows Tavenard–Amsaleg–Jégou's observation
 // (PAPERS.md) that replicating the *hot* clusters is what tames response
@@ -19,6 +19,7 @@
 // tiebreak). Without a sample the r-th replica of a cluster simply goes
 // r shards past its primary, round-robin. Both procedures are fully
 // deterministic.
+
 package shard
 
 import (

@@ -3,14 +3,12 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/chunkcache"
 	"repro/internal/chunkfile"
-	"repro/internal/knn"
 	"repro/internal/multiquery"
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
@@ -32,8 +30,8 @@ var (
 	ErrAllReplicasDown = fmt.Errorf("shard: all replicas down: %w", chunkfile.ErrUnavailable)
 )
 
-// ShardError reports which shard of a scatter failed. When several shards
-// fail in one scatter, the lowest shard index is reported.
+// ShardError reports which shard's store failed a read with an error
+// other than unavailability.
 type ShardError struct {
 	Shard int
 	Err   error
@@ -45,98 +43,23 @@ func (e *ShardError) Error() string { return fmt.Sprintf("shard: shard %d: %v", 
 // Unwrap returns the underlying error.
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// routedShard is one shard's serving stack: the physical store, the
-// data-plane store reads actually go through (the physical store behind a
-// decoded-chunk cache when one is configured), the logical view the
-// queries run over (the primary prefix of the physical store, with every
-// read routed through the router's replicated read path), and the engine
-// over that view.
+// routedShard is one shard's physical store and the store reads actually
+// go through: the physical store behind the decoded-chunk cache when one
+// is configured (cached == read then), else the physical store itself.
+// Control-plane reads (ProbeShard) always go to the raw store, so probing
+// observes the disk, not the cache.
 type routedShard struct {
-	store chunkfile.Store
-	// read is the store attemptRead serves from: cached wraps store when
-	// a cache is configured, else read == store. Control-plane reads
-	// (ProbeShard) always go to the raw store, so probing observes the
-	// disk, not the cache.
+	store  chunkfile.Store
 	read   chunkfile.Store
-	cached *chunkcache.CachingStore // non-nil iff caching is on; == read then
-	view   *shardView
-	engine *batchexec.Engine
+	cached *chunkcache.CachingStore
 }
 
-// shardView presents shard s's logical chunk index — its primary chunks
-// only — as a chunkfile.Store whose ReadChunk goes through the router's
-// replicated, health-aware read path. Engines run over the view, so
-// replica chunks (the physical suffix) are never ranked or scanned
-// directly and merged neighbor lists stay duplicate-free; the replicas
-// only serve failovers.
-type shardView struct {
-	r         *Router
-	shard     int
-	metas     []chunkfile.Meta // primary prefix of the physical store's metas
-	centroids []float32        // the same prefix of its centroid matrix
-}
-
-var _ chunkfile.Store = (*shardView)(nil)
-
-// Dims implements chunkfile.Store.
-func (v *shardView) Dims() int { return v.r.dims }
-
-// Meta implements chunkfile.Store: the shard's logical chunk index.
-// Callers must not modify it.
-func (v *shardView) Meta() []chunkfile.Meta { return v.metas }
-
-// Centroids implements chunkfile.Store: the primary rows of the physical
-// store's matrix (primaries precede replicas, so they are a prefix).
-func (v *shardView) Centroids() []float32 { return v.centroids }
-
-// ReadChunk implements chunkfile.Store via the router's replicated read
-// path: retry on transient errors, fail over to the least-loaded live
-// replica, report chunkfile.ErrUnavailable (wrapped in
-// ErrAllReplicasDown) when no placement can serve the chunk. The
-// simulated cost of failed attempts is returned in data.Stall per the
-// chunkfile.Data contract.
-func (v *shardView) ReadChunk(i int, data *chunkfile.Data) error {
-	return v.r.readChunk(v.shard, i, data)
-}
-
-// Close implements chunkfile.Store as a no-op: the Router owns the
-// physical stores and closes them in Router.Close.
-func (v *shardView) Close() error { return nil }
-
-// Machines implements chunkfile.MachineRouter: with the router's
-// spread-reads policy on, a read through this view may be served by any
-// machine of the fleet, and the view's own shard is the owner every
-// stall bills to. With spread off it reports a single machine, which
-// disables per-machine accounting and keeps the spread-off search paths
-// byte-identical to the pre-spread router.
-func (v *shardView) Machines() (count, owner int) {
-	if v.r.spread.Load() {
-		return len(v.r.shards), v.shard
-	}
-	return 1, v.shard
-}
-
-// Router serves queries scatter-gather across a set of shards. It is safe
-// for concurrent use.
-//
-// Two budget disciplines are offered, with the same per-shard cost model
-// (one simulated 2005 machine per shard) underneath:
-//
-//   - Per-shard (RunBatch, RunBatchStream, MultiQuery): every shard runs
-//     the paper's algorithm independently, so the stop rule's budget is
-//     spent once per shard — S shards at ChunkBudget(b) read up to S×b
-//     chunks.
-//   - Global (RunBatchGlobal, RunBatchGlobalStream, MultiQueryGlobal):
-//     the shards' ranked chunk lists merge into one global centroid-rank
-//     order, and the stop rule spends a single total budget across the
-//     fleet — ChunkBudget(B) reads exactly min(B, total) chunks. See
-//     global.go and DESIGN.md §7.
-//
-// A point query is a batch of one under either discipline.
+// Router serves queries over a set of shards as one walk per query (see
+// the package documentation). It is safe for concurrent use.
 type Router struct {
 	shards    []routedShard
 	dims      int
-	model     *simdisk.Model // resolved default model for the global paths
+	model     *simdisk.Model // resolved default model; also prices spread routing
 	placement *Placement
 	// Health state: down[s] is sticky-true once shard s's store failed
 	// permanently, loads[s] counts the chunk reads shard s has served
@@ -147,96 +70,31 @@ type Router struct {
 	downCount atomic.Int32
 	// Spread-reads policy state (SetSpreadReads): when on, readChunk
 	// picks among all live copies by billed simulated load instead of
-	// defaulting to the primary, and the search layers keep per-machine
-	// serving ledgers the merges fold into Simulated. billed[s] is the
-	// estimator: the simulated nanoseconds of the reads shard s is
-	// serving or has served (charged before the read — so an in-flight
-	// read already repels the next routing choice — and rolled back if
-	// the read fails over).
+	// defaulting to the primary, and the walks keep per-machine serving
+	// ledgers. billed[s] is the estimator: the simulated nanoseconds of
+	// the reads shard s is serving or has served (charged before the read
+	// — so an in-flight read already repels the next routing choice — and
+	// rolled back if the read fails over).
 	spread atomic.Bool
 	billed []atomic.Int64
-	// gstore is the virtual concatenated store the global-budget mode
-	// ranks and reads through (it reports the chunk→shard machine layout),
-	// and gengine the engine over it.
-	gstore  *globalStore
-	gengine *batchexec.Engine
-	// caches holds the distinct decoded-chunk caches behind the shards'
-	// read stores: one shared cache in the global discipline, one per
-	// shard in the per-shard discipline, empty when caching is off.
-	caches  []*chunkcache.Cache
-	scratch sync.Pool // *scatter
-	mq      sync.Pool // *[]search.Result: multi-descriptor result arena
-}
-
-// CacheConfig configures the router's decoded-chunk cache (see
-// internal/chunkcache). The zero value disables caching; a disabled
-// cache changes nothing — results, simulated times, and counters are
-// byte-identical with or without it.
-type CacheConfig struct {
-	// Bytes is the cache budget in bytes of decoded rows. In the shared
-	// discipline (PerShard false) one cache of Bytes fronts every shard's
-	// store — the budget is global, hot shards win it. Zero disables
-	// caching.
-	Bytes int64
-	// PerShard gives every shard its own independent cache of Bytes
-	// instead — the discipline matching the cost model's one-machine-per-
-	// shard story, where each machine's RAM is its own.
-	PerShard bool
-}
-
-// scatter is the pooled per-call state of one scatter-gather: the
-// per-shard result arenas, the per-shard merge cursors, and the error
-// slots (one per shard, so concurrent shard goroutines never contend).
-type scatter struct {
-	batch [][]search.Result // one arena per shard
-	rows  []*search.Result  // merge view: one shard's result for one query
-	cur   []int             // merge cursors, one per shard
-	times []time.Duration   // folded spread-reads clocks, one per shard
-	errs  []error
-	wg    sync.WaitGroup // joins the shard goroutines; pooled so a scatter allocates nothing
-
-	// The batch in flight (RunBatchStream). run[s] runs shard s's engine
-	// over it, and shardDone is retired: both are bound once per scatter,
-	// so launching the shards allocates nothing. remaining[qi] counts the
-	// shards that have not yet retired query qi; the shard callback that
-	// brings it to zero owns the merge and the user-visible completion.
-	// mergeMu serializes merges only — they share the merge scratch above —
-	// never the shards' scan work.
-	run       []func()
-	queries   []vec.Vector
-	opts      batchexec.Options
-	remaining []atomic.Int32
-	mergeMu   sync.Mutex
-	shardDone func(query int)
-	results   []search.Result
-	done      func(query int)
-	k         int
-	spread    bool
-	start     time.Time
-}
-
-// newScatter returns a scatter sized for the router's shards, its shard
-// launchers bound.
-func (r *Router) newScatter() *scatter {
-	n := len(r.shards)
-	sc := &scatter{batch: make([][]search.Result, n), errs: make([]error, n), run: make([]func(), n)}
-	sc.shardDone = sc.retired
-	for s := range sc.run {
-		eng := r.shards[s].engine
-		sc.run[s] = func() {
-			sc.errs[s] = eng.RunStream(sc.queries, sc.opts, sc.batch[s], sc.shardDone)
-			sc.wg.Done()
-		}
-	}
-	return sc
+	// gstore is the fleet as one virtual store (it reports the chunk→shard
+	// machine layout), engine the one engine over it.
+	gstore *globalStore
+	engine *batchexec.Engine
+	cache  *chunkcache.Cache // shared by every shard's read store; nil when off
+	mq     sync.Pool         // *[]search.Result: multi-descriptor result arena
 }
 
 // RouterOptions bundles the optional knobs of a router.
 type RouterOptions struct {
-	// Cache configures the decoded-chunk cache (see CacheConfig) in front
-	// of the shards' physical stores. It serves the replicated read path
-	// only; probes and direct Store(i) access always observe the disk.
-	Cache CacheConfig
+	// CacheBytes, when positive, fronts every shard's physical store with
+	// one shared decoded-chunk cache of that many bytes (see
+	// internal/chunkcache): the budget is global, hot shards win it. It
+	// serves the replicated read path only; probes and direct Store(i)
+	// access always observe the disk. A cache changes nothing else —
+	// results, simulated times and counters are byte-identical with or
+	// without it.
+	CacheBytes int64
 	// SpreadReads starts the router with the spread-reads routing policy
 	// on (see Router.SetSpreadReads).
 	SpreadReads bool
@@ -244,13 +102,12 @@ type RouterOptions struct {
 
 // NewRouter builds a Router over one physical store per shard and the
 // placement describing each store's primary prefix and the replica
-// locations of every logical chunk (see PartitionReplicated). Queries run
-// over the logical views; replicas serve failovers. A nil placement means
+// locations of every logical chunk (see PartitionReplicated). Queries walk
+// the logical chunks; replicas serve failovers. A nil placement means
 // unreplicated: every store's chunks are all primary (R=1), so a chunk
 // whose shard dies has no replica and queries over it degrade. A nil
 // model selects the calibrated 2005 model for every shard's machine.
 func NewRouter(stores []chunkfile.Store, placement *Placement, model *simdisk.Model, opts RouterOptions) (*Router, error) {
-	cache := opts.Cache
 	if len(stores) == 0 {
 		return nil, errors.New("shard: no stores")
 	}
@@ -283,31 +140,15 @@ func NewRouter(stores []chunkfile.Store, placement *Placement, model *simdisk.Mo
 		}
 		r.shards = append(r.shards, routedShard{store: st, read: st})
 	}
-	if cache.Bytes > 0 {
-		var shared *chunkcache.Cache
-		if !cache.PerShard {
-			shared = chunkcache.New(cache.Bytes)
-			r.caches = append(r.caches, shared)
-		}
+	if opts.CacheBytes > 0 {
+		r.cache = chunkcache.New(opts.CacheBytes)
 		for i := range r.shards {
-			c := shared
-			if cache.PerShard {
-				c = chunkcache.New(cache.Bytes)
-				r.caches = append(r.caches, c)
-			}
-			r.shards[i].cached = chunkcache.NewStore(r.shards[i].store, c)
+			r.shards[i].cached = chunkcache.NewStore(r.shards[i].store, r.cache)
 			r.shards[i].read = r.shards[i].cached
 		}
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		np := placement.NumPrimary[i]
-		sh.view = &shardView{r: r, shard: i, metas: sh.store.Meta()[:np], centroids: sh.store.Centroids()[:np*dims]}
-		sh.engine = batchexec.New(sh.view, model)
-	}
-	r.gstore = newGlobalStore(r, r.shards, dims)
-	r.gengine = batchexec.New(r.gstore, model)
-	r.scratch.New = func() any { return r.newScatter() }
+	r.gstore = newGlobalStore(r)
+	r.engine = batchexec.New(r.gstore, model)
 	r.mq.New = func() any {
 		s := []search.Result(nil)
 		return &s
@@ -357,15 +198,13 @@ func (r *Router) Shards() int { return len(r.shards) }
 // readChunk serves every read from the live copy (primary or replica)
 // with the least billed simulated load instead of preferring the
 // primary, so hot chunks with R > 1 stop concentrating on one machine —
-// and the search layers keep a per-machine serving ledger whose fold
-// replaces the merged Simulated with the real max over the machines'
-// serving clocks. Healthy results are byte-identical either way — only
-// Simulated and the per-shard load attribution move — and the failover,
-// health and cache semantics are unchanged: down shards are never
-// candidates, stalls still bill the owning shard, and a revive still
-// invalidates the shard's cache. Safe to call concurrently; a query in
-// flight during a toggle keeps its answers but may report the nominal
-// owner-billed Simulated for that one call.
+// and every walk keeps a per-machine serving ledger whose clocks replace
+// the nominal owner-billed ones in Elapsed. Healthy results are
+// byte-identical either way — only Elapsed and the per-shard load
+// attribution move — and the failover, health and cache semantics are
+// unchanged: down shards are never candidates, stalls still bill the
+// owning shard, and a revive still invalidates the shard's cache. Safe to
+// call concurrently; a query in flight during a toggle keeps its answers.
 func (r *Router) SetSpreadReads(on bool) { r.spread.Store(on) }
 
 // SpreadReads reports whether the spread-reads routing policy is on.
@@ -404,22 +243,14 @@ func (r *Router) Replication() int { return r.placement.R }
 
 // Chunks returns the total logical chunk count across shards: replicas
 // are copies, not extra chunks.
-func (r *Router) Chunks() int {
-	n := 0
-	for s := range r.shards {
-		n += len(r.shards[s].view.metas)
-	}
-	return n
-}
+func (r *Router) Chunks() int { return len(r.gstore.metas) }
 
 // Descriptors returns the number of distinct descriptors reachable
 // through the router (each counted once, however many replicas hold it).
 func (r *Router) Descriptors() int {
 	n := 0
-	for s := range r.shards {
-		for _, m := range r.shards[s].view.metas {
-			n += m.Count
-		}
+	for _, m := range r.gstore.metas {
+		n += m.Count
 	}
 	return n
 }
@@ -495,30 +326,14 @@ func (r *Router) ResetHealth() {
 	}
 }
 
-// CacheStats aggregates the decoded-chunk cache counters across the
-// shards' read stores: hits and misses summed over the shards, occupancy
-// and budget summed over the distinct caches behind them (one shared
-// cache appears once, not once per shard). Enabled is false — and every
-// counter zero — when the router was built without a cache.
+// CacheStats returns the shared decoded-chunk cache's counters: hits and
+// misses over every shard's reads, occupancy and budget. Enabled is false
+// — and every counter zero — when the router was built without a cache.
 func (r *Router) CacheStats() chunkcache.Stats {
-	var st chunkcache.Stats
-	if len(r.caches) == 0 {
-		return st
+	if r.cache == nil {
+		return chunkcache.Stats{}
 	}
-	st.Enabled = true
-	for _, c := range r.caches {
-		cs := c.Stats()
-		st.Evictions += cs.Evictions
-		st.Bytes += cs.Bytes
-		st.MaxBytes += cs.MaxBytes
-		st.Entries += cs.Entries
-	}
-	for i := range r.shards {
-		ss := r.shards[i].cached.Stats()
-		st.Hits += ss.Hits
-		st.Misses += ss.Misses
-	}
-	return st
+	return r.cache.Stats()
 }
 
 // Retry policy of the replicated read path: on a transient error
@@ -674,143 +489,41 @@ func (r *Router) Close() error {
 	return errors.Join(errs...)
 }
 
-// RunBatch executes a workload scatter-gather — a point query is a
-// workload of one: every shard's engine runs the full query set
-// concurrently with the other shards, each over its own chunks on its own
-// simulated machine, and each query's per-shard outcomes are merged into
-// results[qi] (neighbors through knn.Less, ChunksRead summed, Elapsed the
-// max over the shards' simulated machines, Exact when every shard was
-// exact). The results array is caller-owned; its neighbor slices are
-// reused when they have capacity. RunBatch is RunBatchStream without a
-// completion stream.
+// RunBatch executes a workload over the fleet — a point query is a
+// workload of one, run on the calling goroutine: each query is one walk
+// over the shards' merged centroid-rank order into one k-NN heap, every
+// chunk billed to its owning shard's simulated machine, the budget spent
+// per shard or, with opts.GlobalBudget, once across the fleet (see the
+// package documentation). results[qi] reports ChunksRead and
+// ChunksSkipped summed over the shards, Elapsed and IndexRead the max
+// over their machines, and PerMachine one entry per shard. The results
+// array is caller-owned; its neighbor slices are reused when they have
+// capacity. On error no results are valid. RunBatch is RunBatchStream
+// without a completion stream.
 func (r *Router) RunBatch(queries []vec.Vector, opts batchexec.Options, results []search.Result) error {
-	return r.RunBatchStream(queries, opts, results, nil)
+	return r.engine.Run(queries, opts, results)
 }
 
 // RunBatchStream executes the batch like RunBatch and additionally
 // streams per-query completions: done(qi), when non-nil, fires exactly
-// once per query, after results[qi] holds its fully merged outcome — a
-// query completes the moment its *last* shard retires it, long before
-// the batch returns while other queries' shards still work. Callbacks
-// for distinct queries may fire concurrently (they run on the shards'
-// scan workers), so done must be safe for concurrent use and should not
-// block. When a shard fails the batch returns the ShardError; queries
-// whose callback already fired retain valid merged results, all others
-// are invalid.
+// once per query the moment its walk retires, with results[qi] fully
+// written — long before the batch returns while other queries still
+// run. The callback contract is the batch engine's RunStream: callbacks
+// for distinct queries may fire concurrently and must not block. When the
+// run fails, queries whose callback already fired retain valid results,
+// all others are invalid.
 func (r *Router) RunBatchStream(queries []vec.Vector, opts batchexec.Options, results []search.Result, done func(query int)) error {
-	if len(queries) == 0 {
-		return nil
-	}
-	if len(results) != len(queries) {
-		return fmt.Errorf("shard: results length %d != queries length %d", len(results), len(queries))
-	}
-	for qi, q := range queries {
-		if len(q) != r.dims {
-			return &batchexec.QueryError{Query: qi, Err: fmt.Errorf("query dims %d != store dims %d", len(q), r.dims)}
-		}
-	}
-
-	sc := r.scratch.Get().(*scatter)
-	defer r.scratch.Put(sc)
-	n := len(r.shards)
-	for s := range sc.batch {
-		sc.batch[s] = grow(sc.batch[s], len(queries))
-	}
-	clear(sc.errs)
-	if cap(sc.remaining) < len(queries) {
-		sc.remaining = make([]atomic.Int32, len(queries))
-	}
-	sc.remaining = sc.remaining[:len(queries)]
-	for qi := range sc.remaining {
-		sc.remaining[qi].Store(int32(n))
-	}
-	sc.queries, sc.opts = queries, opts
-	sc.results, sc.done, sc.start = results, done, time.Now()
-	sc.k, sc.spread = opts.K, r.spread.Load()
-	if sc.k <= 0 { // the k a merge keeps: the search layers' default when unset
-		sc.k = search.DefaultK
-	}
-	defer func() { sc.queries, sc.opts, sc.results, sc.done = nil, batchexec.Options{}, nil, nil }()
-
-	// Shard 0 runs on the calling goroutine, every other on its own.
-	sc.wg.Add(n)
-	for s := 1; s < n; s++ {
-		go sc.run[s]()
-	}
-	sc.run[0]()
-	sc.wg.Wait()
-	for s, err := range sc.errs {
-		if err != nil {
-			return &ShardError{Shard: s, Err: err}
-		}
-	}
-	return nil
+	return r.engine.RunStream(queries, opts, results, done)
 }
 
-// retired is the shards' engines' completion callback for the batch in
-// flight: the last shard to retire query qi merges its rows into the
-// caller's result and streams the completion.
-func (sc *scatter) retired(qi int) {
-	if sc.remaining[qi].Add(-1) != 0 {
-		return
-	}
-	sc.mergeMu.Lock()
-	sc.rows = sc.rows[:0]
-	for s := range sc.batch {
-		sc.rows = append(sc.rows, &sc.batch[s][qi])
-	}
-	sc.mergeRows(sc.k, sc.spread, &sc.results[qi])
-	sc.results[qi].Wall = time.Since(sc.start)
-	sc.mergeMu.Unlock()
-	if sc.done != nil {
-		sc.done(qi)
-	}
-}
-
-// mergeRows merges one query's per-shard outcomes sc.rows into out, whose
-// Neighbors buffer is reused: neighbors through knn.Less, chunks (read
-// and skipped) summed, simulated times the max (the shards run in
-// parallel), exactness ANDed, degradation ORed. With spread reads on the
-// nominal owner-billed Elapsed is replaced by the fold of the serving
-// ledgers — what each machine really spent once reads moved to the
-// least-loaded copies. Everything else is merged from the nominal walks
-// and identical either way.
-func (sc *scatter) mergeRows(k int, spread bool, out *search.Result) {
-	*out = search.Result{Neighbors: out.Neighbors[:0], Exact: true}
-	out.Neighbors, sc.cur = mergeNeighbors(sc.rows, k, out.Neighbors, sc.cur)
-	for _, row := range sc.rows {
-		out.ChunksRead += row.ChunksRead
-		out.ChunksSkipped += row.ChunksSkipped
-		out.Elapsed = max(out.Elapsed, row.Elapsed)
-		out.IndexRead = max(out.IndexRead, row.IndexRead)
-		out.Exact = out.Exact && row.Exact
-		out.Degraded = out.Degraded || row.Degraded
-	}
-	if spread {
-		var folded bool
-		if sc.times, folded = foldSpread(sc.rows, sc.times); folded {
-			out.Elapsed = slices.Max(sc.times)
-		}
-	}
-}
-
-// MultiQuery runs a multi-descriptor (whole-image) query scatter-gather:
-// the bag's per-descriptor searches run as one batch across every shard,
-// and the merged per-descriptor neighbor lists vote through the shared
-// multiquery aggregation, so the outcome matches a single-store
-// multi-descriptor query over the union of the shards. The default
-// 3-chunk budget — like any stop rule passed in opts — applies per
-// descriptor per shard; MultiQueryGlobal spends it per descriptor across
-// the whole fleet instead.
+// MultiQuery runs a multi-descriptor (whole-image) query: the bag's
+// per-descriptor searches run as one batch, and the per-descriptor
+// neighbor lists vote through the shared multiquery aggregation, so the
+// outcome matches a single-store multi-descriptor query over the union of
+// the shards. The default 3-chunk budget — like any stop rule passed in
+// opts — applies per descriptor per shard, or per descriptor across the
+// fleet with opts.GlobalBudget.
 func (r *Router) MultiQuery(descriptors []vec.Vector, opts multiquery.Options) (*multiquery.Result, error) {
-	return r.multiQueryVia(descriptors, opts, r.RunBatch)
-}
-
-// multiQueryVia is the shared multi-descriptor implementation: the bag
-// runs as one batch through the given batch executor (per-shard RunBatch
-// or global-budget RunBatchGlobal), then the per-descriptor results vote
-// through the shared multiquery aggregation.
-func (r *Router) multiQueryVia(descriptors []vec.Vector, opts multiquery.Options, run func([]vec.Vector, batchexec.Options, []search.Result) error) (*multiquery.Result, error) {
 	if len(descriptors) == 0 {
 		return nil, errors.New("shard: no query descriptors")
 	}
@@ -822,102 +535,19 @@ func (r *Router) multiQueryVia(descriptors []vec.Vector, opts multiquery.Options
 	}
 	rp := r.mq.Get().(*[]search.Result)
 	defer r.mq.Put(rp)
-	*rp = grow(*rp, len(descriptors))
-	results := *rp
-	err := run(descriptors, batchexec.Options{
-		K:       opts.K,
-		Stop:    opts.Stop,
-		Overlap: opts.Overlap,
-		Ctx:     opts.Ctx,
+	if cap(*rp) < len(descriptors) {
+		*rp = make([]search.Result, len(descriptors))
+	}
+	results := (*rp)[:len(descriptors)]
+	err := r.RunBatch(descriptors, batchexec.Options{
+		K:            opts.K,
+		Stop:         opts.Stop,
+		Overlap:      opts.Overlap,
+		GlobalBudget: opts.GlobalBudget,
+		Ctx:          opts.Ctx,
 	}, results)
 	if err != nil {
 		return nil, fmt.Errorf("shard: multiquery: %w", err)
 	}
 	return multiquery.Aggregate(results, opts), nil
-}
-
-// mergeNeighbors merges the per-shard sorted neighbor lists in rows into
-// the global top k, appending to dst. Heads are compared through
-// knn.Less, the canonical (distance, ascending id) composite order; the
-// reported Dist is the true distance, and since sqrt is monotone the
-// (Dist, ID) order agrees with the squared-distance order every shard's
-// heap sorted by — up to one theoretical caveat: sqrt can collapse two
-// adjacent-ulp distinct squared distances onto one float64, in which
-// case the cross-shard tie falls to the ID order instead of the d²
-// order. Squared distances live on the far coarser grid of summed
-// float32 products, so no real workload has exhibited this; the
-// completion-vs-oracle equivalence tests would catch one if it did.
-// The cursor walk preserves each shard's own order, so a 1-shard merge
-// is a plain copy — which is what keeps 1-shard results byte-identical
-// to the unsharded path. Shards partition the collection, so IDs are
-// unique across rows and the merge is deterministic.
-//
-// The cur slice is caller-recycled cursor scratch; the (possibly grown)
-// buffer is returned alongside dst.
-func mergeNeighbors(rows []*search.Result, k int, dst []knn.Neighbor, cur []int) ([]knn.Neighbor, []int) {
-	if cap(cur) < len(rows) {
-		cur = make([]int, len(rows))
-	}
-	cur = cur[:len(rows)]
-	for s := range cur {
-		cur[s] = 0
-	}
-	for len(dst) < k {
-		best := -1
-		var bestNb knn.Neighbor
-		for s, row := range rows {
-			if cur[s] >= len(row.Neighbors) {
-				continue
-			}
-			nb := row.Neighbors[cur[s]]
-			if best < 0 || knn.Less(nb.Dist, nb.ID, bestNb.Dist, bestNb.ID) {
-				best, bestNb = s, nb
-			}
-		}
-		if best < 0 {
-			break
-		}
-		dst = append(dst, bestNb)
-		cur[best]++
-	}
-	return dst, cur
-}
-
-// foldSpread folds the shards' spread-reads serving ledgers into real
-// per-shard clocks: machine t's clock is its own index read plus every
-// serving charge any shard's walk billed to it — times[t] =
-// rows[t].IndexRead + Σ_w rows[w].Machines[t]. The merged Simulated is
-// then the max over times (the machines run in parallel), replacing the
-// nominal owner-billed max. Reports ok=false — keep the nominal times —
-// when any row carries no ledger or a ledger of the wrong width, e.g.
-// when spread reads were toggled while the scatter was in flight.
-func foldSpread(rows []*search.Result, times []time.Duration) ([]time.Duration, bool) {
-	n := len(rows)
-	if cap(times) < n {
-		times = make([]time.Duration, n)
-	}
-	times = times[:n]
-	for t := range times {
-		times[t] = rows[t].IndexRead
-	}
-	for _, row := range rows {
-		if len(row.Machines) != n {
-			return times, false
-		}
-		for t, d := range row.Machines {
-			times[t] += d
-		}
-	}
-	return times, true
-}
-
-// grow returns s with length n, reusing its capacity (and the neighbor
-// slices inside retained elements) when possible.
-func grow(s []search.Result, n int) []search.Result {
-	if cap(s) < n {
-		grown := make([]search.Result, n)
-		copy(grown, s[:cap(s)])
-		return grown
-	}
-	return s[:n]
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/chunkfile"
 	"repro/internal/cluster"
 	"repro/internal/imagegen"
+	"repro/internal/knn"
 	"repro/internal/multiquery"
 	"repro/internal/scan"
 	"repro/internal/search"
@@ -50,15 +52,20 @@ func routerOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster,
 	return r
 }
 
-// one runs q as a batch of one through run — a router's RunBatch or
-// RunBatchGlobal — the way every point query executes, writing the
-// outcome into res.
+// one runs q as a batch of one through run — a router's or an engine's
+// Run — the way every point query executes, writing the outcome into res.
 func one(run func([]vec.Vector, batchexec.Options, []search.Result) error, q vec.Vector, opts batchexec.Options, res *search.Result) error {
 	out := []search.Result{{Neighbors: res.Neighbors}}
 	err := run([]vec.Vector{q}, opts, out)
 	*res = out[0]
 	return err
 }
+
+// disciplines is the budget-discipline axis of the tables below.
+var disciplines = []struct {
+	name   string
+	global bool
+}{{"per-shard", false}, {"global", true}}
 
 func TestPartitionBalancedAndDeterministic(t *testing.T) {
 	ds, clusters := fixture(t, 6000, 11, 150)
@@ -204,23 +211,20 @@ func checkOneShard(t *testing.T, global bool) {
 	queries := []vec.Vector{coll.Vec(0), coll.Vec(3), coll.Vec(99), coll.Vec(1234), coll.Vec(4999)}
 	want := make([]search.Result, len(queries))
 	for _, su := range setups {
-		run := su.router.RunBatch
-		if global {
-			run = su.router.RunBatchGlobal
-		}
 		for _, stop := range stopRules() {
 			opts := batchexec.Options{K: 20, Stop: stop}
 			if err := su.single.Run(queries, opts, want); err != nil {
 				t.Fatal(err)
 			}
+			opts.GlobalBudget = global
 			var got search.Result
 			for qi, q := range queries {
-				if err := one(run, q, opts, &got); err != nil {
+				if err := one(su.router.RunBatch, q, opts, &got); err != nil {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s %v q%d", su.name, stop, qi)
 				sameResult(t, label, &got, &want[qi])
-				if global && (len(got.PerMachine) != 1 || got.PerMachine[0].ChunksRead != want[qi].ChunksRead) {
+				if len(got.PerMachine) != 1 || got.PerMachine[0].ChunksRead != want[qi].ChunksRead {
 					t.Fatalf("%s: PerMachine %+v", label, got.PerMachine)
 				}
 			}
@@ -230,9 +234,15 @@ func checkOneShard(t *testing.T, global bool) {
 
 // TestShardedCompletionMatchesScanOracle pins the global-exactness claim:
 // an S-shard run-to-completion search returns exactly the scan oracle's
-// k-NN (IDs, order, bit-identical distances), with Simulated the max and
-// ChunksRead the sum of the per-shard outcomes.
+// k-NN (IDs, order, bit-identical distances), with ChunksRead the sum and
+// Elapsed the max over the per-shard breakdown.
 func TestShardedCompletionMatchesScanOracle(t *testing.T) {
+	checkCompletion(t, false)
+}
+
+// checkCompletion is TestShardedCompletionMatchesScanOracle under the
+// per-shard or, with global, the global budget discipline.
+func checkCompletion(t *testing.T, global bool) {
 	ds, clusters := fixture(t, 5000, 23, 130)
 	coll := ds.Collection
 	const pageSize = 4096
@@ -240,45 +250,33 @@ func TestShardedCompletionMatchesScanOracle(t *testing.T) {
 
 	for _, shards := range []int{2, 4, 7} {
 		r := routerOver(t, ds, clusters, shards, pageSize)
-		perShard := make([]*batchexec.Engine, r.Shards())
-		for s := range perShard {
-			perShard[s] = batchexec.New(r.Store(s), nil)
-		}
-		var res, sr search.Result
+		var res search.Result
 		for _, qi := range []int{1, 42, 777, 3210, 4999} {
 			q := coll.Vec(qi)
-			if err := one(r.RunBatch, q, batchexec.Options{K: k}, &res); err != nil {
+			if err := one(r.RunBatch, q, batchexec.Options{K: k, GlobalBudget: global}, &res); err != nil {
 				t.Fatal(err)
 			}
+			label := fmt.Sprintf("S=%d q%d", shards, qi)
 			if !res.Exact {
-				t.Fatalf("S=%d q%d: completion search not exact", shards, qi)
+				t.Fatalf("%s: completion search not exact", label)
 			}
-			truth := scan.KNN(coll, q, k)
-			if !slices.Equal(res.Neighbors, truth) {
-				t.Fatalf("S=%d q%d: neighbors differ from the oracle", shards, qi)
+			if !slices.Equal(res.Neighbors, scan.KNN(coll, q, k)) {
+				t.Fatalf("%s: neighbors differ from the oracle", label)
 			}
-
-			// Cost model: sum of chunks, max of simulated machines, against
-			// independently run per-shard searches.
 			sumChunks, maxElapsed := 0, time.Duration(0)
-			for s := range perShard {
-				if err := one(perShard[s].Run, q, batchexec.Options{K: k}, &sr); err != nil {
-					t.Fatal(err)
-				}
-				sumChunks += sr.ChunksRead
-				maxElapsed = max(maxElapsed, sr.Elapsed)
+			for _, mc := range res.PerMachine {
+				sumChunks += mc.ChunksRead
+				maxElapsed = max(maxElapsed, mc.Elapsed)
 			}
-			if res.ChunksRead != sumChunks {
-				t.Fatalf("S=%d q%d: ChunksRead %d != per-shard sum %d", shards, qi, res.ChunksRead, sumChunks)
-			}
-			if res.Elapsed != maxElapsed {
-				t.Fatalf("S=%d q%d: Elapsed %v != per-shard max %v", shards, qi, res.Elapsed, maxElapsed)
+			if res.ChunksRead != sumChunks || res.Elapsed != maxElapsed || len(res.PerMachine) != shards {
+				t.Fatalf("%s: (chunks %d, elapsed %v) != per-shard (sum %d, max %v) over %d shards",
+					label, res.ChunksRead, res.Elapsed, sumChunks, maxElapsed, len(res.PerMachine))
 			}
 		}
 	}
 }
 
-// TestShardedBatchMatchesScatterSearch pins that a query's merged outcome
+// TestShardedBatchMatchesScatterSearch pins that a query's outcome
 // does not depend on its batch: RunBatch of N is byte-identical to N
 // batches of one under every stop rule.
 func TestShardedBatchMatchesScatterSearch(t *testing.T) {
@@ -291,10 +289,6 @@ func checkBatchOfN(t *testing.T, global bool) {
 	ds, clusters := fixture(t, 5000, 31, 120)
 	coll := ds.Collection
 	r := routerOver(t, ds, clusters, 3, 4096)
-	run := r.RunBatch
-	if global {
-		run = r.RunBatchGlobal
-	}
 
 	queries := make([]vec.Vector, 24)
 	for i := range queries {
@@ -302,13 +296,13 @@ func checkBatchOfN(t *testing.T, global bool) {
 	}
 	results := make([]search.Result, len(queries))
 	for _, stop := range stopRules() {
-		opts := batchexec.Options{K: 15, Stop: stop}
-		if err := run(queries, opts, results); err != nil {
+		opts := batchexec.Options{K: 15, Stop: stop, GlobalBudget: global}
+		if err := r.RunBatch(queries, opts, results); err != nil {
 			t.Fatal(err)
 		}
 		var want search.Result
 		for qi, q := range queries {
-			if err := one(run, q, opts, &want); err != nil {
+			if err := one(r.RunBatch, q, opts, &want); err != nil {
 				t.Fatal(err)
 			}
 			sameResult(t, fmt.Sprintf("%v q%d", stop, qi), &results[qi], &want)
@@ -342,15 +336,12 @@ func checkMultiQuery(t *testing.T, global bool) {
 	}
 	check := func(name string, r *Router, opts multiquery.Options) (got, want *multiquery.Result) {
 		t.Helper()
-		multi := r.MultiQuery
-		if global {
-			multi = r.MultiQueryGlobal
-		}
-		got, err := multi(bag, opts)
+		want, err := single.MultiQuery(bag, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, err = single.MultiQuery(bag, opts); err != nil {
+		opts.GlobalBudget = global
+		if got, err = r.MultiQuery(bag, opts); err != nil {
 			t.Fatal(err)
 		}
 		if got.Descriptors != want.Descriptors || !slices.Equal(got.Images, want.Images) {
@@ -371,10 +362,18 @@ func checkMultiQuery(t *testing.T, global bool) {
 	check("4-shard completion", routerOver(t, ds, clusters, 4, pageSize), multiquery.Options{K: 8, Stop: search.ToCompletion{}})
 }
 
-// TestShardedConcurrentScatter exercises the scatter-gather paths from
-// many goroutines at once (the -race CI shard runs this): concurrent
-// batches and single queries over one router must not interfere.
+// TestShardedConcurrentScatter exercises the router from many goroutines
+// at once (the -race CI shard runs this): concurrent batches and single
+// queries over one router must not interfere.
 func TestShardedConcurrentScatter(t *testing.T) {
+	checkConcurrent(t, false)
+}
+
+// checkConcurrent is TestShardedConcurrentScatter under the per-shard or,
+// with global, the global budget discipline, with single queries under
+// the other discipline interleaved: the two share the shard stores and
+// must not perturb each other.
+func checkConcurrent(t *testing.T, global bool) {
 	ds, clusters := fixture(t, 4000, 41, 120)
 	coll := ds.Collection
 	r := routerOver(t, ds, clusters, 4, 4096)
@@ -383,9 +382,17 @@ func TestShardedConcurrentScatter(t *testing.T) {
 	for i := range queries {
 		queries[i] = coll.Vec(i * 211)
 	}
-	want := make([]search.Result, len(queries))
-	if err := r.RunBatch(queries, batchexec.Options{K: 10, Stop: search.ChunkBudget(4)}, want); err != nil {
-		t.Fatal(err)
+	opts := []batchexec.Options{{K: 10, Stop: search.ChunkBudget(4)}, {K: 10, Stop: search.ChunkBudget(8), GlobalBudget: true}}
+	want := make([][]search.Result, len(opts))
+	for d := range opts {
+		want[d] = make([]search.Result, len(queries))
+		if err := r.RunBatch(queries, opts[d], want[d]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mine := 0
+	if global {
+		mine = 1
 	}
 
 	var wg sync.WaitGroup
@@ -393,37 +400,28 @@ func TestShardedConcurrentScatter(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if g%2 == 0 {
-				results := make([]search.Result, len(queries))
-				if err := r.RunBatch(queries, batchexec.Options{K: 10, Stop: search.ChunkBudget(4)}, results); err != nil {
+			d := mine
+			if g%3 == 2 {
+				d = 1 - mine
+			}
+			results := make([]search.Result, len(queries))
+			if g%3 == 0 {
+				if err := r.RunBatch(queries, opts[d], results); err != nil {
 					t.Error(err)
 					return
 				}
-				for qi := range results {
-					if len(results[qi].Neighbors) != len(want[qi].Neighbors) {
-						t.Errorf("goroutine %d q%d: %d neighbors != %d",
-							g, qi, len(results[qi].Neighbors), len(want[qi].Neighbors))
-						return
-					}
-					for i := range want[qi].Neighbors {
-						if results[qi].Neighbors[i] != want[qi].Neighbors[i] {
-							t.Errorf("goroutine %d q%d rank %d mismatch", g, qi, i)
-							return
-						}
-					}
-				}
 			} else {
-				var res search.Result
 				for qi, q := range queries {
-					if err := one(r.RunBatch, q, batchexec.Options{K: 10, Stop: search.ChunkBudget(4)}, &res); err != nil {
+					if err := one(r.RunBatch, q, opts[d], &results[qi]); err != nil {
 						t.Error(err)
 						return
 					}
-					if res.ChunksRead != want[qi].ChunksRead || res.Elapsed != want[qi].Elapsed {
-						t.Errorf("goroutine %d q%d: (%d, %v) != (%d, %v)",
-							g, qi, res.ChunksRead, res.Elapsed, want[qi].ChunksRead, want[qi].Elapsed)
-						return
-					}
+				}
+			}
+			for qi := range results {
+				if err := answerDiff(&results[qi], &want[d][qi]); err != nil || results[qi].Elapsed != want[d][qi].Elapsed {
+					t.Errorf("goroutine %d q%d: %v (elapsed %v, want %v)", g, qi, err, results[qi].Elapsed, want[d][qi].Elapsed)
+					return
 				}
 			}
 		}(g)
@@ -434,39 +432,189 @@ func TestShardedConcurrentScatter(t *testing.T) {
 // TestShardedEdgeCases covers empty shards (more shards than clusters),
 // dimension validation, and result-length validation.
 func TestShardedEdgeCases(t *testing.T) {
-	ds, clusters := fixture(t, 600, 47, 200)
-	coll := ds.Collection
-
-	// More shards than clusters: the surplus shards are empty but every
-	// query still completes, exactly.
-	r := routerOver(t, ds, clusters, len(clusters)+2, 4096)
-	var res search.Result
-	if err := one(r.RunBatch, coll.Vec(5), batchexec.Options{K: 10}, &res); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Exact || len(res.Neighbors) != 10 {
-		t.Fatalf("empty-shard search: exact=%v neighbors=%d", res.Exact, len(res.Neighbors))
-	}
-	truth := scan.KNN(coll, coll.Vec(5), 10)
-	for i := range truth {
-		if res.Neighbors[i] != truth[i] {
-			t.Fatalf("empty-shard rank %d: %+v != %+v", i, res.Neighbors[i], truth[i])
-		}
-	}
-
-	if err := one(r.RunBatch, make(vec.Vector, 3), batchexec.Options{K: 5}, &res); err == nil {
-		t.Fatal("bad dims accepted")
-	}
-	if err := r.RunBatch(make([]vec.Vector, 2), batchexec.Options{}, make([]search.Result, 1)); err == nil {
-		t.Fatal("mismatched results length accepted")
-	}
-	if err := r.RunBatch(nil, batchexec.Options{}, nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
-	}
+	r := checkEmptyShards(t, false)
 	if _, err := NewRouter(nil, nil, nil, RouterOptions{}); err == nil {
 		t.Fatal("empty router accepted")
 	}
 	if _, err := r.MultiQuery(nil, multiquery.Options{}); err == nil {
 		t.Fatal("empty multi-descriptor query accepted")
+	}
+}
+
+// checkEmptyShards is the batch half of TestShardedEdgeCases under the
+// per-shard or, with global, the global budget discipline: on a router
+// with more shards than clusters the surplus shards are empty but every
+// query still completes, exactly, a tiny budget still spends its total,
+// and bad batches are refused. It returns the router.
+func checkEmptyShards(t *testing.T, global bool) *Router {
+	ds, clusters := fixture(t, 600, 47, 200)
+	coll := ds.Collection
+	r := routerOver(t, ds, clusters, len(clusters)+2, 4096)
+
+	var res search.Result
+	if err := one(r.RunBatch, coll.Vec(5), batchexec.Options{K: 10, GlobalBudget: global}, &res); err != nil {
+		t.Fatal(err)
+	}
+	truth := scan.KNN(coll, coll.Vec(5), 10)
+	if !res.Exact || !slices.Equal(res.Neighbors, truth) || len(res.PerMachine) != r.Shards() {
+		t.Fatalf("empty-shard search: exact=%v, %d machines, neighbors %v != %v", res.Exact, len(res.PerMachine), res.Neighbors, truth)
+	}
+
+	// Per shard, budget b reads up to b chunks on every shard; globally, b
+	// in total. A budget past any product with the shard count reads all.
+	for _, b := range []int{2, math.MaxInt} {
+		want := min(b, len(clusters))
+		if !global {
+			want = 0
+			for _, n := range r.placement.NumPrimary {
+				want += min(n, b)
+			}
+		}
+		if err := one(r.RunBatch, coll.Vec(5), batchexec.Options{K: 10, Stop: search.ChunkBudget(b), GlobalBudget: global}, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.ChunksRead != want || b == math.MaxInt && !res.Exact {
+			t.Fatalf("empty-shard budget %d: ChunksRead %d != %d (exact %v)", b, res.ChunksRead, want, res.Exact)
+		}
+	}
+
+	if err := one(r.RunBatch, make(vec.Vector, 3), batchexec.Options{K: 5, GlobalBudget: global}, &res); err == nil {
+		t.Fatal("bad dims accepted")
+	}
+	if err := r.RunBatch(make([]vec.Vector, 2), batchexec.Options{GlobalBudget: global}, make([]search.Result, 1)); err == nil {
+		t.Fatal("mismatched results length accepted")
+	}
+	if err := r.RunBatch(nil, batchexec.Options{GlobalBudget: global}, nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
+	}
+	return r
+}
+
+// shardRef is shard s of router r as a plain store — its logical chunks,
+// no machine layout, reads through the router's replicated path — so an
+// engine over it searches shard s alone, the way each shard's own engine
+// did before the router became one walk.
+type shardRef struct {
+	chunkfile.Store // shard s's physical store
+	r               *Router
+	s               int
+}
+
+func (v shardRef) Meta() []chunkfile.Meta { return v.Store.Meta()[:v.r.placement.NumPrimary[v.s]] }
+func (v shardRef) Centroids() []float32   { return v.Store.Centroids()[:len(v.Meta())*v.Dims()] }
+func (v shardRef) ReadChunk(i int, d *chunkfile.Data) error {
+	return v.r.readChunk(v.s, i, d)
+}
+
+// mergeRefs merges independent per-shard outcomes into one: the top k
+// neighbors in knn.Less order, chunks summed, clocks the max (the
+// machines run in parallel), exactness ANDed, degradation ORed.
+func mergeRefs(rows []search.Result, k int) search.Result {
+	out := search.Result{Exact: true}
+	for _, row := range rows {
+		out.Neighbors = append(out.Neighbors, row.Neighbors...)
+		out.ChunksRead += row.ChunksRead
+		out.ChunksSkipped += row.ChunksSkipped
+		out.Elapsed = max(out.Elapsed, row.Elapsed)
+		out.IndexRead = max(out.IndexRead, row.IndexRead)
+		out.Exact = out.Exact && row.Exact
+		out.Degraded = out.Degraded || row.Degraded
+	}
+	slices.SortFunc(out.Neighbors, func(a, b search.Neighbor) int {
+		if knn.Less(a.Dist, a.ID, b.Dist, b.ID) {
+			return -1
+		}
+		return 1
+	})
+	out.Neighbors = out.Neighbors[:min(k, len(out.Neighbors))]
+	return out
+}
+
+// TestPerShardMatchesIndependentShards pins the per-shard discipline of
+// the one walk against S independent searches, one plain engine per shard
+// merged by mergeRefs, across overlap, R 1/2, cache, spread reads and a
+// shard held down. Under the chunk and time budgets, which ignore the
+// k-th distance, the walk is byte-identical: neighbors, chunks read and
+// skipped, Elapsed, IndexRead, Degraded, and every shard's own chunk
+// count and clock. With spread reads at R=2 which copy serves a read
+// depends on the router's load history, so there the clocks are pinned to
+// the serving ledger instead: each machine's clock is its own index read
+// plus Machines[t], the time it spent serving the walk (one pipeline per
+// machine), and Elapsed their max. Run to completion it returns the same
+// exact answers reading no more chunks, since the fleet's k-th distance is
+// never larger than a shard's own. Either way a reference Exact implies
+// Exact.
+func TestPerShardMatchesIndependentShards(t *testing.T) {
+	ds, clusters := fixture(t, 3000, 53, 120)
+	coll := ds.Collection
+	const shards, pageSize, k = 4, 4096, 15
+	queries := []vec.Vector{coll.Vec(9), coll.Vec(1300), coll.Vec(2999)}
+	rows := make([]search.Result, shards)
+	var got search.Result
+
+	for _, replication := range []int{1, 2} {
+		for _, cacheBytes := range []int64{0, 1 << 20} {
+			for _, spread := range []bool{false, true} {
+				for _, down := range []int{-1, 1} {
+					r := spreadRouterOver(t, ds, clusters, shards, replication, pageSize, RouterOptions{CacheBytes: cacheBytes, SpreadReads: spread})
+					if down >= 0 {
+						r.MarkShardDown(down)
+					}
+					refs := make([]*batchexec.Engine, shards)
+					for s := range refs {
+						refs[s] = batchexec.New(shardRef{r.Store(s), r, s}, nil)
+					}
+					clocks := !spread || replication == 1
+					for _, overlap := range []bool{false, true} {
+						for _, stop := range append(stopRules(), search.ChunkBudget(math.MaxInt)) {
+							opts := batchexec.Options{K: k, Stop: stop, Overlap: overlap}
+							for qi, q := range queries {
+								label := fmt.Sprintf("R=%d cache %d spread %v down %d overlap %v %v q%d", replication, cacheBytes, spread, down, overlap, stop, qi)
+								if err := one(r.RunBatch, q, opts, &got); err != nil {
+									t.Fatal(err)
+								}
+								for s := range refs {
+									if err := one(refs[s].Run, q, opts, &rows[s]); err != nil {
+										t.Fatal(err)
+									}
+								}
+								want := mergeRefs(rows, k)
+								if !clocks {
+									ledger := time.Duration(0)
+									for s, mc := range got.PerMachine {
+										if len(got.Machines) != shards || mc.Elapsed != rows[s].IndexRead+got.Machines[s] {
+											t.Fatalf("%s: shard %d clock %v != index read %v + serving ledger %v", label, s, mc.Elapsed, rows[s].IndexRead, got.Machines)
+										}
+										ledger = max(ledger, mc.Elapsed)
+									}
+									if got.Elapsed != ledger {
+										t.Fatalf("%s: Elapsed %v != max serving clock %v", label, got.Elapsed, ledger)
+									}
+								}
+								if !slices.Equal(got.Neighbors, want.Neighbors) || got.ChunksSkipped != want.ChunksSkipped ||
+									got.Degraded != want.Degraded || got.IndexRead != want.IndexRead || want.Exact && !got.Exact {
+									t.Fatalf("%s: got %+v, independent shards %+v", label, got, want)
+								}
+								if _, completion := stop.(search.ToCompletion); completion {
+									if got.ChunksRead > want.ChunksRead {
+										t.Fatalf("%s: read %d chunks, independent shards %d", label, got.ChunksRead, want.ChunksRead)
+									}
+									continue
+								}
+								if got.ChunksRead != want.ChunksRead || clocks && got.Elapsed != want.Elapsed {
+									t.Fatalf("%s: (chunks %d, elapsed %v) != independent shards (%d, %v)", label, got.ChunksRead, got.Elapsed, want.ChunksRead, want.Elapsed)
+								}
+								for s, mc := range got.PerMachine {
+									if mc.ChunksRead != rows[s].ChunksRead || clocks && mc.Elapsed != rows[s].Elapsed {
+										t.Fatalf("%s: shard %d (chunks %d, elapsed %v) != its own search (%d, %v)", label, s, mc.ChunksRead, mc.Elapsed, rows[s].ChunksRead, rows[s].Elapsed)
+									}
+								}
+							}
+						}
+					}
+					r.Close()
+				}
+			}
+		}
 	}
 }

@@ -47,9 +47,9 @@ func spreadRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cl
 // byte-identical to primary-only routing — across all three stop rules,
 // both budget disciplines (per-shard and global), the batch path, the
 // decoded-chunk cache on and off, and R ∈ {1, 2}. At R=1 there is only
-// one copy of every chunk, so even the merged simulated time must come
-// out exactly equal: the serve ledgers then bill precisely what the
-// nominal pipelines bill.
+// one copy of every chunk, so even the simulated time must come out
+// exactly equal: the serve ledgers then bill precisely what the nominal
+// pipelines bill.
 func TestSpreadReadsAnswerEquivalenceMatrix(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 17, 130)
 	coll := ds.Collection
@@ -62,74 +62,44 @@ func TestSpreadReadsAnswerEquivalenceMatrix(t *testing.T) {
 	}
 
 	for _, replication := range []int{1, 2} {
-		for _, cache := range []struct {
-			name string
-			cfg  CacheConfig
-		}{
-			{"nocache", CacheConfig{}},
-			{"cache", CacheConfig{Bytes: 1 << 20}},
-		} {
-			off := spreadRouterOver(t, ds, clusters, shards, replication, pageSize, RouterOptions{Cache: cache.cfg})
-			on := spreadRouterOver(t, ds, clusters, shards, replication, pageSize, RouterOptions{Cache: cache.cfg, SpreadReads: true})
+		for _, cacheBytes := range []int64{0, 1 << 20} {
+			off := spreadRouterOver(t, ds, clusters, shards, replication, pageSize, RouterOptions{CacheBytes: cacheBytes})
+			on := spreadRouterOver(t, ds, clusters, shards, replication, pageSize, RouterOptions{CacheBytes: cacheBytes, SpreadReads: true})
 			if off.SpreadReads() || !on.SpreadReads() {
-				t.Fatalf("R=%d %s: SpreadReads off=%v on=%v", replication, cache.name, off.SpreadReads(), on.SpreadReads())
+				t.Fatalf("R=%d cache %d: SpreadReads off=%v on=%v", replication, cacheBytes, off.SpreadReads(), on.SpreadReads())
 			}
 			for ri, stop := range stopRules() {
-				label := "R=" + strconv.Itoa(replication) + "/" + cache.name + "/rule" + strconv.Itoa(ri)
-				opts := batchexec.Options{K: k, Stop: stop}
-				for _, q := range queries {
-					var want, got search.Result
-					if err := one(off.RunBatch, q, opts, &want); err != nil {
-						t.Fatal(err)
-					}
-					if err := one(on.RunBatch, q, opts, &got); err != nil {
-						t.Fatal(err)
-					}
-					sameAnswer(t, label+"/search", &got, &want)
-					if replication == 1 && got.Elapsed != want.Elapsed {
-						t.Fatalf("%s/search: R=1 spread-on Elapsed %v != spread-off %v", label, got.Elapsed, want.Elapsed)
+				for _, d := range disciplines {
+					label := fmt.Sprintf("R=%d/cache %d/rule%d/%s", replication, cacheBytes, ri, d.name)
+					opts := batchexec.Options{K: k, Stop: stop, GlobalBudget: d.global}
+					for _, q := range queries {
+						var want, got search.Result
+						if err := one(off.RunBatch, q, opts, &want); err != nil {
+							t.Fatal(err)
+						}
+						if err := one(on.RunBatch, q, opts, &got); err != nil {
+							t.Fatal(err)
+						}
+						sameAnswer(t, label+"/search", &got, &want)
+						if replication == 1 && got.Elapsed != want.Elapsed {
+							t.Fatalf("%s/search: R=1 spread-on Elapsed %v != spread-off %v", label, got.Elapsed, want.Elapsed)
+						}
 					}
 
-					if err := one(off.RunBatchGlobal, q, opts, &want); err != nil {
+					want := make([]search.Result, len(queries))
+					got := make([]search.Result, len(queries))
+					if err := off.RunBatch(queries, opts, want); err != nil {
 						t.Fatal(err)
 					}
-					if err := one(on.RunBatchGlobal, q, opts, &got); err != nil {
+					if err := on.RunBatch(queries, opts, got); err != nil {
 						t.Fatal(err)
 					}
-					sameAnswer(t, label+"/global", &got, &want)
-					if replication == 1 && got.Elapsed != want.Elapsed {
-						t.Fatalf("%s/global: R=1 spread-on Elapsed %v != spread-off %v", label, got.Elapsed, want.Elapsed)
-					}
-				}
-
-				bopts := batchexec.Options{K: k, Stop: stop}
-				want := make([]search.Result, len(queries))
-				got := make([]search.Result, len(queries))
-				if err := off.RunBatch(queries, bopts, want); err != nil {
-					t.Fatal(err)
-				}
-				if err := on.RunBatch(queries, bopts, got); err != nil {
-					t.Fatal(err)
-				}
-				for qi := range queries {
-					g, w := &got[qi], &want[qi]
-					sameAnswer(t, fmt.Sprintf("%s/batch q%d", label, qi), g, w)
-					if replication == 1 && g.Elapsed != w.Elapsed {
-						t.Fatalf("%s/batch q%d: R=1 spread-on Elapsed %v != spread-off %v", label, qi, g.Elapsed, w.Elapsed)
-					}
-				}
-
-				if err := off.RunBatchGlobal(queries, bopts, want); err != nil {
-					t.Fatal(err)
-				}
-				if err := on.RunBatchGlobal(queries, bopts, got); err != nil {
-					t.Fatal(err)
-				}
-				for qi := range queries {
-					g, w := &got[qi], &want[qi]
-					sameAnswer(t, fmt.Sprintf("%s/batchglobal q%d", label, qi), g, w)
-					if replication == 1 && g.Elapsed != w.Elapsed {
-						t.Fatalf("%s/batchglobal q%d: R=1 spread-on Elapsed %v != spread-off %v", label, qi, g.Elapsed, w.Elapsed)
+					for qi := range queries {
+						g, w := &got[qi], &want[qi]
+						sameAnswer(t, fmt.Sprintf("%s/batch q%d", label, qi), g, w)
+						if replication == 1 && g.Elapsed != w.Elapsed {
+							t.Fatalf("%s/batch q%d: R=1 spread-on Elapsed %v != spread-off %v", label, qi, g.Elapsed, w.Elapsed)
+						}
 					}
 				}
 			}
@@ -278,30 +248,21 @@ func TestSpreadReadsKillAnyShardMatchesHealthy(t *testing.T) {
 		faults[kill].Kill()
 		var got, want search.Result
 		for ri, stop := range rules {
-			opts := batchexec.Options{K: k, Stop: stop}
-			for _, pos := range queryIdx {
-				label := "kill " + strconv.Itoa(kill) + "/rule" + strconv.Itoa(ri)
-				if err := one(healthy.RunBatch, coll.Vec(pos), opts, &want); err != nil {
-					t.Fatal(err)
+			for _, d := range disciplines {
+				opts := batchexec.Options{K: k, Stop: stop, GlobalBudget: d.global}
+				for _, pos := range queryIdx {
+					label := "kill " + strconv.Itoa(kill) + "/rule" + strconv.Itoa(ri) + "/" + d.name
+					if err := one(healthy.RunBatch, coll.Vec(pos), opts, &want); err != nil {
+						t.Fatal(err)
+					}
+					if err := one(r.RunBatch, coll.Vec(pos), opts, &got); err != nil {
+						t.Fatal(err)
+					}
+					if got.Degraded || got.ChunksSkipped != 0 {
+						t.Fatalf("%s q%d: degraded (skipped %d) despite live replicas", label, pos, got.ChunksSkipped)
+					}
+					sameAnswer(t, label, &got, &want)
 				}
-				if err := one(r.RunBatch, coll.Vec(pos), opts, &got); err != nil {
-					t.Fatal(err)
-				}
-				if got.Degraded || got.ChunksSkipped != 0 {
-					t.Fatalf("%s q%d: degraded (skipped %d) despite live replicas", label, pos, got.ChunksSkipped)
-				}
-				sameAnswer(t, label+"/search", &got, &want)
-
-				if err := one(healthy.RunBatchGlobal, coll.Vec(pos), opts, &want); err != nil {
-					t.Fatal(err)
-				}
-				if err := one(r.RunBatchGlobal, coll.Vec(pos), opts, &got); err != nil {
-					t.Fatal(err)
-				}
-				if got.Degraded || got.ChunksSkipped != 0 {
-					t.Fatalf("%s q%d global: degraded despite live replicas", label, pos)
-				}
-				sameAnswer(t, label+"/global", &got, &want)
 			}
 		}
 		if err := r.Close(); err != nil {
@@ -311,7 +272,7 @@ func TestSpreadReadsKillAnyShardMatchesHealthy(t *testing.T) {
 }
 
 // TestSpreadReadsConcurrentKillStress drives the spread-on failover path
-// under -race: single-query scatters race a batch workload on the same
+// under -race: single queries race a batch workload on the same
 // router while a shard dies mid-flight (with transient read faults and
 // injected latency stirring the interleavings, pinned by
 // REPRO_FAULT_SEED). Every query must complete without error, and
@@ -346,7 +307,7 @@ func TestSpreadReadsConcurrentKillStress(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				q := coll.Vec((g*997 + i*313) % coll.Len())
 				if err := one(r.RunBatch, q, batchexec.Options{K: k}, &res); err != nil {
-					t.Errorf("scatter goroutine %d: %v", g, err)
+					t.Errorf("query goroutine %d: %v", g, err)
 					return
 				}
 				if res.Degraded {
@@ -354,11 +315,11 @@ func TestSpreadReadsConcurrentKillStress(t *testing.T) {
 					continue
 				}
 				if err := one(healthy.RunBatch, q, batchexec.Options{K: k}, &want); err != nil {
-					t.Errorf("scatter goroutine %d: healthy: %v", g, err)
+					t.Errorf("query goroutine %d: healthy: %v", g, err)
 					return
 				}
 				if err := answerDiff(&res, &want); err != nil {
-					t.Errorf("scatter goroutine %d query %d: %v", g, i, err)
+					t.Errorf("query goroutine %d query %d: %v", g, i, err)
 				}
 			}
 		}(g)

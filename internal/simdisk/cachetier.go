@@ -20,9 +20,9 @@ import (
 // all) can pick the hottest chunks for the next run.
 //
 // Chunk indexes are those of the store the pipeline's search runs over:
-// the plain store for an unsharded index, the shard-local view in the
-// router's per-shard discipline, and the virtual concatenated store in
-// its global-budget discipline.
+// for a sharded index the router's fleet-wide store, under either budget
+// discipline, so a tier sized by the index's chunk count covers every
+// shard.
 //
 // Counters are atomic, so concurrent searches (the batch engine) may
 // share a tier; SetResidentTopFraction, however, must not run

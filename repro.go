@@ -17,10 +17,10 @@
 //	for _, nb := range res.Neighbors { fmt.Println(nb.ID, nb.Dist) }
 //
 // There is one index type, ShardedIndex: one simulated 2005 machine per
-// shard, searched scatter-gather. One shard is the paper's single
-// machine, and its saved directory is the paper's chunk file + index
-// file plus a manifest. Beyond the paper, the package serves
-// production-shaped workloads: whole-workload batches run on a
+// shard, every query one walk over the whole fleet. One shard is the
+// paper's single machine, and its saved directory is the paper's chunk
+// file + index file plus a manifest. Beyond the paper, the package
+// serves production-shaped workloads: whole-workload batches run on a
 // chunk-major batch engine (SearchBatch, SearchBatchInto), whole-image
 // bags of descriptors on the multi-query voting layer (MultiSearch), and
 // multi-shard stop-rule budgets apply per shard by default or — with
@@ -220,17 +220,16 @@ type SearchOptions struct {
 	MaxTime   time.Duration // stop after this much simulated time
 	Overlap   bool          // overlap I/O and CPU in the simulated pipeline
 	Model     *CostModel    // nil = calibrated 2005 model
-	// GlobalBudget switches a search from the per-shard to
-	// the global budget discipline: instead of every shard spending the
-	// stop rule's budget independently (MaxChunks c reading up to S×c
-	// chunks on S shards), the shards' ranked chunk lists merge into one
-	// global centroid-rank order and the budget is spent once across the
-	// fleet — MaxChunks c reads exactly min(c, total) chunks, MaxTime
-	// bounds the max over the shards' simulated machines, and completion
-	// stops at the merged exactness certificate. Each chunk is still
-	// charged to its owning shard's simulated pipeline; Simulated remains
-	// the max over the shards and ChunksRead their sum. See DESIGN.md §7.
-	// On one shard both disciplines are the same search.
+	// GlobalBudget switches a search from the per-shard to the global
+	// budget discipline. Either way the query walks every shard's chunks
+	// in one global centroid-rank order, each chunk charged to its owning
+	// shard's simulated pipeline; Simulated is the max over the shards and
+	// ChunksRead their sum. Per shard (the default), every shard applies
+	// the stop rule to its own chunks and clock — MaxChunks c reads up to
+	// S×c chunks on S shards. Globally, the budget is spent once across
+	// the fleet — MaxChunks c reads exactly min(c, total) chunks, MaxTime
+	// bounds the max over the shards' simulated machines. See DESIGN.md
+	// §5. On one shard both disciplines are the same search.
 	GlobalBudget bool
 	// Ctx, when non-nil, cancels the search between chunk charges: once
 	// the context is cancelled or past its deadline, no further chunk is

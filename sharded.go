@@ -15,14 +15,13 @@ import (
 )
 
 // ShardedIndex is the package's chunk index: a set of chunks partitioned
-// across S shards, each shard a complete two-file index (§4.2) served by
-// its own chunk-major query engine. Queries scatter to every shard
-// concurrently and gather through a deterministic merge, so a
-// run-to-completion search returns the exact global k-NN. A single
-// search is a batch of one on the same engines.
-// The simulated cost model is one 2005 machine per shard: a query's
-// Simulated is the max over the shards (they run in parallel) and
-// ChunksRead the sum.
+// across S shards, each shard a complete two-file index (§4.2). A query
+// is one walk over every shard's chunks in one global centroid-rank
+// order, on one chunk-major query engine, so a run-to-completion search
+// returns the exact global k-NN. A single search is a batch of one on the
+// same engine. The simulated cost model is one 2005 machine per shard:
+// each chunk is charged to its shard's machine, a query's Simulated is
+// the max over the shards (they run in parallel) and ChunksRead the sum.
 //
 // One shard is the paper's single machine: its results are
 // byte-identical to the paper's search over one chunk file — same IDs,
@@ -30,12 +29,11 @@ import (
 //
 // Budgets come in two disciplines, selected by
 // SearchOptions.GlobalBudget. By default each stop rule applies per
-// shard to that shard's own simulated pipeline (MaxChunks c reads up to
-// S×c chunks). With GlobalBudget set, the shards' chunk rankings merge
-// into one global centroid-rank order and the budget is spent once
-// across the fleet — MaxChunks c reads exactly min(c, total) chunks,
-// matching the one-shard index's quality at the same total bill. See
-// DESIGN.md §5 and §7.
+// shard to that shard's own chunks and simulated pipeline (MaxChunks c
+// reads up to S×c chunks). With GlobalBudget set, the budget is spent
+// once across the fleet — MaxChunks c reads exactly min(c, total)
+// chunks, matching the one-shard index's quality at the same total
+// bill. See DESIGN.md §5.
 type ShardedIndex struct {
 	router    *shard.Router
 	pageSize  int
@@ -121,7 +119,7 @@ func BuildReplicated(coll *Collection, cfg BuildConfig, shards, replication int,
 		stores[s] = chunkfile.NewMemStore(coll, parts[s], pageSize)
 	}
 	router, err := shard.NewRouter(stores, placement, nil, shard.RouterOptions{
-		Cache:       shard.CacheConfig{Bytes: cfg.CacheBytes},
+		CacheBytes:  cfg.CacheBytes,
 		SpreadReads: cfg.SpreadReads,
 	})
 	if err != nil {
@@ -165,10 +163,8 @@ func OpenSharded(dir string) (*ShardedIndex, error) {
 }
 
 // OpenShardedWith is OpenSharded with options. CacheBytes is one budget
-// shared across the shards' stores (hot shards win it), matching the
-// discipline of BuildConfig.CacheBytes; the per-machine discipline —
-// each shard's own cache, as each simulated machine's own RAM — is
-// available on internal/shard's router directly.
+// shared across the shards' stores (hot shards win it), exactly as
+// BuildConfig.CacheBytes.
 func OpenShardedWith(dir string, cfg OpenConfig) (*ShardedIndex, error) {
 	stores, manifest, err := chunkfile.OpenSharded(dir)
 	if err != nil {
@@ -195,7 +191,7 @@ func OpenShardedWith(dir string, cfg OpenConfig) (*ShardedIndex, error) {
 		return nil, fmt.Errorf("repro: stat placement file: %w", serr)
 	}
 	router, err := shard.NewRouter(shardStores, placement, nil, shard.RouterOptions{
-		Cache:       shard.CacheConfig{Bytes: cfg.CacheBytes},
+		CacheBytes:  cfg.CacheBytes,
 		SpreadReads: cfg.SpreadReads,
 	})
 	if err != nil {
@@ -276,7 +272,7 @@ type ShardLoad = shard.ShardLoad
 // billed to it — cumulative since construction or the last ResetHealth.
 func (sx *ShardedIndex) ShardLoads() []ShardLoad { return sx.router.ShardLoads(nil) }
 
-// Search runs one query scatter-gather across the shards.
+// Search runs one query across the shards.
 func (sx *ShardedIndex) Search(q Vector, opts SearchOptions) (*Result, error) {
 	res := &Result{}
 	if err := sx.SearchInto(q, opts, res); err != nil {
@@ -285,8 +281,8 @@ func (sx *ShardedIndex) Search(q Vector, opts SearchOptions) (*Result, error) {
 	return res, nil
 }
 
-// SearchInto runs one query scatter-gather, writing the merged outcome
-// into res. By default MaxChunks and MaxTime budgets apply per shard
+// SearchInto runs one query across the shards, writing the outcome into
+// res. By default MaxChunks and MaxTime budgets apply per shard
 // (each shard is its own simulated machine); with opts.GlobalBudget they
 // are spent once across the fleet in global centroid-rank order. Either
 // way Simulated is the max over the shards and ChunksRead their sum. The
@@ -308,10 +304,9 @@ func (sx *ShardedIndex) SearchInto(q Vector, opts SearchOptions, res *Result) er
 // MultiSearch implements the paper's §7 follow-up: query with a whole
 // image's bag of local descriptors, aggregate per-descriptor approximate
 // searches into image votes, and return the ranked source images. The
-// bag is a natural batch, so its per-descriptor searches run on the
-// shards' chunk-major batch engines, scatter-gather; the per-descriptor
-// chunk budget applies per shard — or once across the fleet with
-// opts.GlobalBudget.
+// bag is a natural batch, so its per-descriptor searches run as one
+// batch on the chunk-major engine; the per-descriptor chunk budget
+// applies per shard — or once across the fleet with opts.GlobalBudget.
 func (sx *ShardedIndex) MultiSearch(descriptors []Vector, opts MultiSearchOptions) (*MultiResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -320,15 +315,12 @@ func (sx *ShardedIndex) MultiSearch(descriptors []Vector, opts MultiSearchOption
 	if maxChunks <= 0 {
 		maxChunks = 3
 	}
-	routerMulti := sx.router.MultiQuery
-	if opts.GlobalBudget {
-		routerMulti = sx.router.MultiQueryGlobal
-	}
-	res, err := routerMulti(descriptors, multiquery.Options{
+	res, err := sx.router.MultiQuery(descriptors, multiquery.Options{
 		K:            opts.K,
 		Stop:         search.ChunkBudget(maxChunks),
 		RankWeighted: opts.RankWeighted,
 		Overlap:      opts.Overlap,
+		GlobalBudget: opts.GlobalBudget,
 		Ctx:          opts.Ctx,
 	})
 	if err != nil {

@@ -28,7 +28,7 @@ func compareResults(t *testing.T, label string, got, want *Result) {
 }
 
 // TestShardedIndexCompletionIsExact pins the facade's global-exactness
-// claim at S=4: run-to-completion scatter-gather equals the scan oracle.
+// claim at S=4: a run-to-completion sharded search equals the scan oracle.
 func TestShardedIndexCompletionIsExact(t *testing.T) {
 	coll := GenerateCollection(5000, 53)
 	sx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 4)
