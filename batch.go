@@ -68,8 +68,8 @@ func (sx *ShardedIndex) SearchBatchStream(queries []Vector, opts BatchOptions, r
 		*sp = make([]search.Result, len(queries))
 	}
 	srs := (*sp)[:len(queries)]
-	// Lend the caller's neighbor slices for the run; the ledger buffers
-	// (Machines, PerMachine) stay the pool's own across batches.
+	// Lend the caller's neighbor slices for the run; the PerMachine
+	// buffers stay the pool's own across batches.
 	for i := range results {
 		srs[i].Neighbors = results[i].Neighbors[:0]
 	}

@@ -18,11 +18,6 @@ type OpenConfig struct {
 	// without it, because the simulated cost model is charged from the
 	// chunk index, never from the reads. Zero opens without a cache.
 	CacheBytes int64
-	// SpreadReads opens the index with the spread-reads routing policy
-	// on (see BuildConfig.SpreadReads): reads go to the live copy with
-	// the least billed simulated load. Answers are byte-identical either
-	// way.
-	SpreadReads bool
 }
 
 // CacheStats returns the index's decoded-chunk cache counters,

@@ -32,15 +32,6 @@
 // kernel (2 queries per call, the shape the AVX2 pair kernel packs into
 // one register).
 //
-// Schema 7 adds spread-reads rows on the replicated (R=2) Zipf
-// workload: the completion run healthy and with one shard down under
-// the spread-reads routing policy (answers byte-identical to
-// primary-only routing; only the simulated machine assignment moves),
-// and the global-budget 5-chunk run with spread off and on. Each row
-// records the per-shard load split — the population stddev of the
-// shards' served-read counts and of their billed simulated serving
-// milliseconds — alongside the usual p99 simulated time.
-//
 // Usage:
 //
 //	benchsnap [-n 12000] [-chunk 300] [-k 30] [-seed 42] [-shards 4] [-out BENCH_10.json]
@@ -68,7 +59,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/simdisk"
 	"repro/internal/vec"
-	wkld "repro/internal/workload"
 )
 
 type measurement struct {
@@ -106,14 +96,6 @@ type measurement struct {
 	// CacheHitRate (schema 5) is hits/(hits+misses) of the decoded-chunk
 	// cache over the row's whole run, for rows run against a cached store.
 	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
-	// LoadReadsStddev and LoadBilledStddevMs (schema 7) report the
-	// per-shard load split of one clean workload pass: the population
-	// stddev of the shards' served-read counts and of their billed
-	// simulated serving milliseconds (the spread-reads estimator's
-	// ledger; zero with spread off). Lower means the serving load
-	// spread more evenly across the fleet.
-	LoadReadsStddev    float64 `json:"load_reads_stddev,omitempty"`
-	LoadBilledStddevMs float64 `json:"load_billed_stddev_ms,omitempty"`
 }
 
 // withStats annotates a measurement with the cost-model outcome of one
@@ -463,7 +445,9 @@ func main() {
 	// collection scores every row's recall, so the degraded R=1 row shows
 	// honestly how much quality one lost shard costs, while the R=2 rows
 	// show the failover serving identical answers; sim_ms_p99 shows what
-	// the failure does to tail latency under skew.
+	// the failure does to tail latency under skew. A global-budget 5-chunk
+	// row shows the discipline where skew bites hardest, hot chunks
+	// concentrated by the global rank.
 	zipfQueries, err := repro.ZipfQueries(coll, 200, 1.3, *seed+2)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsnap: zipf queries:", err)
@@ -481,7 +465,7 @@ func main() {
 	}
 	defer replicated.Close()
 
-	zipfBench := func(sx *repro.ShardedIndex, down bool) measurement {
+	zipfBench := func(sx *repro.ShardedIndex, down bool, opts repro.SearchOptions) measurement {
 		sx.ResetHealth()
 		if down {
 			sx.MarkShardDown(0)
@@ -489,9 +473,7 @@ func main() {
 		defer sx.ResetHealth()
 		results := make([]repro.Result, len(zipfQueries))
 		run := func() error {
-			return sx.SearchBatchInto(zipfQueries, repro.BatchOptions{
-				SearchOptions: repro.SearchOptions{K: *k},
-			}, results)
+			return sx.SearchBatchInto(zipfQueries, repro.BatchOptions{SearchOptions: opts}, results)
 		}
 		r := testing.Benchmark(func(b *testing.B) {
 			if err := run(); err != nil {
@@ -509,86 +491,21 @@ func main() {
 		m.OpsPerSec *= float64(len(zipfQueries))
 		return withQuality(m, results, truths)
 	}
+	completion := repro.SearchOptions{K: *k}
 	for _, row := range []struct {
 		name string
 		sx   *repro.ShardedIndex
 		down bool
+		opts repro.SearchOptions
 	}{
-		{fmt.Sprintf("sharded%d_r1_zipf_completion_healthy", *shards), sharded, false},
-		{fmt.Sprintf("sharded%d_r1_zipf_completion_1down", *shards), sharded, true},
-		{fmt.Sprintf("sharded%d_r2_zipf_completion_healthy", *shards), replicated, false},
-		{fmt.Sprintf("sharded%d_r2_zipf_completion_1down", *shards), replicated, true},
+		{fmt.Sprintf("sharded%d_r1_zipf_completion_healthy", *shards), sharded, false, completion},
+		{fmt.Sprintf("sharded%d_r1_zipf_completion_1down", *shards), sharded, true, completion},
+		{fmt.Sprintf("sharded%d_r2_zipf_completion_healthy", *shards), replicated, false, completion},
+		{fmt.Sprintf("sharded%d_r2_zipf_completion_1down", *shards), replicated, true, completion},
+		{fmt.Sprintf("sharded%d_r2_zipf_budget5_global", *shards), replicated, false,
+			repro.SearchOptions{K: *k, MaxChunks: 5, GlobalBudget: true}},
 	} {
-		snap.Benchmarks[row.name] = zipfBench(row.sx, row.down)
-	}
-
-	// Spread-reads rows (schema 7): the same replicated Zipf workload
-	// with every chunk read served from the least-billed live copy
-	// instead of the primary. Answers are byte-identical to the
-	// primary-only rows; what moves is the simulated machine assignment
-	// — and with it the p99 — plus the per-shard load split, which each
-	// row records from one clean pass (stddev of served reads and of
-	// billed serving milliseconds). The completion pair shows healthy
-	// rebalancing and the honest cost of losing a shard (the survivors
-	// really absorb its reads); the global-budget 5-chunk pair shows the
-	// policy where skew bites hardest, hot chunks concentrated by the
-	// global rank.
-	zipfSpread := func(down, spread, global bool, budget int) measurement {
-		replicated.ResetHealth()
-		replicated.SetSpreadReads(spread)
-		if down {
-			replicated.MarkShardDown(0)
-		}
-		defer func() {
-			replicated.ResetHealth()
-			replicated.SetSpreadReads(false)
-		}()
-		opts := repro.BatchOptions{SearchOptions: repro.SearchOptions{
-			K: *k, MaxChunks: budget, GlobalBudget: global,
-		}}
-		results := make([]repro.Result, len(zipfQueries))
-		run := func() error { return replicated.SearchBatchInto(zipfQueries, opts, results) }
-		r := testing.Benchmark(func(b *testing.B) {
-			if err := run(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		m := toMeasurement(r)
-		m.OpsPerSec *= float64(len(zipfQueries))
-		m = withQuality(m, results, truths)
-		// One clean pass for the load split: the benchmark loop above
-		// accrued counters across iterations, so re-run once from zero.
-		replicated.ResetHealth()
-		if down {
-			replicated.MarkShardDown(0)
-		}
-		if err := run(); err != nil {
-			fmt.Fprintln(os.Stderr, "benchsnap: spread load pass:", err)
-			os.Exit(1)
-		}
-		loads := replicated.ShardLoads()
-		m.LoadReadsStddev = wkld.Stddev(wkld.LoadReads(loads))
-		m.LoadBilledStddevMs = wkld.Stddev(wkld.LoadSeconds(loads)) * 1e3
-		return m
-	}
-	for _, row := range []struct {
-		name                 string
-		down, spread, global bool
-		budget               int
-	}{
-		{fmt.Sprintf("sharded%d_r2_zipf_completion_healthy_spread", *shards), false, true, false, 0},
-		{fmt.Sprintf("sharded%d_r2_zipf_completion_1down_spread", *shards), true, true, false, 0},
-		{fmt.Sprintf("sharded%d_r2_zipf_budget5_global_spreadoff", *shards), false, false, true, 5},
-		{fmt.Sprintf("sharded%d_r2_zipf_budget5_global_spreadon", *shards), false, true, true, 5},
-	} {
-		snap.Benchmarks[row.name] = zipfSpread(row.down, row.spread, row.global, row.budget)
+		snap.Benchmarks[row.name] = zipfBench(row.sx, row.down, row.opts)
 	}
 
 	// Serving rows (schema 4): the online layer measured end to end over

@@ -63,7 +63,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	defaultMaxChunks := fs.Int("default-max-chunks", 0, "admission cost estimate per query without a chunk budget (0 = 16)")
 	probeInterval := fs.Duration("probe-interval", 0, "shard health probe period (0 = 250ms)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "decoded-chunk cache budget in bytes per index, shared across an index's shards (0 = no cache)")
-	spreadReads := fs.Bool("spread-reads", false, "serve each chunk read from the least-loaded live copy (primary or replica) instead of the primary; results are identical, only simulated times and the per-shard load split move")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests at shutdown")
 	var specs []indexSpec
 	fs.Func("index", "name=path of an index to serve (repeatable); path is an index directory", func(v string) error {
@@ -90,7 +89,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// daemon doesn't leak descriptors.
 	defer reg.CloseAll()
 	for _, spec := range specs {
-		sx, err := repro.OpenShardedWith(spec.path, repro.OpenConfig{CacheBytes: *cacheBytes, SpreadReads: *spreadReads})
+		sx, err := repro.OpenShardedWith(spec.path, repro.OpenConfig{CacheBytes: *cacheBytes})
 		if err != nil {
 			return fmt.Errorf("index %q: %w", spec.name, err)
 		}

@@ -110,17 +110,9 @@ type Data struct {
 	// owning machine's simdisk.Pipeline and zero it before the next read,
 	// so a query is billed for exactly the retries its reads needed.
 	Stall time.Duration
-	// Served identifies the simulated machine that actually served this
-	// ReadChunk, for stores that route one logical chunk across several
-	// machines (the shard router's spread-reads policy — see
-	// MachineLayout). Routing stores set it on every call (to the serving
-	// machine on success, the owning machine otherwise); the plain
-	// single-machine stores never touch it, and consumers consult it only
-	// while the store reports its reads routed.
-	Served int32
-	dims   int
-	buf    []byte // FileStore read scratch, reused across ReadChunk calls
-	pin    Pin    // releases the rows' alias when the Data moves on
+	dims  int
+	buf   []byte // FileStore read scratch, reused across ReadChunk calls
+	pin   Pin    // releases the rows' alias when the Data moves on
 	// ownIDs and ownVecs are the Data-owned decode scratch. decode always
 	// writes into them and points IDs/Vecs at them; Alias points IDs/Vecs
 	// at store- or cache-owned memory while the scratch is retained — so
@@ -219,14 +211,9 @@ type Store interface {
 // to its owner's simdisk.Pipeline, every machine paying the index read
 // for its own chunk count, and report the max over the machines — they
 // run in parallel. The layout is nominal: it never depends on which
-// replica served a read. routed reports that reads may currently be
-// served by a machine other than the owner (the shard router's
-// spread-reads policy): the store then sets Data.Served on every
-// ReadChunk, and consumers keep a per-machine serving ledger that bills
-// each chunk to the machine that served it and each stall to the owner.
-// A store without the interface is one machine.
+// replica served a read. A store without the interface is one machine.
 type MachineLayout interface {
-	Layout() (owner []int32, machines int, routed bool)
+	Layout() (owner []int32, machines int)
 }
 
 // Write builds the two files from a clustering. Chunks appear in the

@@ -7,9 +7,8 @@ import (
 )
 
 // TestSkewShape runs the skew study on the tiny lab and pins its
-// structure: the four (layout × spread) cells in order, positive
-// simulated times with the p99 at or above the mean (nearest-rank on a
-// small workload), a billed split only where the spread estimator runs,
+// structure: the two layout cells in order, positive simulated times
+// with the p99 at or above the mean (nearest-rank on a small workload),
 // and a rendering with one line per cell.
 func TestSkewShape(t *testing.T) {
 	lab := getLab(t)
@@ -20,22 +19,13 @@ func TestSkewShape(t *testing.T) {
 	if res.Shards != skewShards || res.Replication != skewReplication || res.ZipfS != skewZipfS {
 		t.Fatalf("study parameters: %+v", res)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(res.Rows))
+	if len(res.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(res.Rows))
 	}
-	wantCells := []struct {
-		layout string
-		spread bool
-	}{
-		{"byte-balanced", false},
-		{"byte-balanced", true},
-		{"heat-balanced", false},
-		{"heat-balanced", true},
-	}
-	for i, row := range res.Rows {
-		if row.Layout != wantCells[i].layout || row.Spread != wantCells[i].spread {
-			t.Fatalf("row %d is (%s, %v), want (%s, %v)",
-				i, row.Layout, row.Spread, wantCells[i].layout, wantCells[i].spread)
+	for i, layout := range []string{"byte-balanced", "heat-balanced"} {
+		row := res.Rows[i]
+		if row.Layout != layout {
+			t.Fatalf("row %d is %s, want %s", i, row.Layout, layout)
 		}
 		if row.P99Sec <= 0 || row.MeanSec <= 0 {
 			t.Fatalf("row %d: non-positive simulated times %+v", i, row)
@@ -43,10 +33,7 @@ func TestSkewShape(t *testing.T) {
 		if row.P99Sec < row.MeanSec {
 			t.Fatalf("row %d: p99 %g below mean %g", i, row.P99Sec, row.MeanSec)
 		}
-		if !row.Spread && row.BilledStddev != 0 {
-			t.Fatalf("row %d: spread-off cell has billed split %g", i, row.BilledStddev)
-		}
-		if row.ReadsStddev < 0 || row.BilledStddev < 0 {
+		if row.ReadsStddev < 0 {
 			t.Fatalf("row %d: negative stddev %+v", i, row)
 		}
 	}
@@ -57,7 +44,7 @@ func TestSkewShape(t *testing.T) {
 	if !strings.Contains(out, "Skew study") {
 		t.Fatalf("render missing header:\n%s", out)
 	}
-	if got := strings.Count(out, "balanced"); got != 4 {
-		t.Fatalf("render has %d cell rows, want 4:\n%s", got, out)
+	if got := strings.Count(out, "balanced"); got != 2 {
+		t.Fatalf("render has %d cell rows, want 2:\n%s", got, out)
 	}
 }

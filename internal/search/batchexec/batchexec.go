@@ -341,7 +341,7 @@ func (a *arena) processChunk(ws *workerScratch, chunk int, members []int32) {
 		if skip {
 			done = st.Skip(st.res, stall)
 		} else {
-			done = st.Charge(st.res, stall, int(ws.data.Served))
+			done = st.Charge(st.res, stall)
 		}
 		switch {
 		case !done:

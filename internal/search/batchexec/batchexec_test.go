@@ -224,7 +224,7 @@ type layoutStore struct {
 	machines int
 }
 
-func (s layoutStore) Layout() ([]int32, int, bool) { return s.owner, s.machines, false }
+func (s layoutStore) Layout() ([]int32, int) { return s.owner, s.machines }
 
 // TestBatchShardMapping pins the store-reported machine layout
 // (chunkfile.MachineLayout) on the engine: a layout onto one machine is

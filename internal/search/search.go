@@ -127,21 +127,11 @@ type Result struct {
 	// the result is the best answer over the reachable data, Exact is
 	// necessarily false, and recall may be below a healthy run's.
 	Degraded bool
-	// Machines is the per-machine serving ledger, set only when the store
-	// routes reads across several simulated machines (a
-	// chunkfile.MachineLayout reporting its reads routed — the shard
-	// router's spread-reads policy): Machines[t] is the simulated time
-	// machine t spent serving this walk's chunks and stalls, measured from
-	// a zero origin (the machine's own index read is not included). Stop
-	// rules stay on the nominal owner-billed pipelines — which is what
-	// keeps spread routing answer-invariant — while Elapsed and PerMachine
-	// report the ledger. Empty otherwise; the slice is reused across calls
-	// on a recycled Result.
-	Machines []time.Duration
 	// PerMachine is the per-machine breakdown of a walk over a store whose
 	// chunks live on several simulated machines (chunkfile.MachineLayout —
 	// the shard router's store): the chunks each machine was billed and
-	// its simulated clock. Empty on plain stores; reused like Machines.
+	// its simulated clock. Empty on plain stores; the slice is reused
+	// across calls on a recycled Result.
 	PerMachine []MachineCost
 }
 
@@ -304,9 +294,6 @@ type Plan struct {
 	group  []int32
 	groups []int
 	live   int
-	// routed keeps a serving ledger per machine (the layout's reads are
-	// routed over several machines).
-	routed bool
 }
 
 // groupOf returns the budget group of store chunk ci.
@@ -335,15 +322,14 @@ func (p *Plan) Reset(store chunkfile.Store, model *simdisk.Model, k int, stop St
 	if len(p.centroids) != len(p.metas)*p.dims {
 		return fmt.Errorf("search: store has %d chunks of %d dims but a centroid matrix of %d floats", len(p.metas), p.dims, len(p.centroids))
 	}
-	p.owner, p.routed = nil, false
+	p.owner = nil
 	machines := 1
 	if ml, ok := store.(chunkfile.MachineLayout); ok {
-		p.owner, machines, p.routed = ml.Layout()
+		p.owner, machines = ml.Layout()
 		if len(p.owner) != len(p.metas) || machines < 1 {
 			return fmt.Errorf("search: store layout maps %d chunks onto %d machines, store has %d chunks", len(p.owner), machines, len(p.metas))
 		}
 	}
-	p.routed = p.routed && machines > 1
 	p.counts = sized(p.counts, machines)
 	clear(p.counts)
 	if p.owner == nil {
@@ -402,13 +388,12 @@ func sized[T any](s []T, n int) []T {
 // Walk is one query's progress through its ranked chunk list, and the
 // only implementation of the per-(query, chunk) step of the paper's
 // algorithm: bill the chunk (and any read stall) to its machine's
-// simulated pipeline, mirror the charge on the serving ledger, trace,
-// consult the stop rule, and settle the exactness certificate. Its driver,
-// the batchexec engine, reads each chunk once for all the walks that want
-// it and does exactly this between steps: read the chunk Next names, scan
-// it into Heap, then call Charge (or Skip when no replica is live). The
-// simulated clocks depend only on the order of a walk's own steps, never
-// on when the driver takes them.
+// simulated pipeline, trace, consult the stop rule, and settle the
+// exactness certificate. Its driver, the batchexec engine, reads each
+// chunk once for all the walks that want it and does exactly this between
+// steps: read the chunk Next names, scan it into Heap, then call Charge
+// (or Skip when no replica is live). The simulated clocks depend only on
+// the order of a walk's own steps, never on when the driver takes them.
 //
 // The stop rule is consulted per budget group: a group is a set of chunks
 // spending one budget, and it consults the rule only after charging one of
@@ -438,10 +423,8 @@ type Walk struct {
 	after, rest []float64
 	pos         int // rank position of the next chunk
 	// pipes is one simulated machine per machine of the plan's layout,
-	// billed by chunk ownership: Elapsed reads their max. serve is the
-	// per-machine serving ledger (Result.Machines), one zero-origin
-	// pipeline per machine, empty on unrouted stores.
-	pipes, serve []simdisk.Pipeline
+	// billed by chunk ownership: Elapsed reads their max.
+	pipes        []simdisk.Pipeline
 	reads, skips []int // per layout machine
 	// left[g] is how many chunks group g may still read (0 once its rule
 	// fired), live the groups with left > 0, unread the lowest bound over
@@ -455,8 +438,8 @@ type Walk struct {
 // Reset starts the walk of q under the plan: step 1 of the paper's
 // algorithm (the chunk ranking, plus the per-group bounds the stop rule
 // and the certificate consume), fresh pipelines at each machine's index-read
-// time, and res seeded — its Neighbors, Machines and PerMachine buffers
-// are kept. It reports whether there is any chunk to walk.
+// time, and res seeded — its Neighbors and PerMachine buffers are kept.
+// It reports whether there is any chunk to walk.
 func (w *Walk) Reset(p *Plan, q vec.Vector, res *Result) bool {
 	w.plan = p
 	w.d2 = sized(w.d2, len(p.metas))
@@ -473,19 +456,11 @@ func (w *Walk) Reset(p *Plan, q vec.Vector, res *Result) bool {
 	for m := range w.pipes {
 		w.pipes[m].Reset(p.model, p.overlap, p.inits[m])
 	}
-	w.serve = w.serve[:0]
-	if p.routed {
-		w.serve = sized(w.serve, len(p.inits))
-		for t := range w.serve {
-			w.serve[t].Reset(p.model, p.overlap, 0)
-		}
-	}
 	w.reads, w.skips = sized(w.reads, len(p.inits)), sized(w.skips, len(p.inits))
 	clear(w.reads)
 	clear(w.skips)
 	*res = Result{
 		Neighbors:  res.Neighbors[:0],
-		Machines:   res.Machines[:0],
 		PerMachine: res.PerMachine[:0],
 		IndexRead:  p.indexRead,
 		Elapsed:    p.indexRead,
@@ -526,17 +501,12 @@ func (w *Walk) order(n int) {
 func (w *Walk) Next() int { return w.ranked[w.pos].Idx }
 
 // stall bills a read's stall for the chunk at the cursor to the machine
-// owning it — on the nominal pipeline and, when a serving ledger runs, on
-// the owner's ledger clock (it performed the retries) — and returns that
-// machine.
+// owning it and returns that machine.
 func (w *Walk) stall(d time.Duration) (machine int) {
 	if w.plan.owner != nil {
 		machine = int(w.plan.owner[w.ranked[w.pos].Idx])
 	}
 	w.pipes[machine].Stall(d)
-	if len(w.serve) > 0 {
-		w.serve[machine].Stall(d)
-	}
 	return machine
 }
 
@@ -555,26 +525,17 @@ func (w *Walk) Skip(res *Result, stall time.Duration) (done bool) {
 }
 
 // Charge steps past the chunk Next named after the driver scanned it into
-// Heap: stall is the read's Data.Stall, served its Data.Served. The chunk
-// is billed to its owning machine's pipeline — and on the serving ledger
-// to the machine that served the read, at the cache residency the nominal
-// charge observes (probed before ChunkAt moves the cache tier) — the
-// query's Elapsed becomes the max over its machines, which run in
-// parallel, and the chunk's budget group consults the stop rule. It
-// reports whether the walk is over, with res.Exact settled.
-func (w *Walk) Charge(res *Result, stall time.Duration, served int) (done bool) {
+// Heap: stall is the read's Data.Stall. The chunk is billed to its
+// owning machine's pipeline, the query's Elapsed becomes the max over its
+// machines, which run in parallel, and the chunk's budget group consults
+// the stop rule. It reports whether the walk is over, with res.Exact
+// settled.
+func (w *Walk) Charge(res *Result, stall time.Duration) (done bool) {
 	p := w.plan
 	rc := &w.ranked[w.pos]
 	m := &p.metas[rc.Idx]
 	machine := w.stall(stall)
-	resident := len(w.serve) > 0 && p.model.ChunkResident(rc.Idx)
 	elapsed := max(res.Elapsed, w.pipes[machine].ChunkAt(rc.Idx, m.Bytes, m.Count))
-	if len(w.serve) > 0 {
-		if served < 0 || served >= len(w.serve) {
-			served = machine
-		}
-		w.serve[served].ChunkCharged(m.Bytes, m.Count, resident)
-	}
 	res.ChunksRead++
 	res.Elapsed = elapsed
 	w.reads[machine]++
@@ -633,32 +594,17 @@ func (w *Walk) emit(chunk, count int, elapsed time.Duration) {
 	})
 }
 
-// Finish completes res once the walk is over: sorted neighbors, the
-// serving ledger, and the per-machine breakdown of a multi-machine
-// layout. A degraded result is never exact — the certificate only bounds
-// unread chunks after the stop point, and a skipped chunk before it may
-// hold closer neighbors. With a serving ledger the reported clocks come
-// from it: machine t's is its index read plus the serving time billed to
-// it, and Elapsed their max. The stop rules consulted the nominal
-// owner-billed pipelines throughout, which is what keeps answers
-// routing-invariant.
+// Finish completes res once the walk is over: sorted neighbors and the
+// per-machine breakdown of a multi-machine layout. A degraded result is
+// never exact — the certificate only bounds unread chunks after the stop
+// point, and a skipped chunk before it may hold closer neighbors.
 func (w *Walk) Finish(res *Result) {
-	p := w.plan
 	if res.Degraded {
 		res.Exact = false
 	}
-	if p.owner != nil {
-		if len(w.serve) > 0 {
-			res.Elapsed = 0
-		}
+	if w.plan.owner != nil {
 		for m := range w.pipes {
-			e := w.pipes[m].Elapsed()
-			if len(w.serve) > 0 {
-				res.Machines = append(res.Machines, w.serve[m].Elapsed())
-				e = p.inits[m] + w.serve[m].Elapsed()
-				res.Elapsed = max(res.Elapsed, e)
-			}
-			res.PerMachine = append(res.PerMachine, MachineCost{ChunksRead: w.reads[m], ChunksSkipped: w.skips[m], Elapsed: e})
+			res.PerMachine = append(res.PerMachine, MachineCost{ChunksRead: w.reads[m], ChunksSkipped: w.skips[m], Elapsed: w.pipes[m].Elapsed()})
 		}
 	}
 	res.Neighbors = w.Heap.SortedInto(res.Neighbors)

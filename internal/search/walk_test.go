@@ -27,7 +27,7 @@ type stepStore struct {
 	down     map[int]bool
 }
 
-func (s *stepStore) Layout() ([]int32, int, bool) { return s.owner, s.machines, false }
+func (s *stepStore) Layout() ([]int32, int) { return s.owner, s.machines }
 
 func (s *stepStore) ReadChunk(i int, d *chunkfile.Data) error {
 	d.Stall = s.stall[i]

@@ -176,12 +176,8 @@ type ShardState struct {
 	Shard int  `json:"shard"`
 	Down  bool `json:"down"`
 	// Reads counts the chunk reads this shard actually served (wherever
-	// the chunks' primaries live); BilledUs is the simulated serving time
-	// the spread-reads billed-load estimator attributed to the shard, in
-	// microseconds — zero while spread reads are off. Both come from
-	// Backend.ShardLoads.
-	Reads    int64 `json:"reads"`
-	BilledUs int64 `json:"billed_us"`
+	// the chunks' primaries live), from Backend.ShardLoads.
+	Reads int64 `json:"reads"`
 }
 
 // CacheSnapshot is one index's decoded-chunk cache counters in a
@@ -251,7 +247,6 @@ func indexState(name string, b Backend) IndexSnapshot {
 		st := ShardState{Shard: s, Down: b.ShardDown(s)}
 		if s < len(loads) { // a racing topology change must not panic
 			st.Reads = loads[s].Reads
-			st.BilledUs = loads[s].Billed.Microseconds()
 		}
 		is.Shards = append(is.Shards, st)
 	}

@@ -57,9 +57,8 @@ type Backend interface {
 	// or billing; nil means the shard can serve reads.
 	ProbeShard(s int) error
 	// ShardLoads returns per-shard serving-load counters — the reads each
-	// shard actually served and the simulated serving time the
-	// spread-reads estimator billed to it — cumulative since construction
-	// or the last health reset.
+	// shard actually served — cumulative since construction or the last
+	// health reset.
 	ShardLoads() []repro.ShardLoad
 	// CacheStats returns the cumulative decoded-chunk cache counters; a
 	// cacheless index reports Enabled false.

@@ -432,17 +432,19 @@ func (g *grant) settle(buckets *TenantBuckets, actual int) {
 	}
 }
 
-// admitChunks runs tenant admission for a request of n queries, each
-// with per-query budget maxChunks (0 = none declared), where timed
-// reports an explicit simulated time budget. On refusal it writes the
-// 429 and returns ok=false.
-func (s *Server) admitChunks(w http.ResponseWriter, r *http.Request, n, maxChunks int, timed bool) (grant, bool) {
+// admitChunks runs tenant admission for a request of n queries against
+// b, each with per-query budget maxChunks (0 = none declared), where
+// timed reports an explicit simulated time budget. On refusal it writes
+// the 429 and returns ok=false.
+func (s *Server) admitChunks(w http.ResponseWriter, r *http.Request, b Backend, n, maxChunks int, timed bool) (grant, bool) {
 	g := grant{tenant: tenantOf(r), perQuery: maxChunks}
 	per := maxChunks
 	if per <= 0 {
 		per = s.cfg.DefaultMaxChunks
 	}
-	estimate := per * n
+	// A walk never reads more chunks than the index holds; capping first
+	// also keeps a huge max_chunks from overflowing the estimate.
+	estimate := min(per, b.Chunks()) * n
 	if ok, retry := s.buckets.Take(g.tenant, estimate); !ok {
 		// Best-effort shrink applies only to chunk-budget requests: their
 		// cost is denominated in chunks up front. Timed and
@@ -557,7 +559,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) result {
 		return result{outcome: OutcomeClientError}
 	}
 	defer cancel()
-	g, ok := s.admitChunks(w, r, 1, req.MaxChunks, req.MaxTimeUs > 0)
+	g, ok := s.admitChunks(w, r, b, 1, req.MaxChunks, req.MaxTimeUs > 0)
 	if !ok {
 		return result{outcome: OutcomeShedTenant}
 	}
@@ -616,7 +618,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) result {
 		return result{outcome: OutcomeClientError}
 	}
 	defer cancel()
-	g, ok := s.admitChunks(w, r, len(queries), req.MaxChunks, req.MaxTimeUs > 0)
+	g, ok := s.admitChunks(w, r, b, len(queries), req.MaxChunks, req.MaxTimeUs > 0)
 	if !ok {
 		return result{outcome: OutcomeShedTenant}
 	}
@@ -736,7 +738,7 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) result {
 	if maxChunks <= 0 {
 		maxChunks = 3
 	}
-	g, ok := s.admitChunks(w, r, len(descriptors), maxChunks, false)
+	g, ok := s.admitChunks(w, r, b, len(descriptors), maxChunks, false)
 	if !ok {
 		return result{outcome: OutcomeShedTenant}
 	}

@@ -463,6 +463,27 @@ func TestTenantRefundOnEarlyStop(t *testing.T) {
 	}
 }
 
+// TestTenantHugeMaxChunksCannotBypassBucket pins that admission caps a
+// request's estimate at the index's chunk count before multiplying: a
+// batch whose max_chunks × queries would overflow is charged what it can
+// read, so it is shed by a one-chunk bucket instead of slipping through
+// on a wrapped-negative estimate and refilling the bucket on settle.
+func TestTenantHugeMaxChunksCannotBypassBucket(t *testing.T) {
+	ts, _ := serveTest(t, Config{TenantRate: 1, TenantBurst: 1, Clock: newFakeClock().now},
+		map[string]Backend{"main": &fakeBackend{}})
+	q := make([]float32, repro.Dims)
+	huge := BatchRequest{Queries: [][]float32{q, q}, MaxChunks: 1 << 62}
+	for i := 0; i < 3; i++ {
+		if resp, raw := doJSON(t, "POST", ts.URL+"/v1/indexes/main/batch", huge, nil); resp.StatusCode != 429 {
+			t.Fatalf("batch %d with max_chunks 2^62: %d (%s), want 429", i, resp.StatusCode, raw)
+		}
+	}
+	honest := SearchRequest{Query: q, MaxChunks: 1}
+	if resp, raw := doJSON(t, "POST", ts.URL+"/v1/indexes/main/search", honest, nil); resp.StatusCode != 200 {
+		t.Fatalf("honest one-chunk search: %d (%s), want 200", resp.StatusCode, raw)
+	}
+}
+
 func TestBestEffortShrink(t *testing.T) {
 	var gotMaxChunks int
 	var mu sync.Mutex

@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,10 +38,12 @@ func faultSeed(t testing.TB) int64 {
 	return 2005
 }
 
-// replicatedRouterOver builds a replicated router whose per-shard
-// physical stores are wrapped in fault injectors, returning the router,
-// the injectors (for Kill), and the placement.
-func replicatedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster, shards, replication, pageSize int, cfg faultstore.Config) (*Router, []*faultstore.Store, *Placement) {
+// replicatedRouterOver builds a replicated router over fresh MemStores
+// of the deterministic placement, each wrapped in a fault injector and an
+// attempt log around the injector. It returns the router, the injectors
+// (for Kill) and the logs. Every call gets its own stores, cache and load
+// counters, so two routers never share mutable state.
+func replicatedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster, shards, replication, pageSize int, cfg faultstore.Config, opts RouterOptions) (*Router, []*faultstore.Store, []*attemptLog) {
 	t.Helper()
 	coll := ds.Collection
 	p, err := PartitionReplicated(clusters, shards, replication, coll.Dims(), pageSize, nil)
@@ -47,16 +52,51 @@ func replicatedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluste
 	}
 	stores := make([]chunkfile.Store, shards)
 	faults := make([]*faultstore.Store, shards)
+	logs := make([]*attemptLog, shards)
 	for s := 0; s < shards; s++ {
 		physical := append(append([]int(nil), p.Primary[s]...), p.Extra[s]...)
 		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, Select(clusters, physical), pageSize), cfg)
-		stores[s] = faults[s]
+		logs[s] = &attemptLog{Store: faults[s], failing: map[*chunkfile.Data]failedRun{}, exhausted: map[int]int{}}
+		stores[s] = logs[s]
 	}
-	r, err := NewRouter(stores, p, nil, RouterOptions{})
+	r, err := NewRouter(stores, p, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, faults, p
+	return r, faults, logs
+}
+
+// attemptLog records what the router's retry policy saw of one shard's
+// store: exhausted[i] counts the reads of physical chunk i that failed
+// transiently readAttempts times running. A read's attempts are
+// recognised by the Data they decode into — every reader owns its own.
+type attemptLog struct {
+	chunkfile.Store
+	mu        sync.Mutex
+	failing   map[*chunkfile.Data]failedRun
+	exhausted map[int]int
+}
+
+// failedRun is one reader's current streak of transient failures.
+type failedRun struct{ chunk, n int }
+
+func (l *attemptLog) ReadChunk(i int, data *chunkfile.Data) error {
+	err := l.Store.ReadChunk(i, data)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	run := l.failing[data]
+	delete(l.failing, data)
+	if errors.Is(err, faultstore.ErrTransient) {
+		if run.chunk != i {
+			run = failedRun{chunk: i}
+		}
+		if run.n++; run.n == readAttempts {
+			l.exhausted[i]++
+		} else {
+			l.failing[data] = run
+		}
+	}
+	return err
 }
 
 // sameAnswer asserts two results agree on IDs, distances, exactness and
@@ -91,19 +131,22 @@ func answerDiff(got, want *search.Result) error {
 // with R=2, killing any single shard changes nothing about the answers —
 // IDs, distances, exactness and chunks read are identical to the healthy
 // run, Degraded stays false — on the per-shard path, the global-budget
-// path, and the batch path.
+// path, and the batch path. The healthy router's queries, run as batches
+// of one where every charged chunk is one served read, leave ShardLoads
+// summing to their ChunksRead.
 func TestReplicatedKillAnyShardMatchesHealthy(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 17, 130)
 	coll := ds.Collection
 	const shards, pageSize, k = 4, 4096, 20
 
-	healthy, _, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{})
+	healthy, _, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
 	queryIdx := []int{3, 555, 1234, 3999}
 	rules := []search.StopRule{nil, search.ChunkBudget(6)}
 
 	// base[ri][d][qi]: the healthy outcome of query qi under rule ri and
 	// discipline d.
 	base := make([][][]search.Result, len(rules))
+	var charged, served int64
 	for ri, stop := range rules {
 		base[ri] = make([][]search.Result, len(disciplines))
 		for d, disc := range disciplines {
@@ -113,8 +156,15 @@ func TestReplicatedKillAnyShardMatchesHealthy(t *testing.T) {
 				if err := one(healthy.RunBatch, coll.Vec(pos), opts, &base[ri][d][qi]); err != nil {
 					t.Fatal(err)
 				}
+				charged += int64(base[ri][d][qi].ChunksRead)
 			}
 		}
+	}
+	for _, ld := range healthy.ShardLoads(nil) {
+		served += ld.Reads
+	}
+	if served != charged {
+		t.Fatalf("ShardLoads reads %d != total ChunksRead %d", served, charged)
 	}
 
 	queries := make([]vec.Vector, len(queryIdx))
@@ -127,7 +177,7 @@ func TestReplicatedKillAnyShardMatchesHealthy(t *testing.T) {
 	}
 
 	for kill := 0; kill < shards; kill++ {
-		r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{})
+		r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
 		faults[kill].Kill()
 		var res search.Result
 		for ri, stop := range rules {
@@ -172,8 +222,9 @@ func TestUnreplicatedKillDegradesToSurvivors(t *testing.T) {
 	const shards, pageSize, k = 3, 4096, 20
 
 	for kill := 0; kill < shards; kill++ {
-		r, faults, p := replicatedRouterOver(t, ds, clusters, shards, 1, pageSize, faultstore.Config{})
+		r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 1, pageSize, faultstore.Config{}, RouterOptions{})
 		faults[kill].Kill()
+		p := r.placement
 
 		// The oracle: brute-force k-NN over the descriptors of every
 		// cluster primaried on a surviving shard.
@@ -231,9 +282,9 @@ func TestTransientRetriesNeverDoubleBill(t *testing.T) {
 	coll := ds.Collection
 	const shards, pageSize, k = 3, 4096, 20
 
-	healthy, calm, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{})
+	healthy, calm, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
 	faulty, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize,
-		faultstore.Config{Seed: faultSeed(t), TransientProb: 0.1})
+		faultstore.Config{Seed: faultSeed(t), TransientProb: 0.1}, RouterOptions{})
 
 	var want, got search.Result
 	sawStall := false
@@ -380,7 +431,7 @@ func TestReplicatedConcurrentKill(t *testing.T) {
 	const shards, pageSize, k = 4, 4096, 15
 
 	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize,
-		faultstore.Config{Seed: faultSeed(t), TransientProb: 0.05, Latency: 50 * time.Microsecond})
+		faultstore.Config{Seed: faultSeed(t), TransientProb: 0.05, Latency: 50 * time.Microsecond}, RouterOptions{})
 
 	queries := make([]vec.Vector, 32)
 	for i := range queries {
@@ -401,6 +452,106 @@ func TestReplicatedConcurrentKill(t *testing.T) {
 		}
 		if len(results[qi].Neighbors) != k {
 			t.Fatalf("q%d: %d neighbors", qi, len(results[qi].Neighbors))
+		}
+	}
+}
+
+// TestReplicatedConcurrentKillStress drives the failover path under
+// -race: single queries race a batch workload on the same
+// router while a shard dies mid-flight (with transient read faults and
+// injected latency stirring the interleavings, pinned by
+// REPRO_FAULT_SEED). Every query must complete without error, and
+// degrade honestly: R=2 erases the dead shard, but a chunk whose only
+// other copy fails all its retries is legitimately skipped, so a result
+// may be Degraded only if the attempt logs show some chunk with every
+// copy either on the dead shard or out of retries — and every result
+// that is not must be the fault-free router's, byte for byte.
+func TestReplicatedConcurrentKillStress(t *testing.T) {
+	ds, clusters := fixture(t, 4000, 71, 130)
+	coll := ds.Collection
+	const shards, pageSize, k, killed = 4, 4096, 15, 1
+
+	healthy, _, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
+	defer healthy.Close()
+	r, faults, logs := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize,
+		faultstore.Config{Seed: faultSeed(t), TransientProb: 0.05, Latency: 50 * time.Microsecond}, RouterOptions{})
+	defer r.Close()
+
+	queries := make([]vec.Vector, 32)
+	for i := range queries {
+		queries[i] = coll.Vec(i * 111)
+	}
+	var wg sync.WaitGroup
+	var degraded atomic.Int32
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var res, want search.Result
+			for i := 0; i < 4; i++ {
+				q := coll.Vec((g*997 + i*313) % coll.Len())
+				if err := one(r.RunBatch, q, batchexec.Options{K: k}, &res); err != nil {
+					t.Errorf("query goroutine %d: %v", g, err)
+					return
+				}
+				if res.Degraded {
+					degraded.Add(1)
+					continue
+				}
+				if err := one(healthy.RunBatch, q, batchexec.Options{K: k}, &want); err != nil {
+					t.Errorf("query goroutine %d: healthy: %v", g, err)
+					return
+				}
+				if err := answerDiff(&res, &want); err != nil {
+					t.Errorf("query goroutine %d query %d: %v", g, i, err)
+				}
+			}
+		}(g)
+	}
+	done := make(chan error, 1)
+	results := make([]search.Result, len(queries))
+	go func() {
+		done <- r.RunBatch(queries, batchexec.Options{K: k}, results)
+	}()
+	faults[killed].Kill()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	want := make([]search.Result, len(queries))
+	if err := healthy.RunBatch(queries, batchexec.Options{K: k}, want); err != nil {
+		t.Fatal(err)
+	}
+	for qi := range results {
+		if results[qi].Degraded {
+			degraded.Add(1)
+		} else if err := answerDiff(&results[qi], &want[qi]); err != nil {
+			t.Errorf("q%d: %v", qi, err)
+		}
+	}
+	if n := degraded.Load(); n > 0 {
+		spent := func(shard, chunk int) bool {
+			return shard == killed || logs[shard].exhausted[chunk] > 0
+		}
+		unreachable := 0
+		for s, replicas := range r.placement.Replicas {
+			for i, locs := range replicas {
+				all := spent(s, i)
+				for _, loc := range locs {
+					all = all && spent(int(loc.Shard), int(loc.Chunk))
+				}
+				if all {
+					unreachable++
+				}
+			}
+		}
+		if unreachable == 0 {
+			t.Errorf("%d degraded results, yet every chunk kept a live copy with retries to spare", n)
+		}
+	}
+	for s, ld := range r.ShardLoads(nil) {
+		if ld.Reads < 0 {
+			t.Fatalf("shard %d: negative load accounting: %+v", s, ld)
 		}
 	}
 }

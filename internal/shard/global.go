@@ -108,9 +108,7 @@ func (g *globalStore) Close() error { return nil }
 
 // Layout implements chunkfile.MachineLayout: one simulated machine per
 // shard, every chunk billed to its owning shard's — which is all it takes
-// for the walk to run the cost model over the fleet. The reads are routed
-// while the spread-reads policy is on: a chunk may then be served by any
-// live copy, and the walk keeps the per-machine serving ledger.
-func (g *globalStore) Layout() (owner []int32, machines int, routed bool) {
-	return g.owner, len(g.r.shards), g.r.spread.Load()
+// for the walk to run the cost model over the fleet.
+func (g *globalStore) Layout() (owner []int32, machines int) {
+	return g.owner, len(g.r.shards)
 }

@@ -19,7 +19,7 @@ func TestRecoveryAfterKill(t *testing.T) {
 	coll := ds.Collection
 	const shards, pageSize, k, dead = 3, 4096, 20, 1
 
-	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 1, pageSize, faultstore.Config{})
+	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 1, pageSize, faultstore.Config{}, RouterOptions{})
 	queryIdx := []int{5, 777, 2400, 3900}
 
 	// Healthy baseline before any faults.
@@ -103,7 +103,7 @@ func TestProbeShardIsControlPlane(t *testing.T) {
 	ds, clusters := fixture(t, 3000, 89, 130)
 	const shards, pageSize = 3, 4096
 
-	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{})
+	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
 	before := faults[0].Reads()
 	if err := r.ProbeShard(0); err != nil {
 		t.Fatalf("probe healthy shard: %v", err)

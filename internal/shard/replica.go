@@ -8,7 +8,7 @@
 // prefixes only (the shard's logical chunks), so every descriptor is
 // scanned exactly once per query and neighbor lists stay free of
 // duplicates. Replica chunks are touched only by the failover read path
-// when the primary's shard is down, or by spread reads.
+// when the primary's shard is down.
 //
 // Placement of the replicas follows Tavenard–Amsaleg–Jégou's observation
 // (PAPERS.md) that replicating the *hot* clusters is what tames response

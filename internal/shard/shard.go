@@ -59,7 +59,7 @@ type routedShard struct {
 type Router struct {
 	shards    []routedShard
 	dims      int
-	model     *simdisk.Model // resolved default model; also prices spread routing
+	model     *simdisk.Model // resolved default model; prices read stalls
 	placement *Placement
 	// Health state: down[s] is sticky-true once shard s's store failed
 	// permanently, loads[s] counts the chunk reads shard s has served
@@ -68,15 +68,6 @@ type Router struct {
 	down      []atomic.Bool
 	loads     []atomic.Int64
 	downCount atomic.Int32
-	// Spread-reads policy state (SetSpreadReads): when on, readChunk
-	// picks among all live copies by billed simulated load instead of
-	// defaulting to the primary, and the walks keep per-machine serving
-	// ledgers. billed[s] is the estimator: the simulated nanoseconds of
-	// the reads shard s is serving or has served (charged before the read
-	// — so an in-flight read already repels the next routing choice — and
-	// rolled back if the read fails over).
-	spread atomic.Bool
-	billed []atomic.Int64
 	// gstore is the fleet as one virtual store (it reports the chunk→shard
 	// machine layout), engine the one engine over it.
 	gstore *globalStore
@@ -95,9 +86,6 @@ type RouterOptions struct {
 	// results, simulated times and counters are byte-identical with or
 	// without it.
 	CacheBytes int64
-	// SpreadReads starts the router with the spread-reads routing policy
-	// on (see Router.SetSpreadReads).
-	SpreadReads bool
 }
 
 // NewRouter builds a Router over one physical store per shard and the
@@ -132,8 +120,6 @@ func NewRouter(stores []chunkfile.Store, placement *Placement, model *simdisk.Mo
 	r := &Router{dims: dims, model: model, placement: placement}
 	r.down = make([]atomic.Bool, len(stores))
 	r.loads = make([]atomic.Int64, len(stores))
-	r.billed = make([]atomic.Int64, len(stores))
-	r.spread.Store(opts.SpreadReads)
 	for i, st := range stores {
 		if st.Dims() != dims {
 			return nil, fmt.Errorf("shard: shard %d dims %d != shard 0 dims %d", i, st.Dims(), dims)
@@ -194,42 +180,18 @@ func validatePlacement(stores []chunkfile.Store, p *Placement) error {
 // Shards returns the shard count.
 func (r *Router) Shards() int { return len(r.shards) }
 
-// SetSpreadReads toggles the spread-reads routing policy. With it on,
-// readChunk serves every read from the live copy (primary or replica)
-// with the least billed simulated load instead of preferring the
-// primary, so hot chunks with R > 1 stop concentrating on one machine —
-// and every walk keeps a per-machine serving ledger whose clocks replace
-// the nominal owner-billed ones in Elapsed. Healthy results are
-// byte-identical either way — only Elapsed and the per-shard load
-// attribution move — and the failover, health and cache semantics are
-// unchanged: down shards are never candidates, stalls still bill the
-// owning shard, and a revive still invalidates the shard's cache. Safe to
-// call concurrently; a query in flight during a toggle keeps its answers.
-func (r *Router) SetSpreadReads(on bool) { r.spread.Store(on) }
-
-// SpreadReads reports whether the spread-reads routing policy is on.
-func (r *Router) SpreadReads() bool { return r.spread.Load() }
-
 // ShardLoad is one shard's serving-load counters: the chunk reads it has
-// actually served (wherever the chunks' primaries live) and the
-// simulated serving time the spread-reads billed-load estimator has
-// attributed to it — zero while spread reads are off, since the
-// estimator only runs for spread routing decisions.
+// actually served, wherever the chunks' primaries live.
 type ShardLoad struct {
-	Reads  int64
-	Billed time.Duration
+	Reads int64
 }
 
 // ShardLoads appends per-shard serving-load counters to dst (pass nil to
 // allocate), cumulative since construction or the last ResetHealth — the
-// per-shard load split the spread-reads policy balances and the serving
-// metrics expose.
+// per-shard load split the serving metrics expose.
 func (r *Router) ShardLoads(dst []ShardLoad) []ShardLoad {
 	for s := range r.shards {
-		dst = append(dst, ShardLoad{
-			Reads:  r.loads[s].Load(),
-			Billed: time.Duration(r.billed[s].Load()),
-		})
+		dst = append(dst, ShardLoad{Reads: r.loads[s].Load()})
 	}
 	return dst
 }
@@ -319,7 +281,6 @@ func (r *Router) ResetHealth() {
 			r.downCount.Add(-1)
 		}
 		r.loads[s].Store(0)
-		r.billed[s].Store(0)
 		if c := r.shards[s].cached; c != nil {
 			c.Invalidate()
 		}
@@ -354,29 +315,21 @@ func isTemporary(err error) bool {
 }
 
 // readChunk serves logical chunk i of shard s from the least-loaded live
-// placement: the primary first (shard s itself, physical chunk i), then
-// the placement's replicas, each attempt bounded by the retry policy.
-// The load a candidate is judged by depends on the routing policy: with
-// spread reads off it is the served-read count (loads), with spread
-// reads on it is the billed simulated serving time (billed) — charged
-// optimistically *before* the attempt, so concurrent reads see each
-// other's in-flight work, and rolled back if the attempt fails. Ties
-// prefer the primary, then earlier replicas, under both policies.
+// placement by served-read count (loads): the primary first (shard s
+// itself, physical chunk i), then the placement's replicas, each attempt
+// bounded by the retry policy. Ties prefer the primary, then earlier
+// replicas.
 //
 // The simulated cost of every failed attempt — retries, backoff, and
 // failed placements — is accumulated into data.Stall, charged by the
 // consumer to the pipeline of the *owning* shard s: in the cost model
 // shard s's machine is the one serving (and retrying) its own chunks,
-// replica choice being a real-time load-balancing effect. data.Served
-// names the shard that served the read (the owner on failure), which the
-// spread-reads serving ledgers bill the chunk to. When no placement can
-// serve the chunk the error wraps ErrAllReplicasDown (and so
-// chunkfile.ErrUnavailable), with data.Stall still reporting the cost of
-// the attempts made.
+// replica choice being a real-time load-balancing effect. When no
+// placement can serve the chunk the error wraps ErrAllReplicasDown (and
+// so chunkfile.ErrUnavailable), with data.Stall still reporting the cost
+// of the attempts made.
 func (r *Router) readChunk(s, i int, data *chunkfile.Data) error {
 	data.Stall = 0
-	data.Served = int32(s)
-	spread := r.spread.Load()
 	replicas := r.placement.Replicas[s][i]
 	nCand := 1 + len(replicas)
 	var stall time.Duration
@@ -401,11 +354,7 @@ func (r *Router) readChunk(s, i int, data *chunkfile.Data) error {
 				}
 				continue
 			}
-			load := r.loads[cs].Load()
-			if spread {
-				load = r.billed[cs].Load()
-			}
-			if best < 0 || load < bestLoad {
+			if load := r.loads[cs].Load(); best < 0 || load < bestLoad {
 				best, bestLoad = c, load
 			}
 		}
@@ -417,21 +366,11 @@ func (r *Router) readChunk(s, i int, data *chunkfile.Data) error {
 		if best > 0 {
 			cs, ci = int(replicas[best-1].Shard), int(replicas[best-1].Chunk)
 		}
-		var cost int64
-		if spread {
-			m := &r.shards[cs].store.Meta()[ci]
-			cost = int64(r.model.ReadTime(m.Bytes) + r.model.CPUTime(m.Count))
-			r.billed[cs].Add(cost)
-		}
 		if err := r.attemptRead(cs, ci, data, &stall); err != nil {
-			if spread {
-				r.billed[cs].Add(-cost)
-			}
 			lastErr = err
 			continue
 		}
 		r.loads[cs].Add(1)
-		data.Served = int32(cs)
 		data.Stall = stall
 		return nil
 	}

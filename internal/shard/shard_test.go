@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/chunkfile"
 	"repro/internal/cluster"
+	"repro/internal/faultstore"
 	"repro/internal/imagegen"
 	"repro/internal/knn"
 	"repro/internal/multiquery"
@@ -532,18 +533,13 @@ func mergeRefs(rows []search.Result, k int) search.Result {
 
 // TestPerShardMatchesIndependentShards pins the per-shard discipline of
 // the one walk against S independent searches, one plain engine per shard
-// merged by mergeRefs, across overlap, R 1/2, cache, spread reads and a
-// shard held down. Under the chunk and time budgets, which ignore the
-// k-th distance, the walk is byte-identical: neighbors, chunks read and
-// skipped, Elapsed, IndexRead, Degraded, and every shard's own chunk
-// count and clock. With spread reads at R=2 which copy serves a read
-// depends on the router's load history, so there the clocks are pinned to
-// the serving ledger instead: each machine's clock is its own index read
-// plus Machines[t], the time it spent serving the walk (one pipeline per
-// machine), and Elapsed their max. Run to completion it returns the same
-// exact answers reading no more chunks, since the fleet's k-th distance is
-// never larger than a shard's own. Either way a reference Exact implies
-// Exact.
+// merged by mergeRefs, across overlap, R 1/2, cache and a shard held
+// down. Under the chunk and time budgets, which ignore the k-th distance,
+// the walk is byte-identical: neighbors, chunks read and skipped,
+// Elapsed, IndexRead, Degraded, and every shard's own chunk count and
+// clock. Run to completion it returns the same exact answers reading no
+// more chunks, since the fleet's k-th distance is never larger than a
+// shard's own. Either way a reference Exact implies Exact.
 func TestPerShardMatchesIndependentShards(t *testing.T) {
 	ds, clusters := fixture(t, 3000, 53, 120)
 	coll := ds.Collection
@@ -554,66 +550,51 @@ func TestPerShardMatchesIndependentShards(t *testing.T) {
 
 	for _, replication := range []int{1, 2} {
 		for _, cacheBytes := range []int64{0, 1 << 20} {
-			for _, spread := range []bool{false, true} {
-				for _, down := range []int{-1, 1} {
-					r := spreadRouterOver(t, ds, clusters, shards, replication, pageSize, RouterOptions{CacheBytes: cacheBytes, SpreadReads: spread})
-					if down >= 0 {
-						r.MarkShardDown(down)
-					}
-					refs := make([]*batchexec.Engine, shards)
-					for s := range refs {
-						refs[s] = batchexec.New(shardRef{r.Store(s), r, s}, nil)
-					}
-					clocks := !spread || replication == 1
-					for _, overlap := range []bool{false, true} {
-						for _, stop := range append(stopRules(), search.ChunkBudget(math.MaxInt)) {
-							opts := batchexec.Options{K: k, Stop: stop, Overlap: overlap}
-							for qi, q := range queries {
-								label := fmt.Sprintf("R=%d cache %d spread %v down %d overlap %v %v q%d", replication, cacheBytes, spread, down, overlap, stop, qi)
-								if err := one(r.RunBatch, q, opts, &got); err != nil {
+			for _, down := range []int{-1, 1} {
+				r, _, _ := replicatedRouterOver(t, ds, clusters, shards, replication, pageSize, faultstore.Config{}, RouterOptions{CacheBytes: cacheBytes})
+				if down >= 0 {
+					r.MarkShardDown(down)
+				}
+				refs := make([]*batchexec.Engine, shards)
+				for s := range refs {
+					refs[s] = batchexec.New(shardRef{r.Store(s), r, s}, nil)
+				}
+				for _, overlap := range []bool{false, true} {
+					for _, stop := range append(stopRules(), search.ChunkBudget(math.MaxInt)) {
+						opts := batchexec.Options{K: k, Stop: stop, Overlap: overlap}
+						for qi, q := range queries {
+							label := fmt.Sprintf("R=%d cache %d down %d overlap %v %v q%d", replication, cacheBytes, down, overlap, stop, qi)
+							if err := one(r.RunBatch, q, opts, &got); err != nil {
+								t.Fatal(err)
+							}
+							for s := range refs {
+								if err := one(refs[s].Run, q, opts, &rows[s]); err != nil {
 									t.Fatal(err)
 								}
-								for s := range refs {
-									if err := one(refs[s].Run, q, opts, &rows[s]); err != nil {
-										t.Fatal(err)
-									}
+							}
+							want := mergeRefs(rows, k)
+							if !slices.Equal(got.Neighbors, want.Neighbors) || got.ChunksSkipped != want.ChunksSkipped ||
+								got.Degraded != want.Degraded || got.IndexRead != want.IndexRead || want.Exact && !got.Exact {
+								t.Fatalf("%s: got %+v, independent shards %+v", label, got, want)
+							}
+							if _, completion := stop.(search.ToCompletion); completion {
+								if got.ChunksRead > want.ChunksRead {
+									t.Fatalf("%s: read %d chunks, independent shards %d", label, got.ChunksRead, want.ChunksRead)
 								}
-								want := mergeRefs(rows, k)
-								if !clocks {
-									ledger := time.Duration(0)
-									for s, mc := range got.PerMachine {
-										if len(got.Machines) != shards || mc.Elapsed != rows[s].IndexRead+got.Machines[s] {
-											t.Fatalf("%s: shard %d clock %v != index read %v + serving ledger %v", label, s, mc.Elapsed, rows[s].IndexRead, got.Machines)
-										}
-										ledger = max(ledger, mc.Elapsed)
-									}
-									if got.Elapsed != ledger {
-										t.Fatalf("%s: Elapsed %v != max serving clock %v", label, got.Elapsed, ledger)
-									}
-								}
-								if !slices.Equal(got.Neighbors, want.Neighbors) || got.ChunksSkipped != want.ChunksSkipped ||
-									got.Degraded != want.Degraded || got.IndexRead != want.IndexRead || want.Exact && !got.Exact {
-									t.Fatalf("%s: got %+v, independent shards %+v", label, got, want)
-								}
-								if _, completion := stop.(search.ToCompletion); completion {
-									if got.ChunksRead > want.ChunksRead {
-										t.Fatalf("%s: read %d chunks, independent shards %d", label, got.ChunksRead, want.ChunksRead)
-									}
-									continue
-								}
-								if got.ChunksRead != want.ChunksRead || clocks && got.Elapsed != want.Elapsed {
-									t.Fatalf("%s: (chunks %d, elapsed %v) != independent shards (%d, %v)", label, got.ChunksRead, got.Elapsed, want.ChunksRead, want.Elapsed)
-								}
-								for s, mc := range got.PerMachine {
-									if mc.ChunksRead != rows[s].ChunksRead || clocks && mc.Elapsed != rows[s].Elapsed {
-										t.Fatalf("%s: shard %d (chunks %d, elapsed %v) != its own search (%d, %v)", label, s, mc.ChunksRead, mc.Elapsed, rows[s].ChunksRead, rows[s].Elapsed)
-									}
+								continue
+							}
+							if got.ChunksRead != want.ChunksRead || got.Elapsed != want.Elapsed {
+								t.Fatalf("%s: (chunks %d, elapsed %v) != independent shards (%d, %v)", label, got.ChunksRead, got.Elapsed, want.ChunksRead, want.Elapsed)
+							}
+							for s, mc := range got.PerMachine {
+								if mc.ChunksRead != rows[s].ChunksRead || mc.Elapsed != rows[s].Elapsed {
+									t.Fatalf("%s: shard %d (chunks %d, elapsed %v) != its own search (%d, %v)", label, s, mc.ChunksRead, mc.Elapsed, rows[s].ChunksRead, rows[s].Elapsed)
 								}
 							}
 						}
 					}
-					r.Close()
 				}
+				r.Close()
 			}
 		}
 	}

@@ -130,18 +130,7 @@ func (t *CacheTier) ResetStats() {
 // and every chunk when the model has no tier — are charged exactly like
 // Chunk, so a tier-less ChunkAt is byte-identical to Chunk.
 func (p *Pipeline) ChunkAt(idx, bytes, descriptors int) time.Duration {
-	t := p.model.Cache
-	return p.ChunkCharged(bytes, descriptors, t != nil && t.observe(idx))
-}
-
-// ChunkCharged advances the pipeline by one chunk whose cache residency
-// is already known, without consulting or recording in the model's cache
-// tier — the second-ledger form of ChunkAt, for accounting that mirrors
-// a charge the nominal pipeline has already observed (the shard router's
-// spread-reads serving ledger). A resident chunk pays only the CPU scan,
-// exactly as in ChunkAt; a non-resident one is charged like Chunk.
-func (p *Pipeline) ChunkCharged(bytes, descriptors int, resident bool) time.Duration {
-	if resident {
+	if t := p.model.Cache; t != nil && t.observe(idx) {
 		cpu := p.model.CPUTime(descriptors)
 		if p.overlap {
 			p.cpuDone += cpu
@@ -152,13 +141,4 @@ func (p *Pipeline) ChunkCharged(bytes, descriptors int, resident bool) time.Dura
 		return p.cpuDone
 	}
 	return p.Chunk(bytes, descriptors)
-}
-
-// ChunkResident reports whether chunk i is resident in the model's cache
-// tier without recording an access — nil-tier safe, false then. The
-// residency input to Pipeline.ChunkCharged: spread-reads accounting asks
-// it alongside the nominal ChunkAt charge, so the tier's access profile
-// and hit/miss counters count each charged chunk exactly once.
-func (m *Model) ChunkResident(i int) bool {
-	return m.Cache != nil && m.Cache.Resident(i)
 }

@@ -58,8 +58,8 @@ func (s Stats) MeanChunks() float64 {
 // the p99) of the per-query simulated times in results, using the
 // nearest-rank definition: the ceil(q×n)-th smallest value. It sorts a
 // scratch copy, never the results, and returns 0 on an empty slice —
-// the tail-latency readout the spread-reads and heat-balance rows of
-// the benchmark report.
+// the tail-latency readout the heat-balance rows of the benchmark
+// report.
 func SimulatedQuantile(results []search.Result, q float64) time.Duration {
 	if len(results) == 0 || q <= 0 {
 		return 0
@@ -81,9 +81,8 @@ func SimulatedQuantile(results []search.Result, q float64) time.Duration {
 
 // Stddev returns the population standard deviation of xs (0 when
 // empty) — the imbalance readout over a per-shard load split: feed it
-// the shards' served-read counts or billed serving seconds
-// (shard.Router.ShardLoads); lower means the load spread more evenly
-// across the fleet.
+// the shards' served-read counts (shard.Router.ShardLoads); lower means
+// the load spread more evenly across the fleet.
 func Stddev(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -101,21 +100,8 @@ func Stddev(xs []float64) float64 {
 	return math.Sqrt(varsum / float64(len(xs)))
 }
 
-// LoadSeconds extracts the shards' billed simulated serving seconds
-// from a per-shard load split — the Stddev input for the spread-reads
-// imbalance readout. All zero while spread reads are off (the billed
-// estimator only runs for spread routing decisions).
-func LoadSeconds(loads []shard.ShardLoad) []float64 {
-	xs := make([]float64, len(loads))
-	for i, ld := range loads {
-		xs[i] = ld.Billed.Seconds()
-	}
-	return xs
-}
-
 // LoadReads extracts the shards' served-read counts from a per-shard
-// load split, as float64s for Stddev — populated under both routing
-// policies.
+// load split, as float64s for Stddev.
 func LoadReads(loads []shard.ShardLoad) []float64 {
 	xs := make([]float64, len(loads))
 	for i, ld := range loads {

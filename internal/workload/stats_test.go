@@ -70,21 +70,12 @@ func TestStddev(t *testing.T) {
 }
 
 func TestLoadExtractors(t *testing.T) {
-	loads := []shard.ShardLoad{
-		{Reads: 10, Billed: 2 * time.Second},
-		{Reads: 0, Billed: 0},
-		{Reads: 3, Billed: 500 * time.Millisecond},
-	}
+	loads := []shard.ShardLoad{{Reads: 10}, {Reads: 0}, {Reads: 3}}
 	reads := LoadReads(loads)
-	secs := LoadSeconds(loads)
 	wantReads := []float64{10, 0, 3}
-	wantSecs := []float64{2, 0, 0.5}
 	for i := range loads {
 		if reads[i] != wantReads[i] {
 			t.Fatalf("reads[%d] = %g, want %g", i, reads[i], wantReads[i])
-		}
-		if secs[i] != wantSecs[i] {
-			t.Fatalf("secs[%d] = %g, want %g", i, secs[i], wantSecs[i])
 		}
 	}
 }

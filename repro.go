@@ -145,13 +145,6 @@ type BuildConfig struct {
 	// identity on one shard. Without a sample (or with one that never
 	// hits a cluster) it falls back to the byte-balanced placement.
 	HeatBalance bool
-	// SpreadReads turns on the spread-reads routing policy of a
-	// replicated sharded build: every read is served by the live copy
-	// (primary or replica) with the least billed simulated load, instead
-	// of the primary whenever it is healthy. Results are byte-identical
-	// either way — only Simulated and the per-shard load split move. See
-	// ShardedIndex.SetSpreadReads.
-	SpreadReads bool
 }
 
 // normalizePageSize resolves a BuildConfig page size (0 means the 8 KiB

@@ -118,10 +118,7 @@ func BuildReplicated(coll *Collection, cfg BuildConfig, shards, replication int,
 		parts[s] = shard.Select(clusters, idxs)
 		stores[s] = chunkfile.NewMemStore(coll, parts[s], pageSize)
 	}
-	router, err := shard.NewRouter(stores, placement, nil, shard.RouterOptions{
-		CacheBytes:  cfg.CacheBytes,
-		SpreadReads: cfg.SpreadReads,
-	})
+	router, err := shard.NewRouter(stores, placement, nil, shard.RouterOptions{CacheBytes: cfg.CacheBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -190,10 +187,7 @@ func OpenShardedWith(dir string, cfg OpenConfig) (*ShardedIndex, error) {
 		closeAll()
 		return nil, fmt.Errorf("repro: stat placement file: %w", serr)
 	}
-	router, err := shard.NewRouter(shardStores, placement, nil, shard.RouterOptions{
-		CacheBytes:  cfg.CacheBytes,
-		SpreadReads: cfg.SpreadReads,
-	})
+	router, err := shard.NewRouter(shardStores, placement, nil, shard.RouterOptions{CacheBytes: cfg.CacheBytes})
 	if err != nil {
 		closeAll()
 		return nil, err
@@ -250,26 +244,13 @@ func (sx *ShardedIndex) ProbeShard(s int) error { return sx.router.ProbeShard(s)
 // the disk" switch.
 func (sx *ShardedIndex) ResetHealth() { sx.router.ResetHealth() }
 
-// SetSpreadReads toggles the spread-reads routing policy at serving
-// time: with it on, every chunk read is served by the live copy (primary
-// or replica) with the least billed simulated load, so hot chunks with
-// replication stop concentrating on their primary shard, and Simulated
-// reports the fold of what each machine really served. Results are
-// byte-identical either way — only Simulated and the per-shard load
-// split move — and down-shard failover, health, and cache semantics are
-// unchanged. Safe to call concurrently with searches.
-func (sx *ShardedIndex) SetSpreadReads(on bool) { sx.router.SetSpreadReads(on) }
-
-// SpreadReads reports whether the spread-reads routing policy is on.
-func (sx *ShardedIndex) SpreadReads() bool { return sx.router.SpreadReads() }
-
 // ShardLoad is one shard's serving-load counters; see
 // ShardedIndex.ShardLoads.
 type ShardLoad = shard.ShardLoad
 
 // ShardLoads returns per-shard serving-load counters — reads each shard
-// actually served and, with spread reads on, the simulated serving time
-// billed to it — cumulative since construction or the last ResetHealth.
+// actually served — cumulative since construction or the last
+// ResetHealth.
 func (sx *ShardedIndex) ShardLoads() []ShardLoad { return sx.router.ShardLoads(nil) }
 
 // Search runs one query across the shards.
