@@ -305,47 +305,6 @@ func TestServeBatchStream(t *testing.T) {
 	}
 }
 
-func TestBadRequests(t *testing.T) {
-	ix, coll := buildTestIndex(t, 1000)
-	ts, _ := serveTest(t, Config{}, map[string]Backend{"main": ix})
-	q := coll.Vec(0)
-
-	cases := []struct {
-		name    string
-		path    string
-		body    any
-		headers map[string]string
-		want    int
-	}{
-		{"negative k", "/v1/indexes/main/search", SearchRequest{Query: q, K: -1}, nil, 400},
-		{"negative max_chunks", "/v1/indexes/main/search", SearchRequest{Query: q, MaxChunks: -2}, nil, 400},
-		{"conflicting stop rules", "/v1/indexes/main/search", SearchRequest{Query: q, MaxChunks: 3, MaxTimeUs: 500}, nil, 400},
-		{"wrong dims", "/v1/indexes/main/search", SearchRequest{Query: []float32{1, 2, 3}}, nil, 400},
-		{"unknown field", "/v1/indexes/main/search", map[string]any{"query": q, "kk": 3}, nil, 400},
-		{"not json", "/v1/indexes/main/search", "not an object", nil, 400},
-		{"empty batch", "/v1/indexes/main/batch", BatchRequest{}, nil, 400},
-		{"batch bad vector", "/v1/indexes/main/batch", BatchRequest{Queries: [][]float32{{1}}}, nil, 400},
-		{"empty multi", "/v1/indexes/main/multi", MultiRequest{}, nil, 400},
-		{"bad deadline header", "/v1/indexes/main/search", SearchRequest{Query: q},
-			map[string]string{HeaderDeadlineMs: "soon"}, 400},
-		{"zero deadline header", "/v1/indexes/main/search", SearchRequest{Query: q},
-			map[string]string{HeaderDeadlineMs: "0"}, 400},
-		{"unknown index", "/v1/indexes/nope/search", SearchRequest{Query: q}, nil, 404},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			resp, raw := doJSON(t, "POST", ts.URL+c.path, c.body, c.headers)
-			if resp.StatusCode != c.want {
-				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, c.want, raw)
-			}
-			var er ErrorResponse
-			if err := json.Unmarshal(raw, &er); err != nil || er.Error == "" {
-				t.Fatalf("error body %q should be an ErrorResponse with a diagnostic", raw)
-			}
-		})
-	}
-}
-
 func TestPanicContainment(t *testing.T) {
 	boom := &fakeBackend{searchFn: func(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error) {
 		panic("chunk decoder corrupted")
