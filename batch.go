@@ -62,11 +62,8 @@ func (sx *ShardedIndex) SearchBatchStream(queries []Vector, opts BatchOptions, r
 	if len(queries) == 0 {
 		return nil
 	}
-	sp := sx.batchPool.Get().(*[]search.Result)
+	sp := sx.arena(len(queries))
 	defer sx.batchPool.Put(sp)
-	if cap(*sp) < len(queries) {
-		*sp = make([]search.Result, len(queries))
-	}
 	srs := (*sp)[:len(queries)]
 	// Lend the caller's neighbor slices for the run; the PerMachine
 	// buffers stay the pool's own across batches.
@@ -86,6 +83,31 @@ func (sx *ShardedIndex) SearchBatchStream(queries []Vector, opts BatchOptions, r
 			done(qi)
 		}
 	}
+	if err := sx.run(queries, opts, srs, onDone); err != nil {
+		return err
+	}
+	if done == nil {
+		down := sx.router.DownShards()
+		for i := range results {
+			results[i] = toResult(&srs[i], down)
+		}
+	}
+	return nil
+}
+
+// arena borrows a pooled search-layer result array of at least n slots;
+// the caller returns it to sx.batchPool.
+func (sx *ShardedIndex) arena(n int) *[]search.Result {
+	sp := sx.batchPool.Get().(*[]search.Result)
+	if cap(*sp) < n {
+		*sp = make([]search.Result, n)
+	}
+	return sp
+}
+
+// run is the facade's one call into the engine: every batch, point
+// query and multi-descriptor bag runs here.
+func (sx *ShardedIndex) run(queries []Vector, opts BatchOptions, srs []search.Result, done func(int)) error {
 	err := sx.router.RunBatchStream(queries, batchexec.Options{
 		K:            opts.K,
 		Stop:         stopRule(opts.SearchOptions),
@@ -94,19 +116,13 @@ func (sx *ShardedIndex) SearchBatchStream(queries []Vector, opts BatchOptions, r
 		GlobalBudget: opts.GlobalBudget,
 		Parallelism:  opts.Parallelism,
 		Ctx:          opts.Ctx,
-	}, srs, onDone)
+	}, srs, done)
 	if err != nil {
 		var qe *batchexec.QueryError
 		if errors.As(err, &qe) {
 			return fmt.Errorf("repro: batch query %d: %w", qe.Query, qe.Err)
 		}
 		return fmt.Errorf("repro: %w", err)
-	}
-	if done == nil {
-		down := sx.router.DownShards()
-		for i := range results {
-			results[i] = toResult(&srs[i], down)
-		}
 	}
 	return nil
 }

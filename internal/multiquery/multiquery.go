@@ -8,46 +8,20 @@
 // This is the standard voting scheme for local-descriptor recognition
 // (Schmid & Mohr 1997), layered on the chunk-search substrate so the
 // quality/time stop rules apply per descriptor. The bag of descriptors is
-// a natural batch, so the shard router (shard.Router.MultiQuery) runs the
-// per-descriptor searches as one batch on the chunk-major engine — every
-// chunk wanted by several descriptors is decoded once and scanned while
-// hot — and this package supplies the options and the vote (Aggregate).
-// Per-descriptor stop-rule and simulated-timing semantics are unchanged
-// (the engine charges each descriptor's pipeline exactly the chunks it
-// consumed, in its own rank order).
+// a natural batch: the facade (repro.ShardedIndex.MultiSearch) runs it as
+// one batch on the chunk-major engine — every chunk wanted by several
+// descriptors is decoded once and scanned while hot — and this package
+// supplies only the vote, Aggregate, a pure function of the batch's
+// per-descriptor results. Per-descriptor stop-rule and simulated-timing
+// semantics are therefore exactly a batch's.
 package multiquery
 
 import (
-	"context"
 	"sort"
 	"time"
 
 	"repro/internal/search"
 )
-
-// Options controls one multi-descriptor query.
-type Options struct {
-	// K is the per-descriptor neighbor count (0 = 10; image voting wants
-	// fewer, closer matches than the paper's 30).
-	K int
-	// Stop is the per-descriptor stop rule (nil = 3-chunk budget, a
-	// deliberately aggressive approximation).
-	Stop search.StopRule
-	// RankWeighted scores a vote as 1/(1+rank) instead of 1, favoring
-	// descriptors whose match was the closest.
-	RankWeighted bool
-	// MinVotes drops images below this score from the result (0 keeps
-	// everything).
-	MinVotes float64
-	// Overlap selects the overlapped pipeline in the simulated timing.
-	Overlap bool
-	// GlobalBudget spends each descriptor's Stop budget once across the
-	// shards instead of once per shard (batchexec.Options.GlobalBudget).
-	GlobalBudget bool
-	// Ctx, when non-nil, cancels the bag's batch between chunk charges —
-	// the same deadline-propagation contract as batchexec.Options.Ctx.
-	Ctx context.Context
-}
 
 // ImageScore is one ranked image in the result.
 type ImageScore struct {
@@ -79,9 +53,10 @@ type Result struct {
 // result: one (possibly rank-weighted) vote per (descriptor, image) pair,
 // images ranked by descending score. It is the single voting
 // implementation, so a sharded multi-descriptor query scores images
-// exactly as an unsharded one does. Only RankWeighted and MinVotes are
-// consulted from opts (K and Stop already shaped the results).
-func Aggregate(results []search.Result, opts Options) *Result {
+// exactly as an unsharded one does. With rankWeighted a vote scores
+// 1/(1+rank) instead of 1, favoring descriptors whose match was the
+// closest.
+func Aggregate(results []search.Result, rankWeighted bool) *Result {
 	type tally struct {
 		score   float64
 		matches int
@@ -110,7 +85,7 @@ func Aggregate(results []search.Result, opts Options) *Result {
 				t = &tally{}
 				votes[img] = t
 			}
-			if opts.RankWeighted {
+			if rankWeighted {
 				t.score += 1 / float64(1+rank)
 			} else {
 				t.score++
@@ -120,9 +95,6 @@ func Aggregate(results []search.Result, opts Options) *Result {
 	}
 
 	for img, t := range votes {
-		if t.score < opts.MinVotes {
-			continue
-		}
 		res.Images = append(res.Images, ImageScore{Image: img, Score: t.score, Matches: t.matches})
 	}
 	sort.Slice(res.Images, func(a, b int) bool {

@@ -1,151 +1,83 @@
 package multiquery_test
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
-	"repro/internal/chunkfile"
-	"repro/internal/imagegen"
+	"repro/internal/descriptor"
+	"repro/internal/knn"
 	. "repro/internal/multiquery"
 	"repro/internal/search"
-	"repro/internal/shard"
-	"repro/internal/srtree"
-	"repro/internal/vec"
 )
 
-// fixture serves one store through a one-shard router, which runs a bag
-// as one batch and votes through Aggregate.
-type fixture struct {
-	ds     *imagegen.Dataset
-	router *shard.Router
+// hits builds one descriptor's search result whose neighbors, in rank
+// order, belong to the given images (ordinal i of its image).
+func hits(images ...uint32) search.Result {
+	var r search.Result
+	for i, img := range images {
+		id := descriptor.ID(img<<descriptor.DescriptorsPerImageShift | uint32(i))
+		r.Neighbors = append(r.Neighbors, knn.Neighbor{ID: id, Dist: float64(i)})
+	}
+	return r
 }
 
-func setup(t testing.TB) *fixture {
-	t.Helper()
-	ds := imagegen.MustGenerate(imagegen.DefaultConfig(8000, 13))
-	tree, err := srtree.Build(ds.Collection, nil, 200, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := chunkfile.NewMemStore(ds.Collection, tree.Chunks(), 4096)
-	r, err := shard.NewRouter([]chunkfile.Store{store}, nil, nil, shard.RouterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{ds: ds, router: r}
-}
-
-// imageDescriptors returns the vectors of one source image.
-func (f *fixture) imageDescriptors(img uint32) []vec.Vector {
-	var out []vec.Vector
-	coll := f.ds.Collection
-	for i := 0; i < coll.Len(); i++ {
-		if coll.IDAt(i).ImageOf() == img {
-			out = append(out, coll.Vec(i))
-		}
-	}
-	return out
-}
-
-// Querying with an image's own descriptors must rank that image first.
+// A bag whose every descriptor finds its own image first ranks that
+// image first, with one vote per descriptor.
 func TestSelfImageRanksFirst(t *testing.T) {
-	f := setup(t)
-	for _, img := range []uint32{5, 33, 60} {
-		qs := f.imageDescriptors(img)
-		if len(qs) == 0 {
-			t.Fatalf("image %d has no descriptors", img)
-		}
-		res, err := f.router.MultiQuery(qs, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Images) == 0 {
-			t.Fatal("no images returned")
-		}
-		if res.Images[0].Image != img {
-			t.Fatalf("image %d ranked %v first instead", img, res.Images[0].Image)
-		}
-		if res.Descriptors != len(qs) {
-			t.Fatalf("descriptors = %d, want %d", res.Descriptors, len(qs))
-		}
+	bag := []search.Result{hits(5, 9, 2), hits(5, 5, 9), hits(5, 2), hits(7, 5)}
+	res := Aggregate(bag, false)
+	if res.Descriptors != len(bag) {
+		t.Fatalf("descriptors = %d, want %d", res.Descriptors, len(bag))
+	}
+	// Image 5 matches every descriptor once, however often a descriptor's
+	// neighbors repeat it.
+	want := []ImageScore{{Image: 5, Score: 4, Matches: 4}, {Image: 2, Score: 2, Matches: 2}, {Image: 9, Score: 2, Matches: 2}, {Image: 7, Score: 1, Matches: 1}}
+	if !slices.Equal(res.Images, want) {
+		t.Fatalf("images = %+v, want %+v", res.Images, want)
 	}
 }
 
-// A perturbed copy (the copyright scenario) must still rank its source
-// image first.
+// A perturbed copy (the copyright scenario) matches its source closely
+// where it matches at all, while a distractor collects more, weaker
+// matches: rank weighting ranks the source first where a plain count
+// ranks the distractor first.
 func TestPerturbedCopyFound(t *testing.T) {
-	f := setup(t)
-	const img = 21
-	r := rand.New(rand.NewSource(2))
-	var qs []vec.Vector
-	for _, v := range f.imageDescriptors(img) {
-		p := v.Clone()
-		for d := range p {
-			p[d] += float32(r.NormFloat64() * 0.5)
-		}
-		qs = append(qs, p)
+	bag := []search.Result{hits(21, 3), hits(21, 3), hits(7, 3)}
+	if plain := Aggregate(bag, false); plain.Images[0] != (ImageScore{Image: 3, Score: 3, Matches: 3}) {
+		t.Fatalf("plain votes = %+v, want the distractor 3 first", plain.Images)
 	}
-	res, err := f.router.MultiQuery(qs, Options{RankWeighted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Images[0].Image != img {
-		t.Fatalf("perturbed copy of %d ranked %v first", img, res.Images[0].Image)
+	res := Aggregate(bag, true)
+	if res.Images[0] != (ImageScore{Image: 21, Score: 2, Matches: 2}) || res.Images[1].Score != 1.5 {
+		t.Fatalf("rank-weighted votes = %+v, want 21 (2) over 3 (1.5)", res.Images)
 	}
 }
 
-func TestScoresDescendAndMinVotes(t *testing.T) {
-	f := setup(t)
-	qs := f.imageDescriptors(8)
-	res, err := f.router.MultiQuery(qs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+// Scores descend, ties break by ascending image, and an empty bag votes
+// for nothing.
+func TestScoresDescend(t *testing.T) {
+	res := Aggregate([]search.Result{hits(8, 4, 6), hits(6, 4), hits(4, 1)}, true)
 	for i := 1; i < len(res.Images); i++ {
-		if res.Images[i].Score > res.Images[i-1].Score {
-			t.Fatalf("scores not descending at %d", i)
+		a, b := res.Images[i-1], res.Images[i]
+		if b.Score > a.Score || (b.Score == a.Score && b.Image < a.Image) {
+			t.Fatalf("images out of order at %d: %+v", i, res.Images)
 		}
 	}
-	top := res.Images[0].Score
-	filtered, err := f.router.MultiQuery(qs, Options{MinVotes: top})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(filtered.Images) >= len(res.Images) {
-		t.Fatalf("MinVotes did not filter: %d vs %d", len(filtered.Images), len(res.Images))
+	if empty := Aggregate(nil, false); empty.Descriptors != 0 || len(empty.Images) != 0 {
+		t.Fatalf("empty bag = %+v", empty)
 	}
 }
 
-func TestEmptyQueryRejected(t *testing.T) {
-	f := setup(t)
-	if _, err := f.router.MultiQuery(nil, Options{}); err == nil {
-		t.Fatal("empty query accepted")
-	}
-}
-
+// The totals are sums over the bag's searches, and one degraded
+// descriptor degrades the bag.
 func TestBudgetAccounting(t *testing.T) {
-	f := setup(t)
-	qs := f.imageDescriptors(12)[:4]
-	res, err := f.router.MultiQuery(qs, Options{Stop: search.ChunkBudget(2)})
-	if err != nil {
-		t.Fatal(err)
+	bag := []search.Result{hits(1), hits(2), hits(1)}
+	for i := range bag {
+		bag[i].ChunksRead, bag[i].Elapsed = 2, time.Duration(i+1)*time.Millisecond
 	}
-	if res.ChunksRead != 2*len(qs) {
-		t.Fatalf("ChunksRead = %d, want %d", res.ChunksRead, 2*len(qs))
-	}
-	if res.Simulated <= 0 {
-		t.Fatal("no simulated time accumulated")
-	}
-}
-
-func BenchmarkMultiQuery(b *testing.B) {
-	f := setup(b)
-	qs := f.imageDescriptors(7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.router.MultiQuery(qs, Options{}); err != nil {
-			b.Fatal(err)
-		}
+	bag[1].ChunksSkipped, bag[1].Degraded = 1, true
+	res := Aggregate(bag, false)
+	if res.ChunksRead != 6 || res.Simulated != 6*time.Millisecond || res.ChunksSkipped != 1 || !res.Degraded {
+		t.Fatalf("totals = %+v, want 6 chunks, 6ms, 1 skipped, degraded", res)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"os"
 	"strconv"
 	"testing"
@@ -52,16 +53,11 @@ func stopOf(opts repro.SearchOptions) search.StopRule {
 	return search.ToCompletion{}
 }
 
-func (b *routerBackend) Search(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error) {
+// search runs one query as a batch of one, the way /search does.
+func (b *routerBackend) search(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error) {
 	res := make([]repro.Result, 1)
-	if err := b.SearchBatchInto([]repro.Vector{q}, repro.BatchOptions{SearchOptions: opts}, res); err != nil {
-		return nil, err
-	}
-	return &res[0], nil
-}
-
-func (b *routerBackend) SearchBatchInto(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result) error {
-	return b.SearchBatchStream(queries, opts, results, nil)
+	err := b.SearchBatchStream([]repro.Vector{q}, repro.BatchOptions{SearchOptions: opts}, res, nil)
+	return &res[0], err
 }
 
 // SearchBatchStream samples ShardsDown the way the facade does: before the
@@ -106,19 +102,20 @@ func (b *routerBackend) SearchBatchStream(queries []repro.Vector, opts repro.Bat
 	return nil
 }
 
+// MultiSearch votes over one batch of the bag, as the facade does.
 func (b *routerBackend) MultiSearch(descriptors []repro.Vector, opts repro.MultiSearchOptions) (*repro.MultiResult, error) {
-	maxChunks := opts.MaxChunks
-	if maxChunks <= 0 {
-		maxChunks = 3
-	}
-	return b.r.MultiQuery(descriptors, multiquery.Options{
-		K:            opts.K,
-		Stop:         search.ChunkBudget(maxChunks),
-		RankWeighted: opts.RankWeighted,
+	srs := make([]search.Result, len(descriptors))
+	err := b.r.RunBatch(descriptors, batchexec.Options{
+		K:            cmp.Or(opts.K, repro.DefaultMultiK),
+		Stop:         search.ChunkBudget(cmp.Or(opts.MaxChunks, repro.DefaultMultiMaxChunks)),
 		Overlap:      opts.Overlap,
 		GlobalBudget: opts.GlobalBudget,
 		Ctx:          opts.Ctx,
-	})
+	}, srs)
+	if err != nil {
+		return nil, err
+	}
+	return multiquery.Aggregate(srs, opts.RankWeighted), nil
 }
 
 func (b *routerBackend) Chunks() int            { return b.r.Chunks() }

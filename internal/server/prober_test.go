@@ -31,7 +31,7 @@ func TestProberMarksDeadShardDownAndRecovers(t *testing.T) {
 
 	// Queries keep serving, honestly degraded (R=1: no replica covers
 	// the dead shard's chunks).
-	res, err := b.Search(coll.Vec(42), repro.SearchOptions{K: 10, MaxChunks: 3})
+	res, err := b.search(coll.Vec(42), repro.SearchOptions{K: 10, MaxChunks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestProberMarksDeadShardDownAndRecovers(t *testing.T) {
 	if b.ShardDown(0) {
 		t.Fatal("sweep did not recover the revived shard")
 	}
-	res, err = b.Search(coll.Vec(42), repro.SearchOptions{K: 10, MaxChunks: 3})
+	res, err = b.search(coll.Vec(42), repro.SearchOptions{K: 10, MaxChunks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

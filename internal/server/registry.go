@@ -24,15 +24,15 @@ import (
 
 // Backend is the slice of the repro facade the server serves.
 // *repro.ShardedIndex satisfies it structurally — a single-machine index
-// is a one-shard ShardedIndex — and tests substitute fakes.
+// is a one-shard ShardedIndex — and tests substitute fakes. Two entry
+// points reach the engine: every /search and /batch is one
+// SearchBatchStream call, every /multi one MultiSearch.
 type Backend interface {
-	// Search runs one query (repro.ShardedIndex.Search).
-	Search(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error)
-	// SearchBatchInto runs a whole batch through the chunk-major engine.
-	SearchBatchInto(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result) error
-	// SearchBatchStream runs a batch with per-query completion streaming:
-	// done(qi) fires once per query as soon as it retires, with
-	// results[qi] fully written (the /batch endpoint's stream mode).
+	// SearchBatchStream runs a batch through the chunk-major engine;
+	// /search is a batch of one. A non-nil done(qi) fires once per query
+	// as soon as it retires, with results[qi] fully written (the /batch
+	// endpoint's stream mode); with a nil done the results are written
+	// when the call returns.
 	SearchBatchStream(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result, done func(query int)) error
 	// MultiSearch runs a whole-image bag of descriptors with image voting.
 	MultiSearch(descriptors []repro.Vector, opts repro.MultiSearchOptions) (*repro.MultiResult, error)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -106,9 +107,9 @@ func New(reg *Registry, cfg Config) *Server {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/indexes", s.handleIndexes)
-	mux.HandleFunc("POST /v1/indexes/{index}/search", s.admitted(s.handleSearch))
-	mux.HandleFunc("POST /v1/indexes/{index}/batch", s.admitted(s.handleBatch))
-	mux.HandleFunc("POST /v1/indexes/{index}/multi", s.admitted(s.handleMulti))
+	mux.HandleFunc("POST /v1/indexes/{index}/search", s.admitted(func() body { return new(SearchRequest) }))
+	mux.HandleFunc("POST /v1/indexes/{index}/batch", s.admitted(func() body { return new(BatchRequest) }))
+	mux.HandleFunc("POST /v1/indexes/{index}/multi", s.admitted(func() body { return new(MultiRequest) }))
 	s.mux = mux
 	return s
 }
@@ -319,12 +320,13 @@ type result struct {
 	degraded   bool
 }
 
-// admitted wraps a request handler with the server's protective shell,
-// outermost first: panic containment (a panicking handler answers 500
-// and the server keeps serving), the draining gate, and the in-flight
-// limiter. Inside the shell the handler runs, and its reported result
-// is recorded with the request's wall latency.
-func (s *Server) admitted(h func(http.ResponseWriter, *http.Request) result) http.HandlerFunc {
+// admitted wraps the search pipeline, for request bodies made by
+// newBody, in the server's protective shell, outermost first: panic
+// containment (a panicking handler answers 500 and the server keeps
+// serving), the draining gate, and the in-flight limiter. Inside the
+// shell the pipeline runs, and its reported result is recorded with the
+// request's wall latency.
+func (s *Server) admitted(newBody func() body) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			s.metrics.Record(OutcomeShedInFlight, 0, 0, false)
@@ -347,7 +349,7 @@ func (s *Server) admitted(h func(http.ResponseWriter, *http.Request) result) htt
 				s.metrics.Record(OutcomeServerError, time.Since(start), 0, false)
 			}
 		}()
-		res := h(w, r)
+		res := s.handle(w, r, newBody())
 		s.metrics.Record(res.outcome, time.Since(start), res.chunksRead, res.degraded)
 	}
 }
@@ -432,6 +434,16 @@ func (g *grant) settle(buckets *TenantBuckets, actual int) {
 	}
 }
 
+// granted is the per-query budget a response reports as
+// chunks_granted: the shrunk one, or 0 when the request ran at its asked
+// budget.
+func (g *grant) granted() int {
+	if g.shrunk {
+		return g.perQuery
+	}
+	return 0
+}
+
 // admitChunks runs tenant admission for a request of n queries against
 // b, each with per-query budget maxChunks (0 = none declared), where
 // timed reports an explicit simulated time budget. On refusal it writes
@@ -476,33 +488,69 @@ func (s *Server) admitChunks(w http.ResponseWriter, r *http.Request, b Backend, 
 // but its time ran out — the honest signal for the client to back off
 // and retry with a looser deadline), anything else is 500.
 func searchFailure(w http.ResponseWriter, err error) result {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("deadline exceeded: %v", err), 1)
-		return result{outcome: OutcomeDeadlineMiss}
+	if outcome := failureOutcome(err); outcome == OutcomeDeadlineMiss {
+		writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("deadline exceeded: %v", err), 1)
+		return result{outcome: outcome}
 	}
 	writeError(w, http.StatusInternalServerError, err.Error(), 0)
 	return result{outcome: OutcomeServerError}
 }
 
-// decodeBody decodes the JSON body into v with a size cap and strict
-// fields, so typos in option names are diagnosed instead of silently
-// ignored.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
+// failureOutcome classifies a search error for metrics: an expired or
+// cancelled deadline is a deadline miss, anything else a server error.
+func failureOutcome(err error) Outcome {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		return OutcomeDeadlineMiss
 	}
-	return nil
+	return OutcomeServerError
 }
 
-// checkVector validates one wire vector's dimensionality.
-func checkVector(name string, i int, v []float32) error {
-	if len(v) != repro.Dims {
-		return fmt.Errorf("%s[%d] has %d dims, want %d", name, i, len(v), repro.Dims)
+// ---- the search pipeline ----
+
+// body is a search route's request type. Each reads itself as the batch
+// it asks for and names its vectors for diagnostics: /search is a batch
+// of one, /batch itself, and /multi a batch whose outcomes then vote.
+type body interface {
+	batch() (field string, req BatchRequest)
+}
+
+func (req *SearchRequest) batch() (string, BatchRequest) {
+	return "query", BatchRequest{Queries: [][]float32{req.Query}, K: req.K, MaxChunks: req.MaxChunks,
+		MaxTimeUs: req.MaxTimeUs, Overlap: req.Overlap, GlobalBudget: req.GlobalBudget}
+}
+
+func (req *BatchRequest) batch() (string, BatchRequest) { return "queries", *req }
+
+// A bag's budget is always chunk-denominated: MaxChunks 0 is the facade's
+// per-descriptor default, so admission estimates and grants that.
+func (req *MultiRequest) batch() (string, BatchRequest) {
+	return "descriptors", BatchRequest{Queries: req.Descriptors, K: req.K,
+		MaxChunks: cmp.Or(req.MaxChunks, repro.DefaultMultiMaxChunks), Overlap: req.Overlap, GlobalBudget: req.GlobalBudget}
+}
+
+// parse decodes the JSON body into req with a size cap and strict fields
+// — typos in option names are diagnosed, not ignored, and a malformed
+// body names req's type — then validates the batch it asks for: the stop
+// rules first, then every vector's dimensionality.
+func parse(w http.ResponseWriter, r *http.Request, req body) (BatchRequest, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return BatchRequest{}, fmt.Errorf("decoding request body: %w", err)
 	}
-	return nil
+	field, b := req.batch()
+	if err := checkStopRules(b.K, b.MaxChunks, b.MaxTimeUs); err != nil {
+		return b, err
+	}
+	if len(b.Queries) == 0 {
+		return b, fmt.Errorf("%s must be non-empty", field)
+	}
+	for i, v := range b.Queries {
+		if len(v) != repro.Dims {
+			return b, fmt.Errorf("%s[%d] has %d dims, want %d", field, i, len(v), repro.Dims)
+		}
+	}
+	return b, nil
 }
 
 // checkStopRules rejects out-of-range or contradictory wire options
@@ -524,32 +572,21 @@ func checkStopRules(k, maxChunks int, maxTimeUs int64) error {
 	return nil
 }
 
-// ---- handlers ----
-
-func (s *Server) lookupIndex(w http.ResponseWriter, r *http.Request) (Backend, bool) {
+// handle is the one pipeline behind every search route. Its prologue
+// looks the index up, parses the body, resolves the deadline and admits
+// the request's chunk estimate; then /multi votes and the others run as
+// one batch. The grant is settled exactly once, on the way out, with the
+// chunks the run reported — none when it failed or panicked, so either
+// refunds the up-front charge.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, req body) (res result) {
 	name := r.PathValue("index")
 	b, ok := s.reg.Get(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown index %q", name), 0)
-	}
-	return b, ok
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) result {
-	b, ok := s.lookupIndex(w, r)
-	if !ok {
 		return result{outcome: OutcomeClientError}
 	}
-	var req SearchRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return result{outcome: OutcomeClientError}
-	}
-	if err := checkStopRules(req.K, req.MaxChunks, req.MaxTimeUs); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return result{outcome: OutcomeClientError}
-	}
-	if err := checkVector("query", 0, req.Query); err != nil {
+	breq, err := parse(w, r, req)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return result{outcome: OutcomeClientError}
 	}
@@ -559,215 +596,118 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) result {
 		return result{outcome: OutcomeClientError}
 	}
 	defer cancel()
-	g, ok := s.admitChunks(w, r, b, 1, req.MaxChunks, req.MaxTimeUs > 0)
+	g, ok := s.admitChunks(w, r, b, len(breq.Queries), breq.MaxChunks, breq.MaxTimeUs > 0)
 	if !ok {
 		return result{outcome: OutcomeShedTenant}
 	}
-	opts := repro.SearchOptions{
-		K:            req.K,
-		MaxChunks:    g.perQuery,
-		MaxTime:      time.Duration(req.MaxTimeUs) * time.Microsecond,
-		Overlap:      req.Overlap,
-		GlobalBudget: req.GlobalBudget,
-		Ctx:          ctx,
-	}
-	applyDeadlineBudget(&opts, ctx)
-	res, err := b.Search(repro.Vector(req.Query), opts)
-	if err != nil {
-		g.settle(s.buckets, 0)
-		return searchFailure(w, err)
-	}
-	g.settle(s.buckets, res.ChunksRead)
-	resp := searchResponse(res)
-	if g.shrunk {
-		resp.ChunksGranted = g.perQuery
-	}
-	writeJSON(w, resp)
-	return result{outcome: OutcomeOK, chunksRead: res.ChunksRead, degraded: res.Degraded}
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) result {
-	b, ok := s.lookupIndex(w, r)
-	if !ok {
-		return result{outcome: OutcomeClientError}
-	}
-	var req BatchRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return result{outcome: OutcomeClientError}
-	}
-	if err := checkStopRules(req.K, req.MaxChunks, req.MaxTimeUs); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return result{outcome: OutcomeClientError}
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "queries must be non-empty", 0)
-		return result{outcome: OutcomeClientError}
-	}
-	queries := make([]repro.Vector, len(req.Queries))
-	for i, q := range req.Queries {
-		if err := checkVector("queries", i, q); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error(), 0)
-			return result{outcome: OutcomeClientError}
-		}
-		queries[i] = repro.Vector(q)
-	}
-	ctx, cancel, err := s.requestDeadline(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return result{outcome: OutcomeClientError}
-	}
-	defer cancel()
-	g, ok := s.admitChunks(w, r, b, len(queries), req.MaxChunks, req.MaxTimeUs > 0)
-	if !ok {
-		return result{outcome: OutcomeShedTenant}
+	defer func() { g.settle(s.buckets, res.chunksRead) }()
+	queries := make([]repro.Vector, len(breq.Queries))
+	for i, q := range breq.Queries {
+		queries[i] = q
 	}
 	opts := repro.BatchOptions{
 		SearchOptions: repro.SearchOptions{
-			K:            req.K,
+			K:            breq.K,
 			MaxChunks:    g.perQuery,
-			MaxTime:      time.Duration(req.MaxTimeUs) * time.Microsecond,
-			Overlap:      req.Overlap,
-			GlobalBudget: req.GlobalBudget,
+			MaxTime:      time.Duration(breq.MaxTimeUs) * time.Microsecond,
+			Overlap:      breq.Overlap,
+			GlobalBudget: breq.GlobalBudget,
 			Ctx:          ctx,
 		},
-		Parallelism: req.Parallelism,
+		Parallelism: breq.Parallelism,
 	}
 	applyDeadlineBudget(&opts.SearchOptions, ctx)
+	if m, ok := req.(*MultiRequest); ok {
+		return vote(w, b, queries, opts.SearchOptions, m.RankWeighted, g.granted())
+	}
+	_, point := req.(*SearchRequest)
+	return run(w, b, queries, opts, g.granted(), point, breq.Stream)
+}
+
+// run answers /search and /batch: the batch runs through the backend's
+// one entry point and is written as one SearchResponse (point), a
+// BatchResponse, or — with stream — NDJSON: one BatchStreamItem line per
+// query in completion order, flushed as it completes, then a trailer
+// line with the batch totals. A stream's 200 and headers commit before
+// the batch runs, so a mid-batch failure is reported in-band on the
+// trailer — queries already streamed remain valid, exactly the facade's
+// SearchBatchStream contract.
+func run(w http.ResponseWriter, b Backend, queries []repro.Vector, opts repro.BatchOptions, granted int, point, stream bool) result {
 	results := make([]repro.Result, len(queries))
-	if req.Stream {
-		return s.streamBatch(w, b, queries, opts, results, g)
+	tally := result{outcome: OutcomeOK}
+	var done func(int)
+	var enc *json.Encoder
+	if stream {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		flusher, _ := w.(http.Flusher)
+		enc = json.NewEncoder(w)
+		var mu sync.Mutex // serializes completion callbacks onto the wire
+		done = func(qi int) {
+			item := searchResponse(&results[qi])
+			mu.Lock()
+			defer mu.Unlock()
+			tally.chunksRead += results[qi].ChunksRead
+			tally.degraded = tally.degraded || results[qi].Degraded
+			enc.Encode(BatchStreamItem{Query: qi, Result: &item})
+			if flusher != nil {
+				flusher.Flush()
+			}
+		}
 	}
-	if err := b.SearchBatchInto(queries, opts, results); err != nil {
-		g.settle(s.buckets, 0)
+	err := b.SearchBatchStream(queries, opts, results, done)
+	switch {
+	case stream:
+		trailer := BatchStreamItem{Done: true, ChunksRead: tally.chunksRead, Degraded: tally.degraded, ChunksGranted: granted}
+		if err != nil {
+			trailer.Error = err.Error()
+			tally.outcome = failureOutcome(err)
+		}
+		enc.Encode(trailer)
+		return tally
+	case err != nil:
 		return searchFailure(w, err)
+	case point:
+		resp := searchResponse(&results[0])
+		resp.ChunksGranted = granted
+		writeJSON(w, resp)
+		return result{outcome: OutcomeOK, chunksRead: resp.ChunksRead, degraded: resp.Degraded}
 	}
-	resp := BatchResponse{Results: make([]SearchResponse, len(results))}
+	resp := BatchResponse{Results: make([]SearchResponse, len(results)), ChunksGranted: granted}
 	for i := range results {
 		resp.Results[i] = searchResponse(&results[i])
 		resp.ChunksRead += results[i].ChunksRead
 		resp.Degraded = resp.Degraded || results[i].Degraded
 	}
-	if g.shrunk {
-		resp.ChunksGranted = g.perQuery
-	}
-	g.settle(s.buckets, resp.ChunksRead)
 	writeJSON(w, resp)
 	return result{outcome: OutcomeOK, chunksRead: resp.ChunksRead, degraded: resp.Degraded}
 }
 
-// streamBatch answers a stream:true batch as NDJSON: one BatchStreamItem
-// line per query in completion order, flushed as it completes, then a
-// trailer line with the batch totals. The 200 and headers commit before
-// the batch runs, so a mid-batch failure is reported in-band on the
-// trailer — queries already streamed remain valid, exactly the facade's
-// SearchBatchStream contract.
-func (s *Server) streamBatch(w http.ResponseWriter, b Backend, queries []repro.Vector, opts repro.BatchOptions, results []repro.Result, g grant) result {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var mu sync.Mutex // serializes completion callbacks onto the wire
-	chunksRead, degraded := 0, false
-	err := b.SearchBatchStream(queries, opts, results, func(qi int) {
-		item := searchResponse(&results[qi])
-		mu.Lock()
-		defer mu.Unlock()
-		chunksRead += results[qi].ChunksRead
-		degraded = degraded || results[qi].Degraded
-		enc.Encode(BatchStreamItem{Query: qi, Result: &item})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-	trailer := BatchStreamItem{Done: true, ChunksRead: chunksRead, Degraded: degraded}
-	if g.shrunk {
-		trailer.ChunksGranted = g.perQuery
-	}
-	outcome := OutcomeOK
-	if err != nil {
-		trailer.Error = err.Error()
-		outcome = OutcomeServerError
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			outcome = OutcomeDeadlineMiss
-		}
-	}
-	g.settle(s.buckets, chunksRead)
-	enc.Encode(trailer)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	return result{outcome: outcome, chunksRead: chunksRead, degraded: degraded}
-}
-
-func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) result {
-	b, ok := s.lookupIndex(w, r)
-	if !ok {
-		return result{outcome: OutcomeClientError}
-	}
-	var req MultiRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return result{outcome: OutcomeClientError}
-	}
-	if err := checkStopRules(req.K, req.MaxChunks, 0); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return result{outcome: OutcomeClientError}
-	}
-	if len(req.Descriptors) == 0 {
-		writeError(w, http.StatusBadRequest, "descriptors must be non-empty", 0)
-		return result{outcome: OutcomeClientError}
-	}
-	descriptors := make([]repro.Vector, len(req.Descriptors))
-	for i, d := range req.Descriptors {
-		if err := checkVector("descriptors", i, d); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error(), 0)
-			return result{outcome: OutcomeClientError}
-		}
-		descriptors[i] = repro.Vector(d)
-	}
-	ctx, cancel, err := s.requestDeadline(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return result{outcome: OutcomeClientError}
-	}
-	defer cancel()
-	// Multi-search budgets are always chunk-denominated (MaxChunks 0
-	// defaults to 3 per descriptor), so the estimate uses that default.
-	maxChunks := req.MaxChunks
-	if maxChunks <= 0 {
-		maxChunks = 3
-	}
-	g, ok := s.admitChunks(w, r, b, len(descriptors), maxChunks, false)
-	if !ok {
-		return result{outcome: OutcomeShedTenant}
-	}
+// vote answers /multi: the bag runs as one batch on the backend and its
+// per-descriptor outcomes vote for their source images.
+func vote(w http.ResponseWriter, b Backend, descriptors []repro.Vector, opts repro.SearchOptions, rankWeighted bool, granted int) result {
 	res, err := b.MultiSearch(descriptors, repro.MultiSearchOptions{
-		K:            req.K,
-		MaxChunks:    g.perQuery,
-		RankWeighted: req.RankWeighted,
-		Overlap:      req.Overlap,
-		GlobalBudget: req.GlobalBudget,
-		Ctx:          ctx,
+		K:            opts.K,
+		MaxChunks:    opts.MaxChunks,
+		RankWeighted: rankWeighted,
+		Overlap:      opts.Overlap,
+		GlobalBudget: opts.GlobalBudget,
+		Ctx:          opts.Ctx,
 	})
 	if err != nil {
-		g.settle(s.buckets, 0)
 		return searchFailure(w, err)
 	}
-	g.settle(s.buckets, res.ChunksRead)
 	resp := MultiResponse{
 		Images:        make([]WireImage, len(res.Images)),
 		Descriptors:   res.Descriptors,
 		ChunksRead:    res.ChunksRead,
+		ChunksGranted: granted,
 		SimulatedUs:   res.Simulated.Microseconds(),
 		Degraded:      res.Degraded,
 		ChunksSkipped: res.ChunksSkipped,
 	}
 	for i, im := range res.Images {
 		resp.Images[i] = WireImage{Image: im.Image, Score: im.Score, Matches: im.Matches}
-	}
-	if g.shrunk {
-		resp.ChunksGranted = g.perQuery
 	}
 	writeJSON(w, resp)
 	return result{outcome: OutcomeOK, chunksRead: res.ChunksRead, degraded: res.Degraded}

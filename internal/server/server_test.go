@@ -17,38 +17,28 @@ import (
 
 // fakeBackend is a scriptable Backend for exercising the server's
 // control paths (limits, deadlines, panics) and metrics plumbing without
-// real search work. It has one healthy shard per entry of loads (one
-// when loads is empty) and no cache.
+// real search work: searchFn answers each query of a batch (one chunk
+// read when nil). It has one healthy shard per entry of loads (one when
+// loads is empty) and no cache.
 type fakeBackend struct {
 	searchFn func(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error)
-	batchFn  func(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result) error
 	multiFn  func(d []repro.Vector, opts repro.MultiSearchOptions) (*repro.MultiResult, error)
 	loads    []repro.ShardLoad
 }
 
-func (f *fakeBackend) Search(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error) {
-	if f.searchFn != nil {
-		return f.searchFn(q, opts)
-	}
-	return &repro.Result{ChunksRead: 1}, nil
-}
-
-func (f *fakeBackend) SearchBatchInto(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result) error {
-	if f.batchFn != nil {
-		return f.batchFn(queries, opts, results)
+func (f *fakeBackend) SearchBatchStream(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result, done func(query int)) error {
+	for i, q := range queries {
+		results[i] = repro.Result{ChunksRead: 1}
+		if f.searchFn != nil {
+			res, err := f.searchFn(q, opts.SearchOptions)
+			if err != nil {
+				return err
+			}
+			results[i] = *res
+		}
 	}
 	for i := range results {
-		results[i] = repro.Result{ChunksRead: 1}
-	}
-	return nil
-}
-
-func (f *fakeBackend) SearchBatchStream(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result, done func(query int)) error {
-	if err := f.SearchBatchInto(queries, opts, results); err != nil {
-		return err
-	}
-	if done != nil {
-		for i := range results {
+		if done != nil {
 			done(i)
 		}
 	}
@@ -140,60 +130,24 @@ func doJSON(t testing.TB, method, url string, body any, headers map[string]strin
 	return resp, raw
 }
 
+// TestServeSearchBatchMulti drives each search route once over a real
+// index (TestWireGolden pins their bodies), then the lifecycle and
+// introspection endpoints, and checks the metrics counted the three.
 func TestServeSearchBatchMulti(t *testing.T) {
 	ix, coll := buildTestIndex(t, 2000)
 	ts, _ := serveTest(t, Config{}, map[string]Backend{"main": ix})
-
-	resp, raw := doJSON(t, "POST", ts.URL+"/v1/indexes/main/search",
-		SearchRequest{Query: coll.Vec(17), K: 5, MaxChunks: 3}, nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("search: %d: %s", resp.StatusCode, raw)
-	}
-	var sr SearchResponse
-	if err := json.Unmarshal(raw, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Neighbors) == 0 || len(sr.Neighbors) > 5 {
-		t.Fatalf("neighbors = %d, want 1..5", len(sr.Neighbors))
-	}
-	if sr.ChunksRead <= 0 || sr.ChunksRead > 3 {
-		t.Fatalf("chunks_read = %d, want 1..3 under a 3-chunk budget", sr.ChunksRead)
-	}
-	if sr.Degraded || sr.ChunksSkipped != 0 || sr.ShardsDown != 0 {
-		t.Fatalf("healthy one-shard search reported degradation: %+v", sr)
-	}
-
-	resp, raw = doJSON(t, "POST", ts.URL+"/v1/indexes/main/batch",
-		BatchRequest{Queries: [][]float32{coll.Vec(1), coll.Vec(2), coll.Vec(3)}, K: 4, MaxChunks: 2}, nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("batch: %d: %s", resp.StatusCode, raw)
-	}
-	var br BatchResponse
-	if err := json.Unmarshal(raw, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != 3 {
-		t.Fatalf("batch results = %d, want 3", len(br.Results))
-	}
-	if br.ChunksRead <= 0 {
-		t.Fatalf("batch chunks_read = %d, want positive", br.ChunksRead)
-	}
-
-	resp, raw = doJSON(t, "POST", ts.URL+"/v1/indexes/main/multi",
-		MultiRequest{Descriptors: [][]float32{coll.Vec(40), coll.Vec(41), coll.Vec(42)}}, nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("multi: %d: %s", resp.StatusCode, raw)
-	}
-	var mr MultiResponse
-	if err := json.Unmarshal(raw, &mr); err != nil {
-		t.Fatal(err)
-	}
-	if mr.Descriptors != 3 || len(mr.Images) == 0 {
-		t.Fatalf("multi: %d descriptors, %d images; want 3 and >0", mr.Descriptors, len(mr.Images))
+	for route, body := range map[string]any{
+		"search": SearchRequest{Query: coll.Vec(17), K: 5, MaxChunks: 3},
+		"batch":  BatchRequest{Queries: [][]float32{coll.Vec(1), coll.Vec(2), coll.Vec(3)}, K: 4, MaxChunks: 2},
+		"multi":  MultiRequest{Descriptors: [][]float32{coll.Vec(40), coll.Vec(41), coll.Vec(42)}},
+	} {
+		if resp, raw := doJSON(t, "POST", ts.URL+"/v1/indexes/main/"+route, body, nil); resp.StatusCode != 200 {
+			t.Fatalf("%s: %d: %s", route, resp.StatusCode, raw)
+		}
 	}
 
 	// Lifecycle and introspection endpoints.
-	resp, _ = doJSON(t, "GET", ts.URL+"/healthz", nil, nil)
+	resp, _ := doJSON(t, "GET", ts.URL+"/healthz", nil, nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
@@ -201,7 +155,7 @@ func TestServeSearchBatchMulti(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("readyz: %d", resp.StatusCode)
 	}
-	resp, raw = doJSON(t, "GET", ts.URL+"/v1/indexes", nil, nil)
+	resp, raw := doJSON(t, "GET", ts.URL+"/v1/indexes", nil, nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("indexes: %d", resp.StatusCode)
 	}
@@ -280,8 +234,8 @@ func TestServeBatchStream(t *testing.T) {
 
 	// A failing backend surfaces the error in-band on the trailer: the 200
 	// status is already committed when streaming begins.
-	boom := &fakeBackend{batchFn: func(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result) error {
-		return fmt.Errorf("disk on fire")
+	boom := &fakeBackend{searchFn: func(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error) {
+		return nil, fmt.Errorf("disk on fire")
 	}}
 	ts2, _ := serveTest(t, Config{}, map[string]Backend{"flaky": boom})
 	resp, raw = doJSON(t, "POST", ts2.URL+"/v1/indexes/flaky/batch",
@@ -305,25 +259,31 @@ func TestServeBatchStream(t *testing.T) {
 	}
 }
 
+// TestPanicContainment pins that a panicking handler answers 500 and the
+// server keeps serving, and that a panic after admission refunds the
+// tenant's up-front charge the way an error does: a 4-chunk bucket that
+// never refills answers every 4-chunk request with 500, never 429.
 func TestPanicContainment(t *testing.T) {
 	boom := &fakeBackend{searchFn: func(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error) {
 		panic("chunk decoder corrupted")
 	}}
-	ts, s := serveTest(t, Config{}, map[string]Backend{"boom": boom})
-
-	resp, raw := doJSON(t, "POST", ts.URL+"/v1/indexes/boom/search",
-		SearchRequest{Query: make([]float32, repro.Dims)}, nil)
-	if resp.StatusCode != 500 {
-		t.Fatalf("panicking handler: %d (%s), want 500", resp.StatusCode, raw)
+	ts, s := serveTest(t, Config{TenantRate: 0.001, TenantBurst: 4, Clock: newFakeClock().now},
+		map[string]Backend{"boom": boom})
+	for i := 0; i < 3; i++ {
+		resp, raw := doJSON(t, "POST", ts.URL+"/v1/indexes/boom/search",
+			SearchRequest{Query: make([]float32, repro.Dims), MaxChunks: 4}, nil)
+		if resp.StatusCode != 500 {
+			t.Fatalf("request %d to a panicking handler: %d (%s), want 500", i, resp.StatusCode, raw)
+		}
 	}
-	// The server survives: liveness and a second (also panicking) request
-	// still get answered instead of tearing the process down.
-	resp, _ = doJSON(t, "GET", ts.URL+"/healthz", nil, nil)
+	// The server survives: liveness still gets answered instead of the
+	// process tearing down.
+	resp, _ := doJSON(t, "GET", ts.URL+"/healthz", nil, nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("healthz after panic: %d", resp.StatusCode)
 	}
-	if got := s.Metrics().Snapshot(0, nil).ServerErrors; got != 1 {
-		t.Fatalf("ServerErrors = %d, want 1", got)
+	if got := s.Metrics().Snapshot(0, nil).ServerErrors; got != 3 {
+		t.Fatalf("ServerErrors = %d, want 3", got)
 	}
 }
 

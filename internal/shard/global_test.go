@@ -120,14 +120,6 @@ func TestGlobalBatchMatchesGlobalSearch(t *testing.T) {
 	checkBatchOfN(t, true)
 }
 
-// TestGlobalMultiQueryMatchesSingleStore pins the multi-descriptor
-// global path: on 1 shard it is byte-identical (scores, simulated
-// totals) to the single store's plain multi-descriptor query, and run to
-// completion on 4 shards it still ranks images identically.
-func TestGlobalMultiQueryMatchesSingleStore(t *testing.T) {
-	checkMultiQuery(t, true)
-}
-
 // TestGlobalEmptyShards covers shards that hold no chunks (more shards
 // than clusters): the global walk skips nothing, completion is still
 // exact, and a tiny budget still spends exactly its total.

@@ -3,13 +3,11 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/chunkcache"
 	"repro/internal/chunkfile"
-	"repro/internal/multiquery"
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
 	"repro/internal/simdisk"
@@ -73,7 +71,6 @@ type Router struct {
 	gstore *globalStore
 	engine *batchexec.Engine
 	cache  *chunkcache.Cache // shared by every shard's read store; nil when off
-	mq     sync.Pool         // *[]search.Result: multi-descriptor result arena
 }
 
 // RouterOptions bundles the optional knobs of a router.
@@ -135,10 +132,6 @@ func NewRouter(stores []chunkfile.Store, placement *Placement, model *simdisk.Mo
 	}
 	r.gstore = newGlobalStore(r)
 	r.engine = batchexec.New(r.gstore, model)
-	r.mq.New = func() any {
-		s := []search.Result(nil)
-		return &s
-	}
 	return r, nil
 }
 
@@ -453,40 +446,4 @@ func (r *Router) RunBatch(queries []vec.Vector, opts batchexec.Options, results 
 // all others are invalid.
 func (r *Router) RunBatchStream(queries []vec.Vector, opts batchexec.Options, results []search.Result, done func(query int)) error {
 	return r.engine.RunStream(queries, opts, results, done)
-}
-
-// MultiQuery runs a multi-descriptor (whole-image) query: the bag's
-// per-descriptor searches run as one batch, and the per-descriptor
-// neighbor lists vote through the shared multiquery aggregation, so the
-// outcome matches a single-store multi-descriptor query over the union of
-// the shards. The default 3-chunk budget — like any stop rule passed in
-// opts — applies per descriptor per shard, or per descriptor across the
-// fleet with opts.GlobalBudget.
-func (r *Router) MultiQuery(descriptors []vec.Vector, opts multiquery.Options) (*multiquery.Result, error) {
-	if len(descriptors) == 0 {
-		return nil, errors.New("shard: no query descriptors")
-	}
-	if opts.K <= 0 {
-		opts.K = 10
-	}
-	if opts.Stop == nil {
-		opts.Stop = search.ChunkBudget(3)
-	}
-	rp := r.mq.Get().(*[]search.Result)
-	defer r.mq.Put(rp)
-	if cap(*rp) < len(descriptors) {
-		*rp = make([]search.Result, len(descriptors))
-	}
-	results := (*rp)[:len(descriptors)]
-	err := r.RunBatch(descriptors, batchexec.Options{
-		K:            opts.K,
-		Stop:         opts.Stop,
-		Overlap:      opts.Overlap,
-		GlobalBudget: opts.GlobalBudget,
-		Ctx:          opts.Ctx,
-	}, results)
-	if err != nil {
-		return nil, fmt.Errorf("shard: multiquery: %w", err)
-	}
-	return multiquery.Aggregate(results, opts), nil
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/faultstore"
 	"repro/internal/imagegen"
 	"repro/internal/knn"
-	"repro/internal/multiquery"
 	"repro/internal/scan"
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
@@ -311,58 +310,6 @@ func checkBatchOfN(t *testing.T, global bool) {
 	}
 }
 
-// TestShardedMultiQueryMatchesSingleStore pins the multi-descriptor path:
-// a 1-shard router scores images identically to a one-shard router over
-// the unsharded store, and an S-shard router still agrees on the exact
-// (completion) per-descriptor searches.
-func TestShardedMultiQueryMatchesSingleStore(t *testing.T) {
-	checkMultiQuery(t, false)
-}
-
-// checkMultiQuery is TestShardedMultiQueryMatchesSingleStore under the
-// per-shard or, with global, the global budget discipline; the reference
-// is always the single store's plain MultiQuery.
-func checkMultiQuery(t *testing.T, global bool) {
-	ds, clusters := fixture(t, 4000, 37, 110)
-	coll := ds.Collection
-	const pageSize = 4096
-
-	bag := make([]vec.Vector, 30)
-	for i := range bag {
-		bag[i] = coll.Vec(i * 97)
-	}
-	single, err := NewRouter([]chunkfile.Store{chunkfile.NewMemStore(coll, clusters, pageSize)}, nil, nil, RouterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, r *Router, opts multiquery.Options) (got, want *multiquery.Result) {
-		t.Helper()
-		want, err := single.MultiQuery(bag, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.GlobalBudget = global
-		if got, err = r.MultiQuery(bag, opts); err != nil {
-			t.Fatal(err)
-		}
-		if got.Descriptors != want.Descriptors || !slices.Equal(got.Images, want.Images) {
-			t.Fatalf("%s: %d descriptors, images %+v != %d, %+v", name, got.Descriptors, got.Images, want.Descriptors, want.Images)
-		}
-		return got, want
-	}
-
-	// 1 shard, budgeted: byte-identical, including simulated totals.
-	r1 := routerOver(t, ds, clusters, 1, pageSize)
-	opts := multiquery.Options{K: 8, Stop: search.ChunkBudget(3), RankWeighted: true}
-	if got, want := check("1-shard", r1, opts); got.Simulated != want.Simulated || got.ChunksRead != want.ChunksRead {
-		t.Fatalf("1-shard: (sim %v, chunks %d) != (%v, %d)", got.Simulated, got.ChunksRead, want.Simulated, want.ChunksRead)
-	}
-
-	// 4 shards, run to completion: per-descriptor results are the exact
-	// global k-NN on both sides, so the image ranking matches.
-	check("4-shard completion", routerOver(t, ds, clusters, 4, pageSize), multiquery.Options{K: 8, Stop: search.ToCompletion{}})
-}
-
 // TestShardedConcurrentScatter exercises the router from many goroutines
 // at once (the -race CI shard runs this): concurrent batches and single
 // queries over one router must not interfere.
@@ -433,12 +380,9 @@ func checkConcurrent(t *testing.T, global bool) {
 // TestShardedEdgeCases covers empty shards (more shards than clusters),
 // dimension validation, and result-length validation.
 func TestShardedEdgeCases(t *testing.T) {
-	r := checkEmptyShards(t, false)
+	checkEmptyShards(t, false)
 	if _, err := NewRouter(nil, nil, nil, RouterOptions{}); err == nil {
 		t.Fatal("empty router accepted")
-	}
-	if _, err := r.MultiQuery(nil, multiquery.Options{}); err == nil {
-		t.Fatal("empty multi-descriptor query accepted")
 	}
 }
 
@@ -446,8 +390,8 @@ func TestShardedEdgeCases(t *testing.T) {
 // per-shard or, with global, the global budget discipline: on a router
 // with more shards than clusters the surplus shards are empty but every
 // query still completes, exactly, a tiny budget still spends its total,
-// and bad batches are refused. It returns the router.
-func checkEmptyShards(t *testing.T, global bool) *Router {
+// and bad batches are refused.
+func checkEmptyShards(t *testing.T, global bool) {
 	ds, clusters := fixture(t, 600, 47, 200)
 	coll := ds.Collection
 	r := routerOver(t, ds, clusters, len(clusters)+2, 4096)
@@ -488,7 +432,6 @@ func checkEmptyShards(t *testing.T, global bool) *Router {
 	if err := r.RunBatch(nil, batchexec.Options{GlobalBudget: global}, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	return r
 }
 
 // shardRef is shard s of router r as a plain store — its logical chunks,

@@ -288,11 +288,21 @@ func stopRule(opts SearchOptions) search.StopRule {
 	return search.ToCompletion{}
 }
 
+// The multi-descriptor defaults: image voting wants fewer, closer
+// matches than a point query's 30, on a deliberately aggressive chunk
+// budget — which is also what a serving layer admits a bag at.
+const (
+	// DefaultMultiK is MultiSearchOptions.K's zero value.
+	DefaultMultiK = 10
+	// DefaultMultiMaxChunks is MultiSearchOptions.MaxChunks's zero value.
+	DefaultMultiMaxChunks = 3
+)
+
 // MultiSearchOptions controls a multi-descriptor (whole-image) query.
 type MultiSearchOptions struct {
-	// K is the per-descriptor neighbor count (0 = 10).
+	// K is the per-descriptor neighbor count (0 = DefaultMultiK).
 	K int
-	// MaxChunks is the per-descriptor chunk budget (0 = 3).
+	// MaxChunks is the per-descriptor chunk budget (0 = DefaultMultiMaxChunks).
 	MaxChunks int
 	// RankWeighted weights votes by 1/(1+rank).
 	RankWeighted bool
@@ -309,13 +319,13 @@ type MultiSearchOptions struct {
 
 // validate reports out-of-range multi-search options as a diagnostic
 // error at the facade boundary; zero values remain the documented
-// defaults (K 0 = 10, MaxChunks 0 = 3).
+// defaults.
 func (opts MultiSearchOptions) validate() error {
 	if opts.K < 0 {
-		return fmt.Errorf("repro: K %d is negative (0 selects the default of 10)", opts.K)
+		return fmt.Errorf("repro: K %d is negative (0 selects the default of %d)", opts.K, DefaultMultiK)
 	}
 	if opts.MaxChunks < 0 {
-		return fmt.Errorf("repro: MaxChunks %d is negative (0 selects the default of 3)", opts.MaxChunks)
+		return fmt.Errorf("repro: MaxChunks %d is negative (0 selects the default of %d)", opts.MaxChunks, DefaultMultiMaxChunks)
 	}
 	return nil
 }

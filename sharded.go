@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -285,27 +286,30 @@ func (sx *ShardedIndex) SearchInto(q Vector, opts SearchOptions, res *Result) er
 // MultiSearch implements the paper's §7 follow-up: query with a whole
 // image's bag of local descriptors, aggregate per-descriptor approximate
 // searches into image votes, and return the ranked source images. The
-// bag is a natural batch, so its per-descriptor searches run as one
-// batch on the chunk-major engine; the per-descriptor chunk budget
-// applies per shard — or once across the fleet with opts.GlobalBudget.
+// bag is a natural batch: it runs on SearchBatchStream's engine path and
+// pooled arena, then votes (multiquery.Aggregate), so each descriptor's
+// outcome is the one the same query gets in any batch. The
+// per-descriptor chunk budget applies per shard — or once across the
+// fleet with opts.GlobalBudget.
 func (sx *ShardedIndex) MultiSearch(descriptors []Vector, opts MultiSearchOptions) (*MultiResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	maxChunks := opts.MaxChunks
-	if maxChunks <= 0 {
-		maxChunks = 3
+	if len(descriptors) == 0 {
+		return nil, errors.New("repro: no query descriptors")
 	}
-	res, err := sx.router.MultiQuery(descriptors, multiquery.Options{
-		K:            opts.K,
-		Stop:         search.ChunkBudget(maxChunks),
-		RankWeighted: opts.RankWeighted,
+	sp := sx.arena(len(descriptors))
+	defer sx.batchPool.Put(sp)
+	srs := (*sp)[:len(descriptors)]
+	err := sx.run(descriptors, BatchOptions{SearchOptions: SearchOptions{
+		K:            cmp.Or(opts.K, DefaultMultiK),
+		MaxChunks:    cmp.Or(opts.MaxChunks, DefaultMultiMaxChunks),
 		Overlap:      opts.Overlap,
 		GlobalBudget: opts.GlobalBudget,
 		Ctx:          opts.Ctx,
-	})
+	}}, srs, nil)
 	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
+		return nil, err
 	}
-	return res, nil
+	return multiquery.Aggregate(srs, opts.RankWeighted), nil
 }

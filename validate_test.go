@@ -104,5 +104,8 @@ func TestMultiSearchOptionsValidation(t *testing.T) {
 		if _, err := sx.MultiSearch(ds, MultiSearchOptions{}); err != nil {
 			t.Errorf("%d shards MultiSearch with zero options: %v", sx.Shards(), err)
 		}
+		if _, err := sx.MultiSearch(nil, MultiSearchOptions{}); err == nil {
+			t.Errorf("%d shards MultiSearch accepted an empty bag", sx.Shards())
+		}
 	}
 }
