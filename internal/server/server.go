@@ -381,7 +381,7 @@ func retryAfterSeconds(d time.Duration) int {
 	return sec
 }
 
-// ---- admission plumbing shared by the search handlers ----
+// ---- admission plumbing of the search pipeline ----
 
 // request deadlines: header over default, then a real context.
 
@@ -626,45 +626,18 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, req body) (res r
 
 // run answers /search and /batch: the batch runs through the backend's
 // one entry point and is written as one SearchResponse (point), a
-// BatchResponse, or — with stream — NDJSON: one BatchStreamItem line per
-// query in completion order, flushed as it completes, then a trailer
-// line with the batch totals. A stream's 200 and headers commit before
-// the batch runs, so a mid-batch failure is reported in-band on the
-// trailer — queries already streamed remain valid, exactly the facade's
-// SearchBatchStream contract.
+// BatchResponse, or — with stream — NDJSON (see stream).
 func run(w http.ResponseWriter, b Backend, queries []repro.Vector, opts repro.BatchOptions, granted int, point, stream bool) result {
 	results := make([]repro.Result, len(queries))
-	tally := result{outcome: OutcomeOK}
 	var done func(int)
-	var enc *json.Encoder
+	var trailer func(error) result
 	if stream {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		enc = json.NewEncoder(w)
-		var mu sync.Mutex // serializes completion callbacks onto the wire
-		done = func(qi int) {
-			item := searchResponse(&results[qi])
-			mu.Lock()
-			defer mu.Unlock()
-			tally.chunksRead += results[qi].ChunksRead
-			tally.degraded = tally.degraded || results[qi].Degraded
-			enc.Encode(BatchStreamItem{Query: qi, Result: &item})
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
+		done, trailer = streamTo(w, results, granted)
 	}
 	err := b.SearchBatchStream(queries, opts, results, done)
 	switch {
 	case stream:
-		trailer := BatchStreamItem{Done: true, ChunksRead: tally.chunksRead, Degraded: tally.degraded, ChunksGranted: granted}
-		if err != nil {
-			trailer.Error = err.Error()
-			tally.outcome = failureOutcome(err)
-		}
-		enc.Encode(trailer)
-		return tally
+		return trailer(err)
 	case err != nil:
 		return searchFailure(w, err)
 	case point:
@@ -681,6 +654,44 @@ func run(w http.ResponseWriter, b Backend, queries []repro.Vector, opts repro.Ba
 	}
 	writeJSON(w, resp)
 	return result{outcome: OutcomeOK, chunksRead: resp.ChunksRead, degraded: resp.Degraded}
+}
+
+// streamTo commits a streamed batch's 200 and returns the run's
+// completion callback, which writes one BatchStreamItem line per query
+// in completion order and flushes it, and the trailer, which writes the
+// batch totals once the run returns. The 200 commits before the batch
+// runs, so a mid-batch failure is reported in-band on the trailer —
+// queries already streamed remain valid, exactly the facade's
+// SearchBatchStream contract. The trailer is left unflushed: it reaches
+// the client when the handler returns, after the grant is settled.
+func streamTo(w http.ResponseWriter, results []repro.Result, granted int) (done func(int), trailer func(error) result) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	var mu sync.Mutex // serializes completion callbacks onto the wire
+	tally := result{outcome: OutcomeOK}
+	done = func(qi int) {
+		item := searchResponse(&results[qi])
+		mu.Lock()
+		defer mu.Unlock()
+		tally.chunksRead += results[qi].ChunksRead
+		tally.degraded = tally.degraded || results[qi].Degraded
+		enc.Encode(BatchStreamItem{Query: qi, Result: &item})
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+	trailer = func(err error) result {
+		item := BatchStreamItem{Done: true, ChunksRead: tally.chunksRead, Degraded: tally.degraded, ChunksGranted: granted}
+		if err != nil {
+			item.Error = err.Error()
+			tally.outcome = failureOutcome(err)
+		}
+		enc.Encode(item)
+		return tally
+	}
+	return done, trailer
 }
 
 // vote answers /multi: the bag runs as one batch on the backend and its
