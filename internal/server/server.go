@@ -274,9 +274,10 @@ type MultiRequest struct {
 	// Descriptors is the query image's bag, each exactly repro.Dims
 	// values.
 	Descriptors [][]float32 `json:"descriptors"`
-	// K is the per-descriptor neighbor count (0 = 10).
+	// K is the per-descriptor neighbor count (0 = repro.DefaultMultiK).
 	K int `json:"k,omitempty"`
-	// MaxChunks is the per-descriptor chunk budget (0 = 3).
+	// MaxChunks is the per-descriptor chunk budget (0 =
+	// repro.DefaultMultiMaxChunks).
 	MaxChunks int `json:"max_chunks,omitempty"`
 	// RankWeighted scores votes 1/(1+rank).
 	RankWeighted bool `json:"rank_weighted,omitempty"`

@@ -37,8 +37,8 @@ func (f *fakeBackend) SearchBatchStream(queries []repro.Vector, opts repro.Batch
 			results[i] = *res
 		}
 	}
-	for i := range results {
-		if done != nil {
+	if done != nil {
+		for i := range results {
 			done(i)
 		}
 	}
