@@ -419,9 +419,9 @@ type grant struct {
 	// with actual spend.
 	charged int
 	// perQuery is the effective per-query chunk budget, possibly shrunk
-	// under best-effort admission (shrunk reports that).
-	perQuery int
-	shrunk   bool
+	// under best-effort admission; granted is then that shrunk budget,
+	// which responses report as chunks_granted (0 = not shrunk).
+	perQuery, granted int
 }
 
 // settle squares the up-front charge with the actual chunks read:
@@ -433,16 +433,6 @@ func (g *grant) settle(buckets *TenantBuckets, actual int) {
 	case diff < 0:
 		buckets.Charge(g.tenant, -diff)
 	}
-}
-
-// granted is the per-query budget a response reports as
-// chunks_granted: the shrunk one, or 0 when the request ran at its asked
-// budget.
-func (g *grant) granted() int {
-	if g.shrunk {
-		return g.perQuery
-	}
-	return 0
 }
 
 // admitChunks runs tenant admission for a request of n queries against
@@ -466,7 +456,7 @@ func (s *Server) admitChunks(w http.ResponseWriter, r *http.Request, b Backend, 
 			if granted := s.buckets.TakeUpTo(g.tenant, estimate); granted >= n {
 				g.charged = granted
 				g.perQuery = granted / n
-				g.shrunk = true
+				g.granted = g.perQuery
 				s.metrics.RecordBestEffort()
 				return g, true
 			} else if granted > 0 {
@@ -619,10 +609,10 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, req body) (res r
 	}
 	applyDeadlineBudget(&opts.SearchOptions, ctx)
 	if m, ok := req.(*MultiRequest); ok {
-		return vote(w, b, queries, opts.SearchOptions, m.RankWeighted, g.granted())
+		return vote(w, b, queries, opts.SearchOptions, m.RankWeighted, g.granted)
 	}
 	_, point := req.(*SearchRequest)
-	return run(w, b, queries, opts, g.granted(), point, breq.Stream)
+	return run(w, b, queries, opts, g.granted, point, breq.Stream)
 }
 
 // run answers /search and /batch: the batch runs through the backend's
