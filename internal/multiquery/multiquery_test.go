@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/descriptor"
 	"repro/internal/knn"
 	. "repro/internal/multiquery"
@@ -65,6 +66,24 @@ func TestScoresDescend(t *testing.T) {
 	}
 	if empty := Aggregate(nil, false); empty.Descriptors != 0 || len(empty.Images) != 0 {
 		t.Fatalf("empty bag = %+v", empty)
+	}
+}
+
+// A query image with no descriptors is refused at the facade rather
+// than answered with an empty vote, on one shard and several.
+func TestEmptyQueryRejected(t *testing.T) {
+	coll := repro.GenerateCollection(400, 3)
+	for _, shards := range []int{1, 2} {
+		sx, err := repro.BuildSharded(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: 100}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sx.Close()
+		for _, bag := range [][]repro.Vector{nil, {}} {
+			if res, err := sx.MultiSearch(bag, repro.MultiSearchOptions{}); err == nil {
+				t.Fatalf("%d shards: empty query accepted: %+v", shards, res)
+			}
+		}
 	}
 }
 
