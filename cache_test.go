@@ -38,8 +38,8 @@ func identicalResult(t *testing.T, label string, got, want *Result) {
 }
 
 // TestCacheEquivalenceUnsharded pins the cache guarantee on a one-shard
-// index: with CacheBytes set, an index — built in memory or reopened from
-// disk — matches the cacheless one byte-identically on the per-shard and
+// index: reopened from disk with OpenConfig.CacheBytes set, an index
+// matches the cacheless one byte-identically on the per-shard and
 // global-budget disciplines, on single queries, batches, and
 // multi-descriptor queries, under all three stop rules, cold and warm.
 func TestCacheEquivalenceUnsharded(t *testing.T) {
@@ -60,12 +60,6 @@ func checkCacheEquivalence(t *testing.T, shards int) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	cfg.CacheBytes = 32 << 20
-	built, err := BuildSharded(coll, cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer built.Close()
 
 	dir := t.TempDir()
 	if err := plain.Save(dir); err != nil {
@@ -82,68 +76,61 @@ func checkCacheEquivalence(t *testing.T, shards int) {
 		t.Fatal(err)
 	}
 
-	for _, ix := range []struct {
-		name string
-		idx  *ShardedIndex
-	}{{"built", built}, {"opened", opened}} {
-		for _, base := range cacheStopVariants(15) {
-			for _, global := range []bool{false, true} {
-				opts := base
-				opts.GlobalBudget = global
-				for pass := 0; pass < 2; pass++ {
-					for _, q := range queries {
-						want, err := plain.Search(q, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := ix.idx.Search(q, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						identicalResult(t, ix.name+"/search", got, want)
-					}
-					bopts := BatchOptions{SearchOptions: opts}
-					want := make([]Result, len(queries))
-					got := make([]Result, len(queries))
-					if err := plain.SearchBatchInto(queries, bopts, want); err != nil {
-						t.Fatal(err)
-					}
-					if err := ix.idx.SearchBatchInto(queries, bopts, got); err != nil {
-						t.Fatal(err)
-					}
-					for qi := range queries {
-						identicalResult(t, ix.name+"/batch", &got[qi], &want[qi])
-					}
-				}
-			}
-		}
-
+	for _, base := range cacheStopVariants(15) {
 		for _, global := range []bool{false, true} {
-			mopts := MultiSearchOptions{K: 10, MaxChunks: 3, GlobalBudget: global}
-			wantM, err := plain.MultiSearch(queries, mopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotM, err := ix.idx.MultiSearch(queries, mopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(gotM.Images) != len(wantM.Images) {
-				t.Fatalf("%s/multi: %d images != %d", ix.name, len(gotM.Images), len(wantM.Images))
-			}
-			for i := range wantM.Images {
-				if gotM.Images[i] != wantM.Images[i] {
-					t.Fatalf("%s/multi rank %d: %+v != %+v", ix.name, i, gotM.Images[i], wantM.Images[i])
+			opts := base
+			opts.GlobalBudget = global
+			for pass := 0; pass < 2; pass++ {
+				for _, q := range queries {
+					want, err := plain.Search(q, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := opened.Search(q, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					identicalResult(t, "search", got, want)
+				}
+				bopts := BatchOptions{SearchOptions: opts}
+				want := make([]Result, len(queries))
+				got := make([]Result, len(queries))
+				if err := plain.SearchBatchInto(queries, bopts, want); err != nil {
+					t.Fatal(err)
+				}
+				if err := opened.SearchBatchInto(queries, bopts, got); err != nil {
+					t.Fatal(err)
+				}
+				for qi := range queries {
+					identicalResult(t, "batch", &got[qi], &want[qi])
 				}
 			}
-		}
-
-		st := ix.idx.CacheStats()
-		if !st.Enabled || st.Hits == 0 {
-			t.Fatalf("%s: warm cache reports %+v", ix.name, st)
 		}
 	}
 
+	for _, global := range []bool{false, true} {
+		mopts := MultiSearchOptions{K: 10, MaxChunks: 3, GlobalBudget: global}
+		wantM, err := plain.MultiSearch(queries, mopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotM, err := opened.MultiSearch(queries, mopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gotM.Images) != len(wantM.Images) {
+			t.Fatalf("multi: %d images != %d", len(gotM.Images), len(wantM.Images))
+		}
+		for i := range wantM.Images {
+			if gotM.Images[i] != wantM.Images[i] {
+				t.Fatalf("multi rank %d: %+v != %+v", i, gotM.Images[i], wantM.Images[i])
+			}
+		}
+	}
+
+	if st := opened.CacheStats(); !st.Enabled || st.Hits == 0 {
+		t.Fatalf("warm cache reports %+v", st)
+	}
 	if st := plain.CacheStats(); st.Enabled || st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("cacheless index reports %+v", st)
 	}

@@ -383,9 +383,6 @@ func NewStore(inner chunkfile.Store, cache *Cache) *CachingStore {
 // key builds the cache key of chunk i: store id high, chunk index low.
 func (s *CachingStore) key(i int) uint64 { return uint64(s.id)<<32 | uint64(uint32(i)) }
 
-// Underlying returns the inner store the cache fronts.
-func (s *CachingStore) Underlying() chunkfile.Store { return s.inner }
-
 // Dims implements chunkfile.Store.
 func (s *CachingStore) Dims() int { return s.inner.Dims() }
 

@@ -434,7 +434,7 @@ func validateMetas(metas []Meta, dims, page int, fileSize int64) error {
 			return fmt.Errorf("chunkfile: chunk %d: %d records need %d bytes, index records only %d",
 				i, m.Count, raw, m.Bytes)
 		}
-		if m.Offset < headerEnd || m.Offset+int64(m.Bytes) > fileSize {
+		if m.Offset < headerEnd || m.Offset > fileSize-int64(m.Bytes) {
 			return fmt.Errorf("chunkfile: chunk %d: extent [%d, %d) outside chunk file data [%d, %d)",
 				i, m.Offset, m.Offset+int64(m.Bytes), headerEnd, fileSize)
 		}
@@ -452,9 +452,14 @@ func readIndex(path string) ([]Meta, int, error) {
 	}
 	dims := int(binary.LittleEndian.Uint32(raw[8:12]))
 	n := int(binary.LittleEndian.Uint32(raw[12:16]))
+	if dims <= 0 || dims > 4096 {
+		return nil, 0, fmt.Errorf("chunkfile: implausible index dims %d", dims)
+	}
+	// Bound n by the bytes present before multiplying, so a hostile
+	// header cannot wrap the expected size around to the file's length.
 	es := EntrySize(dims)
-	if len(raw) != 16+n*es {
-		return nil, 0, fmt.Errorf("chunkfile: index size %d != expected %d", len(raw), 16+n*es)
+	if n > (len(raw)-16)/es || len(raw) != 16+n*es {
+		return nil, 0, fmt.Errorf("chunkfile: index of %d bytes cannot hold %d entries of %d bytes", len(raw), n, es)
 	}
 	metas := make([]Meta, n)
 	centroids := make([]float32, n*dims)

@@ -3,6 +3,7 @@ package chunkfile
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +12,7 @@ import (
 )
 
 // writePair writes the fixture clustering to a fresh file pair.
-func writePair(t *testing.T, pageSize int) (cp, ip string, cs []*cluster.Cluster) {
+func writePair(t testing.TB, pageSize int) (cp, ip string, cs []*cluster.Cluster) {
 	t.Helper()
 	coll, cs := makeClusters(t)
 	dir := t.TempDir()
@@ -60,6 +61,9 @@ func TestOpenValidatesMetas(t *testing.T) {
 		{"count exceeds bytes", func(e []byte, offField int) {
 			binary.LittleEndian.PutUint32(e[offField+12:], 1<<20)
 		}},
+		{"offset+bytes wraps past MaxInt64", func(e []byte, offField int) {
+			binary.LittleEndian.PutUint64(e[offField:], math.MaxInt64-8)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,6 +90,26 @@ func TestOpenValidatesMetas(t *testing.T) {
 	if st, err := Open(cp, ip); err == nil {
 		st.Close()
 		t.Fatal("truncated chunk file accepted at open time")
+	}
+}
+
+// TestOpenRejectsOverflowingIndexHeader pins the header bounds: dims
+// 2147483642 makes an entry 2³³ bytes, and 2³¹ entries of that size wrap
+// the expected file size to 16, the header alone. Open must reject the
+// 16-byte file with an error instead of allocating 2³¹ entries.
+func TestOpenRejectsOverflowingIndexHeader(t *testing.T) {
+	cp, ip, _ := writePair(t, 4096)
+	hdr := []byte(indexMagic)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 2147483642)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1<<31)
+	if err := os.WriteFile(ip, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := Open(cp, ip); err == nil {
+		st.Close()
+		t.Fatal("overflowing index header accepted")
+	} else {
+		t.Log(err)
 	}
 }
 

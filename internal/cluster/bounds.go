@@ -3,7 +3,6 @@ package cluster
 import (
 	"math"
 
-	"repro/internal/descriptor"
 	"repro/internal/vec"
 )
 
@@ -51,21 +50,4 @@ func (c *Cluster) Clone() *Cluster {
 		Members:  append([]int(nil), c.Members...),
 		linear:   append([]float64(nil), c.linear...),
 	}
-}
-
-// NormOutlierSplit partitions descriptor indexes by vector norm: indexes
-// with norm ≤ maxNorm are retained, the rest are outliers. This is the
-// simple alternative outlier-removal scheme the paper mentions testing for
-// the SR-tree ("removing all descriptors with total length greater than a
-// constant", §5.2); it is compared against BAG's outlier set in an
-// ablation experiment.
-func NormOutlierSplit(coll *descriptor.Collection, maxNorm float64) (retained, outliers []int) {
-	for i := 0; i < coll.Len(); i++ {
-		if coll.Vec(i).Norm() <= maxNorm {
-			retained = append(retained, i)
-		} else {
-			outliers = append(outliers, i)
-		}
-	}
-	return retained, outliers
 }

@@ -234,17 +234,6 @@ func RemoveSmall(cs []*Cluster, frac float64) (retained, destroyed []*Cluster) {
 	return retained, destroyed
 }
 
-// MemberIDs flattens the descriptor ids of all clusters' members.
-func MemberIDs(coll *descriptor.Collection, cs []*Cluster) []descriptor.ID {
-	var ids []descriptor.ID
-	for _, c := range cs {
-		for _, i := range c.Members {
-			ids = append(ids, coll.IDAt(i))
-		}
-	}
-	return ids
-}
-
 // TotalMembers sums cluster populations.
 func TotalMembers(cs []*Cluster) int {
 	n := 0

@@ -99,12 +99,6 @@ func (c *Collection) Vec(i int) vec.Vector {
 // IDAt returns the i-th descriptor id.
 func (c *Collection) IDAt(i int) ID { return c.ids[i] }
 
-// Backing returns the contiguous flattened vector storage (Len() × Dims()
-// float32s, row i at [i*Dims() : (i+1)*Dims()]). It aliases the
-// collection's memory and must be treated as read-only; batch distance
-// kernels (vec.SquaredDistancesTo) consume it directly.
-func (c *Collection) Backing() []float32 { return c.backing }
-
 // Subset returns a new collection holding the descriptors at the given
 // indexes (vectors copied).
 func (c *Collection) Subset(idx []int) *Collection {

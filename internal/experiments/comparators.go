@@ -3,15 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/chunkfile"
 	"repro/internal/descriptor"
 	"repro/internal/knn"
-	"repro/internal/lsh"
-	"repro/internal/medrank"
 	"repro/internal/metrics"
-	"repro/internal/psphere"
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
 	"repro/internal/shard"
@@ -29,9 +25,9 @@ type ComparatorRow struct {
 }
 
 // ComparatorsResult is an extension experiment beyond the paper: the
-// chunk-search architecture against the related-work systems the paper
-// discusses (§6) — the VA-File (exact and approximate) and Medrank — all
-// costed on the same simulated 2005 hardware.
+// chunk-search architecture, unsharded and sharded four ways, against the
+// VA-File (exact and approximate), one of the related-work systems the
+// paper discusses (§6), all costed on the same simulated 2005 hardware.
 type ComparatorsResult struct {
 	Workload string
 	K        int
@@ -197,82 +193,6 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 		})
 	}
 
-	// Medrank. Simulated cost: one seek per projection list plus the
-	// accessed (projection, id) entries at 8 bytes each, sequentially per
-	// list; no full-dimensional distance computations (the property §6
-	// highlights).
-	lab.Cfg.logf("comparators: Medrank...")
-	md, err := medrank.Build(coll, 20, lab.Cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	var recall, secs float64
-	for qi, q := range queries {
-		nb, st := md.QueryWithStats(q, k, medrank.Options{})
-		recall += recallOf(qi, nb)
-		cost := float64(md.Lines())*model.Seek.Seconds() + model.ReadTime(st.Entries*8).Seconds()
-		secs += cost
-	}
-	res.Rows = append(res.Rows, ComparatorRow{
-		Method: "medrank",
-		Param:  fmt.Sprintf("lines=%d", md.Lines()),
-		Recall: recall / float64(len(queries)),
-		SimSec: secs / float64(len(queries)),
-	})
-
-	// P-Sphere tree. Simulated cost: rank the sphere centers (CPU), then
-	// one contiguous read + scan of the chosen sphere. The replication
-	// factor is the space price the method pays (§6: "trading off (disk)
-	// space for time").
-	lab.Cfg.logf("comparators: P-Sphere...")
-	centers := len(g.BagChunks)
-	ps, err := psphere.Build(coll, psphere.Config{
-		Centers:      centers,
-		TargetProb:   0.9,
-		TrainQueries: 100,
-		Seed:         lab.Cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	recall, secs = 0, 0
-	for qi, q := range queries {
-		nb, st := ps.Query(q, k)
-		recall += recallOf(qi, nb)
-		cost := model.CPUTime(ps.Centers()) + model.ReadTime(st.Scanned*descriptor.EncodedSize) + model.CPUTime(st.Scanned)
-		secs += cost.Seconds()
-	}
-	res.Rows = append(res.Rows, ComparatorRow{
-		Method: "p-sphere",
-		Param:  fmt.Sprintf("m=%d,repl=%.1fx", ps.Centers(), ps.ReplicationFactor()),
-		Recall: recall / float64(len(queries)),
-		SimSec: secs / float64(len(queries)),
-	})
-
-	// LSH (p-stable). Simulated cost: the bucket reads (one seek per
-	// table plus the candidate postings) and one random full-vector read
-	// + distance per distinct candidate.
-	lab.Cfg.logf("comparators: LSH...")
-	lx, err := lsh.Build(coll, lsh.Config{Tables: 16, Hashes: 4, Seed: lab.Cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	recall, secs = 0, 0
-	for qi, q := range queries {
-		nb, st := lx.Query(q, k, 0)
-		recall += recallOf(qi, nb)
-		cost := time.Duration(lx.Tables())*model.Seek +
-			model.ReadTime(st.Candidates*4) +
-			time.Duration(st.Candidates)*model.Seek/8 + // candidates cluster on few pages
-			model.CPUTime(st.Candidates)
-		secs += cost.Seconds()
-	}
-	res.Rows = append(res.Rows, ComparatorRow{
-		Method: "lsh",
-		Param:  fmt.Sprintf("L=%d,k=4", lx.Tables()),
-		Recall: recall / float64(len(queries)),
-		SimSec: secs / float64(len(queries)),
-	})
 	return res, nil
 }
 

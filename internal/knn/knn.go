@@ -1,6 +1,6 @@
 // Package knn provides the shared k-nearest-neighbor result type and the
 // bounded max-heap used by every search implementation in this repository
-// (chunk search, sequential scan, VA-file, Medrank, LSH, P-Sphere).
+// (chunk search, sequential scan, VA-file, SR-tree).
 //
 // Following the repo-wide convention (see package vec), the heap operates
 // on *squared* distances: candidates enter through OfferSquared (or, a

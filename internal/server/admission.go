@@ -105,7 +105,8 @@ func (tb *TenantBuckets) get(tenant string) *bucket {
 
 // Take atomically charges n chunks to tenant's bucket. On refusal it
 // returns the wait until n tokens will have refilled — the Retry-After
-// the handler sends with its 429.
+// the handler sends with its 429. No wait suffices when n exceeds the
+// burst; the handler checks for that itself.
 func (tb *TenantBuckets) Take(tenant string, n int) (ok bool, retryAfter time.Duration) {
 	if tb.rate <= 0 || n <= 0 {
 		return true, 0
@@ -118,8 +119,7 @@ func (tb *TenantBuckets) Take(tenant string, n int) (ok bool, retryAfter time.Du
 		b.tokens -= want
 		return true, 0
 	}
-	need := math.Min(want, tb.burst) - b.tokens
-	return false, time.Duration(need / tb.rate * float64(time.Second))
+	return false, time.Duration((want - b.tokens) / tb.rate * float64(time.Second))
 }
 
 // TakeUpTo charges as many of the n requested chunks as the bucket
@@ -171,7 +171,8 @@ func (tb *TenantBuckets) Charge(tenant string, n int) {
 }
 
 // RetryAfter returns the wait until tenant's bucket will hold n chunks
-// (0 when it already does, or when limiting is disabled).
+// (0 when it already does, or when limiting is disabled). Like Take's,
+// the wait is only meaningful for n within the burst.
 func (tb *TenantBuckets) RetryAfter(tenant string, n int) time.Duration {
 	if tb.rate <= 0 || n <= 0 {
 		return 0
@@ -179,7 +180,7 @@ func (tb *TenantBuckets) RetryAfter(tenant string, n int) time.Duration {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	b := tb.get(tenant)
-	need := math.Min(float64(n), tb.burst) - b.tokens
+	need := float64(n) - b.tokens
 	if need <= 0 {
 		return 0
 	}

@@ -14,9 +14,15 @@ import (
 // entirely rather than reporting zeros.
 func TestMetricsReportCacheCounters(t *testing.T) {
 	coll := repro.GenerateCollection(2000, 42)
-	cached, err := repro.BuildSharded(coll, repro.BuildConfig{
-		Strategy: repro.StrategySRTree, ChunkSize: 250, CacheBytes: 16 << 20,
-	}, 1)
+	built, err := repro.BuildSharded(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: 250}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := built.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	cached, err := repro.OpenShardedWith(dir, repro.OpenConfig{CacheBytes: 16 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -449,6 +449,8 @@ func (s *Server) admitChunks(w http.ResponseWriter, r *http.Request, b Backend, 
 	// also keeps a huge max_chunks from overflowing the estimate.
 	estimate := min(per, b.Chunks()) * n
 	if ok, retry := s.buckets.Take(g.tenant, estimate); !ok {
+		// least is the smallest charge a retry could be admitted at.
+		least := estimate
 		// Best-effort shrink applies only to chunk-budget requests: their
 		// cost is denominated in chunks up front. Timed and
 		// run-to-completion requests shed.
@@ -463,7 +465,15 @@ func (s *Server) admitChunks(w http.ResponseWriter, r *http.Request, b Backend, 
 				// Not even one chunk per query: refund and shed.
 				s.buckets.Refund(g.tenant, granted)
 			}
+			least = n
 			retry = s.buckets.RetryAfter(g.tenant, n)
+		}
+		if float64(least) > s.buckets.burst {
+			// No wait fills a bucket past its burst, so promise no retry.
+			writeError(w, http.StatusTooManyRequests,
+				fmt.Sprintf("tenant %q over budget: needs at least %d chunks, more than its burst of %s; retrying cannot succeed",
+					g.tenant, least, strconv.FormatFloat(s.buckets.burst, 'f', -1, 64)), 0)
+			return g, false
 		}
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("tenant %q over budget: %d chunks requested", g.tenant, estimate),

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -460,6 +461,56 @@ func TestBestEffortShrink(t *testing.T) {
 	if resp.StatusCode != 429 {
 		t.Fatalf("timed request with poor bucket: %d, want 429 (no shrink)", resp.StatusCode)
 	}
+}
+
+// TestOverBurstRefusalPromisesNoRetry pins the 429 for a request no
+// bucket refill can ever admit: its smallest admissible charge (the whole
+// estimate, or one chunk per query under best effort) exceeds the burst.
+// Such a refusal carries no Retry-After and names the burst; a refusal a
+// refill can cure still carries one.
+func TestOverBurstRefusalPromisesNoRetry(t *testing.T) {
+	echo := &fakeBackend{searchFn: func(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error) {
+		return &repro.Result{ChunksRead: opts.MaxChunks}, nil
+	}}
+	q := make([]float32, repro.Dims)
+	refuse := func(ts *httptest.Server, body any, wantRetry bool) {
+		t.Helper()
+		resp, raw := doJSON(t, "POST", ts.URL+"/v1/indexes/main/batch", body, nil)
+		if resp.StatusCode != 429 {
+			t.Fatalf("%d (%s), want 429", resp.StatusCode, raw)
+		}
+		if got := resp.Header.Get("Retry-After"); (got != "") != wantRetry {
+			t.Fatalf("Retry-After = %q, want present=%v (%s)", got, wantRetry, raw)
+		}
+		if !wantRetry && !strings.Contains(string(raw), "burst of 10") {
+			t.Fatalf("refusal does not name the burst: %s", raw)
+		}
+	}
+
+	clock := newFakeClock()
+	ts, _ := serveTest(t, Config{TenantRate: 10, TenantBurst: 10, Clock: clock.now}, map[string]Backend{"main": echo})
+	// 2 queries × 8 chunks = 16 > 10, refused the same way on a full bucket
+	// every time.
+	for attempt := 0; attempt < 5; attempt++ {
+		refuse(ts, BatchRequest{Queries: [][]float32{q, q}, MaxChunks: 8}, false)
+		clock.advance(time.Hour)
+	}
+
+	clock = newFakeClock()
+	ts, s := serveTest(t, Config{TenantRate: 10, TenantBurst: 10, BestEffort: true, Clock: clock.now},
+		map[string]Backend{"main": echo})
+	// Best effort cannot shrink 11 queries below 11 chunks.
+	eleven := make([][]float32, 11)
+	for i := range eleven {
+		eleven[i] = q
+	}
+	refuse(ts, BatchRequest{Queries: eleven, MaxChunks: 1}, false)
+	// 16 chunks exceed the burst, but a refilled bucket admits them shrunk
+	// to 5 per query: that refusal promises a retry.
+	if ok, _ := s.buckets.Take(DefaultTenant, 10); !ok {
+		t.Fatal("priming take failed")
+	}
+	refuse(ts, BatchRequest{Queries: [][]float32{q, q}, MaxChunks: 8}, true)
 }
 
 func TestDeadlineMiss(t *testing.T) {

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -360,4 +362,47 @@ func TestHeatZeroFallback(t *testing.T) {
 	if _, err := PartitionReplicatedHeated(clusters, 3, 2, dims, pageSize, zeros[:3]); err == nil {
 		t.Fatal("PartitionReplicatedHeated accepted a mismatched heat length")
 	}
+}
+
+// FuzzLoadPlacement reads mutated placement-sidecar bytes. LoadPlacement
+// must never panic; a placement it accepts is written back
+// byte-identically by SavePlacement.
+func FuzzLoadPlacement(f *testing.F) {
+	clusters, heat := fuzzClusters(9, 1)
+	p, err := PartitionReplicated(clusters, 3, 2, fuzzColl().Dims(), 4096, heat)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := filepath.Join(f.TempDir(), PlacementName)
+	if err := SavePlacement(seed, p); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)-4])
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, PlacementName)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := LoadPlacement(path)
+		if err != nil {
+			return
+		}
+		again := filepath.Join(dir, "again")
+		if err := SavePlacement(again, p); err != nil {
+			t.Fatalf("accepted placement does not write back: %v", err)
+		}
+		out, err := os.ReadFile(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, raw) {
+			t.Fatalf("placement round trip differs:\n in %x\nout %x", raw, out)
+		}
+	})
 }

@@ -96,7 +96,8 @@ func PartitionReplicated(clusters []*cluster.Cluster, shards, replication, dims,
 // first onto the least-heat-loaded shard). Healthy results under this
 // layout are correct and deterministic but not byte-identical to the
 // byte-balanced layout's, because the chunk→shard assignment differs;
-// the facade therefore gates it behind BuildConfig.HeatBalance. With a
+// the facade therefore does not expose it, and the skew experiment is
+// its caller. With a
 // nil or all-zero heat both halves fall back to their heat-free
 // behavior and the result equals PartitionReplicated's.
 func PartitionReplicatedHeated(clusters []*cluster.Cluster, shards, replication, dims, pageSize int, heat []float64) (*Placement, error) {
@@ -394,7 +395,7 @@ func LoadPlacement(path string) (*Placement, error) {
 				if err != nil {
 					return nil, err
 				}
-				if sh < 0 || sh >= shards || sh == s || ch < 0 {
+				if sh < 0 || sh >= shards || sh == s || ch < 0 || ch > math.MaxInt32 {
 					return nil, fmt.Errorf("shard: placement file shard %d chunk %d replica %d location (%d,%d) invalid", s, i, r, sh, ch)
 				}
 				locs[r] = ChunkLoc{Shard: int32(sh), Chunk: int32(ch)}

@@ -4,16 +4,13 @@
 // Each node stores both a bounding sphere (centered on the centroid of the
 // descriptors below it) and a bounding rectangle; the effective region is
 // their intersection, which gives tighter nearest-neighbor bounds in high
-// dimensions than either alone. Two build paths are provided:
+// dimensions than either alone.
 //
-//   - Build: the static bulk-load the paper uses ("we used the static
-//     build method, as it was much faster and guaranteed uniform leaf
-//     size"). It recursively median-splits on the highest-variance
-//     dimension, always cutting at a multiple of the leaf capacity, so
-//     every leaf except at most one holds exactly LeafCap descriptors.
-//   - Insert: the dynamic insertion path (descend to the child with the
-//     nearest centroid, split on overflow), provided for completeness and
-//     used to cross-check the static build in tests.
+// Build is the static bulk-load the paper uses ("we used the static build
+// method, as it was much faster and guaranteed uniform leaf size"). It
+// recursively median-splits on the highest-variance dimension, always
+// cutting at a multiple of the leaf capacity, so every leaf except at most
+// one holds exactly LeafCap descriptors.
 //
 // Chunks extracts one chunk per leaf and discards the upper levels of the
 // tree, exactly the paper's §2 adaptation.
@@ -240,86 +237,6 @@ func (t *Tree) Height() int {
 		n = n.children[0]
 	}
 	return h
-}
-
-// Insert adds descriptor index i dynamically (SR-tree insertion: descend
-// toward the child with the nearest centroid, split leaves on overflow).
-func (t *Tree) Insert(i int) {
-	t.size++
-	split := t.insert(t.root, i)
-	if split != nil {
-		old := t.root
-		t.root = &node{children: []*node{old, split}}
-		t.refit(t.root)
-	}
-}
-
-// insert returns a new sibling if the child had to split.
-func (t *Tree) insert(n *node, i int) *node {
-	if n.leaf {
-		n.entries = append(n.entries, i)
-		t.refit(n)
-		if len(n.entries) > t.leafCap {
-			return t.splitLeaf(n)
-		}
-		return nil
-	}
-	best, bestD := 0, math.Inf(1)
-	for ci, c := range n.children {
-		if d := vec.SquaredDistance(c.centroid, t.coll.Vec(i)); d < bestD {
-			best, bestD = ci, d
-		}
-	}
-	sibling := t.insert(n.children[best], i)
-	if sibling != nil {
-		n.children = append(n.children, sibling)
-	}
-	t.refit(n)
-	if len(n.children) > t.fanout {
-		return t.splitInternal(n)
-	}
-	return nil
-}
-
-// splitLeaf divides an overflowing leaf along its highest-variance
-// dimension at the median, returning the new right sibling.
-func (t *Tree) splitLeaf(n *node) *node {
-	dim := t.spreadDim(n.entries)
-	sort.Slice(n.entries, func(a, b int) bool {
-		return t.coll.Vec(n.entries[a])[dim] < t.coll.Vec(n.entries[b])[dim]
-	})
-	mid := len(n.entries) / 2
-	right := t.newLeaf(n.entries[mid:])
-	n.entries = n.entries[:mid]
-	t.refit(n)
-	return right
-}
-
-// splitInternal divides an overflowing internal node by child centroid
-// along the dimension with the widest centroid spread.
-func (t *Tree) splitInternal(n *node) *node {
-	dims := t.coll.Dims()
-	best, bestSpread := 0, -1.0
-	for d := 0; d < dims; d++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, c := range n.children {
-			x := float64(c.centroid[d])
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-		}
-		if s := hi - lo; s > bestSpread {
-			best, bestSpread = d, s
-		}
-	}
-	sort.Slice(n.children, func(a, b int) bool {
-		return n.children[a].centroid[best] < n.children[b].centroid[best]
-	})
-	mid := len(n.children) / 2
-	right := &node{children: append([]*node(nil), n.children[mid:]...)}
-	t.refit(right)
-	n.children = n.children[:mid]
-	t.refit(n)
-	return right
 }
 
 // lowerBound2 returns the squared SR-tree lower bound on the distance

@@ -163,32 +163,6 @@ func TestKNNSubsetIndexes(t *testing.T) {
 	}
 }
 
-func TestDynamicInsert(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	coll := randColl(r, 400, 6)
-	tr, err := Build(coll, []int{}, 20, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 400; i++ {
-		tr.Insert(i)
-	}
-	if tr.Len() != 400 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	q := coll.Vec(123)
-	got := tr.KNN(q, 10)
-	want := bruteKNN(coll, q, 10)
-	for i := range got {
-		if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-			t.Fatalf("dynamic KNN diverges at %d: %v vs %v", i, got[i].Dist, want[i].Dist)
-		}
-	}
-}
-
 func TestChunksAreValidClusters(t *testing.T) {
 	ds := imagegen.MustGenerate(imagegen.DefaultConfig(5000, 21))
 	coll := ds.Collection

@@ -74,25 +74,6 @@ func (v Vector) Add(o Vector) {
 	}
 }
 
-// Scale multiplies every coordinate of v by s in place.
-func (v Vector) Scale(s float32) {
-	for i := range v {
-		v[i] *= s
-	}
-}
-
-// Lerp returns a + t*(b-a) as a fresh vector.
-func Lerp(a, b Vector, t float32) Vector {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: dimension mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make(Vector, len(a))
-	for i := range a {
-		out[i] = a[i] + t*(b[i]-a[i])
-	}
-	return out
-}
-
 // Equal reports whether a and b are identical coordinate-wise.
 func Equal(a, b Vector) bool {
 	if len(a) != len(b) {
@@ -118,12 +99,6 @@ func SphereLowerBound(q, center Vector, radius float64) float64 {
 		return 0
 	}
 	return d
-}
-
-// SphereUpperBound returns the largest possible distance from q to any
-// point inside the sphere (center, radius).
-func SphereUpperBound(q, center Vector, radius float64) float64 {
-	return Distance(q, center) + radius
 }
 
 // Centroid returns the arithmetic mean of the given vectors. It panics if
@@ -211,15 +186,6 @@ func (b Bounds) Contains(v Vector) bool {
 		}
 	}
 	return true
-}
-
-// Center returns the midpoint of b.
-func (b Bounds) Center() Vector {
-	c := make(Vector, len(b.Min))
-	for i := range c {
-		c[i] = (b.Min[i] + b.Max[i]) / 2
-	}
-	return c
 }
 
 // SquaredMinDist returns the squared distance from q to the nearest point

@@ -1,14 +1,13 @@
 // Package vptree implements a vantage-point tree over float32 vectors.
 //
-// The tree supports exact nearest-neighbor and range queries in any metric
-// space; here it is specialized to Euclidean distance. It is used as the
-// candidate-search accelerator for BAG clustering (finding the nearest
-// cluster centroid without scanning all clusters; see DESIGN.md §2) and as
-// a standalone exact-search substrate in tests.
+// The tree answers k-nearest-neighbor queries under a node-visit budget
+// (KNearestApprox; exact when the budget covers the whole tree), here
+// under Euclidean distance. It is the candidate-search accelerator for BAG
+// clustering: finding near cluster centroids without scanning all
+// clusters (see DESIGN.md §2).
 package vptree
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
@@ -86,122 +85,6 @@ func build(items []Item, r *rand.Rand) *node {
 // Len returns the number of items stored.
 func (t *Tree) Len() int { return t.size }
 
-// Nearest returns the item closest to q and its distance. ok is false for
-// an empty tree. The exclude predicate, if non-nil, skips items for which
-// it returns true (used by BAG to avoid matching a cluster with itself).
-func (t *Tree) Nearest(q vec.Vector, exclude func(id int) bool) (best Item, bestDist float64, ok bool) {
-	bestDist = math.Inf(1)
-	var search func(n *node)
-	search = func(n *node) {
-		if n == nil {
-			return
-		}
-		d := vec.Distance(q, n.item.Vec)
-		if d < bestDist && (exclude == nil || !exclude(n.item.ID)) {
-			best, bestDist, ok = n.item, d, true
-		}
-		if d <= n.threshold {
-			search(n.inside)
-			if d+bestDist > n.threshold {
-				search(n.outside)
-			}
-		} else {
-			search(n.outside)
-			if d-bestDist <= n.threshold {
-				search(n.inside)
-			}
-		}
-	}
-	search(t.root)
-	return best, bestDist, ok
-}
-
-// KNearest returns up to k items closest to q, ordered by increasing
-// distance.
-func (t *Tree) KNearest(q vec.Vector, k int) []Item {
-	if k <= 0 {
-		return nil
-	}
-	type cand struct {
-		item Item
-		dist float64
-	}
-	var heap []cand // max-heap on dist, at most k entries
-	push := func(c cand) {
-		heap = append(heap, c)
-		i := len(heap) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if heap[parent].dist >= heap[i].dist {
-				break
-			}
-			heap[parent], heap[i] = heap[i], heap[parent]
-			i = parent
-		}
-	}
-	popMax := func() {
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			big := i
-			if l < len(heap) && heap[l].dist > heap[big].dist {
-				big = l
-			}
-			if r < len(heap) && heap[r].dist > heap[big].dist {
-				big = r
-			}
-			if big == i {
-				break
-			}
-			heap[i], heap[big] = heap[big], heap[i]
-			i = big
-		}
-	}
-	worst := func() float64 {
-		if len(heap) < k {
-			return math.Inf(1)
-		}
-		return heap[0].dist
-	}
-
-	var search func(n *node)
-	search = func(n *node) {
-		if n == nil {
-			return
-		}
-		d := vec.Distance(q, n.item.Vec)
-		if d < worst() {
-			push(cand{n.item, d})
-			if len(heap) > k {
-				popMax()
-			}
-		}
-		if d <= n.threshold {
-			search(n.inside)
-			if d+worst() > n.threshold {
-				search(n.outside)
-			}
-		} else {
-			search(n.outside)
-			if d-worst() <= n.threshold {
-				search(n.inside)
-			}
-		}
-	}
-	search(t.root)
-
-	out := make([]Item, len(heap))
-	dists := make([]float64, len(heap))
-	for i, c := range heap {
-		out[i], dists[i] = c.item, c.dist
-	}
-	sort.Sort(&byDist{out, dists})
-	return out
-}
-
 type byDist struct {
 	items []Item
 	dists []float64
@@ -212,27 +95,4 @@ func (b *byDist) Less(i, j int) bool { return b.dists[i] < b.dists[j] }
 func (b *byDist) Swap(i, j int) {
 	b.items[i], b.items[j] = b.items[j], b.items[i]
 	b.dists[i], b.dists[j] = b.dists[j], b.dists[i]
-}
-
-// InRange returns all items within radius of q (unordered).
-func (t *Tree) InRange(q vec.Vector, radius float64) []Item {
-	var out []Item
-	var search func(n *node)
-	search = func(n *node) {
-		if n == nil {
-			return
-		}
-		d := vec.Distance(q, n.item.Vec)
-		if d <= radius {
-			out = append(out, n.item)
-		}
-		if d-radius <= n.threshold {
-			search(n.inside)
-		}
-		if d+radius > n.threshold {
-			search(n.outside)
-		}
-	}
-	search(t.root)
-	return out
 }

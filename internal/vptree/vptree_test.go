@@ -22,75 +22,13 @@ func randItems(r *rand.Rand, n, dims int) []Item {
 	return items
 }
 
-// bruteNearest is the oracle for Nearest.
-func bruteNearest(items []Item, q vec.Vector, exclude func(int) bool) (Item, float64, bool) {
-	best, bd, ok := Item{}, math.Inf(1), false
-	for _, it := range items {
-		if exclude != nil && exclude(it.ID) {
-			continue
-		}
-		if d := vec.Distance(q, it.Vec); d < bd {
-			best, bd, ok = it, d, true
-		}
-	}
-	return best, bd, ok
-}
-
 func TestEmptyTree(t *testing.T) {
 	tr := Build(nil, 1)
 	if tr.Len() != 0 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if _, _, ok := tr.Nearest(vec.Vector{1, 2}, nil); ok {
-		t.Fatal("Nearest on empty tree returned ok")
-	}
-	if got := tr.KNearest(vec.Vector{1, 2}, 3); len(got) != 0 {
-		t.Fatalf("KNearest on empty tree = %v", got)
-	}
-}
-
-func TestNearestMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		itemsOrig := randItems(r, 200, 8)
-		items := append([]Item(nil), itemsOrig...)
-		tr := Build(items, seed)
-		for trial := 0; trial < 10; trial++ {
-			q := make(vec.Vector, 8)
-			for d := range q {
-				q[d] = float32(r.NormFloat64() * 10)
-			}
-			_, wantD, _ := bruteNearest(itemsOrig, q, nil)
-			_, gotD, ok := tr.Nearest(q, nil)
-			if !ok || math.Abs(gotD-wantD) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNearestWithExclusion(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	itemsOrig := randItems(r, 100, 6)
-	tr := Build(append([]Item(nil), itemsOrig...), 4)
-	// Query at an existing point, excluding itself: must return a
-	// different item, matching brute force.
-	q := itemsOrig[17].Vec
-	excl := func(id int) bool { return id == 17 }
-	wantItem, wantD, _ := bruteNearest(itemsOrig, q, excl)
-	gotItem, gotD, ok := tr.Nearest(q, excl)
-	if !ok {
-		t.Fatal("no result")
-	}
-	if gotItem.ID == 17 {
-		t.Fatal("excluded item returned")
-	}
-	if math.Abs(gotD-wantD) > 1e-9 {
-		t.Fatalf("dist = %v, want %v (got id %d want id %d)", gotD, wantD, gotItem.ID, wantItem.ID)
+	if got := tr.KNearestApprox(vec.Vector{1, 2}, 3, 1); len(got) != 0 {
+		t.Fatalf("KNearestApprox on empty tree = %v", got)
 	}
 }
 
@@ -103,8 +41,8 @@ func TestKNearestMatchesBruteForce(t *testing.T) {
 		for d := range q {
 			q[d] = float32(r.NormFloat64() * 10)
 		}
-		for _, k := range []int{1, 5, 20} {
-			got := tr.KNearest(q, k)
+		for _, k := range []int{1, 5, 20, 150} {
+			got := tr.KNearestApprox(q, k, tr.Len())
 			if len(got) != k {
 				return false
 			}
@@ -131,7 +69,7 @@ func TestKNearestOrdered(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	tr := Build(randItems(r, 300, 5), 8)
 	q := make(vec.Vector, 5)
-	got := tr.KNearest(q, 25)
+	got := tr.KNearestApprox(q, 25, tr.Len())
 	for i := 1; i < len(got); i++ {
 		if vec.Distance(q, got[i-1].Vec) > vec.Distance(q, got[i].Vec)+1e-12 {
 			t.Fatalf("results not ordered at %d", i)
@@ -142,41 +80,9 @@ func TestKNearestOrdered(t *testing.T) {
 func TestKNearestMoreThanSize(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	tr := Build(randItems(r, 7, 3), 2)
-	got := tr.KNearest(make(vec.Vector, 3), 50)
+	got := tr.KNearestApprox(make(vec.Vector, 3), 50, tr.Len())
 	if len(got) != 7 {
 		t.Fatalf("len = %d, want 7", len(got))
-	}
-}
-
-func TestInRangeMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		itemsOrig := randItems(r, 120, 6)
-		tr := Build(append([]Item(nil), itemsOrig...), seed)
-		q := make(vec.Vector, 6)
-		for d := range q {
-			q[d] = float32(r.NormFloat64() * 10)
-		}
-		radius := 15.0
-		got := tr.InRange(q, radius)
-		want := 0
-		for _, it := range itemsOrig {
-			if vec.Distance(q, it.Vec) <= radius {
-				want++
-			}
-		}
-		if len(got) != want {
-			return false
-		}
-		for _, it := range got {
-			if vec.Distance(q, it.Vec) > radius {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -184,7 +90,7 @@ func TestDuplicatePoints(t *testing.T) {
 	v := vec.Vector{1, 1, 1}
 	items := []Item{{0, v.Clone()}, {1, v.Clone()}, {2, v.Clone()}, {3, vec.Vector{5, 5, 5}}}
 	tr := Build(items, 1)
-	got := tr.KNearest(v, 3)
+	got := tr.KNearestApprox(v, 3, tr.Len())
 	if len(got) != 3 {
 		t.Fatalf("len = %d", len(got))
 	}
@@ -202,19 +108,5 @@ func BenchmarkBuild10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(append([]Item(nil), items...), 1)
-	}
-}
-
-func BenchmarkNearest10k(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	tr := Build(randItems(r, 10000, vec.Dims), 1)
-	q := make(vec.Vector, vec.Dims)
-	for d := range q {
-		q[d] = float32(r.NormFloat64() * 10)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Nearest(q, nil)
 	}
 }

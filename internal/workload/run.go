@@ -46,14 +46,6 @@ func (s Stats) MeanSimulated() float64 {
 	return s.Simulated.Seconds() / float64(s.Queries)
 }
 
-// MeanChunks returns the average chunks read per query.
-func (s Stats) MeanChunks() float64 {
-	if s.Queries == 0 {
-		return 0
-	}
-	return float64(s.ChunksRead) / float64(s.Queries)
-}
-
 // SimulatedQuantile returns the q-quantile (0 < q <= 1, e.g. 0.99 for
 // the p99) of the per-query simulated times in results, using the
 // nearest-rank definition: the ceil(q×n)-th smallest value. It sorts a

@@ -57,9 +57,6 @@ func TestRunMatchesPerQuery(t *testing.T) {
 	if st.ChunksRead != chunks {
 		t.Fatalf("Summarize chunks %d != %d", st.ChunksRead, chunks)
 	}
-	if st.MeanChunks() != float64(chunks)/float64(len(queries)) {
-		t.Fatalf("MeanChunks = %v", st.MeanChunks())
-	}
 	if st.Exact != 0 && st.Exact > len(queries) {
 		t.Fatalf("Exact = %d", st.Exact)
 	}

@@ -127,24 +127,8 @@ type BuildConfig struct {
 	ChunkSize int // target (SR/RR/hybrid: exact; BAG: mean) descriptors per chunk
 	PageSize  int // chunk file page size; 0 means 8 KiB
 	Seed      int64
-	// MPI overrides BAG's Maximum Possible Increment (0 = default).
-	MPI float64
-	// MaxPasses bounds BAG's convergence loop (0 = default).
-	MaxPasses int
 	// Progress receives BAG pass updates when non-nil.
 	Progress func(pass, clusters int)
-	// CacheBytes, when positive, fronts the built index's stores with one
-	// decoded-chunk cache of that many bytes (see OpenConfig.CacheBytes
-	// for the contract). Zero builds without a cache.
-	CacheBytes int64
-	// HeatBalance, with a non-nil workload sample in BuildReplicated,
-	// balances *primary* placement by expected served load (sample heat ×
-	// padded chunk bytes) instead of storage bytes alone, so hot clusters
-	// spread across the shards and the hottest shard stops dominating the
-	// merged Simulated under a skewed workload. Deterministic, and the
-	// identity on one shard. Without a sample (or with one that never
-	// hits a cluster) it falls back to the byte-balanced placement.
-	HeatBalance bool
 }
 
 // normalizePageSize resolves a BuildConfig page size (0 means the 8 KiB
@@ -165,12 +149,6 @@ func buildClusters(coll *Collection, cfg BuildConfig) (clusters []*cluster.Clust
 	switch cfg.Strategy {
 	case StrategyBAG:
 		bcfg := bag.DefaultConfig(coll.Len(), cfg.ChunkSize)
-		if cfg.MPI > 0 {
-			bcfg.MPI = cfg.MPI
-		}
-		if cfg.MaxPasses > 0 {
-			bcfg.MaxPasses = cfg.MaxPasses
-		}
 		bcfg.Seed = cfg.Seed
 		bcfg.Progress = cfg.Progress
 		snaps, err := bag.Run(coll, bcfg)

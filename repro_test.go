@@ -29,7 +29,7 @@ func TestBuildAllStrategies(t *testing.T) {
 
 func TestBuildBAGRemovesOutliers(t *testing.T) {
 	coll := testCollection(t)
-	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategyBAG, ChunkSize: 150, Seed: 1, MaxPasses: 500}, 1)
+	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategyBAG, ChunkSize: 150, Seed: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,10 +90,8 @@ func BuildSharded(coll *Collection, cfg BuildConfig, shards int) (*ShardedIndex,
 // sample, when non-nil, is a recorded workload sample (e.g. a slice of
 // DatasetQueries): replicas of the clusters the sample hits most are
 // placed first onto the least-loaded shards, following the
-// hot-cluster-replication strategy of Tavenard et al — and, with
-// cfg.HeatBalance, the *primary* placement itself is balanced by the
-// sample's heat instead of bytes alone. A nil sample places replicas
-// round-robin (and makes HeatBalance a no-op).
+// hot-cluster-replication strategy of Tavenard et al. Primaries are
+// always balanced by bytes. A nil sample places replicas round-robin.
 func BuildReplicated(coll *Collection, cfg BuildConfig, shards, replication int, sample []Vector) (*ShardedIndex, error) {
 	clusters, outliers, err := buildClusters(coll, cfg)
 	if err != nil {
@@ -104,11 +102,7 @@ func BuildReplicated(coll *Collection, cfg BuildConfig, shards, replication int,
 	if len(sample) > 0 {
 		heat = shard.Heat(clusters, sample, 0)
 	}
-	partition := shard.PartitionReplicated
-	if cfg.HeatBalance {
-		partition = shard.PartitionReplicatedHeated
-	}
-	placement, err := partition(clusters, shards, replication, coll.Dims(), pageSize, heat)
+	placement, err := shard.PartitionReplicated(clusters, shards, replication, coll.Dims(), pageSize, heat)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +113,7 @@ func BuildReplicated(coll *Collection, cfg BuildConfig, shards, replication int,
 		parts[s] = shard.Select(clusters, idxs)
 		stores[s] = chunkfile.NewMemStore(coll, parts[s], pageSize)
 	}
-	router, err := shard.NewRouter(stores, placement, nil, shard.RouterOptions{CacheBytes: cfg.CacheBytes})
+	router, err := shard.NewRouter(stores, placement, nil, shard.RouterOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -161,8 +155,7 @@ func OpenSharded(dir string) (*ShardedIndex, error) {
 }
 
 // OpenShardedWith is OpenSharded with options. CacheBytes is one budget
-// shared across the shards' stores (hot shards win it), exactly as
-// BuildConfig.CacheBytes.
+// shared across the shards' stores (hot shards win it).
 func OpenShardedWith(dir string, cfg OpenConfig) (*ShardedIndex, error) {
 	stores, manifest, err := chunkfile.OpenSharded(dir)
 	if err != nil {
