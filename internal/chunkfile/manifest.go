@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/descriptor"
@@ -42,7 +43,10 @@ type Manifest struct {
 // shard-<i>.idx pair per shard (each a regular §4.2 two-file index over
 // that shard's clusters) plus the manifest tying them together. All
 // shards share one page size so the per-shard simulated timings stay
-// comparable.
+// comparable. The shard pairs are written concurrently, each on its own
+// goroutine into its own files, so the bytes do not depend on scheduling;
+// their errors are joined in shard order, and the manifest is written
+// last, only when every pair succeeded.
 func SaveSharded(coll *descriptor.Collection, shards [][]*cluster.Cluster, dir string, pageSize int) error {
 	if len(shards) == 0 {
 		return errors.New("chunkfile: no shards to save")
@@ -50,18 +54,27 @@ func SaveSharded(coll *descriptor.Collection, shards [][]*cluster.Cluster, dir s
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	m := &Manifest{Dims: coll.Dims(), PageSize: pageSize}
+	m := &Manifest{Dims: coll.Dims(), PageSize: pageSize, Shards: make([]ShardFiles, len(shards))}
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
 	for i, clusters := range shards {
 		sf := ShardFiles{
 			ChunkFile: fmt.Sprintf("shard-%d.chunk", i),
 			IndexFile: fmt.Sprintf("shard-%d.idx", i),
 			Chunks:    len(clusters),
 		}
-		err := Write(coll, clusters, filepath.Join(dir, sf.ChunkFile), filepath.Join(dir, sf.IndexFile), pageSize)
-		if err != nil {
-			return fmt.Errorf("chunkfile: shard %d: %w", i, err)
-		}
-		m.Shards = append(m.Shards, sf)
+		m.Shards[i] = sf
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := Write(coll, clusters, filepath.Join(dir, sf.ChunkFile), filepath.Join(dir, sf.IndexFile), pageSize); err != nil {
+				errs[i] = fmt.Errorf("chunkfile: shard %d: %w", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
 	return WriteManifest(filepath.Join(dir, ManifestName), m)
 }

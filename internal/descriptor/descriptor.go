@@ -122,6 +122,7 @@ func (c *Collection) Bounds() vec.Bounds {
 var (
 	ErrBadMagic  = errors.New("descriptor: bad collection file magic")
 	ErrTruncated = errors.New("descriptor: truncated collection file")
+	ErrBadHeader = errors.New("descriptor: implausible collection header")
 )
 
 // Write serializes the collection: header (magic, dims, count) followed by
@@ -158,12 +159,14 @@ const maxPreallocBytes = 64 << 20
 // is pre-sized from the header count and records are decoded in bulk
 // blocks directly into the backing array — no per-record copies. A
 // header count the input cannot back is reported as ErrTruncated, never
-// a panic or an unbounded allocation.
+// a panic or an unbounded allocation; a header whose dims or count no
+// collection could have is ErrBadHeader. Bytes after the records the
+// header announces are ignored.
 func Read(r io.Reader) (*Collection, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	head := make([]byte, headerSize)
 	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("descriptor: reading header: %w", err)
+		return nil, fmt.Errorf("%w: header: %w", ErrTruncated, err)
 	}
 	if string(head[:8]) != fileMagic {
 		return nil, ErrBadMagic
@@ -171,11 +174,11 @@ func Read(r io.Reader) (*Collection, error) {
 	dims := int(binary.LittleEndian.Uint32(head[8:12]))
 	count64 := binary.LittleEndian.Uint64(head[12:20])
 	if dims <= 0 || dims > 4096 {
-		return nil, fmt.Errorf("descriptor: implausible dims %d", dims)
+		return nil, fmt.Errorf("%w: dims %d", ErrBadHeader, dims)
 	}
 	rec := 4 + dims*4
 	if count64 > uint64(math.MaxInt-headerSize)/uint64(rec) {
-		return nil, fmt.Errorf("descriptor: implausible record count %d", count64)
+		return nil, fmt.Errorf("%w: record count %d", ErrBadHeader, count64)
 	}
 	count := int(count64)
 	pre := count
@@ -197,7 +200,7 @@ func Read(r io.Reader) (*Collection, error) {
 			n = rem
 		}
 		if _, err := io.ReadFull(br, buf[:n*rec]); err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrTruncated, filled, err)
+			return nil, fmt.Errorf("%w: record %d: %w", ErrTruncated, filled, err)
 		}
 		c.ids = slices.Grow(c.ids, n)[:filled+n]
 		c.backing = slices.Grow(c.backing, n*dims)[:(filled+n)*dims]

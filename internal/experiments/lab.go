@@ -1,7 +1,6 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§5), plus the build-time comparison and a set of
-// ablations. See DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-// for paper-vs-measured results.
+// ablations. See DESIGN.md §4 for the experiment index.
 package experiments
 
 import (

@@ -10,7 +10,9 @@
 // method, as it was much faster and guaranteed uniform leaf size"). It
 // recursively median-splits on the highest-variance dimension, always
 // cutting at a multiple of the leaf capacity, so every leaf except at most
-// one holds exactly LeafCap descriptors.
+// one holds exactly LeafCap descriptors. It uses every core: large
+// subtrees are built concurrently, with output identical at any core
+// count (DESIGN.md §2).
 //
 // Chunks extracts one chunk per leaf and discards the upper levels of the
 // tree, exactly the paper's §2 adaptation.
@@ -21,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/descriptor"
@@ -72,6 +75,9 @@ func Build(coll *descriptor.Collection, indexes []int, leafCap, fanout int) (*Tr
 	} else {
 		indexes = append([]int(nil), indexes...)
 	}
+	if len(indexes) > math.MaxInt32 {
+		return nil, fmt.Errorf("srtree: %d descriptors exceed the bulk load's limit of %d", len(indexes), math.MaxInt32)
+	}
 	t := &Tree{coll: coll, leafCap: leafCap, fanout: fanout, size: len(indexes)}
 	if len(indexes) == 0 {
 		t.root = t.newLeaf(nil)
@@ -82,42 +88,103 @@ func Build(coll *descriptor.Collection, indexes []int, leafCap, fanout int) (*Tr
 	return t, nil
 }
 
-// bulkLeaves recursively median-splits idx on the highest-variance
-// dimension, cutting at multiples of leafCap so leaf sizes stay uniform.
-func (t *Tree) bulkLeaves(idx []int) []*node {
-	if len(idx) <= t.leafCap {
-		return []*node{t.newLeaf(idx)}
-	}
-	dim := t.spreadDim(idx)
-	sort.Slice(idx, func(a, b int) bool {
-		return t.coll.Vec(idx[a])[dim] < t.coll.Vec(idx[b])[dim]
-	})
-	// Cut as close to the middle as possible while keeping the left side a
-	// multiple of leafCap, so only the rightmost leaf can be short.
-	nLeaves := (len(idx) + t.leafCap - 1) / t.leafCap
-	cut := (nLeaves / 2) * t.leafCap
-	if cut == 0 {
-		cut = t.leafCap
-	}
-	left := t.bulkLeaves(idx[:cut])
-	right := t.bulkLeaves(idx[cut:])
-	return append(left, right...)
+// parallelRows is the node size from which bulkLeaves builds the two
+// halves of a split on separate goroutines. Smaller nodes are not worth a
+// goroutine; at the bench's 1M rows this runs the top four levels
+// concurrently, which is enough to keep two cores busy.
+const parallelRows = 1 << 16
+
+// keyPos is one row's split key and its position in the node, the 8-byte
+// record the split sorts instead of the rows themselves.
+type keyPos struct {
+	key float32
+	pos int32
 }
 
-// spreadDim returns the dimension with the largest variance over idx.
-func (t *Tree) spreadDim(idx []int) int {
+// bulkLeaves recursively median-splits idx on the highest-variance
+// dimension, cutting at multiples of leafCap so leaf sizes stay uniform,
+// and returns the leaves in split order.
+//
+// The rows are copied once, in idx order, into a block in which every
+// node owns the contiguous range of its own rows, so the variance sums and
+// the key gather read memory sequentially instead of fetching a random
+// collection row per comparison. Each split sorts
+// (key, position) pairs with sort.Slice and then permutes idx and the
+// rows into a second block of the same size, which the children use as
+// their input while the first becomes their scratch. sort.Slice on the
+// pairs sees the same comparison results as sort.Slice on idx with a key
+// lookup in less, so it makes the same swaps and leaves ties in the same
+// order: the leaves are exactly those of the one-level-at-a-time sort.
+// Halves of nodes of at least parallelRows rows are built concurrently;
+// they write disjoint ranges, so the result does not depend on
+// scheduling or on the core count.
+func (t *Tree) bulkLeaves(idx []int) []*node {
 	dims := t.coll.Dims()
+	rows := make([]float32, len(idx)*dims)
+	for i, j := range idx {
+		copy(rows[i*dims:(i+1)*dims], t.coll.Vec(j))
+	}
+	leaves := make([]*node, (len(idx)+t.leafCap-1)/t.leafCap)
+	t.split(leaves, idx, make([]int, len(idx)), rows, make([]float32, len(rows)), make([]keyPos, len(idx)))
+	return leaves
+}
+
+// split fills leaves with the leaves over idx. rows holds idx's rows in
+// idx order; spareIdx, spareRows and kp are scratch of the same lengths.
+func (t *Tree) split(leaves []*node, idx, spareIdx []int, rows, spareRows []float32, kp []keyPos) {
+	if len(idx) <= t.leafCap {
+		leaves[0] = t.newLeaf(idx)
+		return
+	}
+	dims := t.coll.Dims()
+	dim := spreadDim(rows, dims)
+	for i := range kp {
+		kp[i] = keyPos{key: rows[i*dims+dim], pos: int32(i)}
+	}
+	sort.Slice(kp, func(a, b int) bool { return kp[a].key < kp[b].key })
+	for i, p := range kp {
+		from := int(p.pos) * dims
+		spareIdx[i] = idx[p.pos]
+		copy(spareRows[i*dims:(i+1)*dims], rows[from:from+dims])
+	}
+	// Cut as close to the middle as possible while keeping the left side a
+	// multiple of leafCap, so only the rightmost leaf can be short.
+	half := len(leaves) / 2
+	cut := half * t.leafCap
+	left := func() {
+		t.split(leaves[:half], spareIdx[:cut], idx[:cut], spareRows[:cut*dims], rows[:cut*dims], kp[:cut])
+	}
+	right := func() {
+		t.split(leaves[half:], spareIdx[cut:], idx[cut:], spareRows[cut*dims:], rows[cut*dims:], kp[cut:])
+	}
+	if len(idx) < parallelRows {
+		left()
+		right()
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		left()
+	}()
+	right()
+	wg.Wait()
+}
+
+// spreadDim returns the dimension with the largest variance over rows, a
+// row-major block of dims-wide rows.
+func spreadDim(rows []float32, dims int) int {
 	sum := make([]float64, dims)
 	sqs := make([]float64, dims)
-	for _, i := range idx {
-		v := t.coll.Vec(i)
-		for d, x := range v {
+	for lo := 0; lo < len(rows); lo += dims {
+		for d, x := range rows[lo : lo+dims] {
 			fx := float64(x)
 			sum[d] += fx
 			sqs[d] += fx * fx
 		}
 	}
-	n := float64(len(idx))
+	n := float64(len(rows) / dims)
 	best, bestVar := 0, -1.0
 	for d := 0; d < dims; d++ {
 		mean := sum[d] / n
