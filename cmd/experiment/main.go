@@ -21,12 +21,6 @@ import (
 	"repro/internal/experiments"
 )
 
-// knownExps lists every selectable experiment, in render order.
-var knownExps = []string{
-	"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "table2", "fig6",
-	"fig7", "buildtime", "lessons", "comparators", "skew", "ablations",
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "experiment: %v\n", err)
@@ -41,7 +35,11 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiment", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	expFlag := fs.String("exp", "all", "comma-separated experiments: "+strings.Join(knownExps, ",")+",all")
+	var known []string
+	for _, sec := range experiments.Sections {
+		known = append(known, sec.Name)
+	}
+	expFlag := fs.String("exp", "all", "comma-separated experiments: "+strings.Join(known, ",")+",all")
 	nFlag := fs.Int("n", 0, "collection size override (also REPRO_N)")
 	qFlag := fs.Int("queries", 0, "workload size override (also REPRO_QUERIES)")
 	quiet := fs.Bool("q", false, "suppress progress logging")
@@ -53,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	valid := map[string]bool{"all": true}
-	for _, name := range knownExps {
+	for _, name := range known {
 		valid[name] = true
 	}
 	want := map[string]bool{}
@@ -63,12 +61,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			continue
 		}
 		if !valid[name] {
-			return fmt.Errorf("unknown experiment %q (known: %s, all)", name, strings.Join(knownExps, ", "))
+			return fmt.Errorf("unknown experiment %q (known: %s, all)", name, strings.Join(known, ", "))
 		}
 		want[name] = true
 	}
 	if len(want) == 0 {
-		return fmt.Errorf("no experiments selected: pass -exp with at least one of %s, all", strings.Join(knownExps, ", "))
+		return fmt.Errorf("no experiments selected: pass -exp with at least one of %s, all", strings.Join(known, ", "))
 	}
 
 	cfg := experiments.DefaultConfig()
@@ -82,19 +80,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.Log = stderr
 	}
 
-	all := want["all"]
-	need := func(names ...string) bool {
-		if all {
-			return true
-		}
-		for _, n := range names {
-			if want[n] {
-				return true
-			}
-		}
-		return false
-	}
-
 	start := time.Now()
 	lab, err := experiments.NewLab(cfg)
 	if err != nil {
@@ -103,60 +88,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "lab ready in %v (n=%d, queries=%d)\n",
 		time.Since(start).Round(time.Second), cfg.N, cfg.Queries)
 
-	out := stdout
-	// render accepts any experiment's (result, error) pair directly —
-	// f(g()) passthrough — and renders a blank-line-terminated section.
-	render := func(r renderer, err error) error {
-		if err != nil {
-			return err
-		}
-		r.Render(out)
-		fmt.Fprintln(out)
-		return nil
-	}
-
-	type exp struct {
-		name string
-		f    func() error
-	}
-	sections := []exp{
-		{"table1", func() error { return render(experiments.Table1(lab), nil) }},
-		{"fig1", func() error { return render(experiments.Figure1(lab, 30), nil) }},
-		{"fig2", func() error { return render(experiments.Figure23(lab, "DQ")) }},
-		{"fig3", func() error { return render(experiments.Figure23(lab, "SQ")) }},
-		{"fig4", func() error { return render(experiments.Figure45(lab, "DQ")) }},
-		{"fig5", func() error { return render(experiments.Figure45(lab, "SQ")) }},
-		{"table2", func() error { return render(experiments.Table2(lab)) }},
-		{"fig6", func() error { return render(experiments.Figure67(lab, "DQ", nil, nil)) }},
-		{"fig7", func() error { return render(experiments.Figure67(lab, "SQ", nil, nil)) }},
-		{"buildtime", func() error { return render(experiments.BuildTime(lab), nil) }},
-		{"lessons", func() error { return render(experiments.Lessons(lab)) }},
-		{"comparators", func() error { return render(experiments.Comparators(lab)) }},
-		{"skew", func() error { return render(experiments.Skew(lab)) }},
-		{"ablations", func() error {
-			if err := render(experiments.AblationOverlap(lab)); err != nil {
-				return err
-			}
-			if err := render(experiments.AblationStrategies(lab)); err != nil {
-				return err
-			}
-			if err := render(experiments.AblationNaiveBag(lab, 4000)); err != nil {
-				return err
-			}
-			return render(experiments.AblationNormOutlier(lab))
-		}},
-	}
-	for _, s := range sections {
-		if !need(s.name) {
+	for _, sec := range experiments.Sections {
+		if !want["all"] && !want[sec.Name] {
 			continue
 		}
-		if err := s.f(); err != nil {
+		if err := sec.Render(lab, stdout); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(stderr, "done in %v\n", time.Since(start).Round(time.Second))
 	return nil
 }
-
-// renderer is the common Render surface of the experiment results.
-type renderer interface{ Render(w io.Writer) }

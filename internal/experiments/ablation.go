@@ -219,9 +219,9 @@ func (r *AblationNaiveBagResult) Render(w io.Writer) {
 	headers := []string{"Variant", "Clusters", "Mean size", "Outliers %", "Build time"}
 	rows := [][]string{
 		{"naive (paper)", fmt.Sprintf("%d", r.NaiveClusters), fmt.Sprintf("%.0f", r.NaiveMeanSize),
-			fmt.Sprintf("%.1f", r.NaiveOutlierP), r.NaiveBuildTime.Round(time.Millisecond).String()},
+			fmt.Sprintf("%.1f", r.NaiveOutlierP), wallf("%v", r.NaiveBuildTime.Round(time.Millisecond))},
 		{"accelerated", fmt.Sprintf("%d", r.AccelClusters), fmt.Sprintf("%.0f", r.AccelMeanSize),
-			fmt.Sprintf("%.1f", r.AccelOutlierP), r.AccelBuildTime.Round(time.Millisecond).String()},
+			fmt.Sprintf("%.1f", r.AccelOutlierP), wallf("%v", r.AccelBuildTime.Round(time.Millisecond))},
 	}
 	metrics.RenderTable(w, fmt.Sprintf("Ablation: naive vs accelerated BAG (%d-descriptor sample)", r.SampleN), headers, rows)
 }

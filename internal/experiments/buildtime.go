@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -50,9 +49,9 @@ func (r *BuildTimeResult) Render(w io.Writer) {
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
 			row.Name,
-			row.BagBuild.Round(time.Millisecond).String(),
-			row.SRBuild.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.0fx", row.Ratio),
+			wallf("%v", row.BagBuild.Round(time.Millisecond)),
+			wallf("%v", row.SRBuild.Round(time.Millisecond)),
+			wallf("%.0fx", row.Ratio),
 		})
 	}
 	metrics.RenderTable(w, "Build time: BAG clustering vs SR-tree bulk load (paper: ~12 days vs ~2-3 hours)", headers, rows)

@@ -98,8 +98,8 @@ func Lessons(lab *Lab) (*LessonsResult, error) {
 	res.Lessons = append(res.Lessons, Lesson{
 		Number:    4,
 		Statement: "Chunk-forming must prioritize size first; dense clustering is wasted energy",
-		Evidence: fmt.Sprintf("BAG costs %.0fx more to build yet SR reaches %d neighbors in %.3fs vs BAG's %.3fs",
-			buildRatio, k/3, earlySR, earlyBag),
+		Evidence: fmt.Sprintf("BAG costs %s more to build yet SR reaches %d neighbors in %.3fs vs BAG's %.3fs",
+			wallf("%.0fx", buildRatio), k/3, earlySR, earlyBag),
 		Holds: buildRatio > 10 && earlySR <= earlyBag*1.05,
 	})
 	return res, nil

@@ -115,7 +115,7 @@ func (r *SkewResult) Render(w io.Writer) {
 		r.ZipfS, r.Shards, r.Replication)
 	fmt.Fprintf(w, "%-14s %s\n", "layout", "p99s / means / reads-sd")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-14s %.4f / %.4f / %.1f\n",
-			row.Layout, row.P99Sec, row.MeanSec, row.ReadsStddev)
+		fmt.Fprintf(w, "%-14s %.4f / %.4f / %s\n",
+			row.Layout, row.P99Sec, row.MeanSec, wallf("%.1f", row.ReadsStddev))
 	}
 }
