@@ -17,6 +17,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
 		{"unknown experiment", []string{"-exp", "fig99"}, `unknown experiment "fig99"`},
 		{"typo among valid names", []string{"-exp", "table1,figg2"}, `unknown experiment "figg2"`},
+		{"deleted experiment", []string{"-exp", "skew"}, `unknown experiment "skew"`},
 		{"empty selection", []string{"-exp", ","}, "no experiments selected"},
 		{"negative n", []string{"-n", "-5"}, "must not be negative"},
 		{"negative queries", []string{"-queries", "-1"}, "must not be negative"},

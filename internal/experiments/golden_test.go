@@ -15,10 +15,10 @@ var update = flag.Bool("update", false, "rewrite testdata/paper.golden from the 
 // cmd/experiment prints, on the lab of `experiment -n 8000 -queries 40`,
 // byte for byte against testdata/paper.golden. The tiny lab cannot stand
 // in: its k of 10 leaves Figures 1, 6 and 7 without the neighbor counts
-// they plot, and n=4000 fails BAG's threshold check. Values measured in real time print through
-// wallf, which the test masks, so everything else — every simulated
-// second, recall, chunk count and lesson verdict — is pinned. -update
-// rewrites the file.
+// they plot, and n=4000 fails BAG's threshold check. Wall-clock values
+// print through wallf, which the test masks, so everything else — every
+// simulated second, recall, chunk count and lesson verdict — is pinned.
+// -update rewrites the file.
 func TestPaperGolden(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N, cfg.Queries = 8000, 40

@@ -28,7 +28,6 @@ var Sections = []Section{
 	{"buildtime", func(lab *Lab, w io.Writer) error { return emit(w)(BuildTime(lab), nil) }},
 	{"lessons", func(lab *Lab, w io.Writer) error { return emit(w)(Lessons(lab)) }},
 	{"comparators", func(lab *Lab, w io.Writer) error { return emit(w)(Comparators(lab)) }},
-	{"skew", func(lab *Lab, w io.Writer) error { return emit(w)(Skew(lab)) }},
 	{"ablations", func(lab *Lab, w io.Writer) error {
 		if err := emit(w)(AblationOverlap(lab)); err != nil {
 			return err
@@ -59,8 +58,7 @@ func emit(w io.Writer) func(renderer, error) error {
 	}
 }
 
-// wallf formats a value that changes from run to run because it is
-// measured in real time: a wall-clock build time, a ratio of two, or a
-// live served-read count. Every such value is printed through it, so
+// wallf formats a value measured on the wall clock: a build time or a
+// ratio of two. Every such value is printed through it, so
 // TestPaperGolden masks them all by replacing it.
 var wallf = fmt.Sprintf

@@ -69,91 +69,9 @@ func Partition(clusters []*cluster.Cluster, shards, dims, pageSize int) ([][]int
 	return assign, nil
 }
 
-// PartitionHeated assigns clusters to shards balancing by *expected
-// served load* instead of storage: each cluster's load unit is
-// heat[i] × its padded on-disk bytes — the expected bytes a skewed
-// workload pulls from it — so under workload.Zipf the hot clusters
-// spread across the shards and the hottest shard stops dominating the
-// merged Simulated (= max over shards). Negative heat entries are
-// treated as zero.
-//
-// The procedure is the same greedy LPT as Partition and equally
-// deterministic: clusters are taken heaviest-load first (ties by larger
-// padded bytes, then ascending cluster index) and each goes to the shard
-// with the least placed heat-load (ties by least placed bytes, then the
-// lowest shard index — so equal-heat clusters, including all clusters of
-// a cold tail, still balance by bytes). Each shard's cluster indexes
-// come out in ascending original order, so a 1-shard partition is
-// exactly the identity, preserving the 1-shard ≡ unsharded equivalence.
-//
-// A nil heat, or one with no positive entry (the documented zero-heat
-// fallback of Heat on an empty sample), carries no skew signal:
-// PartitionHeated then degenerates to the byte-balanced Partition
-// instead of letting all-equal loads silently skew the placement.
-func PartitionHeated(clusters []*cluster.Cluster, shards, dims, pageSize int, heat []float64) ([][]int, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("shard: shard count %d < 1", shards)
-	}
-	if heat != nil && len(heat) != len(clusters) {
-		return nil, fmt.Errorf("shard: heat length %d != cluster count %d", len(heat), len(clusters))
-	}
-	if !heatUsable(heat) {
-		return Partition(clusters, shards, dims, pageSize)
-	}
-	type weighted struct {
-		idx   int
-		load  float64
-		bytes int64
-	}
-	order := make([]weighted, len(clusters))
-	for i, cl := range clusters {
-		bytes := int64(chunkfile.PaddedBytes(cl.Count(), dims, pageSize))
-		h := heat[i]
-		if h < 0 {
-			h = 0
-		}
-		order[i] = weighted{idx: i, load: h * float64(bytes), bytes: bytes}
-	}
-	slices.SortFunc(order, func(a, b weighted) int {
-		switch {
-		case a.load > b.load:
-			return -1
-		case a.load < b.load:
-			return 1
-		}
-		switch {
-		case a.bytes > b.bytes:
-			return -1
-		case a.bytes < b.bytes:
-			return 1
-		}
-		return a.idx - b.idx
-	})
-
-	assign := make([][]int, shards)
-	loads := make([]float64, shards)
-	byteLoads := make([]int64, shards)
-	for _, w := range order {
-		lightest := 0
-		for s := 1; s < shards; s++ {
-			if loads[s] < loads[lightest] ||
-				(loads[s] == loads[lightest] && byteLoads[s] < byteLoads[lightest]) {
-				lightest = s
-			}
-		}
-		assign[lightest] = append(assign[lightest], w.idx)
-		loads[lightest] += w.load
-		byteLoads[lightest] += w.bytes
-	}
-	for _, idxs := range assign {
-		slices.Sort(idxs)
-	}
-	return assign, nil
-}
-
 // heatUsable reports whether a heat vector carries any skew signal: a
 // nil heat, an empty one, or one with no positive entry is unusable, and
-// the heat-aware placements fall back to their heat-free behavior.
+// replica placement falls back to round-robin.
 func heatUsable(heat []float64) bool {
 	for _, h := range heat {
 		if h > 0 {

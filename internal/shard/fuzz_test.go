@@ -36,8 +36,7 @@ func fuzzColl() *descriptor.Collection {
 // fuzzClusters derives a random clustering and heat vector from the fuzz
 // inputs: cluster sizes and heats come from a seeded rand.Rand, so the
 // same inputs always reproduce the same case. Roughly one case in five
-// gets an all-zero heat (the documented empty-sample fallback), and
-// individual heats are occasionally negative to exercise the clamp.
+// gets an all-zero heat (the documented empty-sample fallback).
 func fuzzClusters(nclRaw uint8, seed int64) ([]*cluster.Cluster, []float64) {
 	coll := fuzzColl()
 	rng := rand.New(rand.NewSource(seed))
@@ -53,7 +52,7 @@ func fuzzClusters(nclRaw uint8, seed int64) ([]*cluster.Cluster, []float64) {
 		}
 		clusters[i] = cluster.NewFromMembers(coll, members)
 		if !zeroHeat {
-			heat[i] = rng.Float64()*3 - 0.5 // occasionally negative
+			heat[i] = float64(rng.Intn(4)) // vote counts, as Heat returns: ties are common
 		}
 	}
 	return clusters, heat
@@ -90,98 +89,23 @@ func checkAssignment(t *testing.T, assign [][]int, shards, ncl int) {
 	}
 }
 
-// FuzzPartitionHeated fuzzes the heat-balanced primary placement over
-// random cluster counts, sizes, heats, and shard counts, pinning the
-// properties the tentpole depends on: determinism, every cluster placed
-// exactly once in ascending order, the 1-shard identity, the zero-heat
-// fallback to the byte-balanced Partition, and the greedy heat-load
-// spread bound (no shard exceeds the mean load by more than one
-// cluster's load unit).
-func FuzzPartitionHeated(f *testing.F) {
-	f.Add(uint8(7), uint8(3), int64(1))
-	f.Add(uint8(0), uint8(0), int64(0))
-	f.Add(uint8(31), uint8(7), int64(2005))
-	f.Add(uint8(12), uint8(1), int64(5)) // zero heat (seed%5==0)
-	f.Add(uint8(3), uint8(6), int64(-9)) // fewer clusters than shards
-	f.Fuzz(func(t *testing.T, nclRaw, shardsRaw uint8, seed int64) {
-		clusters, heat := fuzzClusters(nclRaw, seed)
-		shards := 1 + int(shardsRaw)%8
-		dims := fuzzColl().Dims()
-		const pageSize = 4096
-
-		assign, err := PartitionHeated(clusters, shards, dims, pageSize, heat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := PartitionHeated(clusters, shards, dims, pageSize, heat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(assign, again) {
-			t.Fatal("PartitionHeated is not deterministic")
-		}
-		checkAssignment(t, assign, shards, len(clusters))
-
-		if shards == 1 {
-			for ci, got := range assign[0] {
-				if got != ci {
-					t.Fatalf("1-shard partition is not the identity at %d: %v", ci, assign[0])
-				}
-			}
-		}
-
-		if !heatUsable(heat) {
-			plain, err := Partition(clusters, shards, dims, pageSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(assign, plain) {
-				t.Fatal("unusable heat did not fall back to the byte-balanced Partition")
-			}
-			return
-		}
-
-		// Greedy LPT spread bound: when a shard received its last
-		// cluster it was the least loaded, so no shard ends more than
-		// one load unit above the mean.
-		loads := make([]float64, shards)
-		var total, maxUnit float64
-		for s, idxs := range assign {
-			for _, ci := range idxs {
-				h := heat[ci]
-				if h < 0 {
-					h = 0
-				}
-				w := h * float64(chunkfile.PaddedBytes(clusters[ci].Count(), dims, pageSize))
-				loads[s] += w
-				total += w
-				if w > maxUnit {
-					maxUnit = w
-				}
-			}
-		}
-		bound := total/float64(shards) + maxUnit
-		bound += 1e-9 * (total + 1)
-		for s, load := range loads {
-			if load > bound {
-				t.Fatalf("shard %d heat-load %g exceeds greedy bound %g (total %g, max unit %g)",
-					s, load, bound, total, maxUnit)
-			}
-		}
-	})
-}
-
-// FuzzPartitionReplicatedHeated fuzzes the full replicated heat-aware
-// placement, pinning determinism, primary validity, the replica
-// contract — every logical chunk on exactly R distinct shards, no
-// replica co-located with its primary, every replica location resolving
-// to the right cluster in the holder's physical order — and the sidecar
-// round-trip (SavePlacement/LoadPlacement preserves the serving state
-// and drops the build-side state).
-func FuzzPartitionReplicatedHeated(f *testing.F) {
+// FuzzPartitionReplicated fuzzes the replicated placement over random
+// cluster counts, sizes, heats, shard counts and replication factors:
+// byte-balanced primaries with heat-driven (or, on a zero heat,
+// round-robin) replicas. It pins determinism; primaries that are the
+// plain Partition, every cluster placed exactly once in ascending order;
+// the 1-shard identity; the greedy LPT byte bound (no shard exceeds the
+// mean padded bytes by more than one cluster's); R−1 replicas per
+// cluster on distinct shards other than its primary, each resolving to
+// the cluster in the holder's physical order; zero heat placing exactly
+// like nil heat; and the sidecar round trip (SavePlacement/LoadPlacement
+// keeps the serving state and drops the build-side state).
+func FuzzPartitionReplicated(f *testing.F) {
 	f.Add(uint8(7), uint8(3), uint8(1), int64(1))
+	f.Add(uint8(0), uint8(0), uint8(0), int64(0))
 	f.Add(uint8(31), uint8(7), uint8(2), int64(2005))
-	f.Add(uint8(12), uint8(4), uint8(0), int64(5))
+	f.Add(uint8(12), uint8(4), uint8(0), int64(5)) // zero heat (seed%5==0)
+	f.Add(uint8(3), uint8(6), uint8(2), int64(-9)) // fewer clusters than shards
 	f.Add(uint8(20), uint8(2), uint8(9), int64(-3))
 	f.Fuzz(func(t *testing.T, nclRaw, shardsRaw, repRaw uint8, seed int64) {
 		clusters, heat := fuzzClusters(nclRaw, seed)
@@ -193,28 +117,61 @@ func FuzzPartitionReplicatedHeated(f *testing.F) {
 		dims := fuzzColl().Dims()
 		const pageSize = 4096
 
-		p, err := PartitionReplicatedHeated(clusters, shards, rep, dims, pageSize, heat)
+		p, err := PartitionReplicated(clusters, shards, rep, dims, pageSize, heat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := PartitionReplicatedHeated(clusters, shards, rep, dims, pageSize, heat)
+		again, err := PartitionReplicated(clusters, shards, rep, dims, pageSize, heat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(p, again) {
-			t.Fatal("PartitionReplicatedHeated is not deterministic")
+			t.Fatal("PartitionReplicated is not deterministic")
+		}
+		assign, err := Partition(clusters, shards, dims, pageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p.Primary, assign) {
+			t.Fatal("primaries differ from the plain Partition")
 		}
 		checkAssignment(t, p.Primary, shards, len(clusters))
 		if p.R != rep {
 			t.Fatalf("placement R %d, want %d", p.R, rep)
 		}
-		for s := range p.Primary {
-			if p.NumPrimary[s] != len(p.Primary[s]) {
-				t.Fatalf("shard %d NumPrimary %d != %d primaries", s, p.NumPrimary[s], len(p.Primary[s]))
+
+		if shards == 1 {
+			for ci, got := range p.Primary[0] {
+				if got != ci {
+					t.Fatalf("1-shard partition is not the identity at %d: %v", ci, p.Primary[0])
+				}
+			}
+		}
+
+		// Greedy LPT bound: when a shard received its last cluster it
+		// was the lightest, so no shard ends more than one cluster's
+		// padded bytes above the mean.
+		loads := make([]int64, shards)
+		var total, maxUnit int64
+		for s, idxs := range p.Primary {
+			for _, ci := range idxs {
+				b := int64(chunkfile.PaddedBytes(clusters[ci].Count(), dims, pageSize))
+				loads[s] += b
+				total += b
+				maxUnit = max(maxUnit, b)
+			}
+		}
+		for s, load := range loads {
+			if load*int64(shards) > total+maxUnit*int64(shards) {
+				t.Fatalf("shard %d holds %d bytes, over the mean %d plus one cluster's %d",
+					s, load, total/int64(shards), maxUnit)
 			}
 		}
 
 		for s := range p.Primary {
+			if p.NumPrimary[s] != len(p.Primary[s]) {
+				t.Fatalf("shard %d NumPrimary %d != %d primaries", s, p.NumPrimary[s], len(p.Primary[s]))
+			}
 			for i, ci := range p.Primary[s] {
 				locs := p.Replicas[s][i]
 				if len(locs) != rep-1 {
@@ -235,6 +192,18 @@ func FuzzPartitionReplicatedHeated(f *testing.F) {
 					}
 				}
 			}
+		}
+
+		zero, err := PartitionReplicated(clusters, shards, rep, dims, pageSize, make([]float64, len(clusters)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		unsampled, err := PartitionReplicated(clusters, shards, rep, dims, pageSize, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(zero, unsampled) {
+			t.Fatal("all-zero heat placed replicas differently from nil heat")
 		}
 
 		path := filepath.Join(t.TempDir(), PlacementName)
@@ -269,11 +238,11 @@ func FuzzPartitionReplicatedHeated(f *testing.F) {
 	})
 }
 
-// TestHeatZeroFallback pins the documented zero-heat fallback of Heat
-// and its consumers: an empty or nil sample, dimension-mismatched
-// queries, or no clusters yield an all-zero (never fabricated) heat, a
-// topM of zero selects the default of 5 votes per query, and both
-// partition entry points treat an all-zero heat exactly like nil.
+// TestHeatZeroFallback pins the documented zero-heat fallback of Heat:
+// an empty or nil sample, dimension-mismatched queries, or no clusters
+// yield an all-zero (never fabricated) heat, and a topM of zero selects
+// the default of 5 votes per query. FuzzPartitionReplicated pins that
+// an all-zero heat places replicas exactly like nil.
 func TestHeatZeroFallback(t *testing.T) {
 	coll := fuzzColl()
 	rng := rand.New(rand.NewSource(42))
@@ -328,39 +297,10 @@ func TestHeatZeroFallback(t *testing.T) {
 		}
 	}
 
-	// An all-zero heat must behave exactly like nil in both consumers.
-	const pageSize = 4096
-	zeros := make([]float64, len(clusters))
-	heated, err := PartitionHeated(clusters, 3, dims, pageSize, zeros)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Partition(clusters, 3, dims, pageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(heated, plain) {
-		t.Fatal("all-zero heat did not fall back to byte-balanced Partition")
-	}
-	pz, err := PartitionReplicatedHeated(clusters, 3, 2, dims, pageSize, zeros)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pn, err := PartitionReplicatedHeated(clusters, 3, 2, dims, pageSize, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pz, pn) {
-		t.Fatal("all-zero heat placed replicas differently from nil heat")
-	}
-
 	// A heat vector of the wrong length is a build error, not a silent
 	// reinterpretation.
-	if _, err := PartitionHeated(clusters, 3, dims, pageSize, zeros[:3]); err == nil {
-		t.Fatal("PartitionHeated accepted a mismatched heat length")
-	}
-	if _, err := PartitionReplicatedHeated(clusters, 3, 2, dims, pageSize, zeros[:3]); err == nil {
-		t.Fatal("PartitionReplicatedHeated accepted a mismatched heat length")
+	if _, err := PartitionReplicated(clusters, 3, 2, dims, 4096, make([]float64, 3)); err == nil {
+		t.Fatal("PartitionReplicated accepted a mismatched heat length")
 	}
 }
 

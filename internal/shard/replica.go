@@ -79,62 +79,25 @@ type Placement struct {
 // Heat) and round-robin otherwise. A shard's physical chunk order is its
 // ascending primaries followed by its replicas in placement order.
 func PartitionReplicated(clusters []*cluster.Cluster, shards, replication, dims, pageSize int, heat []float64) (*Placement, error) {
-	if err := validateReplication(clusters, shards, replication, heat); err != nil {
-		return nil, err
+	if replication < 1 {
+		return nil, fmt.Errorf("shard: replication factor %d < 1", replication)
+	}
+	if replication > shards {
+		return nil, fmt.Errorf("shard: replication factor %d > shard count %d", replication, shards)
+	}
+	if replication > 1 && shards > MaxShards {
+		return nil, fmt.Errorf("shard: replicated layouts support at most %d shards, got %d", MaxShards, shards)
+	}
+	if heat != nil && len(heat) != len(clusters) {
+		return nil, fmt.Errorf("shard: heat length %d != cluster count %d", len(heat), len(clusters))
 	}
 	assign, err := Partition(clusters, shards, dims, pageSize)
 	if err != nil {
 		return nil, err
 	}
-	return placeReplicas(clusters, assign, shards, replication, dims, pageSize, heat)
-}
-
-// PartitionReplicatedHeated is PartitionReplicated with heat-aware
-// *primary* balancing: the primaries come from PartitionHeated — load
-// unit heat × padded bytes — instead of the byte-balanced Partition,
-// and the replicas place exactly as in PartitionReplicated (hottest
-// first onto the least-heat-loaded shard). Healthy results under this
-// layout are correct and deterministic but not byte-identical to the
-// byte-balanced layout's, because the chunk→shard assignment differs;
-// the facade therefore does not expose it, and the skew experiment is
-// its caller. With a
-// nil or all-zero heat both halves fall back to their heat-free
-// behavior and the result equals PartitionReplicated's.
-func PartitionReplicatedHeated(clusters []*cluster.Cluster, shards, replication, dims, pageSize int, heat []float64) (*Placement, error) {
-	if err := validateReplication(clusters, shards, replication, heat); err != nil {
-		return nil, err
-	}
-	assign, err := PartitionHeated(clusters, shards, dims, pageSize, heat)
-	if err != nil {
-		return nil, err
-	}
-	return placeReplicas(clusters, assign, shards, replication, dims, pageSize, heat)
-}
-
-// validateReplication checks the shared preconditions of the replicated
-// partition entry points.
-func validateReplication(clusters []*cluster.Cluster, shards, replication int, heat []float64) error {
-	if replication < 1 {
-		return fmt.Errorf("shard: replication factor %d < 1", replication)
-	}
-	if replication > shards {
-		return fmt.Errorf("shard: replication factor %d > shard count %d", replication, shards)
-	}
-	if replication > 1 && shards > MaxShards {
-		return fmt.Errorf("shard: replicated layouts support at most %d shards, got %d", MaxShards, shards)
-	}
-	if heat != nil && len(heat) != len(clusters) {
-		return fmt.Errorf("shard: heat length %d != cluster count %d", len(heat), len(clusters))
-	}
-	return nil
-}
-
-// placeReplicas builds the Placement over an already-chosen primary
-// assignment: hottest-first replica placement when heat carries signal,
-// round-robin otherwise. An all-zero heat is normalized to nil here — an
-// empty workload sample must behave exactly like no sample (round-robin
-// replicas), not silently steer the greedy with all-equal votes.
-func placeReplicas(clusters []*cluster.Cluster, assign [][]int, shards, replication, dims, pageSize int, heat []float64) (*Placement, error) {
+	// An all-zero heat is normalized to nil: an empty workload sample
+	// must behave exactly like no sample (round-robin replicas), not
+	// silently steer the greedy with all-equal votes.
 	if !heatUsable(heat) {
 		heat = nil
 	}
@@ -233,15 +196,14 @@ func heatFor(heat []float64, ci int) float64 {
 // each sample query votes for the topM clusters nearest its descriptor
 // (by centroid distance, the same ranking the search walks), and a
 // cluster's heat is its vote count. The result feeds the hottest-first
-// replica placement of PartitionReplicated and the heat-balanced primary
-// assignment of PartitionHeated. A topM of zero or less selects the
-// default of 5 votes per query; a topM above the cluster count is capped
-// at it.
+// replica placement of PartitionReplicated. A topM of zero or less
+// selects the default of 5 votes per query; a topM above the cluster
+// count is capped at it.
 //
 // Zero-heat fallback: a nil or empty sample returns all zeros — no skew
-// signal, never a fabricated one — and both consumers treat an all-zero
-// heat exactly like a nil heat (round-robin replicas, byte-balanced
-// primaries), so an empty sample can never silently skew a layout.
+// signal, never a fabricated one — and PartitionReplicated treats an
+// all-zero heat exactly like a nil heat (round-robin replicas), so an
+// empty sample can never silently skew a layout.
 // Sample queries whose dimensionality does not match the clusters' are
 // skipped for the same reason: a malformed recording must not vote. If
 // every query is skipped the result is again all zeros.
