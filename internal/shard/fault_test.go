@@ -421,6 +421,31 @@ func TestPlacementSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPlacementReplicationCapped pins that a router refuses a placement
+// with more copies of a chunk than the failover read path can track
+// (MaxShards): 65 one-chunk shards, each chunk replicated on all 64
+// others. Accepting it would let a read whose 65th candidate fails
+// transiently retry that candidate forever.
+func TestPlacementReplicationCapped(t *testing.T) {
+	ds, clusters := fixture(t, 2000, 67, 130)
+	const shards = MaxShards + 1
+	p := &Placement{R: shards, NumPrimary: make([]int, shards), Replicas: make([][][]ChunkLoc, shards)}
+	stores := make([]chunkfile.Store, shards)
+	for s := range stores {
+		stores[s] = chunkfile.NewMemStore(ds.Collection, clusters[:1], 4096)
+		p.NumPrimary[s] = 1
+		p.Replicas[s] = [][]ChunkLoc{nil}
+		for t := range stores {
+			if t != s {
+				p.Replicas[s][0] = append(p.Replicas[s][0], ChunkLoc{Shard: int32(t)})
+			}
+		}
+	}
+	if _, err := NewRouter(stores, p, nil, RouterOptions{}); !errors.Is(err, errReplicationCap) {
+		t.Fatalf("NewRouter over an R=%d placement: err %v, want %v", shards, err, errReplicationCap)
+	}
+}
+
 // TestReplicatedConcurrentKill exercises the failover path under -race:
 // a shard dies while a batch workload is mid-flight on several
 // goroutines; every query must still complete without error, and any

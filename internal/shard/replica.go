@@ -36,7 +36,8 @@ import (
 	"repro/internal/vec"
 )
 
-// MaxShards caps the shard count of a replicated layout: the failover
+// MaxShards caps the shard count of a replicated layout and the
+// replication factor of any placement a router accepts: the failover
 // read path tracks tried candidates in a 64-bit set.
 const MaxShards = 64
 

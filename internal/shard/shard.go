@@ -135,12 +135,19 @@ func NewRouter(stores []chunkfile.Store, placement *Placement, model *simdisk.Mo
 	return r, nil
 }
 
+// errReplicationCap refuses a placement with more copies of a chunk than
+// readChunk's 64-bit tried set can track.
+var errReplicationCap = fmt.Errorf("more than %d copies of a chunk", MaxShards)
+
 // validatePlacement cross-checks a placement against the physical
 // stores, so a stale or corrupt sidecar fails at router construction
 // with a diagnostic error instead of an out-of-range read mid-query.
 func validatePlacement(stores []chunkfile.Store, p *Placement) error {
 	if p.R < 1 {
 		return fmt.Errorf("shard: placement replication factor %d < 1", p.R)
+	}
+	if p.R > MaxShards {
+		return fmt.Errorf("shard: placement replication factor %d: %w", p.R, errReplicationCap)
 	}
 	if len(p.NumPrimary) != len(stores) || len(p.Replicas) != len(stores) {
 		return fmt.Errorf("shard: placement describes %d shards, router has %d", len(p.NumPrimary), len(stores))
