@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -50,17 +51,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-n %d and -queries %d must not be negative", *nFlag, *qFlag)
 	}
 
-	valid := map[string]bool{"all": true}
-	for _, name := range known {
-		valid[name] = true
-	}
 	want := map[string]bool{}
 	for _, e := range strings.Split(*expFlag, ",") {
 		name := strings.TrimSpace(e)
 		if name == "" {
 			continue
 		}
-		if !valid[name] {
+		if name != "all" && !slices.Contains(known, name) {
 			return fmt.Errorf("unknown experiment %q (known: %s, all)", name, strings.Join(known, ", "))
 		}
 		want[name] = true

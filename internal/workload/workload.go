@@ -5,7 +5,9 @@
 // ("space queries") are synthesized from the value distribution of the
 // collection: for each dimension the top and bottom 5% of values are
 // discarded and queries draw uniformly from the remaining range,
-// simulating queries with no match in the collection.
+// simulating queries with no match in the collection. Zipf adds a third,
+// skewed workload: dataset queries repeated with Zipf popularity, as a
+// replica-placement sample or a hot-cache benchmark pool.
 package workload
 
 import (
