@@ -107,6 +107,10 @@ func FuzzPartitionReplicated(f *testing.F) {
 	f.Add(uint8(12), uint8(4), uint8(0), int64(5)) // zero heat (seed%5==0)
 	f.Add(uint8(3), uint8(6), uint8(2), int64(-9)) // fewer clusters than shards
 	f.Add(uint8(20), uint8(2), uint8(9), int64(-3))
+	// Unreplicated (R=1) cases: primaries and sidecar alone.
+	f.Add(uint8(7), uint8(3), uint8(0), int64(1))
+	f.Add(uint8(31), uint8(7), uint8(0), int64(2005))
+	f.Add(uint8(12), uint8(1), uint8(0), int64(5))
 	f.Fuzz(func(t *testing.T, nclRaw, shardsRaw, repRaw uint8, seed int64) {
 		clusters, heat := fuzzClusters(nclRaw, seed)
 		shards := 1 + int(shardsRaw)%8
