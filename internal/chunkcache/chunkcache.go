@@ -32,9 +32,7 @@
 // The cache is a wall-clock optimization only: simulated timings are
 // charged by the search layers from chunk metadata, never by stores, so
 // results and simulated costs are byte-identical cache-on vs cache-off
-// (the facade's equivalence tests pin this). The *simulated* counterpart
-// — what the 2005 machine would gain from RAM-resident chunks — is
-// simdisk.CacheTier.
+// (the facade's equivalence tests pin this).
 package chunkcache
 
 import (

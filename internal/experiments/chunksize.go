@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/chunkfile"
 	"repro/internal/metrics"
@@ -49,7 +50,9 @@ func ChunkSizeSweep(points, minSize, maxSize, collectionSize int) []int {
 
 // Figure67 runs Experiment 2 (§5.6) on the given workload: SR-tree chunk
 // indexes over the SMALL retained collection (the paper uses the 4,471,532
-// retained descriptors) for each chunk size in the sweep.
+// retained descriptors) for each chunk size in the sweep. With no
+// neighbor counts it plots the paper's counts up to the lab's k; a count
+// outside 1..k is an error.
 func Figure67(lab *Lab, workloadName string, chunkSizes []int, neighbors []int) (*Figure67Result, error) {
 	if len(lab.Grans) == 0 {
 		return nil, fmt.Errorf("experiments: lab has no granularities")
@@ -63,7 +66,7 @@ func Figure67(lab *Lab, workloadName string, chunkSizes []int, neighbors []int) 
 		chunkSizes = ChunkSizeSweep(16, 100, 100000, len(g.RetainedIdx))
 	}
 	if len(neighbors) == 0 {
-		neighbors = []int{1, 10, 20, 25, 28, 30}
+		neighbors = slices.DeleteFunc([]int{1, 10, 20, 25, 28, 30}, func(n int) bool { return n > lab.Cfg.K })
 	}
 	res := &Figure67Result{
 		Workload:   workloadName,
@@ -77,6 +80,9 @@ func Figure67(lab *Lab, workloadName string, chunkSizes []int, neighbors []int) 
 		res.Title = "Figure 7: Effect of different chunk sizes (SQ)"
 	}
 	for _, n := range neighbors {
+		if n < 1 || n > lab.Cfg.K {
+			return nil, fmt.Errorf("experiments: neighbor count %d outside 1..k=%d", n, lab.Cfg.K)
+		}
 		name := fmt.Sprintf("%d neighbors", n)
 		res.Order = append(res.Order, name)
 		res.Series[name] = make([]float64, len(chunkSizes))

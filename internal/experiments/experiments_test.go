@@ -221,6 +221,9 @@ func TestFigure67(t *testing.T) {
 			t.Fatalf("%s: %d points", name, len(ys))
 		}
 	}
+	if _, err := Figure67(lab, "DQ", sizes, []int{lab.Cfg.K + 1}); err == nil {
+		t.Fatalf("neighbor count %d > k=%d accepted", lab.Cfg.K+1, lab.Cfg.K)
+	}
 	var buf bytes.Buffer
 	res.Render(&buf)
 	if buf.Len() == 0 {
@@ -402,5 +405,23 @@ func TestLessons(t *testing.T) {
 	res.Render(&buf)
 	if !strings.Contains(buf.String(), "lessons") {
 		t.Fatal("render missing title")
+	}
+}
+
+// TestSectionsOnTinyLab renders every section cmd/experiment prints on
+// the tiny lab, whose k of 10 is below several of the paper's plotted
+// neighbor counts: a section must plot what its lab's k allows, not
+// index past it.
+func TestSectionsOnTinyLab(t *testing.T) {
+	lab := getLab(t)
+	var buf bytes.Buffer
+	for _, sec := range Sections {
+		buf.Reset()
+		if err := sec.Render(lab, &buf); err != nil {
+			t.Fatalf("%s: %v", sec.Name, err)
+		}
+		if buf.Len() == 0 {
+			t.Fatalf("%s: empty render", sec.Name)
+		}
 	}
 }

@@ -14,10 +14,11 @@ var update = flag.Bool("update", false, "rewrite testdata/paper.golden from the 
 // TestPaperGolden pins the reproduction's output: every section
 // cmd/experiment prints, on the lab of `experiment -n 8000 -queries 40`,
 // byte for byte against testdata/paper.golden. The tiny lab cannot stand
-// in: its k of 10 leaves Figures 1, 6 and 7 without the neighbor counts
-// they plot, and n=4000 fails BAG's threshold check. Wall-clock values
-// print through wallf, which the test masks, so everything else — every
-// simulated second, recall, chunk count and lesson verdict — is pinned.
+// in: its k of 10 drops the neighbor counts above 10 that Figures 6 and
+// 7 plot (TestSectionsOnTinyLab renders it), and n=4000 fails BAG's
+// threshold check. Wall-clock values print through wallf, which the test
+// masks, so everything else — every simulated second, recall, chunk
+// count and lesson verdict — is pinned.
 // -update rewrites the file.
 func TestPaperGolden(t *testing.T) {
 	cfg := DefaultConfig()

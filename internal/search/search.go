@@ -535,7 +535,7 @@ func (w *Walk) Charge(res *Result, stall time.Duration) (done bool) {
 	rc := &w.ranked[w.pos]
 	m := &p.metas[rc.Idx]
 	machine := w.stall(stall)
-	elapsed := max(res.Elapsed, w.pipes[machine].ChunkAt(rc.Idx, m.Bytes, m.Count))
+	elapsed := max(res.Elapsed, w.pipes[machine].Chunk(m.Bytes, m.Count))
 	res.ChunksRead++
 	res.Elapsed = elapsed
 	w.reads[machine]++

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/chunkfile"
 	"repro/internal/cluster"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/imagegen"
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
-	"repro/internal/simdisk"
 	"repro/internal/vec"
 )
 
@@ -206,66 +204,5 @@ func TestRouterCacheRecovery(t *testing.T) {
 	sameAnswer(t, "recovered", &res, &healthy)
 	if faults[dead].Reads() == readsAtRevive {
 		t.Fatal("recovered shard still served from the pre-death cache (stale rows)")
-	}
-}
-
-// TestModelCacheTierKeysFleetChunks pins that the modelled cache tier
-// (simdisk.CacheTier, sized by Chunks) is keyed by the fleet-wide chunk
-// index: after a profiling pass promotes the hottest chunks, a per-shard
-// walk charges a chunk its CPU scan alone exactly when that chunk was
-// promoted — never because the chunk with the same local index on the
-// other shard was. The replay charges each shard's own best chunks by
-// hand.
-func TestModelCacheTierKeysFleetChunks(t *testing.T) {
-	ds, clusters := fixture(t, 3000, 59, 120)
-	coll := ds.Collection
-	const budget = 3
-	r := routerOver(t, ds, clusters, 2, 4096)
-	model := *simdisk.Default2005()
-	tier := simdisk.NewCacheTier(r.Chunks())
-	model.Cache = tier
-	queries := make([]vec.Vector, 40)
-	for i := range queries {
-		queries[i] = coll.Vec(i * 73)
-	}
-	opts := batchexec.Options{K: 10, Stop: search.ChunkBudget(budget), Model: &model}
-	if err := r.RunBatch(queries, opts, make([]search.Result, len(queries))); err != nil {
-		t.Fatal(err)
-	}
-	tier.SetResidentTopFraction(0.25)
-	tier.ResetStats()
-
-	var hits, runHits int64
-	twins := 0 // charged chunks whose local twin on shard 0 differs in residency
-	var res search.Result
-	for qi, q := range queries {
-		before := tier.Hits()
-		if err := one(r.RunBatch, q, opts, &res); err != nil {
-			t.Fatal(err)
-		}
-		runHits += tier.Hits() - before
-		var elapsed time.Duration
-		for s, offset := 0, 0; s < r.Shards(); s++ {
-			st := r.Store(s)
-			p := simdisk.NewPipeline(&model, false, model.IndexReadTime(len(st.Meta()), chunkfile.EntrySize(st.Dims())))
-			for _, rc := range search.RankChunks(q, st.Meta(), nil)[:budget] {
-				resident := tier.Resident(offset + rc.Idx)
-				if resident {
-					hits++
-				}
-				if resident != tier.Resident(rc.Idx) {
-					twins++
-				}
-				p.ChunkAt(offset+rc.Idx, st.Meta()[rc.Idx].Bytes, st.Meta()[rc.Idx].Count)
-			}
-			elapsed = max(elapsed, p.Elapsed())
-			offset += len(st.Meta())
-		}
-		if res.Elapsed != elapsed {
-			t.Fatalf("q%d: Elapsed %v, replay by fleet chunk %v", qi, res.Elapsed, elapsed)
-		}
-	}
-	if runHits != hits || twins == 0 {
-		t.Fatalf("tier hits %d, replay %d (%d charges a local-index key would misjudge)", runHits, hits, twins)
 	}
 }

@@ -41,11 +41,6 @@ type Model struct {
 	// SortEntryCost is the per-comparison cost of ranking the chunk index;
 	// the ranking costs n·log₂(n) comparisons.
 	SortEntryCost time.Duration
-	// Cache, when non-nil, marks some chunks as RAM-resident: a
-	// Pipeline.ChunkAt charge for a resident chunk pays only the CPU
-	// scan, no seek or transfer (see CacheTier). A nil Cache leaves every
-	// charge exactly as before.
-	Cache *CacheTier
 }
 
 // Default2005 returns the calibrated model described in the package
