@@ -33,7 +33,7 @@ func faultOpts() []SearchOptions {
 func TestReplicatedIndexSurvivesShardDown(t *testing.T) {
 	coll := GenerateCollection(6000, 51)
 	cfg := BuildConfig{Strategy: StrategySRTree, ChunkSize: 250}
-	sx, err := BuildReplicated(coll, cfg, 3, 2, nil)
+	sx, err := BuildReplicated(coll, cfg, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,7 @@ func checkDegraded(t *testing.T, coll *Collection, sx *ShardedIndex, kill int) {
 // held down.
 func TestReplicatedSaveOpenRoundTrip(t *testing.T) {
 	coll := GenerateCollection(5000, 91)
-	sample, err := DatasetQueries(coll, 32, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sx, err := BuildReplicated(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 4, 2, sample)
+	sx, err := BuildReplicated(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

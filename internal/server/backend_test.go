@@ -146,7 +146,7 @@ func faultedRouter(t testing.TB, n int, seed int64, shards, replication int, cfg
 		t.Fatal(err)
 	}
 	clusters := tree.Chunks()
-	p, err := shard.PartitionReplicated(clusters, shards, replication, coll.Dims(), pageSize, nil)
+	p, err := shard.PartitionReplicated(clusters, shards, replication, coll.Dims(), pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,18 +69,6 @@ func Partition(clusters []*cluster.Cluster, shards, dims, pageSize int) ([][]int
 	return assign, nil
 }
 
-// heatUsable reports whether a heat vector carries any skew signal: a
-// nil heat, an empty one, or one with no positive entry is unusable, and
-// replica placement falls back to round-robin.
-func heatUsable(heat []float64) bool {
-	for _, h := range heat {
-		if h > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Select materializes one shard of an assignment: the clusters at the
 // given indexes, in assignment order.
 func Select(clusters []*cluster.Cluster, idxs []int) []*cluster.Cluster {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
 	"repro/internal/vec"
+	"repro/internal/workload"
 )
 
 // cachedRouterOver is routerOver with a decoded-chunk cache configured.
@@ -136,7 +137,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 	coll := ds.Collection
 	const shards, pageSize, k, dead = 3, 4096, 15, 1
 
-	p, err := PartitionReplicated(clusters, shards, 1, coll.Dims(), pageSize, nil)
+	p, err := PartitionReplicated(clusters, shards, 1, coll.Dims(), pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,5 +205,41 @@ func TestRouterCacheRecovery(t *testing.T) {
 	sameAnswer(t, "recovered", &res, &healthy)
 	if faults[dead].Reads() == readsAtRevive {
 		t.Fatal("recovered shard still served from the pre-death cache (stale rows)")
+	}
+}
+
+// TestReplicaDoesNotSplitCache pins that a replica is a failover copy,
+// not a second cache entry: one Zipf query stream, run twice through R=1
+// and R=2 routers over the same clustering under the same cache budget,
+// scores the same number of cache hits. A healthy replicated router reads
+// only primaries, so its shared cache holds each hot chunk once.
+func TestReplicaDoesNotSplitCache(t *testing.T) {
+	ds, clusters := fixture(t, 20000, 89, 250)
+	const shards, pageSize, budget = 4, 4096, int64(2 << 20)
+	queries, err := workload.Zipf(ds.Collection, 200, 1.1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := batchexec.Options{K: 20, Stop: search.ChunkBudget(5)}
+	var hits [2]int64
+	for ri, replication := range []int{1, 2} {
+		r, _, _ := replicatedRouterOver(t, ds, clusters, shards, replication, pageSize, faultstore.Config{}, RouterOptions{CacheBytes: budget})
+		var res search.Result
+		for pass := 0; pass < 2; pass++ {
+			for _, q := range queries {
+				if err := one(r.RunBatch, q, opts, &res); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		st := r.CacheStats()
+		if st.Hits == 0 || st.Evictions == 0 {
+			t.Fatalf("R=%d: cache stats %+v: the budget must be hit and bind", replication, st)
+		}
+		hits[ri] = st.Hits
+		r.Close()
+	}
+	if hits[0] != hits[1] {
+		t.Fatalf("cache hits: R=1 %d, R=2 %d; a replica split the cache", hits[0], hits[1])
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
 	"repro/internal/vec"
+	"repro/internal/workload"
 )
 
 // faultSeed returns the deterministic fault seed for this run: the
@@ -46,7 +47,7 @@ func faultSeed(t testing.TB) int64 {
 func replicatedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster, shards, replication, pageSize int, cfg faultstore.Config, opts RouterOptions) (*Router, []*faultstore.Store, []*attemptLog) {
 	t.Helper()
 	coll := ds.Collection
-	p, err := PartitionReplicated(clusters, shards, replication, coll.Dims(), pageSize, nil)
+	p, err := PartitionReplicated(clusters, shards, replication, coll.Dims(), pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,73 +328,62 @@ func TestTransientRetriesNeverDoubleBill(t *testing.T) {
 // TestPartitionReplicatedInvariants checks the placement: primaries are
 // the plain Partition unchanged, every cluster gets R−1 replicas on
 // distinct shards none of which is its primary, replica locations name
-// the right physical chunks, and the whole procedure is deterministic —
-// with and without a workload heat profile.
+// the right physical chunks, and the whole procedure is deterministic.
 func TestPartitionReplicatedInvariants(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 53, 130)
 	coll := ds.Collection
 	const shards, pageSize, R = 5, 4096, 3
 
-	sample := make([]vec.Vector, 40)
-	for i := range sample {
-		sample[i] = coll.Vec(i * 97)
-	}
-	heats := [][]float64{nil, Heat(clusters, sample, 0)}
-
 	assign, err := Partition(clusters, shards, coll.Dims(), pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for hi, heat := range heats {
-		p, err := PartitionReplicated(clusters, shards, R, coll.Dims(), pageSize, heat)
-		if err != nil {
-			t.Fatal(err)
+	p, err := PartitionReplicated(clusters, shards, R, coll.Dims(), pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p.Primary, assign) {
+		t.Fatal("primaries differ from plain Partition")
+	}
+	replicated := 0
+	for s := range p.Replicas {
+		if p.NumPrimary[s] != len(assign[s]) {
+			t.Fatalf("shard %d: NumPrimary %d != %d", s, p.NumPrimary[s], len(assign[s]))
 		}
-		if !reflect.DeepEqual(p.Primary, assign) {
-			t.Fatalf("heat %d: primaries differ from plain Partition", hi)
-		}
-		replicated := 0
-		for s := range p.Replicas {
-			if p.NumPrimary[s] != len(assign[s]) {
-				t.Fatalf("heat %d shard %d: NumPrimary %d != %d", hi, s, p.NumPrimary[s], len(assign[s]))
+		for i, locs := range p.Replicas[s] {
+			if len(locs) != R-1 {
+				t.Fatalf("shard %d chunk %d: %d replicas, want %d", s, i, len(locs), R-1)
 			}
-			for i, locs := range p.Replicas[s] {
-				if len(locs) != R-1 {
-					t.Fatalf("heat %d shard %d chunk %d: %d replicas, want %d", hi, s, i, len(locs), R-1)
+			ci := assign[s][i]
+			seen := map[int32]bool{int32(s): true}
+			for _, loc := range locs {
+				if seen[loc.Shard] {
+					t.Fatalf("cluster %d: replica shard %d repeats a placement", ci, loc.Shard)
 				}
-				ci := assign[s][i]
-				var seen uint64
-				seen |= 1 << s
-				for _, loc := range locs {
-					if seen&(1<<loc.Shard) != 0 {
-						t.Fatalf("heat %d cluster %d: replica shard %d repeats a placement", hi, ci, loc.Shard)
-					}
-					seen |= 1 << loc.Shard
-					ext := int(loc.Chunk) - p.NumPrimary[loc.Shard]
-					if ext < 0 || ext >= len(p.Extra[loc.Shard]) || p.Extra[loc.Shard][ext] != ci {
-						t.Fatalf("heat %d cluster %d: replica loc %+v does not hold the cluster", hi, ci, loc)
-					}
-					replicated++
+				seen[loc.Shard] = true
+				ext := int(loc.Chunk) - p.NumPrimary[loc.Shard]
+				if ext < 0 || ext >= len(p.Extra[loc.Shard]) || p.Extra[loc.Shard][ext] != ci {
+					t.Fatalf("cluster %d: replica loc %+v does not hold the cluster", ci, loc)
 				}
+				replicated++
 			}
-		}
-		if replicated != (R-1)*len(clusters) {
-			t.Fatalf("heat %d: %d replicas placed, want %d", hi, replicated, (R-1)*len(clusters))
-		}
-		again, err := PartitionReplicated(clusters, shards, R, coll.Dims(), pageSize, heat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(p, again) {
-			t.Fatalf("heat %d: placement not deterministic", hi)
 		}
 	}
+	if replicated != (R-1)*len(clusters) {
+		t.Fatalf("%d replicas placed, want %d", replicated, (R-1)*len(clusters))
+	}
+	again, err := PartitionReplicated(clusters, shards, R, coll.Dims(), pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p, again) {
+		t.Fatal("placement not deterministic")
+	}
 
-	if _, err := PartitionReplicated(clusters, 3, 4, coll.Dims(), pageSize, nil); err == nil {
+	if _, err := PartitionReplicated(clusters, 3, 4, coll.Dims(), pageSize); err == nil {
 		t.Fatal("replication > shards accepted")
 	}
-	if _, err := PartitionReplicated(clusters, 3, 0, coll.Dims(), pageSize, nil); err == nil {
+	if _, err := PartitionReplicated(clusters, 3, 0, coll.Dims(), pageSize); err == nil {
 		t.Fatal("replication 0 accepted")
 	}
 }
@@ -401,7 +391,7 @@ func TestPartitionReplicatedInvariants(t *testing.T) {
 // TestPlacementSaveLoadRoundTrip pins the placement sidecar format.
 func TestPlacementSaveLoadRoundTrip(t *testing.T) {
 	ds, clusters := fixture(t, 2000, 61, 130)
-	p, err := PartitionReplicated(clusters, 4, 2, ds.Collection.Dims(), 4096, nil)
+	p, err := PartitionReplicated(clusters, 4, 2, ds.Collection.Dims(), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,18 +411,22 @@ func TestPlacementSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlacementReplicationCapped pins that a router refuses a placement
-// with more copies of a chunk than the failover read path can track
-// (MaxShards): 65 one-chunk shards, each chunk replicated on all 64
-// others. Accepting it would let a read whose 65th candidate fails
-// transiently retry that candidate forever.
-func TestPlacementReplicationCapped(t *testing.T) {
+// TestFailoverTerminatesAfterEveryCopy pins that a read tries each copy
+// of a chunk once, under the retry policy, and then gives up: 65
+// one-chunk shards, each chunk replicated on all 64 others, every read
+// failing transiently. The read must return ErrAllReplicasDown after
+// exactly readAttempts attempts per copy, with no shard marked down —
+// however many copies a placement names, failover never retries a copy
+// forever.
+func TestFailoverTerminatesAfterEveryCopy(t *testing.T) {
 	ds, clusters := fixture(t, 2000, 67, 130)
-	const shards = MaxShards + 1
+	const shards = 65
 	p := &Placement{R: shards, NumPrimary: make([]int, shards), Replicas: make([][][]ChunkLoc, shards)}
 	stores := make([]chunkfile.Store, shards)
+	faults := make([]*faultstore.Store, shards)
 	for s := range stores {
-		stores[s] = chunkfile.NewMemStore(ds.Collection, clusters[:1], 4096)
+		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(ds.Collection, clusters[:1], 4096), faultstore.Config{TransientProb: 1})
+		stores[s] = faults[s]
 		p.NumPrimary[s] = 1
 		p.Replicas[s] = [][]ChunkLoc{nil}
 		for t := range stores {
@@ -441,8 +435,71 @@ func TestPlacementReplicationCapped(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewRouter(stores, p, nil, RouterOptions{}); !errors.Is(err, errReplicationCap) {
-		t.Fatalf("NewRouter over an R=%d placement: err %v, want %v", shards, err, errReplicationCap)
+	r, err := NewRouter(stores, p, nil, RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data chunkfile.Data
+	if err := r.readChunk(0, 0, &data); !errors.Is(err, ErrAllReplicasDown) {
+		t.Fatalf("read with every copy failing: err %v, want %v", err, ErrAllReplicasDown)
+	}
+	for s, f := range faults {
+		if f.Reads() != readAttempts {
+			t.Fatalf("shard %d: %d read attempts, want %d", s, f.Reads(), readAttempts)
+		}
+	}
+	if r.DownShards() != 0 {
+		t.Fatalf("transient failures marked %d shards down", r.DownShards())
+	}
+	if data.Stall <= 0 {
+		t.Fatalf("failed attempts billed no stall (%v)", data.Stall)
+	}
+}
+
+// TestReplicatedOneDownSpreadsReads pins the declustered placement: with
+// any one shard of a 4-shard R=2 index down, the replicas of its chunks
+// are spread over the survivors, so a Zipf stream leaves their served
+// reads within max/mean 1.25. Replicas placed round-robin — every
+// replica of shard p on shard p+1 — would load one survivor with the
+// dead shard's whole share, about 1.5.
+func TestReplicatedOneDownSpreadsReads(t *testing.T) {
+	ds, clusters := fixture(t, 20000, 83, 250)
+	const shards, pageSize = 4, 4096
+	queries, err := workload.Zipf(ds.Collection, 400, 1.1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
+	defer r.Close()
+	opts := batchexec.Options{K: 20, Stop: search.ChunkBudget(5)}
+	var res search.Result
+	for down := 0; down < shards; down++ {
+		r.ResetHealth()
+		r.MarkShardDown(down)
+		for _, q := range queries {
+			if err := one(r.RunBatch, q, opts, &res); err != nil {
+				t.Fatal(err)
+			}
+			if res.Degraded {
+				t.Fatalf("shard %d down: R=2 query degraded", down)
+			}
+		}
+		var sum, most int64
+		for s, ld := range r.ShardLoads(nil) {
+			if s == down {
+				if ld.Reads != 0 {
+					t.Fatalf("shard %d is down yet served %d reads", s, ld.Reads)
+				}
+				continue
+			}
+			sum += ld.Reads
+			most = max(most, ld.Reads)
+		}
+		ratio := float64(most) * (shards - 1) / float64(sum)
+		t.Logf("shard %d down: survivors' reads max/mean %.3f", down, ratio)
+		if ratio > 1.25 {
+			t.Fatalf("shard %d down: survivors' reads max/mean %.3f > 1.25 (%+v)", down, ratio, r.ShardLoads(nil))
+		}
 	}
 }
 

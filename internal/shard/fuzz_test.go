@@ -13,12 +13,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/descriptor"
 	"repro/internal/imagegen"
-	"repro/internal/vec"
 )
 
 // fuzzColl lazily builds the one small collection every fuzz iteration
-// draws its cluster members from; the clusters themselves (sizes, heats,
-// shard and replication counts) are derived per-iteration from the fuzz
+// draws its cluster members from; the clusters themselves (sizes, shard
+// and replication counts) are derived per-iteration from the fuzz
 // inputs.
 var fuzzFixture struct {
 	once sync.Once
@@ -33,17 +32,14 @@ func fuzzColl() *descriptor.Collection {
 	return fuzzFixture.coll
 }
 
-// fuzzClusters derives a random clustering and heat vector from the fuzz
-// inputs: cluster sizes and heats come from a seeded rand.Rand, so the
-// same inputs always reproduce the same case. Roughly one case in five
-// gets an all-zero heat (the documented empty-sample fallback).
-func fuzzClusters(nclRaw uint8, seed int64) ([]*cluster.Cluster, []float64) {
+// fuzzClusters derives a random clustering from the fuzz inputs: cluster
+// sizes and members come from a seeded rand.Rand, so the same inputs
+// always reproduce the same case.
+func fuzzClusters(nclRaw uint8, seed int64) []*cluster.Cluster {
 	coll := fuzzColl()
 	rng := rand.New(rand.NewSource(seed))
 	ncl := 1 + int(nclRaw)%32
 	clusters := make([]*cluster.Cluster, ncl)
-	heat := make([]float64, ncl)
-	zeroHeat := seed%5 == 0
 	for i := range clusters {
 		count := 1 + rng.Intn(40)
 		members := make([]int, count)
@@ -51,11 +47,8 @@ func fuzzClusters(nclRaw uint8, seed int64) ([]*cluster.Cluster, []float64) {
 			members[m] = rng.Intn(coll.Len())
 		}
 		clusters[i] = cluster.NewFromMembers(coll, members)
-		if !zeroHeat {
-			heat[i] = float64(rng.Intn(4)) // vote counts, as Heat returns: ties are common
-		}
 	}
-	return clusters, heat
+	return clusters
 }
 
 // checkAssignment asserts the structural invariants every primary
@@ -90,21 +83,22 @@ func checkAssignment(t *testing.T, assign [][]int, shards, ncl int) {
 }
 
 // FuzzPartitionReplicated fuzzes the replicated placement over random
-// cluster counts, sizes, heats, shard counts and replication factors:
-// byte-balanced primaries with heat-driven (or, on a zero heat,
-// round-robin) replicas. It pins determinism; primaries that are the
-// plain Partition, every cluster placed exactly once in ascending order;
-// the 1-shard identity; the greedy LPT byte bound (no shard exceeds the
-// mean padded bytes by more than one cluster's); R−1 replicas per
-// cluster on distinct shards other than its primary, each resolving to
-// the cluster in the holder's physical order; zero heat placing exactly
-// like nil heat; and the sidecar round trip (SavePlacement/LoadPlacement
-// keeps the serving state and drops the build-side state).
+// cluster counts, sizes, shard counts and replication factors:
+// byte-balanced primaries with declustered replicas. It pins
+// determinism; primaries that are the plain Partition, every cluster
+// placed exactly once in ascending order; the 1-shard identity; the
+// greedy LPT byte bound (no shard exceeds the mean padded bytes by more
+// than one cluster's); R−1 replicas per cluster on distinct shards other
+// than its primary, each resolving to the cluster in the holder's
+// physical order; at R=2, the replicas of each shard's primaries spread
+// over the other shards within ±1 of each other; and the sidecar round
+// trip (SavePlacement/LoadPlacement keeps the serving state and drops
+// the build-side state).
 func FuzzPartitionReplicated(f *testing.F) {
 	f.Add(uint8(7), uint8(3), uint8(1), int64(1))
 	f.Add(uint8(0), uint8(0), uint8(0), int64(0))
 	f.Add(uint8(31), uint8(7), uint8(2), int64(2005))
-	f.Add(uint8(12), uint8(4), uint8(0), int64(5)) // zero heat (seed%5==0)
+	f.Add(uint8(12), uint8(4), uint8(0), int64(5))
 	f.Add(uint8(3), uint8(6), uint8(2), int64(-9)) // fewer clusters than shards
 	f.Add(uint8(20), uint8(2), uint8(9), int64(-3))
 	// Unreplicated (R=1) cases: primaries and sidecar alone.
@@ -112,7 +106,7 @@ func FuzzPartitionReplicated(f *testing.F) {
 	f.Add(uint8(31), uint8(7), uint8(0), int64(2005))
 	f.Add(uint8(12), uint8(1), uint8(0), int64(5))
 	f.Fuzz(func(t *testing.T, nclRaw, shardsRaw, repRaw uint8, seed int64) {
-		clusters, heat := fuzzClusters(nclRaw, seed)
+		clusters := fuzzClusters(nclRaw, seed)
 		shards := 1 + int(shardsRaw)%8
 		rep := 1 + int(repRaw)%3
 		if rep > shards {
@@ -121,11 +115,11 @@ func FuzzPartitionReplicated(f *testing.F) {
 		dims := fuzzColl().Dims()
 		const pageSize = 4096
 
-		p, err := PartitionReplicated(clusters, shards, rep, dims, pageSize, heat)
+		p, err := PartitionReplicated(clusters, shards, rep, dims, pageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := PartitionReplicated(clusters, shards, rep, dims, pageSize, heat)
+		again, err := PartitionReplicated(clusters, shards, rep, dims, pageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,16 +192,22 @@ func FuzzPartitionReplicated(f *testing.F) {
 			}
 		}
 
-		zero, err := PartitionReplicated(clusters, shards, rep, dims, pageSize, make([]float64, len(clusters)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		unsampled, err := PartitionReplicated(clusters, shards, rep, dims, pageSize, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(zero, unsampled) {
-			t.Fatal("all-zero heat placed replicas differently from nil heat")
+		if rep == 2 {
+			for s := range p.Replicas {
+				count := make([]int, shards)
+				for _, locs := range p.Replicas[s] {
+					count[locs[0].Shard]++
+				}
+				lo, hi := len(clusters), 0
+				for o, n := range count {
+					if o != s {
+						lo, hi = min(lo, n), max(hi, n)
+					}
+				}
+				if hi-lo > 1 {
+					t.Fatalf("shard %d's replicas spread unevenly over the other shards: %v", s, count)
+				}
+			}
 		}
 
 		path := filepath.Join(t.TempDir(), PlacementName)
@@ -242,78 +242,11 @@ func FuzzPartitionReplicated(f *testing.F) {
 	})
 }
 
-// TestHeatZeroFallback pins the documented zero-heat fallback of Heat:
-// an empty or nil sample, dimension-mismatched queries, or no clusters
-// yield an all-zero (never fabricated) heat, and a topM of zero selects
-// the default of 5 votes per query. FuzzPartitionReplicated pins that
-// an all-zero heat places replicas exactly like nil.
-func TestHeatZeroFallback(t *testing.T) {
-	coll := fuzzColl()
-	rng := rand.New(rand.NewSource(42))
-	clusters := make([]*cluster.Cluster, 12)
-	for i := range clusters {
-		members := make([]int, 8)
-		for m := range members {
-			members[m] = rng.Intn(coll.Len())
-		}
-		clusters[i] = cluster.NewFromMembers(coll, members)
-	}
-	dims := coll.Dims()
-	good := coll.Vec(7)
-	bad := make(vec.Vector, dims+3)
-
-	sum := func(h []float64) float64 {
-		var s float64
-		for _, x := range h {
-			s += x
-		}
-		return s
-	}
-
-	cases := []struct {
-		name     string
-		clusters []*cluster.Cluster
-		sample   []vec.Vector
-		topM     int
-		wantLen  int
-		wantSum  float64
-	}{
-		{"nil sample", clusters, nil, 5, len(clusters), 0},
-		{"empty sample", clusters, []vec.Vector{}, 5, len(clusters), 0},
-		{"no clusters", nil, []vec.Vector{good}, 5, 0, 0},
-		{"topM zero defaults to 5", clusters, []vec.Vector{good, coll.Vec(11)}, 0, len(clusters), 10},
-		{"topM capped at cluster count", clusters, []vec.Vector{good}, 99, len(clusters), float64(len(clusters))},
-		{"dims mismatch skipped", clusters, []vec.Vector{bad, bad}, 5, len(clusters), 0},
-		{"mixed sample votes once", clusters, []vec.Vector{bad, good}, 5, len(clusters), 5},
-	}
-	for _, tc := range cases {
-		heat := Heat(tc.clusters, tc.sample, tc.topM)
-		if len(heat) != tc.wantLen {
-			t.Fatalf("%s: heat length %d, want %d", tc.name, len(heat), tc.wantLen)
-		}
-		for i, h := range heat {
-			if h < 0 {
-				t.Fatalf("%s: negative heat %g at %d", tc.name, h, i)
-			}
-		}
-		if got := sum(heat); got != tc.wantSum {
-			t.Fatalf("%s: total votes %g, want %g", tc.name, got, tc.wantSum)
-		}
-	}
-
-	// A heat vector of the wrong length is a build error, not a silent
-	// reinterpretation.
-	if _, err := PartitionReplicated(clusters, 3, 2, dims, 4096, make([]float64, 3)); err == nil {
-		t.Fatal("PartitionReplicated accepted a mismatched heat length")
-	}
-}
-
 // FuzzLoadPlacement reads mutated placement-sidecar bytes. LoadPlacement
 // must never panic; a placement it accepts is written back
 // byte-identically by SavePlacement.
 func FuzzLoadPlacement(f *testing.F) {
-	clusters, heat := fuzzClusters(9, 1)
-	p, err := PartitionReplicated(clusters, 3, 2, fuzzColl().Dims(), 4096, heat)
+	p, err := PartitionReplicated(fuzzClusters(9, 1), 3, 2, fuzzColl().Dims(), 4096)
 	if err != nil {
 		f.Fatal(err)
 	}

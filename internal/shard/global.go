@@ -88,8 +88,8 @@ func (g *globalStore) Meta() []chunkfile.Meta { return g.metas }
 func (g *globalStore) Centroids() []float32 { return g.centroids }
 
 // ReadChunk implements chunkfile.Store via the router's replicated read
-// path: retry on transient errors, fail over to the least-loaded live
-// replica, report chunkfile.ErrUnavailable (wrapped in
+// path: retry on transient errors, fail over from the primary to the
+// first live replica, report chunkfile.ErrUnavailable (wrapped in
 // ErrAllReplicasDown) when no placement can serve the chunk, and wrap any
 // other failure in a ShardError naming the owning shard. The simulated
 // cost of failed attempts is returned in data.Stall per the

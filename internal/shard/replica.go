@@ -10,15 +10,13 @@
 // duplicates. Replica chunks are touched only by the failover read path
 // when the primary's shard is down.
 //
-// Placement of the replicas follows Tavenard–Amsaleg–Jégou's observation
-// (PAPERS.md) that replicating the *hot* clusters is what tames response
-// time variability: when a recorded workload sample is supplied, clusters
-// are placed hottest first, each replica going to the least-loaded
-// eligible shard (distinct from the primary and the cluster's other
-// replicas, load measured in placed heat with padded bytes as the cold
-// tiebreak). Without a sample the r-th replica of a cluster simply goes
-// r shards past its primary, round-robin. Both procedures are fully
-// deterministic.
+// Replicas are declustered statically: the r-th replica of shard p's i-th
+// primary goes to shard (p + r + i mod (S−R+1)) mod S. The offset
+// r + i mod (S−R+1) runs over 1..S−1 and differs for each r, so every
+// copy of a chunk sits on its own shard; and consecutive primaries of
+// one shard rotate their replicas over the other shards, so when shard p
+// is down its reads spread over the survivors instead of landing on one
+// neighbour. The procedure is fully deterministic.
 
 package shard
 
@@ -28,18 +26,10 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"slices"
 
 	"repro/internal/chunkfile"
 	"repro/internal/cluster"
-	"repro/internal/search"
-	"repro/internal/vec"
 )
-
-// MaxShards caps the shard count of a replicated layout and the
-// replication factor of any placement a router accepts: the failover
-// read path tracks tried candidates in a 64-bit set.
-const MaxShards = 64
 
 // ChunkLoc addresses one physical chunk: chunk Chunk of shard Shard's
 // physical store.
@@ -76,31 +66,19 @@ type Placement struct {
 // PartitionReplicated assigns clusters to shards with replication factor
 // replication: primaries by the plain Partition (so the logical layout —
 // and with it every healthy query result — is independent of R), replicas
-// hottest-first when heat is non-nil (one heat value per cluster; see
-// Heat) and round-robin otherwise. A shard's physical chunk order is its
-// ascending primaries followed by its replicas in placement order.
-func PartitionReplicated(clusters []*cluster.Cluster, shards, replication, dims, pageSize int, heat []float64) (*Placement, error) {
+// declustered over the other shards (see the file comment). A shard's
+// physical chunk order is its ascending primaries followed by its
+// replicas in placement order.
+func PartitionReplicated(clusters []*cluster.Cluster, shards, replication, dims, pageSize int) (*Placement, error) {
 	if replication < 1 {
 		return nil, fmt.Errorf("shard: replication factor %d < 1", replication)
 	}
 	if replication > shards {
 		return nil, fmt.Errorf("shard: replication factor %d > shard count %d", replication, shards)
 	}
-	if replication > 1 && shards > MaxShards {
-		return nil, fmt.Errorf("shard: replicated layouts support at most %d shards, got %d", MaxShards, shards)
-	}
-	if heat != nil && len(heat) != len(clusters) {
-		return nil, fmt.Errorf("shard: heat length %d != cluster count %d", len(heat), len(clusters))
-	}
 	assign, err := Partition(clusters, shards, dims, pageSize)
 	if err != nil {
 		return nil, err
-	}
-	// An all-zero heat is normalized to nil: an empty workload sample
-	// must behave exactly like no sample (round-robin replicas), not
-	// silently steer the greedy with all-equal votes.
-	if !heatUsable(heat) {
-		heat = nil
 	}
 	p := &Placement{
 		R:          replication,
@@ -109,132 +87,21 @@ func PartitionReplicated(clusters []*cluster.Cluster, shards, replication, dims,
 		Primary:    assign,
 		Extra:      make([][]int, shards),
 	}
-	primShard := make([]int32, len(clusters))
-	primChunk := make([]int32, len(clusters))
 	for s, idxs := range assign {
 		p.NumPrimary[s] = len(idxs)
 		p.Replicas[s] = make([][]ChunkLoc, len(idxs))
-		for i, ci := range idxs {
-			primShard[ci] = int32(s)
-			primChunk[ci] = int32(i)
-		}
 	}
-	if replication == 1 {
-		return p, nil
-	}
-
-	// Placement order: hottest cluster first when a workload sample is
-	// supplied (ties toward the lower cluster index), ascending cluster
-	// index otherwise.
-	order := make([]int, len(clusters))
-	for i := range order {
-		order[i] = i
-	}
-	if heat != nil {
-		slices.SortFunc(order, func(a, b int) int {
-			switch {
-			case heat[a] > heat[b]:
-				return -1
-			case heat[a] < heat[b]:
-				return 1
-			}
-			return a - b
-		})
-	}
-
-	// Shard load for the heat-driven greedy: the heat already placed on
-	// the shard (primaries seed it), with placed padded bytes as the cold
-	// tiebreak and the shard index as the final one.
-	heatLoad := make([]float64, shards)
-	byteLoad := make([]int64, shards)
 	for s, idxs := range assign {
-		for _, ci := range idxs {
-			if heat != nil {
-				heatLoad[s] += heat[ci]
+		for i, ci := range idxs {
+			for r := 1; r < replication; r++ {
+				t := (s + r + i%(shards-replication+1)) % shards
+				loc := ChunkLoc{Shard: int32(t), Chunk: int32(p.NumPrimary[t] + len(p.Extra[t]))}
+				p.Extra[t] = append(p.Extra[t], ci)
+				p.Replicas[s][i] = append(p.Replicas[s][i], loc)
 			}
-			byteLoad[s] += int64(chunkfile.PaddedBytes(clusters[ci].Count(), dims, pageSize))
-		}
-	}
-
-	for _, ci := range order {
-		ps := int(primShard[ci])
-		var taken uint64
-		taken |= 1 << ps
-		for r := 1; r < replication; r++ {
-			t := -1
-			if heat == nil {
-				t = (ps + r) % shards
-			} else {
-				for s := 0; s < shards; s++ {
-					if taken&(1<<s) != 0 {
-						continue
-					}
-					if t < 0 || heatLoad[s] < heatLoad[t] ||
-						(heatLoad[s] == heatLoad[t] && byteLoad[s] < byteLoad[t]) {
-						t = s
-					}
-				}
-			}
-			taken |= 1 << t
-			loc := ChunkLoc{Shard: int32(t), Chunk: int32(p.NumPrimary[t] + len(p.Extra[t]))}
-			p.Extra[t] = append(p.Extra[t], ci)
-			p.Replicas[primShard[ci]][primChunk[ci]] = append(p.Replicas[primShard[ci]][primChunk[ci]], loc)
-			heatLoad[t] += heatFor(heat, ci)
-			byteLoad[t] += int64(chunkfile.PaddedBytes(clusters[ci].Count(), dims, pageSize))
 		}
 	}
 	return p, nil
-}
-
-func heatFor(heat []float64, ci int) float64 {
-	if heat == nil {
-		return 0
-	}
-	return heat[ci]
-}
-
-// Heat estimates per-cluster query heat from a recorded workload sample:
-// each sample query votes for the topM clusters nearest its descriptor
-// (by centroid distance, the same ranking the search walks), and a
-// cluster's heat is its vote count. The result feeds the hottest-first
-// replica placement of PartitionReplicated. A topM of zero or less
-// selects the default of 5 votes per query; a topM above the cluster
-// count is capped at it.
-//
-// Zero-heat fallback: a nil or empty sample returns all zeros — no skew
-// signal, never a fabricated one — and PartitionReplicated treats an
-// all-zero heat exactly like a nil heat (round-robin replicas), so an
-// empty sample can never silently skew a layout.
-// Sample queries whose dimensionality does not match the clusters' are
-// skipped for the same reason: a malformed recording must not vote. If
-// every query is skipped the result is again all zeros.
-func Heat(clusters []*cluster.Cluster, sample []vec.Vector, topM int) []float64 {
-	heat := make([]float64, len(clusters))
-	if len(sample) == 0 || len(clusters) == 0 {
-		return heat
-	}
-	if topM <= 0 {
-		topM = 5
-	}
-	if topM > len(clusters) {
-		topM = len(clusters)
-	}
-	dims := len(clusters[0].Centroid)
-	metas := make([]chunkfile.Meta, len(clusters))
-	for i, cl := range clusters {
-		metas[i] = chunkfile.Meta{Centroid: cl.Centroid, Radius: cl.Radius}
-	}
-	var ranked []search.RankedChunk
-	for _, q := range sample {
-		if len(q) != dims {
-			continue
-		}
-		ranked = search.RankChunks(q, metas, ranked[:0])
-		for _, rc := range ranked[:topM] {
-			heat[rc.Idx]++
-		}
-	}
-	return heat
 }
 
 const placementMagic = "EFF2REPL"

@@ -61,8 +61,8 @@ type Router struct {
 	placement *Placement
 	// Health state: down[s] is sticky-true once shard s's store failed
 	// permanently, loads[s] counts the chunk reads shard s has served
-	// (the failover path's least-loaded replica choice), downCount is the
-	// number of down shards.
+	// (the counter behind ShardLoads; reads never consult it), downCount
+	// is the number of down shards.
 	down      []atomic.Bool
 	loads     []atomic.Int64
 	downCount atomic.Int32
@@ -77,8 +77,10 @@ type Router struct {
 type RouterOptions struct {
 	// CacheBytes, when positive, fronts every shard's physical store with
 	// one shared decoded-chunk cache of that many bytes (see
-	// internal/chunkcache): the budget is global, hot shards win it. It
-	// serves the replicated read path only; probes and direct Store(i)
+	// internal/chunkcache): the budget is global, hot shards win it.
+	// Reads go to a chunk's primary while its shard is live, so a
+	// replicated index caches each hot chunk once, as an unreplicated one
+	// does. It serves the read path only; probes and direct Store(i)
 	// access always observe the disk. A cache changes nothing else —
 	// results, simulated times and counters are byte-identical with or
 	// without it.
@@ -135,19 +137,12 @@ func NewRouter(stores []chunkfile.Store, placement *Placement, model *simdisk.Mo
 	return r, nil
 }
 
-// errReplicationCap refuses a placement with more copies of a chunk than
-// readChunk's 64-bit tried set can track.
-var errReplicationCap = fmt.Errorf("more than %d copies of a chunk", MaxShards)
-
 // validatePlacement cross-checks a placement against the physical
 // stores, so a stale or corrupt sidecar fails at router construction
 // with a diagnostic error instead of an out-of-range read mid-query.
 func validatePlacement(stores []chunkfile.Store, p *Placement) error {
 	if p.R < 1 {
 		return fmt.Errorf("shard: placement replication factor %d < 1", p.R)
-	}
-	if p.R > MaxShards {
-		return fmt.Errorf("shard: placement replication factor %d: %w", p.R, errReplicationCap)
 	}
 	if len(p.NumPrimary) != len(stores) || len(p.Replicas) != len(stores) {
 		return fmt.Errorf("shard: placement describes %d shards, router has %d", len(p.NumPrimary), len(stores))
@@ -272,8 +267,8 @@ func (r *Router) ProbeShard(s int) error {
 	return nil
 }
 
-// ResetHealth returns every shard to rotation and zeroes the replica
-// load counters — the "operator replaced the disk" switch, and the way
+// ResetHealth returns every shard to rotation and zeroes the served-read
+// counters — the "operator replaced the disk" switch, and the way
 // tests reuse one router across fault scenarios.
 func (r *Router) ResetHealth() {
 	for s := range r.down {
@@ -314,65 +309,40 @@ func isTemporary(err error) bool {
 	return errors.As(err, &t) && t.Temporary()
 }
 
-// readChunk serves logical chunk i of shard s from the least-loaded live
-// placement by served-read count (loads): the primary first (shard s
-// itself, physical chunk i), then the placement's replicas, each attempt
-// bounded by the retry policy. Ties prefer the primary, then earlier
-// replicas.
+// readChunk serves logical chunk i of shard s from its first live copy:
+// the primary (shard s itself, physical chunk i), then the placement's
+// replicas in placement order. A shard held down is skipped without an
+// attempt; every other copy gets the retry policy before the next is
+// tried. So a healthy replicated index reads only primaries, and a
+// replica serves exactly the chunks whose primary's shard is down.
 //
 // The simulated cost of every failed attempt — retries, backoff, and
-// failed placements — is accumulated into data.Stall, charged by the
+// failed copies — is accumulated into data.Stall, charged by the
 // consumer to the pipeline of the *owning* shard s: in the cost model
 // shard s's machine is the one serving (and retrying) its own chunks,
-// replica choice being a real-time load-balancing effect. When no
-// placement can serve the chunk the error wraps ErrAllReplicasDown (and
-// so chunkfile.ErrUnavailable), with data.Stall still reporting the cost
-// of the attempts made.
+// wherever the bytes were finally read. When no copy can serve the chunk
+// the error wraps ErrAllReplicasDown (and so chunkfile.ErrUnavailable),
+// with data.Stall still reporting the cost of the attempts made.
 func (r *Router) readChunk(s, i int, data *chunkfile.Data) error {
-	data.Stall = 0
 	replicas := r.placement.Replicas[s][i]
-	nCand := 1 + len(replicas)
 	var stall time.Duration
-	var tried uint64
-	lastErr := error(nil)
-	for {
-		// Least-loaded untried live candidate; ties prefer the primary,
-		// then earlier replicas.
-		best, bestLoad := -1, int64(0)
-		for c := 0; c < nCand; c++ {
-			if tried&(1<<c) != 0 {
-				continue
-			}
-			cs := s
-			if c > 0 {
-				cs = int(replicas[c-1].Shard)
-			}
-			if r.down[cs].Load() {
-				tried |= 1 << c
-				if lastErr == nil {
-					lastErr = ErrShardDown
-				}
-				continue
-			}
-			if load := r.loads[cs].Load(); best < 0 || load < bestLoad {
-				best, bestLoad = c, load
-			}
-		}
-		if best < 0 {
-			break
-		}
-		tried |= 1 << best
+	var lastErr error
+	for c := -1; c < len(replicas); c++ {
 		cs, ci := s, i
-		if best > 0 {
-			cs, ci = int(replicas[best-1].Shard), int(replicas[best-1].Chunk)
+		if c >= 0 {
+			cs, ci = int(replicas[c].Shard), int(replicas[c].Chunk)
 		}
-		if err := r.attemptRead(cs, ci, data, &stall); err != nil {
-			lastErr = err
+		if r.down[cs].Load() {
+			if lastErr == nil {
+				lastErr = ErrShardDown
+			}
 			continue
 		}
-		r.loads[cs].Add(1)
-		data.Stall = stall
-		return nil
+		if lastErr = r.attemptRead(cs, ci, data, &stall); lastErr == nil {
+			r.loads[cs].Add(1)
+			data.Stall = stall
+			return nil
+		}
 	}
 	data.Stall = stall
 	return allReplicasDown(s, i, lastErr)

@@ -77,8 +77,8 @@ func TrimmedRanges(coll *descriptor.Collection, trim float64) (lo, hi vec.Vector
 // targets are drawn from a Zipf(s, v=1) distribution over the collection
 // positions visited in a seeded random order, so a few descriptors are
 // queried over and over while the tail is hit rarely — the skewed access
-// pattern that makes hot-cluster replication matter (Tavenard et al.,
-// PAPERS.md). s must be > 1 (larger is more skewed; ~1.3 is a typical
+// pattern of Tavenard et al. (PAPERS.md), under which a chunk cache
+// pays off. s must be > 1 (larger is more skewed; ~1.3 is a typical
 // web-workload shape). Vectors are cloned.
 func Zipf(coll *descriptor.Collection, n int, s float64, seed int64) ([]vec.Vector, error) {
 	if coll.Len() == 0 {

@@ -97,9 +97,8 @@ func SpaceQueries(c *Collection, n int, seed int64) ([]Vector, error) {
 
 // ZipfQueries returns n dataset queries with Zipf-skewed repetition
 // (exponent s > 1; larger is more skewed): a few descriptors are queried
-// over and over while the tail is hit rarely. This is the workload shape
-// under which hot-cluster replication (BuildReplicated with a sample)
-// pays off.
+// over and over while the tail is hit rarely: the shape under which the
+// decoded-chunk cache (OpenConfig.CacheBytes) pays off.
 func ZipfQueries(c *Collection, n int, s float64, seed int64) ([]Vector, error) {
 	return workload.Zipf(c, n, s, seed)
 }

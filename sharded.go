@@ -77,32 +77,25 @@ type oneQuery struct {
 // layout is unreplicated (R=1): a shard lost at serving time makes
 // queries over its chunks degrade. BuildReplicated adds replicas.
 func BuildSharded(coll *Collection, cfg BuildConfig, shards int) (*ShardedIndex, error) {
-	return BuildReplicated(coll, cfg, shards, 1, nil)
+	return BuildReplicated(coll, cfg, shards, 1)
 }
 
 // BuildReplicated is BuildSharded with a replication factor: every chunk
 // lives on its primary shard (the same balanced assignment BuildSharded
 // makes, so healthy results are independent of replication) plus
-// replication−1 replica shards, which serve the chunk when the primary's
-// shard is down. With replication 2 any single shard can fail with zero
-// result degradation.
-//
-// sample, when non-nil, is a recorded workload sample (e.g. a slice of
-// DatasetQueries): replicas of the clusters the sample hits most are
-// placed first onto the least-loaded shards, following the
-// hot-cluster-replication strategy of Tavenard et al. Primaries are
-// always balanced by bytes. A nil sample places replicas round-robin.
-func BuildReplicated(coll *Collection, cfg BuildConfig, shards, replication int, sample []Vector) (*ShardedIndex, error) {
+// replication−1 replica shards. Replicas are failover copies: a chunk is
+// read from its primary while the primary's shard is live, and from its
+// first live replica otherwise. With replication 2 any single shard can
+// fail with zero result degradation, and the replicas of the failed
+// shard's chunks are spread over the other shards, so none of them
+// absorbs its whole load (DESIGN.md §8).
+func BuildReplicated(coll *Collection, cfg BuildConfig, shards, replication int) (*ShardedIndex, error) {
 	clusters, outliers, err := buildClusters(coll, cfg)
 	if err != nil {
 		return nil, err
 	}
 	pageSize := normalizePageSize(cfg.PageSize)
-	var heat []float64
-	if len(sample) > 0 {
-		heat = shard.Heat(clusters, sample, 0)
-	}
-	placement, err := shard.PartitionReplicated(clusters, shards, replication, coll.Dims(), pageSize, heat)
+	placement, err := shard.PartitionReplicated(clusters, shards, replication, coll.Dims(), pageSize)
 	if err != nil {
 		return nil, err
 	}
