@@ -38,16 +38,16 @@ func TestSaveGolden(t *testing.T) {
 			"shard-3.idx":   "a64dbfd37113339578ccd01f068654715639e9f93998a17bca7deb68db4af58e",
 		}},
 		{"R=2", 2, map[string]string{
-			"manifest":      "c46a09c4944d0e45259fbde6f56f52bff5af54eef5d6cd2af588f5a577c200a7",
-			"replicas":      "1ffb6c1fd4e8128958b032f6c02adec81b4b05553ddd0fc9782983ebc553d01d",
-			"shard-0.chunk": "ad056d7834103d2670cb58b935d6f0f14dea538a1c0eb02d09b951dc8e779068",
-			"shard-0.idx":   "844d585f0a9add1f32154ecba1f9879aa9c47c2f25e5550b0814c91d49f7cfd8",
-			"shard-1.chunk": "75fa33645820c73572db3903ac7296514891a3c761e917ae2bb84592a0241516",
-			"shard-1.idx":   "f76e4966a0da383cbf2d7656776196e07ec27e233f013b3132165494a3366010",
-			"shard-2.chunk": "005bfcb2beea09ed4accd710047dd937ac8455fff1469074838a4f19992acb63",
-			"shard-2.idx":   "2459ec2a4b1e2fffd0426e58efa840e20d74620cc70e6bedafc6386354f3b204",
-			"shard-3.chunk": "a09881156d2b49aa143a130089ad93b296a1d372c350b80ced83a7c01db5e377",
-			"shard-3.idx":   "99004bd808a653b67d70d15b9b91c17d02bcd43c8797c2434bffed54c6735e81",
+			"manifest":      "5057c659dbf5f1c1fb7f789c8cdef621ddadc8bcc495a474b2598dc86a0ca27a",
+			"replicas":      "4e8ba003ecc39fd8d0be393f2f2dddc14b2b565c087172e98d9b9498c617b391",
+			"shard-0.chunk": "307de330abbe48198256b588deb5bf7ee664cf1cc0983d125c6e59d1bdd13fbf",
+			"shard-0.idx":   "c162defff4eb2be4b6693d6655d8754281444632fda5e020a8902778db72cabc",
+			"shard-1.chunk": "9a4b1bfd3a9cff0432c6c411d2e0a74bd4d83828977673dac7d6f814b75a3ca3",
+			"shard-1.idx":   "6ec2beeaf584776ce754843cf76e355ce51c09c86b4a97caeabe7649f0909dab",
+			"shard-2.chunk": "efd51938b04795e56caf3177479341b927f8a84c064e402a8118b877a8693a89",
+			"shard-2.idx":   "95ec3a88336d3bbd27472f75ef1e0b51957fe28d9dc8de96ee8859421d4074c9",
+			"shard-3.chunk": "9a7bce723cafbadbf95156527a8b2537b3c7ca3a5d1d8584e4b573022bc987c1",
+			"shard-3.idx":   "1d0f72040959297be7f9fe4cca7a86649b7fea029a731ef0b7805c9bf4a921fe",
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
