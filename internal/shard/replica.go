@@ -90,12 +90,10 @@ func PartitionReplicated(clusters []*cluster.Cluster, shards, replication, dims,
 	for s, idxs := range assign {
 		p.NumPrimary[s] = len(idxs)
 		p.Replicas[s] = make([][]ChunkLoc, len(idxs))
-	}
-	for s, idxs := range assign {
 		for i, ci := range idxs {
 			for r := 1; r < replication; r++ {
 				t := (s + r + i%(shards-replication+1)) % shards
-				loc := ChunkLoc{Shard: int32(t), Chunk: int32(p.NumPrimary[t] + len(p.Extra[t]))}
+				loc := ChunkLoc{Shard: int32(t), Chunk: int32(len(assign[t]) + len(p.Extra[t]))}
 				p.Extra[t] = append(p.Extra[t], ci)
 				p.Replicas[s][i] = append(p.Replicas[s][i], loc)
 			}

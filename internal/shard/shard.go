@@ -314,7 +314,8 @@ func isTemporary(err error) bool {
 // replicas in placement order. A shard held down is skipped without an
 // attempt; every other copy gets the retry policy before the next is
 // tried. So a healthy replicated index reads only primaries, and a
-// replica serves exactly the chunks whose primary's shard is down.
+// replica serves a chunk only when its primary's shard is down or keeps
+// failing.
 //
 // The simulated cost of every failed attempt — retries, backoff, and
 // failed copies — is accumulated into data.Stall, charged by the
