@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/search"
 	"repro/internal/search/batchexec"
 )
 
@@ -30,11 +29,11 @@ type BatchOptions struct {
 // every chunk, and owns its per-shard simulated pipelines, so Simulated
 // remains a per-query time (never wall-aggregated across the batch).
 //
-// The results array is the caller-owned arena: neighbor slices already in
-// it are reused when they have capacity, so recycling one results array
-// across batches (the steady-state serving pattern) performs zero
-// allocations per batch. Wall is the real time from batch start until
-// the query's own retirement.
+// The results array is the caller-owned arena: neighbor and PerMachine
+// slices already in it are reused when they have capacity, so recycling
+// one results array across batches (the steady-state serving pattern)
+// performs zero allocations per batch. Wall is the real time from batch
+// start until the query's own retirement.
 //
 // The batch fails fast: any error aborts the run and is reported for the
 // lowest-numbered query that hit it; no results are valid afterwards.
@@ -48,10 +47,10 @@ func (sx *ShardedIndex) SearchBatchInto(queries []Vector, opts BatchOptions, res
 // long before the batch returns while other queries still run.
 // Callbacks for distinct queries may fire concurrently (they run on the
 // engine's scan workers), so done must be safe for concurrent use and
-// must not block; hand slow consumers a channel. On error, queries whose callback already fired retain valid
-// results; the rest are invalid. A nil done degenerates to
-// SearchBatchInto. ShardsDown is sampled once per batch: before the run
-// when streaming, after it otherwise.
+// must not block; hand slow consumers a channel. On error, queries whose
+// callback already fired retain valid results; the rest are invalid. A
+// nil done degenerates to SearchBatchInto. Every batch, point query and
+// multi-descriptor bag runs here: the facade's one call into the engine.
 func (sx *ShardedIndex) SearchBatchStream(queries []Vector, opts BatchOptions, results []Result, done func(query int)) error {
 	if err := opts.SearchOptions.validate(); err != nil {
 		return err
@@ -59,56 +58,7 @@ func (sx *ShardedIndex) SearchBatchStream(queries []Vector, opts BatchOptions, r
 	if len(results) != len(queries) {
 		return fmt.Errorf("repro: batch results length %d != queries length %d", len(results), len(queries))
 	}
-	if len(queries) == 0 {
-		return nil
-	}
-	sp := sx.arena(len(queries))
-	defer sx.batchPool.Put(sp)
-	srs := (*sp)[:len(queries)]
-	// Lend the caller's neighbor slices for the run; the PerMachine
-	// buffers stay the pool's own across batches.
-	for i := range results {
-		srs[i].Neighbors = results[i].Neighbors[:0]
-	}
-	defer func() {
-		for i := range srs {
-			srs[i].Neighbors = nil
-		}
-	}()
-	var onDone func(int)
-	if done != nil {
-		down := sx.router.DownShards()
-		onDone = func(qi int) {
-			results[qi] = toResult(&srs[qi], down)
-			done(qi)
-		}
-	}
-	if err := sx.run(queries, opts, srs, onDone); err != nil {
-		return err
-	}
-	if done == nil {
-		down := sx.router.DownShards()
-		for i := range results {
-			results[i] = toResult(&srs[i], down)
-		}
-	}
-	return nil
-}
-
-// arena borrows a pooled search-layer result array of at least n slots;
-// the caller returns it to sx.batchPool.
-func (sx *ShardedIndex) arena(n int) *[]search.Result {
-	sp := sx.batchPool.Get().(*[]search.Result)
-	if cap(*sp) < n {
-		*sp = make([]search.Result, n)
-	}
-	return sp
-}
-
-// run is the facade's one call into the engine: every batch, point
-// query and multi-descriptor bag runs here.
-func (sx *ShardedIndex) run(queries []Vector, opts BatchOptions, srs []search.Result, done func(int)) error {
-	err := sx.router.RunBatchStream(queries, batchexec.Options{
+	err := sx.engine.RunStream(queries, batchexec.Options{
 		K:            opts.K,
 		Stop:         stopRule(opts.SearchOptions),
 		Model:        opts.Model,
@@ -116,7 +66,7 @@ func (sx *ShardedIndex) run(queries []Vector, opts BatchOptions, srs []search.Re
 		GlobalBudget: opts.GlobalBudget,
 		Parallelism:  opts.Parallelism,
 		Ctx:          opts.Ctx,
-	}, srs, done)
+	}, results, done)
 	if err != nil {
 		var qe *batchexec.QueryError
 		if errors.As(err, &qe) {
@@ -125,37 +75,4 @@ func (sx *ShardedIndex) run(queries []Vector, opts BatchOptions, srs []search.Re
 		return fmt.Errorf("repro: %w", err)
 	}
 	return nil
-}
-
-// toResult converts a search-layer outcome into the facade's Result.
-func toResult(sr *search.Result, shardsDown int) Result {
-	return Result{
-		Neighbors:     sr.Neighbors,
-		ChunksRead:    sr.ChunksRead,
-		Simulated:     sr.Elapsed,
-		Wall:          sr.Wall,
-		Exact:         sr.Exact,
-		Degraded:      sr.Degraded,
-		ChunksSkipped: sr.ChunksSkipped,
-		ShardsDown:    shardsDown,
-	}
-}
-
-// SearchBatch runs every query and returns the merged results in query
-// order. It is the allocating convenience form of SearchBatchInto;
-// steady-state callers should recycle a results array through
-// SearchBatchInto instead.
-func (sx *ShardedIndex) SearchBatch(queries []Vector, opts BatchOptions) ([]*Result, error) {
-	if len(queries) == 0 {
-		return nil, nil
-	}
-	backing := make([]Result, len(queries))
-	if err := sx.SearchBatchInto(queries, opts, backing); err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(queries))
-	for i := range backing {
-		out[i] = &backing[i]
-	}
-	return out, nil
 }

@@ -36,8 +36,8 @@ func TestFileStoreConcurrentBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := BatchOptions{SearchOptions: SearchOptions{K: 10, MaxChunks: 4}, Parallelism: 4}
-	want, err := opened.SearchBatch(queries, opts)
-	if err != nil {
+	want := make([]Result, len(queries))
+	if err := opened.SearchBatchInto(queries, opts, want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -47,8 +47,8 @@ func TestFileStoreConcurrentBatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
-				got, err := opened.SearchBatch(queries, opts)
-				if err != nil {
+				got := make([]Result, len(queries))
+				if err := opened.SearchBatchInto(queries, opts, got); err != nil {
 					t.Errorf("concurrent batch: %v", err)
 					return
 				}
@@ -102,7 +102,7 @@ func TestSearchBatchIntoMatchesSearch(t *testing.T) {
 			}
 			got := &results[qi]
 			if got.ChunksRead != want.ChunksRead || got.Simulated != want.Simulated || got.Exact != want.Exact ||
-				got.Degraded != want.Degraded || got.ChunksSkipped != want.ChunksSkipped || got.ShardsDown != want.ShardsDown {
+				got.Degraded != want.Degraded || got.ChunksSkipped != want.ChunksSkipped {
 				t.Fatalf("opts %+v q%d: (chunks %d, sim %v, exact %v, degraded %v, skipped %d) != (%d, %v, %v, %v, %d)",
 					opts, qi, got.ChunksRead, got.Simulated, got.Exact, got.Degraded, got.ChunksSkipped,
 					want.ChunksRead, want.Simulated, want.Exact, want.Degraded, want.ChunksSkipped)

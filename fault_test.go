@@ -32,8 +32,8 @@ func faultOpts() []SearchOptions {
 // disciplines and the batch path.
 func TestReplicatedIndexSurvivesShardDown(t *testing.T) {
 	coll := GenerateCollection(6000, 51)
-	cfg := BuildConfig{Strategy: StrategySRTree, ChunkSize: 250}
-	sx, err := BuildReplicated(coll, cfg, 3, 2)
+	cfg := BuildConfig{Strategy: StrategySRTree, ChunkSize: 250, Replication: 2}
+	sx, err := BuildSharded(coll, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +58,7 @@ func TestReplicatedIndexSurvivesShardDown(t *testing.T) {
 				}
 				sx.MarkShardDown(kill)
 				got, err := sx.Search(q, opts)
+				down := sx.ShardsDown()
 				sx.ResetHealth()
 				if err != nil {
 					t.Fatal(err)
@@ -65,8 +66,8 @@ func TestReplicatedIndexSurvivesShardDown(t *testing.T) {
 				if got.Degraded || got.ChunksSkipped != 0 {
 					t.Fatalf("kill %d: degraded despite replication 2", kill)
 				}
-				if got.ShardsDown != 1 {
-					t.Fatalf("kill %d: ShardsDown = %d", kill, got.ShardsDown)
+				if down != 1 {
+					t.Fatalf("kill %d: ShardsDown = %d", kill, down)
 				}
 				compareResults(t, "shard-down", got, want)
 			}
@@ -142,8 +143,8 @@ func checkDegraded(t *testing.T, coll *Collection, sx *ShardedIndex, kill int) {
 			t.Fatalf("%s q%d: ChunksSkipped %d != dead shard's %d chunks",
 				label, qi, res.ChunksSkipped, len(sx.parts[kill]))
 		}
-		if res.ShardsDown != 1 {
-			t.Fatalf("%s q%d: ShardsDown %d", label, qi, res.ShardsDown)
+		if down := sx.ShardsDown(); down != 1 {
+			t.Fatalf("%s q%d: ShardsDown %d", label, qi, down)
 		}
 		truth := Exact(survivors, coll.Vec(qi), 20)
 		if len(res.Neighbors) != len(truth) {
@@ -188,7 +189,7 @@ func checkDegraded(t *testing.T, coll *Collection, sx *ShardedIndex, kill int) {
 // held down.
 func TestReplicatedSaveOpenRoundTrip(t *testing.T) {
 	coll := GenerateCollection(5000, 91)
-	sx, err := BuildReplicated(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 4, 2)
+	sx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200, Replication: 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,12 +81,9 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := SearchOptions{K: 15, MaxChunks: 4}
-	batch, err := idx.SearchBatch(queries, BatchOptions{SearchOptions: opts, Parallelism: 4})
-	if err != nil {
+	batch := make([]Result, len(queries))
+	if err := idx.SearchBatchInto(queries, BatchOptions{SearchOptions: opts, Parallelism: 4}, batch); err != nil {
 		t.Fatal(err)
-	}
-	if len(batch) != len(queries) {
-		t.Fatalf("batch returned %d of %d", len(batch), len(queries))
 	}
 	for qi, q := range queries {
 		seq, err := idx.Search(q, opts)
@@ -113,14 +110,13 @@ func TestSearchBatchEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := idx.SearchBatch(nil, BatchOptions{})
-	if err != nil || res != nil {
-		t.Fatalf("empty batch: %v %v", res, err)
+	if err := idx.SearchBatchInto(nil, BatchOptions{}, nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
 	}
 	// More workers than queries must not deadlock.
 	queries, _ := DatasetQueries(coll, 2, 1)
-	res, err = idx.SearchBatch(queries, BatchOptions{Parallelism: 16})
-	if err != nil || len(res) != 2 {
+	res := make([]Result, len(queries))
+	if err := idx.SearchBatchInto(queries, BatchOptions{Parallelism: 16}, res); err != nil || len(res[1].Neighbors) == 0 {
 		t.Fatalf("tiny batch: %v %v", res, err)
 	}
 }
@@ -139,9 +135,9 @@ func TestSearchBatchFailFast(t *testing.T) {
 	queries = append(queries, make(Vector, Dims+1)) // wrong dims: fails
 	queries = append(queries, good...)
 
-	res, err := idx.SearchBatch(queries, BatchOptions{Parallelism: 1})
-	if err == nil || res != nil {
-		t.Fatalf("bad query did not fail the batch: res=%v err=%v", res, err)
+	err = idx.SearchBatchInto(queries, BatchOptions{Parallelism: 1}, make([]Result, len(queries)))
+	if err == nil {
+		t.Fatal("bad query did not fail the batch")
 	}
 	if !strings.Contains(err.Error(), "batch query 0") {
 		t.Fatalf("error does not identify the failing query: %v", err)

@@ -359,8 +359,8 @@ func (c *Cache) Stats() Stats {
 // cached rows zero-copy and never consult the inner store — a faulty
 // inner store (faultstore) is not even probed on a hit; misses read
 // through, populate the cache, and report the inner store's rows and
-// Stall unchanged, so simulated billing is identical with and without
-// the cache.
+// failed attempts unchanged, so simulated billing is identical with and
+// without the cache.
 type CachingStore struct {
 	inner  chunkfile.Store
 	cache  *Cache
@@ -393,9 +393,10 @@ func (s *CachingStore) Centroids() []float32 { return s.inner.Centroids() }
 
 // ReadChunk implements chunkfile.Store. A hit aliases the cached rows
 // into data zero-copy (pinning them until the next read into data) with
-// Stall zero — the hit performed no attempts to bill. A miss delegates
-// to the inner store and, on success, copies the decoded rows into the
-// cache for future hits; data keeps the inner read's rows and Stall.
+// FailedReads and Stall zero — the hit performed no attempts to bill. A
+// miss delegates to the inner store and, on success, copies the decoded
+// rows into the cache for future hits; data keeps the inner read's rows,
+// FailedReads and Stall.
 func (s *CachingStore) ReadChunk(i int, data *chunkfile.Data) error {
 	if i < 0 || i >= len(s.inner.Meta()) {
 		return chunkfile.ErrChunkOOB
@@ -404,7 +405,7 @@ func (s *CachingStore) ReadChunk(i int, data *chunkfile.Data) error {
 	if e := s.cache.get(key); e != nil {
 		s.hits.Add(1)
 		data.Alias(e.ids, e.vecs, e.dims, e)
-		data.Stall = 0
+		data.FailedReads, data.Stall = 0, 0
 		return nil
 	}
 	s.misses.Add(1)

@@ -103,16 +103,19 @@ func PaddedBytes(count, dims, pageSize int) int {
 type Data struct {
 	IDs  []descriptor.ID
 	Vecs []float32 // flattened, Count × dims
-	// Stall is the simulated penalty incurred serving this ReadChunk —
-	// failed attempts and retry backoff in a fault-tolerant store. Stores
-	// that retry or fail over set it on every call (zero for a clean
-	// read); the plain stores never touch it. Consumers charge it to the
-	// owning machine's simdisk.Pipeline and zero it before the next read,
-	// so a query is billed for exactly the retries its reads needed.
-	Stall time.Duration
-	dims  int
-	buf   []byte // FileStore read scratch, reused across ReadChunk calls
-	pin   Pin    // releases the rows' alias when the Data moves on
+	// FailedReads counts the read attempts that failed while serving this
+	// ReadChunk, and Stall the simulated wait between them (retry backoff),
+	// in a fault-tolerant store. Stores that retry or fail over set both
+	// on every call (zero for a clean read); the plain stores never touch
+	// them. Consumers price each failed attempt at the chunk's read time
+	// under their own cost model, bill it and the stall to the owning
+	// machine's simdisk.Pipeline, and zero both before the next read, so a
+	// query is billed for exactly the retries its reads needed.
+	FailedReads int
+	Stall       time.Duration
+	dims        int
+	buf         []byte // FileStore read scratch, reused across ReadChunk calls
+	pin         Pin    // releases the rows' alias when the Data moves on
 	// ownIDs and ownVecs are the Data-owned decode scratch. decode always
 	// writes into them and points IDs/Vecs at them; Alias points IDs/Vecs
 	// at store- or cache-owned memory while the scratch is retained — so

@@ -148,20 +148,14 @@ func (c *Collection) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// maxPreallocBytes caps how much memory Read pre-allocates from the
-// header count alone: a corrupt header cannot force a giant allocation
-// regardless of the dims/count combination it claims. Larger (honest)
-// collections grow geometrically as their blocks arrive, bounded by the
-// bytes actually read.
-const maxPreallocBytes = 64 << 20
-
-// Read parses a collection previously produced by Write. The collection
-// is pre-sized from the header count and records are decoded in bulk
-// blocks directly into the backing array — no per-record copies. A
-// header count the input cannot back is reported as ErrTruncated, never
-// a panic or an unbounded allocation; a header whose dims or count no
-// collection could have is ErrBadHeader. Bytes after the records the
-// header announces are ignored.
+// Read parses a collection previously produced by Write. Records are
+// decoded in bulk blocks directly into the backing array — no per-record
+// copies — and the collection grows as the blocks arrive, never sized
+// from the header alone, so memory stays bounded by the bytes actually
+// read. A header count the input cannot back is reported as
+// ErrTruncated, never a panic or an unbounded allocation; a header whose
+// dims or count no collection could have is ErrBadHeader. Bytes after the
+// records the header announces are ignored.
 func Read(r io.Reader) (*Collection, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	head := make([]byte, headerSize)
@@ -181,11 +175,7 @@ func Read(r io.Reader) (*Collection, error) {
 		return nil, fmt.Errorf("%w: record count %d", ErrBadHeader, count64)
 	}
 	count := int(count64)
-	pre := count
-	if maxPre := maxPreallocBytes / rec; pre > maxPre {
-		pre = maxPre
-	}
-	c := NewCollection(dims, pre)
+	c := NewCollection(dims, 0)
 	blockRecs := (1 << 20) / rec
 	if blockRecs < 1 {
 		blockRecs = 1

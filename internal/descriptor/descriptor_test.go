@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -128,24 +129,35 @@ func TestReadTruncated(t *testing.T) {
 	}
 }
 
-// TestReadHostileHeaderCount pins the pre-sizing guard: a header whose
-// record count the input cannot back must produce an error — never a
-// panic or a count-sized allocation.
+// TestReadHostileHeaderCount pins the count guard: a header whose record
+// count the input cannot back must produce an error — never a panic —
+// having allocated no more than the read buffers (about 2 MB): nothing
+// is sized from the header alone.
 func TestReadHostileHeaderCount(t *testing.T) {
-	for _, hostile := range []struct{ dims, count uint64 }{
-		{24, 1 << 62},   // count*rec overflows int
-		{24, 1 << 40},   // huge but non-overflowing count
-		{4096, 1 << 22}, // max dims × large count: byte cap must hold
-		{24, 1000},      // plausible count the payload cannot back
+	for _, hostile := range []struct {
+		dims, count uint64
+		body        int // record bytes after the header
+	}{
+		{24, 1 << 62, 300},   // count*rec overflows int
+		{24, 1 << 40, 300},   // huge but non-overflowing count
+		{4096, 1 << 22, 300}, // max dims × large count
+		{24, 1000, 300},      // plausible count the payload cannot back
+		{24, 10_000_000, 0},  // header only
 	} {
 		head := make([]byte, headerSize)
 		copy(head, fileMagic)
 		binary.LittleEndian.PutUint32(head[8:12], uint32(hostile.dims))
 		binary.LittleEndian.PutUint64(head[12:20], hostile.count)
-		// A handful of record bytes — far fewer than count claims.
-		payload := append(head, make([]byte, 3*100)...)
-		if _, err := Read(bytes.NewReader(payload)); err == nil {
+		payload := append(head, make([]byte, hostile.body)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(payload))
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Fatalf("dims %d count %d: expected error, got none", hostile.dims, hostile.count)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Fatalf("dims %d count %d: allocated %.1f MB, want at most 4 MB", hostile.dims, hostile.count, float64(alloc)/(1<<20))
 		}
 	}
 }

@@ -74,7 +74,7 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 		var recall, secs float64
 		for qi := range chunkResults {
 			recall += recallOf(qi, chunkResults[qi].Neighbors)
-			secs += chunkResults[qi].Elapsed.Seconds()
+			secs += chunkResults[qi].Simulated.Seconds()
 		}
 		res.Rows = append(res.Rows, ComparatorRow{
 			Method: "chunk-search/SR",
@@ -100,12 +100,13 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 	for s, idxs := range assign {
 		shardStores[s] = chunkfile.NewMemStore(lab.Coll, shard.Select(g.SRChunks, idxs), lab.Cfg.PageSize)
 	}
-	router, err := shard.NewRouter(shardStores, nil, model, shard.RouterOptions{})
+	router, err := shard.NewRouter(shardStores, nil, shard.RouterOptions{})
 	if err != nil {
 		return nil, err
 	}
+	sharded := batchexec.New(router, model)
 	for _, budget := range []int{1, 2, 5} {
-		err := router.RunBatch(queries, batchexec.Options{
+		err := sharded.Run(queries, batchexec.Options{
 			K: k, Stop: search.ChunkBudget(budget), Overlap: true,
 		}, chunkResults)
 		if err != nil {
@@ -114,7 +115,7 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 		var recall, secs float64
 		for qi := range chunkResults {
 			recall += recallOf(qi, chunkResults[qi].Neighbors)
-			secs += chunkResults[qi].Elapsed.Seconds()
+			secs += chunkResults[qi].Simulated.Seconds()
 		}
 		res.Rows = append(res.Rows, ComparatorRow{
 			Method: fmt.Sprintf("chunk-search/SR-%dshard", comparatorShards),
@@ -135,7 +136,7 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 	// budget 4b pays the same bill for the *globally* best chunks.
 	lab.Cfg.logf("comparators: sharded chunk search (global budget)...")
 	for _, budget := range []int{4, 8, 20} {
-		err := router.RunBatch(queries, batchexec.Options{
+		err := sharded.Run(queries, batchexec.Options{
 			K: k, Stop: search.ChunkBudget(budget), Overlap: true, GlobalBudget: true,
 		}, chunkResults)
 		if err != nil {
@@ -144,7 +145,7 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 		var recall, secs float64
 		for qi := range chunkResults {
 			recall += recallOf(qi, chunkResults[qi].Neighbors)
-			secs += chunkResults[qi].Elapsed.Seconds()
+			secs += chunkResults[qi].Simulated.Seconds()
 		}
 		res.Rows = append(res.Rows, ComparatorRow{
 			Method: fmt.Sprintf("chunk-search/SR-%dshard-global", comparatorShards),

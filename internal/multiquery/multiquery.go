@@ -66,7 +66,7 @@ func Aggregate(results []search.Result, rankWeighted bool) *Result {
 	seen := map[uint32]bool{}
 	for qi := range results {
 		sr := &results[qi]
-		res.Simulated += sr.Elapsed
+		res.Simulated += sr.Simulated
 		res.ChunksRead += sr.ChunksRead
 		res.ChunksSkipped += sr.ChunksSkipped
 		res.Degraded = res.Degraded || sr.Degraded

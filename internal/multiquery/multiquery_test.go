@@ -92,7 +92,7 @@ func TestEmptyQueryRejected(t *testing.T) {
 func TestBudgetAccounting(t *testing.T) {
 	bag := []search.Result{hits(1), hits(2), hits(1)}
 	for i := range bag {
-		bag[i].ChunksRead, bag[i].Elapsed = 2, time.Duration(i+1)*time.Millisecond
+		bag[i].ChunksRead, bag[i].Simulated = 2, time.Duration(i+1)*time.Millisecond
 	}
 	bag[1].ChunksSkipped, bag[1].Degraded = 1, true
 	res := Aggregate(bag, false)

@@ -314,15 +314,15 @@ func (a *arena) release() {
 // member; each member's walk then takes the shared step, and the member
 // retires or subscribes to its next chunk. In the per-query cost model
 // each member's machine would have made the read itself, so each is
-// billed the read's stall — also when no replica is live and the wave
-// skips the chunk. members must be sorted ascending (deterministic error
+// billed the read's failed attempts and stall — also when no replica is
+// live and the wave skips the chunk. members must be sorted ascending (deterministic error
 // attribution and the scanGroup merge walk both rely on it); their states
 // are owned by the caller, since a query is subscribed to exactly one
 // task at a time.
 func (a *arena) processChunk(ws *workerScratch, chunk int, members []int32) {
 	err := a.store.ReadChunk(chunk, &ws.data)
-	stall := ws.data.Stall
-	ws.data.Stall = 0
+	failed, stall := ws.data.FailedReads, ws.data.Stall
+	ws.data.FailedReads, ws.data.Stall = 0, 0
 	skip := errors.Is(err, chunkfile.ErrUnavailable)
 	switch {
 	case skip:
@@ -339,9 +339,9 @@ func (a *arena) processChunk(ws *workerScratch, chunk int, members []int32) {
 		st := &a.states[si]
 		var done bool
 		if skip {
-			done = st.Skip(st.res, stall)
+			done = st.Skip(st.res, failed, stall)
 		} else {
-			done = st.Charge(st.res, stall)
+			done = st.Charge(st.res, failed, stall)
 		}
 		switch {
 		case !done:

@@ -71,7 +71,7 @@ func runEach(t testing.TB, eng *Engine, queries []vec.Vector, opts Options) []se
 // TestBatchMatchesSingleQuery is the engine's core contract: a query's
 // outcome does not depend on which queries share its run. A batch of N is
 // byte-identical to N batches of one — same neighbor IDs and bit-identical
-// distances (ties included), same ChunksRead, same simulated Elapsed and
+// distances (ties included), same ChunksRead, same simulated time and
 // IndexRead, same Exact flag — for all three stop rules, on both store
 // backends, at every parallelism.
 func TestBatchMatchesSingleQuery(t *testing.T) {
@@ -108,14 +108,14 @@ func TestBatchMatchesSingleQuery(t *testing.T) {
 }
 
 // diff names the first field in which got differs from want — neighbors
-// (IDs and bit-identical distances), ChunksRead, Elapsed, IndexRead,
+// (IDs and bit-identical distances), ChunksRead, Simulated, IndexRead,
 // Exact — or returns "" when they are byte-identical.
 func diff(got, want *search.Result) string {
 	switch {
 	case got.ChunksRead != want.ChunksRead:
 		return fmt.Sprintf("ChunksRead %d != %d", got.ChunksRead, want.ChunksRead)
-	case got.Elapsed != want.Elapsed:
-		return fmt.Sprintf("Elapsed %v != %v", got.Elapsed, want.Elapsed)
+	case got.Simulated != want.Simulated:
+		return fmt.Sprintf("Simulated %v != %v", got.Simulated, want.Simulated)
 	case got.IndexRead != want.IndexRead:
 		return fmt.Sprintf("IndexRead %v != %v", got.IndexRead, want.IndexRead)
 	case got.Exact != want.Exact:
@@ -230,7 +230,7 @@ func (s layoutStore) Layout() ([]int32, int) { return s.owner, s.machines }
 // (chunkfile.MachineLayout) on the engine: a layout onto one machine is
 // byte-identical to a store without one, a three-machine layout moves
 // time but never neighbors or ChunksRead and is byte-identical to batches
-// of one over the same store (whose Elapsed the walk's own test replays
+// of one over the same store (whose Simulated the walk's own test replays
 // by hand), and a malformed layout is rejected.
 func TestBatchShardMapping(t *testing.T) {
 	mem, _, queries := buildStores(t)

@@ -111,13 +111,13 @@ type Event struct {
 	Neighbors []Neighbor
 }
 
-// Result is the outcome of one query.
+// Result is the outcome of one query, and the facade's repro.Result.
 type Result struct {
 	Neighbors  []Neighbor    // ordered by (increasing distance, ascending id)
 	ChunksRead int           // chunks processed
-	Elapsed    time.Duration // simulated elapsed time (index read + chunks)
+	Simulated  time.Duration // simulated elapsed time (index read + chunks)
 	IndexRead  time.Duration // simulated cost of reading + ranking the index
-	Wall       time.Duration // real wall-clock time of this call
+	Wall       time.Duration // real time from the run's start to this query's retirement
 	Exact      bool          // true if the exact stop condition held at the end
 	// ChunksSkipped counts ranked chunks the store reported unavailable
 	// (chunkfile.ErrUnavailable — no live replica); the search completed
@@ -423,7 +423,7 @@ type Walk struct {
 	after, rest []float64
 	pos         int // rank position of the next chunk
 	// pipes is one simulated machine per machine of the plan's layout,
-	// billed by chunk ownership: Elapsed reads their max.
+	// billed by chunk ownership: Simulated reads their max.
 	pipes        []simdisk.Pipeline
 	reads, skips []int // per layout machine
 	// left[g] is how many chunks group g may still read (0 once its rule
@@ -463,7 +463,7 @@ func (w *Walk) Reset(p *Plan, q vec.Vector, res *Result) bool {
 		Neighbors:  res.Neighbors[:0],
 		PerMachine: res.PerMachine[:0],
 		IndexRead:  p.indexRead,
-		Elapsed:    p.indexRead,
+		Simulated:  p.indexRead,
 		Exact:      len(w.ranked) == 0, // zero chunks: trivially complete
 	}
 	return len(w.ranked) > 0
@@ -500,24 +500,28 @@ func (w *Walk) order(n int) {
 // Next returns the store index of the chunk the walk wants next.
 func (w *Walk) Next() int { return w.ranked[w.pos].Idx }
 
-// stall bills a read's stall for the chunk at the cursor to the machine
-// owning it and returns that machine.
-func (w *Walk) stall(d time.Duration) (machine int) {
+// stall bills a read's failed attempts and stall (chunkfile.Data's
+// FailedReads and Stall) for the chunk at the cursor to the machine owning
+// it and returns that machine. Each failed attempt costs the chunk's read
+// time under the run's model.
+func (w *Walk) stall(failed int, d time.Duration) (machine int) {
+	ci := w.ranked[w.pos].Idx
 	if w.plan.owner != nil {
-		machine = int(w.plan.owner[w.ranked[w.pos].Idx])
+		machine = int(w.plan.owner[ci])
 	}
+	d += time.Duration(failed) * w.plan.model.ReadTime(w.plan.metas[ci].Bytes)
 	w.pipes[machine].Stall(d)
 	return machine
 }
 
 // Skip steps past the chunk Next named because no live replica serves it
-// (chunkfile.ErrUnavailable): the stall of the failed attempts is billed,
-// the result degrades, and no budget is spent — the stop rule is not
-// consulted, so a budget buys reachable chunks only. It reports whether
-// the walk is over.
-func (w *Walk) Skip(res *Result, stall time.Duration) (done bool) {
-	machine := w.stall(stall)
-	res.Elapsed = max(res.Elapsed, w.pipes[machine].Elapsed())
+// (chunkfile.ErrUnavailable): the read's failed attempts and stall are
+// billed, the result degrades, and no budget is spent — the stop rule is
+// not consulted, so a budget buys reachable chunks only. It reports
+// whether the walk is over.
+func (w *Walk) Skip(res *Result, failed int, stall time.Duration) (done bool) {
+	machine := w.stall(failed, stall)
+	res.Simulated = max(res.Simulated, w.pipes[machine].Elapsed())
 	res.ChunksSkipped++
 	res.Degraded = true
 	w.skips[machine]++
@@ -525,19 +529,19 @@ func (w *Walk) Skip(res *Result, stall time.Duration) (done bool) {
 }
 
 // Charge steps past the chunk Next named after the driver scanned it into
-// Heap: stall is the read's Data.Stall. The chunk is billed to its
-// owning machine's pipeline, the query's Elapsed becomes the max over its
-// machines, which run in parallel, and the chunk's budget group consults
-// the stop rule. It reports whether the walk is over, with res.Exact
-// settled.
-func (w *Walk) Charge(res *Result, stall time.Duration) (done bool) {
+// Heap: failed and stall are the read's Data.FailedReads and Data.Stall.
+// The chunk is billed to its owning machine's pipeline, the query's
+// Simulated becomes the max over its machines, which run in parallel, and
+// the chunk's budget group consults the stop rule. It reports whether the
+// walk is over, with res.Exact settled.
+func (w *Walk) Charge(res *Result, failed int, stall time.Duration) (done bool) {
 	p := w.plan
 	rc := &w.ranked[w.pos]
 	m := &p.metas[rc.Idx]
-	machine := w.stall(stall)
-	elapsed := max(res.Elapsed, w.pipes[machine].Chunk(m.Bytes, m.Count))
+	machine := w.stall(failed, stall)
+	elapsed := max(res.Simulated, w.pipes[machine].Chunk(m.Bytes, m.Count))
 	res.ChunksRead++
-	res.Elapsed = elapsed
+	res.Simulated = elapsed
 	w.reads[machine]++
 	if p.trace != nil {
 		w.emit(rc.Idx, m.Count, elapsed)
@@ -556,7 +560,7 @@ func (w *Walk) Charge(res *Result, stall time.Duration) (done bool) {
 // so the comparison alone would say false).
 func (w *Walk) step(res *Result, m int, charged bool) (done bool) {
 	p := w.plan
-	g, reads, clock := 0, res.ChunksRead, res.Elapsed
+	g, reads, clock := 0, res.ChunksRead, res.Simulated
 	if p.group != nil {
 		g, reads, clock = m, w.reads[m], w.pipes[m].Elapsed()
 	}

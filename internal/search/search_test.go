@@ -163,8 +163,8 @@ func TestTimeBudgetStops(t *testing.T) {
 	}
 	// The rule triggers after crossing the threshold, so elapsed may
 	// exceed it by at most one chunk.
-	if res.Elapsed < budget {
-		t.Fatalf("stopped before budget: %v < %v", res.Elapsed, budget)
+	if res.Simulated < budget {
+		t.Fatalf("stopped before budget: %v < %v", res.Simulated, budget)
 	}
 }
 
@@ -279,10 +279,10 @@ func TestOverlapFaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if over.Elapsed > serial.Elapsed {
-		t.Fatalf("overlap %v > serial %v", over.Elapsed, serial.Elapsed)
+	if over.Simulated > serial.Simulated {
+		t.Fatalf("overlap %v > serial %v", over.Simulated, serial.Simulated)
 	}
-	if over.Elapsed <= over.IndexRead {
+	if over.Simulated <= over.IndexRead {
 		t.Fatal("elapsed not above index read cost")
 	}
 }
@@ -300,8 +300,8 @@ func TestCustomModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Elapsed >= res2.Elapsed {
-		t.Fatalf("fast model %v not faster than default %v", res.Elapsed, res2.Elapsed)
+	if res.Simulated >= res2.Simulated {
+		t.Fatalf("fast model %v not faster than default %v", res.Simulated, res2.Simulated)
 	}
 }
 

@@ -111,14 +111,14 @@ func checkWalk(t *testing.T, name string, base chunkfile.Store, q vec.Vector, tc
 	var want Result
 	var charged []charge
 	for _, p := range pipes {
-		want.Elapsed = max(want.Elapsed, p.Elapsed())
+		want.Simulated = max(want.Simulated, p.Elapsed())
 	}
 	heap := knn.NewHeap(tc.k)
 	var data chunkfile.Data
 	for pos, rc := range order {
 		p := pipes[st.owner[rc.Idx]]
 		p.Stall(st.stall[rc.Idx])
-		want.Elapsed = max(want.Elapsed, p.Elapsed())
+		want.Simulated = max(want.Simulated, p.Elapsed())
 		if st.down[rc.Idx] {
 			want.ChunksSkipped++
 			continue
@@ -129,7 +129,7 @@ func checkWalk(t *testing.T, name string, base chunkfile.Store, q vec.Vector, tc
 		for r, id := range data.IDs {
 			heap.OfferSquared(id, vec.SquaredDistance(q, data.Vec(r)))
 		}
-		want.Elapsed = max(want.Elapsed, p.Chunk(metas[rc.Idx].Bytes, metas[rc.Idx].Count))
+		want.Simulated = max(want.Simulated, p.Chunk(metas[rc.Idx].Bytes, metas[rc.Idx].Count))
 		want.ChunksRead++
 		charged = append(charged, charge{pos + 1, rc.Idx})
 		remaining := math.Inf(1)
@@ -138,7 +138,7 @@ func checkWalk(t *testing.T, name string, base chunkfile.Store, q vec.Vector, tc
 		}
 		last := pos+1 == n
 		want.Exact = last
-		if tc.stop.Done(want.ChunksRead, want.Elapsed, heap.Kth(), remaining) {
+		if tc.stop.Done(want.ChunksRead, want.Simulated, heap.Kth(), remaining) {
 			want.Exact = remaining > heap.Kth() || last
 			break
 		}
@@ -147,11 +147,11 @@ func checkWalk(t *testing.T, name string, base chunkfile.Store, q vec.Vector, tc
 	want.Exact = want.Exact && !want.Degraded
 	want.Neighbors = heap.Sorted()
 
-	if res.Elapsed != want.Elapsed || res.ChunksRead != want.ChunksRead || res.ChunksSkipped != want.ChunksSkipped ||
+	if res.Simulated != want.Simulated || res.ChunksRead != want.ChunksRead || res.ChunksSkipped != want.ChunksSkipped ||
 		res.Degraded != want.Degraded || res.Exact != want.Exact || len(res.PerMachine) != tc.machines {
 		t.Errorf("%s: elapsed %v read %d skipped %d degraded %v exact %v on %d machines, replay %v %d %d %v %v on %d",
-			name, res.Elapsed, res.ChunksRead, res.ChunksSkipped, res.Degraded, res.Exact, len(res.PerMachine),
-			want.Elapsed, want.ChunksRead, want.ChunksSkipped, want.Degraded, want.Exact, tc.machines)
+			name, res.Simulated, res.ChunksRead, res.ChunksSkipped, res.Degraded, res.Exact, len(res.PerMachine),
+			want.Simulated, want.ChunksRead, want.ChunksSkipped, want.Degraded, want.Exact, tc.machines)
 	}
 	if !slices.Equal(traced, charged) {
 		t.Errorf("%s: charged %v, replay %v", name, traced, charged)
@@ -215,7 +215,7 @@ func TestWalkStep(t *testing.T) {
 		rules = append(rules, ChunkBudget(b))
 	}
 	complete := checkWalk(t, "tied completion", f.tieSt, q, walkCase{1, 10, false, ToCompletion{}, -1, nil})
-	rules = append(rules, ToCompletion{}, TimeBudget(0), TimeBudget(complete.Elapsed/3), TimeBudget(complete.Elapsed), TimeBudget(time.Hour))
+	rules = append(rules, ToCompletion{}, TimeBudget(0), TimeBudget(complete.Simulated/3), TimeBudget(complete.Simulated), TimeBudget(time.Hour))
 	for _, stop := range rules {
 		edge := InitialPrefix
 		if b, ok := stop.(ChunkBudget); ok {
@@ -314,7 +314,7 @@ func FuzzWalkPerMachine(f *testing.F) {
 			want.Neighbors = append(want.Neighbors, rows[m].Neighbors...)
 			want.ChunksRead += rows[m].ChunksRead
 			want.ChunksSkipped += rows[m].ChunksSkipped
-			want.Elapsed = max(want.Elapsed, rows[m].Elapsed)
+			want.Simulated = max(want.Simulated, rows[m].Simulated)
 			want.IndexRead = max(want.IndexRead, rows[m].IndexRead)
 			want.Exact = want.Exact && rows[m].Exact
 			want.Degraded = want.Degraded || rows[m].Degraded
@@ -351,12 +351,12 @@ func FuzzWalkPerMachine(f *testing.F) {
 			}
 			return
 		}
-		if got.ChunksRead != want.ChunksRead || got.ChunksSkipped != want.ChunksSkipped || got.Elapsed != want.Elapsed ||
+		if got.ChunksRead != want.ChunksRead || got.ChunksSkipped != want.ChunksSkipped || got.Simulated != want.Simulated ||
 			got.Degraded != want.Degraded {
 			t.Fatalf("%v: got %+v, independent machines %+v", stop, got, want)
 		}
 		for m, mc := range got.PerMachine {
-			if mc != (MachineCost{ChunksRead: rows[m].ChunksRead, ChunksSkipped: rows[m].ChunksSkipped, Elapsed: rows[m].Elapsed}) {
+			if mc != (MachineCost{ChunksRead: rows[m].ChunksRead, ChunksSkipped: rows[m].ChunksSkipped, Elapsed: rows[m].Simulated}) {
 				t.Fatalf("%v machine %d: %+v, its own walk %+v", stop, m, mc, rows[m])
 			}
 		}

@@ -36,9 +36,11 @@ func faultSeed(t testing.TB) int64 {
 // interface. The public ShardedIndex facade cannot inject
 // fault wrappers around its stores, so the acceptance tests build the
 // router directly over faultstore-wrapped stores and serve it through
-// this adapter — the same search semantics, with Kill/Revive handles.
+// this adapter — the same engine over the same store, with Kill/Revive
+// handles.
 type routerBackend struct {
 	r *shard.Router
+	e *batchexec.Engine
 }
 
 var _ Backend = (*routerBackend)(nil)
@@ -60,52 +62,22 @@ func (b *routerBackend) search(q repro.Vector, opts repro.SearchOptions) (*repro
 	return &res[0], err
 }
 
-// SearchBatchStream samples ShardsDown the way the facade does: before the
-// run when streaming, after it otherwise.
+// SearchBatchStream runs the batch on the engine, as the facade does.
 func (b *routerBackend) SearchBatchStream(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result, done func(query int)) error {
-	srs := make([]search.Result, len(queries))
-	convert := func(qi, down int) {
-		results[qi] = repro.Result{
-			Neighbors:     srs[qi].Neighbors,
-			ChunksRead:    srs[qi].ChunksRead,
-			Simulated:     srs[qi].Elapsed,
-			Wall:          srs[qi].Wall,
-			Exact:         srs[qi].Exact,
-			Degraded:      srs[qi].Degraded,
-			ChunksSkipped: srs[qi].ChunksSkipped,
-			ShardsDown:    down,
-		}
-	}
-	var onDone func(int)
-	if done != nil {
-		down := b.r.DownShards()
-		onDone = func(qi int) {
-			convert(qi, down)
-			done(qi)
-		}
-	}
-	err := b.r.RunBatchStream(queries, batchexec.Options{
+	return b.e.RunStream(queries, batchexec.Options{
 		K:            opts.K,
 		Stop:         stopOf(opts.SearchOptions),
 		Overlap:      opts.Overlap,
 		GlobalBudget: opts.GlobalBudget,
 		Parallelism:  opts.Parallelism,
 		Ctx:          opts.Ctx,
-	}, srs, onDone)
-	if err != nil || done != nil {
-		return err
-	}
-	down := b.r.DownShards()
-	for qi := range srs {
-		convert(qi, down)
-	}
-	return nil
+	}, results, done)
 }
 
 // MultiSearch votes over one batch of the bag, as the facade does.
 func (b *routerBackend) MultiSearch(descriptors []repro.Vector, opts repro.MultiSearchOptions) (*repro.MultiResult, error) {
-	srs := make([]search.Result, len(descriptors))
-	err := b.r.RunBatch(descriptors, batchexec.Options{
+	srs := make([]repro.Result, len(descriptors))
+	err := b.e.Run(descriptors, batchexec.Options{
 		K:            cmp.Or(opts.K, repro.DefaultMultiK),
 		Stop:         search.ChunkBudget(cmp.Or(opts.MaxChunks, repro.DefaultMultiMaxChunks)),
 		Overlap:      opts.Overlap,
@@ -157,9 +129,9 @@ func faultedRouter(t testing.TB, n int, seed int64, shards, replication int, cfg
 		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, shard.Select(clusters, physical), pageSize), cfg)
 		stores[s] = faults[s]
 	}
-	r, err := shard.NewRouter(stores, p, nil, shard.RouterOptions{})
+	r, err := shard.NewRouter(stores, p, shard.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &routerBackend{r: r}, faults, coll
+	return &routerBackend{r: r, e: batchexec.New(r, nil)}, faults, coll
 }

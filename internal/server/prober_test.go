@@ -35,8 +35,8 @@ func TestProberMarksDeadShardDownAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded || res.ChunksSkipped == 0 || res.ShardsDown != 1 {
-		t.Fatalf("dead-shard result not honestly degraded: %+v", res)
+	if !res.Degraded || res.ChunksSkipped == 0 || b.ShardsDown() != 1 {
+		t.Fatalf("dead-shard result not honestly degraded: %+v, %d shards down", res, b.ShardsDown())
 	}
 
 	// While the shard stays dead, repeated sweeps keep it down — no
@@ -57,8 +57,8 @@ func TestProberMarksDeadShardDownAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Degraded || res.ChunksSkipped != 0 || res.ShardsDown != 0 {
-		t.Fatalf("post-recovery result still degraded: %+v", res)
+	if res.Degraded || res.ChunksSkipped != 0 || b.ShardsDown() != 0 {
+		t.Fatalf("post-recovery result still degraded: %+v, %d shards down", res, b.ShardsDown())
 	}
 }
 

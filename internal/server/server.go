@@ -627,13 +627,15 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, req body) (res r
 
 // run answers /search and /batch: the batch runs through the backend's
 // one entry point and is written as one SearchResponse (point), a
-// BatchResponse, or — with stream — NDJSON (see stream).
+// BatchResponse, or — with stream — NDJSON (see stream). Every response
+// carries the backend's ShardsDown, sampled once per request: before the
+// run when streaming, after it otherwise.
 func run(w http.ResponseWriter, b Backend, queries []repro.Vector, opts repro.BatchOptions, granted int, point, stream bool) result {
 	results := make([]repro.Result, len(queries))
 	var done func(int)
 	var trailer func(error) result
 	if stream {
-		done, trailer = streamTo(w, results, granted)
+		done, trailer = streamTo(w, results, granted, b.ShardsDown())
 	}
 	err := b.SearchBatchStream(queries, opts, results, done)
 	switch {
@@ -641,15 +643,17 @@ func run(w http.ResponseWriter, b Backend, queries []repro.Vector, opts repro.Ba
 		return trailer(err)
 	case err != nil:
 		return searchFailure(w, err)
-	case point:
-		resp := searchResponse(&results[0])
+	}
+	down := b.ShardsDown()
+	if point {
+		resp := searchResponse(&results[0], down)
 		resp.ChunksGranted = granted
 		writeJSON(w, resp)
 		return result{outcome: OutcomeOK, chunksRead: resp.ChunksRead, degraded: resp.Degraded}
 	}
 	resp := BatchResponse{Results: make([]SearchResponse, len(results)), ChunksGranted: granted}
 	for i := range results {
-		resp.Results[i] = searchResponse(&results[i])
+		resp.Results[i] = searchResponse(&results[i], down)
 		resp.ChunksRead += results[i].ChunksRead
 		resp.Degraded = resp.Degraded || results[i].Degraded
 	}
@@ -664,8 +668,9 @@ func run(w http.ResponseWriter, b Backend, queries []repro.Vector, opts repro.Ba
 // runs, so a mid-batch failure is reported in-band on the trailer —
 // queries already streamed remain valid, exactly the facade's
 // SearchBatchStream contract. The trailer is left unflushed: it reaches
-// the client when the handler returns, after the grant is settled.
-func streamTo(w http.ResponseWriter, results []repro.Result, granted int) (done func(int), trailer func(error) result) {
+// the client when the handler returns, after the grant is settled. Every
+// line reports down as its ShardsDown.
+func streamTo(w http.ResponseWriter, results []repro.Result, granted, down int) (done func(int), trailer func(error) result) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -673,7 +678,7 @@ func streamTo(w http.ResponseWriter, results []repro.Result, granted int) (done 
 	var mu sync.Mutex // serializes completion callbacks onto the wire
 	tally := result{outcome: OutcomeOK}
 	done = func(qi int) {
-		item := searchResponse(&results[qi])
+		item := searchResponse(&results[qi], down)
 		mu.Lock()
 		defer mu.Unlock()
 		tally.chunksRead += results[qi].ChunksRead
@@ -741,8 +746,9 @@ func applyDeadlineBudget(opts *repro.SearchOptions, ctx context.Context) {
 	}
 }
 
-// searchResponse maps a facade result onto the wire.
-func searchResponse(res *repro.Result) SearchResponse {
+// searchResponse maps a facade result and the backend's down-shard count
+// onto the wire.
+func searchResponse(res *repro.Result, shardsDown int) SearchResponse {
 	out := SearchResponse{
 		Neighbors:     make([]WireNeighbor, len(res.Neighbors)),
 		ChunksRead:    res.ChunksRead,
@@ -751,7 +757,7 @@ func searchResponse(res *repro.Result) SearchResponse {
 		Exact:         res.Exact,
 		Degraded:      res.Degraded,
 		ChunksSkipped: res.ChunksSkipped,
-		ShardsDown:    res.ShardsDown,
+		ShardsDown:    shardsDown,
 	}
 	for i, nb := range res.Neighbors {
 		out.Neighbors[i] = WireNeighbor{ID: uint32(nb.ID), Dist: nb.Dist}

@@ -25,7 +25,7 @@ func cachedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cl
 	for s, idxs := range assign {
 		stores[s] = chunkfile.NewMemStore(coll, Select(clusters, idxs), pageSize)
 	}
-	r, err := NewRouter(stores, nil, nil, RouterOptions{CacheBytes: cacheBytes})
+	r, err := NewRouter(stores, nil, RouterOptions{CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +38,9 @@ func cachedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cl
 func sameResult(t *testing.T, label string, got, want *search.Result) {
 	t.Helper()
 	sameAnswer(t, label, got, want)
-	if got.Elapsed != want.Elapsed || got.IndexRead != want.IndexRead {
+	if got.Simulated != want.Simulated || got.IndexRead != want.IndexRead {
 		t.Fatalf("%s: simulated times (%v, %v) != (%v, %v)",
-			label, got.Elapsed, got.IndexRead, want.Elapsed, want.IndexRead)
+			label, got.Simulated, got.IndexRead, want.Simulated, want.IndexRead)
 	}
 	if got.ChunksSkipped != want.ChunksSkipped || got.Degraded != want.Degraded {
 		t.Fatalf("%s: (skipped %d, degraded %v) != (skipped %d, degraded %v)",
@@ -51,7 +51,7 @@ func sameResult(t *testing.T, label string, got, want *search.Result) {
 // TestCachedRouterMatchesUncached pins the cache equivalence at the
 // router: with the shared decoded-chunk cache on, both budget disciplines
 // — single queries and batches — return results byte-identical to the
-// uncached router, including Elapsed and ChunksRead, under all three stop
+// uncached router, including Simulated and ChunksRead, under all three stop
 // rules, on the cold pass and again on the fully warm pass.
 func TestCachedRouterMatchesUncached(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 29, 130)
@@ -73,10 +73,10 @@ func TestCachedRouterMatchesUncached(t *testing.T) {
 				opts := batchexec.Options{K: k, Stop: stop, GlobalBudget: d.global}
 				for _, q := range queries {
 					var want, got search.Result
-					if err := one(plain.RunBatch, q, opts, &want); err != nil {
+					if err := one(batchexec.New(plain, nil).Run, q, opts, &want); err != nil {
 						t.Fatal(err)
 					}
-					if err := one(cached.RunBatch, q, opts, &got); err != nil {
+					if err := one(batchexec.New(cached, nil).Run, q, opts, &got); err != nil {
 						t.Fatal(err)
 					}
 					sameResult(t, d.name+"/search", &got, &want)
@@ -84,10 +84,10 @@ func TestCachedRouterMatchesUncached(t *testing.T) {
 
 				want := make([]search.Result, len(queries))
 				got := make([]search.Result, len(queries))
-				if err := plain.RunBatch(queries, opts, want); err != nil {
+				if err := batchexec.New(plain, nil).Run(queries, opts, want); err != nil {
 					t.Fatal(err)
 				}
-				if err := cached.RunBatch(queries, opts, got); err != nil {
+				if err := batchexec.New(cached, nil).Run(queries, opts, got); err != nil {
 					t.Fatal(err)
 				}
 				for qi := range queries {
@@ -148,7 +148,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, Select(clusters, physical), pageSize), faultstore.Config{})
 		stores[s] = faults[s]
 	}
-	r, err := NewRouter(stores, p, nil, RouterOptions{CacheBytes: 64 << 20})
+	r, err := NewRouter(stores, p, RouterOptions{CacheBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 	q := coll.Vec(42)
 	opts := batchexec.Options{K: k}
 	var healthy, res search.Result
-	if err := one(r.RunBatch, q, opts, &healthy); err != nil { // cold: fills the cache
+	if err := one(batchexec.New(r, nil).Run, q, opts, &healthy); err != nil { // cold: fills the cache
 		t.Fatal(err)
 	}
 
@@ -166,7 +166,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 	for s := range before {
 		before[s] = faults[s].Reads()
 	}
-	if err := one(r.RunBatch, q, opts, &res); err != nil {
+	if err := one(batchexec.New(r, nil).Run, q, opts, &res); err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "warm", &res, &healthy)
@@ -188,7 +188,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 	// skipped and the result degrades, however warm the cache is.
 	faults[dead].Kill()
 	r.MarkShardDown(dead)
-	if err := one(r.RunBatch, q, opts, &res); err != nil {
+	if err := one(batchexec.New(r, nil).Run, q, opts, &res); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded || res.ChunksSkipped == 0 {
@@ -199,7 +199,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 	faults[dead].Revive()
 	readsAtRevive := faults[dead].Reads()
 	r.MarkShardUp(dead)
-	if err := one(r.RunBatch, q, opts, &res); err != nil {
+	if err := one(batchexec.New(r, nil).Run, q, opts, &res); err != nil {
 		t.Fatal(err)
 	}
 	sameAnswer(t, "recovered", &res, &healthy)
@@ -227,7 +227,7 @@ func TestReplicaDoesNotSplitCache(t *testing.T) {
 		var res search.Result
 		for pass := 0; pass < 2; pass++ {
 			for _, q := range queries {
-				if err := one(r.RunBatch, q, opts, &res); err != nil {
+				if err := one(batchexec.New(r, nil).Run, q, opts, &res); err != nil {
 					t.Fatal(err)
 				}
 			}

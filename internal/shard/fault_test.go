@@ -20,6 +20,7 @@ import (
 	"repro/internal/scan"
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
+	"repro/internal/simdisk"
 	"repro/internal/vec"
 	"repro/internal/workload"
 )
@@ -60,7 +61,7 @@ func replicatedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluste
 		logs[s] = &attemptLog{Store: faults[s], failing: map[*chunkfile.Data]failedRun{}, exhausted: map[int]int{}}
 		stores[s] = logs[s]
 	}
-	r, err := NewRouter(stores, p, nil, opts)
+	r, err := NewRouter(stores, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestReplicatedKillAnyShardMatchesHealthy(t *testing.T) {
 			base[ri][d] = make([]search.Result, len(queryIdx))
 			for qi, pos := range queryIdx {
 				opts := batchexec.Options{K: k, Stop: stop, GlobalBudget: disc.global}
-				if err := one(healthy.RunBatch, coll.Vec(pos), opts, &base[ri][d][qi]); err != nil {
+				if err := one(batchexec.New(healthy, nil).Run, coll.Vec(pos), opts, &base[ri][d][qi]); err != nil {
 					t.Fatal(err)
 				}
 				charged += int64(base[ri][d][qi].ChunksRead)
@@ -173,7 +174,7 @@ func TestReplicatedKillAnyShardMatchesHealthy(t *testing.T) {
 		queries[qi] = coll.Vec(pos)
 	}
 	healthyBatch := make([]search.Result, len(queries))
-	if err := healthy.RunBatch(queries, batchexec.Options{K: k}, healthyBatch); err != nil {
+	if err := batchexec.New(healthy, nil).Run(queries, batchexec.Options{K: k}, healthyBatch); err != nil {
 		t.Fatal(err)
 	}
 
@@ -185,7 +186,7 @@ func TestReplicatedKillAnyShardMatchesHealthy(t *testing.T) {
 			for d, disc := range disciplines {
 				for qi, pos := range queryIdx {
 					opts := batchexec.Options{K: k, Stop: stop, GlobalBudget: disc.global}
-					if err := one(r.RunBatch, coll.Vec(pos), opts, &res); err != nil {
+					if err := one(batchexec.New(r, nil).Run, coll.Vec(pos), opts, &res); err != nil {
 						t.Fatal(err)
 					}
 					if res.Degraded || res.ChunksSkipped != 0 {
@@ -200,7 +201,7 @@ func TestReplicatedKillAnyShardMatchesHealthy(t *testing.T) {
 		}
 
 		gotBatch := make([]search.Result, len(queries))
-		if err := r.RunBatch(queries, batchexec.Options{K: k}, gotBatch); err != nil {
+		if err := batchexec.New(r, nil).Run(queries, batchexec.Options{K: k}, gotBatch); err != nil {
 			t.Fatal(err)
 		}
 		for qi := range gotBatch {
@@ -244,7 +245,7 @@ func TestUnreplicatedKillDegradesToSurvivors(t *testing.T) {
 		var res search.Result
 		for _, pos := range []int{7, 901, 2500, 3998} {
 			q := coll.Vec(pos)
-			if err := one(r.RunBatch, q, batchexec.Options{K: k}, &res); err != nil {
+			if err := one(batchexec.New(r, nil).Run, q, batchexec.Options{K: k}, &res); err != nil {
 				t.Fatal(err)
 			}
 			if !res.Degraded {
@@ -276,7 +277,7 @@ func TestUnreplicatedKillDegradesToSurvivors(t *testing.T) {
 // TestTransientRetriesNeverDoubleBill pins the retry billing rule: under
 // seed-driven transient faults every answer, exactness flag and
 // ChunksRead count is identical to the healthy run — retries and
-// failovers cost simulated time (Elapsed may grow), never extra chunk
+// failovers cost simulated time (Simulated may grow), never extra chunk
 // charges — and the injected faults really did force retries.
 func TestTransientRetriesNeverDoubleBill(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 41, 130)
@@ -293,20 +294,20 @@ func TestTransientRetriesNeverDoubleBill(t *testing.T) {
 		q := coll.Vec(pos)
 		for _, stop := range []search.StopRule{nil, search.ChunkBudget(5)} {
 			opts := batchexec.Options{K: k, Stop: stop}
-			if err := one(healthy.RunBatch, q, opts, &want); err != nil {
+			if err := one(batchexec.New(healthy, nil).Run, q, opts, &want); err != nil {
 				t.Fatal(err)
 			}
-			if err := one(faulty.RunBatch, q, opts, &got); err != nil {
+			if err := one(batchexec.New(faulty, nil).Run, q, opts, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.Degraded || got.ChunksSkipped != 0 {
 				t.Fatalf("q%d: transient faults degraded the result (seed %d)", pos, faultSeed(t))
 			}
 			sameAnswer(t, "transient q"+strconv.Itoa(pos), &got, &want)
-			if got.Elapsed < want.Elapsed {
-				t.Fatalf("q%d: faulty Elapsed %v < healthy %v — failed attempts not billed", pos, got.Elapsed, want.Elapsed)
+			if got.Simulated < want.Simulated {
+				t.Fatalf("q%d: faulty Simulated %v < healthy %v — failed attempts not billed", pos, got.Simulated, want.Simulated)
 			}
-			sawStall = sawStall || got.Elapsed > want.Elapsed
+			sawStall = sawStall || got.Simulated > want.Simulated
 		}
 	}
 	var calmReads, faultyReads int64
@@ -318,10 +319,60 @@ func TestTransientRetriesNeverDoubleBill(t *testing.T) {
 		t.Fatalf("faulty run made %d store reads vs healthy %d — no retries were injected", faultyReads, calmReads)
 	}
 	if !sawStall {
-		t.Fatal("no query's Elapsed grew under faults — retry stalls were never billed")
+		t.Fatal("no query's Simulated grew under faults — retry stalls were never billed")
 	}
 	if faulty.DownShards() != 0 {
 		t.Fatalf("transient faults marked %d shards down", faulty.DownShards())
+	}
+}
+
+// TestFailedReadBilledAtRunModel pins that a failed read attempt is
+// priced by the run's cost model, like every chunk around it: with shard
+// 0 killed at R=2, its first chunk's read fails once (the shard is then
+// held down and its replicas serve), and shard 0's clock grows by exactly
+// that chunk's ReadTime under the run's model — here ten times the seek
+// and a tenth of the transfer rate of the 2005 default.
+func TestFailedReadBilledAtRunModel(t *testing.T) {
+	ds, clusters := fixture(t, 3000, 29, 130)
+	const shards, pageSize = 2, 4096
+	model := *simdisk.Default2005()
+	model.Seek *= 10
+	model.TransferRate /= 10
+	q := ds.Collection.Vec(123)
+	opts := batchexec.Options{K: 10, Stop: search.ChunkBudget(3), Model: &model}
+
+	healthy, _, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
+	faulty, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
+	faults[0].Kill()
+	var want, got search.Result
+	if err := one(batchexec.New(healthy, nil).Run, q, opts, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := one(batchexec.New(faulty, nil).Run, q, opts, &got); err != nil {
+		t.Fatal(err)
+	}
+	sameAnswer(t, "shard 0 killed", &got, &want)
+	if !faulty.ShardDown(0) {
+		t.Fatal("the killed shard was not held down")
+	}
+	first := -1
+	for _, rc := range search.RankChunks(q, faulty.Meta(), nil) {
+		if owner, _ := faulty.Layout(); owner[rc.Idx] == 0 {
+			first = rc.Idx
+			break
+		}
+	}
+	if first < 0 {
+		t.Fatal("shard 0 owns no chunk")
+	}
+	bytes := faulty.Meta()[first].Bytes
+	stall := got.PerMachine[0].Elapsed - want.PerMachine[0].Elapsed
+	if stall != model.ReadTime(bytes) {
+		t.Fatalf("failed attempt billed %v, want the run model's ReadTime %v (the default model's is %v)",
+			stall, model.ReadTime(bytes), simdisk.Default2005().ReadTime(bytes))
+	}
+	if got.PerMachine[1] != want.PerMachine[1] {
+		t.Fatalf("shard 1 billed %+v, healthy %+v", got.PerMachine[1], want.PerMachine[1])
 	}
 }
 
@@ -435,7 +486,7 @@ func TestFailoverTerminatesAfterEveryCopy(t *testing.T) {
 			}
 		}
 	}
-	r, err := NewRouter(stores, p, nil, RouterOptions{})
+	r, err := NewRouter(stores, p, RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,8 +502,9 @@ func TestFailoverTerminatesAfterEveryCopy(t *testing.T) {
 	if r.DownShards() != 0 {
 		t.Fatalf("transient failures marked %d shards down", r.DownShards())
 	}
-	if data.Stall <= 0 {
-		t.Fatalf("failed attempts billed no stall (%v)", data.Stall)
+	if data.FailedReads != shards*readAttempts || data.Stall <= 0 {
+		t.Fatalf("every copy failing reported %d failed attempts and %v backoff, want %d and some",
+			data.FailedReads, data.Stall, shards*readAttempts)
 	}
 }
 
@@ -477,7 +529,7 @@ func TestReplicatedOneDownSpreadsReads(t *testing.T) {
 		r.ResetHealth()
 		r.MarkShardDown(down)
 		for _, q := range queries {
-			if err := one(r.RunBatch, q, opts, &res); err != nil {
+			if err := one(batchexec.New(r, nil).Run, q, opts, &res); err != nil {
 				t.Fatal(err)
 			}
 			if res.Degraded {
@@ -522,7 +574,7 @@ func TestReplicatedConcurrentKill(t *testing.T) {
 	done := make(chan error, 1)
 	results := make([]search.Result, len(queries))
 	go func() {
-		done <- r.RunBatch(queries, batchexec.Options{K: k}, results)
+		done <- batchexec.New(r, nil).Run(queries, batchexec.Options{K: k}, results)
 	}()
 	faults[1].Kill()
 	if err := <-done; err != nil {
@@ -572,7 +624,7 @@ func TestReplicatedConcurrentKillStress(t *testing.T) {
 			var res, want search.Result
 			for i := 0; i < 4; i++ {
 				q := coll.Vec((g*997 + i*313) % coll.Len())
-				if err := one(r.RunBatch, q, batchexec.Options{K: k}, &res); err != nil {
+				if err := one(batchexec.New(r, nil).Run, q, batchexec.Options{K: k}, &res); err != nil {
 					t.Errorf("query goroutine %d: %v", g, err)
 					return
 				}
@@ -580,7 +632,7 @@ func TestReplicatedConcurrentKillStress(t *testing.T) {
 					degraded.Add(1)
 					continue
 				}
-				if err := one(healthy.RunBatch, q, batchexec.Options{K: k}, &want); err != nil {
+				if err := one(batchexec.New(healthy, nil).Run, q, batchexec.Options{K: k}, &want); err != nil {
 					t.Errorf("query goroutine %d: healthy: %v", g, err)
 					return
 				}
@@ -593,7 +645,7 @@ func TestReplicatedConcurrentKillStress(t *testing.T) {
 	done := make(chan error, 1)
 	results := make([]search.Result, len(queries))
 	go func() {
-		done <- r.RunBatch(queries, batchexec.Options{K: k}, results)
+		done <- batchexec.New(r, nil).Run(queries, batchexec.Options{K: k}, results)
 	}()
 	faults[killed].Kill()
 	if err := <-done; err != nil {
@@ -601,7 +653,7 @@ func TestReplicatedConcurrentKillStress(t *testing.T) {
 	}
 	wg.Wait()
 	want := make([]search.Result, len(queries))
-	if err := healthy.RunBatch(queries, batchexec.Options{K: k}, want); err != nil {
+	if err := batchexec.New(healthy, nil).Run(queries, batchexec.Options{K: k}, want); err != nil {
 		t.Fatal(err)
 	}
 	for qi := range results {

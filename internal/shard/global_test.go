@@ -11,7 +11,7 @@ import (
 // TestGlobalOneShardMatchesSingleSearcher pins the degenerate-case
 // equivalence: global budgets on a 1-shard router are byte-identical to a
 // bare engine over the unsharded store — IDs, distances, ChunksRead,
-// Elapsed, IndexRead and Exact — under all three stop rules, on both
+// Simulated, IndexRead and Exact — under all three stop rules, on both
 // store implementations.
 func TestGlobalOneShardMatchesSingleSearcher(t *testing.T) {
 	checkOneShard(t, true)
@@ -20,7 +20,7 @@ func TestGlobalOneShardMatchesSingleSearcher(t *testing.T) {
 // TestGlobalCompletionMatchesScanOracle pins the global exactness
 // certificate: a run-to-completion global search over S shards returns
 // exactly the scan oracle's k-NN, with ChunksRead the sum over the
-// per-shard breakdown and Elapsed the max over the shards' machines.
+// per-shard breakdown and Simulated the max over the shards' machines.
 func TestGlobalCompletionMatchesScanOracle(t *testing.T) {
 	checkCompletion(t, true)
 }
@@ -40,7 +40,7 @@ func TestGlobalBudgetSpendsExactlyTotal(t *testing.T) {
 	for _, budget := range []int{1, 2, shards - 1, 5, 17, total, total + 10} {
 		for _, qi := range []int{7, 900, 4242} {
 			q := coll.Vec(qi)
-			if err := one(r.RunBatch, q, batchexec.Options{K: 20, Stop: search.ChunkBudget(budget), GlobalBudget: true}, &res); err != nil {
+			if err := one(batchexec.New(r, nil).Run, q, batchexec.Options{K: 20, Stop: search.ChunkBudget(budget), GlobalBudget: true}, &res); err != nil {
 				t.Fatal(err)
 			}
 			want := budget
@@ -65,7 +65,7 @@ func TestGlobalBudgetSpendsExactlyTotal(t *testing.T) {
 
 	// The contrast pin: the per-shard discipline at the same per-shard
 	// budget b reads S×b chunks (no shard exhausts its chunks at b=2).
-	if err := one(r.RunBatch, coll.Vec(7), batchexec.Options{K: 20, Stop: search.ChunkBudget(2)}, &res); err != nil {
+	if err := one(batchexec.New(r, nil).Run, coll.Vec(7), batchexec.Options{K: 20, Stop: search.ChunkBudget(2)}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.ChunksRead != shards*2 {
@@ -94,7 +94,7 @@ func TestGlobalBudgetMatchesUnshardedBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts.GlobalBudget = true
-			if err := one(r.RunBatch, q, opts, &got); err != nil {
+			if err := one(batchexec.New(r, nil).Run, q, opts, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.ChunksRead != want.ChunksRead {
@@ -113,8 +113,8 @@ func TestGlobalBudgetMatchesUnshardedBudget(t *testing.T) {
 }
 
 // TestGlobalBatchMatchesGlobalSearch pins that a query's global-budget
-// outcome does not depend on its batch: a global-budget RunBatch of N is
-// byte-identical to N batches of one — neighbors, ChunksRead, Elapsed,
+// outcome does not depend on its batch: a global-budget run of N is
+// byte-identical to N batches of one — neighbors, ChunksRead, Simulated,
 // IndexRead and Exact — under every stop rule.
 func TestGlobalBatchMatchesGlobalSearch(t *testing.T) {
 	checkBatchOfN(t, true)

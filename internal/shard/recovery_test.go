@@ -25,14 +25,14 @@ func TestRecoveryAfterKill(t *testing.T) {
 	// Healthy baseline before any faults.
 	healthy := make([]search.Result, len(queryIdx))
 	for qi, pos := range queryIdx {
-		if err := one(r.RunBatch, coll.Vec(pos), batchexec.Options{K: k}, &healthy[qi]); err != nil {
+		if err := one(batchexec.New(r, nil).Run, coll.Vec(pos), batchexec.Options{K: k}, &healthy[qi]); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	faults[dead].Kill()
 	var res search.Result
-	if err := one(r.RunBatch, coll.Vec(queryIdx[0]), batchexec.Options{K: k}, &res); err != nil {
+	if err := one(batchexec.New(r, nil).Run, coll.Vec(queryIdx[0]), batchexec.Options{K: k}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded || !r.ShardDown(dead) {
@@ -51,7 +51,7 @@ func TestRecoveryAfterKill(t *testing.T) {
 	// router must keep serving — the very next read re-discovers the
 	// corpse and the result is still honestly degraded.
 	r.MarkShardUp(dead)
-	if err := one(r.RunBatch, coll.Vec(queryIdx[1]), batchexec.Options{K: k}, &res); err != nil {
+	if err := one(batchexec.New(r, nil).Run, coll.Vec(queryIdx[1]), batchexec.Options{K: k}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded || res.Exact {
@@ -67,7 +67,7 @@ func TestRecoveryAfterKill(t *testing.T) {
 	if r.DownShards() != 0 {
 		t.Fatalf("DownShards %d after ResetHealth", r.DownShards())
 	}
-	if err := one(r.RunBatch, coll.Vec(queryIdx[2]), batchexec.Options{K: k}, &res); err != nil {
+	if err := one(batchexec.New(r, nil).Run, coll.Vec(queryIdx[2]), batchexec.Options{K: k}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded || !r.ShardDown(dead) {
@@ -85,7 +85,7 @@ func TestRecoveryAfterKill(t *testing.T) {
 		t.Fatalf("DownShards %d after recovery", r.DownShards())
 	}
 	for qi, pos := range queryIdx {
-		if err := one(r.RunBatch, coll.Vec(pos), batchexec.Options{K: k}, &res); err != nil {
+		if err := one(batchexec.New(r, nil).Run, coll.Vec(pos), batchexec.Options{K: k}, &res); err != nil {
 			t.Fatal(err)
 		}
 		if res.Degraded || res.ChunksSkipped != 0 || r.DownShards() != 0 {

@@ -1,3 +1,44 @@
+// Package shard is the sharded index layer: it partitions a clustering
+// across S shards, each shard one simulated 2005 machine holding a chunk
+// file of its own, replicates chunks across shards for availability, and
+// presents the whole fleet as one chunk store.
+//
+// The Router is that store: the shards' logical chunk indexes
+// concatenated shard-major, one centroid matrix for the fleet, and the
+// chunk→shard machine layout (chunkfile.MachineLayout). Its ReadChunk is
+// the replicated, health-aware read path. One batchexec.Engine runs over
+// it: a query ranks the fleet's chunks with one kernel call, reads them in
+// that order into one k-NN heap, and search.Walk bills each chunk to its
+// owning shard's simdisk.Pipeline, so a shard is charged exactly the
+// chunks it served, in its own charge order. Simulated is the max over
+// the shards' clocks (the machines run in parallel), ChunksRead the sum,
+// and PerMachine the per-shard breakdown. Nothing is scattered or merged,
+// and the router neither runs queries nor prices time: it reports how
+// many read attempts failed, and the walk bills them under the run's cost
+// model.
+//
+// The stop rule's budget comes in two disciplines on that one walk
+// (batchexec.Options.GlobalBudget):
+//
+//   - Per-shard (the default): every shard consults the rule only after
+//     its own charges, against its own chunk count, its own clock, and the
+//     lowest bound over its own unread chunks, and the walk passes over a
+//     shard whose rule fired. S shards at ChunkBudget(b) therefore read up
+//     to S×b chunks — each shard its own b best — exactly what S
+//     independent machines would read. The k-th distance the rule sees is
+//     the fleet's, never larger than any one shard's, so ToCompletion
+//     stops each shard no later than an independent search would and still
+//     returns the exact k-NN.
+//   - Global: one total budget spent in the fleet's rank order —
+//     ChunkBudget(B) reads exactly min(B, total) chunks, the fleet's B
+//     best, and the certificate is the suffix minimum over the merged order.
+//
+// Equivalence pins: one shard is byte-identical to a bare engine over the
+// unsharded store under either discipline; the per-shard discipline is
+// byte-identical to S independent engines merged under the chunk and time
+// budgets (TestPerShardMatchesIndependentShards); run to completion, both
+// equal the scan oracle; the global budget B reads the unsharded index's
+// budget-B chunks.
 package shard
 
 import (
@@ -8,10 +49,6 @@ import (
 
 	"repro/internal/chunkcache"
 	"repro/internal/chunkfile"
-	"repro/internal/search"
-	"repro/internal/search/batchexec"
-	"repro/internal/simdisk"
-	"repro/internal/vec"
 )
 
 // Typed failure-path errors. ErrAllReplicasDown wraps
@@ -52,12 +89,11 @@ type routedShard struct {
 	cached *chunkcache.CachingStore
 }
 
-// Router serves queries over a set of shards as one walk per query (see
-// the package documentation). It is safe for concurrent use.
+// Router is the fleet as one chunk store (see the package
+// documentation). It is safe for concurrent use.
 type Router struct {
 	shards    []routedShard
 	dims      int
-	model     *simdisk.Model // resolved default model; prices read stalls
 	placement *Placement
 	// Health state: down[s] is sticky-true once shard s's store failed
 	// permanently, loads[s] counts the chunk reads shard s has served
@@ -66,12 +102,23 @@ type Router struct {
 	down      []atomic.Bool
 	loads     []atomic.Int64
 	downCount atomic.Int32
-	// gstore is the fleet as one virtual store (it reports the chunk→shard
-	// machine layout), engine the one engine over it.
-	gstore *globalStore
-	engine *batchexec.Engine
-	cache  *chunkcache.Cache // shared by every shard's read store; nil when off
+	// The fleet's chunks are the shards' primary prefixes (replica chunks
+	// are copies, never ranked or walked) concatenated shard-major: chunk g
+	// lives on shard owner[g] at local index local[g]. Ranking the
+	// concatenated metas by (squared centroid distance, ascending index)
+	// therefore orders every shard's chunks exactly as ranking that shard
+	// alone would, with cross-shard ties broken by ascending shard.
+	metas     []chunkfile.Meta
+	centroids []float32 // the shards' centroids concatenated; metas alias it
+	owner     []int32
+	local     []int32
+	cache     *chunkcache.Cache // shared by every shard's read store; nil when off
 }
+
+var (
+	_ chunkfile.Store         = (*Router)(nil)
+	_ chunkfile.MachineLayout = (*Router)(nil)
+)
 
 // RouterOptions bundles the optional knobs of a router.
 type RouterOptions struct {
@@ -92,9 +139,8 @@ type RouterOptions struct {
 // locations of every logical chunk (see PartitionReplicated). Queries walk
 // the logical chunks; replicas serve failovers. A nil placement means
 // unreplicated: every store's chunks are all primary (R=1), so a chunk
-// whose shard dies has no replica and queries over it degrade. A nil
-// model selects the calibrated 2005 model for every shard's machine.
-func NewRouter(stores []chunkfile.Store, placement *Placement, model *simdisk.Model, opts RouterOptions) (*Router, error) {
+// whose shard dies has no replica and queries over it degrade.
+func NewRouter(stores []chunkfile.Store, placement *Placement, opts RouterOptions) (*Router, error) {
 	if len(stores) == 0 {
 		return nil, errors.New("shard: no stores")
 	}
@@ -112,11 +158,8 @@ func NewRouter(stores []chunkfile.Store, placement *Placement, model *simdisk.Mo
 	if err := validatePlacement(stores, placement); err != nil {
 		return nil, err
 	}
-	if model == nil {
-		model = simdisk.Default2005()
-	}
 	dims := stores[0].Dims()
-	r := &Router{dims: dims, model: model, placement: placement}
+	r := &Router{dims: dims, placement: placement}
 	r.down = make([]atomic.Bool, len(stores))
 	r.loads = make([]atomic.Int64, len(stores))
 	for i, st := range stores {
@@ -132,8 +175,14 @@ func NewRouter(stores []chunkfile.Store, placement *Placement, model *simdisk.Mo
 			r.shards[i].read = r.shards[i].cached
 		}
 	}
-	r.gstore = newGlobalStore(r)
-	r.engine = batchexec.New(r.gstore, model)
+	for s := range r.shards {
+		for ci, m := range r.shards[s].store.Meta()[:placement.NumPrimary[s]] {
+			r.metas = append(r.metas, m)
+			r.owner = append(r.owner, int32(s))
+			r.local = append(r.local, int32(ci))
+		}
+	}
+	r.centroids = chunkfile.LayoutCentroids(r.metas, dims)
 	return r, nil
 }
 
@@ -200,16 +249,49 @@ func (r *Router) Replication() int { return r.placement.R }
 
 // Chunks returns the total logical chunk count across shards: replicas
 // are copies, not extra chunks.
-func (r *Router) Chunks() int { return len(r.gstore.metas) }
+func (r *Router) Chunks() int { return len(r.metas) }
 
 // Descriptors returns the number of distinct descriptors reachable
 // through the router (each counted once, however many replicas hold it).
 func (r *Router) Descriptors() int {
 	n := 0
-	for _, m := range r.gstore.metas {
+	for _, m := range r.metas {
 		n += m.Count
 	}
 	return n
+}
+
+// Dims implements chunkfile.Store.
+func (r *Router) Dims() int { return r.dims }
+
+// Meta implements chunkfile.Store: the fleet's chunk index, the shards'
+// logical chunks shard-major. Callers must not modify it.
+func (r *Router) Meta() []chunkfile.Meta { return r.metas }
+
+// Centroids implements chunkfile.Store: one matrix for the fleet's rank,
+// the only copy the router makes of the shards' centroids.
+func (r *Router) Centroids() []float32 { return r.centroids }
+
+// Layout implements chunkfile.MachineLayout: one simulated machine per
+// shard, every chunk billed to its owning shard's — which is all it takes
+// for the walk to run the cost model over the fleet.
+func (r *Router) Layout() (owner []int32, machines int) { return r.owner, len(r.shards) }
+
+// ReadChunk implements chunkfile.Store through the replicated read path
+// (readChunk): chunk i is served from its first live copy. It reports
+// chunkfile.ErrUnavailable (wrapped in ErrAllReplicasDown) when no copy
+// can serve the chunk, and wraps any other failure in a ShardError naming
+// the owning shard. The failed attempts and their backoff are reported in
+// data.FailedReads and data.Stall per the chunkfile.Data contract.
+func (r *Router) ReadChunk(i int, data *chunkfile.Data) error {
+	if i < 0 || i >= len(r.metas) {
+		return chunkfile.ErrChunkOOB
+	}
+	err := r.readChunk(int(r.owner[i]), int(r.local[i]), data)
+	if err != nil && !errors.Is(err, chunkfile.ErrUnavailable) {
+		return &ShardError{Shard: int(r.owner[i]), Err: err}
+	}
+	return err
 }
 
 // MarkShardDown takes shard s out of rotation, as the router's own read
@@ -294,7 +376,7 @@ func (r *Router) CacheStats() chunkcache.Stats {
 
 // Retry policy of the replicated read path: on a transient error
 // (Temporary() == true, the net.Error convention) the same placement is
-// retried up to readAttempts times, each failed attempt charged at the
+// retried up to readAttempts times, each failed attempt billed at the
 // chunk's simulated read cost plus an exponentially growing backoff; a
 // permanent error marks the placement's shard down and fails over
 // immediately.
@@ -317,16 +399,19 @@ func isTemporary(err error) bool {
 // replica serves a chunk only when its primary's shard is down or keeps
 // failing.
 //
-// The simulated cost of every failed attempt — retries, backoff, and
-// failed copies — is accumulated into data.Stall, charged by the
-// consumer to the pipeline of the *owning* shard s: in the cost model
-// shard s's machine is the one serving (and retrying) its own chunks,
-// wherever the bytes were finally read. When no copy can serve the chunk
-// the error wraps ErrAllReplicasDown (and so chunkfile.ErrUnavailable),
-// with data.Stall still reporting the cost of the attempts made.
+// Every failed attempt — retries and failed copies — is counted into
+// data.FailedReads and the retry backoff into data.Stall; the consumer
+// prices the attempts at the chunk's read time under its run's cost model
+// (a copy's bytes equal its primary's) and bills both to the pipeline of
+// the *owning* shard s: in the cost model shard s's machine is the one
+// serving (and retrying) its own chunks, wherever the bytes were finally
+// read. When no copy can serve the chunk the error wraps
+// ErrAllReplicasDown (and so chunkfile.ErrUnavailable), with the data
+// still reporting the attempts made.
 func (r *Router) readChunk(s, i int, data *chunkfile.Data) error {
 	replicas := r.placement.Replicas[s][i]
-	var stall time.Duration
+	var failed int
+	var backoff time.Duration
 	var lastErr error
 	for c := -1; c < len(replicas); c++ {
 		cs, ci := s, i
@@ -339,13 +424,13 @@ func (r *Router) readChunk(s, i int, data *chunkfile.Data) error {
 			}
 			continue
 		}
-		if lastErr = r.attemptRead(cs, ci, data, &stall); lastErr == nil {
+		if lastErr = r.attemptRead(cs, ci, data, &failed, &backoff); lastErr == nil {
 			r.loads[cs].Add(1)
-			data.Stall = stall
+			data.FailedReads, data.Stall = failed, backoff
 			return nil
 		}
 	}
-	data.Stall = stall
+	data.FailedReads, data.Stall = failed, backoff
 	return allReplicasDown(s, i, lastErr)
 }
 
@@ -361,34 +446,34 @@ func allReplicasDown(s, i int, lastErr error) error {
 }
 
 // attemptRead reads physical chunk ci of shard cs under the retry
-// policy, accumulating the simulated cost of failed attempts into stall.
-// A permanent failure marks the shard down; exhausted transient retries
+// policy, counting its failed attempts into failed and their backoff
+// into backoff. A permanent failure marks the shard down; exhausted transient retries
 // leave the shard up (the next read will try it afresh) and make the
 // caller fail over. The read goes through the shard's read store — the
 // decoded-chunk cache when one is configured — so a cached chunk is
 // served without consulting the physical store at all.
-func (r *Router) attemptRead(cs, ci int, data *chunkfile.Data, stall *time.Duration) error {
+func (r *Router) attemptRead(cs, ci int, data *chunkfile.Data, failed *int, backoff *time.Duration) error {
 	st := r.shards[cs].read
-	bytes := r.shards[cs].store.Meta()[ci].Bytes
 	var err error
 	for attempt := 0; attempt < readAttempts; attempt++ {
 		if err = st.ReadChunk(ci, data); err == nil {
 			return nil
 		}
-		*stall += r.model.ReadTime(bytes)
+		*failed++
 		if !isTemporary(err) {
 			r.MarkShardDown(cs)
 			return err
 		}
 		if attempt+1 < readAttempts {
-			*stall += backoffBase << attempt
+			*backoff += backoffBase << attempt
 		}
 	}
 	return err
 }
 
-// Close closes every shard's store (through its cache wrapper when one
-// is configured, dropping the cached rows).
+// Close implements chunkfile.Store: it closes every shard's store
+// (through its cache wrapper when one is configured, dropping the cached
+// rows).
 func (r *Router) Close() error {
 	var errs []error
 	for i := range r.shards {
@@ -397,31 +482,4 @@ func (r *Router) Close() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// RunBatch executes a workload over the fleet — a point query is a
-// workload of one, run on the calling goroutine: each query is one walk
-// over the shards' merged centroid-rank order into one k-NN heap, every
-// chunk billed to its owning shard's simulated machine, the budget spent
-// per shard or, with opts.GlobalBudget, once across the fleet (see the
-// package documentation). results[qi] reports ChunksRead and
-// ChunksSkipped summed over the shards, Elapsed and IndexRead the max
-// over their machines, and PerMachine one entry per shard. The results
-// array is caller-owned; its neighbor slices are reused when they have
-// capacity. On error no results are valid. RunBatch is RunBatchStream
-// without a completion stream.
-func (r *Router) RunBatch(queries []vec.Vector, opts batchexec.Options, results []search.Result) error {
-	return r.engine.Run(queries, opts, results)
-}
-
-// RunBatchStream executes the batch like RunBatch and additionally
-// streams per-query completions: done(qi), when non-nil, fires exactly
-// once per query the moment its walk retires, with results[qi] fully
-// written — long before the batch returns while other queries still
-// run. The callback contract is the batch engine's RunStream: callbacks
-// for distinct queries may fire concurrently and must not block. When the
-// run fails, queries whose callback already fired retain valid results,
-// all others are invalid.
-func (r *Router) RunBatchStream(queries []vec.Vector, opts batchexec.Options, results []search.Result, done func(query int)) error {
-	return r.engine.RunStream(queries, opts, results, done)
 }

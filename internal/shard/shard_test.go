@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -45,7 +46,7 @@ func routerOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster,
 	for s, idxs := range assign {
 		stores[s] = chunkfile.NewMemStore(coll, Select(clusters, idxs), pageSize)
 	}
-	r, err := NewRouter(stores, nil, nil, RouterOptions{})
+	r, err := NewRouter(stores, nil, RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func stopRules() []search.StopRule {
 
 // TestOneShardMatchesSingleSearcher pins the tentpole equivalence: a
 // 1-shard router returns byte-identical results to a bare engine over the
-// unsharded store — IDs, distances, ChunksRead, Elapsed, IndexRead and
+// unsharded store — IDs, distances, ChunksRead, Simulated, IndexRead and
 // Exact — under all three stop rules, on both store implementations.
 func TestOneShardMatchesSingleSearcher(t *testing.T) {
 	checkOneShard(t, false)
@@ -194,7 +195,7 @@ func checkOneShard(t *testing.T, global bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fileRouter, err := NewRouter([]chunkfile.Store{fileShards[0]}, nil, nil, RouterOptions{})
+	fileRouter, err := NewRouter([]chunkfile.Store{fileShards[0]}, nil, RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func checkOneShard(t *testing.T, global bool) {
 			opts.GlobalBudget = global
 			var got search.Result
 			for qi, q := range queries {
-				if err := one(su.router.RunBatch, q, opts, &got); err != nil {
+				if err := one(batchexec.New(su.router, nil).Run, q, opts, &got); err != nil {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s %v q%d", su.name, stop, qi)
@@ -235,7 +236,7 @@ func checkOneShard(t *testing.T, global bool) {
 // TestShardedCompletionMatchesScanOracle pins the global-exactness claim:
 // an S-shard run-to-completion search returns exactly the scan oracle's
 // k-NN (IDs, order, bit-identical distances), with ChunksRead the sum and
-// Elapsed the max over the per-shard breakdown.
+// Simulated the max over the per-shard breakdown.
 func TestShardedCompletionMatchesScanOracle(t *testing.T) {
 	checkCompletion(t, false)
 }
@@ -253,7 +254,7 @@ func checkCompletion(t *testing.T, global bool) {
 		var res search.Result
 		for _, qi := range []int{1, 42, 777, 3210, 4999} {
 			q := coll.Vec(qi)
-			if err := one(r.RunBatch, q, batchexec.Options{K: k, GlobalBudget: global}, &res); err != nil {
+			if err := one(batchexec.New(r, nil).Run, q, batchexec.Options{K: k, GlobalBudget: global}, &res); err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("S=%d q%d", shards, qi)
@@ -268,16 +269,16 @@ func checkCompletion(t *testing.T, global bool) {
 				sumChunks += mc.ChunksRead
 				maxElapsed = max(maxElapsed, mc.Elapsed)
 			}
-			if res.ChunksRead != sumChunks || res.Elapsed != maxElapsed || len(res.PerMachine) != shards {
+			if res.ChunksRead != sumChunks || res.Simulated != maxElapsed || len(res.PerMachine) != shards {
 				t.Fatalf("%s: (chunks %d, elapsed %v) != per-shard (sum %d, max %v) over %d shards",
-					label, res.ChunksRead, res.Elapsed, sumChunks, maxElapsed, len(res.PerMachine))
+					label, res.ChunksRead, res.Simulated, sumChunks, maxElapsed, len(res.PerMachine))
 			}
 		}
 	}
 }
 
 // TestShardedBatchMatchesScatterSearch pins that a query's outcome
-// does not depend on its batch: RunBatch of N is byte-identical to N
+// does not depend on its batch: a run of N is byte-identical to N
 // batches of one under every stop rule.
 func TestShardedBatchMatchesScatterSearch(t *testing.T) {
 	checkBatchOfN(t, false)
@@ -297,12 +298,12 @@ func checkBatchOfN(t *testing.T, global bool) {
 	results := make([]search.Result, len(queries))
 	for _, stop := range stopRules() {
 		opts := batchexec.Options{K: 15, Stop: stop, GlobalBudget: global}
-		if err := r.RunBatch(queries, opts, results); err != nil {
+		if err := batchexec.New(r, nil).Run(queries, opts, results); err != nil {
 			t.Fatal(err)
 		}
 		var want search.Result
 		for qi, q := range queries {
-			if err := one(r.RunBatch, q, opts, &want); err != nil {
+			if err := one(batchexec.New(r, nil).Run, q, opts, &want); err != nil {
 				t.Fatal(err)
 			}
 			sameResult(t, fmt.Sprintf("%v q%d", stop, qi), &results[qi], &want)
@@ -334,7 +335,7 @@ func checkConcurrent(t *testing.T, global bool) {
 	want := make([][]search.Result, len(opts))
 	for d := range opts {
 		want[d] = make([]search.Result, len(queries))
-		if err := r.RunBatch(queries, opts[d], want[d]); err != nil {
+		if err := batchexec.New(r, nil).Run(queries, opts[d], want[d]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,21 +355,21 @@ func checkConcurrent(t *testing.T, global bool) {
 			}
 			results := make([]search.Result, len(queries))
 			if g%3 == 0 {
-				if err := r.RunBatch(queries, opts[d], results); err != nil {
+				if err := batchexec.New(r, nil).Run(queries, opts[d], results); err != nil {
 					t.Error(err)
 					return
 				}
 			} else {
 				for qi, q := range queries {
-					if err := one(r.RunBatch, q, opts[d], &results[qi]); err != nil {
+					if err := one(batchexec.New(r, nil).Run, q, opts[d], &results[qi]); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 			}
 			for qi := range results {
-				if err := answerDiff(&results[qi], &want[d][qi]); err != nil || results[qi].Elapsed != want[d][qi].Elapsed {
-					t.Errorf("goroutine %d q%d: %v (elapsed %v, want %v)", g, qi, err, results[qi].Elapsed, want[d][qi].Elapsed)
+				if err := answerDiff(&results[qi], &want[d][qi]); err != nil || results[qi].Simulated != want[d][qi].Simulated {
+					t.Errorf("goroutine %d q%d: %v (elapsed %v, want %v)", g, qi, err, results[qi].Simulated, want[d][qi].Simulated)
 					return
 				}
 			}
@@ -381,8 +382,16 @@ func checkConcurrent(t *testing.T, global bool) {
 // dimension validation, and result-length validation.
 func TestShardedEdgeCases(t *testing.T) {
 	checkEmptyShards(t, false)
-	if _, err := NewRouter(nil, nil, nil, RouterOptions{}); err == nil {
+	if _, err := NewRouter(nil, nil, RouterOptions{}); err == nil {
 		t.Fatal("empty router accepted")
+	}
+	ds, clusters := fixture(t, 600, 47, 200)
+	r := routerOver(t, ds, clusters, 2, 4096)
+	var data chunkfile.Data
+	for _, i := range []int{-1, r.Chunks()} {
+		if err := r.ReadChunk(i, &data); !errors.Is(err, chunkfile.ErrChunkOOB) {
+			t.Fatalf("ReadChunk(%d): err %v, want %v", i, err, chunkfile.ErrChunkOOB)
+		}
 	}
 }
 
@@ -397,7 +406,7 @@ func checkEmptyShards(t *testing.T, global bool) {
 	r := routerOver(t, ds, clusters, len(clusters)+2, 4096)
 
 	var res search.Result
-	if err := one(r.RunBatch, coll.Vec(5), batchexec.Options{K: 10, GlobalBudget: global}, &res); err != nil {
+	if err := one(batchexec.New(r, nil).Run, coll.Vec(5), batchexec.Options{K: 10, GlobalBudget: global}, &res); err != nil {
 		t.Fatal(err)
 	}
 	truth := scan.KNN(coll, coll.Vec(5), 10)
@@ -415,7 +424,7 @@ func checkEmptyShards(t *testing.T, global bool) {
 				want += min(n, b)
 			}
 		}
-		if err := one(r.RunBatch, coll.Vec(5), batchexec.Options{K: 10, Stop: search.ChunkBudget(b), GlobalBudget: global}, &res); err != nil {
+		if err := one(batchexec.New(r, nil).Run, coll.Vec(5), batchexec.Options{K: 10, Stop: search.ChunkBudget(b), GlobalBudget: global}, &res); err != nil {
 			t.Fatal(err)
 		}
 		if res.ChunksRead != want || b == math.MaxInt && !res.Exact {
@@ -423,13 +432,13 @@ func checkEmptyShards(t *testing.T, global bool) {
 		}
 	}
 
-	if err := one(r.RunBatch, make(vec.Vector, 3), batchexec.Options{K: 5, GlobalBudget: global}, &res); err == nil {
+	if err := one(batchexec.New(r, nil).Run, make(vec.Vector, 3), batchexec.Options{K: 5, GlobalBudget: global}, &res); err == nil {
 		t.Fatal("bad dims accepted")
 	}
-	if err := r.RunBatch(make([]vec.Vector, 2), batchexec.Options{GlobalBudget: global}, make([]search.Result, 1)); err == nil {
+	if err := batchexec.New(r, nil).Run(make([]vec.Vector, 2), batchexec.Options{GlobalBudget: global}, make([]search.Result, 1)); err == nil {
 		t.Fatal("mismatched results length accepted")
 	}
-	if err := r.RunBatch(nil, batchexec.Options{GlobalBudget: global}, nil); err != nil {
+	if err := batchexec.New(r, nil).Run(nil, batchexec.Options{GlobalBudget: global}, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }
@@ -459,7 +468,7 @@ func mergeRefs(rows []search.Result, k int) search.Result {
 		out.Neighbors = append(out.Neighbors, row.Neighbors...)
 		out.ChunksRead += row.ChunksRead
 		out.ChunksSkipped += row.ChunksSkipped
-		out.Elapsed = max(out.Elapsed, row.Elapsed)
+		out.Simulated = max(out.Simulated, row.Simulated)
 		out.IndexRead = max(out.IndexRead, row.IndexRead)
 		out.Exact = out.Exact && row.Exact
 		out.Degraded = out.Degraded || row.Degraded
@@ -479,7 +488,7 @@ func mergeRefs(rows []search.Result, k int) search.Result {
 // merged by mergeRefs, across overlap, R 1/2, cache and a shard held
 // down. Under the chunk and time budgets, which ignore the k-th distance,
 // the walk is byte-identical: neighbors, chunks read and skipped,
-// Elapsed, IndexRead, Degraded, and every shard's own chunk count and
+// Simulated, IndexRead, Degraded, and every shard's own chunk count and
 // clock. Run to completion it returns the same exact answers reading no
 // more chunks, since the fleet's k-th distance is never larger than a
 // shard's own. Either way a reference Exact implies Exact.
@@ -507,7 +516,7 @@ func TestPerShardMatchesIndependentShards(t *testing.T) {
 						opts := batchexec.Options{K: k, Stop: stop, Overlap: overlap}
 						for qi, q := range queries {
 							label := fmt.Sprintf("R=%d cache %d down %d overlap %v %v q%d", replication, cacheBytes, down, overlap, stop, qi)
-							if err := one(r.RunBatch, q, opts, &got); err != nil {
+							if err := one(batchexec.New(r, nil).Run, q, opts, &got); err != nil {
 								t.Fatal(err)
 							}
 							for s := range refs {
@@ -526,12 +535,12 @@ func TestPerShardMatchesIndependentShards(t *testing.T) {
 								}
 								continue
 							}
-							if got.ChunksRead != want.ChunksRead || got.Elapsed != want.Elapsed {
-								t.Fatalf("%s: (chunks %d, elapsed %v) != independent shards (%d, %v)", label, got.ChunksRead, got.Elapsed, want.ChunksRead, want.Elapsed)
+							if got.ChunksRead != want.ChunksRead || got.Simulated != want.Simulated {
+								t.Fatalf("%s: (chunks %d, elapsed %v) != independent shards (%d, %v)", label, got.ChunksRead, got.Simulated, want.ChunksRead, want.Simulated)
 							}
 							for s, mc := range got.PerMachine {
-								if mc.ChunksRead != rows[s].ChunksRead || mc.Elapsed != rows[s].Elapsed {
-									t.Fatalf("%s: shard %d (chunks %d, elapsed %v) != its own search (%d, %v)", label, s, mc.ChunksRead, mc.Elapsed, rows[s].ChunksRead, rows[s].Elapsed)
+								if mc.ChunksRead != rows[s].ChunksRead || mc.Elapsed != rows[s].Simulated {
+									t.Fatalf("%s: shard %d (chunks %d, elapsed %v) != its own search (%d, %v)", label, s, mc.ChunksRead, mc.Elapsed, rows[s].ChunksRead, rows[s].Simulated)
 								}
 							}
 						}

@@ -21,7 +21,7 @@
 // paper's single machine, and its saved directory is the paper's chunk
 // file + index file plus a manifest. Beyond the paper, the package
 // serves production-shaped workloads: whole-workload batches run on a
-// chunk-major batch engine (SearchBatch, SearchBatchInto), whole-image
+// chunk-major batch engine (SearchBatchInto, SearchBatchStream), whole-image
 // bags of descriptors on the multi-query voting layer (MultiSearch), and
 // multi-shard stop-rule budgets apply per shard by default or — with
 // SearchOptions.GlobalBudget — once across the whole fleet in global
@@ -67,6 +67,19 @@ type (
 	ID = descriptor.ID
 	// CostModel is the simulated 2005 disk/CPU model used for timing.
 	CostModel = simdisk.Model
+	// Result is a search outcome: the neighbors ordered by (distance,
+	// ID), and the query's bill — ChunksRead and ChunksSkipped summed over
+	// the shards, Simulated (the elapsed time under the 2005 cost model)
+	// the max over the shards' machines, which run in parallel, and
+	// PerMachine the per-shard breakdown. Wall is the real time from the
+	// call's start to the query's completion. Exact reports whether the neighbors are provably the true k-NN
+	// of the indexed descriptors; Degraded that at least one chunk had no
+	// live replica and was skipped, so Neighbors is the best answer over
+	// the reachable data, honestly labeled rather than an error.
+	Result = search.Result
+	// MachineCost is one shard's share of a search (Result.PerMachine):
+	// the chunks it was billed and its simulated clock.
+	MachineCost = search.MachineCost
 )
 
 // Dims is the descriptor dimensionality used throughout the paper.
@@ -125,7 +138,10 @@ type BuildConfig struct {
 	Strategy  Strategy
 	ChunkSize int // target (SR/RR/hybrid: exact; BAG: mean) descriptors per chunk
 	PageSize  int // chunk file page size; 0 means 8 KiB
-	Seed      int64
+	// Replication is the number of shards holding a copy of every chunk;
+	// 0 or 1 means unreplicated. See BuildSharded.
+	Replication int
+	Seed        int64
 	// Progress receives BAG pass updates when non-nil.
 	Progress func(pass, clusters int)
 }
@@ -140,7 +156,7 @@ func normalizePageSize(pageSize int) int {
 }
 
 // buildClusters forms chunks from the collection with the selected
-// strategy — the clustering stage of BuildReplicated.
+// strategy — the clustering stage of BuildSharded.
 func buildClusters(coll *Collection, cfg BuildConfig) (clusters []*cluster.Cluster, outliers []int, err error) {
 	if cfg.ChunkSize < 1 {
 		return nil, nil, fmt.Errorf("repro: ChunkSize %d < 1", cfg.ChunkSize)
@@ -230,28 +246,6 @@ func (opts SearchOptions) validate() error {
 			opts.MaxChunks, opts.MaxTime)
 	}
 	return nil
-}
-
-// Result is a search outcome.
-type Result struct {
-	Neighbors  []Neighbor
-	ChunksRead int
-	// Simulated is the elapsed time under the 2005 cost model; Wall is
-	// the real time this call took.
-	Simulated time.Duration
-	Wall      time.Duration
-	// Exact reports whether the result is provably the true k-NN of the
-	// indexed descriptors. A degraded result is never exact.
-	Exact bool
-	// Degraded reports that at least one chunk had no live replica and
-	// was skipped: Neighbors is the best answer over the reachable data,
-	// honestly labeled rather than an error.
-	Degraded bool
-	// ChunksSkipped counts the chunks skipped as unavailable.
-	ChunksSkipped int
-	// ShardsDown is the number of shards the router held down when the
-	// query finished.
-	ShardsDown int
 }
 
 // stopRule maps SearchOptions onto the paper's three stop rules.

@@ -51,7 +51,8 @@ func TestSaveGolden(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sx, err := BuildReplicated(coll, cfg, 4, tc.replication)
+			cfg.Replication = tc.replication
+			sx, err := BuildSharded(coll, cfg, 4)
 			if err != nil {
 				t.Fatal(err)
 			}

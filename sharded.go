@@ -11,16 +11,17 @@ import (
 	"repro/internal/chunkfile"
 	"repro/internal/cluster"
 	"repro/internal/multiquery"
-	"repro/internal/search"
+	"repro/internal/search/batchexec"
 	"repro/internal/shard"
 )
 
 // ShardedIndex is the package's chunk index: a set of chunks partitioned
 // across S shards, each shard a complete two-file index (§4.2). A query
 // is one walk over every shard's chunks in one global centroid-rank
-// order, on one chunk-major query engine, so a run-to-completion search
-// returns the exact global k-NN. A single search is a batch of one on the
-// same engine. The simulated cost model is one 2005 machine per shard:
+// order, on one chunk-major query engine over the shard router (the
+// fleet as one chunk store), so a run-to-completion search returns the
+// exact global k-NN. A single search is a batch of one on the same
+// engine. The simulated cost model is one 2005 machine per shard:
 // each chunk is charged to its shard's machine, a query's Simulated is
 // the max over the shards (they run in parallel) and ChunksRead the sum.
 //
@@ -37,11 +38,11 @@ import (
 // bill. See DESIGN.md §5.
 type ShardedIndex struct {
 	router    *shard.Router
+	engine    *batchexec.Engine // the one engine, over the router
 	pageSize  int
 	placement *shard.Placement
 
-	batchPool sync.Pool // *[]search.Result: the batch path's internal arena
-	onePool   sync.Pool // *oneQuery: SearchInto's batch of one
+	onePool sync.Pool // *oneQuery: SearchInto's batch of one
 
 	coll  *Collection          // nil for file-opened indexes
 	parts [][]*cluster.Cluster // per-shard physical clusters; nil for file-opened indexes
@@ -53,11 +54,7 @@ type ShardedIndex struct {
 
 // newShardedIndex assembles the facade over a router.
 func newShardedIndex(router *shard.Router, pageSize int) *ShardedIndex {
-	sx := &ShardedIndex{router: router, pageSize: pageSize}
-	sx.batchPool.New = func() any {
-		s := []search.Result(nil)
-		return &s
-	}
+	sx := &ShardedIndex{router: router, engine: batchexec.New(router, nil), pageSize: pageSize}
 	sx.onePool.New = func() any { return new(oneQuery) }
 	return sx
 }
@@ -73,29 +70,24 @@ type oneQuery struct {
 // strategy and partitions them across the given number of shards,
 // balanced by padded on-disk chunk bytes (greedy largest-first, fully
 // deterministic). Each shard becomes its own in-memory chunk index, so
-// BuildSharded(coll, cfg, 1) is the paper's single-machine index. The
-// layout is unreplicated (R=1): a shard lost at serving time makes
-// queries over its chunks degrade. BuildReplicated adds replicas.
-func BuildSharded(coll *Collection, cfg BuildConfig, shards int) (*ShardedIndex, error) {
-	return BuildReplicated(coll, cfg, shards, 1)
-}
-
-// BuildReplicated is BuildSharded with a replication factor: every chunk
-// lives on its primary shard (the same balanced assignment BuildSharded
-// makes, so healthy results are independent of replication) plus
-// replication−1 replica shards. Replicas are failover copies: a chunk is
-// read from its primary while the primary's shard is live, and from its
-// first live replica otherwise. With replication 2 any single shard can
+// BuildSharded(coll, cfg, 1) is the paper's single-machine index.
+//
+// With cfg.Replication R > 1 every chunk lives on its primary shard (the
+// same balanced assignment, so healthy results are independent of
+// replication) plus R−1 replica shards. Replicas are failover copies: a
+// chunk is read from its primary while the primary's shard is live, and
+// from its first live replica otherwise. With R=2 any single shard can
 // fail with zero result degradation, and the replicas of the failed
 // shard's chunks are spread over the other shards, so none of them
-// absorbs its whole load (DESIGN.md §8).
-func BuildReplicated(coll *Collection, cfg BuildConfig, shards, replication int) (*ShardedIndex, error) {
+// absorbs its whole load (DESIGN.md §8). Unreplicated, a shard lost at
+// serving time makes queries over its chunks degrade.
+func BuildSharded(coll *Collection, cfg BuildConfig, shards int) (*ShardedIndex, error) {
 	clusters, outliers, err := buildClusters(coll, cfg)
 	if err != nil {
 		return nil, err
 	}
 	pageSize := normalizePageSize(cfg.PageSize)
-	placement, err := shard.PartitionReplicated(clusters, shards, replication, coll.Dims(), pageSize)
+	placement, err := shard.PartitionReplicated(clusters, shards, cmp.Or(cfg.Replication, 1), coll.Dims(), pageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +98,7 @@ func BuildReplicated(coll *Collection, cfg BuildConfig, shards, replication int)
 		parts[s] = shard.Select(clusters, idxs)
 		stores[s] = chunkfile.NewMemStore(coll, parts[s], pageSize)
 	}
-	router, err := shard.NewRouter(stores, placement, nil, shard.RouterOptions{})
+	router, err := shard.NewRouter(stores, placement, shard.RouterOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -125,8 +117,8 @@ func BuildReplicated(coll *Collection, cfg BuildConfig, shards, replication int)
 // chunk layout and simulated timings. A one-shard directory is the
 // paper's chunk file + index file (§4.2) plus the manifest. Replicated
 // indexes additionally write the replica-placement sidecar OpenSharded
-// restores the layout from. Only indexes produced by BuildSharded /
-// BuildReplicated can be saved.
+// restores the layout from. Only indexes produced by BuildSharded can be
+// saved.
 func (sx *ShardedIndex) Save(dir string) error {
 	if sx.coll == nil || sx.parts == nil {
 		return fmt.Errorf("repro: index was not built in this process; nothing to save")
@@ -174,7 +166,7 @@ func OpenShardedWith(dir string, cfg OpenConfig) (*ShardedIndex, error) {
 		closeAll()
 		return nil, fmt.Errorf("repro: stat placement file: %w", serr)
 	}
-	router, err := shard.NewRouter(shardStores, placement, nil, shard.RouterOptions{CacheBytes: cfg.CacheBytes})
+	router, err := shard.NewRouter(shardStores, placement, shard.RouterOptions{CacheBytes: cfg.CacheBytes})
 	if err != nil {
 		closeAll()
 		return nil, err
@@ -256,11 +248,12 @@ func (sx *ShardedIndex) Search(q Vector, opts SearchOptions) (*Result, error) {
 // way Simulated is the max over the shards and ChunksRead their sum. The
 // query runs as a batch of one through SearchBatchInto's code, so its
 // outcome is byte-identical to the same query inside any batch. The
-// Neighbors slice already in res is reused when it has capacity.
+// Neighbors and PerMachine slices already in res are reused when they
+// have capacity.
 func (sx *ShardedIndex) SearchInto(q Vector, opts SearchOptions, res *Result) error {
 	one := sx.onePool.Get().(*oneQuery)
 	defer sx.onePool.Put(one)
-	one.q[0], one.res[0] = q, Result{Neighbors: res.Neighbors}
+	one.q[0], one.res[0] = q, *res
 	err := sx.SearchBatchStream(one.q[:], BatchOptions{SearchOptions: opts}, one.res[:], nil)
 	if err == nil {
 		*res = one.res[0]
@@ -272,9 +265,9 @@ func (sx *ShardedIndex) SearchInto(q Vector, opts SearchOptions, res *Result) er
 // MultiSearch implements the paper's §7 follow-up: query with a whole
 // image's bag of local descriptors, aggregate per-descriptor approximate
 // searches into image votes, and return the ranked source images. The
-// bag is a natural batch: it runs on SearchBatchStream's engine path and
-// pooled arena, then votes (multiquery.Aggregate), so each descriptor's
-// outcome is the one the same query gets in any batch. The
+// bag is a natural batch: it runs through SearchBatchStream, then votes
+// (multiquery.Aggregate), so each descriptor's outcome is the one the
+// same query gets in any batch. The
 // per-descriptor chunk budget applies per shard — or once across the
 // fleet with opts.GlobalBudget.
 func (sx *ShardedIndex) MultiSearch(descriptors []Vector, opts MultiSearchOptions) (*MultiResult, error) {
@@ -284,10 +277,8 @@ func (sx *ShardedIndex) MultiSearch(descriptors []Vector, opts MultiSearchOption
 	if len(descriptors) == 0 {
 		return nil, errors.New("repro: no query descriptors")
 	}
-	sp := sx.arena(len(descriptors))
-	defer sx.batchPool.Put(sp)
-	srs := (*sp)[:len(descriptors)]
-	err := sx.run(descriptors, BatchOptions{SearchOptions: SearchOptions{
+	srs := make([]Result, len(descriptors))
+	err := sx.SearchBatchStream(descriptors, BatchOptions{SearchOptions: SearchOptions{
 		K:            cmp.Or(opts.K, DefaultMultiK),
 		MaxChunks:    cmp.Or(opts.MaxChunks, DefaultMultiMaxChunks),
 		Overlap:      opts.Overlap,
