@@ -1,26 +1,32 @@
-// Package chunkcache is a byte-bounded cache of *decoded* chunks — the
-// []float32 rows plus descriptor IDs a chunkfile.Store's ReadChunk
-// produces — fronting any Store as a CachingStore that itself satisfies
-// the Store interface. On skewed workloads (the Zipf traffic of
-// Tavenard–Amsaleg–Jégou) most reads touch the same hot chunks over and
-// over; serving them from the cache skips both the positioned read and
-// the byte→float32 decode, while handing the rows out zero-copy.
+// Package chunkcache is a byte-bounded cache of chunks in memory — the
+// columnar block of descriptor IDs plus []float32 rows a
+// chunkfile.Store's ReadChunk produces — fronting any Store as a
+// CachingStore that itself satisfies the Store interface. On skewed
+// workloads (the Zipf traffic of Tavenard–Amsaleg–Jégou) most reads touch
+// the same hot chunks over and over; serving them from the cache skips
+// the positioned read, while handing the rows out zero-copy.
 //
 // # Structure
 //
 // The cache is sharded into fixed lock stripes (16), each an LRU list
 // over a map keyed by (store, chunk), with the byte budget split evenly
 // across stripes. A hit moves the entry to the stripe's LRU front, pins
-// it, and aliases its rows into the caller's Data; a miss reads through
-// the inner store into the caller's Data and then copies the decoded
-// rows into a cache entry, evicting from the stripe's LRU tail until the
-// insert fits.
+// it, and aliases its rows into the caller's Data. A miss reads through
+// the inner store into the caller's Data and then takes the block the
+// read landed in as the new entry (chunkfile.Data.TakeBlock): the Data is
+// aliased back onto the entry under a pin and gets a recycled block for
+// its next read, so a miss over a FileStore is one read into the entry's
+// own memory, with no second copy. Rows a store aliases from its own
+// memory (MemStore) are copied into the entry's block once. The insert
+// evicts from the stripe's LRU tail until the entry fits.
 //
 // # Zero-copy discipline (refcount + immutable entries)
 //
 // Entries are immutable once published. A hit increments the entry's
 // refcount and installs the entry as the Data's chunkfile.Pin; the next
-// ReadChunk into that Data (or Data.Release) unpins it. Eviction removes
+// ReadChunk into that Data (or Data.Release) unpins it. A miss takes the
+// missing reader's pin before the entry is published, so no eviction can
+// recycle the block the reader's rows point into. Eviction removes
 // the entry from the map and subtracts its bytes immediately, but the
 // entry's buffers go to the stripe's freelist for reuse only once the
 // refcount reaches zero — so eviction never frees rows a scan still
@@ -53,16 +59,17 @@ const stripeCount = 16
 // real footprint past the configured bound.
 const entryOverhead = 128
 
-// entry is one cached decoded chunk. Immutable once published: ids,
-// vecs, dims and bytes never change after insert; refs, evicted and
-// freed manage the zero-copy handout (see the package comment).
+// entry is one cached chunk. Immutable once published: block, ids, vecs,
+// dims and bytes never change after insert; refs, evicted and freed
+// manage the zero-copy handout (see the package comment).
 type entry struct {
-	key  uint64
-	ids  []descriptor.ID
-	vecs []float32
-	dims int
+	key   uint64
+	block chunkfile.Block // the columnar memory ids and vecs view
+	ids   []descriptor.ID
+	vecs  []float32
+	dims  int
 
-	bytes int64 // budget charge: cap(ids)·4 + cap(vecs)·4 + entryOverhead
+	bytes int64 // budget charge: cap(block)·4 + entryOverhead
 
 	// refs counts live handouts. Pinning happens under the stripe lock
 	// (only reachable entries are pinned); unpinning is lock-free until
@@ -158,7 +165,7 @@ func (s *stripe) pushFront(e *entry) {
 	}
 }
 
-// Cache is a byte-bounded, lock-striped LRU cache of decoded chunks.
+// Cache is a byte-bounded, lock-striped LRU cache of chunks in memory.
 // One Cache may front many stores (NewStore assigns each CachingStore a
 // distinct key namespace), which is how a shard router shares one global
 // byte budget across the fleet; give each store its own Cache for a
@@ -172,7 +179,7 @@ type Cache struct {
 	nextID    atomic.Uint32
 }
 
-// New returns a cache bounded to roughly maxBytes of decoded rows
+// New returns a cache bounded to roughly maxBytes of cached rows
 // (entry bookkeeping included in the accounting). The budget is split
 // evenly across the lock stripes, each at least one page worth, so a
 // tiny budget still caches something per stripe. maxBytes must be
@@ -220,16 +227,25 @@ func (c *Cache) get(key uint64) *entry {
 	return e
 }
 
-// insert publishes a copy of the decoded rows under key, evicting from
-// the stripe's LRU tail until the entry fits. If a racing insert
-// published the key first, the copy is discarded (first insert wins);
-// entries larger than the stripe's whole budget are not cached — either
-// way the caller keeps serving its own decode.
-func (c *Cache) insert(key uint64, ids []descriptor.ID, vecs []float32, dims int) {
+// adopt publishes the rows data holds under key as a new entry and
+// aliases data onto it, pinned. The entry's memory is data's own block
+// when data owns its rows (a FileStore read: no copy), else one copy of
+// them; in exchange data gets the recycled entry's old block for its
+// next read. The insert evicts from the stripe's LRU tail until the entry
+// fits. If a racing miss published the key first, the new entry is never
+// published: it is marked evicted, so data's Unpin recycles it. Chunks
+// larger than the stripe's whole budget are not cached and data keeps its
+// rows. Either way data keeps the inner read's FailedReads and Stall.
+func (c *Cache) adopt(key uint64, data *chunkfile.Data, dims int) {
 	s := c.stripeFor(key)
+	count := len(data.IDs)
+	if int64(count)*int64(dims+1)*4+entryOverhead > s.maxBytes {
+		// Caching it would evict everything for one entry that can never
+		// be afforded.
+		return
+	}
 
-	// Reuse an evicted entry's buffers when one is free; fill outside the
-	// lock so a large copy never blocks the stripe.
+	// Reuse an evicted entry (and its block) when one is free.
 	s.mu.Lock()
 	e := s.freelist
 	if e != nil {
@@ -243,31 +259,23 @@ func (c *Cache) insert(key uint64, ids []descriptor.ID, vecs []float32, dims int
 	if e == nil {
 		e = &entry{s: s}
 	}
-	if cap(e.ids) < len(ids) {
-		e.ids = make([]descriptor.ID, len(ids))
-	}
-	e.ids = e.ids[:len(ids)]
-	copy(e.ids, ids)
-	if cap(e.vecs) < len(vecs) {
-		e.vecs = make([]float32, len(vecs))
-	}
-	e.vecs = e.vecs[:len(vecs)]
-	copy(e.vecs, vecs)
+	e.block = data.TakeBlock(e.block)
+	e.ids, e.vecs = e.block.Rows(count, dims)
 	e.key = key
 	e.dims = dims
-	e.bytes = int64(cap(e.ids))*4 + int64(cap(e.vecs))*4 + entryOverhead
-	e.refs.Store(0)
+	e.bytes = int64(cap(e.block))*4 + entryOverhead
+	e.refs.Store(1) // data's pin, taken before the entry is published
+	data.Alias(e.ids, e.vecs, dims, e)
 
 	s.mu.Lock()
 	switch {
 	case s.entries[key] != nil:
-		// Lost the insert race: the published copy is identical, keep it.
-		s.recycleLocked(e)
+		// Lost the insert race: the published entry holds the same rows.
+		e.evicted = true
 	case e.bytes > s.maxBytes:
-		// Larger than the stripe's whole budget: caching it would evict
-		// everything for one entry that can never be afforded. Dropped
-		// without freelisting so the oversized buffers don't linger.
-		e.freed = true
+		// The block's capacity outgrew the stripe: serve it this once and
+		// drop it without freelisting so the oversized block doesn't linger.
+		e.evicted, e.freed = true, true
 	default:
 		for s.bytes+e.bytes > s.maxBytes && s.tail != nil {
 			c.evictLocked(s, s.tail)
@@ -394,9 +402,9 @@ func (s *CachingStore) Centroids() []float32 { return s.inner.Centroids() }
 // ReadChunk implements chunkfile.Store. A hit aliases the cached rows
 // into data zero-copy (pinning them until the next read into data) with
 // FailedReads and Stall zero — the hit performed no attempts to bill. A
-// miss delegates to the inner store and, on success, copies the decoded
-// rows into the cache for future hits; data keeps the inner read's rows,
-// FailedReads and Stall.
+// miss delegates to the inner store and, on success, makes the rows it
+// read the cache entry for future hits (adopt), aliasing data onto the
+// entry; data keeps the inner read's FailedReads and Stall.
 func (s *CachingStore) ReadChunk(i int, data *chunkfile.Data) error {
 	if i < 0 || i >= len(s.inner.Meta()) {
 		return chunkfile.ErrChunkOOB
@@ -412,7 +420,7 @@ func (s *CachingStore) ReadChunk(i int, data *chunkfile.Data) error {
 	if err := s.inner.ReadChunk(i, data); err != nil {
 		return err
 	}
-	s.cache.insert(key, data.IDs, data.Vecs, s.inner.Dims())
+	s.cache.adopt(key, data, s.inner.Dims())
 	return nil
 }
 

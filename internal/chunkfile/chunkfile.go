@@ -3,9 +3,12 @@
 //
 // The chunk file holds all retained descriptors grouped by chunk; all
 // descriptors of a chunk are stored together and chunks are stored
-// sequentially, each padded to occupy full disk pages. The index file
-// stores, per chunk and in chunk-file order, the chunk's centroid, its
-// bounding radius, and its location in the chunk file.
+// sequentially, each padded to occupy full disk pages. A chunk's body is
+// columnar: its Count IDs as little-endian uint32, then its Count × dims
+// float32 row block, so one read lands the chunk in memory already laid
+// out as the rows a scan consumes. The index file stores, per chunk and
+// in chunk-file order, the chunk's centroid, its bounding radius, and its
+// location in the chunk file.
 package chunkfile
 
 import (
@@ -15,8 +18,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"time"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/descriptor"
@@ -26,10 +31,33 @@ import (
 // DefaultPageSize is the disk page granularity chunks are padded to.
 const DefaultPageSize = 8192
 
+// The chunk file header is a magic, a version byte, then dims, page size
+// and chunk count as little-endian uint32s. Version 2 is the columnar
+// body; a later body change bumps the version byte, not the magic. Files
+// written before the version byte existed start with chunkMagicV1, have
+// no version byte, and store each chunk as interleaved [ID | dims floats]
+// records; they still open (FileStore decodes them), but nothing writes
+// them.
 const (
-	chunkMagic = "EFF2CHNK"
-	indexMagic = "EFF2CIDX"
+	chunkMagic   = "EFF2CHKV"
+	chunkVersion = 2
+	chunkMagicV1 = "EFF2CHNK"
+	indexMagic   = "EFF2CIDX"
 )
+
+// headerLen returns the chunk file header length of the given version:
+// the first chunk starts on the first page boundary at or after it.
+func headerLen(version int) int {
+	if version == 1 {
+		return 8 + 12
+	}
+	return 8 + 1 + 12
+}
+
+// hostLittleEndian reports that a 4-byte word in memory is its own
+// little-endian encoding, so a chunk body read straight into a Block
+// needs no byte swap.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // Meta describes one chunk as recorded in the index file. In a Store's
 // Meta(), Centroid aliases row i of the store's Centroids() matrix.
@@ -80,8 +108,9 @@ func LayoutCentroids(metas []Meta, dims int) []float32 {
 	return mat
 }
 
-// RecordSize returns the on-disk size of one descriptor record: a 4-byte
-// ID followed by dims float32 components.
+// RecordSize returns the on-disk size of one descriptor: a 4-byte ID
+// plus dims float32 components. A chunk body of count descriptors is
+// exactly count × RecordSize bytes (the ID column, then the row block).
 func RecordSize(dims int) int { return 4 + dims*4 }
 
 // PaddedBytes returns the padded on-disk size of a chunk of count
@@ -95,11 +124,11 @@ func PaddedBytes(count, dims, pageSize int) int {
 	return pageCeil(count*RecordSize(dims), pageSize)
 }
 
-// Data is the decoded payload of one chunk. Callers must treat IDs and
-// Vecs as read-only: depending on the Store they may alias store-owned
-// memory (MemStore), buffers reused by the next ReadChunk (FileStore),
-// or a refcounted cache entry (chunkcache) pinned until the next read
-// into the same Data.
+// Data is the payload of one chunk. Callers must treat IDs and Vecs as
+// read-only: depending on the Store they may alias store-owned memory
+// (MemStore), the Data's own block, which the next ReadChunk into it
+// overwrites (FileStore), or a refcounted cache entry (chunkcache) pinned
+// until the next read into the same Data.
 type Data struct {
 	IDs  []descriptor.ID
 	Vecs []float32 // flattened, Count × dims
@@ -114,15 +143,45 @@ type Data struct {
 	FailedReads int
 	Stall       time.Duration
 	dims        int
-	buf         []byte // FileStore read scratch, reused across ReadChunk calls
-	pin         Pin    // releases the rows' alias when the Data moves on
-	// ownIDs and ownVecs are the Data-owned decode scratch. decode always
-	// writes into them and points IDs/Vecs at them; Alias points IDs/Vecs
-	// at store- or cache-owned memory while the scratch is retained — so
-	// a decode following any number of aliased reads still reuses the
-	// scratch and the steady-state read path stays allocation-free.
-	ownIDs  []descriptor.ID
-	ownVecs []float32
+	pin         Pin // releases the rows' alias when the Data moves on
+	// block is the Data-owned columnar memory a FileStore read lands in;
+	// own reports that IDs and Vecs point into it. Alias points IDs/Vecs
+	// at store- or cache-owned memory while the block is retained, so a
+	// read following any number of aliased reads still reuses it and the
+	// steady-state read path stays allocation-free. TakeBlock hands the
+	// block to a cache in exchange for a spare.
+	block Block
+	own   bool
+	v1buf []byte // read scratch for a v1 file's interleaved records
+}
+
+// Block is one chunk's memory in the columnar layout: the Count IDs, then
+// the Count × dims float32 row block, one 4-byte word each. It is the
+// unit a FileStore read fills and a cache entry holds.
+type Block []uint32
+
+// Rows returns views of the first count rows of a block laid out for
+// dims: the ID column and the row block. b must hold count × (dims+1)
+// words.
+func (b Block) Rows(count, dims int) ([]descriptor.ID, []float32) {
+	b = b[:count*(dims+1)]
+	ids := unsafe.Slice((*descriptor.ID)(unsafe.Pointer(unsafe.SliceData(b))), count)
+	vecs := unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b[count:]))), count*dims)
+	return ids, vecs
+}
+
+// bytes returns the block's memory as bytes, the target of one ReadAt.
+func (b Block) bytes() []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b))), len(b)*4)
+}
+
+// swapWords byte-swaps every word of b in place: on a big-endian host it
+// turns the little-endian words of a chunk body read straight into memory
+// into native IDs and floats.
+func swapWords(b Block) {
+	for i, w := range b {
+		b[i] = bits.ReverseBytes32(w)
+	}
 }
 
 // Pin is the handle a store installs alongside aliased rows (Data.Alias):
@@ -146,13 +205,15 @@ func (d *Data) Vec(i int) vec.Vector { return vec.Vector(d.Vecs[i*d.dims : (i+1)
 // alias d held before. pin, when non-nil, is unpinned on the next
 // ReadChunk into d (or Release) — the discipline that lets a cache evict
 // entries by byte budget while never recycling rows a scan still holds.
-// Stores hand out aliases with this method; plain callers never need it.
+// d keeps its own block for its next read. Stores hand out aliases with
+// this method; plain callers never need it.
 func (d *Data) Alias(ids []descriptor.ID, vecs []float32, dims int, pin Pin) {
 	d.Release()
 	d.IDs = ids
 	d.Vecs = vecs
 	d.dims = dims
 	d.pin = pin
+	d.own = false
 }
 
 // Release unpins any aliased rows d still holds. ReadChunk releases the
@@ -167,6 +228,51 @@ func (d *Data) Release() {
 	}
 }
 
+// TakeBlock returns a block holding d's rows in the columnar layout, for
+// a cache to keep as an entry, and takes spare (possibly nil) in
+// exchange. When d's rows are its own block (a FileStore read) that very
+// block is handed over with no copy, spare becomes the block d's next
+// read fills, and IDs/Vecs keep pointing into the handed-over block: the
+// caller now owns that memory and must keep it intact while d uses it,
+// as a cache does by aliasing the rows back into d under a pin.
+// Otherwise (rows aliased from store memory) the rows are copied into
+// spare, grown when too small, which is returned; d is left unchanged.
+func (d *Data) TakeBlock(spare Block) Block {
+	n := len(d.IDs) * (d.dims + 1)
+	if d.own {
+		b := d.block[:n]
+		d.block, d.own = spare, false
+		return b
+	}
+	if cap(spare) < n {
+		spare = make(Block, n)
+	}
+	spare = spare[:n]
+	ids, vecs := spare.Rows(len(d.IDs), d.dims)
+	copy(ids, d.IDs)
+	copy(vecs, d.Vecs)
+	return spare
+}
+
+// ownBlock releases d's previous rows and returns d's block sized for
+// count rows of dims, growing it when too small. The rows are unset until
+// the caller fills the block and calls setOwn.
+func (d *Data) ownBlock(count, dims int) Block {
+	d.Release()
+	d.IDs, d.Vecs, d.dims, d.own = nil, nil, dims, false
+	n := count * (dims + 1)
+	if cap(d.block) < n {
+		d.block = make(Block, n)
+	}
+	return d.block[:n]
+}
+
+// setOwn points d's rows at the first count rows of its own block.
+func (d *Data) setOwn(count int) {
+	d.IDs, d.Vecs = d.block.Rows(count, d.dims)
+	d.own = true
+}
+
 // Store is the read interface the search algorithm consumes. FileStore
 // serves from the two on-disk files; MemStore serves from memory (used by
 // tests and pure-simulation experiments — the timing figures come from the
@@ -179,15 +285,18 @@ func (d *Data) Release() {
 // this with positioned reads (ReadAt) into caller-owned buffers; MemStore
 // hands out read-only aliases of store memory.
 //
-// Ownership of decoded rows (the zero-copy rule): the IDs and Vecs a
-// ReadChunk hands out are valid only until the next ReadChunk into the
-// same Data value, or until Data.Release — whichever comes first. Within
-// that window callers must treat the rows as strictly read-only; they
-// may alias store memory (MemStore), Data-owned scratch the next read
+// Ownership of rows (the zero-copy rule): the IDs and Vecs a ReadChunk
+// hands out are valid only until the next ReadChunk into the same Data
+// value, or until Data.Release — whichever comes first. Within that
+// window callers must treat the rows as strictly read-only; they may
+// alias store memory (MemStore), the Data's own block the next read
 // overwrites (FileStore), or a pinned cache entry (chunkcache) whose
-// buffers are recycled once unpinned. A caller that needs rows beyond
-// the window must copy them. No search layer retains rows across reads:
-// scans fold rows into their k-NN heaps before the next ReadChunk.
+// block is recycled once unpinned. A cache miss over a FileStore takes
+// the Data's block as the new entry (Data.TakeBlock) and aliases it back
+// under a pin, so the bytes read are the bytes cached. A caller that
+// needs rows beyond the window must copy them. No search layer retains
+// rows across reads: scans fold rows into their k-NN heaps before the
+// next ReadChunk.
 type Store interface {
 	// Dims returns the descriptor dimensionality.
 	Dims() int
@@ -200,7 +309,7 @@ type Store interface {
 	// built so a query ranks all chunks with one distance-kernel call.
 	// Callers must not modify it.
 	Centroids() []float32
-	// ReadChunk decodes chunk i into data, reusing its buffers. Safe for
+	// ReadChunk reads chunk i into data, reusing its block. Safe for
 	// concurrent use with distinct Data values.
 	ReadChunk(i int, data *Data) error
 	// Close releases resources.
@@ -239,24 +348,31 @@ func Write(coll *descriptor.Collection, clusters []*cluster.Cluster, chunkPath, 
 	if _, err := cw.WriteString(chunkMagic); err != nil {
 		return err
 	}
-	var head [12]byte
-	binary.LittleEndian.PutUint32(head[0:4], uint32(dims))
-	binary.LittleEndian.PutUint32(head[4:8], uint32(pageSize))
-	binary.LittleEndian.PutUint32(head[8:12], uint32(len(clusters)))
+	var head [13]byte
+	head[0] = chunkVersion
+	binary.LittleEndian.PutUint32(head[1:5], uint32(dims))
+	binary.LittleEndian.PutUint32(head[5:9], uint32(pageSize))
+	binary.LittleEndian.PutUint32(head[9:13], uint32(len(clusters)))
 	if _, err := cw.Write(head[:]); err != nil {
 		return err
 	}
 
 	// The first chunk starts on a page boundary after the header.
-	offset := int64(pageCeil(8+12, pageSize))
-	if err := padTo(cw, 8+12, int(offset)); err != nil {
+	hl := headerLen(chunkVersion)
+	offset := int64(pageCeil(hl, pageSize))
+	if err := padTo(cw, hl, int(offset)); err != nil {
 		return err
 	}
 
 	metas := make([]Meta, len(clusters))
-	rec := make([]byte, RecordSize(dims))
+	var word [4]byte
+	put := func(w uint32) error {
+		binary.LittleEndian.PutUint32(word[:], w)
+		_, err := cw.Write(word[:])
+		return err
+	}
 	for ci, cl := range clusters {
-		raw := cl.Count() * len(rec)
+		raw := cl.Count() * RecordSize(dims)
 		padded := pageCeil(raw, pageSize)
 		metas[ci] = Meta{
 			Centroid: cl.Centroid.Clone(),
@@ -265,20 +381,21 @@ func Write(coll *descriptor.Collection, clusters []*cluster.Cluster, chunkPath, 
 			Bytes:    padded,
 			Count:    cl.Count(),
 		}
+		// The body: the ID column, then the row block.
 		for _, m := range cl.Members {
-			binary.LittleEndian.PutUint32(rec[0:4], uint32(coll.IDAt(m)))
-			v := coll.Vec(m)
-			for d, x := range v {
-				binary.LittleEndian.PutUint32(rec[4+d*4:8+d*4], math.Float32bits(x))
-			}
-			if _, err := cw.Write(rec); err != nil {
+			if err := put(uint32(coll.IDAt(m))); err != nil {
 				return err
 			}
 		}
-		for p := raw; p < padded; p++ {
-			if err := cw.WriteByte(0); err != nil {
-				return err
+		for _, m := range cl.Members {
+			for _, x := range coll.Vec(m) {
+				if err := put(math.Float32bits(x)); err != nil {
+					return err
+				}
 			}
+		}
+		if err := padTo(cw, raw, padded); err != nil {
+			return err
 		}
 		offset += int64(padded)
 	}
@@ -371,6 +488,7 @@ type FileStore struct {
 	f         *os.File
 	dims      int
 	page      int
+	version   int // chunk file format version: 1 interleaved, 2 columnar
 	metas     []Meta
 	centroids []float32 // row-major, aliased by metas[i].Centroid
 }
@@ -387,18 +505,14 @@ func Open(chunkPath, indexPath string) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chunkfile: open chunk file: %w", err)
 	}
-	var head [20]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
+	version, head, err := readChunkHeader(f)
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("chunkfile: reading chunk header: %w", err)
+		return nil, err
 	}
-	if string(head[:8]) != chunkMagic {
-		f.Close()
-		return nil, ErrBadMagic
-	}
-	cd := int(binary.LittleEndian.Uint32(head[8:12]))
-	page := int(binary.LittleEndian.Uint32(head[12:16]))
-	nc := int(binary.LittleEndian.Uint32(head[16:20]))
+	cd := int(binary.LittleEndian.Uint32(head[0:4]))
+	page := int(binary.LittleEndian.Uint32(head[4:8]))
+	nc := int(binary.LittleEndian.Uint32(head[8:12]))
 	if cd != dims {
 		f.Close()
 		return nil, fmt.Errorf("chunkfile: chunk file dims %d != index dims %d", cd, dims)
@@ -412,22 +526,52 @@ func Open(chunkPath, indexPath string) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("chunkfile: stat chunk file: %w", err)
 	}
-	if err := validateMetas(metas, dims, page, fi.Size()); err != nil {
+	if err := validateMetas(metas, dims, page, headerLen(version), fi.Size()); err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &FileStore{f: f, dims: dims, page: page, metas: metas, centroids: CentroidMatrix(metas)}, nil
+	return &FileStore{f: f, dims: dims, page: page, version: version, metas: metas, centroids: CentroidMatrix(metas)}, nil
+}
+
+// readChunkHeader reads the chunk file header: the format version (1 for
+// the unversioned interleaved layout) and the 12 bytes of dims, page size
+// and chunk count that follow the magic and version byte.
+func readChunkHeader(f *os.File) (version int, head [12]byte, err error) {
+	var magic [8]byte
+	if _, err := io.ReadFull(f, magic[:]); err != nil {
+		return 0, head, fmt.Errorf("chunkfile: reading chunk header: %w", err)
+	}
+	switch string(magic[:]) {
+	case chunkMagicV1:
+		version = 1
+	case chunkMagic:
+		var v [1]byte
+		if _, err := io.ReadFull(f, v[:]); err != nil {
+			return 0, head, fmt.Errorf("chunkfile: reading chunk header: %w", err)
+		}
+		if v[0] != chunkVersion {
+			return 0, head, fmt.Errorf("chunkfile: unsupported chunk file version %d", v[0])
+		}
+		version = chunkVersion
+	default:
+		return 0, head, ErrBadMagic
+	}
+	if _, err := io.ReadFull(f, head[:]); err != nil {
+		return 0, head, fmt.Errorf("chunkfile: reading chunk header: %w", err)
+	}
+	return version, head, nil
 }
 
 // validateMetas cross-checks every index entry against the chunk file's
-// recorded page size and actual size, so a corrupt or hostile index file
-// fails at open time with a clear error instead of surfacing as ReadAt
-// errors — or oversized allocations — in the middle of a query.
-func validateMetas(metas []Meta, dims, page int, fileSize int64) error {
+// recorded page size, header length and actual size, so a corrupt or
+// hostile index file fails at open time with a clear error instead of
+// surfacing as ReadAt errors — or oversized allocations — in the middle
+// of a query.
+func validateMetas(metas []Meta, dims, page, header int, fileSize int64) error {
 	if page <= 0 {
 		return fmt.Errorf("chunkfile: invalid page size %d", page)
 	}
-	headerEnd := int64(pageCeil(8+12, page))
+	headerEnd := int64(pageCeil(header, page))
 	for i := range metas {
 		m := &metas[i]
 		if m.Count < 0 || m.Bytes < 0 {
@@ -498,47 +642,54 @@ func (s *FileStore) Meta() []Meta { return s.metas }
 // Centroids implements Store.
 func (s *FileStore) Centroids() []float32 { return s.centroids }
 
-// ReadChunk implements Store. It issues exactly one positioned read of the
-// chunk's padded extent, mirroring the paper's one-chunk-one-read access
-// pattern. The read buffer is kept in data and reused by later calls, so
-// steady-state reads do not allocate.
+// ReadChunk implements Store. It issues exactly one positioned read of
+// the chunk's Count × RecordSize body bytes, mirroring the paper's
+// one-chunk-one-read access pattern (the simulated model bills the padded
+// extent, Meta.Bytes, either way). A columnar body is read straight into
+// the Data's own block, which IDs and Vecs then point into with no
+// decode; a v1 file's interleaved records are read into scratch and
+// decoded into the same block. The block is kept in data and reused by
+// later calls, so steady-state reads do not allocate.
 func (s *FileStore) ReadChunk(i int, data *Data) error {
 	if i < 0 || i >= len(s.metas) {
 		return ErrChunkOOB
 	}
 	m := s.metas[i]
-	if cap(data.buf) < m.Bytes {
-		data.buf = make([]byte, m.Bytes)
+	blk := data.ownBlock(m.Count, s.dims)
+	var err error
+	if s.version == 1 {
+		err = s.readV1(m, blk, data)
+	} else if _, err = s.f.ReadAt(blk.bytes(), m.Offset); err == nil && !hostLittleEndian {
+		swapWords(blk)
 	}
-	buf := data.buf[:m.Bytes]
-	if _, err := s.f.ReadAt(buf, m.Offset); err != nil {
+	if err != nil {
 		if errors.Is(err, os.ErrClosed) {
 			return fmt.Errorf("chunkfile: chunk %d: %w", i, ErrClosed)
 		}
 		return fmt.Errorf("chunkfile: chunk %d: %w", i, err)
 	}
-	decode(buf, m.Count, s.dims, data)
+	data.setOwn(m.Count)
+	return nil
+}
+
+// readV1 reads a v1 chunk's interleaved records into data's scratch and
+// decodes them into blk.
+func (s *FileStore) readV1(m Meta, blk Block, data *Data) error {
+	n := m.Count * RecordSize(s.dims)
+	if cap(data.v1buf) < n {
+		data.v1buf = make([]byte, n)
+	}
+	buf := data.v1buf[:n]
+	if _, err := s.f.ReadAt(buf, m.Offset); err != nil {
+		return err
+	}
+	ids, vecs := blk.Rows(m.Count, s.dims)
+	descriptor.DecodeRecords(buf, m.Count, s.dims, ids, vecs)
 	return nil
 }
 
 // Close implements Store.
 func (s *FileStore) Close() error { return s.f.Close() }
-
-func decode(buf []byte, count, dims int, data *Data) {
-	data.Release()
-	data.dims = dims
-	if cap(data.ownIDs) < count {
-		data.ownIDs = make([]descriptor.ID, count)
-	}
-	data.ownIDs = data.ownIDs[:count]
-	if cap(data.ownVecs) < count*dims {
-		data.ownVecs = make([]float32, count*dims)
-	}
-	data.ownVecs = data.ownVecs[:count*dims]
-	data.IDs = data.ownIDs
-	data.Vecs = data.ownVecs
-	descriptor.DecodeRecords(buf, count, dims, data.IDs, data.Vecs)
-}
 
 // MemStore is an in-memory Store with the same padded-size accounting as
 // FileStore, so simulated timings are identical.
