@@ -28,25 +28,25 @@ func TestSaveGolden(t *testing.T) {
 	}{
 		{"R=1", 1, map[string]string{
 			"manifest":      "37fb32285a9e70d4ef920fca1d341f2459163965bc96732564e19b9bf92c83ab",
-			"shard-0.chunk": "1773aa70bbd60d3cfd33bf2566fc5e0b34055c7d389c043c765ab6325a834778",
+			"shard-0.chunk": "168cbf76dd05baf1e3a6a1eb7c1f3b2b63a8742bcb188c8d2893913f3bae40f3",
 			"shard-0.idx":   "2e951ebfa9c18bb9f2d07408b5d1941468b066d248e2e5148d98d68131db81a6",
-			"shard-1.chunk": "bc8c4d9db762bf459f0c74dcc8e9dcb897b14d93c0d24091a3d6bbf8fd1da695",
+			"shard-1.chunk": "8507eb4f7c49e1ecbb3dd502b42791cf8ec431d07ecc411b677d4b38e26aacbe",
 			"shard-1.idx":   "f3e6cf3bfa80d63852db15b71693e935e497501106fe8f2e10335ffd45500e57",
-			"shard-2.chunk": "5f93846843421c2192bd4c225c3f7e8adf126985a1678794ef833f241caa3637",
+			"shard-2.chunk": "2860c675b974b976c7526f00530d788573282e9ba884d2e1bd250249464904f0",
 			"shard-2.idx":   "e68eec1e90180cf3cb3db65c729aba7215d4dc3c51de6346c8665aab7ca608e1",
-			"shard-3.chunk": "ff1221753a1d03803442d422fa09c2e529bd1180bb92b2ecf1326135f8b27a1c",
+			"shard-3.chunk": "502ca73f3285c13592a206fe5b3a822d4832c22444d06b5e6b69a78cb48b58b2",
 			"shard-3.idx":   "a64dbfd37113339578ccd01f068654715639e9f93998a17bca7deb68db4af58e",
 		}},
 		{"R=2", 2, map[string]string{
 			"manifest":      "5057c659dbf5f1c1fb7f789c8cdef621ddadc8bcc495a474b2598dc86a0ca27a",
 			"replicas":      "4e8ba003ecc39fd8d0be393f2f2dddc14b2b565c087172e98d9b9498c617b391",
-			"shard-0.chunk": "307de330abbe48198256b588deb5bf7ee664cf1cc0983d125c6e59d1bdd13fbf",
+			"shard-0.chunk": "0c6b1c7afbeeecf9f657268f9df701a8c32cf520e1916514f9212d975033d384",
 			"shard-0.idx":   "c162defff4eb2be4b6693d6655d8754281444632fda5e020a8902778db72cabc",
-			"shard-1.chunk": "9a4b1bfd3a9cff0432c6c411d2e0a74bd4d83828977673dac7d6f814b75a3ca3",
+			"shard-1.chunk": "3159a13044291b387cd9b9de094a0fd72fafae146a50cea89e8af2dce1ceb1fd",
 			"shard-1.idx":   "6ec2beeaf584776ce754843cf76e355ce51c09c86b4a97caeabe7649f0909dab",
-			"shard-2.chunk": "efd51938b04795e56caf3177479341b927f8a84c064e402a8118b877a8693a89",
+			"shard-2.chunk": "ed0cdd40eeffdb6da77d253b0a3d4d26f789659c204fbc957ddc9bdb5993a55c",
 			"shard-2.idx":   "95ec3a88336d3bbd27472f75ef1e0b51957fe28d9dc8de96ee8859421d4074c9",
-			"shard-3.chunk": "9a7bce723cafbadbf95156527a8b2537b3c7ca3a5d1d8584e4b573022bc987c1",
+			"shard-3.chunk": "98b6e35faef8129b0c837c4f7e5ff6e5a4a110c22cc809f744e867d68ae56c42",
 			"shard-3.idx":   "1d0f72040959297be7f9fe4cca7a86649b7fea029a731ef0b7805c9bf4a921fe",
 		}},
 	} {
