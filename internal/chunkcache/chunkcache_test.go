@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/descriptor"
 	"repro/internal/faultstore"
+	"repro/internal/race"
 	"repro/internal/vec"
 )
 
@@ -137,6 +138,110 @@ func TestCacheHitIsZeroCopy(t *testing.T) {
 	}
 	a.Release()
 	b.Release()
+}
+
+// TestMissAdoptsReadBlock pins the miss path over a FileStore: the cache
+// entry is the very block the miss read into, with no copy. The miss
+// leaves the reader's rows where a plain read into the same Data puts
+// them, and a hit through a second Data returns the same memory.
+func TestMissAdoptsReadBlock(t *testing.T) {
+	_, fs := makeStores(t, 120, 3)
+	cs := NewStore(fs, New(1<<20))
+	var a, b chunkfile.Data
+	if err := fs.ReadChunk(1, &a); err != nil { // a's block, sized for chunk 1
+		t.Fatal(err)
+	}
+	block := &a.IDs[0]
+	if err := cs.ReadChunk(1, &a); err != nil { // miss: read into that block, taken as the entry
+		t.Fatal(err)
+	}
+	if &a.IDs[0] != block {
+		t.Fatal("the miss left the reader's rows outside the block it read into")
+	}
+	if err := cs.ReadChunk(1, &b); err != nil { // hit
+		t.Fatal(err)
+	}
+	if &b.Vecs[0] != &a.Vecs[0] || &b.IDs[0] != block {
+		t.Fatal("a hit after a FileStore miss returned other memory; the miss copied its rows")
+	}
+	if st := cs.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("hits %d misses %d, want 1 each", st.Hits, st.Misses)
+	}
+	// The Data's next read must not land in the block the cache now owns.
+	if err := fs.ReadChunk(0, &a); err != nil {
+		t.Fatal(err)
+	}
+	if &a.IDs[0] == block {
+		t.Fatal("the reader kept the block it handed to the cache")
+	}
+	a.Release()
+	b.Release()
+}
+
+// thrashing returns a CachingStore over a FileStore of 128 equal chunks
+// whose cache holds one chunk per stripe, so reading the chunks in a
+// cycle misses and evicts on every read, and the cycle position.
+func thrashing(tb testing.TB) (*CachingStore, func() int) {
+	_, fs := makeStores(tb, 128*50, 128)
+	per := int64(50*(vec.Dims+1)*4 + entryOverhead)
+	cs := NewStore(fs, New(stripeCount*per*3/2))
+	i := 0
+	return cs, func() int {
+		i = (i + 1) % 128
+		return i
+	}
+}
+
+// TestMissPathZeroAlloc pins the steady state of a thrashing cache over
+// a FileStore: every read misses, evicts and takes the read block, and
+// none allocates — the evicted entries' blocks become the reader's next
+// read buffers.
+func TestMissPathZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	cs, next := thrashing(t)
+	var d chunkfile.Data
+	read := func() {
+		if err := cs.ReadChunk(next(), &d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3*128; i++ {
+		read()
+	}
+	if allocs := testing.AllocsPerRun(500, read); allocs != 0 {
+		t.Errorf("steady-state miss allocates %v per read, want 0", allocs)
+	}
+	if st := cs.Stats(); st.Hits != 0 {
+		t.Fatalf("thrashing cache hit %d of %d reads", st.Hits, st.Hits+st.Misses)
+	}
+	d.Release()
+}
+
+// BenchmarkCacheMiss measures the read stage on a miss: a thrashing
+// cache over a FileStore, so every read is one positioned read into the
+// reader's block, taken as the new entry, plus one eviction.
+func BenchmarkCacheMiss(b *testing.B) {
+	cs, next := thrashing(b)
+	var d chunkfile.Data
+	for i := 0; i < 2*128; i++ {
+		if err := cs.ReadChunk(next(), &d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cs.ReadChunk(next(), &d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := cs.Stats(); st.Hits != 0 {
+		b.Fatalf("thrashing cache hit %d of %d reads", st.Hits, st.Hits+st.Misses)
+	}
+	d.Release()
 }
 
 // TestCacheBudgetAndEviction pins the byte bound: occupancy never

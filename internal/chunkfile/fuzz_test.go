@@ -32,6 +32,47 @@ func FuzzOpenIndex(f *testing.F) {
 	})
 }
 
+// FuzzReadChunkFile opens mutated chunk-file bytes against a valid index.
+// Open must never panic; it either rejects the pair with an error, or
+// every ReadChunk returns the chunk's Count rows or an error. The seeds
+// are a v2 file, a v1 file of the same chunks and a truncated header.
+func FuzzReadChunkFile(f *testing.F) {
+	coll, cs := makeClusters(f)
+	cp, ip, _ := writePair(f, 512)
+	v2, err := os.ReadFile(cp)
+	if err != nil {
+		f.Fatal(err)
+	}
+	writeV1(f, coll, cs, cp, 512)
+	v1, err := os.ReadFile(cp)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
+	f.Add(v1)
+	f.Add(v2[:12])
+	f.Fuzz(func(t *testing.T, chunk []byte) {
+		path := filepath.Join(t.TempDir(), "c.chunk")
+		if err := os.WriteFile(path, chunk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(path, ip)
+		if err != nil {
+			return
+		}
+		defer st.Close()
+		var d Data
+		for i, m := range st.Meta() {
+			if err := st.ReadChunk(i, &d); err != nil {
+				continue
+			}
+			if d.Len() != m.Count || len(d.Vecs) != m.Count*st.Dims() {
+				t.Fatalf("chunk %d: %d IDs and %d floats, want %d rows", i, d.Len(), len(d.Vecs), m.Count)
+			}
+		}
+	})
+}
+
 // FuzzReadManifest reads mutated manifest bytes. ReadManifest must never
 // panic; a manifest it accepts is written back byte-identically by
 // WriteManifest.
