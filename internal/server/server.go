@@ -625,13 +625,24 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, req body) (res r
 	return run(w, b, queries, opts, g.granted, point, breq.Stream)
 }
 
+// resultArenas recycles run's per-query results across requests, so a
+// query's Neighbors and PerMachine slices are reused instead of
+// allocated per request. An arena returns to the pool only once the
+// response, streamed trailer included, has been encoded.
+var resultArenas = sync.Pool{New: func() any { return new([]repro.Result) }}
+
 // run answers /search and /batch: the batch runs through the backend's
 // one entry point and is written as one SearchResponse (point), a
 // BatchResponse, or — with stream — NDJSON (see stream). Every response
 // carries the backend's ShardsDown, sampled once per request: before the
 // run when streaming, after it otherwise.
 func run(w http.ResponseWriter, b Backend, queries []repro.Vector, opts repro.BatchOptions, granted int, point, stream bool) result {
-	results := make([]repro.Result, len(queries))
+	arena := resultArenas.Get().(*[]repro.Result)
+	defer resultArenas.Put(arena)
+	if len(*arena) < len(queries) {
+		*arena = append(*arena, make([]repro.Result, len(queries)-len(*arena))...)
+	}
+	results := (*arena)[:len(queries)]
 	var done func(int)
 	var trailer func(error) result
 	if stream {

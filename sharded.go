@@ -43,6 +43,7 @@ type ShardedIndex struct {
 	placement *shard.Placement
 
 	onePool sync.Pool // *oneQuery: SearchInto's batch of one
+	bagPool sync.Pool // *[]Result: MultiSearch's per-descriptor outcomes
 
 	coll  *Collection          // nil for file-opened indexes
 	parts [][]*cluster.Cluster // per-shard physical clusters; nil for file-opened indexes
@@ -56,7 +57,18 @@ type ShardedIndex struct {
 func newShardedIndex(router *shard.Router, pageSize int) *ShardedIndex {
 	sx := &ShardedIndex{router: router, engine: batchexec.New(router, nil), pageSize: pageSize}
 	sx.onePool.New = func() any { return new(oneQuery) }
+	sx.bagPool.New = func() any { return new([]Result) }
 	return sx
+}
+
+// growResults returns the first n results of the pooled arena *rs,
+// growing it when it holds fewer and keeping its earlier results with
+// their Neighbors and PerMachine slices for reuse.
+func growResults(rs *[]Result, n int) []Result {
+	if len(*rs) < n {
+		*rs = append(*rs, make([]Result, n-len(*rs))...)
+	}
+	return (*rs)[:n]
 }
 
 // oneQuery is the query and result slot of a batch of one, pooled so a
@@ -267,7 +279,8 @@ func (sx *ShardedIndex) SearchInto(q Vector, opts SearchOptions, res *Result) er
 // searches into image votes, and return the ranked source images. The
 // bag is a natural batch: it runs through SearchBatchStream, then votes
 // (multiquery.Aggregate), so each descriptor's outcome is the one the
-// same query gets in any batch. The
+// same query gets in any batch. The per-descriptor results live in a
+// pooled arena, recycled once the vote has read them. The
 // per-descriptor chunk budget applies per shard — or once across the
 // fleet with opts.GlobalBudget.
 func (sx *ShardedIndex) MultiSearch(descriptors []Vector, opts MultiSearchOptions) (*MultiResult, error) {
@@ -277,7 +290,9 @@ func (sx *ShardedIndex) MultiSearch(descriptors []Vector, opts MultiSearchOption
 	if len(descriptors) == 0 {
 		return nil, errors.New("repro: no query descriptors")
 	}
-	srs := make([]Result, len(descriptors))
+	bag := sx.bagPool.Get().(*[]Result)
+	defer sx.bagPool.Put(bag)
+	srs := growResults(bag, len(descriptors))
 	err := sx.SearchBatchStream(descriptors, BatchOptions{SearchOptions: SearchOptions{
 		K:            cmp.Or(opts.K, DefaultMultiK),
 		MaxChunks:    cmp.Or(opts.MaxChunks, DefaultMultiMaxChunks),
