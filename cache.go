@@ -12,8 +12,8 @@ type CacheStats = chunkcache.Stats
 type OpenConfig struct {
 	// CacheBytes, when positive, fronts the opened stores with one
 	// decoded-chunk cache of that many bytes: chunks whose rows are
-	// resident are handed to the scan zero-copy, skipping the read and
-	// decode entirely. The cache changes wall-clock time only — results,
+	// resident are handed to the scan zero-copy, skipping the read
+	// entirely. The cache changes wall-clock time only — results,
 	// simulated timings, and ChunksRead are byte-identical with or
 	// without it, because the simulated cost model is charged from the
 	// chunk index, never from the reads. Zero opens without a cache.
