@@ -110,7 +110,7 @@ func TestV1IndexMatchesV2(t *testing.T) {
 		sx   *ShardedIndex
 	}
 	sides := []side{{"v2 cached", open(v2, 32<<20)}, {"v1", open(v1, 0)}, {"v1 cached", open(v1, 32<<20)}}
-	queries, err := DatasetQueries(coll, 6, 5)
+	queries, err := DatasetQueries(coll, 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
