@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 	"time"
 	"unsafe"
 
@@ -365,36 +366,28 @@ func Write(coll *descriptor.Collection, clusters []*cluster.Cluster, chunkPath, 
 	}
 
 	metas := make([]Meta, len(clusters))
-	var word [4]byte
-	put := func(w uint32) error {
-		binary.LittleEndian.PutUint32(word[:], w)
-		_, err := cw.Write(word[:])
-		return err
-	}
+	var body []byte // one chunk's padded extent: the ID column, the row block, zeros
 	for ci, cl := range clusters {
-		raw := cl.Count() * RecordSize(dims)
+		n := cl.Count()
+		raw := n * RecordSize(dims)
 		padded := pageCeil(raw, pageSize)
 		metas[ci] = Meta{
 			Centroid: cl.Centroid.Clone(),
 			Radius:   cl.Radius,
 			Offset:   offset,
 			Bytes:    padded,
-			Count:    cl.Count(),
+			Count:    n,
 		}
-		// The body: the ID column, then the row block.
-		for _, m := range cl.Members {
-			if err := put(uint32(coll.IDAt(m))); err != nil {
-				return err
+		body = slices.Grow(body[:0], padded)[:padded]
+		clear(body[raw:])
+		rows := body[4*n:]
+		for k, m := range cl.Members {
+			binary.LittleEndian.PutUint32(body[4*k:], uint32(coll.IDAt(m)))
+			for d, x := range coll.Vec(m) {
+				binary.LittleEndian.PutUint32(rows[4*(k*dims+d):], math.Float32bits(x))
 			}
 		}
-		for _, m := range cl.Members {
-			for _, x := range coll.Vec(m) {
-				if err := put(math.Float32bits(x)); err != nil {
-					return err
-				}
-			}
-		}
-		if err := padTo(cw, raw, padded); err != nil {
+		if _, err := cw.Write(body); err != nil {
 			return err
 		}
 		offset += int64(padded)
