@@ -179,11 +179,12 @@ func TestMissAdoptsReadBlock(t *testing.T) {
 }
 
 // thrashing returns a CachingStore over a FileStore of 128 equal chunks
-// whose cache holds one chunk per stripe, so reading the chunks in a
-// cycle misses and evicts on every read, and the cycle position.
+// of 500 descriptors whose cache holds one chunk per stripe, so reading
+// the chunks in a cycle misses and evicts on every read, and the cycle
+// position.
 func thrashing(tb testing.TB) (*CachingStore, func() int) {
-	_, fs := makeStores(tb, 128*50, 128)
-	per := int64(50*(vec.Dims+1)*4 + entryOverhead)
+	_, fs := makeStores(tb, 128*500, 128)
+	per := int64(500*(vec.Dims+1)*4 + entryOverhead)
 	cs := NewStore(fs, New(stripeCount*per*3/2))
 	i := 0
 	return cs, func() int {
