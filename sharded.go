@@ -61,16 +61,6 @@ func newShardedIndex(router *shard.Router, pageSize int) *ShardedIndex {
 	return sx
 }
 
-// growResults returns the first n results of the pooled arena *rs,
-// growing it when it holds fewer and keeping its earlier results with
-// their Neighbors and PerMachine slices for reuse.
-func growResults(rs *[]Result, n int) []Result {
-	if len(*rs) < n {
-		*rs = append(*rs, make([]Result, n-len(*rs))...)
-	}
-	return (*rs)[:n]
-}
-
 // oneQuery is the query and result slot of a batch of one, pooled so a
 // single search allocates nothing.
 type oneQuery struct {
@@ -292,7 +282,10 @@ func (sx *ShardedIndex) MultiSearch(descriptors []Vector, opts MultiSearchOption
 	}
 	bag := sx.bagPool.Get().(*[]Result)
 	defer sx.bagPool.Put(bag)
-	srs := growResults(bag, len(descriptors))
+	if len(*bag) < len(descriptors) {
+		*bag = append(*bag, make([]Result, len(descriptors)-len(*bag))...)
+	}
+	srs := (*bag)[:len(descriptors)]
 	err := sx.SearchBatchStream(descriptors, BatchOptions{SearchOptions: SearchOptions{
 		K:            cmp.Or(opts.K, DefaultMultiK),
 		MaxChunks:    cmp.Or(opts.MaxChunks, DefaultMultiMaxChunks),
