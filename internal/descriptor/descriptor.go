@@ -233,11 +233,12 @@ func encodeRecord(rec []byte, id ID, v vec.Vector) {
 
 // DecodeRecords bulk-decodes n fixed-size records (uint32 id followed by
 // dims little-endian float32 coordinates each) from buf into ids[:n] and
-// vecs[:n*dims]. This is the one home of the on-disk record layout shared
-// by the collection file and the chunk file codecs. On a little-endian
-// host a record's float block already is the memory image of its row, so
-// each record is one id load and one block copy; any other host assembles
-// every coordinate byte by byte. The two are pinned bit-identical.
+// vecs[:n*dims]. This is the one home of the interleaved record layout
+// shared by the collection file and the v1 chunk file read shim. On a
+// little-endian host a record's float block already is the memory image
+// of its row, so each record is one id load and one block copy; any other
+// host assembles every coordinate byte by byte. The two are pinned
+// bit-identical.
 func DecodeRecords(buf []byte, n, dims int, ids []ID, vecs []float32) {
 	if hostLittleEndian {
 		decodeRecordsLE(buf, n, dims, ids, vecs)
