@@ -164,7 +164,7 @@ func BenchmarkBuildTimeSR(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := srtree.Build(coll, nil, 150, 16); err != nil {
+		if _, err := srtree.Chunks(coll, nil, 150); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,14 @@
 package repro
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -121,6 +123,63 @@ func TestDocsIdentifiersExist(t *testing.T) {
 	for _, want := range []string{"SearchOptions", "ShardedIndex", "BuildConfig"} {
 		if _, ok := decls[want]; !ok {
 			t.Fatalf("sanity: %s not found among package decls", want)
+		}
+	}
+}
+
+// TestDocsMetricNamesExist is the docs gate's metric half: every
+// backticked metric name cited in README.md or DESIGN.md is declared in
+// BENCHMARK.json, so the prose cannot cite a number the benchmark does
+// not report. A per-layer citation is `<layer>.<metric>`, its layer one
+// BENCHMARK.json names and its metric snake_case with an underscore (so
+// `search.go` is a file, not a metric); an end-to-end citation is a
+// snake_case name whose first word begins an end-to-end metric's name.
+// ROADMAP.md is exempt: it names planned metrics.
+func TestDocsMetricNamesExist(t *testing.T) {
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatal(err)
+	}
+	declared, layers, stems := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	for _, m := range bench.PerLayer {
+		declared[m.Name] = true
+		layers[strings.SplitN(m.Name, ".", 2)[0]] = true
+	}
+	for _, m := range bench.EndToEnd {
+		declared[m.Name] = true
+		stems[strings.SplitN(m.Name, "_", 2)[0]] = true
+	}
+	citeRe := regexp.MustCompile("`([a-z][a-z0-9]*)([._])([a-z0-9_]*[a-z0-9])`")
+	cited := func(text string) []string {
+		var names []string
+		for _, m := range citeRe.FindAllStringSubmatch(text, -1) {
+			if m[2] == "." && layers[m[1]] && strings.Contains(m[3], "_") || m[2] == "_" && stems[m[1]] {
+				names = append(names, m[1]+m[2]+m[3])
+			}
+		}
+		return names
+	}
+	// Guard against the matcher silently matching nothing, or code.
+	sample := "`search.scan_us_per_chunk`, `latency_p999_ms`, `search.Walk`, `search.go`, `shards_down`"
+	if got, want := cited(sample), []string{"search.scan_us_per_chunk", "latency_p999_ms"}; !slices.Equal(got, want) {
+		t.Fatalf("sanity: cited(%q) = %q, want %q", sample, got, want)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range cited(string(data)) {
+			if !declared[name] {
+				t.Errorf("%s cites metric `%s`, which BENCHMARK.json does not declare", doc, name)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -90,6 +91,45 @@ func TestOpenValidatesMetas(t *testing.T) {
 	if st, err := Open(cp, ip); err == nil {
 		st.Close()
 		t.Fatal("truncated chunk file accepted at open time")
+	}
+}
+
+// TestOpenRejectsForeignChunkHeaders pins Open's reading of the chunk
+// file's magic and version byte: a file that is not a chunk file, a
+// version this reader does not know, and a header cut short inside the
+// version byte all fail at open.
+func TestOpenRejectsForeignChunkHeaders(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mutate  func(raw []byte) []byte
+		is      error  // the error Open must wrap, if any
+		mention string // text the error must contain, if any
+	}{
+		{"garbage magic", func(raw []byte) []byte { return append([]byte("GARBAGE!"), raw[8:]...) }, ErrBadMagic, ""},
+		{"unknown version", func(raw []byte) []byte { raw[len(chunkMagic)] = 3; return raw }, nil, "version 3"},
+		{"cut inside the version byte", func(raw []byte) []byte { return raw[:len(chunkMagic)] }, nil, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, ip, _ := writePair(t, 4096)
+			raw, err := os.ReadFile(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(cp, tc.mutate(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Open(cp, ip)
+			if err == nil {
+				st.Close()
+				t.Fatal("foreign chunk file header accepted")
+			}
+			if tc.is != nil && !errors.Is(err, tc.is) {
+				t.Fatalf("err = %v, want %v", err, tc.is)
+			}
+			if !strings.Contains(err.Error(), tc.mention) {
+				t.Fatalf("err = %v, want it to mention %q", err, tc.mention)
+			}
+		})
 	}
 }
 

@@ -262,11 +262,11 @@ func AblationNormOutlier(lab *Lab) (*AblationNormOutlierResult, error) {
 		}
 	}
 
-	tree, err := srtree.Build(lab.Coll, retained, g.SRLeafCap, lab.Cfg.SRFanout)
+	normChunks, err := srtree.Chunks(lab.Coll, retained, g.SRLeafCap)
 	if err != nil {
 		return nil, err
 	}
-	normStore := chunkfile.NewMemStore(lab.Coll, tree.Chunks(), lab.Cfg.PageSize)
+	normStore := chunkfile.NewMemStore(lab.Coll, normChunks, lab.Cfg.PageSize)
 	// Each variant is measured against the exact top-k of its own retained
 	// set, as the paper measured each index against its own scan (§5.4);
 	// the retained sets differ slightly between outlier schemes.

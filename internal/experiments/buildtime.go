@@ -10,7 +10,7 @@ import (
 // BuildTimeResult reproduces the §5.2 build-cost narrative: BAG took
 // "almost 12 days" while the SR-tree took two to three hours. The absolute
 // numbers scale with the collection; the asymmetry is the result. Both
-// builds use every core (BAG's candidate search, the SR-tree's subtrees),
+// builds use every core (BAG's candidate search, the bulk load's halves),
 // so the ratio compares like with like.
 type BuildTimeResult struct {
 	Rows []BuildTimeRow

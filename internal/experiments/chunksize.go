@@ -91,11 +91,11 @@ func Figure67(lab *Lab, workloadName string, chunkSizes []int, neighbors []int) 
 
 	for si, size := range chunkSizes {
 		lab.Cfg.logf("figure 6/7 (%s): chunk size %d (%d/%d)...", workloadName, size, si+1, len(chunkSizes))
-		tree, err := srtree.Build(lab.Coll, g.RetainedIdx, size, lab.Cfg.SRFanout)
+		chunks, err := srtree.Chunks(lab.Coll, g.RetainedIdx, size)
 		if err != nil {
 			return nil, err
 		}
-		store := chunkfile.NewMemStore(lab.Coll, tree.Chunks(), lab.Cfg.PageSize)
+		store := chunkfile.NewMemStore(lab.Coll, chunks, lab.Cfg.PageSize)
 		traces, err := lab.runTraces(store, queries, gt)
 		if err != nil {
 			return nil, err

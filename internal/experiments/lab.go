@@ -34,9 +34,8 @@ type Config struct {
 	PageSize    int   // chunk file page size
 	TargetSizes []int // mean chunk sizes per granularity, ascending (paper: 947/1711/2486)
 	Names       []string
-	MPI         float64 // BAG maximum possible increment
-	Overlap     bool    // overlap I/O and CPU in the simulated pipeline
-	SRFanout    int
+	MPI         float64   // BAG maximum possible increment
+	Overlap     bool      // overlap I/O and CPU in the simulated pipeline
 	Trim        float64   // SQ per-dimension trim (paper: 0.05)
 	Log         io.Writer // progress log; nil silences
 }
@@ -56,7 +55,6 @@ func DefaultConfig() Config {
 		Names:       []string{"SMALL", "MEDIUM", "LARGE"},
 		MPI:         25,
 		Overlap:     true,
-		SRFanout:    16,
 		Trim:        0.05,
 	}
 }
@@ -193,11 +191,10 @@ func NewLab(cfg Config) (*Lab, error) {
 			g.SRLeafCap = 1
 		}
 		srStart := time.Now()
-		tree, err := srtree.Build(coll, g.RetainedIdx, g.SRLeafCap, cfg.SRFanout)
+		g.SRChunks, err = srtree.Chunks(coll, g.RetainedIdx, g.SRLeafCap)
 		if err != nil {
 			return nil, err
 		}
-		g.SRChunks = tree.Chunks()
 		g.SRBuild = time.Since(srStart)
 
 		g.BagStore = chunkfile.NewMemStore(coll, g.BagChunks, cfg.PageSize)

@@ -1,6 +1,6 @@
 // Package knn provides the shared k-nearest-neighbor result type and the
 // bounded max-heap used by every search implementation in this repository
-// (chunk search, sequential scan, VA-file, SR-tree).
+// (chunk search, sequential scan, VA-file).
 //
 // Following the repo-wide convention (see package vec), the heap operates
 // on *squared* distances: candidates enter through OfferSquared (or, a
@@ -35,10 +35,9 @@ type item struct {
 
 // Less is the canonical (squared distance, ascending id) composite order
 // every backend shares for deterministic tie-breaking. Any search
-// structure maintaining its own candidate set (e.g. the SR-tree's
-// best-first result set) must order through this function rather than
-// re-implementing the rule, so a future change cannot desynchronize
-// backends.
+// structure maintaining its own candidate set, and any test checking an
+// order, must order through this function rather than re-implementing
+// the rule, so a future change cannot desynchronize backends.
 func Less(d2a float64, ida descriptor.ID, d2b float64, idb descriptor.ID) bool {
 	return d2a < d2b || (d2a == d2b && ida < idb)
 }

@@ -126,8 +126,7 @@ func (a *arena) processTask(ws *workerScratch, c int32) {
 
 	if len(members) > 0 {
 		// Members ascend by state: deterministic error attribution (the
-		// lowest query of the wave owns a read failure) and the scanGroup
-		// merge walk both rely on it.
+		// lowest query of the wave owns a read failure) relies on it.
 		slices.Sort(members)
 		if !a.aborted(members[0]) {
 			a.processChunk(ws, int(c), members)

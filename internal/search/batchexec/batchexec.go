@@ -9,9 +9,8 @@
 // chunk-major: every distinct chunk wanted by at least one live query
 // becomes a decode task, read and decoded once per subscriber wave, then
 // scanned against all of its subscribers back to back while its
-// descriptors are hot in cache (the filling-heap queries share one
-// vec.SquaredDistancesMulti kernel call per row block; on SIMD backends
-// the full-heap queries fold into the same call — see scanGroup).
+// descriptors are hot in cache (they share one vec.SquaredDistancesMulti
+// kernel call per row block — see scanGroup).
 //
 // The inverted loop runs on an asynchronous work queue (async.go). Each
 // query subscribes to the one chunk its rank order wants next; a chunk's
@@ -171,7 +170,6 @@ type queryState struct {
 type workerScratch struct {
 	data  chunkfile.Data
 	d2    []float64 // one-query scan buffer (ScanChunk)
-	fill  []int32   // states of this wave scanned through the Multi kernel
 	qflat []float32 // gathered Multi queries, Q × dims
 	out   []float64 // SquaredDistancesMulti block output
 }
@@ -315,10 +313,10 @@ func (a *arena) release() {
 // retires or subscribes to its next chunk. In the per-query cost model
 // each member's machine would have made the read itself, so each is
 // billed the read's failed attempts and stall — also when no replica is
-// live and the wave skips the chunk. members must be sorted ascending (deterministic error
-// attribution and the scanGroup merge walk both rely on it); their states
-// are owned by the caller, since a query is subscribed to exactly one
-// task at a time.
+// live and the wave skips the chunk. members must be sorted ascending
+// (deterministic error attribution relies on it); their states are owned
+// by the caller, since a query is subscribed to exactly one task at a
+// time.
 func (a *arena) processChunk(ws *workerScratch, chunk int, members []int32) {
 	err := a.store.ReadChunk(chunk, &ws.data)
 	failed, stall := ws.data.FailedReads, ws.data.Stall
@@ -357,68 +355,35 @@ func (a *arena) processChunk(ws *workerScratch, chunk int, members []int32) {
 // every Multi-scanned query of the group streams over them.
 const scanBlock = 256
 
-// scanGroup scans one decoded chunk for several queries. Queries whose
-// k-NN set is still filling need full distances anyway, so they share one
-// SquaredDistancesMulti call per row block — the chunk's rows are loaded
-// once for all of them. On backends that prefer full scans
-// (vec.PrefersFullScan, the SIMD backends) the full-heap queries fold
-// into the very same Multi call: their ScanChunk branch would stream full
-// rows through the row kernel anyway, so sharing the group's block tiling
-// loads each row block once for the whole group and lets the query-pair
-// Multi kernels amortize row traffic across queries. On the portable
-// backend full-heap queries keep ScanChunk's per-row partial-distance
-// abandonment. All branches produce the exact heap contents a lone
-// ScanChunk would: Multi distances are bit-identical to the row kernel's,
-// and abandoned candidates are exactly those the heap would reject.
+// scanGroup scans one decoded chunk for several queries: they share one
+// SquaredDistancesMulti call per row block, so the chunk's rows are
+// loaded once for all of them and the query-pair Multi kernels amortize
+// row traffic across queries. The heap contents are exactly those a lone
+// ScanChunk would leave: Multi distances are bit-identical to the row
+// kernel's.
 func (a *arena) scanGroup(ws *workerScratch, members []int32) {
 	data := &ws.data
 	dims := a.dims
 	n := data.Len()
-
-	full := vec.PrefersFullScan()
-	ws.fill = ws.fill[:0]
-	for _, si := range members {
-		if full || !a.states[si].Heap.Full() {
-			ws.fill = append(ws.fill, si)
-		}
+	qn := len(members)
+	if cap(ws.qflat) < qn*dims {
+		ws.qflat = make([]float32, qn*dims)
 	}
-	if qn := len(ws.fill); qn > 0 {
-		if cap(ws.qflat) < qn*dims {
-			ws.qflat = make([]float32, qn*dims)
-		}
-		qf := ws.qflat[:qn*dims]
-		for i, si := range ws.fill {
-			copy(qf[i*dims:(i+1)*dims], a.states[si].q)
-		}
-		if cap(ws.out) < qn*scanBlock {
-			ws.out = make([]float64, qn*scanBlock)
-		}
-		for r0 := 0; r0 < n; r0 += scanBlock {
-			bn := n - r0
-			if bn > scanBlock {
-				bn = scanBlock
-			}
-			out := ws.out[:qn*bn]
-			vec.SquaredDistancesMulti(qf, data.Vecs[r0*dims:(r0+bn)*dims], dims, out)
-			ids := data.IDs[r0 : r0+bn]
-			for i, si := range ws.fill {
-				a.states[si].Heap.OfferSquaredAll(ids, out[i*bn:(i+1)*bn])
-			}
-		}
+	qf := ws.qflat[:qn*dims]
+	for i, si := range members {
+		copy(qf[i*dims:(i+1)*dims], a.states[si].q)
 	}
-	// Remaining members: partial-distance scans (portable backend only —
-	// with PrefersFullScan every member went through Multi above).
-	// ws.fill is a subsequence of members (both ascend by state), so a
-	// merge walk skips the states already scanned — including any whose
-	// heap filled just now.
-	fi := 0
-	for _, si := range members {
-		if fi < len(ws.fill) && ws.fill[fi] == si {
-			fi++
-			continue
+	if cap(ws.out) < qn*scanBlock {
+		ws.out = make([]float64, qn*scanBlock)
+	}
+	for r0 := 0; r0 < n; r0 += scanBlock {
+		bn := min(n-r0, scanBlock)
+		out := ws.out[:qn*bn]
+		vec.SquaredDistancesMulti(qf, data.Vecs[r0*dims:(r0+bn)*dims], dims, out)
+		ids := data.IDs[r0 : r0+bn]
+		for i, si := range members {
+			a.states[si].Heap.OfferSquaredAll(ids, out[i*bn:(i+1)*bn])
 		}
-		st := &a.states[si]
-		ws.d2 = search.ScanChunk(st.q, dims, data, &st.Heap, ws.d2)
 	}
 }
 

@@ -22,15 +22,15 @@ func buildStores(t testing.TB) (*chunkfile.MemStore, *chunkfile.FileStore, []vec
 	t.Helper()
 	ds := imagegen.MustGenerate(imagegen.DefaultConfig(5000, 17))
 	coll := ds.Collection
-	tree, err := srtree.Build(coll, nil, 160, 16)
+	chunks, err := srtree.Chunks(coll, nil, 160)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := chunkfile.NewMemStore(coll, tree.Chunks(), 4096)
+	mem := chunkfile.NewMemStore(coll, chunks, 4096)
 
 	dir := t.TempDir()
 	cp, ip := filepath.Join(dir, "b.chunk"), filepath.Join(dir, "b.idx")
-	if err := chunkfile.Write(coll, tree.Chunks(), cp, ip, 4096); err != nil {
+	if err := chunkfile.Write(coll, chunks, cp, ip, 4096); err != nil {
 		t.Fatal(err)
 	}
 	file, err := chunkfile.Open(cp, ip)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chunkfile"
 	"repro/internal/imagegen"
+	"repro/internal/scan"
 	. "repro/internal/search"
 	"repro/internal/search/batchexec"
 	"repro/internal/srtree"
@@ -13,18 +14,18 @@ import (
 )
 
 // Three independently implemented exact searches — chunk search to
-// completion, SR-tree best-first k-NN, and the two-phase VA-File — must
+// completion, the sequential scan, and the two-phase VA-File — must
 // agree on every query. Any pairwise disagreement localizes a bug to one
 // implementation.
 func TestThreeWayExactCrossCheck(t *testing.T) {
 	ds := imagegen.MustGenerate(imagegen.DefaultConfig(5000, 17))
 	coll := ds.Collection
 
-	tree, err := srtree.Build(coll, nil, 150, 16)
+	chunks, err := srtree.Chunks(coll, nil, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := chunkfile.NewMemStore(coll, tree.Chunks(), 4096)
+	store := chunkfile.NewMemStore(coll, chunks, 4096)
 	chunkSearch := batchexec.New(store, nil)
 
 	va, err := vafile.Build(coll, 5)
@@ -40,7 +41,7 @@ func TestThreeWayExactCrossCheck(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := tree.KNN(q, k)
+		b := scan.KNN(coll, q, k)
 		c, _, err := va.Search(q, k, vafile.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -51,7 +52,7 @@ func TestThreeWayExactCrossCheck(t *testing.T) {
 		}
 		for i := 0; i < k; i++ {
 			if math.Abs(a.Neighbors[i].Dist-b[i].Dist) > 1e-9 {
-				t.Fatalf("q%d rank %d: chunk search %v vs srtree %v", qi, i, a.Neighbors[i].Dist, b[i].Dist)
+				t.Fatalf("q%d rank %d: chunk search %v vs scan %v", qi, i, a.Neighbors[i].Dist, b[i].Dist)
 			}
 			if math.Abs(a.Neighbors[i].Dist-c[i].Dist) > 1e-9 {
 				t.Fatalf("q%d rank %d: chunk search %v vs va-file %v", qi, i, a.Neighbors[i].Dist, c[i].Dist)

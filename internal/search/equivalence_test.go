@@ -23,11 +23,11 @@ func TestCompletionMatchesScanOracle(t *testing.T) {
 	ds := imagegen.MustGenerate(imagegen.DefaultConfig(4000, 99))
 	coll := ds.Collection
 
-	tree, err := srtree.Build(coll, nil, 120, 16)
+	chunks, err := srtree.Chunks(coll, nil, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := chunkfile.NewMemStore(coll, tree.Chunks(), 4096)
+	store := chunkfile.NewMemStore(coll, chunks, 4096)
 	searcher := batchexec.New(store, nil)
 
 	const k = 30
@@ -62,11 +62,11 @@ func TestSearchIntoReusesBuffers(t *testing.T) {
 	}
 	ds := imagegen.MustGenerate(imagegen.DefaultConfig(3000, 5))
 	coll := ds.Collection
-	tree, err := srtree.Build(coll, nil, 150, 16)
+	chunks, err := srtree.Chunks(coll, nil, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := chunkfile.NewMemStore(coll, tree.Chunks(), 4096)
+	store := chunkfile.NewMemStore(coll, chunks, 4096)
 	eng := batchexec.New(store, nil)
 
 	queries := []vec.Vector{coll.Vec(42)}

@@ -11,11 +11,9 @@
 //     chunk's lower bound (centroid distance minus radius, the reason
 //     radii are stored in the index) can beat the current k-th neighbor.
 //
-// The scan phase follows the repo-wide squared-distance convention: the
-// per-chunk loop runs on the vec batch kernel over the contiguous
-// Data.Vecs backing array while the k-NN set is filling, then switches to
-// partial-distance early abandonment against the current k-th squared
-// bound.
+// The scan phase follows the repo-wide squared-distance convention: every
+// chunk is scanned by the vec batch kernel over its contiguous Data.Vecs
+// backing array, on every kernel backend.
 //
 // Step 3 and all of its bookkeeping — simulated charging, the stop rule,
 // the exactness certificate — exist once, as Walk. Its one driver is the
@@ -27,7 +25,7 @@
 // machine, and the stop rule is applied per machine or, under the global
 // budget discipline, once over the walk's totals. The primitives
 // RankChunks (step 1), SuffixBounds (the certificate's bounds) and
-// ScanChunk (step 2's adaptive scan) are exported for the engine's scans
+// ScanChunk (step 2's scan) are exported for the engine's scans
 // and for benchmarks that time the stages separately.
 //
 // Elapsed time is tracked on the simdisk cost model so the paper's 2005
@@ -615,34 +613,16 @@ func (w *Walk) Finish(res *Result) {
 }
 
 // ScanChunk offers every descriptor of the chunk to the heap — step 2 of
-// the paper's algorithm. While the heap is still filling, the batch
-// kernel computes all squared distances over the chunk's contiguous
-// backing array; once a k-th bound exists, the strategy follows the
-// active vec backend: SIMD backends stream full rows through the batch
-// kernel (vec.PrefersFullScan — their bandwidth beats abandonment's
-// element savings), the portable backend abandons per-descriptor partial
-// distances as soon as the running sum exceeds the bound. The d2 scratch
-// is reused when large enough and the (possibly grown) buffer is
-// returned, so steady-state callers never allocate. The final heap
-// contents do not depend on which branch ran: abandoned candidates are
-// exactly those the heap would reject, so all three branches produce
-// byte-identical results.
+// the paper's algorithm: the batch kernel computes all squared distances
+// over the chunk's contiguous backing array, and the heap takes them in
+// one pass. The d2 scratch is reused when large enough and the (possibly
+// grown) buffer is returned, so steady-state callers never allocate.
 func ScanChunk(q vec.Vector, dims int, data *chunkfile.Data, heap *knn.Heap, d2 []float64) []float64 {
 	n := data.Len()
-	vecs := data.Vecs
-	if !heap.Full() || vec.PrefersFullScan() {
-		if cap(d2) < n {
-			d2 = make([]float64, n)
-		}
-		d2s := d2[:n]
-		vec.SquaredDistancesTo(q, vecs, dims, d2s)
-		heap.OfferSquaredAll(data.IDs, d2s)
-		return d2
+	if cap(d2) < n {
+		d2 = make([]float64, n)
 	}
-	for r := 0; r < n; r++ {
-		row := vec.Vector(vecs[r*dims : (r+1)*dims])
-		v := vec.PartialSquaredDistance(q, row, heap.Kth2())
-		heap.OfferSquared(data.IDs[r], v)
-	}
+	vec.SquaredDistancesTo(q, data.Vecs, dims, d2[:n])
+	heap.OfferSquaredAll(data.IDs, d2[:n])
 	return d2
 }

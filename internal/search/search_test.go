@@ -36,12 +36,12 @@ func getFixture(t testing.TB, seed int64) *fixture {
 	}
 	ds := imagegen.MustGenerate(imagegen.DefaultConfig(6000, seed))
 	coll := ds.Collection
-	tr, err := srtree.Build(coll, nil, 120, 16)
+	chunks, err := srtree.Chunks(coll, nil, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srSt := chunkfile.NewMemStore(coll, tr.Chunks(), 4096)
-	tieSt := chunkfile.NewMemStore(coll, append(tr.Chunks(), tr.Chunks()...), 4096)
+	srSt := chunkfile.NewMemStore(coll, chunks, 4096)
+	tieSt := chunkfile.NewMemStore(coll, append(chunks, chunks...), 4096)
 
 	cfg := bag.DefaultConfig(coll.Len(), 120)
 	cfg.MaxPasses = 500

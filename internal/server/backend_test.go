@@ -113,11 +113,10 @@ func faultedRouter(t testing.TB, n int, seed int64, shards, replication int, cfg
 	const chunkSize, pageSize = 130, 4096
 	ds := imagegen.MustGenerate(imagegen.DefaultConfig(n, seed))
 	coll := ds.Collection
-	tree, err := srtree.Build(coll, nil, chunkSize, 16)
+	clusters, err := srtree.Chunks(coll, nil, chunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusters := tree.Chunks()
 	p, err := shard.PartitionReplicated(clusters, shards, replication, coll.Dims(), pageSize)
 	if err != nil {
 		t.Fatal(err)

@@ -437,36 +437,41 @@ func (g *grant) settle(buckets *TenantBuckets, actual int) {
 
 // admitChunks runs tenant admission for a request of n queries against
 // b, each with per-query budget maxChunks (0 = none declared), where
-// timed reports an explicit simulated time budget. On refusal it writes
-// the 429 and returns ok=false.
-func (s *Server) admitChunks(w http.ResponseWriter, r *http.Request, b Backend, n, maxChunks int, timed bool) (grant, bool) {
+// timed reports an explicit simulated time budget and global the global
+// budget discipline. On refusal it writes the 429 and returns ok=false.
+func (s *Server) admitChunks(w http.ResponseWriter, r *http.Request, b Backend, n, maxChunks int, timed, global bool) (grant, bool) {
 	g := grant{tenant: tenantOf(r), perQuery: maxChunks}
-	per := maxChunks
+	per, shards := maxChunks, 1
 	if per <= 0 {
 		per = s.cfg.DefaultMaxChunks
+	} else if !global {
+		// A declared budget is spent once per shard: a query may read it
+		// on every shard.
+		shards = b.Shards()
 	}
 	// A walk never reads more chunks than the index holds; capping first
 	// also keeps a huge max_chunks from overflowing the estimate.
-	estimate := min(per, b.Chunks()) * n
+	estimate := min(min(per, b.Chunks())*shards, b.Chunks()) * n
 	if ok, retry := s.buckets.Take(g.tenant, estimate); !ok {
 		// least is the smallest charge a retry could be admitted at.
 		least := estimate
 		// Best-effort shrink applies only to chunk-budget requests: their
 		// cost is denominated in chunks up front. Timed and
-		// run-to-completion requests shed.
+		// run-to-completion requests shed. The shrunk budget is again
+		// spent once per shard.
 		if s.cfg.BestEffort && maxChunks > 0 && !timed {
-			if granted := s.buckets.TakeUpTo(g.tenant, estimate); granted >= n {
+			least = n * shards
+			if granted := s.buckets.TakeUpTo(g.tenant, estimate); granted >= least {
 				g.charged = granted
-				g.perQuery = granted / n
+				g.perQuery = granted / least
 				g.granted = g.perQuery
 				s.metrics.RecordBestEffort()
 				return g, true
 			} else if granted > 0 {
-				// Not even one chunk per query: refund and shed.
+				// Not even one chunk per query and shard: refund and shed.
 				s.buckets.Refund(g.tenant, granted)
 			}
-			least = n
-			retry = s.buckets.RetryAfter(g.tenant, n)
+			retry = s.buckets.RetryAfter(g.tenant, least)
 		}
 		if float64(least) > s.buckets.burst {
 			// No wait fills a bucket past its burst, so promise no retry.
@@ -597,7 +602,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, req body) (res r
 		return result{outcome: OutcomeClientError}
 	}
 	defer cancel()
-	g, ok := s.admitChunks(w, r, b, len(breq.Queries), breq.MaxChunks, breq.MaxTimeUs > 0)
+	g, ok := s.admitChunks(w, r, b, len(breq.Queries), breq.MaxChunks, breq.MaxTimeUs > 0, breq.GlobalBudget)
 	if !ok {
 		return result{outcome: OutcomeShedTenant}
 	}

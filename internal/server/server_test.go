@@ -463,6 +463,60 @@ func TestBestEffortShrink(t *testing.T) {
 	}
 }
 
+// TestAdmissionPricesPerShardBudget pins admission's price of a declared
+// chunk budget on a real 2-shard index of 20 chunks. Under the per-shard
+// discipline a query may read max_chunks on every shard, so it is priced
+// min(max_chunks × shards, chunks); under global_budget at max_chunks.
+// Best effort shrinks the budget to what the bucket covers on every
+// shard, so the run never leaves the tenant in debt.
+func TestAdmissionPricesPerShardBudget(t *testing.T) {
+	coll := repro.GenerateCollection(2000, 42)
+	for _, tc := range []struct {
+		name       string
+		bestEffort bool
+		req        SearchRequest
+		want       int // status
+		granted    int // chunks_granted of a 200
+	}{
+		{"best effort stays out of debt", true, SearchRequest{MaxChunks: 20}, 200, 2},
+		{"per-shard budget over the burst", false, SearchRequest{MaxChunks: 3}, 429, 0},
+		{"global budget within the burst", false, SearchRequest{MaxChunks: 3, GlobalBudget: true}, 200, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, err := repro.BuildSharded(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: 100}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts, s := serveTest(t, Config{TenantRate: 0.001, TenantBurst: 4, BestEffort: tc.bestEffort, Clock: newFakeClock().now},
+				map[string]Backend{"main": ix})
+			tc.req.Query = coll.Vec(7)
+			resp, raw := doJSON(t, "POST", ts.URL+"/v1/indexes/main/search", tc.req, nil)
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d (%s), want %d", resp.StatusCode, raw, tc.want)
+			}
+			if tc.want == 429 {
+				if resp.Header.Get("Retry-After") != "" || !strings.Contains(string(raw), "burst of 4") {
+					t.Fatalf("refusal promises a retry or does not name the burst: %s", raw)
+				}
+				return
+			}
+			var sr SearchResponse
+			if err := json.Unmarshal(raw, &sr); err != nil {
+				t.Fatal(err)
+			}
+			if sr.ChunksGranted != tc.granted || sr.ChunksRead > 4 {
+				t.Fatalf("chunks_granted %d, chunks_read %d; want %d granted, at most the burst of 4 read", sr.ChunksGranted, sr.ChunksRead, tc.granted)
+			}
+			s.buckets.mu.Lock()
+			left := s.buckets.get(DefaultTenant).tokens
+			s.buckets.mu.Unlock()
+			if left < 0 {
+				t.Fatalf("bucket left at %v tokens: the run read past its charge", left)
+			}
+		})
+	}
+}
+
 // TestOverBurstRefusalPromisesNoRetry pins the 429 for a request no
 // bucket refill can ever admit: its smallest admissible charge (the whole
 // estimate, or one chunk per query under best effort) exceeds the burst.

@@ -42,9 +42,11 @@ func TestStressShedDegradeDrain(t *testing.T) {
 	if err := reg.Add("main", b); err != nil {
 		t.Fatal(err)
 	}
-	// TenantBurst 20 against a ~20-chunk admission estimate makes bucket
-	// exhaustion reachable within the test's short run; rate 1/s keeps
-	// refill negligible over its few seconds.
+	// TenantBurst 20 against admission estimates of 8 to 20 chunks (a
+	// declared budget is priced once per shard, on 4 shards) makes bucket
+	// exhaustion reachable within the test's short run while every
+	// request stays within the burst; rate 1/s keeps refill negligible
+	// over its few seconds.
 	s := New(reg, Config{
 		MaxInFlight:   2,
 		TenantRate:    1,
@@ -124,7 +126,7 @@ func TestStressShedDegradeDrain(t *testing.T) {
 				if i%7 == 6 {
 					code, raw, hdr = post("/v1/indexes/main/batch", BatchRequest{
 						Queries: [][]float32{coll.Vec(i * 31 % 4000), coll.Vec(i * 53 % 4000)},
-						K:       10, MaxChunks: 3,
+						K:       10, MaxChunks: 2,
 					}, headers)
 					if code == 200 {
 						var br BatchResponse
@@ -137,7 +139,7 @@ func TestStressShedDegradeDrain(t *testing.T) {
 				} else {
 					code, raw, hdr = post("/v1/indexes/main/search", SearchRequest{
 						Query: coll.Vec((c*perClient + i) * 13 % 4000),
-						K:     10, MaxChunks: 3,
+						K:     10, MaxChunks: 2,
 					}, headers)
 					if code == 200 {
 						var sr SearchResponse
@@ -182,13 +184,13 @@ func TestStressShedDegradeDrain(t *testing.T) {
 	// load over, a fresh tenant spends its whole bucket on one request;
 	// the next one must 429 with Retry-After.
 	code, raw, _ := post("/v1/indexes/main/search",
-		SearchRequest{Query: coll.Vec(5), K: 10, MaxChunks: 20},
+		SearchRequest{Query: coll.Vec(5), K: 10, MaxChunks: 5},
 		map[string]string{HeaderTenant: "bucket-demo"})
 	if code != 200 {
 		t.Fatalf("bucket-demo first request: %d (%s), want 200", code, raw)
 	}
 	code, _, hdr := post("/v1/indexes/main/search",
-		SearchRequest{Query: coll.Vec(6), K: 10, MaxChunks: 20},
+		SearchRequest{Query: coll.Vec(6), K: 10, MaxChunks: 5},
 		map[string]string{HeaderTenant: "bucket-demo"})
 	if code != 429 {
 		t.Fatalf("bucket-demo second request: %d, want 429", code)
@@ -199,14 +201,15 @@ func TestStressShedDegradeDrain(t *testing.T) {
 	count429.Add(1)
 
 	// Graceful drain: park one request mid-execution, shut down, and
-	// require it to finish as a real 200 rather than being dropped.
+	// require it to finish as a real 200 rather than being dropped. Its
+	// global budget of 18 chunks fits the fresh tenant's burst.
 	inFlight := make(chan struct {
 		code int
 		raw  []byte
 	}, 1)
 	go func() {
 		code, raw, _ := post("/v1/indexes/main/search", SearchRequest{
-			Query: coll.Vec(99), K: 10, MaxChunks: 18,
+			Query: coll.Vec(99), K: 10, MaxChunks: 18, GlobalBudget: true,
 		}, map[string]string{HeaderTenant: "drain"})
 		inFlight <- struct {
 			code int

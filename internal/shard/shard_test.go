@@ -26,11 +26,11 @@ import (
 func fixture(t testing.TB, n int, seed int64, chunkSize int) (*imagegen.Dataset, []*cluster.Cluster) {
 	t.Helper()
 	ds := imagegen.MustGenerate(imagegen.DefaultConfig(n, seed))
-	tree, err := srtree.Build(ds.Collection, nil, chunkSize, 16)
+	chunks, err := srtree.Chunks(ds.Collection, nil, chunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds, tree.Chunks()
+	return ds, chunks
 }
 
 // routerOver partitions the clusters across shards and serves them from

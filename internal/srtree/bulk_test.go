@@ -61,13 +61,15 @@ func referenceSpreadDim(coll *descriptor.Collection, idx []int) int {
 	return best
 }
 
-// TestBulkLoadMatchesReference pins Build's leaves to the one-level-at-a-
-// time reference, entry for entry and in order, and its chunks' centroids
-// and radii bit for bit. The collection is 2.5× the concurrency threshold,
-// so the top splits build their halves on separate goroutines, and every
-// coordinate takes one of 16 values, so every split sorts long runs of
-// equal keys whose order only sort.Slice's own swap sequence fixes. Run at
-// several core counts (-cpu) the leaves must not move.
+// TestBulkLoadMatchesReference pins the chunks' members to the
+// one-level-at-a-time reference's leaves, entry for entry and in order,
+// and their centroids and radii bit for bit. The collection is 2.5× the
+// concurrency threshold, so the top splits run their halves on separate
+// goroutines, and every coordinate takes one of 16 values, so every split
+// sorts long runs of equal keys whose order only sort.Slice's own swap
+// sequence fixes. The subset case indexes every other descriptor, so no
+// chunk may name one outside it. Run at several core counts (-cpu) the
+// leaves must not move.
 func TestBulkLoadMatchesReference(t *testing.T) {
 	const dims, leafCap = 8, 250
 	n := 5*parallelRows/2 + 77 // a short last leaf
@@ -81,56 +83,41 @@ func TestBulkLoadMatchesReference(t *testing.T) {
 		coll.Append(descriptor.ID(i), v)
 	}
 	shuffled := r.Perm(n)
+	var odd []int
+	for _, i := range shuffled {
+		if i%2 == 1 {
+			odd = append(odd, i)
+		}
+	}
 	for _, tc := range []struct {
 		name    string
 		indexes []int
 	}{
 		{"whole collection", nil},
 		{"shuffled indexes", shuffled},
+		{"subset indexes", odd},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := make([]int, n)
-			for i := range ref {
-				ref[i] = i
-			}
-			if tc.indexes != nil {
-				copy(ref, tc.indexes)
+			ref := slices.Clone(tc.indexes)
+			if ref == nil {
+				ref = make([]int, n)
+				for i := range ref {
+					ref[i] = i
+				}
 			}
 			want := referenceLeaves(coll, ref, leafCap)
 
-			tr, err := Build(coll, tc.indexes, leafCap, 16)
+			chunks, err := Chunks(coll, tc.indexes, leafCap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got [][]int
-			var walk func(nd *node)
-			walk = func(nd *node) {
-				if nd.leaf {
-					got = append(got, nd.entries)
-					return
-				}
-				for _, c := range nd.children {
-					walk(c)
-				}
-			}
-			walk(tr.root)
-			if len(got) != len(want) {
-				t.Fatalf("%d leaves, reference has %d", len(got), len(want))
-			}
-			for i := range want {
-				if !slices.Equal(got[i], want[i]) {
-					t.Fatalf("leaf %d differs from the reference:\n got %v\nwant %v", i, head(got[i]), head(want[i]))
-				}
-			}
-
-			chunks := tr.Chunks()
 			if len(chunks) != len(want) {
 				t.Fatalf("%d chunks, reference has %d leaves", len(chunks), len(want))
 			}
 			for i, members := range want {
 				c, w := chunks[i], cluster.NewFromMembers(coll, members)
-				if !slices.Equal(c.Members, w.Members) {
-					t.Fatalf("chunk %d members differ from the reference", i)
+				if !slices.Equal(c.Members, members) {
+					t.Fatalf("chunk %d differs from the reference leaf:\n got %v\nwant %v", i, head(c.Members), head(members))
 				}
 				if math.Float64bits(c.Radius) != math.Float64bits(w.Radius) {
 					t.Fatalf("chunk %d radius %v, reference %v", i, c.Radius, w.Radius)

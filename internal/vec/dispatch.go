@@ -14,14 +14,6 @@ type kernelBackend struct {
 	distsTo    func(q, backing []float32, dims int, out []float64)
 	distsMulti func(queries, backing []float32, dims int, out []float64)
 	partial    func(a, b []float32, bound float64) float64
-	// fullScan reports that this backend streams full rows through
-	// distsTo faster than per-row partial-distance abandonment can skip
-	// work: the SIMD kernels run 3-10× the portable bandwidth, which
-	// beats abandonment's ~2-3× element savings at descriptor widths,
-	// while the portable kernel is better off abandoning. Scan loops ask
-	// via PrefersFullScan; either choice yields identical results (a
-	// kernel choice must never change them).
-	fullScan bool
 }
 
 var portableKernels = kernelBackend{
@@ -46,14 +38,14 @@ const BackendEnv = "REPRO_VEC_BACKEND"
 
 // The active backend is stored as individual package-level function
 // variables, not a struct: the hot kernels are called per row block (and
-// the partial kernel once per row in full-heap scans), so each call pays
-// exactly one indirect jump with no field load in front of it.
+// the partial kernel once per row in the scan oracle's and VA-File's
+// scans), so each call pays exactly one indirect jump with no field load
+// in front of it.
 var (
 	activeName       string
 	activeDistsTo    func(q, backing []float32, dims int, out []float64)
 	activeDistsMulti func(queries, backing []float32, dims int, out []float64)
 	activePartial    func(a, b []float32, bound float64) float64
-	activeFullScan   bool
 )
 
 func init() {
@@ -69,16 +61,7 @@ func install(b kernelBackend) {
 	activeDistsTo = b.distsTo
 	activeDistsMulti = b.distsMulti
 	activePartial = b.partial
-	activeFullScan = b.fullScan
 }
-
-// PrefersFullScan reports whether, on the active backend, scanning every
-// element of every row through SquaredDistancesTo/Multi is faster than
-// per-row PartialSquaredDistance abandonment. True for the SIMD backends.
-// Scan loops may use it to pick a strategy; both strategies produce
-// byte-identical results (abandoned candidates are exactly those the
-// k-NN heap would reject), so this is purely a speed hint.
-func PrefersFullScan() bool { return activeFullScan }
 
 // multiFrom builds a SquaredDistancesMulti implementation from a row-scan
 // entry point by per-query delegation: the batch shape shares no state

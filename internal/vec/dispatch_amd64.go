@@ -79,7 +79,7 @@ func squaredDistancesMultiAVX2(queries, backing []float32, dims int, out []float
 
 // archKernels reports the assembly backends usable on this CPU, slowest
 // first. The partial field holds the asm entry point itself — the kernel
-// runs once per row in full-heap scans, so an extra Go wrapper frame
+// runs once per row in partial-distance scans, so an extra Go wrapper frame
 // would be a measurable fraction of its ~40ns of work. Partial-distance
 // scans also stay on the 128-bit kernel even under AVX2: within one row
 // the accumulation contract pins the arithmetic to four lanes, so wider
@@ -90,7 +90,6 @@ func archKernels() []kernelBackend {
 		distsTo:    squaredDistancesToSSE2,
 		distsMulti: multiFrom(sqDistsToSSE2),
 		partial:    sqPartialSSE2,
-		fullScan:   true,
 	}}
 	if hasAVX2() {
 		ks = append(ks, kernelBackend{
@@ -98,7 +97,6 @@ func archKernels() []kernelBackend {
 			distsTo:    squaredDistancesToAVX2,
 			distsMulti: squaredDistancesMultiAVX2,
 			partial:    sqPartialSSE2,
-			fullScan:   true,
 		})
 	}
 	return ks

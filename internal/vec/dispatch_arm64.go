@@ -25,6 +25,5 @@ func archKernels() []kernelBackend {
 		distsTo:    squaredDistancesToNEON,
 		distsMulti: multiFrom(sqDistsToNEON),
 		partial:    sqPartialNEON,
-		fullScan:   true,
 	}}
 }

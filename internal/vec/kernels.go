@@ -18,7 +18,7 @@ package vec
 // add parallelism *across rows* (one 4-lane scheme per 128-bit half),
 // never across more lanes of the same row. That bit-identity is what lets
 // independently implemented backends (chunk search, sequential scan,
-// SR-tree, VA-File, ...) agree exactly on neighbor sets, tie order
+// VA-File, ...) agree exactly on neighbor sets, tie order
 // included, no matter which CPU the process landed on.
 //
 // The contract binds values only. An assembly backend may add software

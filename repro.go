@@ -174,11 +174,11 @@ func buildClusters(coll *Collection, cfg BuildConfig) (clusters []*cluster.Clust
 		clusters = snap.Clusters
 		outliers = snap.Outliers
 	case StrategySRTree, "":
-		tree, err := srtree.Build(coll, nil, cfg.ChunkSize, 0)
+		var err error
+		clusters, err = srtree.Chunks(coll, nil, cfg.ChunkSize)
 		if err != nil {
 			return nil, nil, err
 		}
-		clusters = tree.Chunks()
 	case StrategyRoundRobin:
 		var err error
 		clusters, err = roundrobin.Chunks(coll, nil, cfg.ChunkSize)
