@@ -1,6 +1,9 @@
 package hybrid
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/cluster"
@@ -73,6 +76,36 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("chunk %d differs", i)
 		}
 	}
+
+	// Pin the chunks byte for byte at a fixed input: the hash covers every
+	// chunk's member list in output order, so a changed assignment, a tie
+	// broken the other way or a reordered chunk all show.
+	big := imagegen.MustGenerate(imagegen.DefaultConfig(20000, 1))
+	chunks, err := Chunks(big.Collection, nil, Config{ChunkSize: 250, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := membershipHash(chunks), "85ed931d33adb2e3d9cea7e057750c1dabf9e04e3764e3c93f856a6982a7fca6"; got != want {
+		t.Fatalf("hybrid chunk memberships hash %s, pinned %s", got, want)
+	}
+}
+
+// membershipHash is the SHA-256 of the chunks' member lists: per chunk its
+// member count, then its members, all as little-endian uint32.
+func membershipHash(chunks []*cluster.Cluster) string {
+	h := sha256.New()
+	var w [4]byte
+	put := func(x int) {
+		binary.LittleEndian.PutUint32(w[:], uint32(x))
+		h.Write(w[:])
+	}
+	for _, c := range chunks {
+		put(len(c.Members))
+		for _, m := range c.Members {
+			put(m)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func TestErrorsAndEdges(t *testing.T) {
