@@ -84,13 +84,35 @@ func exportedDecls(files map[string]*ast.File, only func(filename string) bool) 
 
 // TestDocsIdentifiersExist is the docs gate half one: every repro.Xxx
 // identifier mentioned in README.md or DESIGN.md must exist in the
-// package, and every internal/... package path mentioned must be a real
-// directory — so the prose cannot drift from the code.
+// package, every backticked pkg.Xxx whose pkg is a package under
+// internal/ must exist in that package, and every internal/... package
+// path mentioned must be a real directory — so the prose cannot drift
+// from the code.
 func TestDocsIdentifiersExist(t *testing.T) {
 	decls := exportedDecls(parseDir(t, "."), nil)
 
+	// Internal packages by name; their declarations are parsed on first
+	// mention.
+	pkgDirs := map[string]string{}
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			pkgDirs[d.Name()] = path
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgDecls := map[string]map[string]bool{}
+
 	identRe := regexp.MustCompile(`\brepro\.([A-Z][A-Za-z0-9]*)`)
+	codeRe := regexp.MustCompile("`[^`\n]+`")
+	qualRe := regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9]*)`)
 	pathRe := regexp.MustCompile(`\binternal/[a-z][a-z0-9_/]*(?:\.go)?`)
+	qualified := 0
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		data, err := os.ReadFile(doc)
 		if err != nil {
@@ -100,6 +122,21 @@ func TestDocsIdentifiersExist(t *testing.T) {
 		for _, m := range identRe.FindAllStringSubmatch(text, -1) {
 			if _, ok := decls[m[1]]; !ok {
 				t.Errorf("%s mentions repro.%s, which is not declared in package repro", doc, m[1])
+			}
+		}
+		for _, code := range codeRe.FindAllString(text, -1) {
+			for _, m := range qualRe.FindAllStringSubmatch(code, -1) {
+				dir, ok := pkgDirs[m[1]]
+				if !ok {
+					continue
+				}
+				if pkgDecls[m[1]] == nil {
+					pkgDecls[m[1]] = exportedDecls(parseDir(t, dir), nil)
+				}
+				qualified++
+				if _, ok := pkgDecls[m[1]][m[2]]; !ok {
+					t.Errorf("%s mentions %s.%s, which is not declared in %s", doc, m[1], m[2], dir)
+				}
 			}
 		}
 		for _, p := range pathRe.FindAllString(text, -1) {
@@ -118,12 +155,15 @@ func TestDocsIdentifiersExist(t *testing.T) {
 		}
 	}
 
-	// Spot-check that the load-bearing names of this PR are really seen
-	// (guards against the regexes silently matching nothing).
+	// Spot-check that the load-bearing names are really seen (guards
+	// against the regexes silently matching nothing).
 	for _, want := range []string{"SearchOptions", "ShardedIndex", "BuildConfig"} {
 		if _, ok := decls[want]; !ok {
 			t.Fatalf("sanity: %s not found among package decls", want)
 		}
+	}
+	if qualified == 0 {
+		t.Fatal("sanity: no backticked internal pkg.Ident found")
 	}
 }
 

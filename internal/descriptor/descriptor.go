@@ -99,6 +99,13 @@ func (c *Collection) Vec(i int) vec.Vector {
 // IDAt returns the i-th descriptor id.
 func (c *Collection) IDAt(i int) ID { return c.ids[i] }
 
+// Rows returns the ids and the flattened vectors (hi-lo rows of Dims
+// float32s, the layout the vec block kernels take) of descriptors lo to
+// hi-1. Both alias the collection and must not be modified.
+func (c *Collection) Rows(lo, hi int) ([]ID, []float32) {
+	return c.ids[lo:hi:hi], c.backing[lo*c.dims : hi*c.dims : hi*c.dims]
+}
+
 // Subset returns a new collection holding the descriptors at the given
 // indexes (vectors copied).
 func (c *Collection) Subset(idx []int) *Collection {

@@ -109,20 +109,27 @@ func Chunks(coll *descriptor.Collection, indexes []int, cfg Config) ([]*cluster.
 // assignBalanced assigns each point to the nearest centroid with spare
 // capacity, processing points in order of their distance to their overall
 // nearest centroid so that the points with the clearest preference claim
-// their slot first.
+// their slot first. The centroids are laid out once as row-major rows, so
+// each point takes its k distances in one vec.SquaredDistancesTo call.
 func assignBalanced(coll *descriptor.Collection, indexes []int, centroids []vec.Vector, capacity int, assign []int) {
 	n := len(indexes)
 	k := len(centroids)
+	dims := coll.Dims()
+	rows := make([]float32, 0, k*dims)
+	for _, c := range centroids {
+		rows = append(rows, c...)
+	}
+	d2 := make([]float64, k)
 	type pref struct {
 		pos  int
 		best float64
 	}
 	prefs := make([]pref, n)
 	for pos, idx := range indexes {
-		v := coll.Vec(idx)
+		vec.SquaredDistancesTo(coll.Vec(idx), rows, dims, d2)
 		best := math.Inf(1)
-		for _, c := range centroids {
-			if d := vec.PartialSquaredDistance(v, c, best); d < best {
+		for _, d := range d2 {
+			if d < best {
 				best = d
 			}
 		}
@@ -130,15 +137,14 @@ func assignBalanced(coll *descriptor.Collection, indexes []int, centroids []vec.
 	}
 	sort.Slice(prefs, func(a, b int) bool { return prefs[a].best < prefs[b].best })
 
+	// Centroids are scanned in ascending order with a strict <, so a tie
+	// goes to the lowest index.
 	load := make([]int, k)
 	for _, p := range prefs {
-		v := coll.Vec(indexes[p.pos])
+		vec.SquaredDistancesTo(coll.Vec(indexes[p.pos]), rows, dims, d2)
 		bestC, bestD := -1, math.Inf(1)
-		for c := range centroids {
-			if load[c] >= capacity {
-				continue
-			}
-			if d := vec.PartialSquaredDistance(v, centroids[c], bestD); d < bestD {
+		for c, d := range d2 {
+			if load[c] < capacity && d < bestD {
 				bestC, bestD = c, d
 			}
 		}

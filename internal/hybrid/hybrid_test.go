@@ -4,11 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/descriptor"
 	"repro/internal/imagegen"
 	"repro/internal/roundrobin"
+	"repro/internal/vec"
 )
 
 func TestCapacityRespected(t *testing.T) {
@@ -124,5 +127,34 @@ func TestErrorsAndEdges(t *testing.T) {
 	}
 	if len(one) != 1 || one[0].Count() != 3 {
 		t.Fatalf("single chunk wrong: %d chunks", len(one))
+	}
+	// Four identical rows, two centroids of capacity two: every distance
+	// ties. The capacity pass visits the rows in index order (a sort of
+	// equal keys this short leaves them in place) and must give each the
+	// lowest-index centroid with room.
+	same := descriptor.NewCollection(3, 4)
+	for i := 0; i < 4; i++ {
+		same.Append(descriptor.ID(i), vec.Vector{1, 2, 3})
+	}
+	tied, err := Chunks(same, nil, Config{ChunkSize: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tied) != 2 || !slices.Equal(tied[0].Members, []int{0, 1}) || !slices.Equal(tied[1].Members, []int{2, 3}) {
+		t.Fatalf("tied rows not assigned lowest centroid first: %d chunks", len(tied))
+	}
+}
+
+// BenchmarkHybridChunks times one hybrid build at a fixed size: 50,000
+// generated descriptors into chunks of 500 (k = 100), the default five
+// Lloyd iterations. The collection is generated outside the timer.
+func BenchmarkHybridChunks(b *testing.B) {
+	coll := imagegen.MustGenerate(imagegen.DefaultConfig(50000, 1)).Collection
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Chunks(coll, nil, Config{ChunkSize: 500, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -71,14 +71,9 @@ func (h *Heap) Len() int { return len(h.items) }
 // K returns the retention bound.
 func (h *Heap) K() int { return h.k }
 
-// Full reports whether the heap holds its k entries, i.e. a finite
-// pruning bound exists. Scan loops branch on this to switch from the
-// batch distance kernels to partial-distance early abandonment.
-func (h *Heap) Full() bool { return len(h.items) >= h.k }
-
 // Kth2 returns the current k-th best squared distance, or +Inf while the
 // heap holds fewer than k entries. This is the pruning bound used by stop
-// rules and partial-distance abandonment.
+// rules and the VA-File's refine step.
 func (h *Heap) Kth2() float64 {
 	if len(h.items) < h.k {
 		return math.Inf(1)

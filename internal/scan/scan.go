@@ -10,19 +10,26 @@ import (
 	"repro/internal/vec"
 )
 
+// rowBlock is the oracle's row block: 1,024 rows of 24-d float32 are
+// 96 KiB, and their distances 8 KiB.
+const rowBlock = 1024
+
 // KNN returns the exact k nearest descriptors of q in coll, ordered by
-// (increasing distance, ascending id). The scan runs on the shared
-// squared-distance heap with partial-distance early abandonment against
-// the current k-th bound; sqrt is applied only at the reporting boundary
-// inside Sorted.
+// (increasing distance, ascending id). It streams the collection in row
+// blocks through the two calls every chunk scan makes (search.ScanChunk):
+// vec.SquaredDistancesTo, then the shared squared-distance heap; sqrt is
+// applied only at the reporting boundary inside Sorted.
 func KNN(coll *descriptor.Collection, q vec.Vector, k int) []knn.Neighbor {
-	if k <= 0 || coll.Len() == 0 {
+	n := coll.Len()
+	if k <= 0 || n == 0 {
 		return nil
 	}
 	h := knn.NewHeap(k)
-	for i := 0; i < coll.Len(); i++ {
-		d2 := vec.PartialSquaredDistance(q, coll.Vec(i), h.Kth2())
-		h.OfferSquared(coll.IDAt(i), d2)
+	d2 := make([]float64, min(rowBlock, n))
+	for lo := 0; lo < n; lo += rowBlock {
+		ids, rows := coll.Rows(lo, min(lo+rowBlock, n))
+		vec.SquaredDistancesTo(q, rows, coll.Dims(), d2)
+		h.OfferSquaredAll(ids, d2[:len(ids)])
 	}
 	return h.Sorted()
 }

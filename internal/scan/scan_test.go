@@ -23,30 +23,60 @@ func randColl(r *rand.Rand, n, dims int) *descriptor.Collection {
 	return c
 }
 
+// TestKNNAgainstSort pins KNN to a full (d², ID) sort of every row's
+// SquaredDistance: exact (ID, Dist) equality, so a tie broken by the wrong
+// ID or a row block dropped at the tail shows. The inputs cover the
+// paper's 24 dims and a width with a tail (7), one row block plus a
+// partial one, and duplicated rows, which make exact distance ties.
 func TestKNNAgainstSort(t *testing.T) {
+	const k = 25
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		coll := randColl(r, 200, 8)
-		q := make(vec.Vector, 8)
-		for d := range q {
-			q[d] = float32(r.NormFloat64() * 10)
-		}
-		got := KNN(coll, q, 25)
-		// Oracle: full sort.
-		all := make([]float64, coll.Len())
-		for i := 0; i < coll.Len(); i++ {
-			all[i] = vec.Distance(q, coll.Vec(i))
-		}
-		sort.Float64s(all)
-		if len(got) != 25 {
-			return false
-		}
-		for i := range got {
-			if math.Abs(got[i].Dist-all[i]) > 1e-9 {
+		for _, shape := range []struct{ n, dims int }{{200, 8}, {rowBlock + 37, 24}, {rowBlock + 37, 7}} {
+			// Append a tenth of the rows again and shuffle the ids: equal
+			// distances whose order only the ID tie rule decides, with
+			// the lower id as often second in scan order as first.
+			base := randColl(r, shape.n, shape.dims)
+			ids := r.Perm(shape.n + shape.n/10)
+			coll := descriptor.NewCollection(shape.dims, len(ids))
+			for i, id := range ids {
+				src := i
+				if i >= shape.n {
+					src = r.Intn(shape.n)
+				}
+				coll.Append(descriptor.ID(id), base.Vec(src))
+			}
+			q := coll.Vec(r.Intn(coll.Len())).Clone()
+			if r.Intn(2) == 0 {
+				for d := range q {
+					q[d] = float32(r.NormFloat64() * 10)
+				}
+			}
+			type pair struct {
+				d2 float64
+				id descriptor.ID
+			}
+			all := make([]pair, coll.Len())
+			for i := range all {
+				all[i] = pair{vec.SquaredDistance(q, coll.Vec(i)), coll.IDAt(i)}
+			}
+			sort.Slice(all, func(a, b int) bool {
+				if all[a].d2 != all[b].d2 {
+					return all[a].d2 < all[b].d2
+				}
+				return all[a].id < all[b].id
+			})
+			got := KNN(coll, q, k)
+			if len(got) != k {
+				t.Logf("n %d dims %d: %d neighbors, want %d", shape.n, shape.dims, len(got), k)
 				return false
 			}
-			if i > 0 && got[i].Dist < got[i-1].Dist {
-				return false
+			for i, nb := range got {
+				if nb.ID != all[i].id || nb.Dist != math.Sqrt(all[i].d2) {
+					t.Logf("n %d dims %d rank %d: got (%d, %v), want (%d, %v)",
+						shape.n, shape.dims, i, nb.ID, nb.Dist, all[i].id, math.Sqrt(all[i].d2))
+					return false
+				}
 			}
 		}
 		return true

@@ -221,7 +221,7 @@ func (ix *Index) Search(q vec.Vector, k int, opts Options) ([]knn.Neighbor, Stat
 		if opts.VisitBudget > 0 && st.Visited >= opts.VisitBudget {
 			break
 		}
-		d2 := vec.PartialSquaredDistance(q, ix.coll.Vec(c.pos), heap.Kth2())
+		d2 := vec.SquaredDistance(q, ix.coll.Vec(c.pos))
 		heap.OfferSquared(ix.coll.IDAt(c.pos), d2)
 		st.Visited++
 	}

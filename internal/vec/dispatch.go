@@ -5,7 +5,7 @@ import (
 	"os"
 )
 
-// kernelBackend bundles one implementation of the three hot kernels. Every
+// kernelBackend bundles one implementation of the two block kernels. Every
 // backend obeys the accumulation contract documented in kernels.go, so all
 // of them return byte-identical values for the same inputs; they differ
 // only in speed.
@@ -13,14 +13,12 @@ type kernelBackend struct {
 	name       string
 	distsTo    func(q, backing []float32, dims int, out []float64)
 	distsMulti func(queries, backing []float32, dims int, out []float64)
-	partial    func(a, b []float32, bound float64) float64
 }
 
 var portableKernels = kernelBackend{
 	name:       "portable",
 	distsTo:    squaredDistancesToPortable,
 	distsMulti: squaredDistancesMultiPortable,
-	partial:    partialSquaredDistancePortable,
 }
 
 // available lists the backends usable on this CPU, slowest first: the
@@ -37,15 +35,13 @@ var available = append([]kernelBackend{portableKernels}, archKernels()...)
 const BackendEnv = "REPRO_VEC_BACKEND"
 
 // The active backend is stored as individual package-level function
-// variables, not a struct: the hot kernels are called per row block (and
-// the partial kernel once per row in the scan oracle's and VA-File's
-// scans), so each call pays exactly one indirect jump with no field load
-// in front of it.
+// variables, not a struct: the kernels are called once per row block, so
+// each call pays exactly one indirect jump with no field load in front of
+// it.
 var (
 	activeName       string
 	activeDistsTo    func(q, backing []float32, dims int, out []float64)
 	activeDistsMulti func(queries, backing []float32, dims int, out []float64)
-	activePartial    func(a, b []float32, bound float64) float64
 )
 
 func init() {
@@ -60,7 +56,6 @@ func install(b kernelBackend) {
 	activeName = b.name
 	activeDistsTo = b.distsTo
 	activeDistsMulti = b.distsMulti
-	activePartial = b.partial
 }
 
 // multiFrom builds a SquaredDistancesMulti implementation from a row-scan
@@ -161,23 +156,4 @@ func SquaredDistancesMulti(queries, backing []float32, dims int, out []float64) 
 		panic(fmt.Sprintf("vec: out length %d < %d queries × %d rows", len(out), nq, n))
 	}
 	activeDistsMulti(queries, backing, dims, out)
-}
-
-// PartialSquaredDistance computes the squared distance between a and b,
-// abandoning early once the partial sum exceeds bound (a squared
-// distance). When the true squared distance is ≤ bound the exact value is
-// returned, bit-identical to SquaredDistance(a, b); otherwise some value
-// strictly greater than bound is returned (the partial sum at the point of
-// abandonment). Callers pruning against a current k-th-neighbor bound pass
-// that bound and discard any result exceeding it.
-//
-// The bound checks never alter the accumulators, so whether or not checks
-// run, a non-abandoned result is exact. Every backend checks at the same
-// element positions (once per 8 elements), so even abandoned return values
-// are byte-identical across backends.
-func PartialSquaredDistance(a, b Vector, bound float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: dimension mismatch %d vs %d", len(a), len(b)))
-	}
-	return activePartial(a, b, bound)
 }

@@ -5,9 +5,9 @@ package vec
 // Assembly kernels (kernels_amd64.s). All of them implement the
 // accumulation contract documented in kernels.go: 4 float32 lanes, element
 // i into lane i&3, lanes combined (s0+s1)+(s2+s3), widened to float64
-// last, no FMA. SSE2 is the amd64 baseline so sqDistsToSSE2/sqPartialSSE2
-// run on every amd64 CPU; the AVX2 variant is selected only when CPUID
-// reports AVX2 plus OS support for YMM state.
+// last, no FMA. SSE2 is the amd64 baseline so sqDistsToSSE2 runs on every
+// amd64 CPU; the AVX2 variants are selected only when CPUID reports AVX2
+// plus OS support for YMM state.
 
 //go:noescape
 func sqDistsToSSE2(q, backing []float32, dims, rows int, out []float64)
@@ -17,9 +17,6 @@ func sqDistsToAVX2(q, backing []float32, dims, rows int, out []float64)
 
 //go:noescape
 func sqDistsMultiPairAVX2(q0, q1, backing []float32, dims, rows int, out0, out1 []float64)
-
-//go:noescape
-func sqPartialSSE2(a, b []float32, bound float64) float64
 
 // cpuid and xgetbv0 (cpu_amd64.s) expose the CPUID / XGETBV instructions
 // for feature detection. Implemented in-repo: the module deliberately has
@@ -78,25 +75,18 @@ func squaredDistancesMultiAVX2(queries, backing []float32, dims int, out []float
 }
 
 // archKernels reports the assembly backends usable on this CPU, slowest
-// first. The partial field holds the asm entry point itself — the kernel
-// runs once per row in partial-distance scans, so an extra Go wrapper frame
-// would be a measurable fraction of its ~40ns of work. Partial-distance
-// scans also stay on the 128-bit kernel even under AVX2: within one row
-// the accumulation contract pins the arithmetic to four lanes, so wider
-// registers only ever help across rows.
+// first.
 func archKernels() []kernelBackend {
 	ks := []kernelBackend{{
 		name:       "sse2",
 		distsTo:    squaredDistancesToSSE2,
 		distsMulti: multiFrom(sqDistsToSSE2),
-		partial:    sqPartialSSE2,
 	}}
 	if hasAVX2() {
 		ks = append(ks, kernelBackend{
 			name:       "avx2",
 			distsTo:    squaredDistancesToAVX2,
 			distsMulti: squaredDistancesMultiAVX2,
-			partial:    sqPartialSSE2,
 		})
 	}
 	return ks

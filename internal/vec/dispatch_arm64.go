@@ -9,21 +9,16 @@ package vec
 //go:noescape
 func sqDistsToNEON(q, backing []float32, dims, rows int, out []float64)
 
-//go:noescape
-func sqPartialNEON(a, b []float32, bound float64) float64
-
 func squaredDistancesToNEON(q, backing []float32, dims int, out []float64) {
 	sqDistsToNEON(q, backing, dims, len(backing)/dims, out)
 }
 
 // archKernels reports the assembly backends usable on this CPU, slowest
-// first. As on amd64, the partial field holds the asm entry point itself
-// to keep the per-row call as lean as possible.
+// first.
 func archKernels() []kernelBackend {
 	return []kernelBackend{{
 		name:       "neon",
 		distsTo:    squaredDistancesToNEON,
 		distsMulti: multiFrom(sqDistsToNEON),
-		partial:    sqPartialNEON,
 	}}
 }

@@ -49,8 +49,8 @@ func TestBackendRegistry(t *testing.T) {
 }
 
 // crossCheck asserts that the named backend produces byte-identical
-// results to the portable reference for all three dispatched kernels on
-// one random (dims, rows, nq) shape.
+// results to the portable reference for both dispatched kernels on one
+// random (dims, rows, nq) shape.
 func crossCheck(t *testing.T, r *rand.Rand, backend string, dims, rows, nq int) {
 	t.Helper()
 	backing := make([]float32, rows*dims)
@@ -73,27 +73,6 @@ func crossCheck(t *testing.T, r *rand.Rand, backend string, dims, rows, nq int) 
 	withBackend(t, backend, func() {
 		SquaredDistancesTo(q, backing, dims, gotTo)
 		SquaredDistancesMulti(queries, backing, dims, gotMulti)
-		for i := 0; i < rows; i++ {
-			row := Vector(backing[i*dims : (i+1)*dims])
-			full := wantTo[i]
-			for _, bound := range []float64{math.Inf(1), full, full * 0.99, full * 0.5, 0} {
-				got := PartialSquaredDistance(q, row, bound)
-				want := partialSquaredDistancePortable(q, row, bound)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s dims %d row %d bound %v: partial %x vs portable %x",
-						backend, dims, i, bound, got, want)
-				}
-				if full <= bound {
-					if got != full {
-						t.Fatalf("%s dims %d row %d: partial %v != full %v though full <= bound %v",
-							backend, dims, i, got, full, bound)
-					}
-				} else if got <= bound {
-					t.Fatalf("%s dims %d row %d: abandoned partial %v did not exceed bound %v",
-						backend, dims, i, got, bound)
-				}
-			}
-		}
 	})
 	for i := range wantTo {
 		if math.Float64bits(gotTo[i]) != math.Float64bits(wantTo[i]) {
@@ -147,8 +126,8 @@ func FuzzCrossBackendBitIdentity(f *testing.F) {
 }
 
 // TestEquivalenceAcrossBackends re-runs the strongest in-package identity
-// test under every backend: batch, multi and partial kernels agree with
-// the (portable) SquaredDistance pairwise path byte for byte.
+// test under every backend: the batch and multi kernels agree with the
+// (portable) SquaredDistance pairwise path byte for byte.
 func TestEquivalenceAcrossBackends(t *testing.T) {
 	for _, backend := range Backends() {
 		backend := backend
@@ -156,7 +135,6 @@ func TestEquivalenceAcrossBackends(t *testing.T) {
 			withBackend(t, backend, func() {
 				TestKernelsBitIdentical(t)
 				TestMultiKernelBitIdentical(t)
-				TestPartialAbandons(t)
 				TestKernelEdgeCases(t)
 			})
 		})
@@ -228,29 +206,6 @@ func BenchmarkKernelSquaredDistancesMultiPair(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					SquaredDistancesMulti(queries, backing, dims, out)
 				}
-			})
-		})
-	}
-}
-
-// BenchmarkKernelPartialSquaredDistance reports per-backend partial scan
-// cost with a bound that never abandons (the worst case).
-func BenchmarkKernelPartialSquaredDistance(b *testing.B) {
-	const dims, rows = Dims, 4096
-	_, backing, _ := benchData(dims, rows, 1)
-	q := Vector(backing[:dims])
-	for _, backend := range Backends() {
-		b.Run(backend, func(b *testing.B) {
-			withBackend(b, backend, func() {
-				b.SetBytes(int64(rows * dims * 4))
-				b.ResetTimer()
-				var sink float64
-				for i := 0; i < b.N; i++ {
-					for r := 0; r < rows; r++ {
-						sink = PartialSquaredDistance(q, backing[r*dims:(r+1)*dims], math.Inf(1))
-					}
-				}
-				_ = sink
 			})
 		})
 	}

@@ -1,11 +1,12 @@
 package vec
 
 // This file holds the portable reference implementations of the distance
-// kernels every search backend in the repository is built on. The exported
-// entry points (SquaredDistancesTo, SquaredDistancesMulti,
-// PartialSquaredDistance) live in dispatch.go and route to either these
+// kernels every search backend in the repository is built on. The block
+// kernels' exported entry points (SquaredDistancesTo,
+// SquaredDistancesMulti) live in dispatch.go and route to either these
 // functions or to the architecture-specific assembly backends declared in
-// dispatch_amd64.go / dispatch_arm64.go.
+// dispatch_amd64.go / dispatch_arm64.go; SquaredDistance, the pair
+// distance, always runs the portable loop below.
 //
 // THE ACCUMULATION CONTRACT (binding for every backend, asm included):
 // element i of the difference vector feeds float32 accumulator lane i&3,
@@ -123,50 +124,4 @@ func squaredDistancesMultiPortable(queries, backing []float32, dims int, out []f
 			}
 		}
 	}
-}
-
-// partialSquaredDistancePortable is the portable backend for
-// PartialSquaredDistance. The bound is checked once per 8 elements (two
-// 4-lane blocks); the checks never alter the accumulators, so a
-// non-abandoned result is exact. Assembly backends must check at the same
-// element positions so even abandoned return values stay byte-identical.
-func partialSquaredDistancePortable(a, b []float32, bound float64) float64 {
-	var s0, s1, s2, s3 float32
-	i, n := 0, len(a)
-	for ; i+8 <= n; i += 8 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-		d0 = a[i+4] - b[i+4]
-		d1 = a[i+5] - b[i+5]
-		d2 = a[i+6] - b[i+6]
-		d3 = a[i+7] - b[i+7]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-		if float64((s0+s1)+(s2+s3)) > bound {
-			return float64((s0 + s1) + (s2 + s3))
-		}
-	}
-	for ; i+4 <= n; i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; i < n; i++ {
-		d := a[i] - b[i]
-		s0 += d * d
-	}
-	return float64((s0 + s1) + (s2 + s3))
 }

@@ -412,81 +412,3 @@ mrow24:
 mdone:
 	VZEROUPPER
 	RET
-
-// func sqPartialSSE2(a, b []float32, bound float64) float64
-//
-// Mirrors partialSquaredDistancePortable exactly: the bound is checked
-// once per 8 elements on a copy of the accumulators (X0 is never
-// disturbed), so abandoned return values are byte-identical too.
-TEXT ·sqPartialSSE2(SB), NOSPLIT, $0-64
-	MOVQ  a_base+0(FP), SI
-	MOVQ  b_base+24(FP), DX
-	MOVQ  a_len+8(FP), CX
-	MOVSD bound+48(FP), X7
-	XORPS X0, X0
-	XORQ  R9, R9
-	MOVQ  CX, R11
-	ANDQ  $-8, R11
-	MOVQ  CX, R8
-	ANDQ  $-4, R8
-
-ploop8:
-	CMPQ   R9, R11
-	JGE    ploop4
-	MOVUPS (SI)(R9*4), X1
-	MOVUPS (DX)(R9*4), X2
-	SUBPS  X2, X1
-	MULPS  X1, X1
-	ADDPS  X1, X0
-	MOVUPS 16(SI)(R9*4), X1
-	MOVUPS 16(DX)(R9*4), X2
-	SUBPS  X2, X1
-	MULPS  X1, X1
-	ADDPS  X1, X0
-	ADDQ   $8, R9
-	// bound check on a copy of the accumulators
-	MOVAPS   X0, X3
-	MOVAPS   X3, X4
-	SHUFPS   $0xB1, X4, X4
-	ADDPS    X4, X3
-	MOVHLPS  X3, X4
-	ADDSS    X4, X3
-	CVTSS2SD X3, X3
-	UCOMISD  X7, X3
-	JA       pabandon
-	JMP      ploop8
-
-ploop4:
-	CMPQ   R9, R8
-	JGE    ptail2
-	MOVUPS (SI)(R9*4), X1
-	MOVUPS (DX)(R9*4), X2
-	SUBPS  X2, X1
-	MULPS  X1, X1
-	ADDPS  X1, X0
-	ADDQ   $4, R9
-
-ptail2:
-	CMPQ  R9, CX
-	JGE   preduce2
-	MOVSS (SI)(R9*4), X1
-	MOVSS (DX)(R9*4), X2
-	SUBSS X2, X1
-	MULSS X1, X1
-	ADDSS X1, X0
-	INCQ  R9
-	JMP   ptail2
-
-preduce2:
-	MOVAPS   X0, X1
-	SHUFPS   $0xB1, X1, X1
-	ADDPS    X1, X0
-	MOVHLPS  X0, X1
-	ADDSS    X1, X0
-	CVTSS2SD X0, X0
-	MOVSD    X0, ret+56(FP)
-	RET
-
-pabandon:
-	MOVSD X3, ret+56(FP)
-	RET

@@ -18,7 +18,6 @@
 #define FMUL_V1_V1_V1  WORD $0x6E21DC21 // fmul  v1.4s, v1.4s, v1.4s
 #define FADD_V0_V0_V1  WORD $0x4E21D400 // fadd  v0.4s, v0.4s, v1.4s
 #define FADDP_V0_V0_V0 WORD $0x6E20D400 // faddp v0.4s, v0.4s, v0.4s
-#define FADDP_V3_V3_V3 WORD $0x6E23D463 // faddp v3.4s, v3.4s, v3.4s
 
 // The dims==24 row-pair path (rowpair24 below) hoists the query's six
 // blocks into V10-V15 and accumulates two rows per trip: row i in V0
@@ -236,88 +235,4 @@ single24:
 	FMOVD.P F10, 8(R4)
 
 done:
-	RET
-
-// func sqPartialNEON(a, b []float32, bound float64) float64
-//
-// Mirrors partialSquaredDistancePortable exactly: the bound is checked
-// once per 8 elements on a copy of the accumulators (V3; V0 is never
-// disturbed), so abandoned return values are byte-identical too.
-TEXT ·sqPartialNEON(SB), NOSPLIT, $0-64
-	MOVD  a_base+0(FP), R0
-	MOVD  b_base+24(FP), R1
-	MOVD  a_len+8(FP), R2
-	FMOVD bound+48(FP), F8
-	VEOR  V0.B16, V0.B16, V0.B16
-	LSR   $3, R2, R9            // 8-element blocks
-	AND   $7, R2, R10           // remainder after the 8-blocks
-
-loop8:
-	CBZ    R9, post8
-	VLD1.P 16(R0), [V1.S4]
-	VLD1.P 16(R1), [V2.S4]
-	FSUB_V1_V1_V2
-	FMUL_V1_V1_V1
-	FADD_V0_V0_V1
-	VLD1.P 16(R0), [V1.S4]
-	VLD1.P 16(R1), [V2.S4]
-	FSUB_V1_V1_V2
-	FMUL_V1_V1_V1
-	FADD_V0_V0_V1
-	SUB    $1, R9, R9
-
-	// bound check on a copy of the accumulators
-	VORR   V0.B16, V0.B16, V3.B16
-	FADDP_V3_V3_V3
-	FADDP_V3_V3_V3
-	FCVTSD F3, F9
-	FCMPD  F8, F9
-	BGT    abandon
-	B      loop8
-
-post8:
-	TBZ    $2, R10, lanes       // at most one unchecked 4-block remains
-	VLD1.P 16(R0), [V1.S4]
-	VLD1.P 16(R1), [V2.S4]
-	FSUB_V1_V1_V2
-	FMUL_V1_V1_V1
-	FADD_V0_V0_V1
-
-lanes:
-	AND  $3, R10, R9            // scalar tail count
-	CBNZ R9, slowtail2
-	FADDP_V0_V0_V0
-	FADDP_V0_V0_V0
-	FCVTSD F0, F9
-	B      retsum
-
-slowtail2:
-	VMOV  V0.S[0], R11
-	FMOVS R11, F10
-	VMOV  V0.S[1], R11
-	FMOVS R11, F11
-	VMOV  V0.S[2], R11
-	FMOVS R11, F12
-	VMOV  V0.S[3], R11
-	FMOVS R11, F13
-
-ptail:
-	FMOVS.P 4(R0), F1
-	FMOVS.P 4(R1), F2
-	FSUBS   F2, F1, F1
-	FMULS   F1, F1, F1
-	FADDS   F1, F10, F10
-	SUB     $1, R9, R9
-	CBNZ    R9, ptail
-	FADDS   F11, F10, F10
-	FADDS   F13, F12, F12
-	FADDS   F12, F10, F10
-	FCVTSD  F10, F9
-
-retsum:
-	FMOVD F9, ret+56(FP)
-	RET
-
-abandon:
-	FMOVD F9, ret+56(FP)
 	RET

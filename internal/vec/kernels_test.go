@@ -45,8 +45,8 @@ func TestKernelMatchesNaive(t *testing.T) {
 }
 
 // TestKernelsBitIdentical asserts the property the backend cross-checks
-// rely on: the batch kernel, the partial kernel (non-abandoned) and
-// SquaredDistance return bit-identical values for the same pair.
+// rely on: the batch kernel and SquaredDistance return bit-identical
+// values for the same pair.
 func TestKernelsBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, d := range []int{1, 3, 4, 8, 11, 24, 37, 64} {
@@ -64,12 +64,6 @@ func TestKernelsBitIdentical(t *testing.T) {
 			ref := SquaredDistance(q, v)
 			if out[i] != ref {
 				t.Fatalf("dims %d row %d: batch %x vs pairwise %x", d, i, out[i], ref)
-			}
-			if p := PartialSquaredDistance(q, v, math.Inf(1)); p != ref {
-				t.Fatalf("dims %d row %d: partial %x vs pairwise %x", d, i, p, ref)
-			}
-			if p := PartialSquaredDistance(q, v, ref); p != ref {
-				t.Fatalf("dims %d row %d: partial at exact bound %x vs %x", d, i, p, ref)
 			}
 		}
 	}
@@ -126,40 +120,15 @@ func TestMultiKernelPanics(t *testing.T) {
 	}
 }
 
-// TestPartialAbandons asserts the abandonment contract: with a bound below
-// the true squared distance, the returned value strictly exceeds the bound.
-func TestPartialAbandons(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for _, d := range []int{8, 16, 24, 48} {
-		for trial := 0; trial < 100; trial++ {
-			a, b := randVec(r, d), randVec(r, d)
-			full := SquaredDistance(a, b)
-			if full == 0 {
-				continue
-			}
-			bound := full * r.Float64() * 0.99
-			if got := PartialSquaredDistance(a, b, bound); got <= bound {
-				t.Fatalf("dims %d: partial %v did not exceed bound %v (full %v)", d, got, bound, full)
-			}
-		}
-	}
-}
-
 func TestKernelEdgeCases(t *testing.T) {
 	if got := SquaredDistance(Vector{}, Vector{}); got != 0 {
 		t.Fatalf("empty vectors: %v", got)
-	}
-	if got := PartialSquaredDistance(Vector{}, Vector{}, 0); got != 0 {
-		t.Fatalf("empty partial: %v", got)
 	}
 	r := rand.New(rand.NewSource(4))
 	for _, d := range []int{1, 24, 30} {
 		v := randVec(r, d)
 		if got := SquaredDistance(v, v); got != 0 {
 			t.Fatalf("identical %d-d vectors: %v", d, got)
-		}
-		if got := PartialSquaredDistance(v, v.Clone(), 0); got != 0 {
-			t.Fatalf("identical partial %d-d: %v", d, got)
 		}
 	}
 	// SquaredDistancesTo over an empty backing is a no-op.
@@ -171,7 +140,6 @@ func TestBatchKernelPanics(t *testing.T) {
 		"dims mismatch":  func() { SquaredDistancesTo(make(Vector, 3), make([]float32, 8), 4, make([]float64, 2)) },
 		"ragged backing": func() { SquaredDistancesTo(make(Vector, 4), make([]float32, 7), 4, make([]float64, 2)) },
 		"short out":      func() { SquaredDistancesTo(make(Vector, 4), make([]float32, 8), 4, make([]float64, 1)) },
-		"partial dims":   func() { PartialSquaredDistance(make(Vector, 3), make(Vector, 4), 1) },
 	} {
 		func() {
 			defer func() {

@@ -4,14 +4,15 @@
 // The paper works with 24-dimensional local descriptors compared under
 // Euclidean (L2) distance. The repo-wide convention is: distances are
 // computed and compared in *squared* form everywhere ordering or pruning
-// is all that matters — heaps, stop rules, partial-distance abandonment —
-// and converted with math.Sqrt only at reporting boundaries (knn.Heap
-// sorting, user-facing Neighbor.Dist fields, radii).
+// is all that matters — heaps, stop rules, bounds — and converted with
+// math.Sqrt only at reporting boundaries (knn.Heap sorting, user-facing
+// Neighbor.Dist fields, radii).
 //
-// All squared distances flow through the kernels in kernels.go
-// (SquaredDistance, SquaredDistancesTo, PartialSquaredDistance): 4-way
-// unrolled float32 accumulation with a specialized dims==24 path, sharing
-// one accumulation order so every kernel returns bit-identical values for
+// All squared distances flow through the kernels in kernels.go: the
+// block kernels SquaredDistancesTo and SquaredDistancesMulti, and
+// SquaredDistance for one pair. They run 4-way unrolled float32
+// accumulation with a specialized dims==24 path, sharing one
+// accumulation order so every kernel returns bit-identical values for
 // the same pair. Search backends must use these kernels (not ad-hoc
 // loops) so that independently implemented searches agree exactly on
 // neighbor sets, tie order included.
