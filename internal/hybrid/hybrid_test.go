@@ -81,8 +81,8 @@ func TestDeterminism(t *testing.T) {
 	}
 
 	// Pin the chunks byte for byte at a fixed input: the hash covers every
-	// chunk's member list in output order, so a changed assignment, a tie
-	// broken the other way or a reordered chunk all show.
+	// chunk's member list in output order, so a changed assignment or a
+	// reordered chunk shows.
 	big := imagegen.MustGenerate(imagegen.DefaultConfig(20000, 1))
 	chunks, err := Chunks(big.Collection, nil, Config{ChunkSize: 250, Seed: 1})
 	if err != nil {

@@ -5,6 +5,8 @@
 package scan
 
 import (
+	"sync"
+
 	"repro/internal/descriptor"
 	"repro/internal/knn"
 	"repro/internal/vec"
@@ -13,6 +15,10 @@ import (
 // rowBlock is the oracle's row block: 1,024 rows of 24-d float32 are
 // 96 KiB, and their distances 8 KiB.
 const rowBlock = 1024
+
+// blocks recycles the distance buffers, so a scan allocates only its heap
+// and result: ground-truth loops call KNN once per query.
+var blocks = sync.Pool{New: func() any { return new([rowBlock]float64) }}
 
 // KNN returns the exact k nearest descriptors of q in coll, ordered by
 // (increasing distance, ascending id). It streams the collection in row
@@ -25,10 +31,11 @@ func KNN(coll *descriptor.Collection, q vec.Vector, k int) []knn.Neighbor {
 		return nil
 	}
 	h := knn.NewHeap(k)
-	d2 := make([]float64, min(rowBlock, n))
+	d2 := blocks.Get().(*[rowBlock]float64)
+	defer blocks.Put(d2)
 	for lo := 0; lo < n; lo += rowBlock {
 		ids, rows := coll.Rows(lo, min(lo+rowBlock, n))
-		vec.SquaredDistancesTo(q, rows, coll.Dims(), d2)
+		vec.SquaredDistancesTo(q, rows, coll.Dims(), d2[:len(ids)])
 		h.OfferSquaredAll(ids, d2[:len(ids)])
 	}
 	return h.Sorted()
