@@ -14,7 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"runtime/pprof"
 	"time"
@@ -23,18 +23,32 @@ import (
 )
 
 func main() {
-	collPath := flag.String("coll", "collection.desc", "collection file")
-	strategy := flag.String("strategy", "srtree", "chunk-forming strategy: bag | srtree | roundrobin | hybrid")
-	size := flag.Int("size", 1000, "target descriptors per chunk")
-	seed := flag.Int64("seed", 1, "strategy seed")
-	out := flag.String("out", "index", "output index directory (created if missing)")
-	verbose := flag.Bool("v", false, "log clustering progress")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the build and save to this file")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "chunkbuild: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command behind a testable seam: a non-nil error exits
+// non-zero with a one-line diagnostic, after the CPU profile, if any, is
+// stopped and closed.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("chunkbuild", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	collPath := fs.String("coll", "collection.desc", "collection file")
+	strategy := fs.String("strategy", "srtree", "chunk-forming strategy: bag | srtree | roundrobin | hybrid")
+	size := fs.Int("size", 1000, "target descriptors per chunk")
+	seed := fs.Int64("seed", 1, "strategy seed")
+	out := fs.String("out", "index", "output index directory (created if missing)")
+	verbose := fs.Bool("v", false, "log clustering progress")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the build and save to this file")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	coll, err := repro.LoadCollection(*collPath)
 	if err != nil {
-		log.Fatalf("chunkbuild: %v", err)
+		return err
 	}
 	cfg := repro.BuildConfig{
 		Strategy:  repro.Strategy(*strategy),
@@ -43,39 +57,42 @@ func main() {
 	}
 	if *verbose {
 		cfg.Progress = func(pass, clusters int) {
-			fmt.Fprintf(os.Stderr, "pass %d: %d clusters\n", pass, clusters)
+			fmt.Fprintf(stderr, "pass %d: %d clusters\n", pass, clusters)
 		}
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			log.Fatalf("chunkbuild: %v", err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("chunkbuild: %v", err)
+			f.Close()
+			return err
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				log.Fatalf("chunkbuild: %v", err)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
 		}()
 	}
 	start := time.Now()
 	idx, err := repro.BuildSharded(coll, cfg, 1)
 	if err != nil {
-		log.Fatalf("chunkbuild: %v", err)
+		return err
 	}
+	defer idx.Close()
 	build := time.Since(start)
 	start = time.Now()
 	if err := os.MkdirAll(*out, 0o755); err != nil {
-		log.Fatalf("chunkbuild: %v", err)
+		return err
 	}
 	if err := idx.Save(*out); err != nil {
-		log.Fatalf("chunkbuild: %v", err)
+		return err
 	}
 	save := time.Since(start)
-	fmt.Printf("built %s index: %d chunks over %d descriptors (%d outliers); build %v, save %v\n",
+	fmt.Fprintf(stdout, "built %s index: %d chunks over %d descriptors (%d outliers); build %v, save %v\n",
 		*strategy, idx.Chunks(), idx.Len(), len(idx.Outliers), build.Round(time.Millisecond), save.Round(time.Millisecond))
-	fmt.Printf("wrote %s\n", *out)
+	fmt.Fprintf(stdout, "wrote %s\n", *out)
+	return nil
 }

@@ -34,26 +34,18 @@ const DefaultPageSize = 8192
 
 // The chunk file header is a magic, a version byte, then dims, page size
 // and chunk count as little-endian uint32s. Version 2 is the columnar
-// body; a later body change bumps the version byte, not the magic. Files
-// written before the version byte existed start with chunkMagicV1, have
-// no version byte, and store each chunk as interleaved [ID | dims floats]
-// records; they still open (FileStore decodes them), but nothing writes
-// them.
+// body; a later body change bumps the version byte, not the magic. Any
+// other magic, the unversioned interleaved layout's among them, is
+// ErrBadMagic.
 const (
 	chunkMagic   = "EFF2CHKV"
 	chunkVersion = 2
-	chunkMagicV1 = "EFF2CHNK"
 	indexMagic   = "EFF2CIDX"
 )
 
-// headerLen returns the chunk file header length of the given version:
-// the first chunk starts on the first page boundary at or after it.
-func headerLen(version int) int {
-	if version == 1 {
-		return 8 + 12
-	}
-	return 8 + 1 + 12
-}
+// headerLen is the chunk file header's length: the first chunk starts on
+// the first page boundary at or after it.
+const headerLen = 8 + 1 + 12
 
 // hostLittleEndian reports that a 4-byte word in memory is its own
 // little-endian encoding, so a chunk body read straight into a Block
@@ -153,7 +145,6 @@ type Data struct {
 	// block to a cache in exchange for a spare.
 	block Block
 	own   bool
-	v1buf []byte // read scratch for a v1 file's interleaved records
 }
 
 // Block is one chunk's memory in the columnar layout: the Count IDs, then
@@ -359,9 +350,8 @@ func Write(coll *descriptor.Collection, clusters []*cluster.Cluster, chunkPath, 
 	}
 
 	// The first chunk starts on a page boundary after the header.
-	hl := headerLen(chunkVersion)
-	offset := int64(pageCeil(hl, pageSize))
-	if err := padTo(cw, hl, int(offset)); err != nil {
+	offset := int64(pageCeil(headerLen, pageSize))
+	if err := padTo(cw, headerLen, int(offset)); err != nil {
 		return err
 	}
 
@@ -481,7 +471,6 @@ type FileStore struct {
 	f         *os.File
 	dims      int
 	page      int
-	version   int // chunk file format version: 1 interleaved, 2 columnar
 	metas     []Meta
 	centroids []float32 // row-major, aliased by metas[i].Centroid
 }
@@ -498,7 +487,7 @@ func Open(chunkPath, indexPath string) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chunkfile: open chunk file: %w", err)
 	}
-	version, head, err := readChunkHeader(f)
+	head, err := readChunkHeader(f)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -519,40 +508,31 @@ func Open(chunkPath, indexPath string) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("chunkfile: stat chunk file: %w", err)
 	}
-	if err := validateMetas(metas, dims, page, headerLen(version), fi.Size()); err != nil {
+	if err := validateMetas(metas, dims, page, headerLen, fi.Size()); err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &FileStore{f: f, dims: dims, page: page, version: version, metas: metas, centroids: CentroidMatrix(metas)}, nil
+	return &FileStore{f: f, dims: dims, page: page, metas: metas, centroids: CentroidMatrix(metas)}, nil
 }
 
-// readChunkHeader reads the chunk file header: the format version (1 for
-// the unversioned interleaved layout) and the 12 bytes of dims, page size
-// and chunk count that follow the magic and version byte.
-func readChunkHeader(f *os.File) (version int, head [12]byte, err error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return 0, head, fmt.Errorf("chunkfile: reading chunk header: %w", err)
+// readChunkHeader reads the chunk file header and returns the 12 bytes
+// of dims, page size and chunk count that follow the magic and version
+// byte.
+func readChunkHeader(f *os.File) (head [12]byte, err error) {
+	var pre [9]byte
+	if _, err := io.ReadFull(f, pre[:]); err != nil {
+		return head, fmt.Errorf("chunkfile: reading chunk header: %w", err)
 	}
-	switch string(magic[:]) {
-	case chunkMagicV1:
-		version = 1
-	case chunkMagic:
-		var v [1]byte
-		if _, err := io.ReadFull(f, v[:]); err != nil {
-			return 0, head, fmt.Errorf("chunkfile: reading chunk header: %w", err)
-		}
-		if v[0] != chunkVersion {
-			return 0, head, fmt.Errorf("chunkfile: unsupported chunk file version %d", v[0])
-		}
-		version = chunkVersion
-	default:
-		return 0, head, ErrBadMagic
+	if string(pre[:8]) != chunkMagic {
+		return head, ErrBadMagic
+	}
+	if pre[8] != chunkVersion {
+		return head, fmt.Errorf("chunkfile: unsupported chunk file version %d", pre[8])
 	}
 	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return 0, head, fmt.Errorf("chunkfile: reading chunk header: %w", err)
+		return head, fmt.Errorf("chunkfile: reading chunk header: %w", err)
 	}
-	return version, head, nil
+	return head, nil
 }
 
 // validateMetas cross-checks every index entry against the chunk file's
@@ -636,48 +616,27 @@ func (s *FileStore) Meta() []Meta { return s.metas }
 func (s *FileStore) Centroids() []float32 { return s.centroids }
 
 // ReadChunk implements Store. It issues exactly one positioned read of
-// the chunk's Count × RecordSize body bytes, mirroring the paper's
-// one-chunk-one-read access pattern (the simulated model bills the padded
-// extent, Meta.Bytes, either way). A columnar body is read straight into
-// the Data's own block, which IDs and Vecs then point into with no
-// decode; a v1 file's interleaved records are read into scratch and
-// decoded into the same block. The block is kept in data and reused by
-// later calls, so steady-state reads do not allocate.
+// the chunk's Count × RecordSize body bytes straight into the Data's own
+// block, which IDs and Vecs then point into with no decode, mirroring the
+// paper's one-chunk-one-read access pattern (the simulated model bills
+// the padded extent, Meta.Bytes, either way). The block is kept in data
+// and reused by later calls, so steady-state reads do not allocate.
 func (s *FileStore) ReadChunk(i int, data *Data) error {
 	if i < 0 || i >= len(s.metas) {
 		return ErrChunkOOB
 	}
 	m := s.metas[i]
 	blk := data.ownBlock(m.Count, s.dims)
-	var err error
-	if s.version == 1 {
-		err = s.readV1(m, blk, data)
-	} else if _, err = s.f.ReadAt(blk.bytes(), m.Offset); err == nil && !hostLittleEndian {
-		swapWords(blk)
-	}
-	if err != nil {
+	if _, err := s.f.ReadAt(blk.bytes(), m.Offset); err != nil {
 		if errors.Is(err, os.ErrClosed) {
 			return fmt.Errorf("chunkfile: chunk %d: %w", i, ErrClosed)
 		}
 		return fmt.Errorf("chunkfile: chunk %d: %w", i, err)
 	}
+	if !hostLittleEndian {
+		swapWords(blk)
+	}
 	data.setOwn(m.Count)
-	return nil
-}
-
-// readV1 reads a v1 chunk's interleaved records into data's scratch and
-// decodes them into blk.
-func (s *FileStore) readV1(m Meta, blk Block, data *Data) error {
-	n := m.Count * RecordSize(s.dims)
-	if cap(data.v1buf) < n {
-		data.v1buf = make([]byte, n)
-	}
-	buf := data.v1buf[:n]
-	if _, err := s.f.ReadAt(buf, m.Offset); err != nil {
-		return err
-	}
-	ids, vecs := blk.Rows(m.Count, s.dims)
-	descriptor.DecodeRecords(buf, m.Count, s.dims, ids, vecs)
 	return nil
 }
 

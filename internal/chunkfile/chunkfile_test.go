@@ -1,11 +1,8 @@
 package chunkfile
 
 import (
-	"bufio"
 	"encoding/binary"
-	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -248,82 +245,6 @@ func TestCrossStoreDataReuse(t *testing.T) {
 func TestEntrySize(t *testing.T) {
 	if EntrySize(24) != 24*4+24 {
 		t.Fatalf("EntrySize(24) = %d", EntrySize(24))
-	}
-}
-
-// writeV1 writes the clustering as a v1 chunk file: the unversioned
-// header and interleaved [ID | dims floats] records, each chunk padded to
-// full pages — a test-only copy of the writer that preceded the columnar
-// body. For pages of at least 21 bytes its chunks sit at the offsets
-// Write records, so Write's index file serves it unchanged.
-func writeV1(t testing.TB, coll *descriptor.Collection, clusters []*cluster.Cluster, path string, pageSize int) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	dims := coll.Dims()
-	w.WriteString(chunkMagicV1)
-	var head [12]byte
-	binary.LittleEndian.PutUint32(head[0:4], uint32(dims))
-	binary.LittleEndian.PutUint32(head[4:8], uint32(pageSize))
-	binary.LittleEndian.PutUint32(head[8:12], uint32(len(clusters)))
-	w.Write(head[:])
-	padTo(w, 8+12, pageCeil(8+12, pageSize))
-	rec := make([]byte, RecordSize(dims))
-	for _, cl := range clusters {
-		for _, m := range cl.Members {
-			binary.LittleEndian.PutUint32(rec[0:4], uint32(coll.IDAt(m)))
-			for d, x := range coll.Vec(m) {
-				binary.LittleEndian.PutUint32(rec[4+d*4:], math.Float32bits(x))
-			}
-			w.Write(rec)
-		}
-		raw := cl.Count() * len(rec)
-		padTo(w, raw, pageCeil(raw, pageSize))
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestV1FileReadsLikeV2 pins the v1 read shim: a v1 chunk file opened with
-// the index Write produced reads back the rows of the v2 file, in the
-// same owned columnar block layout.
-func TestV1FileReadsLikeV2(t *testing.T) {
-	coll, cs := makeClusters(t)
-	cp, ip, _ := writePair(t, 512)
-	v1 := filepath.Join(filepath.Dir(cp), "v1.chunk")
-	writeV1(t, coll, cs, v1, 512)
-	s2, err := Open(cp, ip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	s1, err := Open(v1, ip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s1.Close()
-	if s1.version != 1 || s2.version != chunkVersion {
-		t.Fatalf("versions %d, %d; want 1, %d", s1.version, s2.version, chunkVersion)
-	}
-	var d1, d2 Data
-	for i := range s2.Meta() {
-		if err := s1.ReadChunk(i, &d1); err != nil {
-			t.Fatal(err)
-		}
-		if err := s2.ReadChunk(i, &d2); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(d1.IDs, d2.IDs) || !slices.Equal(d1.Vecs, d2.Vecs) {
-			t.Fatalf("chunk %d: v1 rows differ from v2 rows", i)
-		}
-		if ids, _ := d1.block.Rows(d1.Len(), vec.Dims); !d1.own || &d1.IDs[0] != &ids[0] {
-			t.Fatalf("chunk %d: v1 rows are not in the Data's own block", i)
-		}
 	}
 }
 

@@ -35,21 +35,16 @@ func FuzzOpenIndex(f *testing.F) {
 // FuzzReadChunkFile opens mutated chunk-file bytes against a valid index.
 // Open must never panic; it either rejects the pair with an error, or
 // every ReadChunk returns the chunk's Count rows or an error. The seeds
-// are a v2 file, a v1 file of the same chunks and a truncated header.
+// are a v2 file, the same header and body under the retired unversioned
+// magic, and a truncated header.
 func FuzzReadChunkFile(f *testing.F) {
-	coll, cs := makeClusters(f)
 	cp, ip, _ := writePair(f, 512)
 	v2, err := os.ReadFile(cp)
 	if err != nil {
 		f.Fatal(err)
 	}
-	writeV1(f, coll, cs, cp, 512)
-	v1, err := os.ReadFile(cp)
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(v2)
-	f.Add(v1)
+	f.Add(append([]byte("EFF2CHNK"), v2[len(chunkMagic)+1:]...))
 	f.Add(v2[:12])
 	f.Fuzz(func(t *testing.T, chunk []byte) {
 		path := filepath.Join(t.TempDir(), "c.chunk")
@@ -75,22 +70,30 @@ func FuzzReadChunkFile(f *testing.F) {
 
 // FuzzReadManifest reads mutated manifest bytes. ReadManifest must never
 // panic; a manifest it accepts is written back byte-identically by
-// WriteManifest.
+// WriteManifest. The seeds are an unreplicated manifest, a cut of it, and
+// an R=2 manifest whose shards hold replicas after their primaries.
 func FuzzReadManifest(f *testing.F) {
 	seed := filepath.Join(f.TempDir(), ManifestName)
-	err := WriteManifest(seed, &Manifest{Dims: 24, PageSize: 4096, Shards: []ShardFiles{
-		{ChunkFile: "shard-0.chunk", IndexFile: "shard-0.idx", Chunks: 3},
-		{ChunkFile: "shard-1.chunk", IndexFile: "shard-1.idx", Chunks: 0},
+	manifestBytes := func(m *Manifest) []byte {
+		if err := WriteManifest(seed, m); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	raw := manifestBytes(&Manifest{Dims: 24, PageSize: 4096, Replication: 1, Shards: []ShardFiles{
+		{ChunkFile: "shard-0.chunk", IndexFile: "shard-0.idx", Chunks: 3, Primary: 3},
+		{ChunkFile: "shard-1.chunk", IndexFile: "shard-1.idx", Chunks: 0, Primary: 0},
 	}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	raw, err := os.ReadFile(seed)
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(raw)
 	f.Add(raw[:20])
+	f.Add(manifestBytes(&Manifest{Dims: 24, PageSize: 4096, Replication: 2, Shards: []ShardFiles{
+		{ChunkFile: "shard-0.chunk", IndexFile: "shard-0.idx", Chunks: 5, Primary: 3},
+		{ChunkFile: "shard-1.chunk", IndexFile: "shard-1.idx", Chunks: 5, Primary: 2},
+	}}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, ManifestName)

@@ -1,8 +1,10 @@
 // Sharded on-disk layout: the single chunk/index file pair of §4.2 grows
 // to one pair per shard plus a manifest. The manifest records the
-// dimensionality, the page size every shard was padded with, and the
-// per-shard file names and chunk counts, so OpenSharded can validate each
-// pair against what SaveSharded wrote before any query touches it.
+// dimensionality, the page size every shard was padded with, the
+// replication factor, and per shard the file names, the chunk count and
+// how many of those chunks are the shard's primaries, so OpenSharded can
+// validate each pair against what SaveSharded wrote before any query
+// touches it, and the shard layer can lay the replicas out again.
 package chunkfile
 
 import (
@@ -18,7 +20,14 @@ import (
 	"repro/internal/descriptor"
 )
 
-const manifestMagic = "EFF2SMFT"
+// The manifest starts with a magic and a version byte, as chunk files
+// do; a later layout change bumps the version byte, not the magic. The
+// unversioned manifest that preceded it has another magic, so it fails
+// with ErrBadMagic instead of being misread.
+const (
+	manifestMagic   = "EFF2SMFV"
+	manifestVersion = 2
+)
 
 // ManifestName is the manifest's file name inside a sharded index
 // directory.
@@ -29,32 +38,39 @@ const ManifestName = "manifest"
 type ShardFiles struct {
 	ChunkFile string
 	IndexFile string
-	Chunks    int // chunk count, validated on open
+	Chunks    int // physical chunk count, validated on open
+	Primary   int // the shard's primary (logical) chunks: the first Primary of its Chunks
 }
 
 // Manifest describes a sharded index directory.
 type Manifest struct {
-	Dims     int
-	PageSize int
-	Shards   []ShardFiles
+	Dims        int
+	PageSize    int
+	Replication int // copies of every chunk, each on its own shard
+	Shards      []ShardFiles
 }
 
 // SaveSharded writes a sharded index into dir: one shard-<i>.chunk /
 // shard-<i>.idx pair per shard (each a regular §4.2 two-file index over
-// that shard's clusters) plus the manifest tying them together. All
-// shards share one page size so the per-shard simulated timings stay
-// comparable. The shard pairs are written concurrently, each on its own
-// goroutine into its own files, so the bytes do not depend on scheduling;
-// their errors are joined in shard order, and the manifest is written
-// last, only when every pair succeeded.
-func SaveSharded(coll *descriptor.Collection, shards [][]*cluster.Cluster, dir string, pageSize int) error {
+// that shard's chunks: its primary[i] primaries, then the replicas placed
+// on it) plus the manifest tying them together, which records the
+// replication factor and the primary counts. All shards share one page
+// size so the per-shard simulated timings stay comparable. The shard
+// pairs are written concurrently, each on its own goroutine into its own
+// files, so the bytes do not depend on scheduling; their errors are
+// joined in shard order, and the manifest is written last, only when
+// every pair succeeded.
+func SaveSharded(coll *descriptor.Collection, shards [][]*cluster.Cluster, primary []int, replication int, dir string, pageSize int) error {
 	if len(shards) == 0 {
 		return errors.New("chunkfile: no shards to save")
+	}
+	if len(primary) != len(shards) {
+		return fmt.Errorf("chunkfile: %d primary counts for %d shards", len(primary), len(shards))
 	}
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	m := &Manifest{Dims: coll.Dims(), PageSize: pageSize, Shards: make([]ShardFiles, len(shards))}
+	m := &Manifest{Dims: coll.Dims(), PageSize: pageSize, Replication: replication, Shards: make([]ShardFiles, len(shards))}
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for i, clusters := range shards {
@@ -62,6 +78,7 @@ func SaveSharded(coll *descriptor.Collection, shards [][]*cluster.Cluster, dir s
 			ChunkFile: fmt.Sprintf("shard-%d.chunk", i),
 			IndexFile: fmt.Sprintf("shard-%d.idx", i),
 			Chunks:    len(clusters),
+			Primary:   primary[i],
 		}
 		m.Shards[i] = sf
 		wg.Add(1)
@@ -132,32 +149,29 @@ func WriteManifest(path string, m *Manifest) error {
 	}
 	defer f.Close()
 	w := bufio.NewWriter(f)
-	if _, err := w.WriteString(manifestMagic); err != nil {
-		return err
-	}
-	writeU32 := func(v int) error {
+	w.WriteString(manifestMagic)
+	w.WriteByte(manifestVersion)
+	writeU32 := func(v int) {
 		var b [4]byte
 		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		_, err := w.Write(b[:])
-		return err
+		w.Write(b[:])
 	}
-	writeStr := func(s string) error {
-		if err := writeU32(len(s)); err != nil {
-			return err
-		}
-		_, err := w.WriteString(s)
-		return err
+	writeStr := func(s string) {
+		writeU32(len(s))
+		w.WriteString(s)
 	}
-	if err := errors.Join(writeU32(m.Dims), writeU32(m.PageSize), writeU32(len(m.Shards))); err != nil {
-		return err
-	}
+	writeU32(m.Dims)
+	writeU32(m.PageSize)
+	writeU32(m.Replication)
+	writeU32(len(m.Shards))
 	for _, sf := range m.Shards {
-		if err := errors.Join(writeU32(sf.Chunks), writeStr(sf.ChunkFile), writeStr(sf.IndexFile)); err != nil {
-			return err
-		}
+		writeU32(sf.Chunks)
+		writeU32(sf.Primary)
+		writeStr(sf.ChunkFile)
+		writeStr(sf.IndexFile)
 	}
-	if err := w.Flush(); err != nil {
-		return err
+	if err := w.Flush(); err != nil { // a bufio.Writer keeps its first error
+		return fmt.Errorf("chunkfile: write manifest: %w", err)
 	}
 	return f.Sync()
 }
@@ -168,10 +182,13 @@ func ReadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chunkfile: read manifest: %w", err)
 	}
-	if len(raw) < 20 || string(raw[:8]) != manifestMagic {
+	if len(raw) < len(manifestMagic)+1 || string(raw[:len(manifestMagic)]) != manifestMagic {
 		return nil, ErrBadMagic
 	}
-	o := 8
+	if v := raw[len(manifestMagic)]; v != manifestVersion {
+		return nil, fmt.Errorf("chunkfile: unsupported manifest version %d", v)
+	}
+	o := len(manifestMagic) + 1
 	readU32 := func() (int, error) {
 		if o+4 > len(raw) {
 			return 0, fmt.Errorf("chunkfile: manifest truncated at byte %d", o)
@@ -193,25 +210,27 @@ func ReadManifest(path string) (*Manifest, error) {
 		return s, nil
 	}
 	m := &Manifest{}
-	if m.Dims, err = readU32(); err != nil {
-		return nil, err
-	}
-	if m.PageSize, err = readU32(); err != nil {
-		return nil, err
+	var n int
+	for _, v := range []*int{&m.Dims, &m.PageSize, &m.Replication, &n} {
+		if *v, err = readU32(); err != nil {
+			return nil, err
+		}
 	}
 	if m.Dims <= 0 || m.PageSize <= 0 {
 		return nil, fmt.Errorf("chunkfile: manifest dims %d / page size %d invalid", m.Dims, m.PageSize)
 	}
-	n, err := readU32()
-	if err != nil {
-		return nil, err
-	}
 	if n <= 0 || n > len(raw) { // each shard entry takes well over one byte
 		return nil, fmt.Errorf("chunkfile: manifest shard count %d invalid", n)
+	}
+	if m.Replication < 1 || m.Replication > n {
+		return nil, fmt.Errorf("chunkfile: manifest replication %d invalid over %d shards", m.Replication, n)
 	}
 	for i := 0; i < n; i++ {
 		var sf ShardFiles
 		if sf.Chunks, err = readU32(); err != nil {
+			return nil, err
+		}
+		if sf.Primary, err = readU32(); err != nil {
 			return nil, err
 		}
 		if sf.ChunkFile, err = readStr(); err != nil {
@@ -220,7 +239,7 @@ func ReadManifest(path string) (*Manifest, error) {
 		if sf.IndexFile, err = readStr(); err != nil {
 			return nil, err
 		}
-		if sf.Chunks < 0 {
+		if sf.Chunks < 0 || sf.Primary < 0 || sf.Primary > sf.Chunks {
 			return nil, fmt.Errorf("chunkfile: manifest shard %d entry invalid", i)
 		}
 		// File names must stay inside the manifest's directory: reject

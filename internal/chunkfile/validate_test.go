@@ -95,9 +95,9 @@ func TestOpenValidatesMetas(t *testing.T) {
 }
 
 // TestOpenRejectsForeignChunkHeaders pins Open's reading of the chunk
-// file's magic and version byte: a file that is not a chunk file, a
-// version this reader does not know, and a header cut short inside the
-// version byte all fail at open.
+// file's magic and version byte: a file that is not a chunk file, the
+// retired unversioned header, a version this reader does not know, and a
+// header cut short inside the version byte all fail at open.
 func TestOpenRejectsForeignChunkHeaders(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -106,6 +106,7 @@ func TestOpenRejectsForeignChunkHeaders(t *testing.T) {
 		mention string // text the error must contain, if any
 	}{
 		{"garbage magic", func(raw []byte) []byte { return append([]byte("GARBAGE!"), raw[8:]...) }, ErrBadMagic, ""},
+		{"unversioned header", func(raw []byte) []byte { return append([]byte("EFF2CHNK"), raw[len(chunkMagic)+1:]...) }, ErrBadMagic, ""},
 		{"unknown version", func(raw []byte) []byte { raw[len(chunkMagic)] = 3; return raw }, nil, "version 3"},
 		{"cut inside the version byte", func(raw []byte) []byte { return raw[:len(chunkMagic)] }, nil, ""},
 	} {
@@ -188,14 +189,16 @@ func TestUseAfterCloseIsError(t *testing.T) {
 }
 
 // TestShardedRoundTrip pins the manifest format: SaveSharded then
-// OpenSharded serves the same chunks per shard, and the manifest's
-// cross-checks reject tampered directories.
+// OpenSharded serves the same chunks per shard and gives back the
+// replication factor and primary counts, and the manifest's checks reject
+// tampered directories, the retired unversioned manifest and unknown
+// versions.
 func TestShardedRoundTrip(t *testing.T) {
 	coll, cs := makeClusters(t)
 	dir := t.TempDir()
-	shards := [][]*cluster.Cluster{{cs[0], cs[2]}, {cs[1]}}
+	shards := [][]*cluster.Cluster{{cs[0], cs[2], cs[1]}, {cs[1], cs[0], cs[2]}} // each shard's primaries, then its copies of the other's
 	const pageSize = 4096
-	if err := SaveSharded(coll, shards, dir, pageSize); err != nil {
+	if err := SaveSharded(coll, shards, []int{2, 1}, 2, dir, pageSize); err != nil {
 		t.Fatal(err)
 	}
 
@@ -203,7 +206,8 @@ func TestShardedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Dims != coll.Dims() || m.PageSize != pageSize || len(m.Shards) != 2 {
+	if m.Dims != coll.Dims() || m.PageSize != pageSize || m.Replication != 2 || len(m.Shards) != 2 ||
+		m.Shards[0].Primary != 2 || m.Shards[1].Primary != 1 {
 		t.Fatalf("manifest %+v", m)
 	}
 	if len(stores) != 2 {
@@ -255,19 +259,33 @@ func TestShardedRoundTrip(t *testing.T) {
 		t.Fatal("manifest/shard chunk-count mismatch accepted")
 	}
 
-	// A truncated manifest is rejected.
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	// A truncated manifest, the unversioned manifest that preceded the
+	// version byte and an unknown version are rejected.
+	mpath := filepath.Join(dir, ManifestName)
+	raw, err := os.ReadFile(mpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), raw[:len(raw)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenSharded(dir); err == nil {
-		t.Fatal("truncated manifest accepted")
+	for _, tc := range []struct {
+		name    string
+		raw     []byte
+		is      error
+		mention string
+	}{
+		{"truncated", raw[:len(raw)-3], nil, "truncated"},
+		{"unversioned", append([]byte("EFF2SMFT"), raw[len(manifestMagic)+1:]...), ErrBadMagic, ""},
+		{"unknown version", append([]byte(manifestMagic+"\x07"), raw[len(manifestMagic)+1:]...), nil, "manifest version 7"},
+	} {
+		if err := os.WriteFile(mpath, tc.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := OpenSharded(dir)
+		if err == nil || (tc.is != nil && !errors.Is(err, tc.is)) || !strings.Contains(err.Error(), tc.mention) {
+			t.Fatalf("%s manifest: err %v, want %v mentioning %q", tc.name, err, tc.is, tc.mention)
+		}
 	}
 
-	if err := SaveSharded(coll, nil, dir, pageSize); err == nil {
+	if err := SaveSharded(coll, nil, nil, 1, dir, pageSize); err == nil {
 		t.Fatal("zero-shard save accepted")
 	}
 }

@@ -201,7 +201,14 @@ func Read(r io.Reader) (*Collection, error) {
 		}
 		c.ids = slices.Grow(c.ids, n)[:filled+n]
 		c.backing = slices.Grow(c.backing, n*dims)[:(filled+n)*dims]
-		DecodeRecords(buf, n, dims, c.ids[filled:], c.backing[filled*dims:])
+		for k := range n {
+			r := buf[k*rec : (k+1)*rec]
+			c.ids[filled+k] = ID(binary.LittleEndian.Uint32(r))
+			row := c.backing[(filled+k)*dims : (filled+k+1)*dims]
+			for d := range row {
+				row[d] = math.Float32frombits(binary.LittleEndian.Uint32(r[4+4*d:]))
+			}
+		}
 		filled += n
 	}
 	return c, nil
@@ -234,36 +241,6 @@ func LoadFile(path string) (*Collection, error) {
 func encodeRecord(rec []byte, id ID, v vec.Vector) {
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(id))
 	for i, x := range v {
-		binary.LittleEndian.PutUint32(rec[4+i*4:8+i*4], floatBits(x))
-	}
-}
-
-// DecodeRecords bulk-decodes n fixed-size records (uint32 id followed by
-// dims little-endian float32 coordinates each) from buf into ids[:n] and
-// vecs[:n*dims]. This is the one home of the interleaved record layout
-// shared by the collection file and the v1 chunk file read shim. On a
-// little-endian host a record's float block already is the memory image
-// of its row, so each record is one id load and one block copy; any other
-// host assembles every coordinate byte by byte. The two are pinned
-// bit-identical.
-func DecodeRecords(buf []byte, n, dims int, ids []ID, vecs []float32) {
-	if hostLittleEndian {
-		decodeRecordsLE(buf, n, dims, ids, vecs)
-	} else {
-		decodeRecordsPortable(buf, n, dims, ids, vecs)
-	}
-}
-
-func decodeRecordsPortable(buf []byte, n, dims int, ids []ID, vecs []float32) {
-	rec := 4 + dims*4
-	for k := 0; k < n; k++ {
-		o := k * rec
-		ids[k] = ID(binary.LittleEndian.Uint32(buf[o : o+4]))
-		o += 4
-		base := k * dims
-		for d := 0; d < dims; d++ {
-			vecs[base+d] = bitsFloat(binary.LittleEndian.Uint32(buf[o : o+4]))
-			o += 4
-		}
+		binary.LittleEndian.PutUint32(rec[4+i*4:8+i*4], math.Float32bits(x))
 	}
 }

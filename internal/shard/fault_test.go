@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"sync"
@@ -439,32 +438,10 @@ func TestPartitionReplicatedInvariants(t *testing.T) {
 	}
 }
 
-// TestPlacementSaveLoadRoundTrip pins the placement sidecar format.
-func TestPlacementSaveLoadRoundTrip(t *testing.T) {
-	ds, clusters := fixture(t, 2000, 61, 130)
-	p, err := PartitionReplicated(clusters, 4, 2, ds.Collection.Dims(), 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), PlacementName)
-	if err := SavePlacement(path, p); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadPlacement(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.R != p.R || !reflect.DeepEqual(got.NumPrimary, p.NumPrimary) || !reflect.DeepEqual(got.Replicas, p.Replicas) {
-		t.Fatal("placement round trip differs")
-	}
-	if got.Primary != nil || got.Extra != nil {
-		t.Fatal("loaded placement carries build-side state")
-	}
-}
-
 // TestFailoverTerminatesAfterEveryCopy pins that a read tries each copy
 // of a chunk once, under the retry policy, and then gives up: 65
-// one-chunk shards, each chunk replicated on all 64 others, every read
+// one-primary shards at R=65, so each chunk is replicated on all 64
+// others, every store holding 65 copies of one cluster and every read
 // failing transiently. The read must return ErrAllReplicasDown after
 // exactly readAttempts attempts per copy, with no shard marked down —
 // however many copies a placement names, failover never retries a copy
@@ -472,19 +449,20 @@ func TestPlacementSaveLoadRoundTrip(t *testing.T) {
 func TestFailoverTerminatesAfterEveryCopy(t *testing.T) {
 	ds, clusters := fixture(t, 2000, 67, 130)
 	const shards = 65
-	p := &Placement{R: shards, NumPrimary: make([]int, shards), Replicas: make([][][]ChunkLoc, shards)}
+	numPrimary := make([]int, shards)
+	copies := make([]*cluster.Cluster, shards)
+	for s := range numPrimary {
+		numPrimary[s], copies[s] = 1, clusters[0]
+	}
+	p, err := Place(numPrimary, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
 	stores := make([]chunkfile.Store, shards)
 	faults := make([]*faultstore.Store, shards)
 	for s := range stores {
-		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(ds.Collection, clusters[:1], 4096), faultstore.Config{TransientProb: 1})
+		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(ds.Collection, copies, 4096), faultstore.Config{TransientProb: 1})
 		stores[s] = faults[s]
-		p.NumPrimary[s] = 1
-		p.Replicas[s] = [][]ChunkLoc{nil}
-		for t := range stores {
-			if t != s {
-				p.Replicas[s][0] = append(p.Replicas[s][0], ChunkLoc{Shard: int32(t)})
-			}
-		}
 	}
 	r, err := NewRouter(stores, p, RouterOptions{})
 	if err != nil {

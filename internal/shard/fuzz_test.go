@@ -1,10 +1,7 @@
 package shard
 
 import (
-	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -91,9 +88,9 @@ func checkAssignment(t *testing.T, assign [][]int, shards, ncl int) {
 // than one cluster's); R−1 replicas per cluster on distinct shards other
 // than its primary, each resolving to the cluster in the holder's
 // physical order; at R=2, the replicas of each shard's primaries spread
-// over the other shards within ±1 of each other; and the sidecar round
-// trip (SavePlacement/LoadPlacement keeps the serving state and drops
-// the build-side state).
+// over the other shards within ±1 of each other; and that Place on the
+// primary counts alone gives back the build's replicas, without the
+// build-side state.
 func FuzzPartitionReplicated(f *testing.F) {
 	f.Add(uint8(7), uint8(3), uint8(1), int64(1))
 	f.Add(uint8(0), uint8(0), uint8(0), int64(0))
@@ -101,7 +98,7 @@ func FuzzPartitionReplicated(f *testing.F) {
 	f.Add(uint8(12), uint8(4), uint8(0), int64(5))
 	f.Add(uint8(3), uint8(6), uint8(2), int64(-9)) // fewer clusters than shards
 	f.Add(uint8(20), uint8(2), uint8(9), int64(-3))
-	// Unreplicated (R=1) cases: primaries and sidecar alone.
+	// Unreplicated (R=1) cases: primaries alone.
 	f.Add(uint8(7), uint8(3), uint8(0), int64(1))
 	f.Add(uint8(31), uint8(7), uint8(0), int64(2005))
 	f.Add(uint8(12), uint8(1), uint8(0), int64(5))
@@ -210,76 +207,17 @@ func FuzzPartitionReplicated(f *testing.F) {
 			}
 		}
 
-		path := filepath.Join(t.TempDir(), PlacementName)
-		if err := SavePlacement(path, p); err != nil {
-			t.Fatal(err)
-		}
-		got, err := LoadPlacement(path)
+		// The layout follows from R and the primary counts alone: what a
+		// saved index's manifest records and its open lays out again.
+		again, err = Place(p.NumPrimary, rep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.R != p.R || !reflect.DeepEqual(got.NumPrimary, p.NumPrimary) {
-			t.Fatal("placement sidecar round trip differs")
+		if again.R != p.R || !reflect.DeepEqual(again.NumPrimary, p.NumPrimary) || !reflect.DeepEqual(again.Replicas, p.Replicas) {
+			t.Fatal("Place on the build's primary counts differs from the build's replicas")
 		}
-		// Replica lists compare element-wise: LoadPlacement materializes
-		// an R=1 chunk's empty list as empty, the builder leaves it nil.
-		for s := range p.Replicas {
-			for i := range p.Replicas[s] {
-				a, b := p.Replicas[s][i], got.Replicas[s][i]
-				if len(a) != len(b) {
-					t.Fatalf("round trip shard %d chunk %d: %d replicas became %d", s, i, len(a), len(b))
-				}
-				for r := range a {
-					if a[r] != b[r] {
-						t.Fatalf("round trip shard %d chunk %d replica %d: %+v != %+v", s, i, r, b[r], a[r])
-					}
-				}
-			}
-		}
-		if got.Primary != nil || got.Extra != nil {
-			t.Fatal("loaded placement carries build-side state")
-		}
-	})
-}
-
-// FuzzLoadPlacement reads mutated placement-sidecar bytes. LoadPlacement
-// must never panic; a placement it accepts is written back
-// byte-identically by SavePlacement.
-func FuzzLoadPlacement(f *testing.F) {
-	p, err := PartitionReplicated(fuzzClusters(9, 1), 3, 2, fuzzColl().Dims(), 4096)
-	if err != nil {
-		f.Fatal(err)
-	}
-	seed := filepath.Join(f.TempDir(), PlacementName)
-	if err := SavePlacement(seed, p); err != nil {
-		f.Fatal(err)
-	}
-	raw, err := os.ReadFile(seed)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(raw)
-	f.Add(raw[:len(raw)-4])
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, PlacementName)
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		p, err := LoadPlacement(path)
-		if err != nil {
-			return
-		}
-		again := filepath.Join(dir, "again")
-		if err := SavePlacement(again, p); err != nil {
-			t.Fatalf("accepted placement does not write back: %v", err)
-		}
-		out, err := os.ReadFile(again)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out, raw) {
-			t.Fatalf("placement round trip differs:\n in %x\nout %x", raw, out)
+		if again.Primary != nil || again.Extra != nil {
+			t.Fatal("Place carries build-side state")
 		}
 	})
 }

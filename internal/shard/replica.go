@@ -16,18 +16,17 @@
 // copy of a chunk sits on its own shard; and consecutive primaries of
 // one shard rotate their replicas over the other shards, so when shard p
 // is down its reads spread over the survivors instead of landing on one
-// neighbour. The procedure is fully deterministic.
+// neighbour. The layout is a function of R and the shards' primary
+// counts alone (Place): the build lays the copies out with it, and a
+// saved index, whose manifest records exactly those numbers, lays them
+// out again at open. A directory written under another rule is caught
+// there, when a replica's index entry differs from its primary's.
 
 package shard
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"math"
-	"os"
 
-	"repro/internal/chunkfile"
 	"repro/internal/cluster"
 )
 
@@ -54,185 +53,76 @@ type Placement struct {
 	// locations.
 	Replicas [][][]ChunkLoc
 	// Primary holds each shard's primary cluster indexes in ascending
-	// order — the plain Partition assignment. Build-side only; nil after
-	// LoadPlacement.
+	// order — the plain Partition assignment. Build-side only; nil from
+	// Place.
 	Primary [][]int
 	// Extra holds the cluster indexes replicated onto each shard, in
 	// physical chunk order after the primaries. Build-side only; nil
-	// after LoadPlacement.
+	// from Place.
 	Extra [][]int
 }
 
 // PartitionReplicated assigns clusters to shards with replication factor
 // replication: primaries by the plain Partition (so the logical layout —
 // and with it every healthy query result — is independent of R), replicas
-// declustered over the other shards (see the file comment). A shard's
-// physical chunk order is its ascending primaries followed by its
-// replicas in placement order.
+// declustered over the other shards by Place. A shard's physical chunk
+// order is its ascending primaries followed by its replicas in placement
+// order.
 func PartitionReplicated(clusters []*cluster.Cluster, shards, replication, dims, pageSize int) (*Placement, error) {
-	if replication < 1 {
-		return nil, fmt.Errorf("shard: replication factor %d < 1", replication)
-	}
-	if replication > shards {
-		return nil, fmt.Errorf("shard: replication factor %d > shard count %d", replication, shards)
-	}
 	assign, err := Partition(clusters, shards, dims, pageSize)
 	if err != nil {
 		return nil, err
 	}
-	p := &Placement{
-		R:          replication,
-		NumPrimary: make([]int, shards),
-		Replicas:   make([][][]ChunkLoc, shards),
-		Primary:    assign,
-		Extra:      make([][]int, shards),
-	}
+	numPrimary := make([]int, shards)
 	for s, idxs := range assign {
-		p.NumPrimary[s] = len(idxs)
-		p.Replicas[s] = make([][]ChunkLoc, len(idxs))
+		numPrimary[s] = len(idxs)
+	}
+	p, err := Place(numPrimary, replication)
+	if err != nil {
+		return nil, err
+	}
+	p.Primary = assign
+	p.Extra = make([][]int, shards)
+	for s, idxs := range assign {
 		for i, ci := range idxs {
-			for r := 1; r < replication; r++ {
-				t := (s + r + i%(shards-replication+1)) % shards
-				loc := ChunkLoc{Shard: int32(t), Chunk: int32(len(assign[t]) + len(p.Extra[t]))}
-				p.Extra[t] = append(p.Extra[t], ci)
-				p.Replicas[s][i] = append(p.Replicas[s][i], loc)
+			for _, loc := range p.Replicas[s][i] {
+				p.Extra[loc.Shard] = append(p.Extra[loc.Shard], ci)
 			}
 		}
 	}
 	return p, nil
 }
 
-const placementMagic = "EFF2REPL"
-
-// PlacementName is the placement sidecar's file name inside a sharded
-// index directory. The file exists only for replicated (R>1) layouts.
-const PlacementName = "replicas"
-
-// SavePlacement writes the placement sidecar to path (build-side Primary
-// and Extra are not persisted; OpenSharded-style consumers only need the
-// logical sizes and replica locations).
-func SavePlacement(path string, p *Placement) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("shard: create placement file: %w", err)
+// Place lays out the replicas of a layout whose shard s holds
+// numPrimary[s] primary chunks, with replication factor replication (see
+// the file comment). Replicas land on each shard in the order of this
+// walk — shard, then primary, then copy — after the shard's primaries,
+// so the locations follow from the counts alone.
+func Place(numPrimary []int, replication int) (*Placement, error) {
+	shards := len(numPrimary)
+	if replication < 1 {
+		return nil, fmt.Errorf("shard: replication factor %d < 1", replication)
 	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	if _, err := w.WriteString(placementMagic); err != nil {
-		return err
+	if replication > shards {
+		return nil, fmt.Errorf("shard: replication factor %d > shard count %d", replication, shards)
 	}
-	writeU32 := func(v int) error {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		_, err := w.Write(b[:])
-		return err
-	}
-	if err := writeU32(p.R); err != nil {
-		return err
-	}
-	if err := writeU32(len(p.NumPrimary)); err != nil {
-		return err
-	}
-	for s, n := range p.NumPrimary {
-		if err := writeU32(n); err != nil {
-			return err
+	p := &Placement{R: replication, NumPrimary: numPrimary, Replicas: make([][][]ChunkLoc, shards)}
+	next := make([]int, shards) // each shard's next physical chunk
+	for s, n := range numPrimary {
+		if n < 0 {
+			return nil, fmt.Errorf("shard: shard %d: %d primary chunks", s, n)
 		}
-		for i := 0; i < n; i++ {
-			locs := p.Replicas[s][i]
-			if err := writeU32(len(locs)); err != nil {
-				return err
-			}
-			for _, loc := range locs {
-				if err := writeU32(int(loc.Shard)); err != nil {
-					return err
-				}
-				if err := writeU32(int(loc.Chunk)); err != nil {
-					return err
-				}
-			}
-		}
+		next[s] = n
 	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("shard: write placement file: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("shard: sync placement file: %w", err)
-	}
-	return nil
-}
-
-// LoadPlacement reads a placement sidecar written by SavePlacement.
-func LoadPlacement(path string) (*Placement, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("shard: read placement file: %w", err)
-	}
-	if len(raw) < 16 || string(raw[:8]) != placementMagic {
-		return nil, fmt.Errorf("shard: placement file: %w", chunkfile.ErrBadMagic)
-	}
-	o := 8
-	readU32 := func() (int, error) {
-		if o+4 > len(raw) {
-			return 0, fmt.Errorf("shard: placement file truncated at byte %d", o)
-		}
-		v := int(binary.LittleEndian.Uint32(raw[o : o+4]))
-		o += 4
-		return v, nil
-	}
-	p := &Placement{}
-	if p.R, err = readU32(); err != nil {
-		return nil, err
-	}
-	shards, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if p.R < 1 || shards < 1 || shards > math.MaxInt32 || p.R > shards {
-		return nil, fmt.Errorf("shard: placement file has invalid replication %d over %d shards", p.R, shards)
-	}
-	if shards > len(raw) { // each shard entry takes well over one byte
-		return nil, fmt.Errorf("shard: placement file shard count %d invalid", shards)
-	}
-	p.NumPrimary = make([]int, shards)
-	p.Replicas = make([][][]ChunkLoc, shards)
-	for s := 0; s < shards; s++ {
-		n, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		if n < 0 || n > len(raw) {
-			return nil, fmt.Errorf("shard: placement file shard %d chunk count %d invalid", s, n)
-		}
-		p.NumPrimary[s] = n
+	for s, n := range numPrimary {
 		p.Replicas[s] = make([][]ChunkLoc, n)
-		for i := 0; i < n; i++ {
-			k, err := readU32()
-			if err != nil {
-				return nil, err
+		for i := range n {
+			for r := 1; r < replication; r++ {
+				t := (s + r + i%(shards-replication+1)) % shards
+				p.Replicas[s][i] = append(p.Replicas[s][i], ChunkLoc{Shard: int32(t), Chunk: int32(next[t])})
+				next[t]++
 			}
-			if k != p.R-1 {
-				return nil, fmt.Errorf("shard: placement file shard %d chunk %d has %d replicas, want %d", s, i, k, p.R-1)
-			}
-			locs := make([]ChunkLoc, k)
-			for r := range locs {
-				sh, err := readU32()
-				if err != nil {
-					return nil, err
-				}
-				ch, err := readU32()
-				if err != nil {
-					return nil, err
-				}
-				if sh < 0 || sh >= shards || sh == s || ch < 0 || ch > math.MaxInt32 {
-					return nil, fmt.Errorf("shard: placement file shard %d chunk %d replica %d location (%d,%d) invalid", s, i, r, sh, ch)
-				}
-				locs[r] = ChunkLoc{Shard: int32(sh), Chunk: int32(ch)}
-			}
-			p.Replicas[s][i] = locs
 		}
-	}
-	if o != len(raw) {
-		return nil, fmt.Errorf("shard: placement file has %d trailing bytes", len(raw)-o)
 	}
 	return p, nil
 }

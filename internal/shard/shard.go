@@ -44,6 +44,8 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -136,24 +138,20 @@ type RouterOptions struct {
 
 // NewRouter builds a Router over one physical store per shard and the
 // placement describing each store's primary prefix and the replica
-// locations of every logical chunk (see PartitionReplicated). Queries walk
-// the logical chunks; replicas serve failovers. A nil placement means
-// unreplicated: every store's chunks are all primary (R=1), so a chunk
-// whose shard dies has no replica and queries over it degrade.
+// locations of every logical chunk (see Place). Queries walk the logical
+// chunks; replicas serve failovers. A nil placement means unreplicated:
+// every store's chunks are all primary (R=1), so a chunk whose shard dies
+// has no replica and queries over it degrade.
 func NewRouter(stores []chunkfile.Store, placement *Placement, opts RouterOptions) (*Router, error) {
 	if len(stores) == 0 {
 		return nil, errors.New("shard: no stores")
 	}
 	if placement == nil {
-		placement = &Placement{
-			R:          1,
-			NumPrimary: make([]int, len(stores)),
-			Replicas:   make([][][]ChunkLoc, len(stores)),
-		}
+		counts := make([]int, len(stores))
 		for s, st := range stores {
-			placement.NumPrimary[s] = len(st.Meta())
-			placement.Replicas[s] = make([][]ChunkLoc, len(st.Meta()))
+			counts[s] = len(st.Meta())
 		}
+		placement, _ = Place(counts, 1) // cannot fail: one copy, counts ≥ 0
 	}
 	if err := validatePlacement(stores, placement); err != nil {
 		return nil, err
@@ -187,8 +185,13 @@ func NewRouter(stores []chunkfile.Store, placement *Placement, opts RouterOption
 }
 
 // validatePlacement cross-checks a placement against the physical
-// stores, so a stale or corrupt sidecar fails at router construction
-// with a diagnostic error instead of an out-of-range read mid-query.
+// stores, so a directory whose manifest disagrees with its files fails at
+// router construction with an error naming the shard and chunk, instead
+// of an out-of-range read or a misrouted failover mid-query: every
+// replica location must exist and hold an index entry equal to its
+// primary's (bit-equal centroid and radius, equal Count and Bytes), and
+// every store must hold exactly its primaries plus the replicas placed
+// on it.
 func validatePlacement(stores []chunkfile.Store, p *Placement) error {
 	if p.R < 1 {
 		return fmt.Errorf("shard: placement replication factor %d < 1", p.R)
@@ -196,6 +199,7 @@ func validatePlacement(stores []chunkfile.Store, p *Placement) error {
 	if len(p.NumPrimary) != len(stores) || len(p.Replicas) != len(stores) {
 		return fmt.Errorf("shard: placement describes %d shards, router has %d", len(p.NumPrimary), len(stores))
 	}
+	physical := slices.Clone(p.NumPrimary)
 	for s, st := range stores {
 		if p.NumPrimary[s] < 0 || p.NumPrimary[s] > len(st.Meta()) {
 			return fmt.Errorf("shard: placement shard %d: %d primary chunks, store has %d", s, p.NumPrimary[s], len(st.Meta()))
@@ -211,14 +215,39 @@ func validatePlacement(stores []chunkfile.Store, p *Placement) error {
 				if int(loc.Shard) < 0 || int(loc.Shard) >= len(stores) || int(loc.Shard) == s {
 					return fmt.Errorf("shard: placement shard %d chunk %d: replica shard %d invalid", s, i, loc.Shard)
 				}
-				if int(loc.Chunk) < 0 || int(loc.Chunk) >= len(stores[loc.Shard].Meta()) {
+				held := stores[loc.Shard].Meta()
+				if int(loc.Chunk) < 0 || int(loc.Chunk) >= len(held) {
 					return fmt.Errorf("shard: placement shard %d chunk %d: replica chunk %d outside shard %d's %d chunks",
-						s, i, loc.Chunk, loc.Shard, len(stores[loc.Shard].Meta()))
+						s, i, loc.Chunk, loc.Shard, len(held))
 				}
+				if !sameEntry(st.Meta()[i], held[loc.Chunk]) {
+					return fmt.Errorf("shard: placement shard %d chunk %d: replica at shard %d chunk %d has another index entry",
+						s, i, loc.Shard, loc.Chunk)
+				}
+				physical[loc.Shard]++
 			}
 		}
 	}
+	for s, st := range stores {
+		if n := len(st.Meta()); n != physical[s] {
+			return fmt.Errorf("shard: placement shard %d: store has %d chunks, placement puts %d there", s, n, physical[s])
+		}
+	}
 	return nil
+}
+
+// sameEntry reports whether two index entries describe the same chunk
+// bytes: bit-equal centroid and radius, equal Count and Bytes.
+func sameEntry(a, b chunkfile.Meta) bool {
+	if a.Count != b.Count || a.Bytes != b.Bytes || math.Float64bits(a.Radius) != math.Float64bits(b.Radius) || len(a.Centroid) != len(b.Centroid) {
+		return false
+	}
+	for d, x := range a.Centroid {
+		if math.Float32bits(x) != math.Float32bits(b.Centroid[d]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Shards returns the shard count.

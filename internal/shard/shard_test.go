@@ -183,7 +183,7 @@ func checkOneShard(t *testing.T, global bool) {
 	if err := chunkfile.Write(coll, clusters, cp, ip, pageSize); err != nil {
 		t.Fatal(err)
 	}
-	if err := chunkfile.SaveSharded(coll, [][]*cluster.Cluster{clusters}, dir, pageSize); err != nil {
+	if err := chunkfile.SaveSharded(coll, [][]*cluster.Cluster{clusters}, []int{len(clusters)}, 1, dir, pageSize); err != nil {
 		t.Fatal(err)
 	}
 	fileSingleStore, err := chunkfile.Open(cp, ip)

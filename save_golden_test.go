@@ -14,8 +14,9 @@ import (
 
 // TestSaveGolden pins every byte Save writes: the SHA-256 of each file in
 // the index directory of a 60,000-descriptor SR-tree build at chunks of
-// 250 on 4 shards, unreplicated and at R=2 (which adds the replicas
-// sidecar and the declustered replica chunks). Build and save may get
+// 250 on 4 shards, unreplicated and at R=2 (which adds the declustered
+// replica chunks; the manifest records R and the primary counts, and the
+// directory holds no other file). Build and save may get
 // faster, never different: only a deliberate on-disk format or layout
 // change updates these hashes, with a CHANGES.md line saying so.
 func TestSaveGolden(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/chunkfile"
@@ -117,65 +115,53 @@ func BuildSharded(coll *Collection, cfg BuildConfig, shards int) (*ShardedIndex,
 // followed by any replica chunks) plus a manifest, all at the page size
 // the index was built with, so the reopened index has byte-identical
 // chunk layout and simulated timings. A one-shard directory is the
-// paper's chunk file + index file (§4.2) plus the manifest. Replicated
-// indexes additionally write the replica-placement sidecar OpenSharded
-// restores the layout from. Only indexes produced by BuildSharded can be
-// saved.
+// paper's chunk file + index file (§4.2) plus the manifest. The manifest
+// records the replication factor and each shard's primary count, all
+// OpenSharded needs to lay the replicas out again. Only indexes produced
+// by BuildSharded can be saved.
 func (sx *ShardedIndex) Save(dir string) error {
 	if sx.coll == nil || sx.parts == nil {
 		return fmt.Errorf("repro: index was not built in this process; nothing to save")
 	}
-	if err := chunkfile.SaveSharded(sx.coll, sx.parts, dir, sx.pageSize); err != nil {
-		return err
-	}
-	if sx.placement != nil && sx.placement.R > 1 {
-		return shard.SavePlacement(filepath.Join(dir, shard.PlacementName), sx.placement)
-	}
-	return nil
+	return chunkfile.SaveSharded(sx.coll, sx.parts, sx.placement.NumPrimary, sx.placement.R, dir, sx.pageSize)
 }
 
 // OpenSharded maps an index directory previously written by
-// ShardedIndex.Save, restoring the replica placement when the index was
-// built with replication.
+// ShardedIndex.Save.
 func OpenSharded(dir string) (*ShardedIndex, error) {
 	return OpenShardedWith(dir, OpenConfig{})
 }
 
 // OpenShardedWith is OpenSharded with options. CacheBytes is one budget
-// shared across the shards' stores (hot shards win it).
+// shared across the shards' stores (hot shards win it). The replica
+// placement is laid out again from the manifest's replication factor and
+// primary counts (shard.Place), and the open fails, naming a shard, when
+// the files disagree with it: a replica whose index entry is not its
+// primary's, or a shard with more or fewer chunks than the layout puts
+// there.
 func OpenShardedWith(dir string, cfg OpenConfig) (*ShardedIndex, error) {
 	stores, manifest, err := chunkfile.OpenSharded(dir)
 	if err != nil {
 		return nil, err
 	}
 	shardStores := make([]chunkfile.Store, len(stores))
+	primary := make([]int, len(stores))
 	for i, st := range stores {
 		shardStores[i] = st
+		primary[i] = manifest.Shards[i].Primary
 	}
-	closeAll := func() {
+	placement, err := shard.Place(primary, manifest.Replication)
+	var router *shard.Router
+	if err == nil {
+		router, err = shard.NewRouter(shardStores, placement, shard.RouterOptions{CacheBytes: cfg.CacheBytes})
+	}
+	if err != nil {
 		for _, st := range stores {
 			st.Close()
 		}
-	}
-	var placement *shard.Placement
-	placementPath := filepath.Join(dir, shard.PlacementName)
-	if _, serr := os.Stat(placementPath); serr == nil {
-		if placement, err = shard.LoadPlacement(placementPath); err != nil {
-			closeAll()
-			return nil, err
-		}
-	} else if !errors.Is(serr, os.ErrNotExist) {
-		closeAll()
-		return nil, fmt.Errorf("repro: stat placement file: %w", serr)
-	}
-	router, err := shard.NewRouter(shardStores, placement, shard.RouterOptions{CacheBytes: cfg.CacheBytes})
-	if err != nil {
-		closeAll()
 		return nil, err
 	}
-	sx := newShardedIndex(router, manifest.PageSize)
-	sx.placement = placement
-	return sx, nil
+	return newShardedIndex(router, manifest.PageSize), nil
 }
 
 // Close releases every shard's resources.
