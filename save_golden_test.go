@@ -28,7 +28,7 @@ func TestSaveGolden(t *testing.T) {
 		want        map[string]string
 	}{
 		{"R=1", 1, map[string]string{
-			"manifest":      "37fb32285a9e70d4ef920fca1d341f2459163965bc96732564e19b9bf92c83ab",
+			"manifest":      "30ebff2df34a9f23b2f4e36d32be3e46477baacbb4ebb20bfe5852cef23581aa",
 			"shard-0.chunk": "168cbf76dd05baf1e3a6a1eb7c1f3b2b63a8742bcb188c8d2893913f3bae40f3",
 			"shard-0.idx":   "2e951ebfa9c18bb9f2d07408b5d1941468b066d248e2e5148d98d68131db81a6",
 			"shard-1.chunk": "8507eb4f7c49e1ecbb3dd502b42791cf8ec431d07ecc411b677d4b38e26aacbe",
@@ -39,8 +39,7 @@ func TestSaveGolden(t *testing.T) {
 			"shard-3.idx":   "a64dbfd37113339578ccd01f068654715639e9f93998a17bca7deb68db4af58e",
 		}},
 		{"R=2", 2, map[string]string{
-			"manifest":      "5057c659dbf5f1c1fb7f789c8cdef621ddadc8bcc495a474b2598dc86a0ca27a",
-			"replicas":      "4e8ba003ecc39fd8d0be393f2f2dddc14b2b565c087172e98d9b9498c617b391",
+			"manifest":      "80afdc76d5c18af58377b268ea20d8ccc57d48ee27382784b338a19ad061e2eb",
 			"shard-0.chunk": "0c6b1c7afbeeecf9f657268f9df701a8c32cf520e1916514f9212d975033d384",
 			"shard-0.idx":   "c162defff4eb2be4b6693d6655d8754281444632fda5e020a8902778db72cabc",
 			"shard-1.chunk": "3159a13044291b387cd9b9de094a0fd72fafae146a50cea89e8af2dce1ceb1fd",
