@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"sync"
@@ -435,6 +436,37 @@ func TestPartitionReplicatedInvariants(t *testing.T) {
 	}
 	if _, err := PartitionReplicated(clusters, 3, 0, coll.Dims(), pageSize); err == nil {
 		t.Fatal("replication 0 accepted")
+	}
+}
+
+// TestPlacementSaveLoadRoundTrip pins that a placement survives a saved
+// directory: the manifest records R and the primary counts, and Place
+// on what is read back gives the build's replicas without its
+// build-side state, filling every shard's physical chunks exactly.
+func TestPlacementSaveLoadRoundTrip(t *testing.T) {
+	ds, clusters := fixture(t, 2000, 61, 130)
+	p, err := PartitionReplicated(clusters, 4, 2, ds.Collection.Dims(), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), chunkfile.ManifestName)
+	if err := chunkfile.WriteManifest(path, manifestOf(p, ds.Collection.Dims())); err != nil {
+		t.Fatal(err)
+	}
+	got, m, err := loadPlacement(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.R != p.R || !reflect.DeepEqual(got.NumPrimary, p.NumPrimary) || !reflect.DeepEqual(got.Replicas, p.Replicas) {
+		t.Fatal("placement round trip differs")
+	}
+	if got.Primary != nil || got.Extra != nil {
+		t.Fatal("loaded placement carries build-side state")
+	}
+	for s, n := range physicalCounts(got) {
+		if n != m.Shards[s].Chunks {
+			t.Fatalf("shard %d: loaded layout puts %d chunks there, manifest records %d", s, n, m.Shards[s].Chunks)
+		}
 	}
 }
 

@@ -1,8 +1,12 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -218,6 +222,126 @@ func FuzzPartitionReplicated(f *testing.F) {
 		}
 		if again.Primary != nil || again.Extra != nil {
 			t.Fatal("Place carries build-side state")
+		}
+	})
+}
+
+// manifestOf is the manifest Save writes for placement p: R, and per
+// shard its primary count and its physical count, primaries plus the
+// replicas placed on it.
+func manifestOf(p *Placement, dims int) *chunkfile.Manifest {
+	m := &chunkfile.Manifest{Dims: dims, PageSize: 4096, Replication: p.R}
+	for s, n := range p.NumPrimary {
+		m.Shards = append(m.Shards, chunkfile.ShardFiles{
+			ChunkFile: fmt.Sprintf("shard-%d.chunk", s),
+			IndexFile: fmt.Sprintf("shard-%d.idx", s),
+			Chunks:    n + len(p.Extra[s]),
+			Primary:   n,
+		})
+	}
+	return m
+}
+
+// loadPlacement is the placement half of opening a saved directory:
+// read the manifest and lay its replicas out again from R and the
+// primary counts.
+func loadPlacement(path string) (*Placement, *chunkfile.Manifest, error) {
+	m, err := chunkfile.ReadManifest(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	numPrimary := make([]int, len(m.Shards))
+	for s, sf := range m.Shards {
+		numPrimary[s] = sf.Primary
+	}
+	p, err := Place(numPrimary, m.Replication)
+	return p, m, err
+}
+
+// physicalCounts returns each shard's physical chunk count under p: its
+// primaries plus the replicas p places on it.
+func physicalCounts(p *Placement) []int {
+	n := slices.Clone(p.NumPrimary)
+	for _, lists := range p.Replicas {
+		for _, locs := range lists {
+			for _, loc := range locs {
+				n[loc.Shard]++
+			}
+		}
+	}
+	return n
+}
+
+// FuzzLoadPlacement reads mutated manifest bytes and lays the placement
+// out from them, as opening a saved directory does. Neither step may
+// panic; every manifest ReadManifest accepts, Place accepts too, since
+// the two must agree on what R and a primary count may be; and the
+// layout gives each chunk R−1 copies on distinct shards other than its
+// own, filling each holder's physical slots after its primaries densely,
+// one copy per slot.
+func FuzzLoadPlacement(f *testing.F) {
+	p, err := PartitionReplicated(fuzzClusters(9, 1), 3, 2, fuzzColl().Dims(), 4096)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := filepath.Join(f.TempDir(), chunkfile.ManifestName)
+	if err := chunkfile.WriteManifest(seed, manifestOf(p, fuzzColl().Dims())); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)-4])
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), chunkfile.ManifestName)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := chunkfile.ReadManifest(path)
+		if err != nil {
+			return
+		}
+		total := 0
+		for _, sf := range m.Shards {
+			total += sf.Primary
+		}
+		// Opening a directory checks every shard's chunk count against
+		// its index file before Place runs; counts no test-sized file
+		// could back are not laid out here.
+		if total*m.Replication > 1<<16 {
+			return
+		}
+		p, _, err := loadPlacement(path)
+		if err != nil {
+			t.Fatalf("manifest accepted, its placement rejected: %v", err)
+		}
+		slots := make([][]bool, len(m.Shards))
+		for s := range slots {
+			slots[s] = make([]bool, physicalCounts(p)[s])
+		}
+		for s, lists := range p.Replicas {
+			if len(lists) != m.Shards[s].Primary {
+				t.Fatalf("shard %d: %d replica lists for %d primaries", s, len(lists), m.Shards[s].Primary)
+			}
+			for i, locs := range lists {
+				if len(locs) != p.R-1 {
+					t.Fatalf("shard %d chunk %d: %d replicas at R=%d", s, i, len(locs), p.R)
+				}
+				held := map[int32]bool{int32(s): true}
+				for _, loc := range locs {
+					if held[loc.Shard] {
+						t.Fatalf("shard %d chunk %d: two copies on shard %d", s, i, loc.Shard)
+					}
+					held[loc.Shard] = true
+					c := int(loc.Chunk)
+					if c < p.NumPrimary[loc.Shard] || c >= len(slots[loc.Shard]) || slots[loc.Shard][c] {
+						t.Fatalf("shard %d chunk %d: replica slot %d on shard %d is a primary, out of range or taken", s, i, c, loc.Shard)
+					}
+					slots[loc.Shard][c] = true
+				}
+			}
 		}
 	})
 }
