@@ -1,8 +1,10 @@
 // Command reprod serves one or more chunk indexes over HTTP/JSON with
 // the robustness envelope of internal/server: per-request deadlines
 // propagated down to the chunk loop, bounded in-flight admission,
-// per-tenant chunk-bucket rate limits, honest degraded results, a
-// background shard-health prober, and graceful drain on SIGTERM/SIGINT.
+// per-tenant chunk-bucket rate limits, honest degraded results, a probe
+// loop that calls every index's Probe each -probe-interval to take dead
+// shards out of rotation and return revived ones, and graceful drain on
+// SIGTERM/SIGINT.
 //
 // Usage:
 //

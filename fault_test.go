@@ -51,7 +51,7 @@ func TestReplicatedIndexSurvivesShardDown(t *testing.T) {
 	}
 
 	for kill := 0; kill < sx.Shards(); kill++ {
-		sx.ResetHealth()
+		sx.Probe()
 		for _, opts := range faultOpts() {
 			for _, q := range queries {
 				want, err := sx.Search(q, opts)
@@ -61,7 +61,7 @@ func TestReplicatedIndexSurvivesShardDown(t *testing.T) {
 				sx.MarkShardDown(kill)
 				got, err := sx.Search(q, opts)
 				down := sx.ShardsDown()
-				sx.ResetHealth()
+				sx.Probe()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,7 +85,7 @@ func TestReplicatedIndexSurvivesShardDown(t *testing.T) {
 		if err := sx.SearchBatchInto(queries, bopts, downBatch); err != nil {
 			t.Fatal(err)
 		}
-		sx.ResetHealth()
+		sx.Probe()
 		for qi := range queries {
 			if downBatch[qi].Degraded {
 				t.Fatalf("kill %d batch q%d: degraded despite replication 2", kill, qi)
@@ -111,7 +111,7 @@ func TestUnreplicatedIndexDegradesHonestly(t *testing.T) {
 		}
 		defer sx.Close()
 		for kill := 0; kill < sx.Shards(); kill++ {
-			sx.ResetHealth()
+			sx.Probe()
 			sx.MarkShardDown(kill)
 			checkDegraded(t, coll, sx, kill)
 		}
@@ -233,8 +233,8 @@ func TestReplicatedSaveOpenRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, err = fx.Search(q, opts)
-			sx.ResetHealth()
-			fx.ResetHealth()
+			sx.Probe()
+			fx.Probe()
 			if err != nil {
 				t.Fatal(err)
 			}

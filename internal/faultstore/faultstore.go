@@ -116,9 +116,10 @@ func (s *Store) Kill() { s.dead.Store(true) }
 
 // Revive undoes Kill (and a FailAfter death): reads pass through to the
 // inner store again. It models the operator replacing the dead disk —
-// the store-side half of a recovery drill; the router side is
-// MarkShardUp after a successful probe. The FailAfter countdown is not
-// reset: a revived store with FailAfter set dies again on its next read.
+// the store-side half of a recovery drill; the router side is the next
+// Probe, which reads the store again and returns its shard to rotation.
+// The FailAfter countdown is not reset: a revived store with FailAfter
+// set dies again on its next read.
 func (s *Store) Revive() { s.dead.Store(false) }
 
 // Dead reports whether the store has died (via Kill or FailAfter).

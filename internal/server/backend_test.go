@@ -55,13 +55,6 @@ func stopOf(opts repro.SearchOptions) search.StopRule {
 	return search.ToCompletion{}
 }
 
-// search runs one query as a batch of one, the way /search does.
-func (b *routerBackend) search(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error) {
-	res := make([]repro.Result, 1)
-	err := b.SearchBatchStream([]repro.Vector{q}, repro.BatchOptions{SearchOptions: opts}, res, nil)
-	return &res[0], err
-}
-
 // SearchBatchStream runs the batch on the engine, as the facade does.
 func (b *routerBackend) SearchBatchStream(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result, done func(query int)) error {
 	return b.e.RunStream(queries, batchexec.Options{
@@ -90,15 +83,13 @@ func (b *routerBackend) MultiSearch(descriptors []repro.Vector, opts repro.Multi
 	return multiquery.Aggregate(srs, opts.RankWeighted), nil
 }
 
-func (b *routerBackend) Chunks() int            { return b.r.Chunks() }
-func (b *routerBackend) Len() int               { return b.r.Descriptors() }
-func (b *routerBackend) Close() error           { return b.r.Close() }
-func (b *routerBackend) Shards() int            { return b.r.Shards() }
-func (b *routerBackend) ShardDown(s int) bool   { return b.r.ShardDown(s) }
-func (b *routerBackend) ShardsDown() int        { return b.r.DownShards() }
-func (b *routerBackend) MarkShardDown(s int)    { b.r.MarkShardDown(s) }
-func (b *routerBackend) MarkShardUp(s int)      { b.r.MarkShardUp(s) }
-func (b *routerBackend) ProbeShard(s int) error { return b.r.ProbeShard(s) }
+func (b *routerBackend) Chunks() int          { return b.r.Chunks() }
+func (b *routerBackend) Len() int             { return b.r.Descriptors() }
+func (b *routerBackend) Close() error         { return b.r.Close() }
+func (b *routerBackend) Shards() int          { return b.r.Shards() }
+func (b *routerBackend) ShardDown(s int) bool { return b.r.ShardDown(s) }
+func (b *routerBackend) ShardsDown() int      { return b.r.DownShards() }
+func (b *routerBackend) Probe()               { b.r.Probe() }
 func (b *routerBackend) ShardLoads() []repro.ShardLoad {
 	return b.r.ShardLoads(nil)
 }

@@ -1,111 +1,93 @@
 package server
 
 import (
+	"context"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro"
-	"repro/internal/faultstore"
 )
 
-func TestProberMarksDeadShardDownAndRecovers(t *testing.T) {
-	b, faults, coll := faultedRouter(t, 3000, 11, 3, 1, faultstore.Config{})
-	reg := NewRegistry()
-	if err := reg.Add("sharded", b); err != nil {
-		t.Fatal(err)
-	}
-	defer reg.CloseAll()
-	p := NewProber(reg, time.Hour) // driven by explicit sweeps
-
-	p.Sweep()
-	if got := b.ShardsDown(); got != 0 {
-		t.Fatalf("healthy sweep marked %d shards down", got)
-	}
-
-	// The shard dies. A sweep notices before any paying query does.
-	faults[0].Kill()
-	p.Sweep()
-	if !b.ShardDown(0) {
-		t.Fatal("sweep did not mark the dead shard down")
-	}
-
-	// Queries keep serving, honestly degraded (R=1: no replica covers
-	// the dead shard's chunks).
-	res, err := b.search(coll.Vec(42), repro.SearchOptions{K: 10, MaxChunks: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded || res.ChunksSkipped == 0 || b.ShardsDown() != 1 {
-		t.Fatalf("dead-shard result not honestly degraded: %+v, %d shards down", res, b.ShardsDown())
-	}
-
-	// While the shard stays dead, repeated sweeps keep it down — no
-	// flapping, and still serving degraded.
-	p.Sweep()
-	if !b.ShardDown(0) {
-		t.Fatal("sweep recovered a still-dead shard")
-	}
-
-	// The replica comes back: the next sweep recovers the shard and
-	// results go back to full coverage.
-	faults[0].Revive()
-	p.Sweep()
-	if b.ShardDown(0) {
-		t.Fatal("sweep did not recover the revived shard")
-	}
-	res, err = b.search(coll.Vec(42), repro.SearchOptions{K: 10, MaxChunks: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded || res.ChunksSkipped != 0 || b.ShardsDown() != 0 {
-		t.Fatalf("post-recovery result still degraded: %+v, %d shards down", res, b.ShardsDown())
-	}
+// parkedBackend counts its Probe calls and parks each one until release
+// is closed, so a test can hold the probe loop mid-probe.
+type parkedBackend struct {
+	fakeBackend
+	probes  atomic.Int64
+	entered chan struct{}
+	release chan struct{}
 }
 
-func TestProberIgnoresTransientFailures(t *testing.T) {
-	// Every read fails transiently: probes see Temporary() errors, which
-	// are evidence of neither death nor recovery.
-	b, _, _ := faultedRouter(t, 2000, 7, 2, 1, faultstore.Config{Seed: faultSeed(t), TransientProb: 1})
-	reg := NewRegistry()
-	if err := reg.Add("flaky", b); err != nil {
-		t.Fatal(err)
-	}
-	defer reg.CloseAll()
-	p := NewProber(reg, time.Hour)
-
-	p.Sweep()
-	if got := b.ShardsDown(); got != 0 {
-		t.Fatalf("transient probe failures marked %d shards down", got)
-	}
-	// A down shard with transient probe failures stays down: recovery
-	// needs a clean probe, not a flaky one.
-	b.MarkShardDown(1)
-	p.Sweep()
-	if !b.ShardDown(1) {
-		t.Fatal("transient probe failure recovered a down shard")
-	}
-}
-
-func TestProberStartStopLifecycle(t *testing.T) {
-	reg := NewRegistry()
-	p := NewProber(reg, time.Millisecond)
-	p.Start()
-	p.Start() // idempotent
-	time.Sleep(5 * time.Millisecond)
-	p.Stop()
-	p.Stop() // idempotent
-
-	// Stop before Start must not block, and pins the prober off.
-	p2 := NewProber(reg, time.Millisecond)
-	done := make(chan struct{})
-	go func() {
-		p2.Stop()
-		p2.Start() // no-op after Stop
-		close(done)
-	}()
+func (b *parkedBackend) Probe() {
+	b.probes.Add(1)
 	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Stop before Start deadlocked")
+	case b.entered <- struct{}{}:
+	default:
+	}
+	<-b.release
+}
+
+// TestProberStartStopLifecycle pins the server's probe loop: Start twice
+// runs one loop, Shutdown waits for a probe in progress and leaves no
+// goroutine behind, Start after Shutdown starts nothing, and Shutdown
+// before Start does not block.
+func TestProberStartStopLifecycle(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	b := &parkedBackend{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	reg := NewRegistry()
+	if err := reg.Add("main", b); err != nil {
+		t.Fatal(err)
+	}
+	s := New(reg, Config{ProbeInterval: time.Millisecond})
+	s.Start()
+	s.Start()
+	select {
+	case <-b.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the probe loop never probed")
+	}
+	// Twenty intervals with the first probe parked: a second loop would
+	// have entered Probe too.
+	time.Sleep(20 * time.Millisecond)
+	if n := b.probes.Load(); n != 1 {
+		t.Fatalf("%d probes under a parked one: Start twice ran more than one loop", n)
+	}
+
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(context.Background()) }()
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-shut:
+		t.Fatal("Shutdown returned while a probe was running")
+	default:
+	}
+	close(b.release)
+	select {
+	case err := <-shut:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown never joined the probe loop")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: baseline %d, %d after Shutdown", baseline, runtime.NumGoroutine())
+		}
+	}
+
+	probes := b.probes.Load()
+	s.Start()
+	time.Sleep(20 * time.Millisecond)
+	if n := b.probes.Load(); n != probes || runtime.NumGoroutine() > baseline {
+		t.Fatalf("Start after Shutdown probed %d more times, %d goroutines over baseline", n-probes, runtime.NumGoroutine()-baseline)
+	}
+
+	early := New(NewRegistry(), Config{})
+	if err := early.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	early.Start()
+	if runtime.NumGoroutine() > baseline {
+		t.Fatal("Start after a Shutdown that preceded it launched the loop")
 	}
 }

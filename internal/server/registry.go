@@ -4,9 +4,10 @@
 // current one still does — per-request deadlines propagated down to the
 // chunk loop, admission control (a bounded in-flight limiter plus
 // per-tenant token buckets denominated in chunks, the system's real
-// currency), honest degraded results when shards are down, a background
-// prober that recovers shards, panic containment, and graceful shutdown
-// that drains in-flight requests without leaking goroutines.
+// currency), honest degraded results when shards are down, a probe loop
+// that has each index reconcile its shards' health, panic containment,
+// and graceful shutdown that drains in-flight requests without leaking
+// goroutines.
 //
 // The package deliberately sits above the public repro facade rather
 // than the internal engines: everything the server does is expressible
@@ -26,7 +27,9 @@ import (
 // *repro.ShardedIndex satisfies it structurally — a single-machine index
 // is a one-shard ShardedIndex — and tests substitute fakes. Two entry
 // points reach the engine: every /search and /batch is one
-// SearchBatchStream call, every /multi one MultiSearch.
+// SearchBatchStream call, every /multi one MultiSearch. Shard health is
+// the index's own: the server reads it and calls Probe on a timer, and
+// no method here sets it.
 type Backend interface {
 	// SearchBatchStream runs a batch through the chunk-major engine;
 	// /search is a batch of one. A non-nil done(qi) fires once per query
@@ -49,16 +52,12 @@ type Backend interface {
 	ShardDown(s int) bool
 	// ShardsDown counts the shards currently held down.
 	ShardsDown() int
-	// MarkShardDown administratively takes shard s out of rotation.
-	MarkShardDown(s int)
-	// MarkShardUp returns shard s to rotation after a successful probe.
-	MarkShardUp(s int)
-	// ProbeShard checks shard s end to end without touching health state
-	// or billing; nil means the shard can serve reads.
-	ProbeShard(s int) error
+	// Probe reconciles shard health with the stores, as
+	// repro.ShardedIndex.Probe does; the server calls it every
+	// Config.ProbeInterval.
+	Probe()
 	// ShardLoads returns per-shard serving-load counters — the reads each
-	// shard actually served — cumulative since construction or the last
-	// health reset.
+	// shard actually served — cumulative since construction.
 	ShardLoads() []repro.ShardLoad
 	// CacheStats returns the cumulative decoded-chunk cache counters; a
 	// cacheless index reports Enabled false.

@@ -63,36 +63,41 @@ type Config struct {
 	// requests that set no chunk budget (0 = 16). It is an estimate,
 	// not a cap: actual spend is settled against the bucket afterwards.
 	DefaultMaxChunks int
-	// ProbeInterval is the background prober's period (0 = 250ms).
+	// ProbeInterval is the period at which the server calls every
+	// registered index's Probe (0 = 250ms).
 	ProbeInterval time.Duration
 	// Clock overrides time.Now for the tenant buckets (tests).
 	Clock func() time.Time
 }
 
 // Server is the HTTP serving layer: a registry of named indexes behind
-// admission control, deadline propagation, metrics, and a shard-health
-// prober. Build one with New, expose Handler (or Serve), and retire it
-// with Shutdown.
+// admission control, deadline propagation, metrics, and a loop that has
+// each index probe its shards. Build one with New, expose Handler (or
+// Serve), and retire it with Shutdown.
 type Server struct {
 	cfg      Config
 	reg      *Registry
 	limiter  *Limiter
 	buckets  *TenantBuckets
 	metrics  *Metrics
-	prober   *Prober
 	mux      *http.ServeMux
 	draining atomic.Bool
 
-	mu   sync.Mutex
-	http *http.Server
+	mu     sync.Mutex
+	http   *http.Server
+	stop   chan struct{} // closed by the first Shutdown
+	probed chan struct{} // closed when the probe loop exits; nil until Start
 }
 
-// New assembles a server over reg. Background work (the prober) starts
-// with Start or Serve, not here, so a server that is only constructed
-// owns no goroutines.
+// New assembles a server over reg. Background work (the probe loop)
+// starts with Start or Serve, not here, so a server that is only
+// constructed owns no goroutines.
 func New(reg *Registry, cfg Config) *Server {
 	if cfg.DefaultMaxChunks <= 0 {
 		cfg.DefaultMaxChunks = 16
+	}
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = 250 * time.Millisecond
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -100,7 +105,7 @@ func New(reg *Registry, cfg Config) *Server {
 		limiter: NewLimiter(cfg.MaxInFlight),
 		buckets: NewTenantBuckets(cfg.TenantRate, cfg.TenantBurst, cfg.Clock),
 		metrics: NewMetrics(),
-		prober:  NewProber(reg, cfg.ProbeInterval),
+		stop:    make(chan struct{}),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -123,16 +128,40 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // admission are already wired in.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Start launches the background prober. Serve calls it; tests that
-// mount Handler directly call it themselves (or drive Prober().Sweep()).
-// Idempotent.
-func (s *Server) Start() { s.prober.Start() }
+// Start launches the probe loop, which calls Probe on every registered
+// index once per Config.ProbeInterval. Serve calls it; tests that mount
+// Handler directly call it themselves. Starting twice runs one loop, and
+// starting after Shutdown starts nothing.
+func (s *Server) Start() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.probed != nil || s.draining.Load() {
+		return
+	}
+	s.probed = make(chan struct{})
+	go s.probeLoop(s.probed)
+}
 
-// Prober returns the server's shard-health prober.
-func (s *Server) Prober() *Prober { return s.prober }
+func (s *Server) probeLoop(done chan struct{}) {
+	defer close(done)
+	ticker := time.NewTicker(s.cfg.ProbeInterval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-ticker.C:
+			for _, name := range s.reg.Names() {
+				if b, ok := s.reg.Get(name); ok {
+					b.Probe()
+				}
+			}
+		}
+	}
+}
 
-// Serve starts the prober and serves HTTP on l until Shutdown. A clean
-// shutdown returns nil, not http.ErrServerClosed.
+// Serve starts the probe loop and serves HTTP on l until Shutdown. A
+// clean shutdown returns nil, not http.ErrServerClosed.
 func (s *Server) Serve(l net.Listener) error {
 	s.Start()
 	hs := &http.Server{Handler: s.Handler()}
@@ -146,16 +175,20 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Shutdown drains and retires the server: the readiness gate flips (new
-// requests shed with 503), the prober goroutine is stopped and joined,
+// requests shed with 503), the probe loop is stopped and joined,
 // in-flight requests run to completion (bounded by ctx), and every
 // registered index is closed. After Shutdown returns, the server owns
 // no goroutines.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	s.prober.Stop()
 	s.mu.Lock()
-	hs := s.http
+	if !s.draining.Swap(true) {
+		close(s.stop)
+	}
+	hs, probed := s.http, s.probed
 	s.mu.Unlock()
+	if probed != nil {
+		<-probed
+	}
 	var err error
 	if hs != nil {
 		err = hs.Shutdown(ctx)

@@ -59,9 +59,7 @@ func (f *fakeBackend) Close() error                  { return nil }
 func (f *fakeBackend) Shards() int                   { return max(len(f.loads), 1) }
 func (f *fakeBackend) ShardDown(s int) bool          { return false }
 func (f *fakeBackend) ShardsDown() int               { return 0 }
-func (f *fakeBackend) MarkShardDown(s int)           {}
-func (f *fakeBackend) MarkShardUp(s int)             {}
-func (f *fakeBackend) ProbeShard(s int) error        { return nil }
+func (f *fakeBackend) Probe()                        {}
 func (f *fakeBackend) ShardLoads() []repro.ShardLoad { return f.loads }
 func (f *fakeBackend) CacheStats() repro.CacheStats  { return repro.CacheStats{} }
 

@@ -125,13 +125,14 @@ func TestRouterCacheStatsAccounting(t *testing.T) {
 //
 //   - a warm cache serves hits without consulting the physical store
 //     (the injector's read ordinal stays put);
-//   - ProbeShard remains control-plane: it reads the physical store even
-//     when every chunk is cached;
+//   - Probe remains control-plane: it reads each physical store even
+//     when every chunk is cached, so it finds a killed store dead;
 //   - a shard held down is not served from cache — the down check
 //     precedes the read, so degraded results stay honest;
-//   - MarkShardUp drops the recovered shard's cached rows: the next
-//     query re-reads the replaced disk instead of serving stale rows,
-//     and answers match the healthy baseline.
+//   - recovery drops the recovered shard's cached rows and only those:
+//     the next query re-reads the replaced disk instead of serving stale
+//     rows, the other shards still answer from cache, and answers match
+//     the healthy baseline.
 func TestRouterCacheRecovery(t *testing.T) {
 	ds, clusters := fixture(t, 3000, 37, 130)
 	coll := ds.Collection
@@ -176,18 +177,22 @@ func TestRouterCacheRecovery(t *testing.T) {
 		}
 	}
 
-	// Probing stays control-plane: exactly one physical read.
-	if err := r.ProbeShard(dead); err != nil {
-		t.Fatal(err)
-	}
-	if got := faults[dead].Reads() - before[dead]; got != 1 {
-		t.Fatalf("probe made %d physical reads, want 1", got)
+	// Probing stays control-plane: exactly one physical read per shard.
+	r.Probe()
+	for s := range before {
+		if got := faults[s].Reads() - before[s]; got != 1 {
+			t.Fatalf("probe made %d physical reads on shard %d, want 1", got, s)
+		}
 	}
 
-	// A down shard is never served from cache: with R=1 its chunks are
-	// skipped and the result degrades, however warm the cache is.
+	// A killed shard is found by the probe however warm the cache, and a
+	// down shard is never served from cache: with R=1 its chunks are
+	// skipped and the result degrades.
 	faults[dead].Kill()
-	r.MarkShardDown(dead)
+	r.Probe()
+	if !r.ShardDown(dead) {
+		t.Fatal("probe answered from the cache: killed shard not marked down")
+	}
 	if err := one(batchexec.New(r, nil).Run, q, opts, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -195,16 +200,25 @@ func TestRouterCacheRecovery(t *testing.T) {
 		t.Fatalf("down shard served from cache: %+v", res)
 	}
 
-	// Recovery invalidates: the revived disk is re-read, not the cache.
+	// Recovery invalidates the revived shard only: its disk is re-read,
+	// the others keep answering from the cache.
 	faults[dead].Revive()
-	readsAtRevive := faults[dead].Reads()
-	r.MarkShardUp(dead)
+	r.Probe()
+	for s := range before {
+		before[s] = faults[s].Reads()
+	}
 	if err := one(batchexec.New(r, nil).Run, q, opts, &res); err != nil {
 		t.Fatal(err)
 	}
 	sameAnswer(t, "recovered", &res, &healthy)
-	if faults[dead].Reads() == readsAtRevive {
-		t.Fatal("recovered shard still served from the pre-death cache (stale rows)")
+	for s := range before {
+		reread := faults[s].Reads() != before[s]
+		if s == dead && !reread {
+			t.Fatal("recovered shard still served from the pre-death cache (stale rows)")
+		}
+		if s != dead && reread {
+			t.Fatalf("recovering shard %d dropped shard %d's cached rows", dead, s)
+		}
 	}
 }
 

@@ -536,8 +536,9 @@ func TestReplicatedOneDownSpreadsReads(t *testing.T) {
 	opts := batchexec.Options{K: 20, Stop: search.ChunkBudget(5)}
 	var res search.Result
 	for down := 0; down < shards; down++ {
-		r.ResetHealth()
+		r.Probe()
 		r.MarkShardDown(down)
+		before := r.ShardLoads(nil)
 		for _, q := range queries {
 			if err := one(batchexec.New(r, nil).Run, q, opts, &res); err != nil {
 				t.Fatal(err)
@@ -546,21 +547,23 @@ func TestReplicatedOneDownSpreadsReads(t *testing.T) {
 				t.Fatalf("shard %d down: R=2 query degraded", down)
 			}
 		}
+		reads := make([]int64, shards)
 		var sum, most int64
 		for s, ld := range r.ShardLoads(nil) {
+			reads[s] = ld.Reads - before[s].Reads
 			if s == down {
-				if ld.Reads != 0 {
-					t.Fatalf("shard %d is down yet served %d reads", s, ld.Reads)
+				if reads[s] != 0 {
+					t.Fatalf("shard %d is down yet served %d reads", s, reads[s])
 				}
 				continue
 			}
-			sum += ld.Reads
-			most = max(most, ld.Reads)
+			sum += reads[s]
+			most = max(most, reads[s])
 		}
 		ratio := float64(most) * (shards - 1) / float64(sum)
 		t.Logf("shard %d down: survivors' reads max/mean %.3f", down, ratio)
 		if ratio > 1.25 {
-			t.Fatalf("shard %d down: survivors' reads max/mean %.3f > 1.25 (%+v)", down, ratio, r.ShardLoads(nil))
+			t.Fatalf("shard %d down: survivors' reads max/mean %.3f > 1.25 (%v)", down, ratio, reads)
 		}
 	}
 }

@@ -59,7 +59,7 @@ import (
 var (
 	// ErrShardDown marks a shard whose store failed permanently: the
 	// router's health tracking has taken it out of rotation and no read
-	// is routed to it until ResetHealth.
+	// is routed to it until a Probe finds its store serving again.
 	ErrShardDown = errors.New("shard: shard down")
 	// ErrAllReplicasDown reports that a chunk could not be served by any
 	// of its R placements. It wraps chunkfile.ErrUnavailable: queries
@@ -83,7 +83,7 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // routedShard is one shard's physical store and the store reads actually
 // go through: the physical store behind the decoded-chunk cache when one
 // is configured (cached == read then), else the physical store itself.
-// Control-plane reads (ProbeShard) always go to the raw store, so probing
+// Control-plane reads (Probe) always go to the raw store, so probing
 // observes the disk, not the cache.
 type routedShard struct {
 	store  chunkfile.Store
@@ -97,13 +97,12 @@ type Router struct {
 	shards    []routedShard
 	dims      int
 	placement *Placement
-	// Health state: down[s] is sticky-true once shard s's store failed
-	// permanently, loads[s] counts the chunk reads shard s has served
-	// (the counter behind ShardLoads; reads never consult it), downCount
-	// is the number of down shards.
-	down      []atomic.Bool
-	loads     []atomic.Int64
-	downCount atomic.Int32
+	// Health state: down[s] is true from shard s's first permanent
+	// failure until a Probe reads its store again; loads[s] counts the
+	// chunk reads shard s has served (the counter behind ShardLoads;
+	// reads never consult it).
+	down  []atomic.Bool
+	loads []atomic.Int64
 	// The fleet's chunks are the shards' primary prefixes (replica chunks
 	// are copies, never ranked or walked) concatenated shard-major: chunk g
 	// lives on shard owner[g] at local index local[g]. Ranking the
@@ -260,8 +259,8 @@ type ShardLoad struct {
 }
 
 // ShardLoads appends per-shard serving-load counters to dst (pass nil to
-// allocate), cumulative since construction or the last ResetHealth — the
-// per-shard load split the serving metrics expose.
+// allocate), cumulative since construction — the per-shard load split
+// the serving metrics expose.
 func (r *Router) ShardLoads(dst []ShardLoad) []ShardLoad {
 	for s := range r.shards {
 		dst = append(dst, ShardLoad{Reads: r.loads[s].Load()})
@@ -325,70 +324,49 @@ func (r *Router) ReadChunk(i int, data *chunkfile.Data) error {
 
 // MarkShardDown takes shard s out of rotation, as the router's own read
 // path does when the shard's store fails permanently: no read is routed
-// to it until ResetHealth. Marking is sticky and idempotent.
-func (r *Router) MarkShardDown(s int) {
-	if !r.down[s].Swap(true) {
-		r.downCount.Add(1)
-	}
-}
+// to it until a Probe finds its store serving again. Idempotent.
+func (r *Router) MarkShardDown(s int) { r.down[s].Store(true) }
 
 // ShardDown reports whether shard s is currently held down.
 func (r *Router) ShardDown(s int) bool { return r.down[s].Load() }
 
 // DownShards returns the number of shards currently held down.
-func (r *Router) DownShards() int { return int(r.downCount.Load()) }
-
-// MarkShardUp returns shard s to rotation after MarkShardDown (or after
-// the read path held it down), without touching the other shards' health
-// or the load counters. The recovery half of the health switch: a prober
-// that saw shard s answer again calls this to resume routing to it.
-// Un-marking is idempotent; if the shard's store is still failing, the
-// next read marks it down again.
-func (r *Router) MarkShardUp(s int) {
-	if r.down[s].Swap(false) {
-		r.downCount.Add(-1)
-		// The disk behind the shard may have been replaced while it was
-		// down: drop its cached rows so recovery never serves stale data.
-		if c := r.shards[s].cached; c != nil {
-			c.Invalidate()
-		}
-	}
-}
-
-// ProbeShard checks whether shard s's physical store can serve reads
-// right now: it reads the shard's first physical chunk directly (no
-// failover, no retry, no simulated billing — probing is control-plane
-// traffic) and returns the store's error, nil on success or when the
-// shard holds no chunks. Probing never changes health state; callers
-// combine it with MarkShardUp / MarkShardDown. A background prober uses
-// it to detect both recovery of a down shard and silent death of an idle
-// one.
-func (r *Router) ProbeShard(s int) error {
-	if s < 0 || s >= len(r.shards) {
-		return fmt.Errorf("shard: probe shard %d outside [0,%d)", s, len(r.shards))
-	}
-	st := r.shards[s].store
-	if len(st.Meta()) == 0 {
-		return nil
-	}
-	var data chunkfile.Data
-	if err := st.ReadChunk(0, &data); err != nil {
-		return fmt.Errorf("shard: probe shard %d: %w", s, err)
-	}
-	return nil
-}
-
-// ResetHealth returns every shard to rotation and zeroes the served-read
-// counters — the "operator replaced the disk" switch, and the way
-// tests reuse one router across fault scenarios.
-func (r *Router) ResetHealth() {
+func (r *Router) DownShards() int {
+	n := 0
 	for s := range r.down {
-		if r.down[s].Swap(false) {
-			r.downCount.Add(-1)
+		if r.down[s].Load() {
+			n++
 		}
-		r.loads[s].Store(0)
-		if c := r.shards[s].cached; c != nil {
-			c.Invalidate()
+	}
+	return n
+}
+
+// Probe reconciles every shard's health with its store. It reads each
+// shard's first physical chunk straight from the store (no failover,
+// retry, cache or simulated billing: probing is control-plane traffic)
+// and applies the read path's rule in place: a down shard that reads
+// again returns to rotation with its cached rows dropped, since the disk
+// behind it may have been replaced; an up shard that fails permanently is
+// marked down, so an idle shard's death is found before a query pays for
+// it; a transient failure (Temporary() == true) changes nothing. A shard
+// with no chunks always counts as readable.
+func (r *Router) Probe() {
+	var data chunkfile.Data
+	for s := range r.shards {
+		st := r.shards[s].store
+		var err error
+		if len(st.Meta()) > 0 {
+			err = st.ReadChunk(0, &data)
+		}
+		switch {
+		case err == nil:
+			if r.down[s].Swap(false) {
+				if c := r.shards[s].cached; c != nil {
+					c.Invalidate()
+				}
+			}
+		case !isTemporary(err):
+			r.MarkShardDown(s)
 		}
 	}
 }

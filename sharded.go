@@ -185,7 +185,8 @@ func (sx *ShardedIndex) Len() int { return sx.router.Descriptors() }
 // MarkShardDown takes shard s out of rotation, exactly as the router's
 // own read path does when the shard's store fails permanently: reads
 // fail over to replicas, and chunks with no live replica are skipped
-// with Result.Degraded set. The switch for failure drills and tests.
+// with Result.Degraded set. The switch for failure drills; the next
+// Probe that reads the shard's store returns it to rotation.
 func (sx *ShardedIndex) MarkShardDown(s int) { sx.router.MarkShardDown(s) }
 
 // ShardDown reports whether shard s is currently held down.
@@ -194,30 +195,20 @@ func (sx *ShardedIndex) ShardDown(s int) bool { return sx.router.ShardDown(s) }
 // ShardsDown returns the number of shards currently held down.
 func (sx *ShardedIndex) ShardsDown() int { return sx.router.DownShards() }
 
-// MarkShardUp returns shard s to rotation after a MarkShardDown (or
-// after the read path held it down), leaving the other shards' health
-// untouched — the per-shard recovery switch a health prober flips once
-// the shard answers probes again. If the shard's store is still failing,
-// the next read marks it down again.
-func (sx *ShardedIndex) MarkShardUp(s int) { sx.router.MarkShardUp(s) }
-
-// ProbeShard checks whether shard s's store can serve reads right now,
-// without failover, retries, health-state changes or simulated billing —
-// control-plane traffic for health probers. It returns nil on success
-// and the store's error otherwise.
-func (sx *ShardedIndex) ProbeShard(s int) error { return sx.router.ProbeShard(s) }
-
-// ResetHealth returns every shard to rotation — the "operator replaced
-// the disk" switch.
-func (sx *ShardedIndex) ResetHealth() { sx.router.ResetHealth() }
+// Probe reconciles every shard's health with its store: it reads each
+// shard's first chunk on the control plane (no failover, retry, cache or
+// billing), returns a down shard that reads again to rotation, marks an
+// up shard that fails permanently down, and ignores transient failures.
+// A server calls it on a timer; a failure drill calls it to end the
+// drill.
+func (sx *ShardedIndex) Probe() { sx.router.Probe() }
 
 // ShardLoad is one shard's serving-load counters; see
 // ShardedIndex.ShardLoads.
 type ShardLoad = shard.ShardLoad
 
 // ShardLoads returns per-shard serving-load counters — reads each shard
-// actually served — cumulative since construction or the last
-// ResetHealth.
+// actually served — cumulative since construction.
 func (sx *ShardedIndex) ShardLoads() []ShardLoad { return sx.router.ShardLoads(nil) }
 
 // Search runs one query across the shards.
