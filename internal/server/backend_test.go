@@ -55,6 +55,12 @@ func stopOf(opts repro.SearchOptions) search.StopRule {
 	return search.ToCompletion{}
 }
 
+func (b *routerBackend) search(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error) {
+	res := make([]repro.Result, 1)
+	err := b.SearchBatchStream([]repro.Vector{q}, repro.BatchOptions{SearchOptions: opts}, res, nil)
+	return &res[0], err
+}
+
 // SearchBatchStream runs the batch on the engine, as the facade does.
 func (b *routerBackend) SearchBatchStream(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result, done func(query int)) error {
 	return b.e.RunStream(queries, batchexec.Options{

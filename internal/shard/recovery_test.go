@@ -89,6 +89,60 @@ func TestProbeReconcilesHealth(t *testing.T) {
 	}
 }
 
+// TestRecoveryAfterKill pins recovery from a death that a query, not a
+// probe, discovered: the paying read marks the shard down and degrades,
+// a probe of the still-dead store leaves it down so the next query stays
+// honestly degraded, and once the store returns one probe restores
+// answers byte-identical to the healthy baseline.
+func TestRecoveryAfterKill(t *testing.T) {
+	ds, clusters := fixture(t, 4000, 83, 130)
+	coll := ds.Collection
+	const shards, pageSize, k, dead = 3, 4096, 20, 1
+
+	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 1, pageSize, faultstore.Config{}, RouterOptions{})
+	queryIdx := []int{5, 777, 2400, 3900}
+	run := func(pos int, res *search.Result) {
+		t.Helper()
+		if err := one(batchexec.New(r, nil).Run, coll.Vec(pos), batchexec.Options{K: k}, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	healthy := make([]search.Result, len(queryIdx))
+	for qi, pos := range queryIdx {
+		run(pos, &healthy[qi])
+	}
+
+	faults[dead].Kill()
+	var res search.Result
+	run(queryIdx[0], &res)
+	if !res.Degraded || !r.ShardDown(dead) {
+		t.Fatalf("kill not discovered by the query: degraded %v, down %v", res.Degraded, r.ShardDown(dead))
+	}
+
+	r.Probe()
+	if !r.ShardDown(dead) || r.DownShards() != 1 {
+		t.Fatalf("probe of a still-dead shard: down %v, %d down", r.ShardDown(dead), r.DownShards())
+	}
+	run(queryIdx[1], &res)
+	if !res.Degraded || res.Exact {
+		t.Fatalf("still-dead shard served a non-degraded answer: degraded %v, exact %v", res.Degraded, res.Exact)
+	}
+
+	faults[dead].Revive()
+	r.Probe()
+	if r.DownShards() != 0 {
+		t.Fatalf("DownShards %d after recovery", r.DownShards())
+	}
+	for qi, pos := range queryIdx {
+		run(pos, &res)
+		if res.Degraded || res.ChunksSkipped != 0 || r.DownShards() != 0 {
+			t.Fatalf("q%d still degraded after recovery: %+v", pos, res)
+		}
+		sameAnswer(t, "recovered", &res, &healthy[qi])
+	}
+}
+
 // TestProbeIsControlPlane pins that probing reads exactly one physical
 // chunk from each shard's own store, bills nothing to the served-read
 // counters, and bypasses failover: a dead shard is marked down even when
