@@ -34,6 +34,7 @@
 package search
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -292,6 +293,8 @@ type Plan struct {
 	group  []int32
 	groups []int
 	live   int
+	// least is MaxReads' scratch under a time budget.
+	least []leastCharge
 }
 
 // groupOf returns the budget group of store chunk ci.
@@ -366,6 +369,85 @@ func (p *Plan) Reset(store chunkfile.Store, model *simdisk.Model, k int, stop St
 	}
 	p.first = min(min(p.first, len(p.metas))*p.live, len(p.metas))
 	return nil
+}
+
+// MaxReads returns the most chunks one walk under the plan can charge:
+// the ChunksRead no query of the run can exceed, whatever its rank order,
+// stalls or unavailable chunks. A budget group's rule is consulted only
+// after a charge, so it may overshoot by the chunk that trips it.
+//   - A chunk budget c reads at most min(c, |g|) chunks of each group g,
+//     exactly that when no chunk is unavailable.
+//   - A time budget: a machine whose clock is still under the budget
+//     after n charges has fit n of its chunks between its index read and
+//     the budget, at least as many as its n cheapest would cost — read
+//     plus scan, or the read alone with overlap, since stalls only add.
+//     Each machine group reads those plus the one that crosses. The
+//     global group, whose clock is the max over the machines, stops on
+//     its first charge once the index read alone passes the budget, and
+//     otherwise reads what every machine fits plus the one crossing.
+//   - Run to completion may read every chunk.
+//
+// A chunk budget costs O(groups); a time budget O(chunks·log chunks).
+func (p *Plan) MaxReads() int {
+	switch stop := p.stop.(type) {
+	case ChunkBudget:
+		n := 0
+		for _, size := range p.groups {
+			n += min(int(stop), size)
+		}
+		return n
+	case TimeBudget:
+		return p.timedReads(time.Duration(stop))
+	}
+	return len(p.metas)
+}
+
+// timedReads is MaxReads under a time budget.
+func (p *Plan) timedReads(budget time.Duration) int {
+	if p.group == nil && p.indexRead >= budget {
+		return min(1, len(p.metas))
+	}
+	// Every chunk's least charge, each machine's cheapest first.
+	p.least = p.least[:0]
+	for ci := range p.metas {
+		c := leastCharge{cost: p.model.ReadTime(p.metas[ci].Bytes)}
+		if !p.overlap {
+			c.cost += p.model.CPUTime(p.metas[ci].Count)
+		}
+		if p.owner != nil {
+			c.machine = p.owner[ci]
+		}
+		p.least = append(p.least, c)
+	}
+	slices.SortFunc(p.least, func(a, b leastCharge) int {
+		return cmp.Or(cmp.Compare(a.machine, b.machine), cmp.Compare(a.cost, b.cost))
+	})
+	reads := 0
+	for at := 0; at < len(p.least); {
+		m := p.least[at].machine
+		fit, clock, size := 0, p.inits[m], p.counts[m]
+		for _, c := range p.least[at : at+size] {
+			if clock += c.cost; clock < budget {
+				fit++
+			}
+		}
+		at += size
+		if p.group != nil {
+			fit = min(fit+1, size) // this machine's crossing chunk
+		}
+		reads += fit
+	}
+	if p.group == nil {
+		reads = min(reads+1, len(p.metas)) // the walk's one crossing chunk
+	}
+	return reads
+}
+
+// leastCharge is the least a machine's clock advances for one of its
+// chunks: its read, plus its scan unless the pipeline overlaps them.
+type leastCharge struct {
+	machine int32
+	cost    time.Duration
 }
 
 // Release drops the plan's references into caller and store memory so a

@@ -268,6 +268,9 @@ func FuzzWalkPerMachine(f *testing.F) {
 	f.Add(uint8(60), uint8(4), int64(3), uint8(2), uint8(0), true, uint8(25))
 	f.Add(uint8(3), uint8(0), int64(4), uint8(2), uint8(0), false, uint8(39))
 	f.Add(uint8(50), uint8(3), int64(5), uint8(0), uint8(255), true, uint8(12))
+	// A time budget whose walk reads exactly MaxReads on two machines of
+	// different index-read times.
+	f.Add(uint8(47), uint8(1), int64(28), uint8(1), uint8(105), false, uint8(10))
 	f.Fuzz(func(t *testing.T, nRaw, machinesRaw uint8, seed int64, rule, budget uint8, overlap bool, kRaw uint8) {
 		fx := getFixture(t, 31)
 		base := fx.srSt
@@ -276,6 +279,7 @@ func FuzzWalkPerMachine(f *testing.F) {
 		st := &stepStore{Store: newSubStore(base, rangeN(n)), owner: make([]int32, n), machines: machines,
 			stall: map[int]time.Duration{}, down: map[int]bool{}}
 		own := make([][]int, machines)
+		anyDown := false
 		for i := range st.owner {
 			m := rng.Intn(machines)
 			st.owner[i], own[m] = int32(m), append(own[m], i)
@@ -283,6 +287,7 @@ func FuzzWalkPerMachine(f *testing.F) {
 				st.stall[i] = time.Duration(1+rng.Intn(5)) * time.Millisecond
 			}
 			st.down[i] = rng.Intn(10) == 0
+			anyDown = anyDown || st.down[i]
 		}
 		var stop StopRule = ToCompletion{}
 		switch rule % 3 {
@@ -343,6 +348,24 @@ func FuzzWalkPerMachine(f *testing.F) {
 			}
 			if got.Exact != (math.IsInf(unread, 1) || unread > kth) {
 				t.Fatalf("%v: Exact %v, but the lowest unread bound is %v against k-th distance %v", stop, got.Exact, unread, kth)
+			}
+		}
+		// The plan's MaxReads bounds the walk under either discipline, and
+		// a chunk budget over chunks all available reads exactly it.
+		for _, global := range []bool{false, true} {
+			res := got
+			if global {
+				if res, err = searchOne(batchexec.New(st, model), q, batchexec.Options{K: k, Stop: stop, Overlap: overlap, GlobalBudget: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var plan Plan
+			if err := plan.Reset(st, model, k, stop, global, overlap, nil); err != nil {
+				t.Fatal(err)
+			}
+			_, chunkBudget := stop.(ChunkBudget)
+			if bound := plan.MaxReads(); res.ChunksRead > bound || chunkBudget && !anyDown && res.ChunksRead != bound {
+				t.Fatalf("%v global=%v: read %d chunks, MaxReads %d", stop, global, res.ChunksRead, bound)
 			}
 		}
 		if _, completion := stop.(ToCompletion); completion {

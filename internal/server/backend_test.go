@@ -14,6 +14,7 @@ import (
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
 	"repro/internal/shard"
+	"repro/internal/simdisk"
 	"repro/internal/srtree"
 )
 
@@ -87,6 +88,16 @@ func (b *routerBackend) MultiSearch(descriptors []repro.Vector, opts repro.Multi
 		return nil, err
 	}
 	return multiquery.Aggregate(srs, opts.RankWeighted), nil
+}
+
+// MaxReads prices through the walk's plan over the router, as the facade
+// does.
+func (b *routerBackend) MaxReads(opts repro.SearchOptions) int {
+	var p search.Plan
+	if err := p.Reset(b.r, simdisk.Default2005(), opts.K, stopOf(opts), opts.GlobalBudget, opts.Overlap, nil); err != nil {
+		panic(err)
+	}
+	return p.MaxReads()
 }
 
 func (b *routerBackend) Chunks() int          { return b.r.Chunks() }

@@ -39,6 +39,10 @@ type Backend interface {
 	SearchBatchStream(queries []repro.Vector, opts repro.BatchOptions, results []repro.Result, done func(query int)) error
 	// MultiSearch runs a whole-image bag of descriptors with image voting.
 	MultiSearch(descriptors []repro.Vector, opts repro.MultiSearchOptions) (*repro.MultiResult, error)
+	// MaxReads is the most chunks one query under opts can read, as
+	// repro.ShardedIndex.MaxReads computes it from the walk's plan:
+	// admission prices a request at MaxReads per query.
+	MaxReads(opts repro.SearchOptions) int
 	// Chunks is the number of chunks in the index.
 	Chunks() int
 	// Len is the number of indexed descriptors.

@@ -468,41 +468,35 @@ func (g *grant) settle(buckets *TenantBuckets, actual int) {
 	}
 }
 
-// admitChunks runs tenant admission for a request of n queries against
-// b, each with per-query budget maxChunks (0 = none declared), where
-// timed reports an explicit simulated time budget and global the global
-// budget discipline. On refusal it writes the 429 and returns ok=false.
-func (s *Server) admitChunks(w http.ResponseWriter, r *http.Request, b Backend, n, maxChunks int, timed, global bool) (grant, bool) {
-	g := grant{tenant: tenantOf(r), perQuery: maxChunks}
-	per, shards := maxChunks, 1
-	if per <= 0 {
-		per = s.cfg.DefaultMaxChunks
-	} else if !global {
-		// A declared budget is spent once per shard: a query may read it
-		// on every shard.
-		shards = b.Shards()
+// admitChunks runs tenant admission for a request of n queries, each
+// run under opts, against b. The index prices a query: b.MaxReads(opts)
+// chunks, the most it can read; a request that declares no stop rule is
+// priced as a global budget of DefaultMaxChunks. On refusal it writes the
+// 429 and returns ok=false.
+func (s *Server) admitChunks(w http.ResponseWriter, r *http.Request, b Backend, n int, opts repro.SearchOptions) (grant, bool) {
+	g := grant{tenant: tenantOf(r), perQuery: opts.MaxChunks}
+	if opts.MaxChunks == 0 && opts.MaxTime == 0 {
+		opts.MaxChunks, opts.GlobalBudget = s.cfg.DefaultMaxChunks, true
 	}
-	// A walk never reads more chunks than the index holds; capping first
-	// also keeps a huge max_chunks from overflowing the estimate.
-	estimate := min(min(per, b.Chunks())*shards, b.Chunks()) * n
-	if ok, retry := s.buckets.Take(g.tenant, estimate); !ok {
+	price := b.MaxReads(opts) * n
+	if ok, retry := s.buckets.Take(g.tenant, price); !ok {
 		// least is the smallest charge a retry could be admitted at.
-		least := estimate
-		// Best-effort shrink applies only to chunk-budget requests: their
-		// cost is denominated in chunks up front. Timed and
-		// run-to-completion requests shed. The shrunk budget is again
-		// spent once per shard.
-		if s.cfg.BestEffort && maxChunks > 0 && !timed {
-			least = n * shards
-			if granted := s.buckets.TakeUpTo(g.tenant, estimate); granted >= least {
-				g.charged = granted
-				g.perQuery = granted / least
+		least := price
+		// Best-effort shrink applies only to a declared chunk budget: its
+		// price is denominated in chunks up front. Timed and
+		// run-to-completion requests shed. The shrunk budget is the largest
+		// whose price fits the tokens taken.
+		if s.cfg.BestEffort && g.perQuery > 0 {
+			least = b.MaxReads(withChunks(opts, 1)) * n
+			if took := s.buckets.TakeUpTo(g.tenant, price); took >= least {
+				g.charged = took
+				g.perQuery = largestBudget(b, opts, n, took)
 				g.granted = g.perQuery
 				s.metrics.RecordBestEffort()
 				return g, true
-			} else if granted > 0 {
-				// Not even one chunk per query and shard: refund and shed.
-				s.buckets.Refund(g.tenant, granted)
+			} else if took > 0 {
+				// Not even a one-chunk budget fits: refund and shed.
+				s.buckets.Refund(g.tenant, took)
 			}
 			retry = s.buckets.RetryAfter(g.tenant, least)
 		}
@@ -514,12 +508,35 @@ func (s *Server) admitChunks(w http.ResponseWriter, r *http.Request, b Backend, 
 			return g, false
 		}
 		writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("tenant %q over budget: %d chunks requested", g.tenant, estimate),
+			fmt.Sprintf("tenant %q over budget: %d chunks requested", g.tenant, price),
 			retryAfterSeconds(retry))
 		return g, false
 	}
-	g.charged = estimate
+	g.charged = price
 	return g, true
+}
+
+// withChunks returns opts with a chunk budget of c.
+func withChunks(opts repro.SearchOptions, c int) repro.SearchOptions {
+	opts.MaxChunks = c
+	return opts
+}
+
+// largestBudget returns the largest chunk budget below opts.MaxChunks
+// whose price for n queries fits tokens, given that a budget of 1 fits.
+// Prices grow with the budget, each budget up to the largest budget group
+// pricing at least itself per query, so none past tokens/n fits.
+func largestBudget(b Backend, opts repro.SearchOptions, n, tokens int) int {
+	lo, hi := 1, min(opts.MaxChunks-1, tokens/n)
+	for lo < hi {
+		mid := lo + (hi-lo+1)/2
+		if b.MaxReads(withChunks(opts, mid))*n <= tokens {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
 }
 
 // searchFailure maps a facade search error onto the wire: an expired or
@@ -635,25 +652,26 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, req body) (res r
 		return result{outcome: OutcomeClientError}
 	}
 	defer cancel()
-	g, ok := s.admitChunks(w, r, b, len(breq.Queries), breq.MaxChunks, breq.MaxTimeUs > 0, breq.GlobalBudget)
-	if !ok {
-		return result{outcome: OutcomeShedTenant}
-	}
-	defer func() { g.settle(s.buckets, res.chunksRead) }()
-	queries := make([]repro.Vector, len(breq.Queries))
-	for i, q := range breq.Queries {
-		queries[i] = q
-	}
 	opts := repro.BatchOptions{
 		SearchOptions: repro.SearchOptions{
 			K:            breq.K,
-			MaxChunks:    g.perQuery,
+			MaxChunks:    breq.MaxChunks,
 			MaxTime:      time.Duration(breq.MaxTimeUs) * time.Microsecond,
 			Overlap:      breq.Overlap,
 			GlobalBudget: breq.GlobalBudget,
 			Ctx:          ctx,
 		},
 		Parallelism: breq.Parallelism,
+	}
+	g, ok := s.admitChunks(w, r, b, len(breq.Queries), opts.SearchOptions)
+	if !ok {
+		return result{outcome: OutcomeShedTenant}
+	}
+	defer func() { g.settle(s.buckets, res.chunksRead) }()
+	opts.MaxChunks = g.perQuery
+	queries := make([]repro.Vector, len(breq.Queries))
+	for i, q := range breq.Queries {
+		queries[i] = q
 	}
 	applyDeadlineBudget(&opts.SearchOptions, ctx)
 	if m, ok := req.(*MultiRequest); ok {

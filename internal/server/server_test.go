@@ -19,8 +19,9 @@ import (
 // fakeBackend is a scriptable Backend for exercising the server's
 // control paths (limits, deadlines, panics) and metrics plumbing without
 // real search work: searchFn answers each query of a batch (one chunk
-// read when nil). It has one healthy shard per entry of loads (one when
-// loads is empty) and no cache.
+// read when nil). It has 8 chunks, one healthy shard per entry of loads
+// (one when loads is empty) and no cache. It prices a query at its chunk
+// budget, at most its 8 chunks, and at all 8 under any other stop rule.
 type fakeBackend struct {
 	searchFn func(q repro.Vector, opts repro.SearchOptions) (*repro.Result, error)
 	multiFn  func(d []repro.Vector, opts repro.MultiSearchOptions) (*repro.MultiResult, error)
@@ -51,6 +52,13 @@ func (f *fakeBackend) MultiSearch(d []repro.Vector, opts repro.MultiSearchOption
 		return f.multiFn(d, opts)
 	}
 	return &repro.MultiResult{Descriptors: len(d), ChunksRead: len(d)}, nil
+}
+
+func (f *fakeBackend) MaxReads(opts repro.SearchOptions) int {
+	if opts.MaxChunks > 0 {
+		return min(opts.MaxChunks, 8)
+	}
+	return 8
 }
 
 func (f *fakeBackend) Chunks() int                   { return 8 }
@@ -449,24 +457,26 @@ func TestBestEffortShrink(t *testing.T) {
 		t.Fatalf("empty-bucket best-effort: %d, want 429", resp.StatusCode)
 	}
 
-	// Time-budget requests are never shrunk: they shed.
+	// Time-budget requests are never shrunk: one priced past the 2 tokens
+	// left (a second may read every chunk) sheds.
 	clock.advance(time.Hour)
 	if ok, _ := s.buckets.Take(DefaultTenant, 8); !ok { // leave 2 tokens
 		t.Fatal("priming take failed")
 	}
 	resp, _ = doJSON(t, "POST", ts.URL+"/v1/indexes/main/search",
-		SearchRequest{Query: make([]float32, repro.Dims), MaxTimeUs: 1000}, nil)
+		SearchRequest{Query: make([]float32, repro.Dims), MaxTimeUs: 1_000_000}, nil)
 	if resp.StatusCode != 429 {
 		t.Fatalf("timed request with poor bucket: %d, want 429 (no shrink)", resp.StatusCode)
 	}
 }
 
 // TestAdmissionPricesPerShardBudget pins admission's price of a declared
-// chunk budget on a real 2-shard index of 20 chunks. Under the per-shard
-// discipline a query may read max_chunks on every shard, so it is priced
-// min(max_chunks × shards, chunks); under global_budget at max_chunks.
-// Best effort shrinks the budget to what the bucket covers on every
-// shard, so the run never leaves the tenant in debt.
+// budget on a real 2-shard index of 20 chunks: the index's MaxReads.
+// Under the per-shard discipline a query may read max_chunks on every
+// shard; under global_budget max_chunks in all. A 1 ms time budget reads
+// one chunk per shard, the index read alone passing it. Best effort
+// shrinks the budget to what the bucket covers on every shard, so the run
+// never leaves the tenant in debt.
 func TestAdmissionPricesPerShardBudget(t *testing.T) {
 	coll := repro.GenerateCollection(2000, 42)
 	for _, tc := range []struct {
@@ -479,6 +489,7 @@ func TestAdmissionPricesPerShardBudget(t *testing.T) {
 		{"best effort stays out of debt", true, SearchRequest{MaxChunks: 20}, 200, 2},
 		{"per-shard budget over the burst", false, SearchRequest{MaxChunks: 3}, 429, 0},
 		{"global budget within the burst", false, SearchRequest{MaxChunks: 3, GlobalBudget: true}, 200, 0},
+		{"time budget within the burst", false, SearchRequest{MaxTimeUs: 1000}, 200, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ix, err := repro.BuildSharded(coll, repro.BuildConfig{Strategy: repro.StrategySRTree, ChunkSize: 100}, 2)

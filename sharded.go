@@ -9,8 +9,10 @@ import (
 	"repro/internal/chunkfile"
 	"repro/internal/cluster"
 	"repro/internal/multiquery"
+	"repro/internal/search"
 	"repro/internal/search/batchexec"
 	"repro/internal/shard"
+	"repro/internal/simdisk"
 )
 
 // ShardedIndex is the package's chunk index: a set of chunks partitioned
@@ -37,11 +39,13 @@ import (
 type ShardedIndex struct {
 	router    *shard.Router
 	engine    *batchexec.Engine // the one engine, over the router
+	model     *simdisk.Model    // the engine's default cost model
 	pageSize  int
 	placement *shard.Placement
 
-	onePool sync.Pool // *oneQuery: SearchInto's batch of one
-	bagPool sync.Pool // *[]Result: MultiSearch's per-descriptor outcomes
+	onePool  sync.Pool // *oneQuery: SearchInto's batch of one
+	bagPool  sync.Pool // *[]Result: MultiSearch's per-descriptor outcomes
+	planPool sync.Pool // *search.Plan: MaxReads' plan
 
 	coll  *Collection          // nil for file-opened indexes
 	parts [][]*cluster.Cluster // per-shard physical clusters; nil for file-opened indexes
@@ -53,9 +57,11 @@ type ShardedIndex struct {
 
 // newShardedIndex assembles the facade over a router.
 func newShardedIndex(router *shard.Router, pageSize int) *ShardedIndex {
-	sx := &ShardedIndex{router: router, engine: batchexec.New(router, nil), pageSize: pageSize}
+	model := simdisk.Default2005()
+	sx := &ShardedIndex{router: router, engine: batchexec.New(router, model), model: model, pageSize: pageSize}
 	sx.onePool.New = func() any { return new(oneQuery) }
 	sx.bagPool.New = func() any { return new([]Result) }
+	sx.planPool.New = func() any { return new(search.Plan) }
 	return sx
 }
 
@@ -239,6 +245,24 @@ func (sx *ShardedIndex) SearchInto(q Vector, opts SearchOptions, res *Result) er
 	}
 	one.q[0], one.res[0] = nil, Result{}
 	return err
+}
+
+// MaxReads returns the most chunks one query under opts can read: the
+// largest ChunksRead it can report, on any query, healthy or degraded. It
+// is the walk's own bound (search.Plan.MaxReads) over this index's shard
+// layout — Σ over shards of min(MaxChunks, the shard's chunks) per shard,
+// min(MaxChunks, Chunks()) under GlobalBudget, what the cost model lets
+// each shard's machine charge within MaxTime plus the chunk that crosses
+// it, and every chunk run to completion. A serving layer prices a request
+// at MaxReads per query. opts is not validated; K and Ctx do not matter.
+func (sx *ShardedIndex) MaxReads(opts SearchOptions) int {
+	p := sx.planPool.Get().(*search.Plan)
+	defer sx.planPool.Put(p)
+	defer p.Release()
+	if err := p.Reset(sx.router, cmp.Or(opts.Model, sx.model), opts.K, stopRule(opts), opts.GlobalBudget, opts.Overlap, nil); err != nil {
+		return sx.Chunks() // the router's layout is whole; no walk reads more
+	}
+	return p.MaxReads()
 }
 
 // MultiSearch implements the paper's §7 follow-up: query with a whole

@@ -138,7 +138,7 @@ func checkSaveOpenRoundTrip(t *testing.T, shards, pageSize int) {
 
 // TestShardedIndexGlobalBudget pins the facade's GlobalBudget option:
 // on S shards a global MaxChunks budget reads exactly that many chunks
-// in total and returns the one-shard index's neighbors at the same
+// in total, its MaxReads, and returns the one-shard index's neighbors at the same
 // budget (the closed S× gap); on 1 shard the global discipline is
 // byte-identical to the per-shard one including Simulated; the batch and
 // multi-descriptor paths agree with the single-query path.
@@ -170,8 +170,8 @@ func TestShardedIndexGlobalBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.ChunksRead != budget {
-				t.Fatalf("global budget %d q%d: ChunksRead %d", budget, qi, got.ChunksRead)
+			if bound := sx.MaxReads(SearchOptions{MaxChunks: budget, GlobalBudget: true}); got.ChunksRead != budget || bound != budget {
+				t.Fatalf("global budget %d q%d: ChunksRead %d, MaxReads %d", budget, qi, got.ChunksRead, bound)
 			}
 			if len(got.Neighbors) != len(want.Neighbors) {
 				t.Fatalf("global budget %d q%d: %d neighbors != %d", budget, qi, len(got.Neighbors), len(want.Neighbors))
