@@ -123,6 +123,7 @@ func TestWireGolden(t *testing.T) {
 			{"tight batch over budget", "tight", "main/batch", BatchRequest{Queries: vs(1, 3), MaxChunks: 2}, nil},
 			{"tight multi over budget", "tight", "main/multi", MultiRequest{Descriptors: vs(1, 2)}, nil},
 			{"tight timed search", "tight", "main/search", SearchRequest{Query: v(1), MaxTimeUs: 1000}, nil},
+			{"tight timed search over the burst", "tight", "main/search", SearchRequest{Query: v(1), MaxTimeUs: 100000}, nil},
 			{"tight other tenant", "tight", "main/search", SearchRequest{Query: v(1), K: 3, MaxChunks: 2}, as("bob")},
 			{"best search shrunk", "best", "main/search", SearchRequest{Query: v(2), K: 4, MaxChunks: 6}, as("s")},
 			{"best batch shrunk", "best", "main/batch", BatchRequest{Queries: vs(2, 5), K: 4, MaxChunks: 3}, as("b")},
