@@ -62,7 +62,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant budget in chunks/second (0 = unlimited)")
 	tenantBurst := fs.Float64("tenant-burst", 0, "per-tenant bucket capacity in chunks (min: tenant-rate)")
 	bestEffort := fs.Bool("best-effort", false, "shrink over-budget chunk-budget requests instead of shedding with 429")
-	defaultMaxChunks := fs.Int("default-max-chunks", 0, "admission cost estimate per query without a chunk budget (0 = 16)")
+	defaultMaxChunks := fs.Int("default-max-chunks", 0, "admission price per query of a request with no stop rule (0 = 16); declared chunk and time budgets are priced at the index's MaxReads")
 	probeInterval := fs.Duration("probe-interval", 0, "shard health probe period (0 = 250ms)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "decoded-chunk cache budget in bytes per index, shared across an index's shards (0 = no cache)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests at shutdown")

@@ -54,14 +54,16 @@ type Config struct {
 	TenantRate  float64
 	TenantBurst float64
 	// BestEffort admits a chunk-budget request whose tenant bucket
-	// cannot cover its full budget by shrinking MaxChunks to what the
-	// bucket holds, instead of shedding with 429. Time-budget and
-	// run-to-completion requests are never shrunk — their cost is not
-	// denominated in chunks up front — so they still shed.
+	// cannot cover its price by shrinking MaxChunks to the largest budget
+	// whose price (the index's MaxReads per query) the bucket pays for,
+	// instead of shedding with 429. Time-budget and run-to-completion
+	// requests are never shrunk, so they still shed.
 	BestEffort bool
-	// DefaultMaxChunks is the admission cost estimate per query for
-	// requests that set no chunk budget (0 = 16). It is an estimate,
-	// not a cap: actual spend is settled against the bucket afterwards.
+	// DefaultMaxChunks prices a query of a request that declares no stop
+	// rule, as a global budget of that many chunks (0 = 16); a declared
+	// chunk or time budget is priced at the index's MaxReads. It is an
+	// estimate, not a cap: actual spend is settled against the bucket
+	// afterwards.
 	DefaultMaxChunks int
 	// ProbeInterval is the period at which the server calls every
 	// registered index's Probe (0 = 250ms).
