@@ -311,7 +311,8 @@ type Store interface {
 // MachineLayout is an optional Store interface for stores whose chunks
 // live on several simulated machines (the shard router's concatenated
 // store): Layout returns the machine owning every chunk (one entry per
-// Meta entry, read-only) and the machine count. Consumers bill each chunk
+// Meta entry, read-only and fixed for the store's life) and the machine
+// count. Consumers bill each chunk
 // to its owner's simdisk.Pipeline, every machine paying the index read
 // for its own chunk count, and report the max over the machines — they
 // run in parallel. The layout is nominal: it never depends on which

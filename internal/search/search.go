@@ -286,6 +286,11 @@ type Plan struct {
 	counts    []int
 	inits     []time.Duration
 	indexRead time.Duration
+	// counted is the owner slice counts was counted from. A store's layout
+	// is fixed (chunkfile.MachineLayout), so a plan Reset again over the
+	// same slice keeps its counts: a run's Reset, and admission's, costs
+	// O(machines), not O(chunks).
+	counted []int32
 	// group maps every chunk to the budget group whose stop rule it spends:
 	// its owner under the per-machine discipline, nil (one group) under the
 	// global one or on a plain store. groups holds each group's chunk
@@ -331,16 +336,20 @@ func (p *Plan) Reset(store chunkfile.Store, model *simdisk.Model, k int, stop St
 			return fmt.Errorf("search: store layout maps %d chunks onto %d machines, store has %d chunks", len(p.owner), machines, len(p.metas))
 		}
 	}
-	p.counts = sized(p.counts, machines)
-	clear(p.counts)
-	if p.owner == nil {
-		p.counts[0] = len(p.metas)
-	}
-	for ci, m := range p.owner {
-		if m < 0 || int(m) >= machines {
-			return fmt.Errorf("search: store layout maps chunk %d to machine %d outside [0,%d)", ci, m, machines)
+	if len(p.owner) == 0 || len(p.counted) != len(p.owner) || &p.counted[0] != &p.owner[0] || len(p.counts) != machines {
+		p.counted = nil
+		p.counts = sized(p.counts, machines)
+		clear(p.counts)
+		if p.owner == nil {
+			p.counts[0] = len(p.metas)
 		}
-		p.counts[m]++
+		for ci, m := range p.owner {
+			if m < 0 || int(m) >= machines {
+				return fmt.Errorf("search: store layout maps chunk %d to machine %d outside [0,%d)", ci, m, machines)
+			}
+			p.counts[m]++
+		}
+		p.counted = p.owner
 	}
 	p.inits = sized(p.inits, machines)
 	p.indexRead = 0
@@ -451,7 +460,7 @@ type leastCharge struct {
 }
 
 // Release drops the plan's references into caller and store memory so a
-// pooled plan retains none of it.
+// pooled plan retains none of it but the layout it counted.
 func (p *Plan) Release() {
 	p.metas, p.centroids, p.stop, p.model, p.trace, p.owner, p.group = nil, nil, nil, nil, nil, nil, nil
 }

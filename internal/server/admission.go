@@ -156,9 +156,9 @@ func (tb *TenantBuckets) Refund(tenant string, n int) {
 }
 
 // Charge subtracts n chunks unconditionally, letting the bucket go
-// negative. It settles actual cost above the admission estimate (a
-// request without a declared chunk budget is priced at the server's
-// default and can read more): the tenant runs a debt that must refill
+// negative. It settles actual cost above the admission price (a
+// request that declares no stop rule is priced at the server's default
+// and can read more): the tenant runs a debt that must refill
 // before its next admission, so underestimates are paid back rather
 // than forgotten.
 func (tb *TenantBuckets) Charge(tenant string, n int) {

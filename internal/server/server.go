@@ -580,7 +580,7 @@ func (req *SearchRequest) batch() (string, BatchRequest) {
 func (req *BatchRequest) batch() (string, BatchRequest) { return "queries", *req }
 
 // A bag's budget is always chunk-denominated: MaxChunks 0 is the facade's
-// per-descriptor default, so admission estimates and grants that.
+// per-descriptor default, so admission prices and grants that.
 func (req *MultiRequest) batch() (string, BatchRequest) {
 	return "descriptors", BatchRequest{Queries: req.Descriptors, K: req.K,
 		MaxChunks: cmp.Or(req.MaxChunks, repro.DefaultMultiMaxChunks), Overlap: req.Overlap, GlobalBudget: req.GlobalBudget}
@@ -632,7 +632,7 @@ func checkStopRules(k, maxChunks int, maxTimeUs int64) error {
 
 // handle is the one pipeline behind every search route. Its prologue
 // looks the index up, parses the body, resolves the deadline and admits
-// the request's chunk estimate; then /multi votes and the others run as
+// the request at its price; then /multi votes and the others run as
 // one batch. The grant is settled exactly once, on the way out, with the
 // chunks the run reported — none when it failed or panicked, so either
 // refunds the up-front charge.

@@ -389,11 +389,11 @@ func TestTenantRefundOnEarlyStop(t *testing.T) {
 	}
 }
 
-// TestTenantHugeMaxChunksCannotBypassBucket pins that admission caps a
-// request's estimate at the index's chunk count before multiplying: a
+// TestTenantHugeMaxChunksCannotBypassBucket pins that a query's price
+// is at most the index's chunk count before admission multiplies it: a
 // batch whose max_chunks × queries would overflow is charged what it can
 // read, so it is shed by a one-chunk bucket instead of slipping through
-// on a wrapped-negative estimate and refilling the bucket on settle.
+// on a wrapped-negative price and refilling the bucket on settle.
 func TestTenantHugeMaxChunksCannotBypassBucket(t *testing.T) {
 	ts, _ := serveTest(t, Config{TenantRate: 1, TenantBurst: 1, Clock: newFakeClock().now},
 		map[string]Backend{"main": &fakeBackend{}})
