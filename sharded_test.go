@@ -138,8 +138,8 @@ func checkSaveOpenRoundTrip(t *testing.T, shards, pageSize int) {
 
 // TestShardedIndexGlobalBudget pins the facade's GlobalBudget option:
 // on S shards a global MaxChunks budget reads exactly that many chunks
-// in total, its MaxReads, and returns the one-shard index's neighbors at the same
-// budget (the closed S× gap); on 1 shard the global discipline is
+// in total, its MaxReads, and returns the one-shard index's neighbors at
+// the same budget (the closed S× gap); on 1 shard the global discipline is
 // byte-identical to the per-shard one including Simulated; the batch and
 // multi-descriptor paths agree with the single-query path.
 func TestShardedIndexGlobalBudget(t *testing.T) {
