@@ -3,7 +3,6 @@ package repro
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/race"
 )
@@ -70,53 +69,6 @@ func TestFileStoreConcurrentBatch(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestSearchBatchIntoMatchesSearch verifies the caller-owned result arena
-// form at the facade level: byte-identical neighbors, chunk counts,
-// simulated times and Exact flags versus per-query Search, for all three
-// stop rules.
-func TestSearchBatchIntoMatchesSearch(t *testing.T) {
-	coll := GenerateCollection(6000, 21)
-	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries, err := DatasetQueries(coll, 20, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []SearchOptions{
-		{K: 12, MaxChunks: 3},
-		{K: 12, MaxTime: 300 * time.Millisecond},
-		{K: 12}, // run to completion
-	} {
-		results := make([]Result, len(queries))
-		if err := idx.SearchBatchInto(queries, BatchOptions{SearchOptions: opts}, results); err != nil {
-			t.Fatal(err)
-		}
-		for qi, q := range queries {
-			want, err := idx.Search(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := &results[qi]
-			if got.ChunksRead != want.ChunksRead || got.Simulated != want.Simulated || got.Exact != want.Exact ||
-				got.Degraded != want.Degraded || got.ChunksSkipped != want.ChunksSkipped {
-				t.Fatalf("opts %+v q%d: (chunks %d, sim %v, exact %v, degraded %v, skipped %d) != (%d, %v, %v, %v, %d)",
-					opts, qi, got.ChunksRead, got.Simulated, got.Exact, got.Degraded, got.ChunksSkipped,
-					want.ChunksRead, want.Simulated, want.Exact, want.Degraded, want.ChunksSkipped)
-			}
-			if len(got.Neighbors) != len(want.Neighbors) {
-				t.Fatalf("opts %+v q%d: %d neighbors != %d", opts, qi, len(got.Neighbors), len(want.Neighbors))
-			}
-			for i := range want.Neighbors {
-				if got.Neighbors[i] != want.Neighbors[i] {
-					t.Fatalf("opts %+v q%d rank %d: %+v != %+v", opts, qi, i, got.Neighbors[i], want.Neighbors[i])
-				}
-			}
-		}
-	}
 }
 
 // TestSearchBatchIntoZeroAlloc pins the zero-allocation contract of the

@@ -62,7 +62,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant budget in chunks/second (0 = unlimited)")
 	tenantBurst := fs.Float64("tenant-burst", 0, "per-tenant bucket capacity in chunks (min: tenant-rate)")
 	bestEffort := fs.Bool("best-effort", false, "shrink over-budget chunk-budget requests instead of shedding with 429")
-	defaultMaxChunks := fs.Int("default-max-chunks", 0, "admission price per query of a request with no stop rule (0 = 16); declared chunk and time budgets are priced at the index's MaxReads")
 	probeInterval := fs.Duration("probe-interval", 0, "shard health probe period (0 = 250ms)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "decoded-chunk cache budget in bytes per index, shared across an index's shards (0 = no cache)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests at shutdown")
@@ -81,7 +80,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if len(specs) == 0 {
 		return fmt.Errorf("no indexes to serve: pass at least one -index name=path")
 	}
-	if *maxInFlight < 0 || *tenantRate < 0 || *tenantBurst < 0 || *defaultMaxChunks < 0 ||
+	if *maxInFlight < 0 || *tenantRate < 0 || *tenantBurst < 0 ||
 		*defaultDeadline < 0 || *probeInterval < 0 || *drainTimeout < 0 || *cacheBytes < 0 {
 		return fmt.Errorf("negative values make no sense for limits, rates, sizes, or timeouts")
 	}
@@ -104,13 +103,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	srv := server.New(reg, server.Config{
-		DefaultDeadline:  *defaultDeadline,
-		MaxInFlight:      *maxInFlight,
-		TenantRate:       *tenantRate,
-		TenantBurst:      *tenantBurst,
-		BestEffort:       *bestEffort,
-		DefaultMaxChunks: *defaultMaxChunks,
-		ProbeInterval:    *probeInterval,
+		DefaultDeadline: *defaultDeadline,
+		MaxInFlight:     *maxInFlight,
+		TenantRate:      *tenantRate,
+		TenantBurst:     *tenantBurst,
+		BestEffort:      *bestEffort,
+		ProbeInterval:   *probeInterval,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -323,3 +323,50 @@ func TestDocsGodocCoverage(t *testing.T) {
 	check("internal/chunkcache", exportedDecls(parseDir(t, filepath.Join("internal", "chunkcache")), nil))
 	check("internal/search/batchexec", exportedDecls(parseDir(t, filepath.Join("internal", "search", "batchexec")), nil))
 }
+
+// TestDocsCitedTestsExist is the docs gate's test half: every backticked
+// Test*, Fuzz* or Benchmark* name in README.md or DESIGN.md is a function
+// declared in one of the module's _test.go files (a name ending in * must
+// begin one), so the prose cannot cite a deleted or misspelt test.
+func TestDocsCitedTestsExist(t *testing.T) {
+	declRe := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	var declared []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if _, mod := os.Stat(filepath.Join(path, "go.mod")); err == nil && d.IsDir() && path != "." &&
+			(mod == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir // another module, or no package
+		}
+		if err == nil && strings.HasSuffix(path, "_test.go") {
+			var src []byte
+			src, err = os.ReadFile(path)
+			for _, m := range declRe.FindAllStringSubmatch(string(src), -1) {
+				declared = append(declared, m[1])
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codeRe := regexp.MustCompile("`[^`\n]+`")
+	citeRe := regexp.MustCompile(`\b((?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*)(\*?)`)
+	cited := 0
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, code := range codeRe.FindAllString(string(data), -1) {
+			for _, m := range citeRe.FindAllStringSubmatch(code, -1) {
+				cited++
+				if !slices.ContainsFunc(declared, func(name string) bool { return name == m[1] || m[2] == "*" && strings.HasPrefix(name, m[1]) }) {
+					t.Errorf("%s cites `%s%s`, which no _test.go file in the module declares", doc, m[1], m[2])
+				}
+			}
+		}
+	}
+	// Guard against the regexes silently matching nothing.
+	if cited == 0 || !slices.Contains(declared, "TestDocsCitedTestsExist") {
+		t.Fatalf("sanity: %d citations, %d declared tests", cited, len(declared))
+	}
+}

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"encoding/binary"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,116 +9,6 @@ import (
 
 	"repro/internal/chunkfile"
 )
-
-// TestEndToEndFilePipeline exercises the full production flow: generate a
-// collection, persist it, reload it, build each strategy's index, persist
-// the index, reopen it, and verify searches against the scan oracle —
-// the cmd/descgen → cmd/chunkbuild → cmd/chunksearch path at library level.
-func TestEndToEndFilePipeline(t *testing.T) {
-	dir := t.TempDir()
-	collPath := filepath.Join(dir, "collection.desc")
-
-	gen := GenerateCollection(8000, 99)
-	if err := SaveCollection(gen, collPath); err != nil {
-		t.Fatal(err)
-	}
-	coll, err := LoadCollection(collPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coll.Len() != gen.Len() {
-		t.Fatalf("reloaded %d of %d descriptors", coll.Len(), gen.Len())
-	}
-
-	queries, err := DatasetQueries(coll, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, strat := range []Strategy{StrategySRTree, StrategyHybrid, StrategyRoundRobin} {
-		built, err := BuildSharded(coll, BuildConfig{Strategy: strat, ChunkSize: 250, Seed: 1}, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		idxDir := filepath.Join(dir, string(strat))
-		if err := os.Mkdir(idxDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := built.Save(idxDir); err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		opened, err := OpenSharded(idxDir)
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		for qi, q := range queries {
-			res, err := opened.Search(q, SearchOptions{K: 10})
-			if err != nil {
-				t.Fatalf("%s q%d: %v", strat, qi, err)
-			}
-			truth := Exact(coll, q, 10)
-			if p := Precision(res.Neighbors, truth); p != 1 {
-				t.Fatalf("%s q%d: completion precision %v", strat, qi, p)
-			}
-		}
-		if err := opened.Close(); err != nil {
-			t.Fatalf("%s: close: %v", strat, err)
-		}
-	}
-}
-
-// TestSearchBatchMatchesSequential verifies the parallel batch runner
-// returns exactly the sequential per-query results, in order.
-func TestSearchBatchMatchesSequential(t *testing.T) {
-	coll := GenerateCollection(6000, 5)
-	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries, err := DatasetQueries(coll, 24, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := SearchOptions{K: 15, MaxChunks: 4}
-	batch := make([]Result, len(queries))
-	if err := idx.SearchBatchInto(queries, BatchOptions{SearchOptions: opts, Parallelism: 4}, batch); err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range queries {
-		seq, err := idx.Search(q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seq.Neighbors) != len(batch[qi].Neighbors) {
-			t.Fatalf("q%d: lengths differ", qi)
-		}
-		for i := range seq.Neighbors {
-			if math.Abs(seq.Neighbors[i].Dist-batch[qi].Neighbors[i].Dist) > 1e-12 {
-				t.Fatalf("q%d rank %d: batch diverges from sequential", qi, i)
-			}
-		}
-		if batch[qi].ChunksRead != seq.ChunksRead {
-			t.Fatalf("q%d: chunks %d vs %d", qi, batch[qi].ChunksRead, seq.ChunksRead)
-		}
-	}
-}
-
-func TestSearchBatchEdges(t *testing.T) {
-	coll := GenerateCollection(2000, 6)
-	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 200}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.SearchBatchInto(nil, BatchOptions{}, nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
-	}
-	// More workers than queries must not deadlock.
-	queries, _ := DatasetQueries(coll, 2, 1)
-	res := make([]Result, len(queries))
-	if err := idx.SearchBatchInto(queries, BatchOptions{Parallelism: 16}, res); err != nil || len(res[1].Neighbors) == 0 {
-		t.Fatalf("tiny batch: %v %v", res, err)
-	}
-}
 
 // TestSearchBatchFailFast verifies a bad query fails the whole batch and
 // the error identifies the query; the dispatcher stops handing out work

@@ -15,46 +15,6 @@ import (
 	"repro/internal/search"
 )
 
-// TestRunStream pins the streaming contract: the completion callback
-// fires exactly once per query, results[qi] is fully written (sorted
-// neighbors, final counters) at the moment its callback fires, and every
-// callback has fired by the time RunStream returns.
-func TestRunStream(t *testing.T) {
-	mem, _, queries := buildStores(t)
-	eng := New(mem, nil)
-	want := make([]search.Result, len(queries))
-	if err := eng.Run(queries, Options{K: 10, Stop: search.ChunkBudget(4)}, want); err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{1, 0} {
-		var mu sync.Mutex
-		fired := make([]int, len(queries))
-		results := make([]search.Result, len(queries))
-		err := eng.RunStream(queries, Options{K: 10, Stop: search.ChunkBudget(4), Parallelism: par}, results,
-			func(qi int) {
-				mu.Lock()
-				defer mu.Unlock()
-				fired[qi]++
-				// The result must already be complete when the callback fires.
-				if len(results[qi].Neighbors) != len(want[qi].Neighbors) ||
-					results[qi].ChunksRead != want[qi].ChunksRead {
-					t.Errorf("p%d q%d: result incomplete at callback time", par, qi)
-				}
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi, n := range fired {
-			if n != 1 {
-				t.Fatalf("p%d q%d: callback fired %d times, want 1", par, qi, n)
-			}
-			if d := diff(&results[qi], &want[qi]); d != "" {
-				t.Fatalf("p%d q%d: streamed result: %s", par, qi, d)
-			}
-		}
-	}
-}
-
 // traceRec is one recorded trace event with the neighbor set copied out
 // (Event.Neighbors is reused between a query's events).
 type traceRec struct {
@@ -77,7 +37,7 @@ func recordEvent(ev search.Event) traceRec {
 // same rank order as the query run alone, inline and in parallel — events
 // of one query are ordered even when queries interleave.
 func TestBatchTraceMatchesSingleQuery(t *testing.T) {
-	mem, _, queries := buildStores(t)
+	mem, queries := buildStore(t)
 	queries = queries[:16]
 	eng := New(mem, nil)
 	stop := search.ChunkBudget(5)
@@ -140,7 +100,7 @@ func (s *cancelStore) ReadChunk(i int, data *chunkfile.Data) error {
 // that means at most one read after the cancellation — and the run fails
 // with an error wrapping ctx.Err().
 func TestBatchMidCancel(t *testing.T) {
-	mem, _, queries := buildStores(t)
+	mem, queries := buildStore(t)
 
 	const cancelAt = 7
 	for _, par := range []int{1, 0} {
@@ -197,7 +157,7 @@ func TestBatchStragglerStreams(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs a second worker to make progress around the blocked chunk")
 	}
-	mem, _, queries := buildStores(t)
+	mem, queries := buildStore(t)
 	stop := search.ChunkBudget(4)
 
 	// Baseline (and the expected blocked set): queries reading the
@@ -276,7 +236,7 @@ func TestBatchStragglerStreams(t *testing.T) {
 // mid-flight) share one engine over a latency-widened store, so
 // subscribe/complete/cancel interleave across the process-wide pool.
 func TestBatchAsyncStress(t *testing.T) {
-	mem, _, queries := buildStores(t)
+	mem, queries := buildStore(t)
 	queries = queries[:24]
 	slow := faultstore.Wrap(mem, faultstore.Config{Latency: 200 * time.Microsecond})
 	eng := New(slow, nil)

@@ -3,10 +3,8 @@ package batchexec
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/chunkfile"
 	"repro/internal/imagegen"
@@ -16,9 +14,9 @@ import (
 	"repro/internal/vec"
 )
 
-// buildStores returns the same chunk index as a MemStore and a FileStore,
-// so every equivalence below is pinned on both backends.
-func buildStores(t testing.TB) (*chunkfile.MemStore, *chunkfile.FileStore, []vec.Vector) {
+// buildStore returns a chunk index as a MemStore and the queries the
+// tests below run over it.
+func buildStore(t testing.TB) (*chunkfile.MemStore, []vec.Vector) {
 	t.Helper()
 	ds := imagegen.MustGenerate(imagegen.DefaultConfig(5000, 17))
 	coll := ds.Collection
@@ -27,17 +25,6 @@ func buildStores(t testing.TB) (*chunkfile.MemStore, *chunkfile.FileStore, []vec
 		t.Fatal(err)
 	}
 	mem := chunkfile.NewMemStore(coll, chunks, 4096)
-
-	dir := t.TempDir()
-	cp, ip := filepath.Join(dir, "b.chunk"), filepath.Join(dir, "b.idx")
-	if err := chunkfile.Write(coll, chunks, cp, ip, 4096); err != nil {
-		t.Fatal(err)
-	}
-	file, err := chunkfile.Open(cp, ip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { file.Close() })
 
 	// 40 dataset queries (descriptors of the collection itself, so they
 	// have close matches) plus 10 perturbed ones with no exact match.
@@ -52,7 +39,7 @@ func buildStores(t testing.TB) (*chunkfile.MemStore, *chunkfile.FileStore, []vec
 		}
 		queries = append(queries, q)
 	}
-	return mem, file, queries
+	return mem, queries
 }
 
 // runEach runs every query as its own batch of one — the way a point
@@ -66,45 +53,6 @@ func runEach(t testing.TB, eng *Engine, queries []vec.Vector, opts Options) []se
 		}
 	}
 	return out
-}
-
-// TestBatchMatchesSingleQuery is the engine's core contract: a query's
-// outcome does not depend on which queries share its run. A batch of N is
-// byte-identical to N batches of one — same neighbor IDs and bit-identical
-// distances (ties included), same ChunksRead, same simulated time and
-// IndexRead, same Exact flag — for all three stop rules, on both store
-// backends, at every parallelism.
-func TestBatchMatchesSingleQuery(t *testing.T) {
-	mem, file, queries := buildStores(t)
-	stops := []search.StopRule{
-		search.ChunkBudget(3),
-		search.TimeBudget(250 * time.Millisecond),
-		search.ToCompletion{},
-	}
-	stores := []struct {
-		name  string
-		store chunkfile.Store
-	}{{"mem", mem}, {"file", file}}
-
-	for _, sc := range stores {
-		eng := New(sc.store, nil)
-		for _, stop := range stops {
-			opts := Options{K: 20, Stop: stop, Overlap: true}
-			want := runEach(t, eng, queries, opts)
-			for _, par := range []int{1, 0} {
-				opts.Parallelism = par
-				results := make([]search.Result, len(queries))
-				if err := eng.Run(queries, opts, results); err != nil {
-					t.Fatalf("%s/%v/p%d: %v", sc.name, stop, par, err)
-				}
-				for qi := range queries {
-					if d := diff(&results[qi], &want[qi]); d != "" {
-						t.Fatalf("%s/%v/p%d q%d: %s", sc.name, stop, par, qi, d)
-					}
-				}
-			}
-		}
-	}
 }
 
 // diff names the first field in which got differs from want — neighbors
@@ -134,7 +82,7 @@ func TestBatchZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	mem, _, queries := buildStores(t)
+	mem, queries := buildStore(t)
 	eng := New(mem, nil)
 	for _, row := range []struct{ n, par int }{{len(queries), 1}, {len(queries), 0}, {1, 0}} {
 		batch := queries[:row.n]
@@ -157,40 +105,10 @@ func TestBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBatchExactUnderfilledHeap pins the edge where the stop rule fires
-// on the very last ranked chunk while the heap is still under-filled (K
-// exceeds the store's descriptor count): both Kth and the suffix bound
-// are +Inf, so the certificate comparison alone says false, but the
-// result is Exact because every chunk was processed — alone and in a
-// batch alike.
-func TestBatchExactUnderfilledHeap(t *testing.T) {
-	mem, _, queries := buildStores(t)
-	nchunks := len(mem.Meta())
-	total := 0
-	for _, m := range mem.Meta() {
-		total += m.Count
-	}
-	k := total + 10 // heap can never fill
-	eng := New(mem, nil)
-	opts := Options{K: k, Stop: search.ChunkBudget(nchunks)} // Done fires exactly on the last chunk
-	results := make([]search.Result, len(queries))
-	if err := eng.Run(queries, opts, results); err != nil {
-		t.Fatal(err)
-	}
-	for qi, want := range runEach(t, eng, queries, opts) {
-		if !want.Exact {
-			t.Fatalf("q%d: query alone not exact (%d chunks)", qi, want.ChunksRead)
-		}
-		if d := diff(&results[qi], &want); d != "" {
-			t.Fatalf("q%d: %s", qi, d)
-		}
-	}
-}
-
 // TestBatchQueryError verifies a bad query fails the whole batch with a
 // QueryError naming the offending query.
 func TestBatchQueryError(t *testing.T) {
-	mem, _, queries := buildStores(t)
+	mem, queries := buildStore(t)
 	eng := New(mem, nil)
 	bad := make([]vec.Vector, len(queries))
 	copy(bad, queries)
@@ -206,7 +124,7 @@ func TestBatchQueryError(t *testing.T) {
 // TestBatchEdges: empty batches are no-ops and mismatched results arrays
 // are rejected.
 func TestBatchEdges(t *testing.T) {
-	mem, _, queries := buildStores(t)
+	mem, queries := buildStore(t)
 	eng := New(mem, nil)
 	if err := eng.Run(nil, Options{}, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
@@ -226,64 +144,20 @@ type layoutStore struct {
 
 func (s layoutStore) Layout() ([]int32, int) { return s.owner, s.machines }
 
-// TestBatchShardMapping pins the store-reported machine layout
-// (chunkfile.MachineLayout) on the engine: a layout onto one machine is
-// byte-identical to a store without one, a three-machine layout moves
-// time but never neighbors or ChunksRead and is byte-identical to batches
-// of one over the same store (whose Simulated the walk's own test replays
-// by hand), and a malformed layout is rejected.
+// TestBatchShardMapping pins that the engine rejects a malformed
+// store-reported machine layout (chunkfile.MachineLayout). How a
+// well-formed one bills a walk is FuzzWalkPerMachine's and, over the shard
+// router's layout, the root package's FuzzStackVsModel's.
 func TestBatchShardMapping(t *testing.T) {
-	mem, _, queries := buildStores(t)
-	metas := mem.Meta()
-	queries = queries[:12]
-	opts := Options{K: 10, Stop: search.ChunkBudget(6), GlobalBudget: true}
-	run := func(store chunkfile.Store) ([]search.Result, error) {
-		res := make([]search.Result, len(queries))
-		return res, New(store, nil).Run(queries, opts, res)
-	}
-	base, err := run(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := run(layoutStore{mem, make([]int32, len(metas)), 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range got {
-		if d := diff(&got[qi], &base[qi]); d != "" {
-			t.Fatalf("1-machine layout q%d: %s", qi, d)
-		}
-	}
-
-	const machines = 3
-	mapping := make([]int32, len(metas))
-	for i := range mapping {
-		mapping[i] = int32(i % machines)
-	}
-	three := layoutStore{mem, mapping, machines}
-	if got, err = run(three); err != nil {
-		t.Fatal(err)
-	}
-	for qi, want := range runEach(t, New(three, nil), queries, opts) {
-		if d := diff(&got[qi], &want); d != "" {
-			t.Fatalf("3-machine layout q%d vs batch of one: %s", qi, d)
-		}
-		if !slices.Equal(got[qi].PerMachine, want.PerMachine) || len(want.PerMachine) != machines {
-			t.Fatalf("q%d: PerMachine %+v != %+v", qi, got[qi].PerMachine, want.PerMachine)
-		}
-		if got[qi].ChunksRead != base[qi].ChunksRead || !slices.Equal(got[qi].Neighbors, base[qi].Neighbors) {
-			t.Fatalf("q%d: the layout moved more than time", qi)
-		}
-	}
-
-	bad := make([]int32, len(metas))
-	bad[0] = machines
+	mem, queries := buildStore(t)
+	bad := make([]int32, len(mem.Meta()))
+	bad[0] = 3
 	for name, store := range map[string]layoutStore{
 		"short mapping":        {mem, make([]int32, 1), 1},
-		"machine out of range": {mem, bad, machines},
-		"negative machine":     {mem, append([]int32{-1}, bad[1:]...), machines},
+		"machine out of range": {mem, bad, 3},
+		"negative machine":     {mem, append([]int32{-1}, bad[1:]...), 3},
 	} {
-		if _, err := run(store); err == nil {
+		if err := New(store, nil).Run(queries[:1], Options{}, make([]search.Result, 1)); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}

@@ -10,11 +10,12 @@ import (
 	"repro/internal/chunkfile"
 	"repro/internal/descriptor"
 	"repro/internal/imagegen"
+	"repro/internal/race"
 	"repro/internal/scan"
 	. "repro/internal/search"
 	"repro/internal/search/batchexec"
-	"repro/internal/simdisk"
 	"repro/internal/srtree"
+	"repro/internal/vafile"
 	"repro/internal/vec"
 )
 
@@ -92,82 +93,6 @@ func retainedSubset(t testing.TB, coll *descriptor.Collection, st chunkfile.Stor
 	return sub
 }
 
-// The central correctness property: run-to-completion over the chunk
-// architecture returns exactly the sequential-scan result (paper §4.3:
-// "This ensures that all nearest-neighbors have been found").
-func TestCompletionIsExact(t *testing.T) {
-	f := getFixture(t, 31)
-	r := rand.New(rand.NewSource(2))
-	for name, st := range map[string]chunkfile.Store{"srtree": f.srSt, "bag": f.bagSt} {
-		sub := retainedSubset(t, f.coll, st)
-		s := batchexec.New(st, nil)
-		for trial := 0; trial < 12; trial++ {
-			var q vec.Vector
-			if trial%2 == 0 {
-				q = f.coll.Vec(r.Intn(f.coll.Len())) // DQ-style
-			} else {
-				q = make(vec.Vector, f.coll.Dims()) // SQ-style
-				for d := range q {
-					q[d] = float32(r.NormFloat64() * 120)
-				}
-			}
-			res, err := searchOne(s, q, batchexec.Options{K: 20, Stop: ToCompletion{}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Exact {
-				t.Fatalf("%s: completion search not marked exact", name)
-			}
-			want := scan.KNN(sub, q, 20)
-			if len(res.Neighbors) != len(want) {
-				t.Fatalf("%s: got %d neighbors, want %d", name, len(res.Neighbors), len(want))
-			}
-			for i := range want {
-				if math.Abs(res.Neighbors[i].Dist-want[i].Dist) > 1e-9 {
-					t.Fatalf("%s trial %d: rank %d dist %v, scan %v",
-						name, trial, i, res.Neighbors[i].Dist, want[i].Dist)
-				}
-			}
-		}
-	}
-}
-
-func TestChunkBudgetStops(t *testing.T) {
-	f := getFixture(t, 31)
-	s := batchexec.New(f.srSt, nil)
-	q := f.coll.Vec(5)
-	res, err := searchOne(s, q, batchexec.Options{K: 30, Stop: ChunkBudget(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ChunksRead != 3 {
-		t.Fatalf("ChunksRead = %d, want 3", res.ChunksRead)
-	}
-}
-
-func TestTimeBudgetStops(t *testing.T) {
-	f := getFixture(t, 31)
-	s := batchexec.New(f.srSt, nil)
-	q := f.coll.Vec(5)
-	full, err := searchOne(s, q, batchexec.Options{K: 30, Stop: ToCompletion{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := full.IndexRead + 25*time.Millisecond
-	res, err := searchOne(s, q, batchexec.Options{K: 30, Stop: TimeBudget(budget)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ChunksRead >= full.ChunksRead {
-		t.Fatalf("time budget read %d chunks, completion read %d", res.ChunksRead, full.ChunksRead)
-	}
-	// The rule triggers after crossing the threshold, so elapsed may
-	// exceed it by at most one chunk.
-	if res.Simulated < budget {
-		t.Fatalf("stopped before budget: %v < %v", res.Simulated, budget)
-	}
-}
-
 // The approximation quality must be monotone: the number of true neighbors
 // found can only grow as more chunks are processed.
 func TestNeighborsFoundMonotone(t *testing.T) {
@@ -223,85 +148,11 @@ func TestTraceEvents(t *testing.T) {
 	}
 }
 
-// Chunks must be processed in increasing centroid-distance order.
-func TestRankingOrder(t *testing.T) {
-	f := getFixture(t, 31)
-	s := batchexec.New(f.srSt, nil)
-	q := f.coll.Vec(100)
-	metas := f.srSt.Meta()
-	var prev float64 = -1
-	_, err := searchOne(s, q, batchexec.Options{K: 5, Stop: ToCompletion{}, Trace: func(_ int, ev Event) {
-		d := vec.Distance(q, metas[ev.ChunkIndex].Centroid)
-		if d < prev-1e-9 {
-			t.Fatalf("chunk order violated: %v after %v", d, prev)
-		}
-		prev = d
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDimsMismatch(t *testing.T) {
 	f := getFixture(t, 31)
 	s := batchexec.New(f.srSt, nil)
 	if _, err := searchOne(s, vec.Vector{1, 2, 3}, batchexec.Options{}); err == nil {
 		t.Fatal("dims mismatch accepted")
-	}
-}
-
-func TestDefaults(t *testing.T) {
-	f := getFixture(t, 31)
-	s := batchexec.New(f.srSt, nil)
-	res, err := searchOne(s, f.coll.Vec(0), batchexec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Neighbors) != 30 {
-		t.Fatalf("default K produced %d neighbors", len(res.Neighbors))
-	}
-	if !res.Exact {
-		t.Fatal("default stop rule should run to completion")
-	}
-}
-
-// Overlapped simulation must never be slower than serial for the same
-// query, and both must exceed the index-read floor.
-func TestOverlapFaster(t *testing.T) {
-	f := getFixture(t, 31)
-	s := batchexec.New(f.srSt, nil)
-	q := f.coll.Vec(42)
-	over, err := searchOne(s, q, batchexec.Options{K: 30, Overlap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := searchOne(s, q, batchexec.Options{K: 30, Overlap: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if over.Simulated > serial.Simulated {
-		t.Fatalf("overlap %v > serial %v", over.Simulated, serial.Simulated)
-	}
-	if over.Simulated <= over.IndexRead {
-		t.Fatal("elapsed not above index read cost")
-	}
-}
-
-func TestCustomModel(t *testing.T) {
-	f := getFixture(t, 31)
-	fast := &simdisk.Model{Seek: time.Microsecond, TransferRate: 1 << 40, DistanceCost: time.Nanosecond}
-	s := batchexec.New(f.srSt, fast)
-	res, err := searchOne(s, f.coll.Vec(3), batchexec.Options{K: 10, Stop: ChunkBudget(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := batchexec.New(f.srSt, nil)
-	res2, err := searchOne(slow, f.coll.Vec(3), batchexec.Options{K: 10, Stop: ChunkBudget(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Simulated >= res2.Simulated {
-		t.Fatalf("fast model %v not faster than default %v", res.Simulated, res2.Simulated)
 	}
 }
 
@@ -327,6 +178,77 @@ func BenchmarkSearchBudget5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := searchOne(s, q, batchexec.Options{K: 30, Stop: ChunkBudget(5)}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSearchIntoReusesBuffers verifies the zero-allocation contract of
+// the steady-state point query: a batch of one, recycling its query and
+// Result slices across runs, performs no allocations once warm.
+func TestSearchIntoReusesBuffers(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	f := getFixture(t, 31)
+	eng := batchexec.New(f.srSt, nil)
+	queries := []vec.Vector{f.coll.Vec(42)}
+	res := make([]Result, 1)
+	opts := batchexec.Options{K: 20}
+	// Warm up: grows the arena, the walk scratch and the neighbor buffer.
+	if err := eng.Run(queries, opts, res); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := eng.Run(queries, opts, res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state point query allocates %v per query, want 0", allocs)
+	}
+	if len(res[0].Neighbors) != 20 {
+		t.Fatalf("neighbors = %d", len(res[0].Neighbors))
+	}
+}
+
+// Three independently implemented exact searches — chunk search to
+// completion, the sequential scan, and the two-phase VA-File — must
+// agree on every query. Any pairwise disagreement localizes a bug to one
+// implementation.
+func TestThreeWayExactCrossCheck(t *testing.T) {
+	f := getFixture(t, 31)
+	coll := f.coll
+	chunkSearch := batchexec.New(f.srSt, nil)
+
+	va, err := vafile.Build(coll, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const k = 25
+	for _, qi := range []int{0, 9, 500, 1234, 4000} {
+		q := coll.Vec(qi)
+
+		a, err := searchOne(chunkSearch, q, batchexec.Options{K: k, Stop: ToCompletion{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := scan.KNN(coll, q, k)
+		c, _, err := va.Search(q, k, vafile.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if len(a.Neighbors) != k || len(b) != k || len(c) != k {
+			t.Fatalf("q%d: result sizes %d/%d/%d", qi, len(a.Neighbors), len(b), len(c))
+		}
+		for i := 0; i < k; i++ {
+			if math.Abs(a.Neighbors[i].Dist-b[i].Dist) > 1e-9 {
+				t.Fatalf("q%d rank %d: chunk search %v vs scan %v", qi, i, a.Neighbors[i].Dist, b[i].Dist)
+			}
+			if math.Abs(a.Neighbors[i].Dist-c[i].Dist) > 1e-9 {
+				t.Fatalf("q%d rank %d: chunk search %v vs va-file %v", qi, i, a.Neighbors[i].Dist, c[i].Dist)
+			}
 		}
 	}
 }

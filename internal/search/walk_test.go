@@ -256,8 +256,10 @@ func (s *subStore) ReadChunk(i int, d *chunkfile.Data) error { return s.Store.Re
 // definition: a walk over chunks owned by 1–5 machines (some possibly
 // empty, some chunks unavailable or stalled) must match independent
 // single-machine walks over each machine's own chunks, their neighbor
-// lists merged. Under the chunk and time budgets — which ignore the k-th
-// distance — everything matches byte for byte, machine by machine. Run to
+// lists merged. A time budget lies 1 ns either side of a charge edge: one
+// machine's clock after j of its charges, replayed by hand. Under the
+// chunk and time budgets — which ignore the k-th distance — everything
+// matches byte for byte, machine by machine. Run to
 // completion the answers match reading no more chunks, the fleet's k-th
 // distance being never larger than one machine's. Either way an
 // independent Exact implies Exact, and an undegraded Exact is exactly the
@@ -268,9 +270,9 @@ func FuzzWalkPerMachine(f *testing.F) {
 	f.Add(uint8(60), uint8(4), int64(3), uint8(2), uint8(0), true, uint8(25))
 	f.Add(uint8(3), uint8(0), int64(4), uint8(2), uint8(0), false, uint8(39))
 	f.Add(uint8(50), uint8(3), int64(5), uint8(0), uint8(255), true, uint8(12))
-	// A time budget whose walk reads exactly MaxReads on two machines of
-	// different index-read times.
-	f.Add(uint8(47), uint8(1), int64(28), uint8(1), uint8(105), false, uint8(10))
+	// A time budget at a charge edge whose walk reads exactly MaxReads on
+	// machines of different index-read times.
+	f.Add(uint8(7), uint8(3), int64(13), uint8(16), uint8(7), false, uint8(116))
 	f.Fuzz(func(t *testing.T, nRaw, machinesRaw uint8, seed int64, rule, budget uint8, overlap bool, kRaw uint8) {
 		fx := getFixture(t, 31)
 		base := fx.srSt
@@ -296,11 +298,23 @@ func FuzzWalkPerMachine(f *testing.F) {
 			if budget == math.MaxUint8 { // unlimited: no product with the machine count may overflow
 				stop = ChunkBudget(math.MaxInt)
 			}
-		case 1:
-			stop = TimeBudget(time.Duration(budget) * time.Millisecond)
 		}
 		q := fx.coll.Vec(rng.Intn(fx.coll.Len()))
 		model := simdisk.Default2005()
+		if rule%3 == 1 {
+			// A charge edge: machine m's clock after j charges, replayed by hand.
+			m := rng.Intn(machines)
+			p := simdisk.NewPipeline(model, overlap, model.IndexReadTime(len(own[m]), chunkfile.EntrySize(base.Dims())))
+			edges := []time.Duration{p.Elapsed()}
+			for _, rc := range naiveRank(q, st.Meta()) {
+				if st.owner[rc.Idx] == int32(m) {
+					if p.Stall(st.stall[rc.Idx]); !st.down[rc.Idx] {
+						edges = append(edges, p.Chunk(st.Meta()[rc.Idx].Bytes, st.Meta()[rc.Idx].Count))
+					}
+				}
+			}
+			stop = TimeBudget(edges[int(budget/2)%len(edges)] + time.Duration(2*int(budget%2)-1))
+		}
 		opts := batchexec.Options{K: k, Stop: stop, Overlap: overlap}
 
 		var charged []int

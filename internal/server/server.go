@@ -35,6 +35,12 @@ const DefaultTenant = "default"
 // without letting one request balloon the heap).
 const maxBodyBytes = 16 << 20
 
+// unbudgetedPrice prices a query of a request that declares no stop rule,
+// as a global budget of that many chunks; a declared chunk or time budget
+// is priced at the index's MaxReads. It is an estimate, not a cap: actual
+// spend is settled against the bucket afterwards.
+const unbudgetedPrice = 16
+
 // Config tunes the server's robustness envelope. The zero value serves:
 // no default deadline, no in-flight cap, no tenant limiting.
 type Config struct {
@@ -59,12 +65,6 @@ type Config struct {
 	// instead of shedding with 429. Time-budget and run-to-completion
 	// requests are never shrunk, so they still shed.
 	BestEffort bool
-	// DefaultMaxChunks prices a query of a request that declares no stop
-	// rule, as a global budget of that many chunks (0 = 16); a declared
-	// chunk or time budget is priced at the index's MaxReads. It is an
-	// estimate, not a cap: actual spend is settled against the bucket
-	// afterwards.
-	DefaultMaxChunks int
 	// ProbeInterval is the period at which the server calls every
 	// registered index's Probe (0 = 250ms).
 	ProbeInterval time.Duration
@@ -95,9 +95,6 @@ type Server struct {
 // starts with Start or Serve, not here, so a server that is only
 // constructed owns no goroutines.
 func New(reg *Registry, cfg Config) *Server {
-	if cfg.DefaultMaxChunks <= 0 {
-		cfg.DefaultMaxChunks = 16
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 250 * time.Millisecond
 	}
@@ -473,12 +470,12 @@ func (g *grant) settle(buckets *TenantBuckets, actual int) {
 // admitChunks runs tenant admission for a request of n queries, each
 // run under opts, against b. The index prices a query: b.MaxReads(opts)
 // chunks, the most it can read; a request that declares no stop rule is
-// priced as a global budget of DefaultMaxChunks. On refusal it writes the
+// priced as a global budget of unbudgetedPrice. On refusal it writes the
 // 429 and returns ok=false.
 func (s *Server) admitChunks(w http.ResponseWriter, r *http.Request, b Backend, n int, opts repro.SearchOptions) (grant, bool) {
 	g := grant{tenant: tenantOf(r), perQuery: opts.MaxChunks}
 	if opts.MaxChunks == 0 && opts.MaxTime == 0 {
-		opts.MaxChunks, opts.GlobalBudget = s.cfg.DefaultMaxChunks, true
+		opts.MaxChunks, opts.GlobalBudget = unbudgetedPrice, true
 	}
 	price := b.MaxReads(opts) * n
 	if ok, retry := s.buckets.Take(g.tenant, price); !ok {

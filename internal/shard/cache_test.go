@@ -4,33 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/chunkfile"
-	"repro/internal/cluster"
 	"repro/internal/faultstore"
-	"repro/internal/imagegen"
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
-	"repro/internal/vec"
 	"repro/internal/workload"
 )
-
-// cachedRouterOver is routerOver with a decoded-chunk cache configured.
-func cachedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster, shards, pageSize int, cacheBytes int64) *Router {
-	t.Helper()
-	coll := ds.Collection
-	assign, err := Partition(clusters, shards, coll.Dims(), pageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores := make([]chunkfile.Store, len(assign))
-	for s, idxs := range assign {
-		stores[s] = chunkfile.NewMemStore(coll, Select(clusters, idxs), pageSize)
-	}
-	r, err := NewRouter(stores, nil, RouterOptions{CacheBytes: cacheBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
 
 // sameResult asserts byte-identity of the full outcome, including
 // the simulated costs a cache, a batch or a one-shard router must not
@@ -45,78 +23,6 @@ func sameResult(t *testing.T, label string, got, want *search.Result) {
 	if got.ChunksSkipped != want.ChunksSkipped || got.Degraded != want.Degraded {
 		t.Fatalf("%s: (skipped %d, degraded %v) != (skipped %d, degraded %v)",
 			label, got.ChunksSkipped, got.Degraded, want.ChunksSkipped, want.Degraded)
-	}
-}
-
-// TestCachedRouterMatchesUncached pins the cache equivalence at the
-// router: with the shared decoded-chunk cache on, both budget disciplines
-// — single queries and batches — return results byte-identical to the
-// uncached router, including Simulated and ChunksRead, under all three stop
-// rules, on the cold pass and again on the fully warm pass.
-func TestCachedRouterMatchesUncached(t *testing.T) {
-	ds, clusters := fixture(t, 4000, 29, 130)
-	coll := ds.Collection
-	const shards, pageSize, k = 3, 4096, 15
-
-	plain := routerOver(t, ds, clusters, shards, pageSize)
-	defer plain.Close()
-	queryIdx := []int{2, 444, 1717, 3999}
-	queries := make([]vec.Vector, len(queryIdx))
-	for i, pos := range queryIdx {
-		queries[i] = coll.Vec(pos)
-	}
-
-	cached := cachedRouterOver(t, ds, clusters, shards, pageSize, 64<<20)
-	for _, stop := range stopRules() {
-		for pass := 0; pass < 2; pass++ {
-			for _, d := range disciplines {
-				opts := batchexec.Options{K: k, Stop: stop, GlobalBudget: d.global}
-				for _, q := range queries {
-					var want, got search.Result
-					if err := one(batchexec.New(plain, nil).Run, q, opts, &want); err != nil {
-						t.Fatal(err)
-					}
-					if err := one(batchexec.New(cached, nil).Run, q, opts, &got); err != nil {
-						t.Fatal(err)
-					}
-					sameResult(t, d.name+"/search", &got, &want)
-				}
-
-				want := make([]search.Result, len(queries))
-				got := make([]search.Result, len(queries))
-				if err := batchexec.New(plain, nil).Run(queries, opts, want); err != nil {
-					t.Fatal(err)
-				}
-				if err := batchexec.New(cached, nil).Run(queries, opts, got); err != nil {
-					t.Fatal(err)
-				}
-				for qi := range queries {
-					sameResult(t, d.name+"/batch", &got[qi], &want[qi])
-				}
-			}
-		}
-	}
-	if st := cached.CacheStats(); !st.Enabled || st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("warm cache stats %+v", st)
-	}
-	if err := cached.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := plain.CacheStats(); st.Enabled || st.Hits != 0 {
-		t.Fatalf("uncached router reports cache stats %+v", st)
-	}
-}
-
-// TestRouterCacheStatsAccounting pins the aggregation rule: the shared
-// cache's budget appears once however many shards it fronts.
-func TestRouterCacheStatsAccounting(t *testing.T) {
-	ds, clusters := fixture(t, 2000, 31, 120)
-	const shards, pageSize, budget = 3, 4096, int64(8 << 20)
-
-	shared := cachedRouterOver(t, ds, clusters, shards, pageSize, budget)
-	defer shared.Close()
-	if st := shared.CacheStats(); st.MaxBytes != budget {
-		t.Fatalf("shared MaxBytes %d, want %d (counted once)", st.MaxBytes, budget)
 	}
 }
 

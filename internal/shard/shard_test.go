@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/faultstore"
 	"repro/internal/imagegen"
 	"repro/internal/knn"
-	"repro/internal/scan"
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
 	"repro/internal/srtree"
@@ -33,23 +31,10 @@ func fixture(t testing.TB, n int, seed int64, chunkSize int) (*imagegen.Dataset,
 	return ds, chunks
 }
 
-// routerOver partitions the clusters across shards and serves them from
-// in-memory stores.
+// routerOver partitions the clusters across shards, unreplicated, and
+// serves them from in-memory stores.
 func routerOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster, shards, pageSize int) *Router {
-	t.Helper()
-	coll := ds.Collection
-	assign, err := Partition(clusters, shards, coll.Dims(), pageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores := make([]chunkfile.Store, len(assign))
-	for s, idxs := range assign {
-		stores[s] = chunkfile.NewMemStore(coll, Select(clusters, idxs), pageSize)
-	}
-	r, err := NewRouter(stores, nil, RouterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _, _ := replicatedRouterOver(t, ds, clusters, shards, 1, pageSize, faultstore.Config{}, RouterOptions{})
 	return r
 }
 
@@ -166,64 +151,28 @@ func stopRules() []search.StopRule {
 // TestOneShardMatchesSingleSearcher pins the tentpole equivalence: a
 // 1-shard router returns byte-identical results to a bare engine over the
 // unsharded store — IDs, distances, ChunksRead, Simulated, IndexRead and
-// Exact — under all three stop rules, on both store implementations.
+// Exact — under all three stop rules and both budget disciplines.
+// File-backed one-shard indexes are FuzzStackVsModel's reopened stores.
 func TestOneShardMatchesSingleSearcher(t *testing.T) {
-	checkOneShard(t, false)
-}
-
-// checkOneShard is TestOneShardMatchesSingleSearcher under the per-shard
-// or, with global, the global budget discipline.
-func checkOneShard(t *testing.T, global bool) {
 	ds, clusters := fixture(t, 5000, 17, 140)
 	coll := ds.Collection
 	const pageSize = 4096
-
-	dir := t.TempDir()
-	cp, ip := filepath.Join(dir, "a.chunk"), filepath.Join(dir, "a.idx")
-	if err := chunkfile.Write(coll, clusters, cp, ip, pageSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := chunkfile.SaveSharded(coll, [][]*cluster.Cluster{clusters}, []int{len(clusters)}, 1, dir, pageSize); err != nil {
-		t.Fatal(err)
-	}
-	fileSingleStore, err := chunkfile.Open(cp, ip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fileSingleStore.Close()
-	fileShards, _, err := chunkfile.OpenSharded(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fileRouter, err := NewRouter([]chunkfile.Store{fileShards[0]}, nil, RouterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fileRouter.Close()
-
-	setups := []struct {
-		name   string
-		single *batchexec.Engine
-		router *Router
-	}{
-		{"MemStore", batchexec.New(chunkfile.NewMemStore(coll, clusters, pageSize), nil), routerOver(t, ds, clusters, 1, pageSize)},
-		{"FileStore", batchexec.New(fileSingleStore, nil), fileRouter},
-	}
+	single, router := batchexec.New(chunkfile.NewMemStore(coll, clusters, pageSize), nil), routerOver(t, ds, clusters, 1, pageSize)
 	queries := []vec.Vector{coll.Vec(0), coll.Vec(3), coll.Vec(99), coll.Vec(1234), coll.Vec(4999)}
 	want := make([]search.Result, len(queries))
-	for _, su := range setups {
-		for _, stop := range stopRules() {
-			opts := batchexec.Options{K: 20, Stop: stop}
-			if err := su.single.Run(queries, opts, want); err != nil {
-				t.Fatal(err)
-			}
-			opts.GlobalBudget = global
+	for _, stop := range stopRules() {
+		opts := batchexec.Options{K: 20, Stop: stop}
+		if err := single.Run(queries, opts, want); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range disciplines {
+			opts.GlobalBudget = d.global
 			var got search.Result
 			for qi, q := range queries {
-				if err := one(batchexec.New(su.router, nil).Run, q, opts, &got); err != nil {
+				if err := one(batchexec.New(router, nil).Run, q, opts, &got); err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("%s %v q%d", su.name, stop, qi)
+				label := fmt.Sprintf("%s %v q%d", d.name, stop, qi)
 				sameResult(t, label, &got, &want[qi])
 				if len(got.PerMachine) != 1 || got.PerMachine[0].ChunksRead != want[qi].ChunksRead {
 					t.Fatalf("%s: PerMachine %+v", label, got.PerMachine)
@@ -233,82 +182,12 @@ func checkOneShard(t *testing.T, global bool) {
 	}
 }
 
-// TestShardedCompletionMatchesScanOracle pins the global-exactness claim:
-// an S-shard run-to-completion search returns exactly the scan oracle's
-// k-NN (IDs, order, bit-identical distances), with ChunksRead the sum and
-// Simulated the max over the per-shard breakdown.
-func TestShardedCompletionMatchesScanOracle(t *testing.T) {
-	checkCompletion(t, false)
-}
-
-// checkCompletion is TestShardedCompletionMatchesScanOracle under the
-// per-shard or, with global, the global budget discipline.
-func checkCompletion(t *testing.T, global bool) {
-	ds, clusters := fixture(t, 5000, 23, 130)
-	coll := ds.Collection
-	const pageSize = 4096
-	const k = 25
-
-	for _, shards := range []int{2, 4, 7} {
-		r := routerOver(t, ds, clusters, shards, pageSize)
-		var res search.Result
-		for _, qi := range []int{1, 42, 777, 3210, 4999} {
-			q := coll.Vec(qi)
-			if err := one(batchexec.New(r, nil).Run, q, batchexec.Options{K: k, GlobalBudget: global}, &res); err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("S=%d q%d", shards, qi)
-			if !res.Exact {
-				t.Fatalf("%s: completion search not exact", label)
-			}
-			if !slices.Equal(res.Neighbors, scan.KNN(coll, q, k)) {
-				t.Fatalf("%s: neighbors differ from the oracle", label)
-			}
-			sumChunks, maxElapsed := 0, time.Duration(0)
-			for _, mc := range res.PerMachine {
-				sumChunks += mc.ChunksRead
-				maxElapsed = max(maxElapsed, mc.Elapsed)
-			}
-			if res.ChunksRead != sumChunks || res.Simulated != maxElapsed || len(res.PerMachine) != shards {
-				t.Fatalf("%s: (chunks %d, elapsed %v) != per-shard (sum %d, max %v) over %d shards",
-					label, res.ChunksRead, res.Simulated, sumChunks, maxElapsed, len(res.PerMachine))
-			}
-		}
-	}
-}
-
-// TestShardedBatchMatchesScatterSearch pins that a query's outcome
-// does not depend on its batch: a run of N is byte-identical to N
-// batches of one under every stop rule.
-func TestShardedBatchMatchesScatterSearch(t *testing.T) {
-	checkBatchOfN(t, false)
-}
-
-// checkBatchOfN is TestShardedBatchMatchesScatterSearch under the
-// per-shard or, with global, the global budget discipline.
-func checkBatchOfN(t *testing.T, global bool) {
-	ds, clusters := fixture(t, 5000, 31, 120)
-	coll := ds.Collection
-	r := routerOver(t, ds, clusters, 3, 4096)
-
-	queries := make([]vec.Vector, 24)
-	for i := range queries {
-		queries[i] = coll.Vec(i * 191)
-	}
-	results := make([]search.Result, len(queries))
-	for _, stop := range stopRules() {
-		opts := batchexec.Options{K: 15, Stop: stop, GlobalBudget: global}
-		if err := batchexec.New(r, nil).Run(queries, opts, results); err != nil {
-			t.Fatal(err)
-		}
-		var want search.Result
-		for qi, q := range queries {
-			if err := one(batchexec.New(r, nil).Run, q, opts, &want); err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, fmt.Sprintf("%v q%d", stop, qi), &results[qi], &want)
-		}
-	}
+// TestGlobalConcurrentScatterBatch exercises the global-budget paths
+// from many goroutines at once (the -race CI shard runs this):
+// concurrent global batches, global single queries, and per-shard
+// queries over one router must not interfere.
+func TestGlobalConcurrentScatterBatch(t *testing.T) {
+	checkConcurrent(t, true)
 }
 
 // TestShardedConcurrentScatter exercises the router from many goroutines
@@ -378,10 +257,9 @@ func checkConcurrent(t *testing.T, global bool) {
 	wg.Wait()
 }
 
-// TestShardedEdgeCases covers empty shards (more shards than clusters),
-// dimension validation, and result-length validation.
+// TestShardedEdgeCases covers a router over no stores and reads outside
+// the fleet's chunks.
 func TestShardedEdgeCases(t *testing.T) {
-	checkEmptyShards(t, false)
 	if _, err := NewRouter(nil, nil, RouterOptions{}); err == nil {
 		t.Fatal("empty router accepted")
 	}
@@ -392,54 +270,6 @@ func TestShardedEdgeCases(t *testing.T) {
 		if err := r.ReadChunk(i, &data); !errors.Is(err, chunkfile.ErrChunkOOB) {
 			t.Fatalf("ReadChunk(%d): err %v, want %v", i, err, chunkfile.ErrChunkOOB)
 		}
-	}
-}
-
-// checkEmptyShards is the batch half of TestShardedEdgeCases under the
-// per-shard or, with global, the global budget discipline: on a router
-// with more shards than clusters the surplus shards are empty but every
-// query still completes, exactly, a tiny budget still spends its total,
-// and bad batches are refused.
-func checkEmptyShards(t *testing.T, global bool) {
-	ds, clusters := fixture(t, 600, 47, 200)
-	coll := ds.Collection
-	r := routerOver(t, ds, clusters, len(clusters)+2, 4096)
-
-	var res search.Result
-	if err := one(batchexec.New(r, nil).Run, coll.Vec(5), batchexec.Options{K: 10, GlobalBudget: global}, &res); err != nil {
-		t.Fatal(err)
-	}
-	truth := scan.KNN(coll, coll.Vec(5), 10)
-	if !res.Exact || !slices.Equal(res.Neighbors, truth) || len(res.PerMachine) != r.Shards() {
-		t.Fatalf("empty-shard search: exact=%v, %d machines, neighbors %v != %v", res.Exact, len(res.PerMachine), res.Neighbors, truth)
-	}
-
-	// Per shard, budget b reads up to b chunks on every shard; globally, b
-	// in total. A budget past any product with the shard count reads all.
-	for _, b := range []int{2, math.MaxInt} {
-		want := min(b, len(clusters))
-		if !global {
-			want = 0
-			for _, n := range r.placement.NumPrimary {
-				want += min(n, b)
-			}
-		}
-		if err := one(batchexec.New(r, nil).Run, coll.Vec(5), batchexec.Options{K: 10, Stop: search.ChunkBudget(b), GlobalBudget: global}, &res); err != nil {
-			t.Fatal(err)
-		}
-		if res.ChunksRead != want || b == math.MaxInt && !res.Exact {
-			t.Fatalf("empty-shard budget %d: ChunksRead %d != %d (exact %v)", b, res.ChunksRead, want, res.Exact)
-		}
-	}
-
-	if err := one(batchexec.New(r, nil).Run, make(vec.Vector, 3), batchexec.Options{K: 5, GlobalBudget: global}, &res); err == nil {
-		t.Fatal("bad dims accepted")
-	}
-	if err := batchexec.New(r, nil).Run(make([]vec.Vector, 2), batchexec.Options{GlobalBudget: global}, make([]search.Result, 1)); err == nil {
-		t.Fatal("mismatched results length accepted")
-	}
-	if err := batchexec.New(r, nil).Run(nil, batchexec.Options{GlobalBudget: global}, nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
 	}
 }
 
@@ -485,8 +315,8 @@ func mergeRefs(rows []search.Result, k int) search.Result {
 
 // TestPerShardMatchesIndependentShards pins the per-shard discipline of
 // the one walk against S independent searches, one plain engine per shard
-// merged by mergeRefs, across overlap, R 1/2, cache and a shard held
-// down. Under the chunk and time budgets, which ignore the k-th distance,
+// merged by mergeRefs, across overlap, R 1/2 and a shard held down
+// (a cache changes nothing: FuzzStackVsModel's cached stores). Under the chunk and time budgets, which ignore the k-th distance,
 // the walk is byte-identical: neighbors, chunks read and skipped,
 // Simulated, IndexRead, Degraded, and every shard's own chunk count and
 // clock. Run to completion it returns the same exact answers reading no
@@ -501,53 +331,51 @@ func TestPerShardMatchesIndependentShards(t *testing.T) {
 	var got search.Result
 
 	for _, replication := range []int{1, 2} {
-		for _, cacheBytes := range []int64{0, 1 << 20} {
-			for _, down := range []int{-1, 1} {
-				r, _, _ := replicatedRouterOver(t, ds, clusters, shards, replication, pageSize, faultstore.Config{}, RouterOptions{CacheBytes: cacheBytes})
-				if down >= 0 {
-					r.MarkShardDown(down)
-				}
-				refs := make([]*batchexec.Engine, shards)
-				for s := range refs {
-					refs[s] = batchexec.New(shardRef{r.Store(s), r, s}, nil)
-				}
-				for _, overlap := range []bool{false, true} {
-					for _, stop := range append(stopRules(), search.ChunkBudget(math.MaxInt)) {
-						opts := batchexec.Options{K: k, Stop: stop, Overlap: overlap}
-						for qi, q := range queries {
-							label := fmt.Sprintf("R=%d cache %d down %d overlap %v %v q%d", replication, cacheBytes, down, overlap, stop, qi)
-							if err := one(batchexec.New(r, nil).Run, q, opts, &got); err != nil {
+		for _, down := range []int{-1, 1} {
+			r, _, _ := replicatedRouterOver(t, ds, clusters, shards, replication, pageSize, faultstore.Config{}, RouterOptions{})
+			if down >= 0 {
+				r.MarkShardDown(down)
+			}
+			refs := make([]*batchexec.Engine, shards)
+			for s := range refs {
+				refs[s] = batchexec.New(shardRef{r.Store(s), r, s}, nil)
+			}
+			for _, overlap := range []bool{false, true} {
+				for _, stop := range append(stopRules(), search.ChunkBudget(math.MaxInt)) {
+					opts := batchexec.Options{K: k, Stop: stop, Overlap: overlap}
+					for qi, q := range queries {
+						label := fmt.Sprintf("R=%d down %d overlap %v %v q%d", replication, down, overlap, stop, qi)
+						if err := one(batchexec.New(r, nil).Run, q, opts, &got); err != nil {
+							t.Fatal(err)
+						}
+						for s := range refs {
+							if err := one(refs[s].Run, q, opts, &rows[s]); err != nil {
 								t.Fatal(err)
 							}
-							for s := range refs {
-								if err := one(refs[s].Run, q, opts, &rows[s]); err != nil {
-									t.Fatal(err)
-								}
+						}
+						want := mergeRefs(rows, k)
+						if !slices.Equal(got.Neighbors, want.Neighbors) || got.ChunksSkipped != want.ChunksSkipped ||
+							got.Degraded != want.Degraded || got.IndexRead != want.IndexRead || want.Exact && !got.Exact {
+							t.Fatalf("%s: got %+v, independent shards %+v", label, got, want)
+						}
+						if _, completion := stop.(search.ToCompletion); completion {
+							if got.ChunksRead > want.ChunksRead {
+								t.Fatalf("%s: read %d chunks, independent shards %d", label, got.ChunksRead, want.ChunksRead)
 							}
-							want := mergeRefs(rows, k)
-							if !slices.Equal(got.Neighbors, want.Neighbors) || got.ChunksSkipped != want.ChunksSkipped ||
-								got.Degraded != want.Degraded || got.IndexRead != want.IndexRead || want.Exact && !got.Exact {
-								t.Fatalf("%s: got %+v, independent shards %+v", label, got, want)
-							}
-							if _, completion := stop.(search.ToCompletion); completion {
-								if got.ChunksRead > want.ChunksRead {
-									t.Fatalf("%s: read %d chunks, independent shards %d", label, got.ChunksRead, want.ChunksRead)
-								}
-								continue
-							}
-							if got.ChunksRead != want.ChunksRead || got.Simulated != want.Simulated {
-								t.Fatalf("%s: (chunks %d, elapsed %v) != independent shards (%d, %v)", label, got.ChunksRead, got.Simulated, want.ChunksRead, want.Simulated)
-							}
-							for s, mc := range got.PerMachine {
-								if mc.ChunksRead != rows[s].ChunksRead || mc.Elapsed != rows[s].Simulated {
-									t.Fatalf("%s: shard %d (chunks %d, elapsed %v) != its own search (%d, %v)", label, s, mc.ChunksRead, mc.Elapsed, rows[s].ChunksRead, rows[s].Simulated)
-								}
+							continue
+						}
+						if got.ChunksRead != want.ChunksRead || got.Simulated != want.Simulated {
+							t.Fatalf("%s: (chunks %d, elapsed %v) != independent shards (%d, %v)", label, got.ChunksRead, got.Simulated, want.ChunksRead, want.Simulated)
+						}
+						for s, mc := range got.PerMachine {
+							if mc.ChunksRead != rows[s].ChunksRead || mc.Elapsed != rows[s].Simulated {
+								t.Fatalf("%s: shard %d (chunks %d, elapsed %v) != its own search (%d, %v)", label, s, mc.ChunksRead, mc.Elapsed, rows[s].ChunksRead, rows[s].Simulated)
 							}
 						}
 					}
 				}
-				r.Close()
 			}
+			r.Close()
 		}
 	}
 }

@@ -3,7 +3,6 @@ package repro
 import (
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func testCollection(t testing.TB) *Collection {
@@ -48,60 +47,6 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := BuildSharded(coll, BuildConfig{Strategy: "nope", ChunkSize: 10}, 1); err == nil {
 		t.Fatal("unknown strategy accepted")
-	}
-}
-
-func TestSearchApproxAndExact(t *testing.T) {
-	coll := testCollection(t)
-	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 150}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := coll.Vec(99)
-
-	exact, err := idx.Search(q, SearchOptions{K: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exact.Exact {
-		t.Fatal("completion search not exact")
-	}
-	truth := Exact(coll, q, 20)
-	if p := Precision(exact.Neighbors, truth); p != 1 {
-		t.Fatalf("completion precision = %v", p)
-	}
-
-	approx, err := idx.Search(q, SearchOptions{K: 20, MaxChunks: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if approx.ChunksRead != 3 {
-		t.Fatalf("ChunksRead = %d", approx.ChunksRead)
-	}
-	if approx.Simulated >= exact.Simulated {
-		t.Fatal("approximate search not faster than completion")
-	}
-	if p := Precision(approx.Neighbors, truth); p <= 0 {
-		t.Fatalf("approximate precision = %v", p)
-	}
-}
-
-func TestSearchTimeBudget(t *testing.T) {
-	coll := testCollection(t)
-	idx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 150}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := idx.Search(coll.Vec(5), SearchOptions{K: 10, MaxTime: 120 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := idx.Search(coll.Vec(5), SearchOptions{K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ChunksRead >= full.ChunksRead {
-		t.Fatalf("time budget read %d chunks, full %d", res.ChunksRead, full.ChunksRead)
 	}
 }
 
