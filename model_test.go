@@ -203,10 +203,9 @@ func withDuplicates(base *Collection, rng *rand.Rand) (*Collection, []int) {
 //     the empty-shard half of TestShardedEdgeCases), and R ≤ S;
 //   - a stop rule: a chunk budget from 1 to chunks+1 or math.MaxInt, which
 //     buys the nearest chunks only when they are read in rank order
-//     (TestChunkBudgetStops, TestSearchApproxAndExact, TestRankingOrder); a
-//     time budget 1 ns
-//     either side of a charge edge, a shard's clock after one of its
-//     charges in the model's replay (TestTimeBudgetStops,
+//     (TestChunkBudgetStops, TestSearchApproxAndExact, TestRankingOrder);
+//     a time budget 1 ns either side of a charge edge, a shard's clock
+//     after one of its charges in the model's replay (TestTimeBudgetStops,
 //     TestSearchTimeBudget); or run to completion (TestCompletionIsExact,
 //     TestShardedIndexCompletionIsExact, TestShardedCompletionMatchesScanOracle,
 //     TestGlobalCompletionMatchesScanOracle);
@@ -232,10 +231,10 @@ func withDuplicates(base *Collection, rng *rand.Rand) (*Collection, []int) {
 //     Result; a batch, then an empty one (TestSearchBatchIntoMatchesSearch,
 //     TestSearchBatchMatchesSequential, TestSearchBatchEdges,
 //     TestBatchMatchesSingleQuery, TestShardedBatchMatchesScatterSearch,
-//     TestGlobalBatchMatchesGlobalSearch);
-//     a stream, each result checked at its own callback, which fires once
-//     (TestRunStream); or a multi-descriptor bag, against the model's
-//     results voted by multiquery.Aggregate.
+//     TestGlobalBatchMatchesGlobalSearch); a stream, each result checked at
+//     its own callback, which fires once (TestRunStream); or a
+//     multi-descriptor bag, against the model's results voted by
+//     multiquery.Aggregate.
 func FuzzStackVsModel(f *testing.F) {
 	for seed := range int64(40) {
 		f.Add(seed)
@@ -366,7 +365,7 @@ func FuzzStackVsModel(f *testing.F) {
 			if wantMulti := multiquery.Aggregate(want, weighted); err == nil && !reflect.DeepEqual(multi, wantMulti) {
 				t.Fatalf("%s\ngot %+v\nmodel %+v", draw, multi, wantMulti)
 			}
-			got, opts = want, modelOpts // the bag matched whole: MaxReads bounds each vote's search
+			got, opts = want, modelOpts // the bag matched whole, so its searches are the model's: bound those
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", draw, err)
