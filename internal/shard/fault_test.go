@@ -485,6 +485,42 @@ func TestReplicatedOneDownSpreadsReads(t *testing.T) {
 	}
 }
 
+// TestReplicatedConcurrentKill exercises the failover path under -race:
+// a shard dies while a batch workload is mid-flight on several
+// goroutines; every query must still complete without error, and any
+// non-degraded result must be well-formed.
+func TestReplicatedConcurrentKill(t *testing.T) {
+	ds, clusters := fixture(t, 4000, 71, 130)
+	coll := ds.Collection
+	const shards, pageSize, k = 4, 4096, 15
+
+	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize,
+		faultstore.Config{Seed: faultSeed(t), TransientProb: 0.05, Latency: 50 * time.Microsecond}, RouterOptions{})
+	defer r.Close()
+
+	queries := make([]vec.Vector, 32)
+	for i := range queries {
+		queries[i] = coll.Vec(i * 111)
+	}
+	done := make(chan error, 1)
+	results := make([]search.Result, len(queries))
+	go func() {
+		done <- batchexec.New(r, nil).Run(queries, batchexec.Options{K: k}, results)
+	}()
+	faults[1].Kill()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for qi := range results {
+		if results[qi].Degraded {
+			t.Fatalf("q%d: degraded despite R=2", qi)
+		}
+		if len(results[qi].Neighbors) != k {
+			t.Fatalf("q%d: %d neighbors", qi, len(results[qi].Neighbors))
+		}
+	}
+}
+
 // TestReplicatedConcurrentKillStress drives the failover path under
 // -race: single queries race a batch workload on the same
 // router while a shard dies mid-flight (with transient read faults and

@@ -151,9 +151,23 @@ func stopRules() []search.StopRule {
 // TestOneShardMatchesSingleSearcher pins the tentpole equivalence: a
 // 1-shard router returns byte-identical results to a bare engine over the
 // unsharded store — IDs, distances, ChunksRead, Simulated, IndexRead and
-// Exact — under all three stop rules and both budget disciplines.
-// File-backed one-shard indexes are FuzzStackVsModel's reopened stores.
+// Exact — under all three stop rules. File-backed one-shard indexes are
+// FuzzStackVsModel's reopened stores.
 func TestOneShardMatchesSingleSearcher(t *testing.T) {
+	checkOneShard(t, false)
+}
+
+// TestGlobalOneShardMatchesSingleSearcher pins the degenerate case of the
+// global discipline: global budgets on a 1-shard router are byte-identical
+// to a bare engine over the unsharded store, as in
+// TestOneShardMatchesSingleSearcher.
+func TestGlobalOneShardMatchesSingleSearcher(t *testing.T) {
+	checkOneShard(t, true)
+}
+
+// checkOneShard is TestOneShardMatchesSingleSearcher under the per-shard
+// or, with global, the global budget discipline.
+func checkOneShard(t *testing.T, global bool) {
 	ds, clusters := fixture(t, 5000, 17, 140)
 	coll := ds.Collection
 	const pageSize = 4096
@@ -165,18 +179,16 @@ func TestOneShardMatchesSingleSearcher(t *testing.T) {
 		if err := single.Run(queries, opts, want); err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range disciplines {
-			opts.GlobalBudget = d.global
-			var got search.Result
-			for qi, q := range queries {
-				if err := one(batchexec.New(router, nil).Run, q, opts, &got); err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%s %v q%d", d.name, stop, qi)
-				sameResult(t, label, &got, &want[qi])
-				if len(got.PerMachine) != 1 || got.PerMachine[0].ChunksRead != want[qi].ChunksRead {
-					t.Fatalf("%s: PerMachine %+v", label, got.PerMachine)
-				}
+		opts.GlobalBudget = global
+		var got search.Result
+		for qi, q := range queries {
+			if err := one(batchexec.New(router, nil).Run, q, opts, &got); err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%v q%d", stop, qi)
+			sameResult(t, label, &got, &want[qi])
+			if len(got.PerMachine) != 1 || got.PerMachine[0].ChunksRead != want[qi].ChunksRead {
+				t.Fatalf("%s: PerMachine %+v", label, got.PerMachine)
 			}
 		}
 	}
