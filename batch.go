@@ -61,7 +61,6 @@ func (sx *ShardedIndex) SearchBatchStream(queries []Vector, opts BatchOptions, r
 	err := sx.engine.RunStream(queries, batchexec.Options{
 		K:            opts.K,
 		Stop:         stopRule(opts.SearchOptions),
-		Model:        opts.Model,
 		Overlap:      opts.Overlap,
 		GlobalBudget: opts.GlobalBudget,
 		Parallelism:  opts.Parallelism,

@@ -37,10 +37,10 @@ func makeStores(t testing.TB, n, chunks int) (*chunkfile.MemStore, *chunkfile.Fi
 	for i := range cs {
 		cs[i] = cluster.NewFromMembers(coll, members[i])
 	}
-	mem := chunkfile.NewMemStore(coll, cs, 4096)
+	mem := chunkfile.NewMemStore(coll, cs)
 	dir := t.TempDir()
 	cp, ip := filepath.Join(dir, "c.chunk"), filepath.Join(dir, "c.idx")
-	if err := chunkfile.Write(coll, cs, cp, ip, 4096); err != nil {
+	if err := chunkfile.Write(coll, cs, cp, ip); err != nil {
 		t.Fatal(err)
 	}
 	fs, err := chunkfile.Open(cp, ip)

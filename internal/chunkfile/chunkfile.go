@@ -29,8 +29,14 @@ import (
 	"repro/internal/vec"
 )
 
-// DefaultPageSize is the disk page granularity chunks are padded to.
-const DefaultPageSize = 8192
+// PageSize is the disk page granularity chunks are padded to: the 8 KiB
+// page of the paper's 2005 machine. Every chunk file and manifest records
+// it, and Open and ReadManifest reject any other recorded page.
+const PageSize = 8192
+
+// maxWriteBuffer caps the write buffer Write and writeIndex size to the
+// file they write.
+const maxWriteBuffer = 1 << 20
 
 // The chunk file header is a magic, a version byte, then dims, page size
 // and chunk count as little-endian uint32s. Version 2 is the columnar
@@ -110,11 +116,8 @@ func RecordSize(dims int) int { return 4 + dims*4 }
 // descriptors: the raw records rounded up to full pages. This is the
 // balancing weight the shard partitioner uses, and exactly the Bytes
 // value Write and NewMemStore record per chunk.
-func PaddedBytes(count, dims, pageSize int) int {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
-	return pageCeil(count*RecordSize(dims), pageSize)
+func PaddedBytes(count, dims int) int {
+	return pageCeil(count * RecordSize(dims))
 }
 
 // Data is the payload of one chunk. Callers must treat IDs and Vecs as
@@ -129,10 +132,10 @@ type Data struct {
 	// ReadChunk, and Stall the simulated wait between them (retry backoff),
 	// in a fault-tolerant store. Stores that retry or fail over set both
 	// on every call (zero for a clean read); the plain stores never touch
-	// them. Consumers price each failed attempt at the chunk's read time
-	// under their own cost model, bill it and the stall to the owning
-	// machine's simdisk.Pipeline, and zero both before the next read, so a
-	// query is billed for exactly the retries its reads needed.
+	// them. Consumers price each failed attempt at the chunk's read time,
+	// bill it and the stall to the owning machine's simdisk.Pipeline, and
+	// zero both before the next read, so a query is billed for exactly the
+	// retries its reads needed.
 	FailedReads int
 	Stall       time.Duration
 	dims        int
@@ -324,18 +327,21 @@ type MachineLayout interface {
 // Write builds the two files from a clustering. Chunks appear in the
 // given cluster order; each cluster's centroid and radius are trusted as
 // given (builders recompute exact values beforehand).
-func Write(coll *descriptor.Collection, clusters []*cluster.Cluster, chunkPath, indexPath string, pageSize int) error {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
+func Write(coll *descriptor.Collection, clusters []*cluster.Cluster, chunkPath, indexPath string) error {
 	dims := coll.Dims()
+	// The first chunk starts on a page boundary after the header.
+	offset := int64(pageCeil(headerLen))
+	size := int(offset)
+	for _, cl := range clusters {
+		size += PaddedBytes(cl.Count(), dims)
+	}
 
 	cf, err := os.Create(chunkPath)
 	if err != nil {
 		return fmt.Errorf("chunkfile: create chunk file: %w", err)
 	}
 	defer cf.Close()
-	cw := bufio.NewWriterSize(cf, 1<<20)
+	cw := bufio.NewWriterSize(cf, min(size, maxWriteBuffer))
 
 	// Chunk file header.
 	if _, err := cw.WriteString(chunkMagic); err != nil {
@@ -344,14 +350,12 @@ func Write(coll *descriptor.Collection, clusters []*cluster.Cluster, chunkPath, 
 	var head [13]byte
 	head[0] = chunkVersion
 	binary.LittleEndian.PutUint32(head[1:5], uint32(dims))
-	binary.LittleEndian.PutUint32(head[5:9], uint32(pageSize))
+	binary.LittleEndian.PutUint32(head[5:9], PageSize)
 	binary.LittleEndian.PutUint32(head[9:13], uint32(len(clusters)))
 	if _, err := cw.Write(head[:]); err != nil {
 		return err
 	}
 
-	// The first chunk starts on a page boundary after the header.
-	offset := int64(pageCeil(headerLen, pageSize))
 	if err := padTo(cw, headerLen, int(offset)); err != nil {
 		return err
 	}
@@ -361,7 +365,7 @@ func Write(coll *descriptor.Collection, clusters []*cluster.Cluster, chunkPath, 
 	for ci, cl := range clusters {
 		n := cl.Count()
 		raw := n * RecordSize(dims)
-		padded := pageCeil(raw, pageSize)
+		padded := pageCeil(raw)
 		metas[ci] = Meta{
 			Centroid: cl.Centroid.Clone(),
 			Radius:   cl.Radius,
@@ -399,7 +403,7 @@ func writeIndex(path string, dims int, metas []Meta) error {
 		return fmt.Errorf("chunkfile: create index file: %w", err)
 	}
 	defer f.Close()
-	w := bufio.NewWriterSize(f, 1<<20)
+	w := bufio.NewWriterSize(f, min(16+len(metas)*EntrySize(dims), maxWriteBuffer))
 	if _, err := w.WriteString(indexMagic); err != nil {
 		return err
 	}
@@ -436,11 +440,12 @@ func writeIndex(path string, dims int, metas []Meta) error {
 	return nil
 }
 
-func pageCeil(n, page int) int {
-	if n%page == 0 {
+// pageCeil rounds n up to whole pages.
+func pageCeil(n int) int {
+	if n%PageSize == 0 {
 		return n
 	}
-	return (n/page + 1) * page
+	return (n/PageSize + 1) * PageSize
 }
 
 func padTo(w *bufio.Writer, from, to int) error {
@@ -456,6 +461,9 @@ func padTo(w *bufio.Writer, from, to int) error {
 var (
 	ErrBadMagic = errors.New("chunkfile: bad magic")
 	ErrChunkOOB = errors.New("chunkfile: chunk index out of range")
+	// ErrPageSize is returned by Open and ReadManifest for a chunk file or
+	// manifest that records a page size other than PageSize.
+	ErrPageSize = fmt.Errorf("chunkfile: page size is not %d", PageSize)
 	// ErrClosed is returned by ReadChunk on a closed store.
 	ErrClosed = errors.New("chunkfile: store is closed")
 	// ErrUnavailable marks a chunk as unreachable rather than broken: a
@@ -471,7 +479,6 @@ var (
 type FileStore struct {
 	f         *os.File
 	dims      int
-	page      int
 	metas     []Meta
 	centroids []float32 // row-major, aliased by metas[i].Centroid
 }
@@ -504,16 +511,20 @@ func Open(chunkPath, indexPath string) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("chunkfile: chunk file has %d chunks, index has %d", nc, len(metas))
 	}
+	if page != PageSize {
+		f.Close()
+		return nil, fmt.Errorf("chunkfile: chunk file records page size %d: %w", page, ErrPageSize)
+	}
 	fi, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("chunkfile: stat chunk file: %w", err)
 	}
-	if err := validateMetas(metas, dims, page, headerLen, fi.Size()); err != nil {
+	if err := validateMetas(metas, dims, fi.Size()); err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &FileStore{f: f, dims: dims, page: page, metas: metas, centroids: CentroidMatrix(metas)}, nil
+	return &FileStore{f: f, dims: dims, metas: metas, centroids: CentroidMatrix(metas)}, nil
 }
 
 // readChunkHeader reads the chunk file header and returns the 12 bytes
@@ -537,15 +548,11 @@ func readChunkHeader(f *os.File) (head [12]byte, err error) {
 }
 
 // validateMetas cross-checks every index entry against the chunk file's
-// recorded page size, header length and actual size, so a corrupt or
-// hostile index file fails at open time with a clear error instead of
-// surfacing as ReadAt errors — or oversized allocations — in the middle
-// of a query.
-func validateMetas(metas []Meta, dims, page, header int, fileSize int64) error {
-	if page <= 0 {
-		return fmt.Errorf("chunkfile: invalid page size %d", page)
-	}
-	headerEnd := int64(pageCeil(header, page))
+// header length and actual size, so a corrupt or hostile index file fails
+// at open time with a clear error instead of surfacing as ReadAt errors —
+// or oversized allocations — in the middle of a query.
+func validateMetas(metas []Meta, dims int, fileSize int64) error {
+	headerEnd := int64(pageCeil(headerLen))
 	for i := range metas {
 		m := &metas[i]
 		if m.Count < 0 || m.Bytes < 0 {
@@ -607,9 +614,6 @@ func readIndex(path string) ([]Meta, int, error) {
 // Dims implements Store.
 func (s *FileStore) Dims() int { return s.dims }
 
-// PageSize returns the page granularity recorded in the chunk file header.
-func (s *FileStore) PageSize() int { return s.page }
-
 // Meta implements Store.
 func (s *FileStore) Meta() []Meta { return s.metas }
 
@@ -658,17 +662,12 @@ type MemStore struct {
 var _ Store = (*MemStore)(nil)
 
 // NewMemStore builds an in-memory store from a clustering.
-func NewMemStore(coll *descriptor.Collection, clusters []*cluster.Cluster, pageSize int) *MemStore {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
+func NewMemStore(coll *descriptor.Collection, clusters []*cluster.Cluster) *MemStore {
 	dims := coll.Dims()
 	s := &MemStore{dims: dims}
-	offset := int64(pageSize)
-	rec := RecordSize(dims)
+	offset := int64(PageSize)
 	for _, cl := range clusters {
-		raw := cl.Count() * rec
-		padded := pageCeil(raw, pageSize)
+		padded := PaddedBytes(cl.Count(), dims)
 		s.metas = append(s.metas, Meta{
 			Centroid: cl.Centroid,
 			Radius:   cl.Radius,

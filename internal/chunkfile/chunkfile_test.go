@@ -39,7 +39,7 @@ func TestFileRoundTrip(t *testing.T) {
 	coll, cs := makeClusters(t)
 	dir := t.TempDir()
 	cp, ip := filepath.Join(dir, "c.chunk"), filepath.Join(dir, "c.idx")
-	if err := Write(coll, cs, cp, ip, 4096); err != nil {
+	if err := Write(coll, cs, cp, ip); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(cp, ip)
@@ -67,7 +67,7 @@ func TestFileRoundTrip(t *testing.T) {
 		if m.Radius != cs[i].Radius {
 			t.Fatalf("chunk %d radius %v != %v", i, m.Radius, cs[i].Radius)
 		}
-		if m.Bytes%4096 != 0 {
+		if m.Bytes%PageSize != 0 {
 			t.Fatalf("chunk %d not page padded: %d bytes", i, m.Bytes)
 		}
 		if err := st.ReadChunk(i, &data); err != nil {
@@ -95,7 +95,7 @@ func TestChunksStartOnPageBoundaries(t *testing.T) {
 	coll, cs := makeClusters(t)
 	dir := t.TempDir()
 	cp, ip := filepath.Join(dir, "c.chunk"), filepath.Join(dir, "c.idx")
-	if err := Write(coll, cs, cp, ip, 512); err != nil {
+	if err := Write(coll, cs, cp, ip); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(cp, ip)
@@ -105,7 +105,7 @@ func TestChunksStartOnPageBoundaries(t *testing.T) {
 	defer st.Close()
 	prevEnd := int64(0)
 	for i, m := range st.Meta() {
-		if m.Offset%512 != 0 {
+		if m.Offset%PageSize != 0 {
 			t.Fatalf("chunk %d offset %d not page aligned", i, m.Offset)
 		}
 		if m.Offset < prevEnd {
@@ -119,7 +119,7 @@ func TestMemStoreMatchesFileStore(t *testing.T) {
 	coll, cs := makeClusters(t)
 	dir := t.TempDir()
 	cp, ip := filepath.Join(dir, "c.chunk"), filepath.Join(dir, "c.idx")
-	if err := Write(coll, cs, cp, ip, 4096); err != nil {
+	if err := Write(coll, cs, cp, ip); err != nil {
 		t.Fatal(err)
 	}
 	fs, err := Open(cp, ip)
@@ -127,7 +127,7 @@ func TestMemStoreMatchesFileStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	ms := NewMemStore(coll, cs, 4096)
+	ms := NewMemStore(coll, cs)
 
 	fm, mm := fs.Meta(), ms.Meta()
 	if len(fm) != len(mm) {
@@ -154,7 +154,7 @@ func TestMemStoreMatchesFileStore(t *testing.T) {
 
 func TestReadChunkOutOfRange(t *testing.T) {
 	coll, cs := makeClusters(t)
-	ms := NewMemStore(coll, cs, 4096)
+	ms := NewMemStore(coll, cs)
 	var d Data
 	if err := ms.ReadChunk(-1, &d); err != ErrChunkOOB {
 		t.Fatalf("err = %v", err)
@@ -168,7 +168,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	cp, ip := filepath.Join(dir, "c.chunk"), filepath.Join(dir, "c.idx")
 	coll, cs := makeClusters(t)
-	if err := Write(coll, cs, cp, ip, 4096); err != nil {
+	if err := Write(coll, cs, cp, ip); err != nil {
 		t.Fatal(err)
 	}
 	// Swap the two paths: chunk file opened as index must fail.
@@ -179,7 +179,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 
 func TestDataBufferReuse(t *testing.T) {
 	coll, cs := makeClusters(t)
-	ms := NewMemStore(coll, cs, 4096)
+	ms := NewMemStore(coll, cs)
 	var d Data
 	if err := ms.ReadChunk(0, &d); err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestCrossStoreDataReuse(t *testing.T) {
 	coll, cs := makeClusters(t)
 	dir := t.TempDir()
 	cp, ip := filepath.Join(dir, "c.chunk"), filepath.Join(dir, "c.idx")
-	if err := Write(coll, cs, cp, ip, 4096); err != nil {
+	if err := Write(coll, cs, cp, ip); err != nil {
 		t.Fatal(err)
 	}
 	fs, err := Open(cp, ip)
@@ -212,7 +212,7 @@ func TestCrossStoreDataReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	ms := NewMemStore(coll, cs, 4096)
+	ms := NewMemStore(coll, cs)
 
 	var data Data
 	if err := ms.ReadChunk(0, &data); err != nil {

@@ -16,7 +16,7 @@ func saveShardedFixture(t *testing.T) string {
 	coll, cs := makeClusters(t)
 	dir := t.TempDir()
 	shards := [][]*cluster.Cluster{{cs[0]}, {cs[1]}, {cs[2]}}
-	if err := SaveSharded(coll, shards, []int{1, 1, 1}, 1, dir, 4096); err != nil {
+	if err := SaveSharded(coll, shards, []int{1, 1, 1}, 1, dir); err != nil {
 		t.Fatal(err)
 	}
 	return dir

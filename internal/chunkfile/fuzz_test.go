@@ -13,7 +13,7 @@ import (
 // The committed seeds are a real index of the writePair fixture and a
 // 16-byte header whose dims × count wraps the expected size to zero.
 func FuzzOpenIndex(f *testing.F) {
-	cp, ip, _ := writePair(f, 4096)
+	cp, ip, _ := writePair(f)
 	f.Fuzz(func(t *testing.T, index []byte) {
 		if err := os.WriteFile(ip, index, 0o644); err != nil {
 			t.Fatal(err)
@@ -38,7 +38,7 @@ func FuzzOpenIndex(f *testing.F) {
 // are a v2 file, the same header and body under the retired unversioned
 // magic, and a truncated header.
 func FuzzReadChunkFile(f *testing.F) {
-	cp, ip, _ := writePair(f, 512)
+	cp, ip, _ := writePair(f)
 	v2, err := os.ReadFile(cp)
 	if err != nil {
 		f.Fatal(err)
@@ -84,13 +84,13 @@ func FuzzReadManifest(f *testing.F) {
 		}
 		return raw
 	}
-	raw := manifestBytes(&Manifest{Dims: 24, PageSize: 4096, Replication: 1, Shards: []ShardFiles{
+	raw := manifestBytes(&Manifest{Dims: 24, Replication: 1, Shards: []ShardFiles{
 		{ChunkFile: "shard-0.chunk", IndexFile: "shard-0.idx", Chunks: 3, Primary: 3},
 		{ChunkFile: "shard-1.chunk", IndexFile: "shard-1.idx", Chunks: 0, Primary: 0},
 	}})
 	f.Add(raw)
 	f.Add(raw[:20])
-	f.Add(manifestBytes(&Manifest{Dims: 24, PageSize: 4096, Replication: 2, Shards: []ShardFiles{
+	f.Add(manifestBytes(&Manifest{Dims: 24, Replication: 2, Shards: []ShardFiles{
 		{ChunkFile: "shard-0.chunk", IndexFile: "shard-0.idx", Chunks: 5, Primary: 3},
 		{ChunkFile: "shard-1.chunk", IndexFile: "shard-1.idx", Chunks: 5, Primary: 2},
 	}}))

@@ -1,10 +1,10 @@
 // Sharded on-disk layout: the single chunk/index file pair of §4.2 grows
 // to one pair per shard plus a manifest. The manifest records the
-// dimensionality, the page size every shard was padded with, the
-// replication factor, and per shard the file names, the chunk count and
-// how many of those chunks are the shard's primaries, so OpenSharded can
-// validate each pair against what SaveSharded wrote before any query
-// touches it, and the shard layer can lay the replicas out again.
+// dimensionality, the page size (always PageSize), the replication
+// factor, and per shard the file names, the chunk count and how many of
+// those chunks are the shard's primaries, so OpenSharded can validate
+// each pair against what SaveSharded wrote before any query touches it,
+// and the shard layer can lay the replicas out again.
 package chunkfile
 
 import (
@@ -45,7 +45,6 @@ type ShardFiles struct {
 // Manifest describes a sharded index directory.
 type Manifest struct {
 	Dims        int
-	PageSize    int
 	Replication int // copies of every chunk, each on its own shard
 	Shards      []ShardFiles
 }
@@ -54,23 +53,19 @@ type Manifest struct {
 // shard-<i>.idx pair per shard (each a regular §4.2 two-file index over
 // that shard's chunks: its primary[i] primaries, then the replicas placed
 // on it) plus the manifest tying them together, which records the
-// replication factor and the primary counts. All shards share one page
-// size so the per-shard simulated timings stay comparable. The shard
-// pairs are written concurrently, each on its own goroutine into its own
-// files, so the bytes do not depend on scheduling; their errors are
-// joined in shard order, and the manifest is written last, only when
-// every pair succeeded.
-func SaveSharded(coll *descriptor.Collection, shards [][]*cluster.Cluster, primary []int, replication int, dir string, pageSize int) error {
+// replication factor and the primary counts. The shard pairs are
+// written concurrently, each on its own goroutine into its own files, so
+// the bytes do not depend on scheduling; their errors are joined in
+// shard order, and the manifest is written last, only when every pair
+// succeeded.
+func SaveSharded(coll *descriptor.Collection, shards [][]*cluster.Cluster, primary []int, replication int, dir string) error {
 	if len(shards) == 0 {
 		return errors.New("chunkfile: no shards to save")
 	}
 	if len(primary) != len(shards) {
 		return fmt.Errorf("chunkfile: %d primary counts for %d shards", len(primary), len(shards))
 	}
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
-	m := &Manifest{Dims: coll.Dims(), PageSize: pageSize, Replication: replication, Shards: make([]ShardFiles, len(shards))}
+	m := &Manifest{Dims: coll.Dims(), Replication: replication, Shards: make([]ShardFiles, len(shards))}
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for i, clusters := range shards {
@@ -84,7 +79,7 @@ func SaveSharded(coll *descriptor.Collection, shards [][]*cluster.Cluster, prima
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := Write(coll, clusters, filepath.Join(dir, sf.ChunkFile), filepath.Join(dir, sf.IndexFile), pageSize); err != nil {
+			if err := Write(coll, clusters, filepath.Join(dir, sf.ChunkFile), filepath.Join(dir, sf.IndexFile)); err != nil {
 				errs[i] = fmt.Errorf("chunkfile: shard %d: %w", i, err)
 			}
 		}()
@@ -98,8 +93,9 @@ func SaveSharded(coll *descriptor.Collection, shards [][]*cluster.Cluster, prima
 
 // OpenSharded opens every shard named by the manifest in dir, returning
 // one FileStore per shard in shard order. Each pair is cross-checked
-// against the manifest (dimensionality, page size, chunk count) on top of
-// the pair's own open-time validation; any failure closes the stores
+// against the manifest (dimensionality, chunk count) on top of the pair's
+// own open-time validation, which rejects a page size other than
+// PageSize as ReadManifest does; any failure closes the stores
 // already opened.
 func OpenSharded(dir string) ([]*FileStore, *Manifest, error) {
 	m, err := ReadManifest(filepath.Join(dir, ManifestName))
@@ -123,8 +119,6 @@ func OpenSharded(dir string) ([]*FileStore, *Manifest, error) {
 		switch {
 		case st.Dims() != m.Dims:
 			err = fmt.Errorf("dims %d != manifest dims %d", st.Dims(), m.Dims)
-		case st.PageSize() != m.PageSize:
-			err = fmt.Errorf("page size %d != manifest page size %d", st.PageSize(), m.PageSize)
 		case len(st.Meta()) != sf.Chunks:
 			err = fmt.Errorf("%d chunks != manifest's %d", len(st.Meta()), sf.Chunks)
 		}
@@ -161,7 +155,7 @@ func WriteManifest(path string, m *Manifest) error {
 		w.WriteString(s)
 	}
 	writeU32(m.Dims)
-	writeU32(m.PageSize)
+	writeU32(PageSize)
 	writeU32(m.Replication)
 	writeU32(len(m.Shards))
 	for _, sf := range m.Shards {
@@ -210,14 +204,17 @@ func ReadManifest(path string) (*Manifest, error) {
 		return s, nil
 	}
 	m := &Manifest{}
-	var n int
-	for _, v := range []*int{&m.Dims, &m.PageSize, &m.Replication, &n} {
+	var page, n int
+	for _, v := range []*int{&m.Dims, &page, &m.Replication, &n} {
 		if *v, err = readU32(); err != nil {
 			return nil, err
 		}
 	}
-	if m.Dims <= 0 || m.PageSize <= 0 {
-		return nil, fmt.Errorf("chunkfile: manifest dims %d / page size %d invalid", m.Dims, m.PageSize)
+	if m.Dims <= 0 {
+		return nil, fmt.Errorf("chunkfile: manifest dims %d invalid", m.Dims)
+	}
+	if page != PageSize {
+		return nil, fmt.Errorf("chunkfile: manifest records page size %d: %w", page, ErrPageSize)
 	}
 	if n <= 0 || n > len(raw) { // each shard entry takes well over one byte
 		return nil, fmt.Errorf("chunkfile: manifest shard count %d invalid", n)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,12 +14,12 @@ import (
 )
 
 // writePair writes the fixture clustering to a fresh file pair.
-func writePair(t testing.TB, pageSize int) (cp, ip string, cs []*cluster.Cluster) {
+func writePair(t testing.TB) (cp, ip string, cs []*cluster.Cluster) {
 	t.Helper()
 	coll, cs := makeClusters(t)
 	dir := t.TempDir()
 	cp, ip = filepath.Join(dir, "c.chunk"), filepath.Join(dir, "c.idx")
-	if err := Write(coll, cs, cp, ip, pageSize); err != nil {
+	if err := Write(coll, cs, cp, ip); err != nil {
 		t.Fatal(err)
 	}
 	return cp, ip, cs
@@ -45,7 +46,6 @@ func rewriteEntry(t *testing.T, ip string, i int, mutate func(entry []byte, offF
 // whose offset, size or count disagree with the chunk file must fail at
 // Open with a clear error, never surface mid-query.
 func TestOpenValidatesMetas(t *testing.T) {
-	const pageSize = 4096
 	cases := []struct {
 		name   string
 		mutate func(entry []byte, offField int)
@@ -68,7 +68,7 @@ func TestOpenValidatesMetas(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cp, ip, _ := writePair(t, pageSize)
+			cp, ip, _ := writePair(t)
 			rewriteEntry(t, ip, 1, tc.mutate)
 			if st, err := Open(cp, ip); err == nil {
 				st.Close()
@@ -80,12 +80,12 @@ func TestOpenValidatesMetas(t *testing.T) {
 	}
 
 	// A truncated chunk file fails at open, not at first read.
-	cp, ip, _ := writePair(t, pageSize)
+	cp, ip, _ := writePair(t)
 	raw, err := os.ReadFile(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(cp, raw[:len(raw)-pageSize], 0o644); err != nil {
+	if err := os.WriteFile(cp, raw[:len(raw)-PageSize], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := Open(cp, ip); err == nil {
@@ -95,9 +95,10 @@ func TestOpenValidatesMetas(t *testing.T) {
 }
 
 // TestOpenRejectsForeignChunkHeaders pins Open's reading of the chunk
-// file's magic and version byte: a file that is not a chunk file, the
-// retired unversioned header, a version this reader does not know, and a
-// header cut short inside the version byte all fail at open.
+// file's header: a file that is not a chunk file, the retired
+// unversioned header, a version this reader does not know, a header cut
+// short inside the version byte, and a header recording a page other than
+// PageSize all fail at open.
 func TestOpenRejectsForeignChunkHeaders(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -109,9 +110,13 @@ func TestOpenRejectsForeignChunkHeaders(t *testing.T) {
 		{"unversioned header", func(raw []byte) []byte { return append([]byte("EFF2CHNK"), raw[len(chunkMagic)+1:]...) }, ErrBadMagic, ""},
 		{"unknown version", func(raw []byte) []byte { raw[len(chunkMagic)] = 3; return raw }, nil, "version 3"},
 		{"cut inside the version byte", func(raw []byte) []byte { return raw[:len(chunkMagic)] }, nil, ""},
+		{"page 4096", func(raw []byte) []byte {
+			binary.LittleEndian.PutUint32(raw[len(chunkMagic)+5:], 4096)
+			return raw
+		}, ErrPageSize, "page size 4096"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cp, ip, _ := writePair(t, 4096)
+			cp, ip, _ := writePair(t)
 			raw, err := os.ReadFile(cp)
 			if err != nil {
 				t.Fatal(err)
@@ -139,7 +144,7 @@ func TestOpenRejectsForeignChunkHeaders(t *testing.T) {
 // the expected file size to 16, the header alone. Open must reject the
 // 16-byte file with an error instead of allocating 2³¹ entries.
 func TestOpenRejectsOverflowingIndexHeader(t *testing.T) {
-	cp, ip, _ := writePair(t, 4096)
+	cp, ip, _ := writePair(t)
 	hdr := []byte(indexMagic)
 	hdr = binary.LittleEndian.AppendUint32(hdr, 2147483642)
 	hdr = binary.LittleEndian.AppendUint32(hdr, 1<<31)
@@ -160,7 +165,7 @@ func TestOpenRejectsOverflowingIndexHeader(t *testing.T) {
 func TestUseAfterCloseIsError(t *testing.T) {
 	coll, cs := makeClusters(t)
 
-	mem := NewMemStore(coll, cs, 4096)
+	mem := NewMemStore(coll, cs)
 	var data Data
 	if err := mem.ReadChunk(0, &data); err != nil {
 		t.Fatal(err)
@@ -172,7 +177,7 @@ func TestUseAfterCloseIsError(t *testing.T) {
 		t.Fatalf("closed MemStore ReadChunk: %v, want ErrClosed", err)
 	}
 
-	cp, ip, _ := writePair(t, 4096)
+	cp, ip, _ := writePair(t)
 	fs, err := Open(cp, ip)
 	if err != nil {
 		t.Fatal(err)
@@ -191,14 +196,13 @@ func TestUseAfterCloseIsError(t *testing.T) {
 // TestShardedRoundTrip pins the manifest format: SaveSharded then
 // OpenSharded serves the same chunks per shard and gives back the
 // replication factor and primary counts, and the manifest's checks reject
-// tampered directories, the retired unversioned manifest and unknown
-// versions.
+// tampered directories, the retired unversioned manifest, unknown
+// versions and a page other than PageSize.
 func TestShardedRoundTrip(t *testing.T) {
 	coll, cs := makeClusters(t)
 	dir := t.TempDir()
 	shards := [][]*cluster.Cluster{{cs[0], cs[2], cs[1]}, {cs[1], cs[0], cs[2]}} // each shard's primaries, then its copies of the other's
-	const pageSize = 4096
-	if err := SaveSharded(coll, shards, []int{2, 1}, 2, dir, pageSize); err != nil {
+	if err := SaveSharded(coll, shards, []int{2, 1}, 2, dir); err != nil {
 		t.Fatal(err)
 	}
 
@@ -206,7 +210,7 @@ func TestShardedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Dims != coll.Dims() || m.PageSize != pageSize || m.Replication != 2 || len(m.Shards) != 2 ||
+	if m.Dims != coll.Dims() || m.Replication != 2 || len(m.Shards) != 2 ||
 		m.Shards[0].Primary != 2 || m.Shards[1].Primary != 1 {
 		t.Fatalf("manifest %+v", m)
 	}
@@ -260,12 +264,14 @@ func TestShardedRoundTrip(t *testing.T) {
 	}
 
 	// A truncated manifest, the unversioned manifest that preceded the
-	// version byte and an unknown version are rejected.
+	// version byte, an unknown version and a page of 4096 are rejected.
 	mpath := filepath.Join(dir, ManifestName)
 	raw, err := os.ReadFile(mpath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	page4096 := slices.Clone(raw)
+	binary.LittleEndian.PutUint32(page4096[len(manifestMagic)+5:], 4096)
 	for _, tc := range []struct {
 		name    string
 		raw     []byte
@@ -275,6 +281,7 @@ func TestShardedRoundTrip(t *testing.T) {
 		{"truncated", raw[:len(raw)-3], nil, "truncated"},
 		{"unversioned", append([]byte("EFF2SMFT"), raw[len(manifestMagic)+1:]...), ErrBadMagic, ""},
 		{"unknown version", append([]byte(manifestMagic+"\x07"), raw[len(manifestMagic)+1:]...), nil, "manifest version 7"},
+		{"page 4096", page4096, ErrPageSize, "page size 4096"},
 	} {
 		if err := os.WriteFile(mpath, tc.raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -285,7 +292,7 @@ func TestShardedRoundTrip(t *testing.T) {
 		}
 	}
 
-	if err := SaveSharded(coll, nil, nil, 1, dir, pageSize); err == nil {
+	if err := SaveSharded(coll, nil, nil, 1, dir); err == nil {
 		t.Fatal("zero-shard save accepted")
 	}
 }

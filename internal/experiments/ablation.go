@@ -106,15 +106,15 @@ func AblationStrategies(lab *Lab) (*AblationStrategiesResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	hy, err := hybrid.Chunks(lab.Coll, g.RetainedIdx, hybrid.Config{ChunkSize: meanSize, Seed: lab.Cfg.Seed})
+	hy, err := hybrid.Chunks(lab.Coll, g.RetainedIdx, hybrid.Config{ChunkSize: meanSize, Seed: labSeed})
 	if err != nil {
 		return nil, err
 	}
 	stores := []Strategy{
 		{"BAG", g.BagStore},
 		{"SR", g.SRStore},
-		{"RR", chunkfile.NewMemStore(lab.Coll, rr, lab.Cfg.PageSize)},
-		{"HYBRID", chunkfile.NewMemStore(lab.Coll, hy, lab.Cfg.PageSize)},
+		{"RR", chunkfile.NewMemStore(lab.Coll, rr)},
+		{"HYBRID", chunkfile.NewMemStore(lab.Coll, hy)},
 	}
 
 	chunksRes := &CurveResult{
@@ -180,9 +180,9 @@ func AblationNaiveBag(lab *Lab, sampleN int) (*AblationNaiveBagResult, error) {
 		target = 4
 	}
 	base := bag.DefaultConfig(sub.Len(), sub.Len()/target)
-	base.MPI = lab.Cfg.MPI
+	base.MPI = labMPI
 	base.MaxPasses = 500
-	base.Seed = lab.Cfg.Seed
+	base.Seed = labSeed
 
 	res := &AblationNaiveBagResult{SampleN: sub.Len()}
 
@@ -266,7 +266,7 @@ func AblationNormOutlier(lab *Lab) (*AblationNormOutlierResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	normStore := chunkfile.NewMemStore(lab.Coll, normChunks, lab.Cfg.PageSize)
+	normStore := chunkfile.NewMemStore(lab.Coll, normChunks)
 	// Each variant is measured against the exact top-k of its own retained
 	// set, as the paper measured each index against its own scan (§5.4);
 	// the retained sets differ slightly between outlier schemes.

@@ -95,7 +95,7 @@ func Figure67(lab *Lab, workloadName string, chunkSizes []int, neighbors []int) 
 		if err != nil {
 			return nil, err
 		}
-		store := chunkfile.NewMemStore(lab.Coll, chunks, lab.Cfg.PageSize)
+		store := chunkfile.NewMemStore(lab.Coll, chunks)
 		traces, err := lab.runTraces(store, queries, gt)
 		if err != nil {
 			return nil, err

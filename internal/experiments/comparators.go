@@ -11,6 +11,7 @@ import (
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
 	"repro/internal/shard"
+	"repro/internal/simdisk"
 	"repro/internal/vafile"
 )
 
@@ -40,7 +41,6 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 	g := lab.Grans[0]
 	coll := g.Retained
 	k := lab.Cfg.K
-	model := lab.Model
 	queries := lab.DQ
 	gt := lab.Truth(0, "DQ", queries)
 	res := &ComparatorsResult{Workload: "DQ", K: k}
@@ -62,7 +62,7 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 	// are byte-identical to per-query searches; the batch path reuses one
 	// results arena across the whole sweep).
 	lab.Cfg.logf("comparators: chunk search...")
-	eng := batchexec.New(g.SRStore, model)
+	eng := batchexec.New(g.SRStore)
 	chunkResults := make([]search.Result, len(queries))
 	for _, budget := range []int{1, 2, 5, 10, 20} {
 		err := eng.Run(queries, batchexec.Options{
@@ -92,19 +92,19 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 	// summed chunk work (the hardware bill) rises.
 	lab.Cfg.logf("comparators: sharded chunk search...")
 	const comparatorShards = 4
-	assign, err := shard.Partition(g.SRChunks, comparatorShards, lab.Coll.Dims(), lab.Cfg.PageSize)
+	placement, err := shard.PartitionReplicated(g.SRChunks, comparatorShards, 1, lab.Coll.Dims())
 	if err != nil {
 		return nil, err
 	}
-	shardStores := make([]chunkfile.Store, len(assign))
-	for s, idxs := range assign {
-		shardStores[s] = chunkfile.NewMemStore(lab.Coll, shard.Select(g.SRChunks, idxs), lab.Cfg.PageSize)
+	shardStores := make([]chunkfile.Store, comparatorShards)
+	for s, idxs := range placement.Primary {
+		shardStores[s] = chunkfile.NewMemStore(lab.Coll, shard.Select(g.SRChunks, idxs))
 	}
-	router, err := shard.NewRouter(shardStores, nil, shard.RouterOptions{})
+	router, err := shard.NewRouter(shardStores, placement, shard.RouterOptions{})
 	if err != nil {
 		return nil, err
 	}
-	sharded := batchexec.New(router, model)
+	sharded := batchexec.New(router)
 	for _, budget := range []int{1, 2, 5} {
 		err := sharded.Run(queries, batchexec.Options{
 			K: k, Stop: search.ChunkBudget(budget), Overlap: true,
@@ -164,6 +164,7 @@ func Comparators(lab *Lab) (*ComparatorsResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	model := simdisk.Default2005()
 	vaCost := func(st vafile.Stats) float64 {
 		phase1 := model.ReadTime(va.ApproximationBytes()) + model.CPUTime(coll.Len())
 		phase2 := 0.0

@@ -17,7 +17,6 @@ import (
 	"repro/internal/descriptor"
 	"repro/internal/imagegen"
 	"repro/internal/scan"
-	"repro/internal/simdisk"
 	"repro/internal/srtree"
 	"repro/internal/vec"
 	"repro/internal/workload"
@@ -30,15 +29,18 @@ type Config struct {
 	N           int   // collection size (paper: 5,017,298)
 	Queries     int   // queries per workload (paper: 1,000)
 	K           int   // neighbors, and the quality cutoff (paper: 30)
-	Seed        int64 // master seed
-	PageSize    int   // chunk file page size
 	TargetSizes []int // mean chunk sizes per granularity, ascending (paper: 947/1711/2486)
 	Names       []string
-	MPI         float64   // BAG maximum possible increment
 	Overlap     bool      // overlap I/O and CPU in the simulated pipeline
-	Trim        float64   // SQ per-dimension trim (paper: 0.05)
 	Log         io.Writer // progress log; nil silences
 }
+
+// The lab's fixed parameters.
+const (
+	labSeed = 42   // master seed
+	labMPI  = 25   // BAG maximum possible increment
+	sqTrim  = 0.05 // SQ per-dimension trim (paper: 0.05)
+)
 
 // DefaultConfig returns the standard configuration, honoring the REPRO_N
 // and REPRO_QUERIES environment variables.
@@ -49,13 +51,9 @@ func DefaultConfig() Config {
 		N:           n,
 		Queries:     q,
 		K:           30,
-		Seed:        42,
-		PageSize:    chunkfile.DefaultPageSize,
 		TargetSizes: []int{947, 1711, 2486},
 		Names:       []string{"SMALL", "MEDIUM", "LARGE"},
-		MPI:         25,
 		Overlap:     true,
-		Trim:        0.05,
 	}
 }
 
@@ -98,7 +96,6 @@ type Lab struct {
 	Coll    *descriptor.Collection
 	DQ, SQ  []vec.Vector
 	Grans   []Granularity
-	Model   *simdisk.Model
 
 	truthCache map[truthKey]*scan.GroundTruth
 }
@@ -126,8 +123,8 @@ func NewLab(cfg Config) (*Lab, error) {
 		}
 	}
 
-	cfg.logf("generating %d descriptors (seed %d)...", cfg.N, cfg.Seed)
-	ds, err := imagegen.Generate(imagegen.DefaultConfig(cfg.N, cfg.Seed))
+	cfg.logf("generating %d descriptors (seed %d)...", cfg.N, labSeed)
+	ds, err := imagegen.Generate(imagegen.DefaultConfig(cfg.N, labSeed))
 	if err != nil {
 		return nil, err
 	}
@@ -136,16 +133,15 @@ func NewLab(cfg Config) (*Lab, error) {
 		Cfg:        cfg,
 		Dataset:    ds,
 		Coll:       coll,
-		Model:      simdisk.Default2005(),
 		truthCache: map[truthKey]*scan.GroundTruth{},
 	}
 
 	cfg.logf("generating workloads (%d queries each)...", cfg.Queries)
-	lab.DQ, err = workload.DQ(coll, cfg.Queries, cfg.Seed+1)
+	lab.DQ, err = workload.DQ(coll, cfg.Queries, labSeed+1)
 	if err != nil {
 		return nil, err
 	}
-	lab.SQ, err = workload.SQ(coll, cfg.Queries, cfg.Trim, cfg.Seed+2)
+	lab.SQ, err = workload.SQ(coll, cfg.Queries, sqTrim, labSeed+2)
 	if err != nil {
 		return nil, err
 	}
@@ -153,8 +149,8 @@ func NewLab(cfg Config) (*Lab, error) {
 	// One BAG run, snapshotted at each granularity (paper §5.2: "each
 	// clustering was generated from the other in succession").
 	bcfg := bag.DefaultConfig(coll.Len(), cfg.TargetSizes...)
-	bcfg.MPI = cfg.MPI
-	bcfg.Seed = cfg.Seed + 3
+	bcfg.MPI = labMPI
+	bcfg.Seed = labSeed + 3
 	bagStart := time.Now()
 	passClock := map[int]time.Duration{}
 	bcfg.Progress = func(pass, clusters int) {
@@ -197,8 +193,8 @@ func NewLab(cfg Config) (*Lab, error) {
 		}
 		g.SRBuild = time.Since(srStart)
 
-		g.BagStore = chunkfile.NewMemStore(coll, g.BagChunks, cfg.PageSize)
-		g.SRStore = chunkfile.NewMemStore(coll, g.SRChunks, cfg.PageSize)
+		g.BagStore = chunkfile.NewMemStore(coll, g.BagChunks)
+		g.SRStore = chunkfile.NewMemStore(coll, g.SRChunks)
 		lab.Grans = append(lab.Grans, g)
 		cfg.logf("granularity %s: bag %d chunks (mean %.0f), sr %d chunks (cap %d), outliers %.1f%%",
 			g.Name, len(g.BagChunks), mean, len(g.SRChunks), g.SRLeafCap, snap.OutlierFraction()*100)

@@ -35,7 +35,7 @@ func (l *Lab) runTraces(store chunkfile.Store, queries []vec.Vector, gt *scan.Gr
 		}
 		truths[qi] = truth
 	}
-	eng := batchexec.New(store, l.Model)
+	eng := batchexec.New(store)
 	results := make([]search.Result, len(queries))
 	err := eng.Run(queries, batchexec.Options{
 		K:       l.Cfg.K,

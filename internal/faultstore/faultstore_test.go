@@ -31,7 +31,7 @@ func memStore(t *testing.T) *chunkfile.MemStore {
 	for i := range cs {
 		cs[i] = cluster.NewFromMembers(coll, members[i])
 	}
-	return chunkfile.NewMemStore(coll, cs, 4096)
+	return chunkfile.NewMemStore(coll, cs)
 }
 
 // A zero Config must be a transparent passthrough.

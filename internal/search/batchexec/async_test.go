@@ -39,7 +39,7 @@ func recordEvent(ev search.Event) traceRec {
 func TestBatchTraceMatchesSingleQuery(t *testing.T) {
 	mem, queries := buildStore(t)
 	queries = queries[:16]
-	eng := New(mem, nil)
+	eng := New(mem)
 	stop := search.ChunkBudget(5)
 
 	want := make([][]traceRec, len(queries))
@@ -106,7 +106,7 @@ func TestBatchMidCancel(t *testing.T) {
 	for _, par := range []int{1, 0} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cs := &cancelStore{Store: mem, cancelAt: cancelAt, cancel: cancel}
-		eng := New(cs, nil)
+		eng := New(cs)
 		results := make([]search.Result, len(queries))
 		err := eng.Run(queries, Options{K: 10, Stop: search.ToCompletion{}, Parallelism: par, Ctx: ctx}, results)
 		cancel()
@@ -163,7 +163,7 @@ func TestBatchStragglerStreams(t *testing.T) {
 	// Baseline (and the expected blocked set): queries reading the
 	// straggler chunk within their budget are exactly those that will
 	// subscribe to it.
-	eng := New(mem, nil)
+	eng := New(mem)
 	want := make([]search.Result, len(queries))
 	reads := make([][]int, len(queries))
 	if err := eng.Run(queries, Options{K: 10, Stop: stop, Parallelism: 1, Trace: func(qi int, ev search.Event) {
@@ -185,7 +185,7 @@ func TestBatchStragglerStreams(t *testing.T) {
 	}
 
 	gs := &gateStore{Store: mem, chunk: straggler, gate: make(chan struct{})}
-	geng := New(gs, nil)
+	geng := New(gs)
 	var mu sync.Mutex
 	var released atomic.Bool // set just before the gate opens
 	nDone := 0
@@ -239,7 +239,7 @@ func TestBatchAsyncStress(t *testing.T) {
 	mem, queries := buildStore(t)
 	queries = queries[:24]
 	slow := faultstore.Wrap(mem, faultstore.Config{Latency: 200 * time.Microsecond})
-	eng := New(slow, nil)
+	eng := New(slow)
 	stop := search.ChunkBudget(3)
 
 	want := make([]search.Result, len(queries))

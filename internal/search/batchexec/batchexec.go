@@ -63,19 +63,15 @@ import (
 
 	"repro/internal/chunkfile"
 	"repro/internal/search"
-	"repro/internal/simdisk"
 	"repro/internal/vec"
 )
 
 // Options configures one batch run. The zero value means k=30,
-// run-to-completion, the engine's model, serial pipeline, and one worker
-// per CPU.
+// run-to-completion, serial pipeline, and one worker per CPU.
 type Options struct {
-	K    int
-	Stop search.StopRule // must be stateless/concurrency-safe (the built-in rules are)
-	// Model overrides the engine's cost model for this run.
-	Model   *simdisk.Model
-	Overlap bool // overlap I/O with CPU in each query's simulated pipeline
+	K       int
+	Stop    search.StopRule // must be stateless/concurrency-safe (the built-in rules are)
+	Overlap bool            // overlap I/O with CPU in each query's simulated pipeline
 	// GlobalBudget spends Stop's budget once across a store whose chunks
 	// live on several simulated machines (chunkfile.MachineLayout — the
 	// shard router's) instead of once per machine; see search.Walk. It
@@ -119,7 +115,6 @@ func (e *QueryError) Unwrap() error { return e.Err }
 // concurrent use; concurrent Runs share the process-wide worker pool.
 type Engine struct {
 	store chunkfile.Store
-	model *simdisk.Model
 	// free holds the arenas no run is using: a mutex-guarded free list
 	// rather than a sync.Pool, so the steady-state zero-allocation contract
 	// does not depend on when the GC runs.
@@ -127,13 +122,9 @@ type Engine struct {
 	free []*arena
 }
 
-// New returns an Engine over the given store. A nil model selects the
-// calibrated 2005 model.
-func New(store chunkfile.Store, model *simdisk.Model) *Engine {
-	if model == nil {
-		model = simdisk.Default2005()
-	}
-	return &Engine{store: store, model: model}
+// New returns an Engine over the given store.
+func New(store chunkfile.Store) *Engine {
+	return &Engine{store: store}
 }
 
 // getArena returns a recycled arena, or a new one when none is free.
@@ -271,10 +262,6 @@ func (e *Engine) check(queries []vec.Vector, results []search.Result) error {
 
 // reset prepares the arena for a run of n queries over e's store.
 func (a *arena) reset(e *Engine, opts *Options, done func(int), n int) error {
-	model := opts.Model
-	if model == nil {
-		model = e.model
-	}
 	a.store = e.store
 	a.dims = e.store.Dims()
 	a.start = time.Now()
@@ -282,7 +269,7 @@ func (a *arena) reset(e *Engine, opts *Options, done func(int), n int) error {
 	a.onDone = done
 	a.failed.Store(false)
 	a.err = nil
-	if err := a.plan.Reset(e.store, model, opts.K, opts.Stop, opts.GlobalBudget, opts.Overlap, opts.Trace); err != nil {
+	if err := a.plan.Reset(e.store, opts.K, opts.Stop, opts.GlobalBudget, opts.Overlap, opts.Trace); err != nil {
 		return fmt.Errorf("batchexec: %w", err)
 	}
 	if cap(a.states) < n {

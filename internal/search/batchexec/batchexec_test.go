@@ -24,7 +24,7 @@ func buildStore(t testing.TB) (*chunkfile.MemStore, []vec.Vector) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := chunkfile.NewMemStore(coll, chunks, 4096)
+	mem := chunkfile.NewMemStore(coll, chunks)
 
 	// 40 dataset queries (descriptors of the collection itself, so they
 	// have close matches) plus 10 perturbed ones with no exact match.
@@ -83,7 +83,7 @@ func TestBatchZeroAlloc(t *testing.T) {
 		t.Skip("race detector instrumentation allocates")
 	}
 	mem, queries := buildStore(t)
-	eng := New(mem, nil)
+	eng := New(mem)
 	for _, row := range []struct{ n, par int }{{len(queries), 1}, {len(queries), 0}, {1, 0}} {
 		batch := queries[:row.n]
 		opts := Options{K: 20, Stop: search.ChunkBudget(4), Parallelism: row.par}
@@ -109,7 +109,7 @@ func TestBatchZeroAlloc(t *testing.T) {
 // QueryError naming the offending query.
 func TestBatchQueryError(t *testing.T) {
 	mem, queries := buildStore(t)
-	eng := New(mem, nil)
+	eng := New(mem)
 	bad := make([]vec.Vector, len(queries))
 	copy(bad, queries)
 	bad[3] = make(vec.Vector, mem.Dims()+1)
@@ -125,7 +125,7 @@ func TestBatchQueryError(t *testing.T) {
 // are rejected.
 func TestBatchEdges(t *testing.T) {
 	mem, queries := buildStore(t)
-	eng := New(mem, nil)
+	eng := New(mem)
 	if err := eng.Run(nil, Options{}, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
@@ -157,7 +157,7 @@ func TestBatchShardMapping(t *testing.T) {
 		"machine out of range": {mem, bad, 3},
 		"negative machine":     {mem, append([]int32{-1}, bad[1:]...), 3},
 	} {
-		if err := New(store, nil).Run(queries[:1], Options{}, make([]search.Result, 1)); err == nil {
+		if err := New(store).Run(queries[:1], Options{}, make([]search.Result, 1)); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}

@@ -49,6 +49,10 @@ import (
 // Neighbor is one result entry.
 type Neighbor = knn.Neighbor
 
+// costModel prices every walk: the calibrated 2005 machine (§5.5) the
+// paper's timings were measured on.
+var costModel = simdisk.Default2005()
+
 // StopRule decides whether the search may halt after a chunk has been
 // processed.
 type StopRule interface {
@@ -274,7 +278,6 @@ type Plan struct {
 	k         int
 	first     int // chunks a walk orders up front
 	stop      StopRule
-	model     *simdisk.Model
 	overlap   bool
 	trace     func(query int, ev Event)
 	// owner maps every chunk to the machine its charges bill
@@ -310,20 +313,20 @@ func (p *Plan) groupOf(ci int) int {
 	return int(p.group[ci])
 }
 
-// Reset resolves the plan for one run over the store under the given
-// (non-nil) model: k <= 0 means DefaultK, a nil stop rule ToCompletion.
+// Reset resolves the plan for one run over the store: k <= 0 means
+// DefaultK, a nil stop rule ToCompletion.
 // global spends the stop rule's budget once over a multi-machine layout
 // instead of once per machine (see Walk). trace, when non-nil, receives
 // one Event per charged chunk with the walk's Query index. A store
 // reporting a malformed machine layout is rejected.
-func (p *Plan) Reset(store chunkfile.Store, model *simdisk.Model, k int, stop StopRule, global, overlap bool, trace func(int, Event)) error {
+func (p *Plan) Reset(store chunkfile.Store, k int, stop StopRule, global, overlap bool, trace func(int, Event)) error {
 	if k <= 0 {
 		k = DefaultK
 	}
 	if stop == nil {
 		stop = ToCompletion{}
 	}
-	p.metas, p.k, p.stop, p.model, p.overlap, p.trace = store.Meta(), k, stop, model, overlap, trace
+	p.metas, p.k, p.stop, p.overlap, p.trace = store.Meta(), k, stop, overlap, trace
 	p.centroids, p.dims = store.Centroids(), store.Dims()
 	if len(p.centroids) != len(p.metas)*p.dims {
 		return fmt.Errorf("search: store has %d chunks of %d dims but a centroid matrix of %d floats", len(p.metas), p.dims, len(p.centroids))
@@ -355,7 +358,7 @@ func (p *Plan) Reset(store chunkfile.Store, model *simdisk.Model, k int, stop St
 	p.indexRead = 0
 	entrySize := chunkfile.EntrySize(p.dims)
 	for m, c := range p.counts {
-		p.inits[m] = model.IndexReadTime(c, entrySize)
+		p.inits[m] = costModel.IndexReadTime(c, entrySize)
 		p.indexRead = max(p.indexRead, p.inits[m])
 	}
 	p.group, p.groups = p.owner, append(p.groups[:0], p.counts...)
@@ -419,9 +422,9 @@ func (p *Plan) timedReads(budget time.Duration) int {
 	// Every chunk's least charge, each machine's cheapest first.
 	p.least = p.least[:0]
 	for ci := range p.metas {
-		c := leastCharge{cost: p.model.ReadTime(p.metas[ci].Bytes)}
+		c := leastCharge{cost: costModel.ReadTime(p.metas[ci].Bytes)}
 		if !p.overlap {
-			c.cost += p.model.CPUTime(p.metas[ci].Count)
+			c.cost += costModel.CPUTime(p.metas[ci].Count)
 		}
 		if p.owner != nil {
 			c.machine = p.owner[ci]
@@ -462,7 +465,7 @@ type leastCharge struct {
 // Release drops the plan's references into caller and store memory so a
 // pooled plan retains none of it but the layout it counted.
 func (p *Plan) Release() {
-	p.metas, p.centroids, p.stop, p.model, p.trace, p.owner, p.group = nil, nil, nil, nil, nil, nil, nil
+	p.metas, p.centroids, p.stop, p.trace, p.owner, p.group = nil, nil, nil, nil, nil, nil
 }
 
 // sized returns s with length n, reusing its capacity; contents are
@@ -543,7 +546,7 @@ func (w *Walk) Reset(p *Plan, q vec.Vector, res *Result) bool {
 	w.pos = 0
 	w.pipes = sized(w.pipes, len(p.inits))
 	for m := range w.pipes {
-		w.pipes[m].Reset(p.model, p.overlap, p.inits[m])
+		w.pipes[m].Reset(costModel, p.overlap, p.inits[m])
 	}
 	w.reads, w.skips = sized(w.reads, len(p.inits)), sized(w.skips, len(p.inits))
 	clear(w.reads)
@@ -592,13 +595,13 @@ func (w *Walk) Next() int { return w.ranked[w.pos].Idx }
 // stall bills a read's failed attempts and stall (chunkfile.Data's
 // FailedReads and Stall) for the chunk at the cursor to the machine owning
 // it and returns that machine. Each failed attempt costs the chunk's read
-// time under the run's model.
+// time.
 func (w *Walk) stall(failed int, d time.Duration) (machine int) {
 	ci := w.ranked[w.pos].Idx
 	if w.plan.owner != nil {
 		machine = int(w.plan.owner[ci])
 	}
-	d += time.Duration(failed) * w.plan.model.ReadTime(w.plan.metas[ci].Bytes)
+	d += time.Duration(failed) * costModel.ReadTime(w.plan.metas[ci].Bytes)
 	w.pipes[machine].Stall(d)
 	return machine
 }

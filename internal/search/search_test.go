@@ -41,8 +41,8 @@ func getFixture(t testing.TB, seed int64) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srSt := chunkfile.NewMemStore(coll, chunks, 4096)
-	tieSt := chunkfile.NewMemStore(coll, append(chunks, chunks...), 4096)
+	srSt := chunkfile.NewMemStore(coll, chunks)
+	tieSt := chunkfile.NewMemStore(coll, append(chunks, chunks...))
 
 	cfg := bag.DefaultConfig(coll.Len(), 120)
 	cfg.MaxPasses = 500
@@ -53,7 +53,7 @@ func getFixture(t testing.TB, seed int64) *fixture {
 	snap := snaps[len(snaps)-1]
 	// The BAG store indexes only the retained descriptors; for exactness
 	// tests we compare against a scan over the retained subset.
-	bagSt := chunkfile.NewMemStore(coll, snap.Clusters, 4096)
+	bagSt := chunkfile.NewMemStore(coll, snap.Clusters)
 
 	f := &fixture{coll: coll, srSt: srSt, bagSt: bagSt, tieSt: tieSt}
 	fixtures[seed] = f
@@ -98,7 +98,7 @@ func retainedSubset(t testing.TB, coll *descriptor.Collection, st chunkfile.Stor
 func TestNeighborsFoundMonotone(t *testing.T) {
 	f := getFixture(t, 31)
 	sub := retainedSubset(t, f.coll, f.bagSt)
-	s := batchexec.New(f.bagSt, nil)
+	s := batchexec.New(f.bagSt)
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 5; trial++ {
 		q := f.coll.Vec(r.Intn(f.coll.Len()))
@@ -122,7 +122,7 @@ func TestNeighborsFoundMonotone(t *testing.T) {
 
 func TestTraceEvents(t *testing.T) {
 	f := getFixture(t, 31)
-	s := batchexec.New(f.srSt, nil)
+	s := batchexec.New(f.srSt)
 	var ordinals []int
 	var elapsed []time.Duration
 	res, err := searchOne(s, f.coll.Vec(9), batchexec.Options{K: 10, Stop: ChunkBudget(5), Trace: func(_ int, ev Event) {
@@ -150,7 +150,7 @@ func TestTraceEvents(t *testing.T) {
 
 func TestDimsMismatch(t *testing.T) {
 	f := getFixture(t, 31)
-	s := batchexec.New(f.srSt, nil)
+	s := batchexec.New(f.srSt)
 	if _, err := searchOne(s, vec.Vector{1, 2, 3}, batchexec.Options{}); err == nil {
 		t.Fatal("dims mismatch accepted")
 	}
@@ -158,7 +158,7 @@ func TestDimsMismatch(t *testing.T) {
 
 func BenchmarkSearchCompletion(b *testing.B) {
 	f := getFixture(b, 31)
-	s := batchexec.New(f.srSt, nil)
+	s := batchexec.New(f.srSt)
 	q := f.coll.Vec(17)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -171,7 +171,7 @@ func BenchmarkSearchCompletion(b *testing.B) {
 
 func BenchmarkSearchBudget5(b *testing.B) {
 	f := getFixture(b, 31)
-	s := batchexec.New(f.srSt, nil)
+	s := batchexec.New(f.srSt)
 	q := f.coll.Vec(17)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -190,7 +190,7 @@ func TestSearchIntoReusesBuffers(t *testing.T) {
 		t.Skip("race detector instrumentation allocates")
 	}
 	f := getFixture(t, 31)
-	eng := batchexec.New(f.srSt, nil)
+	eng := batchexec.New(f.srSt)
 	queries := []vec.Vector{f.coll.Vec(42)}
 	res := make([]Result, 1)
 	opts := batchexec.Options{K: 20}
@@ -218,7 +218,7 @@ func TestSearchIntoReusesBuffers(t *testing.T) {
 func TestThreeWayExactCrossCheck(t *testing.T) {
 	f := getFixture(t, 31)
 	coll := f.coll
-	chunkSearch := batchexec.New(f.srSt, nil)
+	chunkSearch := batchexec.New(f.srSt)
 
 	va, err := vafile.Build(coll, 5)
 	if err != nil {

@@ -102,7 +102,7 @@ func checkWalk(t *testing.T, name string, base chunkfile.Store, q vec.Vector, tc
 	}
 
 	var traced []charge
-	res, err := searchOne(batchexec.New(st, model), q, batchexec.Options{K: tc.k, Stop: tc.stop, Overlap: tc.overlap, GlobalBudget: true,
+	res, err := searchOne(batchexec.New(st), q, batchexec.Options{K: tc.k, Stop: tc.stop, Overlap: tc.overlap, GlobalBudget: true,
 		Trace: func(_ int, ev Event) { traced = append(traced, charge{ev.Ordinal, ev.ChunkIndex}) }})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -320,14 +320,14 @@ func FuzzWalkPerMachine(f *testing.F) {
 		var charged []int
 		traced := opts
 		traced.Trace = func(_ int, ev Event) { charged = append(charged, ev.ChunkIndex) }
-		got, err := searchOne(batchexec.New(st, model), q, traced)
+		got, err := searchOne(batchexec.New(st), q, traced)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := Result{Exact: true}
 		rows := make([]*Result, machines)
 		for m := range rows {
-			if rows[m], err = searchOne(batchexec.New(newSubStore(st, own[m]), model), q, opts); err != nil {
+			if rows[m], err = searchOne(batchexec.New(newSubStore(st, own[m])), q, opts); err != nil {
 				t.Fatal(err)
 			}
 			want.Neighbors = append(want.Neighbors, rows[m].Neighbors...)
@@ -369,12 +369,12 @@ func FuzzWalkPerMachine(f *testing.F) {
 		for _, global := range []bool{false, true} {
 			res := got
 			if global {
-				if res, err = searchOne(batchexec.New(st, model), q, batchexec.Options{K: k, Stop: stop, Overlap: overlap, GlobalBudget: true}); err != nil {
+				if res, err = searchOne(batchexec.New(st), q, batchexec.Options{K: k, Stop: stop, Overlap: overlap, GlobalBudget: true}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			var plan Plan
-			if err := plan.Reset(st, model, k, stop, global, overlap, nil); err != nil {
+			if err := plan.Reset(st, k, stop, global, overlap, nil); err != nil {
 				t.Fatal(err)
 			}
 			_, chunkBudget := stop.(ChunkBudget)

@@ -14,7 +14,6 @@ import (
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
 	"repro/internal/shard"
-	"repro/internal/simdisk"
 	"repro/internal/srtree"
 )
 
@@ -94,7 +93,7 @@ func (b *routerBackend) MultiSearch(descriptors []repro.Vector, opts repro.Multi
 // does.
 func (b *routerBackend) MaxReads(opts repro.SearchOptions) int {
 	var p search.Plan
-	if err := p.Reset(b.r, simdisk.Default2005(), opts.K, stopOf(opts), opts.GlobalBudget, opts.Overlap, nil); err != nil {
+	if err := p.Reset(b.r, opts.K, stopOf(opts), opts.GlobalBudget, opts.Overlap, nil); err != nil {
 		panic(err)
 	}
 	return p.MaxReads()
@@ -118,14 +117,14 @@ func (b *routerBackend) CacheStats() repro.CacheStats { return b.r.CacheStats() 
 // and the source collection for queries.
 func faultedRouter(t testing.TB, n int, seed int64, shards, replication int, cfg faultstore.Config) (*routerBackend, []*faultstore.Store, *repro.Collection) {
 	t.Helper()
-	const chunkSize, pageSize = 130, 4096
+	const chunkSize = 130
 	ds := imagegen.MustGenerate(imagegen.DefaultConfig(n, seed))
 	coll := ds.Collection
 	clusters, err := srtree.Chunks(coll, nil, chunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := shard.PartitionReplicated(clusters, shards, replication, coll.Dims(), pageSize)
+	p, err := shard.PartitionReplicated(clusters, shards, replication, coll.Dims())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +132,12 @@ func faultedRouter(t testing.TB, n int, seed int64, shards, replication int, cfg
 	faults := make([]*faultstore.Store, shards)
 	for s := 0; s < shards; s++ {
 		physical := append(append([]int(nil), p.Primary[s]...), p.Extra[s]...)
-		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, shard.Select(clusters, physical), pageSize), cfg)
+		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, shard.Select(clusters, physical)), cfg)
 		stores[s] = faults[s]
 	}
 	r, err := shard.NewRouter(stores, p, shard.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &routerBackend{r: r, e: batchexec.New(r, nil)}, faults, coll
+	return &routerBackend{r: r, e: batchexec.New(r)}, faults, coll
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/cluster"
 )
 
-// Partition assigns clusters to shards, balancing the shards by padded
+// partition assigns clusters to shards, balancing the shards by padded
 // on-disk chunk bytes (chunkfile.PaddedBytes): clusters are taken largest
 // first and each goes to the currently lightest shard — the greedy LPT
 // heuristic, which bounds the heaviest shard within 4/3 of optimal. The
@@ -29,7 +29,7 @@ import (
 // Shards may come out empty when there are fewer clusters than shards; an
 // empty shard serves an empty chunk index and every query over it is
 // trivially exact.
-func Partition(clusters []*cluster.Cluster, shards, dims, pageSize int) ([][]int, error) {
+func partition(clusters []*cluster.Cluster, shards, dims int) ([][]int, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d < 1", shards)
 	}
@@ -39,7 +39,7 @@ func Partition(clusters []*cluster.Cluster, shards, dims, pageSize int) ([][]int
 	}
 	order := make([]weighted, len(clusters))
 	for i, cl := range clusters {
-		order[i] = weighted{idx: i, bytes: int64(chunkfile.PaddedBytes(cl.Count(), dims, pageSize))}
+		order[i] = weighted{idx: i, bytes: int64(chunkfile.PaddedBytes(cl.Count(), dims))}
 	}
 	slices.SortFunc(order, func(a, b weighted) int {
 		switch {

@@ -42,9 +42,9 @@ func sameResult(t *testing.T, label string, got, want *search.Result) {
 func TestRouterCacheRecovery(t *testing.T) {
 	ds, clusters := fixture(t, 3000, 37, 130)
 	coll := ds.Collection
-	const shards, pageSize, k, dead = 3, 4096, 15, 1
+	const shards, k, dead = 3, 15, 1
 
-	p, err := PartitionReplicated(clusters, shards, 1, coll.Dims(), pageSize)
+	p, err := PartitionReplicated(clusters, shards, 1, coll.Dims())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 	faults := make([]*faultstore.Store, shards)
 	for s := 0; s < shards; s++ {
 		physical := append(append([]int(nil), p.Primary[s]...), p.Extra[s]...)
-		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, Select(clusters, physical), pageSize), faultstore.Config{})
+		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, Select(clusters, physical)), faultstore.Config{})
 		stores[s] = faults[s]
 	}
 	r, err := NewRouter(stores, p, RouterOptions{CacheBytes: 64 << 20})
@@ -64,7 +64,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 	q := coll.Vec(42)
 	opts := batchexec.Options{K: k}
 	var healthy, res search.Result
-	if err := one(batchexec.New(r, nil).Run, q, opts, &healthy); err != nil { // cold: fills the cache
+	if err := one(batchexec.New(r).Run, q, opts, &healthy); err != nil { // cold: fills the cache
 		t.Fatal(err)
 	}
 
@@ -73,7 +73,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 	for s := range before {
 		before[s] = faults[s].Reads()
 	}
-	if err := one(batchexec.New(r, nil).Run, q, opts, &res); err != nil {
+	if err := one(batchexec.New(r).Run, q, opts, &res); err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "warm", &res, &healthy)
@@ -99,7 +99,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 	if !r.ShardDown(dead) {
 		t.Fatal("probe answered from the cache: killed shard not marked down")
 	}
-	if err := one(batchexec.New(r, nil).Run, q, opts, &res); err != nil {
+	if err := one(batchexec.New(r).Run, q, opts, &res); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded || res.ChunksSkipped == 0 {
@@ -113,7 +113,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 	for s := range before {
 		before[s] = faults[s].Reads()
 	}
-	if err := one(batchexec.New(r, nil).Run, q, opts, &res); err != nil {
+	if err := one(batchexec.New(r).Run, q, opts, &res); err != nil {
 		t.Fatal(err)
 	}
 	sameAnswer(t, "recovered", &res, &healthy)
@@ -135,7 +135,7 @@ func TestRouterCacheRecovery(t *testing.T) {
 // only primaries, so its shared cache holds each hot chunk once.
 func TestReplicaDoesNotSplitCache(t *testing.T) {
 	ds, clusters := fixture(t, 20000, 89, 250)
-	const shards, pageSize, budget = 4, 4096, int64(2 << 20)
+	const shards, budget = 4, int64(2 << 20)
 	queries, err := workload.Zipf(ds.Collection, 200, 1.1, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +143,11 @@ func TestReplicaDoesNotSplitCache(t *testing.T) {
 	opts := batchexec.Options{K: 20, Stop: search.ChunkBudget(5)}
 	var hits [2]int64
 	for ri, replication := range []int{1, 2} {
-		r, _, _ := replicatedRouterOver(t, ds, clusters, shards, replication, pageSize, faultstore.Config{}, RouterOptions{CacheBytes: budget})
+		r, _, _ := replicatedRouterOver(t, ds, clusters, shards, replication, faultstore.Config{}, RouterOptions{CacheBytes: budget})
 		var res search.Result
 		for pass := 0; pass < 2; pass++ {
 			for _, q := range queries {
-				if err := one(batchexec.New(r, nil).Run, q, opts, &res); err != nil {
+				if err := one(batchexec.New(r).Run, q, opts, &res); err != nil {
 					t.Fatal(err)
 				}
 			}

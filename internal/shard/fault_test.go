@@ -43,10 +43,10 @@ func faultSeed(t testing.TB) int64 {
 // attempt log around the injector. It returns the router, the injectors
 // (for Kill) and the logs. Every call gets its own stores, cache and load
 // counters, so two routers never share mutable state.
-func replicatedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster, shards, replication, pageSize int, cfg faultstore.Config, opts RouterOptions) (*Router, []*faultstore.Store, []*attemptLog) {
+func replicatedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster, shards, replication int, cfg faultstore.Config, opts RouterOptions) (*Router, []*faultstore.Store, []*attemptLog) {
 	t.Helper()
 	coll := ds.Collection
-	p, err := PartitionReplicated(clusters, shards, replication, coll.Dims(), pageSize)
+	p, err := PartitionReplicated(clusters, shards, replication, coll.Dims())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func replicatedRouterOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluste
 	logs := make([]*attemptLog, shards)
 	for s := 0; s < shards; s++ {
 		physical := append(append([]int(nil), p.Primary[s]...), p.Extra[s]...)
-		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, Select(clusters, physical), pageSize), cfg)
+		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(coll, Select(clusters, physical)), cfg)
 		logs[s] = &attemptLog{Store: faults[s], failing: map[*chunkfile.Data]failedRun{}, exhausted: map[int]int{}}
 		stores[s] = logs[s]
 	}
@@ -137,9 +137,9 @@ func answerDiff(got, want *search.Result) error {
 func TestReplicatedKillAnyShardMatchesHealthy(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 17, 130)
 	coll := ds.Collection
-	const shards, pageSize, k = 4, 4096, 20
+	const shards, k = 4, 20
 
-	healthy, _, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
+	healthy, _, _ := replicatedRouterOver(t, ds, clusters, shards, 2, faultstore.Config{}, RouterOptions{})
 	queryIdx := []int{3, 555, 1234, 3999}
 	rules := []search.StopRule{nil, search.ChunkBudget(6)}
 
@@ -153,7 +153,7 @@ func TestReplicatedKillAnyShardMatchesHealthy(t *testing.T) {
 			base[ri][d] = make([]search.Result, len(queryIdx))
 			for qi, pos := range queryIdx {
 				opts := batchexec.Options{K: k, Stop: stop, GlobalBudget: disc.global}
-				if err := one(batchexec.New(healthy, nil).Run, coll.Vec(pos), opts, &base[ri][d][qi]); err != nil {
+				if err := one(batchexec.New(healthy).Run, coll.Vec(pos), opts, &base[ri][d][qi]); err != nil {
 					t.Fatal(err)
 				}
 				charged += int64(base[ri][d][qi].ChunksRead)
@@ -168,14 +168,14 @@ func TestReplicatedKillAnyShardMatchesHealthy(t *testing.T) {
 	}
 
 	for kill := 0; kill < shards; kill++ {
-		r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
+		r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, faultstore.Config{}, RouterOptions{})
 		faults[kill].Kill()
 		var res search.Result
 		for ri, stop := range rules {
 			for d, disc := range disciplines {
 				for qi, pos := range queryIdx {
 					opts := batchexec.Options{K: k, Stop: stop, GlobalBudget: disc.global}
-					if err := one(batchexec.New(r, nil).Run, coll.Vec(pos), opts, &res); err != nil {
+					if err := one(batchexec.New(r).Run, coll.Vec(pos), opts, &res); err != nil {
 						t.Fatal(err)
 					}
 					if res.Degraded || res.ChunksSkipped != 0 {
@@ -199,10 +199,10 @@ func TestReplicatedKillAnyShardMatchesHealthy(t *testing.T) {
 func TestTransientRetriesNeverDoubleBill(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 41, 130)
 	coll := ds.Collection
-	const shards, pageSize, k = 3, 4096, 20
+	const shards, k = 3, 20
 
-	healthy, calm, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
-	faulty, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize,
+	healthy, calm, _ := replicatedRouterOver(t, ds, clusters, shards, 2, faultstore.Config{}, RouterOptions{})
+	faulty, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2,
 		faultstore.Config{Seed: faultSeed(t), TransientProb: 0.1}, RouterOptions{})
 
 	var want, got search.Result
@@ -211,10 +211,10 @@ func TestTransientRetriesNeverDoubleBill(t *testing.T) {
 		q := coll.Vec(pos)
 		for _, stop := range []search.StopRule{nil, search.ChunkBudget(5)} {
 			opts := batchexec.Options{K: k, Stop: stop}
-			if err := one(batchexec.New(healthy, nil).Run, q, opts, &want); err != nil {
+			if err := one(batchexec.New(healthy).Run, q, opts, &want); err != nil {
 				t.Fatal(err)
 			}
-			if err := one(batchexec.New(faulty, nil).Run, q, opts, &got); err != nil {
+			if err := one(batchexec.New(faulty).Run, q, opts, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.Degraded || got.ChunksSkipped != 0 {
@@ -243,29 +243,25 @@ func TestTransientRetriesNeverDoubleBill(t *testing.T) {
 	}
 }
 
-// TestFailedReadBilledAtRunModel pins that a failed read attempt is
-// priced by the run's cost model, like every chunk around it: with shard
-// 0 killed at R=2, its first chunk's read fails once (the shard is then
-// held down and its replicas serve), and shard 0's clock grows by exactly
-// that chunk's ReadTime under the run's model — here ten times the seek
-// and a tenth of the transfer rate of the 2005 default.
-func TestFailedReadBilledAtRunModel(t *testing.T) {
+// TestFailedReadBilledToOwningShard pins that a failed read attempt is
+// billed to the shard that owns the chunk, priced like every chunk around
+// it: with shard 0 killed at R=2, its first chunk's read fails once (the
+// shard is then held down and its replicas serve), shard 0's clock grows
+// by exactly that chunk's ReadTime, and shard 1 is untouched.
+func TestFailedReadBilledToOwningShard(t *testing.T) {
 	ds, clusters := fixture(t, 3000, 29, 130)
-	const shards, pageSize = 2, 4096
-	model := *simdisk.Default2005()
-	model.Seek *= 10
-	model.TransferRate /= 10
+	const shards = 2
 	q := ds.Collection.Vec(123)
-	opts := batchexec.Options{K: 10, Stop: search.ChunkBudget(3), Model: &model}
+	opts := batchexec.Options{K: 10, Stop: search.ChunkBudget(3)}
 
-	healthy, _, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
-	faulty, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
+	healthy, _, _ := replicatedRouterOver(t, ds, clusters, shards, 2, faultstore.Config{}, RouterOptions{})
+	faulty, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, faultstore.Config{}, RouterOptions{})
 	faults[0].Kill()
 	var want, got search.Result
-	if err := one(batchexec.New(healthy, nil).Run, q, opts, &want); err != nil {
+	if err := one(batchexec.New(healthy).Run, q, opts, &want); err != nil {
 		t.Fatal(err)
 	}
-	if err := one(batchexec.New(faulty, nil).Run, q, opts, &got); err != nil {
+	if err := one(batchexec.New(faulty).Run, q, opts, &got); err != nil {
 		t.Fatal(err)
 	}
 	sameAnswer(t, "shard 0 killed", &got, &want)
@@ -284,9 +280,8 @@ func TestFailedReadBilledAtRunModel(t *testing.T) {
 	}
 	bytes := faulty.Meta()[first].Bytes
 	stall := got.PerMachine[0].Elapsed - want.PerMachine[0].Elapsed
-	if stall != model.ReadTime(bytes) {
-		t.Fatalf("failed attempt billed %v, want the run model's ReadTime %v (the default model's is %v)",
-			stall, model.ReadTime(bytes), simdisk.Default2005().ReadTime(bytes))
+	if read := simdisk.Default2005().ReadTime(bytes); stall != read {
+		t.Fatalf("failed attempt billed %v, want the chunk's ReadTime %v", stall, read)
 	}
 	if got.PerMachine[1] != want.PerMachine[1] {
 		t.Fatalf("shard 1 billed %+v, healthy %+v", got.PerMachine[1], want.PerMachine[1])
@@ -300,13 +295,13 @@ func TestFailedReadBilledAtRunModel(t *testing.T) {
 func TestPartitionReplicatedInvariants(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 53, 130)
 	coll := ds.Collection
-	const shards, pageSize, R = 5, 4096, 3
+	const shards, R = 5, 3
 
-	assign, err := Partition(clusters, shards, coll.Dims(), pageSize)
+	assign, err := partition(clusters, shards, coll.Dims())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := PartitionReplicated(clusters, shards, R, coll.Dims(), pageSize)
+	p, err := PartitionReplicated(clusters, shards, R, coll.Dims())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +335,7 @@ func TestPartitionReplicatedInvariants(t *testing.T) {
 	if replicated != (R-1)*len(clusters) {
 		t.Fatalf("%d replicas placed, want %d", replicated, (R-1)*len(clusters))
 	}
-	again, err := PartitionReplicated(clusters, shards, R, coll.Dims(), pageSize)
+	again, err := PartitionReplicated(clusters, shards, R, coll.Dims())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,10 +343,10 @@ func TestPartitionReplicatedInvariants(t *testing.T) {
 		t.Fatal("placement not deterministic")
 	}
 
-	if _, err := PartitionReplicated(clusters, 3, 4, coll.Dims(), pageSize); err == nil {
+	if _, err := PartitionReplicated(clusters, 3, 4, coll.Dims()); err == nil {
 		t.Fatal("replication > shards accepted")
 	}
-	if _, err := PartitionReplicated(clusters, 3, 0, coll.Dims(), pageSize); err == nil {
+	if _, err := PartitionReplicated(clusters, 3, 0, coll.Dims()); err == nil {
 		t.Fatal("replication 0 accepted")
 	}
 }
@@ -362,7 +357,7 @@ func TestPartitionReplicatedInvariants(t *testing.T) {
 // build-side state, filling every shard's physical chunks exactly.
 func TestPlacementSaveLoadRoundTrip(t *testing.T) {
 	ds, clusters := fixture(t, 2000, 61, 130)
-	p, err := PartitionReplicated(clusters, 4, 2, ds.Collection.Dims(), 4096)
+	p, err := PartitionReplicated(clusters, 4, 2, ds.Collection.Dims())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +405,7 @@ func TestFailoverTerminatesAfterEveryCopy(t *testing.T) {
 	stores := make([]chunkfile.Store, shards)
 	faults := make([]*faultstore.Store, shards)
 	for s := range stores {
-		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(ds.Collection, copies, 4096), faultstore.Config{TransientProb: 1})
+		faults[s] = faultstore.Wrap(chunkfile.NewMemStore(ds.Collection, copies), faultstore.Config{TransientProb: 1})
 		stores[s] = faults[s]
 	}
 	r, err := NewRouter(stores, p, RouterOptions{})
@@ -443,12 +438,12 @@ func TestFailoverTerminatesAfterEveryCopy(t *testing.T) {
 // dead shard's whole share, about 1.5.
 func TestReplicatedOneDownSpreadsReads(t *testing.T) {
 	ds, clusters := fixture(t, 20000, 83, 250)
-	const shards, pageSize = 4, 4096
+	const shards = 4
 	queries, err := workload.Zipf(ds.Collection, 400, 1.1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
+	r, _, _ := replicatedRouterOver(t, ds, clusters, shards, 2, faultstore.Config{}, RouterOptions{})
 	defer r.Close()
 	opts := batchexec.Options{K: 20, Stop: search.ChunkBudget(5)}
 	var res search.Result
@@ -457,7 +452,7 @@ func TestReplicatedOneDownSpreadsReads(t *testing.T) {
 		r.MarkShardDown(down)
 		before := r.ShardLoads(nil)
 		for _, q := range queries {
-			if err := one(batchexec.New(r, nil).Run, q, opts, &res); err != nil {
+			if err := one(batchexec.New(r).Run, q, opts, &res); err != nil {
 				t.Fatal(err)
 			}
 			if res.Degraded {
@@ -492,9 +487,9 @@ func TestReplicatedOneDownSpreadsReads(t *testing.T) {
 func TestReplicatedConcurrentKill(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 71, 130)
 	coll := ds.Collection
-	const shards, pageSize, k = 4, 4096, 15
+	const shards, k = 4, 15
 
-	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize,
+	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2,
 		faultstore.Config{Seed: faultSeed(t), TransientProb: 0.05, Latency: 50 * time.Microsecond}, RouterOptions{})
 	defer r.Close()
 
@@ -505,7 +500,7 @@ func TestReplicatedConcurrentKill(t *testing.T) {
 	done := make(chan error, 1)
 	results := make([]search.Result, len(queries))
 	go func() {
-		done <- batchexec.New(r, nil).Run(queries, batchexec.Options{K: k}, results)
+		done <- batchexec.New(r).Run(queries, batchexec.Options{K: k}, results)
 	}()
 	faults[1].Kill()
 	if err := <-done; err != nil {
@@ -534,11 +529,11 @@ func TestReplicatedConcurrentKill(t *testing.T) {
 func TestReplicatedConcurrentKillStress(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 71, 130)
 	coll := ds.Collection
-	const shards, pageSize, k, killed = 4, 4096, 15, 1
+	const shards, k, killed = 4, 15, 1
 
-	healthy, _, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
+	healthy, _, _ := replicatedRouterOver(t, ds, clusters, shards, 2, faultstore.Config{}, RouterOptions{})
 	defer healthy.Close()
-	r, faults, logs := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize,
+	r, faults, logs := replicatedRouterOver(t, ds, clusters, shards, 2,
 		faultstore.Config{Seed: faultSeed(t), TransientProb: 0.05, Latency: 50 * time.Microsecond}, RouterOptions{})
 	defer r.Close()
 
@@ -555,7 +550,7 @@ func TestReplicatedConcurrentKillStress(t *testing.T) {
 			var res, want search.Result
 			for i := 0; i < 4; i++ {
 				q := coll.Vec((g*997 + i*313) % coll.Len())
-				if err := one(batchexec.New(r, nil).Run, q, batchexec.Options{K: k}, &res); err != nil {
+				if err := one(batchexec.New(r).Run, q, batchexec.Options{K: k}, &res); err != nil {
 					t.Errorf("query goroutine %d: %v", g, err)
 					return
 				}
@@ -563,7 +558,7 @@ func TestReplicatedConcurrentKillStress(t *testing.T) {
 					degraded.Add(1)
 					continue
 				}
-				if err := one(batchexec.New(healthy, nil).Run, q, batchexec.Options{K: k}, &want); err != nil {
+				if err := one(batchexec.New(healthy).Run, q, batchexec.Options{K: k}, &want); err != nil {
 					t.Errorf("query goroutine %d: healthy: %v", g, err)
 					return
 				}
@@ -576,7 +571,7 @@ func TestReplicatedConcurrentKillStress(t *testing.T) {
 	done := make(chan error, 1)
 	results := make([]search.Result, len(queries))
 	go func() {
-		done <- batchexec.New(r, nil).Run(queries, batchexec.Options{K: k}, results)
+		done <- batchexec.New(r).Run(queries, batchexec.Options{K: k}, results)
 	}()
 	faults[killed].Kill()
 	if err := <-done; err != nil {
@@ -584,7 +579,7 @@ func TestReplicatedConcurrentKillStress(t *testing.T) {
 	}
 	wg.Wait()
 	want := make([]search.Result, len(queries))
-	if err := batchexec.New(healthy, nil).Run(queries, batchexec.Options{K: k}, want); err != nil {
+	if err := batchexec.New(healthy).Run(queries, batchexec.Options{K: k}, want); err != nil {
 		t.Fatal(err)
 	}
 	for qi := range results {

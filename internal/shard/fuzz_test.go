@@ -114,20 +114,19 @@ func FuzzPartitionReplicated(f *testing.F) {
 			rep = shards
 		}
 		dims := fuzzColl().Dims()
-		const pageSize = 4096
 
-		p, err := PartitionReplicated(clusters, shards, rep, dims, pageSize)
+		p, err := PartitionReplicated(clusters, shards, rep, dims)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := PartitionReplicated(clusters, shards, rep, dims, pageSize)
+		again, err := PartitionReplicated(clusters, shards, rep, dims)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(p, again) {
 			t.Fatal("PartitionReplicated is not deterministic")
 		}
-		assign, err := Partition(clusters, shards, dims, pageSize)
+		assign, err := partition(clusters, shards, dims)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +153,7 @@ func FuzzPartitionReplicated(f *testing.F) {
 		var total, maxUnit int64
 		for s, idxs := range p.Primary {
 			for _, ci := range idxs {
-				b := int64(chunkfile.PaddedBytes(clusters[ci].Count(), dims, pageSize))
+				b := int64(chunkfile.PaddedBytes(clusters[ci].Count(), dims))
 				loads[s] += b
 				total += b
 				maxUnit = max(maxUnit, b)
@@ -230,7 +229,7 @@ func FuzzPartitionReplicated(f *testing.F) {
 // shard its primary count and its physical count, primaries plus the
 // replicas placed on it.
 func manifestOf(p *Placement, dims int) *chunkfile.Manifest {
-	m := &chunkfile.Manifest{Dims: dims, PageSize: 4096, Replication: p.R}
+	m := &chunkfile.Manifest{Dims: dims, Replication: p.R}
 	for s, n := range p.NumPrimary {
 		m.Shards = append(m.Shards, chunkfile.ShardFiles{
 			ChunkFile: fmt.Sprintf("shard-%d.chunk", s),
@@ -280,7 +279,7 @@ func physicalCounts(p *Placement) []int {
 // own, filling each holder's physical slots after its primaries densely,
 // one copy per slot.
 func FuzzLoadPlacement(f *testing.F) {
-	p, err := PartitionReplicated(fuzzClusters(9, 1), 3, 2, fuzzColl().Dims(), 4096)
+	p, err := PartitionReplicated(fuzzClusters(9, 1), 3, 2, fuzzColl().Dims())
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -17,13 +17,13 @@ import (
 func TestProbeReconcilesHealth(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 83, 130)
 	coll := ds.Collection
-	const shards, pageSize, k, dead = 3, 4096, 20, 1
+	const shards, k, dead = 3, 20, 1
 
-	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 1, pageSize, faultstore.Config{}, RouterOptions{})
+	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 1, faultstore.Config{}, RouterOptions{})
 	queryIdx := []int{5, 777, 2400, 3900}
 	run := func(pos int, res *search.Result) {
 		t.Helper()
-		if err := one(batchexec.New(r, nil).Run, coll.Vec(pos), batchexec.Options{K: k}, res); err != nil {
+		if err := one(batchexec.New(r).Run, coll.Vec(pos), batchexec.Options{K: k}, res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func TestProbeReconcilesHealth(t *testing.T) {
 	}
 
 	// Every read fails transiently: probes flip no shard either way.
-	flaky, _, _ := replicatedRouterOver(t, ds, clusters, shards, 1, pageSize, faultstore.Config{Seed: faultSeed(t), TransientProb: 1}, RouterOptions{})
+	flaky, _, _ := replicatedRouterOver(t, ds, clusters, shards, 1, faultstore.Config{Seed: faultSeed(t), TransientProb: 1}, RouterOptions{})
 	flaky.Probe()
 	if flaky.DownShards() != 0 {
 		t.Fatalf("transient probe failures marked %d shards down", flaky.DownShards())
@@ -97,13 +97,13 @@ func TestProbeReconcilesHealth(t *testing.T) {
 func TestRecoveryAfterKill(t *testing.T) {
 	ds, clusters := fixture(t, 4000, 83, 130)
 	coll := ds.Collection
-	const shards, pageSize, k, dead = 3, 4096, 20, 1
+	const shards, k, dead = 3, 20, 1
 
-	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 1, pageSize, faultstore.Config{}, RouterOptions{})
+	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 1, faultstore.Config{}, RouterOptions{})
 	queryIdx := []int{5, 777, 2400, 3900}
 	run := func(pos int, res *search.Result) {
 		t.Helper()
-		if err := one(batchexec.New(r, nil).Run, coll.Vec(pos), batchexec.Options{K: k}, res); err != nil {
+		if err := one(batchexec.New(r).Run, coll.Vec(pos), batchexec.Options{K: k}, res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,9 +149,9 @@ func TestRecoveryAfterKill(t *testing.T) {
 // replicas elsewhere would mask it from queries.
 func TestProbeIsControlPlane(t *testing.T) {
 	ds, clusters := fixture(t, 3000, 89, 130)
-	const shards, pageSize = 3, 4096
+	const shards = 3
 
-	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, pageSize, faultstore.Config{}, RouterOptions{})
+	r, faults, _ := replicatedRouterOver(t, ds, clusters, shards, 2, faultstore.Config{}, RouterOptions{})
 	r.Probe()
 	for s, f := range faults {
 		if got := f.Reads(); got != 1 {

@@ -1,7 +1,7 @@
 // Replica placement: the availability half of the shard layer.
 //
 // With replication factor R every cluster lives on R distinct shards: its
-// primary — the shard the plain Partition assigns, unchanged, so R=1
+// primary — the shard the plain partition assigns, unchanged, so R=1
 // layouts are byte-identical to the pre-replication layer — plus R−1
 // replicas. Each shard's physical chunk file is its primary chunks
 // followed by the replica chunks placed on it; queries walk the primary
@@ -53,7 +53,7 @@ type Placement struct {
 	// locations.
 	Replicas [][][]ChunkLoc
 	// Primary holds each shard's primary cluster indexes in ascending
-	// order — the plain Partition assignment. Build-side only; nil from
+	// order — the plain partition assignment. Build-side only; nil from
 	// Place.
 	Primary [][]int
 	// Extra holds the cluster indexes replicated onto each shard, in
@@ -63,13 +63,13 @@ type Placement struct {
 }
 
 // PartitionReplicated assigns clusters to shards with replication factor
-// replication: primaries by the plain Partition (so the logical layout —
+// replication: primaries by the plain partition (so the logical layout —
 // and with it every healthy query result — is independent of R), replicas
 // declustered over the other shards by Place. A shard's physical chunk
 // order is its ascending primaries followed by its replicas in placement
 // order.
-func PartitionReplicated(clusters []*cluster.Cluster, shards, replication, dims, pageSize int) (*Placement, error) {
-	assign, err := Partition(clusters, shards, dims, pageSize)
+func PartitionReplicated(clusters []*cluster.Cluster, shards, replication, dims int) (*Placement, error) {
+	assign, err := partition(clusters, shards, dims)
 	if err != nil {
 		return nil, err
 	}

@@ -14,8 +14,7 @@
 // the shards' clocks (the machines run in parallel), ChunksRead the sum,
 // and PerMachine the per-shard breakdown. Nothing is scattered or merged,
 // and the router neither runs queries nor prices time: it reports how
-// many read attempts failed, and the walk bills them under the run's cost
-// model.
+// many read attempts failed, and the walk bills them.
 //
 // The stop rule's budget comes in two disciplines on that one walk
 // (batchexec.Options.GlobalBudget):
@@ -138,19 +137,13 @@ type RouterOptions struct {
 // NewRouter builds a Router over one physical store per shard and the
 // placement describing each store's primary prefix and the replica
 // locations of every logical chunk (see Place). Queries walk the logical
-// chunks; replicas serve failovers. A nil placement means unreplicated:
-// every store's chunks are all primary (R=1), so a chunk whose shard dies
-// has no replica and queries over it degrade.
+// chunks; replicas serve failovers.
 func NewRouter(stores []chunkfile.Store, placement *Placement, opts RouterOptions) (*Router, error) {
 	if len(stores) == 0 {
 		return nil, errors.New("shard: no stores")
 	}
 	if placement == nil {
-		counts := make([]int, len(stores))
-		for s, st := range stores {
-			counts[s] = len(st.Meta())
-		}
-		placement, _ = Place(counts, 1) // cannot fail: one copy, counts ≥ 0
+		return nil, errors.New("shard: no placement")
 	}
 	if err := validatePlacement(stores, placement); err != nil {
 		return nil, err

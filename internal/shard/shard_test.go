@@ -33,8 +33,8 @@ func fixture(t testing.TB, n int, seed int64, chunkSize int) (*imagegen.Dataset,
 
 // routerOver partitions the clusters across shards, unreplicated, and
 // serves them from in-memory stores.
-func routerOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster, shards, pageSize int) *Router {
-	r, _, _ := replicatedRouterOver(t, ds, clusters, shards, 1, pageSize, faultstore.Config{}, RouterOptions{})
+func routerOver(t testing.TB, ds *imagegen.Dataset, clusters []*cluster.Cluster, shards int) *Router {
+	r, _, _ := replicatedRouterOver(t, ds, clusters, shards, 1, faultstore.Config{}, RouterOptions{})
 	return r
 }
 
@@ -56,9 +56,8 @@ var disciplines = []struct {
 func TestPartitionBalancedAndDeterministic(t *testing.T) {
 	ds, clusters := fixture(t, 6000, 11, 150)
 	dims := ds.Collection.Dims()
-	const pageSize = 4096
 
-	assign, err := Partition(clusters, 4, dims, pageSize)
+	assign, err := partition(clusters, 4, dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestPartitionBalancedAndDeterministic(t *testing.T) {
 				t.Fatalf("shard %d not ascending at %d: %v", s, i, idxs)
 			}
 			seen[ci]++
-			b := int64(chunkfile.PaddedBytes(clusters[ci].Count(), dims, pageSize))
+			b := int64(chunkfile.PaddedBytes(clusters[ci].Count(), dims))
 			loads[s] += b
 			if b > maxChunk {
 				maxChunk = b
@@ -105,7 +104,7 @@ func TestPartitionBalancedAndDeterministic(t *testing.T) {
 	}
 
 	// Deterministic: a second run yields the identical assignment.
-	again, err := Partition(clusters, 4, dims, pageSize)
+	again, err := partition(clusters, 4, dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestPartitionBalancedAndDeterministic(t *testing.T) {
 	}
 
 	// One shard is the identity partition.
-	one, err := Partition(clusters, 1, dims, pageSize)
+	one, err := partition(clusters, 1, dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestPartitionBalancedAndDeterministic(t *testing.T) {
 		}
 	}
 
-	if _, err := Partition(clusters, 0, dims, pageSize); err == nil {
+	if _, err := partition(clusters, 0, dims); err == nil {
 		t.Fatal("0 shards accepted")
 	}
 }
@@ -170,8 +169,7 @@ func TestGlobalOneShardMatchesSingleSearcher(t *testing.T) {
 func checkOneShard(t *testing.T, global bool) {
 	ds, clusters := fixture(t, 5000, 17, 140)
 	coll := ds.Collection
-	const pageSize = 4096
-	single, router := batchexec.New(chunkfile.NewMemStore(coll, clusters, pageSize), nil), routerOver(t, ds, clusters, 1, pageSize)
+	single, router := batchexec.New(chunkfile.NewMemStore(coll, clusters)), routerOver(t, ds, clusters, 1)
 	queries := []vec.Vector{coll.Vec(0), coll.Vec(3), coll.Vec(99), coll.Vec(1234), coll.Vec(4999)}
 	want := make([]search.Result, len(queries))
 	for _, stop := range stopRules() {
@@ -182,7 +180,7 @@ func checkOneShard(t *testing.T, global bool) {
 		opts.GlobalBudget = global
 		var got search.Result
 		for qi, q := range queries {
-			if err := one(batchexec.New(router, nil).Run, q, opts, &got); err != nil {
+			if err := one(batchexec.New(router).Run, q, opts, &got); err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("%v q%d", stop, qi)
@@ -216,7 +214,7 @@ func TestShardedConcurrentScatter(t *testing.T) {
 func checkConcurrent(t *testing.T, global bool) {
 	ds, clusters := fixture(t, 4000, 41, 120)
 	coll := ds.Collection
-	r := routerOver(t, ds, clusters, 4, 4096)
+	r := routerOver(t, ds, clusters, 4)
 
 	queries := make([]vec.Vector, 16)
 	for i := range queries {
@@ -226,7 +224,7 @@ func checkConcurrent(t *testing.T, global bool) {
 	want := make([][]search.Result, len(opts))
 	for d := range opts {
 		want[d] = make([]search.Result, len(queries))
-		if err := batchexec.New(r, nil).Run(queries, opts[d], want[d]); err != nil {
+		if err := batchexec.New(r).Run(queries, opts[d], want[d]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,13 +244,13 @@ func checkConcurrent(t *testing.T, global bool) {
 			}
 			results := make([]search.Result, len(queries))
 			if g%3 == 0 {
-				if err := batchexec.New(r, nil).Run(queries, opts[d], results); err != nil {
+				if err := batchexec.New(r).Run(queries, opts[d], results); err != nil {
 					t.Error(err)
 					return
 				}
 			} else {
 				for qi, q := range queries {
-					if err := one(batchexec.New(r, nil).Run, q, opts[d], &results[qi]); err != nil {
+					if err := one(batchexec.New(r).Run, q, opts[d], &results[qi]); err != nil {
 						t.Error(err)
 						return
 					}
@@ -269,14 +267,17 @@ func checkConcurrent(t *testing.T, global bool) {
 	wg.Wait()
 }
 
-// TestShardedEdgeCases covers a router over no stores and reads outside
-// the fleet's chunks.
+// TestShardedEdgeCases covers a router over no stores, one with no
+// placement, and reads outside the fleet's chunks.
 func TestShardedEdgeCases(t *testing.T) {
 	if _, err := NewRouter(nil, nil, RouterOptions{}); err == nil {
 		t.Fatal("empty router accepted")
 	}
 	ds, clusters := fixture(t, 600, 47, 200)
-	r := routerOver(t, ds, clusters, 2, 4096)
+	r := routerOver(t, ds, clusters, 2)
+	if _, err := NewRouter([]chunkfile.Store{r.Store(0)}, nil, RouterOptions{}); err == nil {
+		t.Fatal("router without a placement accepted")
+	}
 	var data chunkfile.Data
 	for _, i := range []int{-1, r.Chunks()} {
 		if err := r.ReadChunk(i, &data); !errors.Is(err, chunkfile.ErrChunkOOB) {
@@ -337,27 +338,27 @@ func mergeRefs(rows []search.Result, k int) search.Result {
 func TestPerShardMatchesIndependentShards(t *testing.T) {
 	ds, clusters := fixture(t, 3000, 53, 120)
 	coll := ds.Collection
-	const shards, pageSize, k = 4, 4096, 15
+	const shards, k = 4, 15
 	queries := []vec.Vector{coll.Vec(9), coll.Vec(1300), coll.Vec(2999)}
 	rows := make([]search.Result, shards)
 	var got search.Result
 
 	for _, replication := range []int{1, 2} {
 		for _, down := range []int{-1, 1} {
-			r, _, _ := replicatedRouterOver(t, ds, clusters, shards, replication, pageSize, faultstore.Config{}, RouterOptions{})
+			r, _, _ := replicatedRouterOver(t, ds, clusters, shards, replication, faultstore.Config{}, RouterOptions{})
 			if down >= 0 {
 				r.MarkShardDown(down)
 			}
 			refs := make([]*batchexec.Engine, shards)
 			for s := range refs {
-				refs[s] = batchexec.New(shardRef{r.Store(s), r, s}, nil)
+				refs[s] = batchexec.New(shardRef{r.Store(s), r, s})
 			}
 			for _, overlap := range []bool{false, true} {
 				for _, stop := range append(stopRules(), search.ChunkBudget(math.MaxInt)) {
 					opts := batchexec.Options{K: k, Stop: stop, Overlap: overlap}
 					for qi, q := range queries {
 						label := fmt.Sprintf("R=%d down %d overlap %v %v q%d", replication, down, overlap, stop, qi)
-						if err := one(batchexec.New(r, nil).Run, q, opts, &got); err != nil {
+						if err := one(batchexec.New(r).Run, q, opts, &got); err != nil {
 							t.Fatal(err)
 						}
 						for s := range refs {

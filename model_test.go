@@ -48,7 +48,7 @@ func newStackModel(coll *Collection, built *ShardedIndex, down []bool) *stackMod
 	for s, part := range built.parts {
 		for i, cl := range part[:p.NumPrimary[s]] {
 			c := modelChunk{shard: s, centroid: cl.Centroid, radius: cl.Radius, up: !down[s],
-				bytes: chunkfile.PaddedBytes(len(cl.Members), m.dims, built.pageSize)}
+				bytes: chunkfile.PaddedBytes(len(cl.Members), m.dims)}
 			for _, loc := range p.Replicas[s][i] {
 				c.up = c.up || !down[loc.Shard]
 			}
@@ -62,12 +62,12 @@ func newStackModel(coll *Collection, built *ShardedIndex, down []bool) *stackMod
 }
 
 // search is the reference outcome of q under opts' k, stop rule,
-// discipline, overlap and cost model: the fleet's chunks ranked by
-// centroid distance (ties to the lower fleet index) and walked in that
-// order, each shard's charged by hand to its own simdisk.Pipeline. Each
-// budget group — a shard, or the fleet under the global budget — applies
-// the rule after each of its charges and, once it fires, passes over its
-// later chunks. The neighbors are the k best rows read by (d², ID), and
+// discipline and overlap, priced on the calibrated 2005 model: the
+// fleet's chunks ranked by centroid distance (ties to the lower fleet
+// index) and walked in that order, each shard's charged by hand to its
+// own simdisk.Pipeline. Each budget group — a shard, or the fleet under
+// the global budget — applies the rule after each of its charges and,
+// once it fires, passes over its later chunks. The neighbors are the k best rows read by (d², ID), and
 // Exact is the certificate over the chunks left unread. search also
 // returns every shard's clock after each of its charges.
 func (m *stackModel) search(q Vector, opts SearchOptions) (Result, [][]time.Duration) {
@@ -76,7 +76,7 @@ func (m *stackModel) search(q Vector, opts SearchOptions) (Result, [][]time.Dura
 		g         int // budget group
 		d2, bound float64
 	}
-	k, cost := cmp.Or(opts.K, 30), cmp.Or(opts.Model, simdisk.Default2005())
+	k, cost := cmp.Or(opts.K, 30), simdisk.Default2005()
 	order, left, stopped := make([]ranked, len(m.chunks)), make([]int, len(m.counts)), make([]bool, len(m.counts))
 	for i := range m.chunks {
 		c := &m.chunks[i]
@@ -197,8 +197,8 @@ func withDuplicates(base *Collection, rng *rand.Rand) (*Collection, []int) {
 // the deleted tests whose property it now carries under that assertion:
 //   - a collection with some rows duplicated under new IDs, so that only
 //     the ID breaks their ties (TestCompletionMatchesScanOracle);
-//   - a former, a chunk size and a page size (TestEndToEndFilePipeline,
-//     the BAG store of TestCompletionIsExact);
+//   - a former and a chunk size (TestEndToEndFilePipeline, the BAG store
+//     of TestCompletionIsExact);
 //   - S from 1 to 5, some shards possibly empty (TestGlobalEmptyShards and
 //     the empty-shard half of TestShardedEdgeCases), and R ≤ S;
 //   - a stop rule: a chunk budget from 1 to chunks+1 or math.MaxInt, which
@@ -214,8 +214,8 @@ func withDuplicates(base *Collection, rng *rand.Rand) (*Collection, []int) {
 //     TestGlobalBudgetMatchesUnshardedBudget);
 //   - k: the default, 1 to 40, or more than the collection holds
 //     (TestDefaults, TestBatchExactUnderfilledHeap); overlap on or off
-//     (TestOverlapFaster); the default cost model or a drawn one
-//     (TestCustomModel);
+//     (TestOverlapFaster). TestCustomModel's behaviour, a per-search cost
+//     model, was removed: every search is priced on the 2005 model;
 //   - the store: built in memory, or saved and reopened with no cache, a
 //     thrashing cache or a resident one (TestCacheEquivalenceUnsharded,
 //     TestCacheEquivalenceSharded, TestCachedRouterMatchesUncached, the
@@ -245,7 +245,6 @@ func FuzzStackVsModel(f *testing.F) {
 		cfg := BuildConfig{
 			Strategy:    []Strategy{StrategySRTree, StrategyRoundRobin, StrategyHybrid}[rng.Intn(3)],
 			ChunkSize:   8 + rng.Intn(150),
-			PageSize:    []int{0, 2048, 16384}[rng.Intn(3)],
 			Replication: 1 + rng.Intn(shards),
 			Seed:        seed,
 		}
@@ -296,10 +295,6 @@ func FuzzStackVsModel(f *testing.F) {
 			K:            []int{0, 1 + rng.Intn(40), coll.Len() + 1 + rng.Intn(10)}[rng.Intn(3)],
 			Overlap:      rng.Intn(2) == 0,
 			GlobalBudget: rng.Intn(2) == 0,
-		}
-		if call != 3 && rng.Intn(2) == 0 {
-			opts.Model = &CostModel{Seek: time.Duration(rng.Intn(1e7)), TransferRate: float64(1 + rng.Intn(1<<30)),
-				DistanceCost: time.Duration(rng.Intn(5000)), IndexOverhead: time.Duration(rng.Intn(5e7)), SortEntryCost: time.Duration(rng.Intn(100))}
 		}
 		switch rule := rng.Intn(5); {
 		case rule < 2 || call == 3:

@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/bag"
-	"repro/internal/chunkfile"
 	"repro/internal/cluster"
 	"repro/internal/descriptor"
 	"repro/internal/hybrid"
@@ -48,7 +47,6 @@ import (
 	"repro/internal/roundrobin"
 	"repro/internal/scan"
 	"repro/internal/search"
-	"repro/internal/simdisk"
 	"repro/internal/srtree"
 	"repro/internal/vec"
 	"repro/internal/workload"
@@ -65,8 +63,6 @@ type (
 	Neighbor = knn.Neighbor
 	// ID identifies a descriptor.
 	ID = descriptor.ID
-	// CostModel is the simulated 2005 disk/CPU model used for timing.
-	CostModel = simdisk.Model
 	// Result is a search outcome: the neighbors ordered by (distance,
 	// ID), and the query's bill — ChunksRead and ChunksSkipped summed over
 	// the shards, Simulated (the elapsed time under the 2005 cost model)
@@ -137,22 +133,12 @@ const (
 type BuildConfig struct {
 	Strategy  Strategy
 	ChunkSize int // target (SR/RR/hybrid: exact; BAG: mean) descriptors per chunk
-	PageSize  int // chunk file page size; 0 means 8 KiB
 	// Replication is the number of shards holding a copy of every chunk;
 	// 0 or 1 means unreplicated. See BuildSharded.
 	Replication int
 	Seed        int64
 	// Progress receives BAG pass updates when non-nil.
 	Progress func(pass, clusters int)
-}
-
-// normalizePageSize resolves a BuildConfig page size (0 means the 8 KiB
-// default).
-func normalizePageSize(pageSize int) int {
-	if pageSize <= 0 {
-		return chunkfile.DefaultPageSize
-	}
-	return pageSize
 }
 
 // buildClusters forms chunks from the collection with the selected
@@ -205,7 +191,6 @@ type SearchOptions struct {
 	MaxChunks int           // stop after this many chunks
 	MaxTime   time.Duration // stop after this much simulated time
 	Overlap   bool          // overlap I/O and CPU in the simulated pipeline
-	Model     *CostModel    // nil = calibrated 2005 model
 	// GlobalBudget switches a search from the per-shard to the global
 	// budget discipline. Either way the query walks every shard's chunks
 	// in one global centroid-rank order, each chunk charged to its owning

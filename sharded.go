@@ -12,7 +12,6 @@ import (
 	"repro/internal/search"
 	"repro/internal/search/batchexec"
 	"repro/internal/shard"
-	"repro/internal/simdisk"
 )
 
 // ShardedIndex is the package's chunk index: a set of chunks partitioned
@@ -39,8 +38,6 @@ import (
 type ShardedIndex struct {
 	router    *shard.Router
 	engine    *batchexec.Engine // the one engine, over the router
-	model     *simdisk.Model    // the engine's default cost model
-	pageSize  int
 	placement *shard.Placement
 
 	onePool  sync.Pool // *oneQuery: SearchInto's batch of one
@@ -56,9 +53,8 @@ type ShardedIndex struct {
 }
 
 // newShardedIndex assembles the facade over a router.
-func newShardedIndex(router *shard.Router, pageSize int) *ShardedIndex {
-	model := simdisk.Default2005()
-	sx := &ShardedIndex{router: router, engine: batchexec.New(router, model), model: model, pageSize: pageSize}
+func newShardedIndex(router *shard.Router) *ShardedIndex {
+	sx := &ShardedIndex{router: router, engine: batchexec.New(router)}
 	sx.onePool.New = func() any { return new(oneQuery) }
 	sx.bagPool.New = func() any { return new([]Result) }
 	sx.planPool.New = func() any { return new(search.Plan) }
@@ -92,8 +88,7 @@ func BuildSharded(coll *Collection, cfg BuildConfig, shards int) (*ShardedIndex,
 	if err != nil {
 		return nil, err
 	}
-	pageSize := normalizePageSize(cfg.PageSize)
-	placement, err := shard.PartitionReplicated(clusters, shards, cmp.Or(cfg.Replication, 1), coll.Dims(), pageSize)
+	placement, err := shard.PartitionReplicated(clusters, shards, cmp.Or(cfg.Replication, 1), coll.Dims())
 	if err != nil {
 		return nil, err
 	}
@@ -102,13 +97,13 @@ func BuildSharded(coll *Collection, cfg BuildConfig, shards int) (*ShardedIndex,
 	for s := 0; s < shards; s++ {
 		idxs := append(append([]int(nil), placement.Primary[s]...), placement.Extra[s]...)
 		parts[s] = shard.Select(clusters, idxs)
-		stores[s] = chunkfile.NewMemStore(coll, parts[s], pageSize)
+		stores[s] = chunkfile.NewMemStore(coll, parts[s])
 	}
 	router, err := shard.NewRouter(stores, placement, shard.RouterOptions{})
 	if err != nil {
 		return nil, err
 	}
-	sx := newShardedIndex(router, pageSize)
+	sx := newShardedIndex(router)
 	sx.placement = placement
 	sx.coll = coll
 	sx.parts = parts
@@ -118,18 +113,17 @@ func BuildSharded(coll *Collection, cfg BuildConfig, shards int) (*ShardedIndex,
 
 // Save writes the index into the existing directory dir: one
 // shard-<i>.chunk / shard-<i>.idx pair per shard (primary chunks
-// followed by any replica chunks) plus a manifest, all at the page size
-// the index was built with, so the reopened index has byte-identical
-// chunk layout and simulated timings. A one-shard directory is the
-// paper's chunk file + index file (§4.2) plus the manifest. The manifest
-// records the replication factor and each shard's primary count, all
-// OpenSharded needs to lay the replicas out again. Only indexes produced
-// by BuildSharded can be saved.
+// followed by any replica chunks) plus a manifest, so the reopened index
+// has byte-identical chunk layout and simulated timings. A one-shard
+// directory is the paper's chunk file + index file (§4.2) plus the
+// manifest. The manifest records the replication factor and each shard's
+// primary count, all OpenSharded needs to lay the replicas out again.
+// Only indexes produced by BuildSharded can be saved.
 func (sx *ShardedIndex) Save(dir string) error {
 	if sx.coll == nil || sx.parts == nil {
 		return fmt.Errorf("repro: index was not built in this process; nothing to save")
 	}
-	return chunkfile.SaveSharded(sx.coll, sx.parts, sx.placement.NumPrimary, sx.placement.R, dir, sx.pageSize)
+	return chunkfile.SaveSharded(sx.coll, sx.parts, sx.placement.NumPrimary, sx.placement.R, dir)
 }
 
 // OpenSharded maps an index directory previously written by
@@ -167,7 +161,7 @@ func OpenShardedWith(dir string, cfg OpenConfig) (*ShardedIndex, error) {
 		}
 		return nil, err
 	}
-	return newShardedIndex(router, manifest.PageSize), nil
+	return newShardedIndex(router), nil
 }
 
 // Close releases every shard's resources.
@@ -259,7 +253,7 @@ func (sx *ShardedIndex) MaxReads(opts SearchOptions) int {
 	p := sx.planPool.Get().(*search.Plan)
 	defer sx.planPool.Put(p)
 	defer p.Release()
-	if err := p.Reset(sx.router, cmp.Or(opts.Model, sx.model), opts.K, stopRule(opts), opts.GlobalBudget, opts.Overlap, nil); err != nil {
+	if err := p.Reset(sx.router, opts.K, stopRule(opts), opts.GlobalBudget, opts.Overlap, nil); err != nil {
 		return sx.Chunks() // the router's layout is whole; no walk reads more
 	}
 	return p.MaxReads()

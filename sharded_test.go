@@ -11,30 +11,20 @@ import (
 // and chunk entries. That it serves byte-identical results is
 // FuzzStackVsModel's reopened-store draw.
 func TestShardedIndexSaveOpenRoundTrip(t *testing.T) {
-	checkSaveOpenRoundTrip(t, 3, 2048)
+	checkSaveOpenRoundTrip(t, 3)
 }
 
 // TestSaveOpenRoundTrip pins the single-machine layout: a one-shard
 // directory is exactly the paper's chunk file + index file plus the
 // manifest.
 func TestSaveOpenRoundTrip(t *testing.T) {
-	checkSaveOpenRoundTrip(t, 1, 0)
+	checkSaveOpenRoundTrip(t, 1)
 }
 
-// TestSaveHonorsBuildPageSize pins that Save writes at the build page
-// size: chunk padding feeds the cost model's transfer term, so a reopened
-// index built at a non-default page size keeps every chunk's padded size
-// (and FuzzStackVsModel, drawing the page size, its Simulated).
-func TestSaveHonorsBuildPageSize(t *testing.T) {
-	for _, pageSize := range []int{2048, 16384} {
-		checkSaveOpenRoundTrip(t, 1, pageSize)
-	}
-}
-
-func checkSaveOpenRoundTrip(t *testing.T, shards, pageSize int) {
+func checkSaveOpenRoundTrip(t *testing.T, shards int) {
 	t.Helper()
 	coll := GenerateCollection(4000, 57)
-	sx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 180, PageSize: pageSize}, shards)
+	sx, err := BuildSharded(coll, BuildConfig{Strategy: StrategySRTree, ChunkSize: 180}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +52,13 @@ func checkSaveOpenRoundTrip(t *testing.T, shards, pageSize int) {
 	}
 	defer fx.Close()
 	if fx.Shards() != shards || fx.Chunks() != sx.Chunks() || fx.Len() != sx.Len() {
-		t.Fatalf("S=%d page %d reopened shape: shards=%d chunks=%d/%d len=%d/%d",
-			shards, pageSize, fx.Shards(), fx.Chunks(), sx.Chunks(), fx.Len(), sx.Len())
+		t.Fatalf("S=%d reopened shape: shards=%d chunks=%d/%d len=%d/%d",
+			shards, fx.Shards(), fx.Chunks(), sx.Chunks(), fx.Len(), sx.Len())
 	}
 	for i, m := range fx.router.Meta() {
 		if built := sx.router.Meta()[i]; m.Bytes != built.Bytes || m.Count != built.Count {
-			t.Fatalf("S=%d page %d: reopened chunk %d holds %d rows in %d bytes, built %d in %d",
-				shards, pageSize, i, m.Count, m.Bytes, built.Count, built.Bytes)
+			t.Fatalf("S=%d: reopened chunk %d holds %d rows in %d bytes, built %d in %d",
+				shards, i, m.Count, m.Bytes, built.Count, built.Bytes)
 		}
 	}
 
