@@ -20,6 +20,20 @@
 // memory (MemStore) are copied into the entry's block once. The insert
 // evicts from the stripe's LRU tail until the entry fits.
 //
+// # Scan codes, built on the hit that pays for them
+//
+// An entry read often enough also carries the chunk's scan codes
+// (chunkcode), which let a scan skip the exact distance of every row whose
+// bound proves it cannot enter the heap. Building them costs far more
+// than one scan saves, so an entry builds them on the hit that brings its
+// hit count to CodeAt — a ski-rental rule: a resident working set codes
+// itself during warm-up, while a thrashing cache, whose entries are
+// evicted after a hit or two, never pays. The codes are published through
+// an atomic pointer on the entry, their bytes are charged to the stripe
+// when they attach (evicting from the LRU tail to fit), and their memory
+// is pinned and recycled with the entry's block. Only a backend with its
+// own code kernel builds codes (vec.CodeKernel).
+//
 // # Zero-copy discipline (refcount + immutable entries)
 //
 // Entries are immutable once published. A hit increments the entry's
@@ -45,8 +59,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/chunkcode"
 	"repro/internal/chunkfile"
 	"repro/internal/descriptor"
+	"repro/internal/vec"
 )
 
 // stripeCount is the number of lock stripes; a power of two so the key
@@ -59,9 +75,22 @@ const stripeCount = 16
 // real footprint past the configured bound.
 const entryOverhead = 128
 
-// entry is one cached chunk. Immutable once published: block, ids, vecs,
-// dims and bytes never change after insert; refs, evicted and freed
-// manage the zero-copy handout (see the package comment).
+// CodeAt is the hit on which an entry builds its scan codes: the build's
+// cost over what codes save per hit, the point past which building pays
+// off (ski rental). Building a 1,000-row chunk of 24-d rows takes about
+// 250 µs (BenchmarkCodeBuild). A scan of such a chunk past a query's first
+// takes about 4 µs exact and 0.8 µs on codes (BenchmarkKernelCodes), so a
+// hit that serves one query saves about 3.2 µs and one that serves a
+// batch wave of two or three queries 6–10 µs: the build repays itself
+// after 80 hits at worst and 25–40 in batch. An entry hit that often is
+// resident; one of a thrashing cache, evicted after a hit or two, never
+// gets there.
+const CodeAt = 64
+
+// entry is one cached chunk. Immutable once published: block, ids, vecs
+// and dims never change after insert, and codes is set at most once;
+// refs, evicted and freed manage the zero-copy handout (see the package
+// comment).
 type entry struct {
 	key   uint64
 	block chunkfile.Block // the columnar memory ids and vecs view
@@ -69,7 +98,17 @@ type entry struct {
 	vecs  []float32
 	dims  int
 
-	bytes int64 // budget charge: cap(block)·4 + entryOverhead
+	// bytes is the budget charge: cap(block)·4 + entryOverhead + the code
+	// memory the entry holds. Guarded by the stripe lock once published.
+	bytes int64
+
+	// hits counts the entry's hits since it was published; the one that
+	// reaches CodeAt builds codes into mem and publishes them in codes.
+	// mem's memory stays with the entry, like its block, for its next
+	// life.
+	hits  atomic.Int32
+	codes atomic.Pointer[chunkcode.Codes]
+	mem   chunkcode.Codes
 
 	// refs counts live handouts. Pinning happens under the stripe lock
 	// (only reachable entries are pinned); unpinning is lock-free until
@@ -263,9 +302,11 @@ func (c *Cache) adopt(key uint64, data *chunkfile.Data, dims int) {
 	e.ids, e.vecs = e.block.Rows(count, dims)
 	e.key = key
 	e.dims = dims
-	e.bytes = int64(cap(e.block))*4 + entryOverhead
+	e.bytes = int64(cap(e.block))*4 + entryOverhead + e.mem.Bytes()
+	e.hits.Store(0)
+	e.codes.Store(nil)
 	e.refs.Store(1) // data's pin, taken before the entry is published
-	data.Alias(e.ids, e.vecs, dims, e)
+	data.Alias(e.ids, e.vecs, dims, nil, e)
 
 	s.mu.Lock()
 	switch {
@@ -285,6 +326,37 @@ func (c *Cache) adopt(key uint64, data *chunkfile.Data, dims int) {
 		s.bytes += e.bytes
 	}
 	s.mu.Unlock()
+}
+
+// code builds the scan codes of e, pinned by the caller's hit, and
+// charges their bytes to e's stripe, evicting from the LRU tail until the
+// stripe fits its budget again. It returns the codes, or nil when the
+// chunk cannot be coded, its codes would not fit the stripe, or the entry
+// left the cache meanwhile. Only the hit that reaches CodeAt calls it, so
+// no other goroutine touches e.mem until the codes are published.
+func (c *Cache) code(e *entry) *chunkcode.Codes {
+	s := e.s
+	held := e.mem.Bytes()
+	if e.bytes-held+chunkcode.Size(len(e.ids), e.dims) > s.maxBytes {
+		return nil
+	}
+	ok := chunkcode.Build(e.vecs, e.dims, &e.mem)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e.evicted {
+		return nil
+	}
+	grow := e.mem.Bytes() - held
+	e.bytes += grow
+	s.bytes += grow
+	for s.bytes > s.maxBytes && s.tail != nil {
+		c.evictLocked(s, s.tail)
+	}
+	if !ok || e.evicted {
+		return nil
+	}
+	e.codes.Store(&e.mem)
+	return &e.mem
 }
 
 // evictLocked removes e from the stripe's map and LRU list and subtracts
@@ -333,11 +405,13 @@ type Stats struct {
 	// Evictions counts entries pushed out by the byte budget (including
 	// invalidations).
 	Evictions int64
-	// Bytes and MaxBytes are current occupancy and the configured bound;
-	// Entries is the live entry count.
+	// Bytes and MaxBytes are current occupancy, scan codes included, and
+	// the configured bound; Entries is the live entry count and Coded how
+	// many of them carry scan codes.
 	Bytes    int64
 	MaxBytes int64
 	Entries  int
+	Coded    int
 }
 
 // Stats returns the cache-wide counters and occupancy.
@@ -354,6 +428,11 @@ func (c *Cache) Stats() Stats {
 		s.mu.Lock()
 		st.Bytes += s.bytes
 		st.Entries += len(s.entries)
+		for _, e := range s.entries {
+			if e.codes.Load() != nil {
+				st.Coded++
+			}
+		}
 		s.mu.Unlock()
 	}
 	return st
@@ -399,9 +478,10 @@ func (s *CachingStore) Meta() []chunkfile.Meta { return s.inner.Meta() }
 // Centroids implements chunkfile.Store: the inner store's matrix.
 func (s *CachingStore) Centroids() []float32 { return s.inner.Centroids() }
 
-// ReadChunk implements chunkfile.Store. A hit aliases the cached rows
-// into data zero-copy (pinning them until the next read into data) with
-// FailedReads and Stall zero — the hit performed no attempts to bill. A
+// ReadChunk implements chunkfile.Store. A hit aliases the cached rows, and
+// their scan codes once built, into data zero-copy (pinning them until the
+// next read into data) with FailedReads and Stall zero — the hit performed
+// no attempts to bill. The hit that reaches CodeAt builds the codes. A
 // miss delegates to the inner store and, on success, makes the rows it
 // read the cache entry for future hits (adopt), aliasing data onto the
 // entry; data keeps the inner read's FailedReads and Stall.
@@ -412,7 +492,11 @@ func (s *CachingStore) ReadChunk(i int, data *chunkfile.Data) error {
 	key := s.key(i)
 	if e := s.cache.get(key); e != nil {
 		s.hits.Add(1)
-		data.Alias(e.ids, e.vecs, e.dims, e)
+		codes := e.codes.Load()
+		if codes == nil && e.hits.Add(1) == CodeAt && vec.CodeKernel() {
+			codes = s.cache.code(e)
+		}
+		data.Alias(e.ids, e.vecs, e.dims, codes, e)
 		data.FailedReads, data.Stall = 0, 0
 		return nil
 	}

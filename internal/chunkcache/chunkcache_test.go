@@ -501,3 +501,103 @@ func TestCacheConcurrentStress(t *testing.T) {
 		})
 	}
 }
+
+// TestCodesOnHit pins when an entry carries scan codes: from the hit that
+// reaches CodeAt on, on a backend with a code kernel, never before; their
+// bytes count against the budget; and a stripe that cannot hold them
+// evicts from its LRU tail instead of exceeding the budget. The tight
+// budget gives each stripe room for two chunks' rows but not for two
+// chunks and one chunk's codes.
+func TestCodesOnHit(t *testing.T) {
+	mem, _ := makeStores(t, 2000, 16)
+	per := int64(125*(vec.Dims+1)*4 + entryOverhead)
+	for _, tc := range []struct {
+		name   string
+		budget int64
+	}{{"roomy", 1 << 20}, {"tight", stripeCount * (2*per + 1000)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cs := NewStore(mem, New(tc.budget))
+			var d chunkfile.Data
+			for hit := 0; hit <= CodeAt; hit++ { // one miss, then CodeAt hits
+				for i := range mem.Meta() {
+					readSum(t, cs, i, &d)
+					if coded := d.Codes() != nil; tc.name == "roomy" && coded != (hit == CodeAt && vec.CodeKernel()) {
+						t.Fatalf("hit %d of chunk %d: coded %v", hit, i, coded)
+					}
+					if st := cs.Stats(); st.Bytes > st.MaxBytes {
+						t.Fatalf("hit %d of chunk %d: %d bytes over a budget of %d", hit, i, st.Bytes, st.MaxBytes)
+					}
+				}
+			}
+			st := cs.Stats()
+			if tc.name == "roomy" && vec.CodeKernel() && (st.Coded != len(mem.Meta()) || st.Evictions != 0) {
+				t.Fatalf("roomy cache: %+v", st)
+			}
+			if tc.name == "tight" && vec.CodeKernel() && st.Evictions == 0 {
+				t.Fatalf("tight cache coded without evicting: %+v", st)
+			}
+			d.Release()
+		})
+	}
+}
+
+// TestThrashingBuildsNoCodes drives serve_cold's shape: a cache holding
+// 15% of the index, read uniformly by goroutines that each keep
+// several reads pinned. Resident bytes, codes included, never exceed the
+// budget, and no entry lives long enough to build codes. Then one chunk
+// turns hot amid the thrashing: it builds its codes, and the budget still
+// holds.
+func TestThrashingBuildsNoCodes(t *testing.T) {
+	const chunks = 512
+	mem, fs := makeStores(t, chunks*50, chunks)
+	per := int64(50*(vec.Dims+1)*4 + entryOverhead)
+	for name, inner := range map[string]chunkfile.Store{"mem": mem, "file": fs} {
+		t.Run(name, func(t *testing.T) {
+			cs := NewStore(inner, New(chunks*15/100*per))
+			check := func() {
+				if st := cs.Stats(); st.Bytes > st.MaxBytes {
+					t.Errorf("%d resident bytes over a budget of %d", st.Bytes, st.MaxBytes)
+				}
+			}
+			read := func(hot int, seed int64) {
+				r := rand.New(rand.NewSource(seed))
+				var pinned [4]chunkfile.Data
+				for n := 0; n < 3000; n++ {
+					i := r.Intn(chunks)
+					if hot >= 0 && n%2 == 0 {
+						i = hot
+					}
+					if err := cs.ReadChunk(i, &pinned[n%len(pinned)]); err != nil {
+						t.Error(err)
+						return
+					}
+					if n%50 == 0 {
+						check()
+					}
+				}
+				for i := range pinned {
+					pinned[i].Release()
+				}
+			}
+			var wg sync.WaitGroup
+			for g := range 4 {
+				wg.Add(1)
+				go func() { defer wg.Done(); read(-1, int64(g)) }()
+			}
+			wg.Wait()
+			check()
+			if st := cs.Stats(); st.Coded != 0 || st.Hits == 0 {
+				t.Fatalf("uniform reads: %+v", st)
+			}
+			for g := range 4 {
+				wg.Add(1)
+				go func() { defer wg.Done(); read(7, int64(10+g)) }()
+			}
+			wg.Wait()
+			check()
+			if st := cs.Stats(); vec.CodeKernel() && st.Coded == 0 {
+				t.Fatalf("a chunk hit %d times built no codes: %+v", 4*1500, st)
+			}
+		})
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/chunkcode"
 	"repro/internal/cluster"
 	"repro/internal/descriptor"
 	"repro/internal/vec"
@@ -124,7 +125,8 @@ func PaddedBytes(count, dims int) int {
 // read-only: depending on the Store they may alias store-owned memory
 // (MemStore), the Data's own block, which the next ReadChunk into it
 // overwrites (FileStore), or a refcounted cache entry (chunkcache) pinned
-// until the next read into the same Data.
+// until the next read into the same Data. A cache entry may also carry the
+// chunk's scan codes (Codes), pinned with its rows.
 type Data struct {
 	IDs  []descriptor.ID
 	Vecs []float32 // flattened, Count × dims
@@ -139,7 +141,8 @@ type Data struct {
 	FailedReads int
 	Stall       time.Duration
 	dims        int
-	pin         Pin // releases the rows' alias when the Data moves on
+	codes       *chunkcode.Codes // the rows' scan codes; nil when uncoded
+	pin         Pin              // releases the rows' alias when the Data moves on
 	// block is the Data-owned columnar memory a FileStore read lands in;
 	// own reports that IDs and Vecs point into it. Alias points IDs/Vecs
 	// at store- or cache-owned memory while the block is retained, so a
@@ -196,17 +199,23 @@ func (d *Data) Len() int { return len(d.IDs) }
 // Vec returns the i-th vector, aliasing the chunk buffer.
 func (d *Data) Vec(i int) vec.Vector { return vec.Vector(d.Vecs[i*d.dims : (i+1)*d.dims]) }
 
-// Alias installs store-owned rows into d without copying, releasing any
-// alias d held before. pin, when non-nil, is unpinned on the next
-// ReadChunk into d (or Release) — the discipline that lets a cache evict
-// entries by byte budget while never recycling rows a scan still holds.
-// d keeps its own block for its next read. Stores hand out aliases with
-// this method; plain callers never need it.
-func (d *Data) Alias(ids []descriptor.ID, vecs []float32, dims int, pin Pin) {
+// Codes returns the scan codes of d's rows, or nil when the store handed
+// out none. They live exactly as long as the rows.
+func (d *Data) Codes() *chunkcode.Codes { return d.codes }
+
+// Alias installs store-owned rows into d without copying, with their scan
+// codes (nil for none), releasing any alias d held before. pin, when
+// non-nil, is unpinned on the next ReadChunk into d (or Release) — the
+// discipline that lets a cache evict entries by byte budget while never
+// recycling rows or codes a scan still holds. d keeps its own block for
+// its next read. Stores hand out aliases with this method; plain callers
+// never need it.
+func (d *Data) Alias(ids []descriptor.ID, vecs []float32, dims int, codes *chunkcode.Codes, pin Pin) {
 	d.Release()
 	d.IDs = ids
 	d.Vecs = vecs
 	d.dims = dims
+	d.codes = codes
 	d.pin = pin
 	d.own = false
 }
@@ -217,6 +226,7 @@ func (d *Data) Alias(ids []descriptor.ID, vecs []float32, dims int, pin Pin) {
 // bounded and harmless) ever need to call it; a missed Release can delay
 // buffer recycling but never corrupts rows.
 func (d *Data) Release() {
+	d.codes = nil
 	if d.pin != nil {
 		d.pin.Unpin()
 		d.pin = nil
@@ -708,7 +718,7 @@ func (s *MemStore) ReadChunk(i int, data *Data) error {
 	if i < 0 || i >= len(s.metas) {
 		return ErrChunkOOB
 	}
-	data.Alias(s.ids[i], s.vecs[i], s.dims, nil)
+	data.Alias(s.ids[i], s.vecs[i], s.dims, nil, nil)
 	return nil
 }
 

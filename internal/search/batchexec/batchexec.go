@@ -9,8 +9,9 @@
 // chunk-major: every distinct chunk wanted by at least one live query
 // becomes a decode task, read and decoded once per subscriber wave, then
 // scanned against all of its subscribers back to back while its
-// descriptors are hot in cache (they share one vec.SquaredDistancesMulti
-// kernel call per row block — see scanGroup).
+// descriptors are hot in cache (those still filling their heaps share one
+// vec.SquaredDistancesMulti kernel call per row block, the rest scan the
+// chunk's codes — see scanGroup).
 //
 // The inverted loop runs on an asynchronous work queue (async.go). Each
 // query subscribes to the one chunk its rank order wants next; a chunk's
@@ -160,9 +161,10 @@ type queryState struct {
 // coordinator's lives in the arena.
 type workerScratch struct {
 	data  chunkfile.Data
-	d2    []float64 // one-query scan buffer (ScanChunk)
-	qflat []float32 // gathered Multi queries, Q × dims
-	out   []float64 // SquaredDistancesMulti block output
+	scan  search.Scanner // one-query scans, coded or exact
+	multi []int32        // the group members scanned by the Multi kernel
+	qflat []float32      // gathered Multi queries, Q × dims
+	out   []float64      // SquaredDistancesMulti block output
 }
 
 // arena is the recycled batch-owned state of one run: all query states
@@ -316,7 +318,7 @@ func (a *arena) processChunk(ws *workerScratch, chunk int, members []int32) {
 		return
 	case len(members) == 1:
 		st := &a.states[members[0]]
-		ws.d2 = search.ScanChunk(st.q, a.dims, &ws.data, &st.Heap, ws.d2)
+		ws.scan.Scan(st.q, a.dims, &ws.data, &st.Heap)
 	default:
 		a.scanGroup(ws, members)
 	}
@@ -342,13 +344,42 @@ func (a *arena) processChunk(ws *workerScratch, chunk int, members []int32) {
 // every Multi-scanned query of the group streams over them.
 const scanBlock = 256
 
-// scanGroup scans one decoded chunk for several queries: they share one
-// SquaredDistancesMulti call per row block, so the chunk's rows are
-// loaded once for all of them and the query-pair Multi kernels amortize
-// row traffic across queries. The heap contents are exactly those a lone
-// ScanChunk would leave: Multi distances are bit-identical to the row
-// kernel's.
+// scanGroup scans one decoded chunk for several queries. On a chunk with
+// scan codes, each member whose heap is full scans the codes alone
+// (search.Scanner.Scan), which touches a few percent of the rows. The
+// others share one SquaredDistancesMulti call per row block, so the
+// chunk's rows are loaded once for all of them and the query-pair Multi
+// kernels amortize row traffic across queries. The heap contents are
+// exactly those a lone Scan would leave: Multi distances are bit-identical
+// to the row kernel's.
 func (a *arena) scanGroup(ws *workerScratch, members []int32) {
+	data := &ws.data
+	multi := members
+	if data.Codes() != nil {
+		ws.multi = ws.multi[:0]
+		for _, si := range members {
+			st := &a.states[si]
+			if st.Heap.Len() < st.Heap.K() {
+				ws.multi = append(ws.multi, si)
+			} else {
+				ws.scan.Scan(st.q, a.dims, data, &st.Heap)
+			}
+		}
+		multi = ws.multi
+	}
+	switch len(multi) {
+	case 0:
+	case 1:
+		st := &a.states[multi[0]]
+		ws.scan.Scan(st.q, a.dims, data, &st.Heap)
+	default:
+		a.scanMulti(ws, multi)
+	}
+}
+
+// scanMulti scans the decoded chunk for members with one
+// SquaredDistancesMulti call per row block.
+func (a *arena) scanMulti(ws *workerScratch, members []int32) {
 	data := &ws.data
 	dims := a.dims
 	n := data.Len()

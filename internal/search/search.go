@@ -13,7 +13,10 @@
 //
 // The scan phase follows the repo-wide squared-distance convention: every
 // chunk is scanned by the vec batch kernel over its contiguous Data.Vecs
-// backing array, on every kernel backend.
+// backing array, on every kernel backend. A chunk that carries scan codes
+// (chunkcode) is scanned through them once the query's heap is full
+// (Scanner): the exact distance is computed only for the rows whose bound
+// admits them, and the heap ends as the exact scan would leave it.
 //
 // Step 3 and all of its bookkeeping — simulated charging, the stop rule,
 // the exactness certificate — exist once, as Walk. Its one driver is the
@@ -37,10 +40,13 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
+	"repro/internal/chunkcode"
 	"repro/internal/chunkfile"
+	"repro/internal/descriptor"
 	"repro/internal/knn"
 	"repro/internal/simdisk"
 	"repro/internal/vec"
@@ -719,4 +725,54 @@ func ScanChunk(q vec.Vector, dims int, data *chunkfile.Data, heap *knn.Heap, d2 
 	vec.SquaredDistancesTo(q, data.Vecs, dims, d2[:n])
 	heap.OfferSquaredAll(data.IDs, d2[:n])
 	return d2
+}
+
+// Scanner is one scanning goroutine's scan memory: the exact scan's d²
+// buffer, the code filter's tables and survivor mask, and the rows the
+// filter admits, gathered. The zero value is ready; it grows to the
+// largest chunk scanned and is then reused without allocating.
+type Scanner struct {
+	d2   []float64
+	code chunkcode.Scratch
+	ids  []descriptor.ID
+	rows []float32
+}
+
+// Scan is step 2 of the paper's algorithm for one query and chunk: it
+// offers every descriptor of the chunk that can enter the heap. When the
+// chunk carries scan codes (chunkfile.Data.Codes) and the heap is full —
+// on every chunk after a query's first, in practice — the code filter
+// rejects each row whose bound proves it strictly worse than the heap's
+// k-th, and only the rows it admits are gathered, given their exact d² and
+// offered, in row order. Otherwise, and always while the heap is filling,
+// it is ScanChunk. The heap ends byte-identical either way: a rejected
+// row could never have entered it, and an admitted one is offered the d²
+// the row kernel computes for it in place.
+func (s *Scanner) Scan(q vec.Vector, dims int, data *chunkfile.Data, heap *knn.Heap) {
+	if c := data.Codes(); c != nil && heap.K() > 0 {
+		if mask, ok := c.Filter(q, heap.Kth2(), &s.code); ok {
+			s.refine(q, dims, data, mask, heap)
+			return
+		}
+	}
+	s.d2 = ScanChunk(q, dims, data, heap, s.d2)
+}
+
+// refine gathers the rows mask admits, computes their d² in one kernel
+// call, and offers them.
+func (s *Scanner) refine(q vec.Vector, dims int, data *chunkfile.Data, mask []uint32, heap *knn.Heap) {
+	if n := data.Len(); cap(s.ids) < n {
+		s.ids, s.rows, s.d2 = make([]descriptor.ID, 0, n), make([]float32, 0, n*dims), make([]float64, n)
+	}
+	ids, rows := s.ids[:0], s.rows[:0]
+	for b, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			r := b*vec.CodeBlockRows + bits.TrailingZeros32(m)
+			ids = append(ids, data.IDs[r])
+			rows = append(rows, data.Vecs[r*dims:(r+1)*dims]...)
+		}
+	}
+	d2 := s.d2[:len(ids)]
+	vec.SquaredDistancesTo(q, rows, dims, d2)
+	heap.OfferSquaredAll(ids, d2)
 }

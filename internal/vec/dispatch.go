@@ -13,12 +13,18 @@ type kernelBackend struct {
 	name       string
 	distsTo    func(q, backing []float32, dims int, out []float64)
 	distsMulti func(queries, backing []float32, dims int, out []float64)
+	// codes and tables are the backend's code kernel and table builder
+	// (codes.go), nil when it has none.
+	codes  func(codes, tables []byte, pairs, blocks, limit int, mask []uint32)
+	tables func(q, cells []float32, scale float32, dst []byte)
 }
 
 var portableKernels = kernelBackend{
 	name:       "portable",
 	distsTo:    squaredDistancesToPortable,
 	distsMulti: squaredDistancesMultiPortable,
+	codes:      filterCodesPortable,
+	tables:     codeTablesPortable,
 }
 
 // available lists the backends usable on this CPU, slowest first: the
@@ -42,6 +48,9 @@ var (
 	activeName       string
 	activeDistsTo    func(q, backing []float32, dims int, out []float64)
 	activeDistsMulti func(queries, backing []float32, dims int, out []float64)
+	activeCodes      func(codes, tables []byte, pairs, blocks, limit int, mask []uint32)
+	activeTables     func(q, cells []float32, scale float32, dst []byte)
+	activeHasCodes   bool
 )
 
 func init() {
@@ -56,6 +65,10 @@ func install(b kernelBackend) {
 	activeName = b.name
 	activeDistsTo = b.distsTo
 	activeDistsMulti = b.distsMulti
+	activeCodes, activeTables, activeHasCodes = b.codes, b.tables, b.codes != nil
+	if !activeHasCodes {
+		activeCodes, activeTables = filterCodesPortable, codeTablesPortable
+	}
 }
 
 // multiFrom builds a SquaredDistancesMulti implementation from a row-scan

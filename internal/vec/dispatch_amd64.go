@@ -16,6 +16,12 @@ func sqDistsToSSE2(q, backing []float32, dims, rows int, out []float64)
 func sqDistsToAVX2(q, backing []float32, dims, rows int, out []float64)
 
 //go:noescape
+func filterCodesAVX2(codes, tables []byte, pairs, blocks, limit int, mask []uint32)
+
+//go:noescape
+func codeTablesAVX2(q, cells []float32, scale float32, dst []byte)
+
+//go:noescape
 func sqDistsMultiPairAVX2(q0, q1, backing []float32, dims, rows int, out0, out1 []float64)
 
 // cpuid and xgetbv0 (cpu_amd64.s) expose the CPUID / XGETBV instructions
@@ -87,6 +93,8 @@ func archKernels() []kernelBackend {
 			name:       "avx2",
 			distsTo:    squaredDistancesToAVX2,
 			distsMulti: squaredDistancesMultiAVX2,
+			codes:      filterCodesAVX2,
+			tables:     codeTablesAVX2,
 		})
 	}
 	return ks

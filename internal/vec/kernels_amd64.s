@@ -412,3 +412,144 @@ mrow24:
 mdone:
 	VZEROUPPER
 	RET
+
+// func filterCodesAVX2(codes, tables []byte, pairs, blocks, limit int, mask []uint32)
+//
+// The code kernel (codes.go): per block of 32 rows, Y0 accumulates the
+// saturating byte sums; each pair's 32 code bytes split into low and high
+// nibbles, which VPSHUFB looks up in the pair's two 16-byte tables (each
+// broadcast to both 128-bit lanes, since VPSHUFB looks up within a lane).
+// A row survives when min(sum, limit) == sum.
+//
+// SI = codes, DX = tables, CX = pairs, BX = blocks left, DI = mask,
+// R8 = current table, R9 = pairs left, Y14 = 0x0f bytes, Y15 = limit bytes.
+TEXT ·filterCodesAVX2(SB), NOSPLIT, $0-96
+	MOVQ codes_base+0(FP), SI
+	MOVQ tables_base+24(FP), DX
+	MOVQ pairs+48(FP), CX
+	MOVQ blocks+56(FP), BX
+	MOVQ limit+64(FP), AX
+	MOVQ mask_base+72(FP), DI
+	MOVQ AX, X15
+	VPBROADCASTB X15, Y15
+	MOVQ $0x0f, AX
+	MOVQ AX, X14
+	VPBROADCASTB X14, Y14
+
+codeblock:
+	TESTQ BX, BX
+	JZ    codedone
+	VPXOR Y0, Y0, Y0
+	MOVQ  DX, R8
+	MOVQ  CX, R9
+
+codepair:
+	VMOVDQU        (SI), Y1
+	VPSRLW         $4, Y1, Y2
+	VPAND          Y14, Y1, Y1
+	VPAND          Y14, Y2, Y2
+	VBROADCASTI128 (R8), Y3
+	VBROADCASTI128 16(R8), Y4
+	VPSHUFB        Y1, Y3, Y3
+	VPSHUFB        Y2, Y4, Y4
+	VPADDUSB       Y3, Y0, Y0
+	VPADDUSB       Y4, Y0, Y0
+	ADDQ           $32, SI
+	ADDQ           $32, R8
+	DECQ           R9
+	JNZ            codepair
+
+	VPMINUB   Y15, Y0, Y1
+	VPCMPEQB  Y0, Y1, Y1
+	VPMOVMSKB Y1, AX
+	MOVL      AX, (DI)
+	ADDQ      $4, DI
+	DECQ      BX
+	JMP       codeblock
+
+codedone:
+	VZEROUPPER
+	RET
+
+// func codeTablesAVX2(q, cells []float32, scale float32, dst []byte)
+//
+// The table builder (codes.go), four cells per XMM register: per
+// dimension, gap = max(lo - q, q - hi, 0), v = min(gap·gap·scale, 255),
+// truncated to int32 and packed with unsigned saturation into the
+// dimension's 16 bytes. Each step rounds as the portable twin does.
+//
+// SI = q, CX = dimensions left, DX = cells, DI = dst, X13 = 0,
+// X14 = 255.0, X15 = scale.
+TEXT ·codeTablesAVX2(SB), NOSPLIT, $0-80
+	MOVQ         q_base+0(FP), SI
+	MOVQ         q_len+8(FP), CX
+	MOVQ         cells_base+24(FP), DX
+	VBROADCASTSS scale+48(FP), X15
+	MOVQ         dst_base+56(FP), DI
+	MOVL         $0x437f0000, AX
+	MOVQ         AX, X14
+	VBROADCASTSS X14, X14
+	VXORPS       X13, X13, X13
+
+tabledim:
+	TESTQ        CX, CX
+	JZ           tabledone
+	VBROADCASTSS (SI), X0
+
+	VMOVUPS    (DX), X1
+	VMOVUPS    64(DX), X2
+	VSUBPS     X0, X1, X1
+	VSUBPS     X2, X0, X2
+	VMAXPS     X2, X1, X1
+	VMAXPS     X13, X1, X1
+	VMULPS     X1, X1, X1
+	VMULPS     X15, X1, X1
+	VMINPS     X14, X1, X1
+	VCVTTPS2DQ X1, X4
+
+	VMOVUPS    16(DX), X1
+	VMOVUPS    80(DX), X2
+	VSUBPS     X0, X1, X1
+	VSUBPS     X2, X0, X2
+	VMAXPS     X2, X1, X1
+	VMAXPS     X13, X1, X1
+	VMULPS     X1, X1, X1
+	VMULPS     X15, X1, X1
+	VMINPS     X14, X1, X1
+	VCVTTPS2DQ X1, X5
+
+	VMOVUPS    32(DX), X1
+	VMOVUPS    96(DX), X2
+	VSUBPS     X0, X1, X1
+	VSUBPS     X2, X0, X2
+	VMAXPS     X2, X1, X1
+	VMAXPS     X13, X1, X1
+	VMULPS     X1, X1, X1
+	VMULPS     X15, X1, X1
+	VMINPS     X14, X1, X1
+	VCVTTPS2DQ X1, X6
+
+	VMOVUPS    48(DX), X1
+	VMOVUPS    112(DX), X2
+	VSUBPS     X0, X1, X1
+	VSUBPS     X2, X0, X2
+	VMAXPS     X2, X1, X1
+	VMAXPS     X13, X1, X1
+	VMULPS     X1, X1, X1
+	VMULPS     X15, X1, X1
+	VMINPS     X14, X1, X1
+	VCVTTPS2DQ X1, X7
+
+	VPACKUSDW X5, X4, X4
+	VPACKUSDW X7, X6, X6
+	VPACKUSWB X6, X4, X4
+	VMOVDQU   X4, (DI)
+
+	ADDQ $4, SI
+	ADDQ $128, DX
+	ADDQ $16, DI
+	DECQ CX
+	JMP  tabledim
+
+tabledone:
+	RET

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chunkcache"
 	"repro/internal/chunkfile"
 	"repro/internal/descriptor"
 	"repro/internal/multiquery"
@@ -95,9 +96,8 @@ func (m *stackModel) search(q Vector, opts SearchOptions) (Result, [][]time.Dura
 		pipes[s] = simdisk.NewPipeline(cost, opts.Overlap, init)
 		res.IndexRead = max(res.IndexRead, init)
 	}
-	var seen []Neighbor // Dist holds d² until the end
+	var seen []Neighbor // the k best rows read so far by (d², ID); Dist holds d² until the end
 	kth := func() float64 {
-		slices.SortFunc(seen, func(a, b Neighbor) int { return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID)) })
 		if len(seen) < k {
 			return math.Inf(1)
 		}
@@ -119,6 +119,8 @@ func (m *stackModel) search(q Vector, opts SearchOptions) (Result, [][]time.Dura
 		for i, v := range r.c.rows {
 			seen = append(seen, Neighbor{ID: r.c.ids[i], Dist: vec.SquaredDistance(q, v)})
 		}
+		slices.SortFunc(seen, func(a, b Neighbor) int { return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID)) })
+		seen = seen[:min(k, len(seen))]
 		clock := pipes[r.c.shard].Chunk(r.c.bytes, len(r.c.rows))
 		clocks[r.c.shard] = append(clocks[r.c.shard], clock)
 		res.Simulated = max(res.Simulated, clock)
@@ -142,7 +144,7 @@ func (m *stackModel) search(q Vector, opts SearchOptions) (Result, [][]time.Dura
 		}
 	}
 	final := kth()
-	for _, nb := range seen[:min(k, len(seen))] {
+	for _, nb := range seen {
 		res.Neighbors = append(res.Neighbors, Neighbor{ID: nb.ID, Dist: math.Sqrt(nb.Dist)})
 	}
 	for s, p := range pipes {
@@ -222,7 +224,12 @@ func withDuplicates(base *Collection, rng *rand.Rand) (*Collection, []int) {
 //     result comparisons of the three save/open round-trip tests, and
 //     TestReplicatedSaveOpenRoundTrip: the reopened index keeps R, its
 //     chunks and rows); its CacheStats report the cache's budget
-//     (TestRouterCacheStatsAccounting) and, once a query reads, traffic;
+//     (TestRouterCacheStatsAccounting) and, once a query reads, traffic.
+//     On half the resident draws the cache is first warmed: one query
+//     reads every live chunk chunkcache.CodeAt+1 times, so every entry
+//     carries scan codes and the checked call scans them wherever its
+//     heap is full (on a backend with a code kernel, the avx2 and
+//     portable ones);
 //   - shards held down with MarkShardDown
 //     (TestUnreplicatedIndexDegradesHonestly,
 //     TestUnreplicatedKillDegradesToSurvivors,
@@ -322,7 +329,19 @@ func FuzzStackVsModel(f *testing.F) {
 		for i, q := range queries {
 			want[i], _ = model.search(q, modelOpts)
 		}
-		draw := fmt.Sprintf("seed %d: %+v on %d shards, store %d, down %v, call %d, %+v", seed, cfg, shards, store, down, call, opts)
+		warm := store == 3 && rng.Intn(2) == 0
+		draw := fmt.Sprintf("seed %d: %+v on %d shards, store %d, warm %v, down %v, call %d, %+v", seed, cfg, shards, store, warm, down, call, opts)
+		if warm {
+			var res Result
+			for range chunkcache.CodeAt + 1 {
+				if err = sx.SearchInto(queries[0], SearchOptions{MaxChunks: math.MaxInt}, &res); err != nil {
+					t.Fatalf("%s: warming: %v", draw, err)
+				}
+			}
+			if st := sx.CacheStats(); vec.CodeKernel() && res.ChunksRead > 0 && st.Coded == 0 {
+				t.Fatalf("%s: the warmed cache coded no entry: %+v", draw, st)
+			}
+		}
 
 		got := make([]Result, len(queries))
 		bopts := BatchOptions{SearchOptions: opts, Parallelism: rng.Intn(5)}
