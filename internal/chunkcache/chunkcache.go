@@ -31,8 +31,9 @@
 // evicted after a hit or two, never pays. The codes are published through
 // an atomic pointer on the entry, their bytes are charged to the stripe
 // when they attach (evicting from the LRU tail to fit), and their memory
-// is pinned and recycled with the entry's block. Only a backend with its
-// own code kernel builds codes (vec.CodeKernel).
+// is pinned with the entry's block. A recycled entry drops its old codes'
+// memory, so a later life that never codes is charged for its rows only.
+// Only a backend with a SIMD code kernel builds codes (vec.CodeKernel).
 //
 // # Zero-copy discipline (refcount + immutable entries)
 //
@@ -77,15 +78,20 @@ const entryOverhead = 128
 
 // CodeAt is the hit on which an entry builds its scan codes: the build's
 // cost over what codes save per hit, the point past which building pays
-// off (ski rental). Building a 1,000-row chunk of 24-d rows takes about
-// 250 µs (BenchmarkCodeBuild). A scan of such a chunk past a query's first
-// takes about 4 µs exact and 0.8 µs on codes (BenchmarkKernelCodes), so a
-// hit that serves one query saves about 3.2 µs and one that serves a
-// batch wave of two or three queries 6–10 µs: the build repays itself
-// after 80 hits at worst and 25–40 in batch. An entry hit that often is
-// resident; one of a thrashing cache, evicted after a hit or two, never
-// gets there.
-const CodeAt = 64
+// off (ski rental). Building a 1,000-row chunk of 24-d rows takes 212 µs
+// (BenchmarkCodeBuild), and a scan with a full heap takes 3.2 µs exact
+// and 0.76 µs on codes (BenchmarkKernelCodes, avx2): 2.45 µs saved. Hits
+// per entry and full-heap scans per hit were counted in the served
+// benchmark (bench/run.sh, 1M rows, 2 cores): a hit serves 0.95 such
+// scans on serve_hot, 1.50 on serve_mixed and 2.2 on batch. The value
+// matters only in a churning cache. A resident working set (serve_hot,
+// batch) pays the uncoded hits once per entry, at most 0.3 ms, and
+// serve_cold's entries are evicted before their 10th hit, so they never
+// build. serve_mixed churns: its break-even is 212 ÷ (1.50 × 2.45) = 58
+// hits, and replaying its measured entry lives (two seeds), the
+// threshold with the least build plus uncoded-scan cost is 53 and 61,
+// with 48 to 72 within 1% of it.
+const CodeAt = 58
 
 // entry is one cached chunk. Immutable once published: block, ids, vecs
 // and dims never change after insert, and codes is set at most once;
@@ -98,14 +104,14 @@ type entry struct {
 	vecs  []float32
 	dims  int
 
-	// bytes is the budget charge: cap(block)·4 + entryOverhead + the code
-	// memory the entry holds. Guarded by the stripe lock once published.
+	// bytes is the budget charge: cap(block)·4 + entryOverhead, plus the
+	// code memory once codes are built. Guarded by the stripe lock once published.
 	bytes int64
 
 	// hits counts the entry's hits since it was published; the one that
 	// reaches CodeAt builds codes into mem and publishes them in codes.
-	// mem's memory stays with the entry, like its block, for its next
-	// life.
+	// Unlike the block, mem does not outlive the entry's life: adopt
+	// drops it on reuse.
 	hits  atomic.Int32
 	codes atomic.Pointer[chunkcode.Codes]
 	mem   chunkcode.Codes
@@ -302,7 +308,8 @@ func (c *Cache) adopt(key uint64, data *chunkfile.Data, dims int) {
 	e.ids, e.vecs = e.block.Rows(count, dims)
 	e.key = key
 	e.dims = dims
-	e.bytes = int64(cap(e.block))*4 + entryOverhead + e.mem.Bytes()
+	e.mem = chunkcode.Codes{}
+	e.bytes = int64(cap(e.block))*4 + entryOverhead
 	e.hits.Store(0)
 	e.codes.Store(nil)
 	e.refs.Store(1) // data's pin, taken before the entry is published
@@ -336,8 +343,7 @@ func (c *Cache) adopt(key uint64, data *chunkfile.Data, dims int) {
 // no other goroutine touches e.mem until the codes are published.
 func (c *Cache) code(e *entry) *chunkcode.Codes {
 	s := e.s
-	held := e.mem.Bytes()
-	if e.bytes-held+chunkcode.Size(len(e.ids), e.dims) > s.maxBytes {
+	if e.bytes+chunkcode.Size(len(e.ids), e.dims) > s.maxBytes {
 		return nil
 	}
 	ok := chunkcode.Build(e.vecs, e.dims, &e.mem)
@@ -346,7 +352,7 @@ func (c *Cache) code(e *entry) *chunkcode.Codes {
 	if e.evicted {
 		return nil
 	}
-	grow := e.mem.Bytes() - held
+	grow := e.mem.Bytes()
 	e.bytes += grow
 	s.bytes += grow
 	for s.bytes > s.maxBytes && s.tail != nil {

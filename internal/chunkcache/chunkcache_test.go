@@ -541,6 +541,30 @@ func TestCodesOnHit(t *testing.T) {
 	}
 }
 
+// TestRecycledEntryDropsCodes pins that codes do not outlive their
+// entry's life: an entry that built codes, dropped and reused for the
+// same chunk, is charged for its rows only until it builds them again.
+func TestRecycledEntryDropsCodes(t *testing.T) {
+	mem, _ := makeStores(t, 2000, 16)
+	cs := NewStore(mem, New(1<<20))
+	var d chunkfile.Data
+	readSum(t, cs, 3, &d)
+	rows := cs.Stats().Bytes
+	for range CodeAt {
+		readSum(t, cs, 3, &d)
+	}
+	if st := cs.Stats(); vec.CodeKernel() && (st.Coded != 1 || st.Bytes <= rows) {
+		t.Fatalf("after %d hits: %+v, rows alone %d bytes", CodeAt, st, rows)
+	}
+	d.Release()
+	cs.Invalidate() // unpinned: the entry goes to its stripe's freelist
+	readSum(t, cs, 3, &d)
+	if st := cs.Stats(); st.Coded != 0 || st.Bytes != rows {
+		t.Fatalf("reused entry: %+v, want %d bytes and no codes", st, rows)
+	}
+	d.Release()
+}
+
 // TestThrashingBuildsNoCodes drives serve_cold's shape: a cache holding
 // 15% of the index, read uniformly by goroutines that each keep
 // several reads pinned. Resident bytes, codes included, never exceed the

@@ -77,10 +77,10 @@ func codeTablesPortable(q, cells []float32, scale float32, dst []byte) {
 	}
 }
 
-// CodeKernel reports whether the active backend has its own code kernel.
-// Callers build codes only when it does: a backend without one (sse2, neon)
-// would run FilterCodes on the portable loop, which is slower than its row
-// kernel.
+// CodeKernel reports whether the active backend has a SIMD code kernel
+// (avx2). Callers build codes only when it does: on any other backend
+// (portable, sse2, neon) FilterCodes runs the portable loop, and a coded
+// scan through it is slower than the exact one (BenchmarkKernelCodes).
 func CodeKernel() bool { return activeHasCodes }
 
 // filterCodesPortable is the portable code kernel: saturating byte sums, as

@@ -14,7 +14,8 @@ type kernelBackend struct {
 	distsTo    func(q, backing []float32, dims int, out []float64)
 	distsMulti func(queries, backing []float32, dims int, out []float64)
 	// codes and tables are the backend's code kernel and table builder
-	// (codes.go), nil when it has none.
+	// (codes.go), nil when it has none; FilterCodes and CodeTables then
+	// run the portable twins.
 	codes  func(codes, tables []byte, pairs, blocks, limit int, mask []uint32)
 	tables func(q, cells []float32, scale float32, dst []byte)
 }
@@ -23,8 +24,6 @@ var portableKernels = kernelBackend{
 	name:       "portable",
 	distsTo:    squaredDistancesToPortable,
 	distsMulti: squaredDistancesMultiPortable,
-	codes:      filterCodesPortable,
-	tables:     codeTablesPortable,
 }
 
 // available lists the backends usable on this CPU, slowest first: the

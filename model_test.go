@@ -228,8 +228,7 @@ func withDuplicates(base *Collection, rng *rand.Rand) (*Collection, []int) {
 //     On half the resident draws the cache is first warmed: one query
 //     reads every live chunk chunkcache.CodeAt+1 times, so every entry
 //     carries scan codes and the checked call scans them wherever its
-//     heap is full (on a backend with a code kernel, the avx2 and
-//     portable ones);
+//     heap is full (on a backend with a SIMD code kernel, avx2);
 //   - shards held down with MarkShardDown
 //     (TestUnreplicatedIndexDegradesHonestly,
 //     TestUnreplicatedKillDegradesToSurvivors,
